@@ -65,6 +65,7 @@ from .scaling import (
     ScalingReport,
     TargetSpectrum,
     block_cholesky,
+    capacity,
     check_homogeneity,
     fixed_tensor_parametrization,
     general_iteration_budget,
@@ -84,6 +85,7 @@ from .scaling import (
     upper_cholesky,
 )
 from .tensors import (
+    NumericBreakdownError,
     SingularMarginalError,
     Tensor,
     apply_factor,

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import conjugate_partition, is_partition
-from .scaling import TargetSpectrum
+from .scaling import TargetSpectrum, capacity
 from .tensors import Tensor
 
 DEFAULT_EVAL_BUDGET = 200_000_000
@@ -265,11 +265,10 @@ def capacity_value(x: Tensor, p: TargetSpectrum,
     multiplicity pattern, which agrees with the plain diagonal product
     whenever R is fully triangular.
     """
-    from .scaling import _capacity
     from .tensors import apply_group
 
     y = apply_group(group, x)
-    return _capacity(list(group), p, y.norm())
+    return capacity(group, p.capacity_blocks(), y.norm())
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:

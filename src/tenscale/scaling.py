@@ -23,15 +23,14 @@ import numpy as np
 
 from .tensors import (
     GroupTuple,
+    NumericBreakdownError,
     SingularMarginalError,
     Tensor,
-    apply_factor,
     apply_group,
     compose_group,
     check_hermitian,
     identity_group,
     marginal,
-    trace_distance,
 )
 
 BOREL = "borel"
@@ -113,6 +112,17 @@ class TargetSpectrum:
             else:
                 sizes.append(1)
         return tuple(sizes)
+
+    def capacity_blocks(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+        """Per factor, (start, stop, exponent) of each block of equal
+        ascending entries; the exponent is the block's common entry."""
+        out = []
+        for i in range(1, self.num_factors + 1):
+            asc = self.ascending(i)
+            bounds = np.cumsum((0,) + self.block_sizes(i))
+            out.append(tuple((int(lo), int(hi), float(asc[lo]))
+                             for lo, hi in zip(bounds[:-1], bounds[1:])))
+        return tuple(out)
 
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
@@ -242,6 +252,10 @@ def upper_cholesky(rho: np.ndarray) -> np.ndarray:
     """
     rho = check_hermitian(rho)
     _assert_nonsingular(rho)
+    return _upper_cholesky(rho)
+
+
+def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
     try:
         lower = np.linalg.cholesky(rho[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
@@ -251,7 +265,10 @@ def upper_cholesky(rho: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root."""
-    rho = check_hermitian(rho)
+    return _psd_sqrt(check_hermitian(rho))
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(rho)
     return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
 
@@ -266,14 +283,20 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """
     rho = check_hermitian(rho)
     n = rho.shape[0]
-    sizes = [int(b) for b in block_sizes]
+    sizes = tuple(int(b) for b in block_sizes)
     if any(b < 1 for b in sizes) or sum(sizes) != n:
         raise ValueError(f"block sizes {block_sizes} do not tile dimension {n}")
     _assert_nonsingular(rho)
+    return _block_cholesky(rho, sizes)
+
+
+def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """block_cholesky on a Hermitian, nonsingular rho with valid sizes; each
+    Schur complement block is still checked."""
     if len(sizes) == 1:
-        return psd_sqrt(rho)
+        return _psd_sqrt(rho)
     if all(b == 1 for b in sizes):
-        return upper_cholesky(rho)
+        return _upper_cholesky(rho)
 
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     out = np.zeros_like(rho, dtype=complex)
@@ -371,19 +394,41 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
 # --------------------------------------------------------------------------
 
 
-def _step_matrix(rho: np.ndarray, target_ascending: np.ndarray,
+def _target_diagonals(p: TargetSpectrum) -> list[np.ndarray]:
+    """Complex diagonal matrices the marginals are driven toward."""
+    return [np.diag(p.ascending(i)).astype(complex)
+            for i in range(1, p.num_factors + 1)]
+
+
+def _measure(y: np.ndarray, diags: Sequence[np.ndarray]
+             ) -> tuple[list[np.ndarray], list[float]]:
+    """Every one-body marginal of the raw tensor y, each checked Hermitian
+    once, and its trace distance to the matching target diagonal.
+
+    The marginal arithmetic is tensors.marginal's, so results agree bit for
+    bit with the Tensor-level functions.
+    """
+    rhos, dists = [], []
+    for i, diag in enumerate(diags, start=1):
+        m = np.moveaxis(y, i, 0).reshape(y.shape[i], -1)
+        rho = check_hermitian(m @ m.conj().T)
+        rhos.append(rho)
+        dists.append(float(np.sum(np.abs(np.linalg.eigvalsh(rho - diag)))))
+    return rhos, dists
+
+
+def _max_distance(group: Sequence[np.ndarray], x: Tensor,
+                  diags: Sequence[np.ndarray]) -> float:
+    return max(_measure(apply_group(group, x).data, diags)[1])
+
+
+def _step_matrix(rho: np.ndarray, root: np.ndarray,
                  blocks: tuple[int, ...] | None) -> np.ndarray:
-    """Factor A with (A rho A^dagger) = diag(target_ascending)."""
-    if blocks is None:
-        r = upper_cholesky(rho)
-    else:
-        r = block_cholesky(rho, blocks)
-    return np.diag(np.sqrt(target_ascending)) @ np.linalg.inv(r)
-
-
-def _distances(y: Tensor, p: TargetSpectrum) -> list[float]:
-    return [trace_distance(marginal(y, i), np.diag(p.ascending(i)))
-            for i in range(1, y.num_factors + 1)]
+    """Factor A with (A rho A^dagger) = root @ root for the diagonal root of
+    the target.  rho must already have passed check_hermitian."""
+    _assert_nonsingular(rho)
+    r = _upper_cholesky(rho) if blocks is None else _block_cholesky(rho, blocks)
+    return root @ np.linalg.inv(r)
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -397,34 +442,39 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     """
     if mode not in (BOREL, PARABOLIC):
         raise ValueError(f"unknown mode {mode!r}")
+    if p.dims != x.dims:
+        raise ValueError(f"target dims {p.dims} do not match tensor dims {x.dims}")
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    dists = _distances(y, p)
+    rhos, dists = _measure(y.data, _target_diagonals(p))
     i = int(np.argmax(dists)) + 1
     blocks = p.block_sizes(i) if mode == PARABOLIC else None
-    a = _step_matrix(marginal(y, i), p.ascending(i), blocks)
+    a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks)
     g_new = list(np.asarray(m, dtype=complex) for m in g)
     g_new[i - 1] = a @ g_new[i - 1]
     return tuple(g_new), i, tuple(dists)
 
 
-def _capacity(borel: Sequence[np.ndarray], p: TargetSpectrum,
-              norm_y: float) -> float:
-    """Capacity objective norm(R . X) * |chi(R)| for the accumulated
-    triangular tuple, using block determinants on the target's
-    multiplicity pattern (the exponent is constant on each block)."""
+def capacity(group: Sequence[np.ndarray],
+             blocks: Sequence[Sequence[tuple[int, int, float]]],
+             norm_y: float) -> float:
+    """Capacity objective norm(R . X) * |chi(R)| for a triangular tuple R.
+
+    ``norm_y`` is norm(R . X) and ``blocks`` is TargetSpectrum.capacity_blocks():
+    the character modulus is a product of block determinants on the
+    target's multiplicity pattern, read off the diagonal for 1x1 blocks.
+    """
     value = norm_y
-    for i in range(1, p.num_factors + 1):
-        asc = p.ascending(i)
-        lo = 0
-        for size in p.block_sizes(i):
-            block = borel[i - 1][lo: lo + size, lo: lo + size]
-            det = abs(np.linalg.det(block))
+    for r, factor_blocks in zip(group, blocks):
+        for lo, hi, exponent in factor_blocks:
+            if hi - lo == 1:
+                det = abs(r[lo, lo])
+            else:
+                det = abs(np.linalg.det(r[lo:hi, lo:hi]))
             if det == 0.0:
                 return math.inf
-            value *= det ** (-float(asc[lo]))
-            lo += size
+            value *= det ** -exponent
     return value
 
 
@@ -464,11 +514,15 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     scale = x0.norm()
     borel = [np.eye(n, dtype=complex) for n in x0.dims]
     borel[0] /= scale
-    y = Tensor(x0.data / scale)
+    # the raw iterate keeps the memory layout each update leaves, as the
+    # Tensor copies did: np.linalg.norm sums in memory order
+    y = x0.data / scale
 
     blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else None
               for i in range(1, d + 1)]
-    targets = [p.ascending(i) for i in range(1, d + 1)]
+    roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
+    diags = _target_diagonals(p)
+    cap_blocks = p.capacity_blocks()
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace: list[IterationRecord] = []
@@ -478,46 +532,58 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
         # halt on the caller's check: on instances at the boundary of
         # scalability the incrementally maintained iterate drifts off the
         # orbit closure and reports spuriously small distances
-        nonlocal y
-        y_check = apply_group(tuple(borel), x0)
+        nonlocal y, rhos, dists
+        try:
+            y_check = apply_group(tuple(borel), x0)
+        except ValueError as exc:
+            # the shapes fit by construction: only non-finite entries get here
+            raise NumericBreakdownError(
+                f"accumulated group left the floating-point range after "
+                f"{len(trace)} steps") from exc
         nrm = y_check.norm()
         if nrm == 0.0:
             return False
-        y = Tensor(y_check.data / nrm)
+        y = y_check.data / nrm
         borel[0] = borel[0] / nrm
-        if max(_distances(y, p)) > epsilon:
+        rhos, dists = _measure(y, diags)
+        if max(dists) > epsilon:
             return False
         return confirm is None or confirm(tuple(borel))
 
+    rhos, dists = _measure(y, diags)
     for _ in range(limit):
-        dists = _distances(y, p)
-        if max(dists) <= epsilon:
-            if verified_halt():
-                return SCALED, tuple(borel), trace
-            dists = _distances(y, p)
+        if max(dists) <= epsilon and verified_halt():
+            return SCALED, tuple(borel), trace
         i = int(np.argmax(dists)) + 1
         try:
-            a = _step_matrix(marginal(y, i), targets[i - 1], blocks[i - 1])
+            a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1])
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(borel), trace
-        y = apply_factor(a, i, y)
+        y = np.moveaxis(np.tensordot(a, y, axes=([1], [i])), 0, i)
+        norm_after = float(np.linalg.norm(y))
+        if not (norm_after > 0.0 and np.all(np.isfinite(y))):
+            raise NumericBreakdownError(
+                f"iterate left the floating-point range at step {len(trace) + 1}")
         borel[i - 1] = a @ borel[i - 1]
-        norm_after = y.norm()
-        y = Tensor(y.data / norm_after)
+        y = y / norm_after
         borel[0] = borel[0] / norm_after
-        cap = _capacity(borel, p, y.norm()) if cfg.log_capacity else math.nan
+        cap = (capacity(borel, cap_blocks, float(np.linalg.norm(y)))
+               if cfg.log_capacity else math.nan)
         trace.append(IterationRecord(i, tuple(dists), norm_after, cap))
+        rhos, dists = _measure(y, diags)
 
-    if max(_distances(y, p)) <= epsilon and verified_halt():
+    if max(dists) <= epsilon and verified_halt():
         return SCALED, tuple(borel), trace
     return BUDGET_EXHAUSTED, tuple(borel), trace
 
 
 def _verified_group(verdict: str, borel: GroupTuple, pre: GroupTuple,
-                    x: Tensor, p: TargetSpectrum, epsilon: float,
-                    restricted: bool, norm_x0: float) -> GroupTuple:
+                    x: Tensor, p: TargetSpectrum, diags: Sequence[np.ndarray],
+                    epsilon: float, restricted: bool,
+                    norm_x0: float) -> GroupTuple:
     """Compose the triangular part with the initial basis change, padding
-    restricted runs, and re-verify the SCALED contract from scratch."""
+    restricted runs, and re-verify the SCALED contract from scratch against
+    p's target diagonals ``diags``."""
     if not restricted:
         return compose_group(borel, pre)
     eps = epsilon
@@ -526,8 +592,7 @@ def _verified_group(verdict: str, borel: GroupTuple, pre: GroupTuple,
         total = compose_group(padded, pre)
         if verdict != SCALED:
             return total
-        dists = _distances(apply_group(total, x), p)
-        if max(dists) <= epsilon or eps < 1e-12:
+        if _max_distance(total, x, diags) <= epsilon or eps < 1e-12:
             return total
         eps /= 16.0
 
@@ -567,19 +632,20 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
 
     budget = iteration_budget((x0.n0,) + x0.dims, x.entry_bitsize(),
                               eps_active, log2_range)
+    diags = _target_diagonals(p)
 
     def confirm(borel: GroupTuple) -> bool:
-        total = _verified_group(SCALED, borel, g0, x, p, cfg.epsilon,
+        total = _verified_group(SCALED, borel, g0, x, p, diags, cfg.epsilon,
                                 restricted, x0_full.norm())
-        return max(_distances(apply_group(total, x), p)) <= cfg.epsilon
+        return _max_distance(total, x, diags) <= cfg.epsilon
 
     verdict, borel, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
                                        confirm=confirm)
-    group = _verified_group(verdict, borel, g0, x, p, cfg.epsilon,
+    group = _verified_group(verdict, borel, g0, x, p, diags, cfg.epsilon,
                             restricted, x0_full.norm())
     report = ScalingReport(verdict, group, len(trace), trace, budget, cfg.epsilon)
     if verdict == SCALED:
-        final = max(_distances(apply_group(group, x), p))
+        final = _max_distance(group, x, diags)
         if final > cfg.epsilon:
             report.verdict = BUDGET_EXHAUSTED
             report.note = f"post-hoc verification failed at {final:.3e}"
@@ -751,19 +817,21 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
                                       eps_active, phi.degree, phi.param_dim,
                                       math.log2(rng_range))
 
+    diags = _target_diagonals(p)
+
     def confirm(borel: GroupTuple) -> bool:
         total = _verified_group(SCALED, borel, identity_group(dims), x, p,
-                                cfg.epsilon, restricted, x.norm())
-        return max(_distances(apply_group(total, x), p)) <= cfg.epsilon
+                                diags, cfg.epsilon, restricted, x.norm())
+        return _max_distance(total, x, diags) <= cfg.epsilon
 
     verdict, borel, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
                                        confirm=confirm)
-    group = _verified_group(verdict, borel, identity_group(dims), x, p,
+    group = _verified_group(verdict, borel, identity_group(dims), x, p, diags,
                             cfg.epsilon, restricted, x.norm())
     report = ScalingReport(verdict, group, len(trace), trace, budget,
                            cfg.epsilon, note=note)
     if verdict == SCALED:
-        final = max(_distances(apply_group(group, x), p))
+        final = _max_distance(group, x, diags)
         if final > cfg.epsilon:
             report.verdict = BUDGET_EXHAUSTED
             report.note = (note + "; " if note else "") + \

@@ -24,6 +24,11 @@ class SingularMarginalError(ArithmeticError):
     """A marginal required to be nonsingular is numerically singular."""
 
 
+class NumericBreakdownError(ArithmeticError):
+    """A scaling run's iterate or accumulated group left the finite
+    floating-point range."""
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Dense complex tensor with a distinguished 0th factor.

@@ -258,6 +258,21 @@ class TestCli:
         assert cli.main(["verify-hwv", "--tensor", str(xpath), "--spec",
                          str(spath)]) == 3
 
+    def test_numeric_breakdown_exit_three(self, tmp_path, capsys):
+        x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
+                               dtype=complex))
+        xpath = tmp_path / "x.json"
+        io.save_tensor(x, str(xpath))
+        ppath = tmp_path / "p.json"
+        io.save_spectrum(ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3),
+                         str(ppath))
+        with np.errstate(all="ignore"):
+            code = cli.main(["scale", "--tensor", str(xpath), "--target",
+                             str(ppath), "--epsilon", "0.05", "--seed", "0",
+                             "--no-randomize", "--max-iters", "800"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
+
     def test_gap_constant_field(self, capsys):
         code = cli.main(["qmp", "--dims", "2,2,2", "--target", "uniform",
                          "--epsilon", "0.05", "--gap-constant-c", "1.0"])

@@ -197,6 +197,13 @@ class TestScalingStep:
                                  np.diag(p.ascending(i))) <= 1e-8
         assert abs(y.norm() - 1.0) <= 1e-8
 
+    def test_rejects_mismatched_target(self, rng):
+        # a one-entry target diagonal would broadcast against a 3x3 marginal
+        x = normalized(random_integer_tensor((1, 3, 3), rng))
+        p = ts.TargetSpectrum(((F(1),), (F(1, 2), F(1, 3), F(1, 6))))
+        with pytest.raises(ValueError):
+            ts.scaling_step(ts.identity_group((3, 3)), x, p)
+
 
 class TestRunScaling:
     def test_dense_orbit_tensor_scales(self):
@@ -344,6 +351,21 @@ class TestRunScaling:
             ts.ScalingConfig(epsilon=0.1, mode="sideways")
         with pytest.raises(ValueError):
             ts.ScalingConfig(epsilon=0.1, rand_range=0)
+
+    def test_numeric_breakdown_is_an_arithmetic_error(self):
+        # unrandomized, this start drives factor 2 of the accumulated group
+        # past the float range within 800 steps while the normalized iterate
+        # stays finite; the halt check's resync then cannot be formed
+        x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
+                               dtype=complex))
+        p = ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3)
+        cfg = ts.ScalingConfig(epsilon=0.05, seed=0, randomize=False,
+                               max_iters=800)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ts.NumericBreakdownError) as info:
+            ts.run_scaling(x, p, cfg)
+        assert isinstance(info.value, ArithmeticError)
+        assert not isinstance(info.value, ValueError)
 
 
 class TestSingularTargets:
