@@ -417,11 +417,6 @@ def _measure(y: np.ndarray, diags: Sequence[np.ndarray]
     return rhos, dists
 
 
-def _max_distance(group: Sequence[np.ndarray], x: Tensor,
-                  diags: Sequence[np.ndarray]) -> float:
-    return max(_measure(apply_group(group, x).data, diags)[1])
-
-
 def _step_matrix(rho: np.ndarray, root: np.ndarray,
                  blocks: tuple[int, ...] | None) -> np.ndarray:
     """Factor A with (A rho A^dagger) = root @ root for the diagonal root of
@@ -493,15 +488,17 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
 
 def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
                epsilon: float, budget: int,
-               confirm: Callable[[GroupTuple], bool] | None = None
+               confirm: Callable[[GroupTuple], GroupTuple | None]
                ) -> tuple[str, GroupTuple, list[IterationRecord]]:
     """Scale the full-rank-target tensor x0 from the identity.
 
-    Returns (verdict, accumulated triangular tuple, per-step trace).  The
-    accumulated tuple carries every step factor plus all normalizations, so
-    the maintained iterate always equals (tuple . x0).  ``confirm`` is the
-    caller's authoritative acceptance check on the accumulated tuple; a
-    candidate halt that fails it keeps iterating.
+    Returns (verdict, group, per-step trace).  The loop keeps an accumulated
+    triangular tuple that carries every step factor plus all normalizations,
+    so the maintained iterate always equals (tuple . x0).  ``confirm`` is
+    the caller's authoritative acceptance check on that tuple: it returns
+    the group it verified, which a SCALED verdict reports, or None, and a
+    candidate halt it rejects keeps iterating.  Any other verdict reports
+    the accumulated tuple itself.
     """
     d = x0.num_factors
     for i in range(1, d + 1):
@@ -527,7 +524,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace: list[IterationRecord] = []
 
-    def verified_halt() -> bool:
+    def verified_halt() -> GroupTuple | None:
         # resynchronize the iterate with the accumulated tuple and gate the
         # halt on the caller's check: on instances at the boundary of
         # scalability the incrementally maintained iterate drifts off the
@@ -542,18 +539,18 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
                 f"{len(trace)} steps") from exc
         nrm = y_check.norm()
         if nrm == 0.0:
-            return False
+            return None
         y = y_check.data / nrm
         borel[0] = borel[0] / nrm
         rhos, dists = _measure(y, diags)
         if max(dists) > epsilon:
-            return False
-        return confirm is None or confirm(tuple(borel))
+            return None
+        return confirm(tuple(borel))
 
     rhos, dists = _measure(y, diags)
     for _ in range(limit):
-        if max(dists) <= epsilon and verified_halt():
-            return SCALED, tuple(borel), trace
+        if max(dists) <= epsilon and (witness := verified_halt()) is not None:
+            return SCALED, witness, trace
         i = int(np.argmax(dists)) + 1
         try:
             a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1])
@@ -572,29 +569,77 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
         trace.append(IterationRecord(i, tuple(dists), norm_after, cap))
         rhos, dists = _measure(y, diags)
 
-    if max(dists) <= epsilon and verified_halt():
-        return SCALED, tuple(borel), trace
+    if max(dists) <= epsilon and (witness := verified_halt()) is not None:
+        return SCALED, witness, trace
     return BUDGET_EXHAUSTED, tuple(borel), trace
 
 
-def _verified_group(verdict: str, borel: GroupTuple, pre: GroupTuple,
-                    x: Tensor, p: TargetSpectrum, diags: Sequence[np.ndarray],
-                    epsilon: float, restricted: bool,
-                    norm_x0: float) -> GroupTuple:
-    """Compose the triangular part with the initial basis change, padding
-    restricted runs, and re-verify the SCALED contract from scratch against
-    p's target diagonals ``diags``."""
-    if not restricted:
-        return compose_group(borel, pre)
-    eps = epsilon
+def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
+                p: TargetSpectrum, pad: float, norm_start: float) -> GroupTuple:
+    """The loop's tuple composed with the initial basis change ``pre``, with
+    zero-target factors padded back by pad_scaling at ``pad``."""
+    if p.has_zeros():
+        borel = pad_scaling(borel, p, pad, norm_start)
+    group = compose_group(borel, pre)
+    if not all(np.all(np.isfinite(m)) for m in group):
+        raise NumericBreakdownError(
+            "the scaling group left the floating-point range")
+    return group
+
+
+def _witness(borel: GroupTuple, pre: GroupTuple, x: Tensor, p: TargetSpectrum,
+             epsilon: float, norm_start: float
+             ) -> tuple[GroupTuple, list[float]]:
+    """The full group of a candidate halt and the trace distances of its
+    marginals to p, measured from scratch on x.
+
+    Zero targets try the pads epsilon, epsilon/16, ... and stop at the first
+    group within epsilon, or once the pad falls below 1e-12.
+    """
+    diags = _target_diagonals(p)
+    pad = epsilon
     while True:
-        padded = pad_scaling(borel, p, eps, norm_x0)
-        total = compose_group(padded, pre)
-        if verdict != SCALED:
-            return total
-        if _max_distance(total, x, diags) <= epsilon or eps < 1e-12:
-            return total
-        eps /= 16.0
+        group = _full_group(borel, pre, p, pad, norm_start)
+        dists = _measure(apply_group(group, x).data, diags)[1]
+        if max(dists) <= epsilon or not p.has_zeros() or pad < 1e-12:
+            return group, dists
+        pad /= 16.0
+
+
+def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
+           cfg: ScalingConfig, budget_for: Callable[[tuple[int, ...], float], int],
+           note: str = "") -> ScalingReport:
+    """Scale ``start`` = pre . x toward p and report a group acting on x.
+
+    Zero targets restrict the start to their positive part and run the loop
+    at half the tolerance; a restriction that vanishes is rejected.  The
+    step budget is budget_for(restricted format, loop tolerance).  A SCALED
+    report ships the group the loop's halt check verified on x; any other
+    group is composed and padded at epsilon without a measurement.  A group
+    with non-finite entries raises NumericBreakdownError instead of being
+    reported.
+    """
+    if p.has_zeros():
+        x0, p_active, _ = restrict_positive(start, p)
+        eps_active = cfg.epsilon / 2.0
+    else:
+        x0, p_active, eps_active = start, p, cfg.epsilon
+    if x0.norm() == 0.0:
+        return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
+                             note="restricted tensor vanished")
+    budget = budget_for((x0.n0,) + x0.dims, eps_active)
+    norm_start = start.norm()
+
+    def confirm(borel: GroupTuple) -> GroupTuple | None:
+        group, dists = _witness(borel, pre, x, p, cfg.epsilon, norm_start)
+        return group if max(dists) <= cfg.epsilon else None
+
+    verdict, group, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
+                                       confirm)
+    if verdict != SCALED:
+        group = _full_group(group, pre, p, cfg.epsilon, norm_start)
+    return ScalingReport(verdict, group, len(trace), trace, budget, cfg.epsilon,
+                         note=note)
 
 
 def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingReport:
@@ -602,54 +647,24 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
 
     Randomizes the basis (unless disabled), rejects the instance when a
     marginal of the randomized tensor is singular, then runs the alternating
-    loop.  A SCALED verdict is re-verified from scratch before reporting.
+    loop.  A SCALED verdict ships a group verified from scratch on x.
     """
     if x.norm() == 0.0:
         raise ValueError("input tensor must be nonzero")
     if p.dims != x.dims:
         raise ValueError(f"target dims {p.dims} do not match tensor dims {x.dims}")
 
-    d = x.num_factors
-    rng_range = _resolve_range(cfg, p.denominator_lcm, d, x.dims)
+    rng_range = _resolve_range(cfg, p.denominator_lcm, x.num_factors, x.dims)
     if cfg.randomize:
         g0 = random_group(x.dims, rng_range, cfg.seed)
         log2_range = math.log2(rng_range)
     else:
         g0 = identity_group(x.dims)
         log2_range = 0.0
-
-    x0_full = apply_group(g0, x)
-    restricted = p.has_zeros()
-    if restricted:
-        x0, p_active, _ = restrict_positive(x0_full, p)
-        eps_active = cfg.epsilon / 2.0
-    else:
-        x0, p_active, eps_active = x0_full, p, cfg.epsilon
-
-    if x0.norm() == 0.0:
-        return ScalingReport(NOT_IN_POLYTOPE, g0, 0, [], 0, cfg.epsilon,
-                             note="restricted tensor vanished")
-
-    budget = iteration_budget((x0.n0,) + x0.dims, x.entry_bitsize(),
-                              eps_active, log2_range)
-    diags = _target_diagonals(p)
-
-    def confirm(borel: GroupTuple) -> bool:
-        total = _verified_group(SCALED, borel, g0, x, p, diags, cfg.epsilon,
-                                restricted, x0_full.norm())
-        return _max_distance(total, x, diags) <= cfg.epsilon
-
-    verdict, borel, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
-                                       confirm=confirm)
-    group = _verified_group(verdict, borel, g0, x, p, diags, cfg.epsilon,
-                            restricted, x0_full.norm())
-    report = ScalingReport(verdict, group, len(trace), trace, budget, cfg.epsilon)
-    if verdict == SCALED:
-        final = _max_distance(group, x, diags)
-        if final > cfg.epsilon:
-            report.verdict = BUDGET_EXHAUSTED
-            report.note = f"post-hoc verification failed at {final:.3e}"
-    return report
+    bits = x.entry_bitsize()
+    return _scale(x, apply_group(g0, x), g0, p, cfg,
+                  lambda shape, eps: iteration_budget(shape, bits, eps,
+                                                      log2_range))
 
 
 # --------------------------------------------------------------------------
@@ -802,38 +817,8 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
         raise ValueError(f"parametrization produced format {x.shape}, "
                          f"target wants dims {dims}")
 
-    restricted = p.has_zeros()
-    if restricted:
-        x0, p_active, _ = restrict_positive(x, p)
-        eps_active = cfg.epsilon / 2.0
-    else:
-        x0, p_active, eps_active = x, p, cfg.epsilon
-    if x0.norm() == 0.0:
-        return (ScalingReport(NOT_IN_POLYTOPE, identity_group(dims), 0, [], 0,
-                              cfg.epsilon, note="restricted sample vanished"),
-                x)
+    def budget_for(shape: tuple[int, ...], eps: float) -> int:
+        return general_iteration_budget(shape, phi.coeff_bits, eps, phi.degree,
+                                        phi.param_dim, math.log2(rng_range))
 
-    budget = general_iteration_budget((x0.n0,) + x0.dims, phi.coeff_bits,
-                                      eps_active, phi.degree, phi.param_dim,
-                                      math.log2(rng_range))
-
-    diags = _target_diagonals(p)
-
-    def confirm(borel: GroupTuple) -> bool:
-        total = _verified_group(SCALED, borel, identity_group(dims), x, p,
-                                diags, cfg.epsilon, restricted, x.norm())
-        return _max_distance(total, x, diags) <= cfg.epsilon
-
-    verdict, borel, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
-                                       confirm=confirm)
-    group = _verified_group(verdict, borel, identity_group(dims), x, p, diags,
-                            cfg.epsilon, restricted, x.norm())
-    report = ScalingReport(verdict, group, len(trace), trace, budget,
-                           cfg.epsilon, note=note)
-    if verdict == SCALED:
-        final = _max_distance(group, x, diags)
-        if final > cfg.epsilon:
-            report.verdict = BUDGET_EXHAUSTED
-            report.note = (note + "; " if note else "") + \
-                f"post-hoc verification failed at {final:.3e}"
-    return report, x
+    return _scale(x, x, identity_group(dims), p, cfg, budget_for, note=note), x

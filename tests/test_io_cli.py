@@ -273,6 +273,12 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("numeric failure:")
 
+    def test_zero_repeats_is_a_usage_error(self, capsys):
+        code = cli.main(["qmp", "--dims", "2,2,2", "--target", "uniform",
+                         "--epsilon", "0.05", "--repeats", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_gap_constant_field(self, capsys):
         code = cli.main(["qmp", "--dims", "2,2,2", "--target", "uniform",
                          "--epsilon", "0.05", "--gap-constant-c", "1.0"])

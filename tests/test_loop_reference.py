@@ -10,6 +10,7 @@ capacity reads 1x1 block determinants off the diagonal instead of through
 np.linalg.det, so it is compared within 1e-12 relative.
 """
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -217,3 +218,89 @@ def test_matches_on_rank_rejection():
     rep = assert_same_run(ts.Tensor(data), ts.TargetSpectrum.uniform((2, 2, 2)),
                           cfg)
     assert rep.verdict == ts.NOT_IN_POLYTOPE and rep.iterations == 0
+
+
+# --------------------------------------------------------------------------
+# The second driver: sampling through a parametrization
+# --------------------------------------------------------------------------
+
+
+def ref_run_general_scaling(phi, p, cfg):
+    """run_general_scaling as it was, for an integer rand_range and a first
+    sample that does not vanish."""
+    rng = random.Random(cfg.seed)
+    x = phi.evaluate(np.array([float(rng.randint(1, cfg.rand_range))
+                               for _ in range(phi.param_dim)]))
+    assert x.norm() > 0.0 and x.dims == p.dims
+    pre = ts.identity_group(p.dims)
+    restricted = p.has_zeros()
+    if restricted:
+        x0, p_active, _ = ts.restrict_positive(x, p)
+        eps_active = cfg.epsilon / 2.0
+    else:
+        x0, p_active, eps_active = x, p, cfg.epsilon
+    assert x0.norm() > 0.0
+    budget = ts.general_iteration_budget((x0.n0,) + x0.dims, phi.coeff_bits,
+                                         eps_active, phi.degree, phi.param_dim,
+                                         math.log2(cfg.rand_range))
+
+    def confirm(borel):
+        total = ref_verified_group(ts.SCALED, borel, pre, x, p, cfg.epsilon,
+                                   restricted, x.norm())
+        return max(ref_distances(ts.apply_group(total, x), p)) <= cfg.epsilon
+
+    verdict, borel, trace = ref_core_loop(x0, p_active, cfg, eps_active, budget,
+                                          confirm)
+    group = ref_verified_group(verdict, borel, pre, x, p, cfg.epsilon,
+                               restricted, x.norm())
+    report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
+                              cfg.epsilon)
+    if verdict == ts.SCALED:
+        final = max(ref_distances(ts.apply_group(group, x), p))
+        if final > cfg.epsilon:
+            report.verdict = ts.BUDGET_EXHAUSTED
+            report.note = f"post-hoc verification failed at {final:.3e}"
+    return report, x
+
+
+def assert_same_general_run(phi, p, cfg):
+    got, got_x = ts.run_general_scaling(phi, p, cfg)
+    want, want_x = ref_run_general_scaling(phi, p, cfg)
+    assert np.array_equal(got_x.data, want_x.data)
+    assert (got.verdict, got.iterations, got.budget, got.note) == \
+        (want.verdict, want.iterations, want.budget, want.note)
+    assert len(got.group) == len(want.group)
+    assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
+    assert len(got.trace) == len(want.trace)
+    for new, old in zip(got.trace, want.trace):
+        assert (new.index, new.distances, new.norm) == \
+            (old.index, old.distances, old.norm)
+        if math.isfinite(old.capacity):
+            assert new.capacity == pytest.approx(old.capacity, rel=1e-12)
+        else:
+            assert not math.isfinite(new.capacity)
+    return got
+
+
+@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+@pytest.mark.parametrize("n0, dims, target, eps, seed", [
+    (1, (2, 2, 2), "uniform", 1e-3, 0),
+    (2, (3, 3, 3), "nonuniform", 1e-3, 1),
+    (2, (3, 3, 3), "zero", 1e-3, 2),
+])
+def test_general_matches_tensor_level_driver(mode, n0, dims, target, eps, seed):
+    p = {"uniform": ts.TargetSpectrum.uniform(dims),
+         "nonuniform": NONUNIFORM, "zero": ZERO}[target]
+    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode, max_iters=3000)
+    rep = assert_same_general_run(ts.identity_parametrization(dims, n0=n0), p,
+                                  cfg)
+    assert rep.verdict == ts.SCALED and rep.iterations > 0
+
+
+@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+def test_general_matches_on_fixed_mps_ray(mode):
+    mats = [np.array([[1, 2], [0, 1]]), np.array([[0, 1], [3, -1]])]
+    phi = ts.fixed_tensor_parametrization(ts.mps_tensor(mats, d=3))
+    cfg = ts.ScalingConfig(epsilon=1e-3, seed=3, mode=mode, max_iters=3000)
+    rep = assert_same_general_run(phi, ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
+    assert rep.iterations > 0

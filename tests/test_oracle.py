@@ -21,13 +21,23 @@ class TestMembership:
         assert verdict.witness is not None
 
     def test_generic_uniform_in(self, rng):
+        # IN rests on the engine's own check of the witness, so measure it
+        # again here: a uniform and a zero target through membership, and a
+        # qmp witness on the sample it scaled
         x = random_integer_tensor((1, 2, 2, 2), rng)
-        p = ts.TargetSpectrum.uniform((2, 2, 2))
-        verdict = ts.membership(x, p, epsilon=0.01)
-        assert verdict.answer == ts.IN
-        y = ts.apply_group(verdict.witness, x)
-        for i in (1, 2, 3):
-            assert ts.trace_distance(ts.marginal(y, i), np.eye(2) / 2) <= 0.01
+        uniform = ts.TargetSpectrum.uniform((2, 2, 2))
+        zero = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2)),
+                                  (F(1, 2), F(1, 2))))
+        verdicts = [(ts.membership(x, uniform, epsilon=0.01), x, uniform),
+                    (ts.membership(x, zero, epsilon=0.01), x, zero)]
+        found = ts.qmp(uniform, (2, 2, 2), epsilon=0.01)
+        verdicts.append((found, found.sample, uniform))
+        for verdict, start, p in verdicts:
+            assert verdict.answer == ts.IN
+            y = ts.apply_group(verdict.witness, start)
+            for i in (1, 2, 3):
+                target = np.diag([float(v) for v in reversed(p.parts[i - 1])])
+                assert ts.trace_distance(ts.marginal(y, i), target) <= 0.01
 
     def test_monogamy_violating_point_far(self, rng):
         # purity on two factors forces the remaining factor pure as well
@@ -94,6 +104,18 @@ class TestQmp:
         with pytest.raises(ValueError):
             ts.qmp(ts.TargetSpectrum.uniform((2, 2)), (2, 2, 2), 0.1)
 
+    def test_repeats_must_be_positive(self, rng):
+        p = ts.TargetSpectrum.uniform((2, 2, 2))
+        x = random_integer_tensor((1, 2, 2, 2), rng)
+        for repeats in (0, -1):
+            with pytest.raises(ValueError, match="repeats"):
+                ts.membership(x, p, 0.1, repeats=repeats)
+            with pytest.raises(ValueError, match="repeats"):
+                ts.qmp(p, (2, 2, 2), 0.1, repeats=repeats)
+            with pytest.raises(ValueError, match="repeats"):
+                ts.kronecker_support(ts.KroneckerQuery((1, 1), (1, 1), (1, 1)),
+                                     0.1, repeats=repeats)
+
 
 class TestKronecker:
     def test_query_validation(self):
@@ -122,6 +144,17 @@ class TestKronecker:
         verdict = ts.kronecker_support(
             ts.KroneckerQuery((2,), (1, 1), (1, 1)), epsilon=0.05)
         assert verdict.answer == ts.IN
+
+    def test_overflowing_group_is_a_numeric_breakdown(self):
+        # far from this point, the accumulated group's third factor leaves
+        # the float range near step 13,360 while the normalized iterate stays
+        # finite and no halt check runs; the capped run must not report the
+        # non-finite group as EPS_FAR evidence
+        cfg = ts.ScalingConfig(epsilon=0.01, seed=0, max_iters=14000)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ts.NumericBreakdownError):
+            ts.kronecker_support(ts.KroneckerQuery((4, 2), (3, 3), (2, 2, 2)),
+                                 0.01, cfg=cfg, repeats=1)
 
     def test_scale_invariance_of_normalized_point(self):
         base = ts.KroneckerQuery((2,), (1, 1), (1, 1))

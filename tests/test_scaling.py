@@ -1,4 +1,5 @@
 """Scaling engine: factorizations, budgets, steps, and full runs."""
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -366,6 +367,15 @@ class TestRunScaling:
             ts.run_scaling(x, p, cfg)
         assert isinstance(info.value, ArithmeticError)
         assert not isinstance(info.value, ValueError)
+
+    def test_core_loop_keeps_its_halt_check_frame(self):
+        # the benchmark counts halt checks (and so rejected halts) by the
+        # frame of the loop's nested verified_halt, whose resync calls
+        # apply_group through the module namespace
+        halts = [c for c in ts.scaling._core_loop.__code__.co_consts
+                 if inspect.iscode(c) and c.co_name == "verified_halt"]
+        assert len(halts) == 1
+        assert "apply_group" in halts[0].co_names
 
 
 class TestSingularTargets:
