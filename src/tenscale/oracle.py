@@ -182,6 +182,13 @@ def sinkhorn(a: np.ndarray, row_targets: Sequence[float],
     c = np.asarray(col_targets, dtype=float)
     if a.ndim != 2 or a.shape != (r.size, c.size):
         raise ValueError("matrix shape must match the target lengths")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(r))
+            and np.all(np.isfinite(c))):
+        raise ValueError("matrix and targets must be finite")
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     if np.any(a < 0) or np.any(r < 0) or np.any(c < 0):
         raise ValueError("matrix and targets must be nonnegative")
     if abs(r.sum() - c.sum()) > 1e-9 * max(r.sum(), 1.0):

@@ -29,8 +29,8 @@ from .tensors import (
     apply_group,
     compose_group,
     check_hermitian,
+    check_hermitian_matrix,
     identity_group,
-    marginal,
 )
 
 BOREL = "borel"
@@ -250,7 +250,7 @@ def upper_cholesky(rho: np.ndarray) -> np.ndarray:
     Obtained from the ordinary lower Cholesky factorization of the
     coordinate-reversed matrix.
     """
-    rho = check_hermitian(rho)
+    rho = check_hermitian_matrix(rho)
     _assert_nonsingular(rho)
     return _upper_cholesky(rho)
 
@@ -265,7 +265,7 @@ def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
 
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root."""
-    return _psd_sqrt(check_hermitian(rho))
+    return _psd_sqrt(check_hermitian_matrix(rho))
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
@@ -281,7 +281,7 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     reduce to upper_cholesky.  In between, blocks are eliminated bottom-up
     through Schur complements.
     """
-    rho = check_hermitian(rho)
+    rho = check_hermitian_matrix(rho)
     n = rho.shape[0]
     sizes = tuple(int(b) for b in block_sizes)
     if any(b < 1 for b in sizes) or sum(sizes) != n:
@@ -394,26 +394,69 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
 # --------------------------------------------------------------------------
 
 
-def _target_diagonals(p: TargetSpectrum) -> list[np.ndarray]:
-    """Complex diagonal matrices the marginals are driven toward."""
-    return [np.diag(p.ascending(i)).astype(complex)
-            for i in range(1, p.num_factors + 1)]
+class _Plan:
+    """How the scaling loop reads and writes a raw iterate of one format.
 
-
-def _measure(y: np.ndarray, diags: Sequence[np.ndarray]
-             ) -> tuple[list[np.ndarray], list[float]]:
-    """Every one-body marginal of the raw tensor y, each checked Hermitian
-    once, and its trace distance to the matching target diagonal.
-
-    The marginal arithmetic is tensors.marginal's, so results agree bit for
-    bit with the Tensor-level functions.
+    perms[j] moves factor j + 1 to the front, (j + 1, 0, 1, ...), the
+    flattening order of tensors.marginal; shapes[j] and inverse[j] undo it
+    after an update.  groups pairs the 0-based factors of each distinct
+    dimension with their target diagonals, stacked.
     """
-    rhos, dists = [], []
-    for i, diag in enumerate(diags, start=1):
-        m = np.moveaxis(y, i, 0).reshape(y.shape[i], -1)
-        rho = check_hermitian(m @ m.conj().T)
-        rhos.append(rho)
-        dists.append(float(np.sum(np.abs(np.linalg.eigvalsh(rho - diag)))))
+
+    def __init__(self, shape: tuple[int, ...], p: TargetSpectrum):
+        d = len(shape) - 1
+        self.perms = [(i,) + tuple(j for j in range(d + 1) if j != i)
+                      for i in range(1, d + 1)]
+        self.shapes = [tuple(shape[j] for j in perm) for perm in self.perms]
+        self.inverse = [tuple(int(j) for j in np.argsort(perm))
+                        for perm in self.perms]
+        by_dim: dict[int, list[int]] = {}
+        for j, n in enumerate(shape[1:]):
+            by_dim.setdefault(n, []).append(j)
+        self.groups = [
+            (factors, np.stack([np.diag(p.ascending(j + 1)).astype(complex)
+                                for j in factors]))
+            for factors in by_dim.values()]
+
+    def grams(self, y: np.ndarray) -> list[np.ndarray]:
+        """One-body marginals of the raw tensor y, one (k, n, n) stack per
+        group, each computed alone exactly as tensors.marginal does."""
+        stacks = []
+        for factors, diags in self.groups:
+            n = diags.shape[-1]
+            stack = np.empty((len(factors), n, n), dtype=complex)
+            for j, gram in zip(factors, stack):
+                m = y.transpose(self.perms[j]).reshape(n, -1)
+                np.matmul(m, m.conj().T, out=gram)
+            stacks.append(stack)
+        return stacks
+
+    def apply(self, a: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
+        """a acting on factor j + 1 of the raw tensor y: np.tensordot's own
+        copy and product, so the bits and the strides of the result match
+        np.moveaxis(np.tensordot(a, y, axes=([1], [j + 1])), 0, j + 1)."""
+        flat = y.transpose(self.perms[j]).reshape(a.shape[1], -1)
+        return np.dot(a, flat).reshape(self.shapes[j]).transpose(self.inverse[j])
+
+
+def _measure(y: np.ndarray, plan: _Plan
+             ) -> tuple[list[np.ndarray], list[float]]:
+    """Every one-body marginal of the raw tensor y, checked Hermitian, and
+    its trace distance to the matching target diagonal.
+
+    Each dimension group takes one stacked check_hermitian and one stacked
+    eigvalsh.  LAPACK solves each matrix of a stack on its own, exactly as
+    it solves that matrix alone, and each row's sum of absolute eigenvalues
+    is the same reduction as np.sum over one spectrum, so the distances
+    agree bit for bit with trace_distance on tensors.marginal.
+    """
+    rhos = [None] * len(plan.perms)
+    dists = [0.0] * len(plan.perms)
+    for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
+        check_hermitian(stack)
+        spread = np.abs(np.linalg.eigvalsh(stack - diags)).sum(axis=1)
+        for j, rho, dist in zip(factors, stack, spread.tolist()):
+            rhos[j], dists[j] = rho, dist
     return rhos, dists
 
 
@@ -442,8 +485,8 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    rhos, dists = _measure(y.data, _target_diagonals(p))
-    i = int(np.argmax(dists)) + 1
+    rhos, dists = _measure(y.data, _Plan(y.shape, p))
+    i = dists.index(max(dists)) + 1
     blocks = p.block_sizes(i) if mode == PARABOLIC else None
     a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks)
     g_new = list(np.asarray(m, dtype=complex) for m in g)
@@ -501,11 +544,12 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     the accumulated tuple itself.
     """
     d = x0.num_factors
-    for i in range(1, d + 1):
-        rho = marginal(x0, i)
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] <= SINGULARITY_RTOL * max(float(np.trace(rho).real), 0.0) \
-                or float(np.trace(rho).real) == 0.0:
+    plan = _Plan(x0.shape, p)
+    for stack in plan.grams(x0.data):
+        eigs = np.linalg.eigvalsh(stack)
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        if np.any(eigs[:, 0] <= SINGULARITY_RTOL * np.maximum(traces, 0.0)) \
+                or np.any(traces == 0.0):
             return NOT_IN_POLYTOPE, identity_group(x0.dims), []
 
     scale = x0.norm()
@@ -518,7 +562,6 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else None
               for i in range(1, d + 1)]
     roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
-    diags = _target_diagonals(p)
     cap_blocks = p.capacity_blocks()
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
@@ -542,23 +585,24 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
             return None
         y = y_check.data / nrm
         borel[0] = borel[0] / nrm
-        rhos, dists = _measure(y, diags)
+        rhos, dists = _measure(y, plan)
         if max(dists) > epsilon:
             return None
         return confirm(tuple(borel))
 
-    rhos, dists = _measure(y, diags)
+    rhos, dists = _measure(y, plan)
     for _ in range(limit):
         if max(dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace
-        i = int(np.argmax(dists)) + 1
+        i = dists.index(max(dists)) + 1
         try:
             a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1])
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(borel), trace
-        y = np.moveaxis(np.tensordot(a, y, axes=([1], [i])), 0, i)
+        y = plan.apply(a, y, i - 1)
         norm_after = float(np.linalg.norm(y))
-        if not (norm_after > 0.0 and np.all(np.isfinite(y))):
+        # a finite norm means every entry is finite
+        if not 0.0 < norm_after < math.inf:
             raise NumericBreakdownError(
                 f"iterate left the floating-point range at step {len(trace) + 1}")
         borel[i - 1] = a @ borel[i - 1]
@@ -567,7 +611,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
         cap = (capacity(borel, cap_blocks, float(np.linalg.norm(y)))
                if cfg.log_capacity else math.nan)
         trace.append(IterationRecord(i, tuple(dists), norm_after, cap))
-        rhos, dists = _measure(y, diags)
+        rhos, dists = _measure(y, plan)
 
     if max(dists) <= epsilon and (witness := verified_halt()) is not None:
         return SCALED, witness, trace
@@ -596,11 +640,11 @@ def _witness(borel: GroupTuple, pre: GroupTuple, x: Tensor, p: TargetSpectrum,
     Zero targets try the pads epsilon, epsilon/16, ... and stop at the first
     group within epsilon, or once the pad falls below 1e-12.
     """
-    diags = _target_diagonals(p)
+    plan = _Plan(x.shape, p)
     pad = epsilon
     while True:
         group = _full_group(borel, pre, p, pad, norm_start)
-        dists = _measure(apply_group(group, x).data, diags)[1]
+        dists = _measure(apply_group(group, x).data, plan)[1]
         if max(dists) <= epsilon or not p.has_zeros() or pad < 1e-12:
             return group, dists
         pad /= 16.0

@@ -212,6 +212,14 @@ class TestCli:
                              capsys=capsys)
         assert code == 0 and json.loads(out)["converged"]
 
+    def test_sinkhorn_nan_entry_is_a_usage_error(self, tmp_path, capsys):
+        mpath = tmp_path / "m.json"
+        mpath.write_text("[[NaN, 1], [1, 1]]")
+        code = cli.main(["sinkhorn", "--matrix", str(mpath), "--rows", "1,1",
+                         "--cols", "1,1", "--epsilon", "1e-3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_general_scale_orbit(self, ghz_path, capsys):
         code, out = self.run("general-scale", "--orbit-tensor", ghz_path,
                              "--target", "uniform", "--epsilon", "0.02",

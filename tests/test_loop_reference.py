@@ -175,6 +175,9 @@ NONUNIFORM = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
 ZERO = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
                           (F(2, 3), F(1, 3), F(0)),
                           (F(1, 3), F(1, 3), F(1, 3))))
+MIXED = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
+                           (F(3, 5), F(2, 5)),
+                           (F(2, 5), F(2, 5), F(1, 5))))
 
 
 @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
@@ -185,11 +188,14 @@ ZERO = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
     ((2, 3, 3, 3), "zero", 1e-3, 3),
     ((1, 3, 3, 3, 3, 3), "uniform", 1e-3, 4),
     ((2, 3, 2), "uniform", 1e-4, 5),
+    # mixed dimensions: the engine measures each dimension as one stack
+    ((1, 3, 2, 3), "mixed", 1e-3, 6),
+    ((1, 2, 3, 2), "uniform", 1e-3, 7),
 ])
 def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
     x = random_integer_tensor(shape, rng)
     p = {"uniform": ts.TargetSpectrum.uniform(shape[1:]),
-         "nonuniform": NONUNIFORM, "zero": ZERO}[target]
+         "nonuniform": NONUNIFORM, "zero": ZERO, "mixed": MIXED}[target]
     cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode, max_iters=3000)
     rep = assert_same_run(x, p, cfg)
     assert rep.iterations > 0

@@ -201,6 +201,14 @@ class TestSinkhorn:
             ts.sinkhorn(np.array([[1.0, -1], [1, 1]]), [1, 1], [1, 1], 1e-3)
         with pytest.raises(ValueError):
             ts.sinkhorn(np.eye(2), [1, 1], [1, 2], 1e-3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ts.sinkhorn(np.array([[bad, 1], [1, 1]]), [1, 1], [1, 1], 1e-3)
+        with pytest.raises(ValueError):
+            ts.sinkhorn(np.eye(2), [1, 1], [1, 1], 1e-3, max_iters=-5)
+        for eps in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                ts.sinkhorn(np.eye(2), [1, 1], [1, 1], eps)
 
 
 class TestDiagonalEmbedding:

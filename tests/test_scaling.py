@@ -205,6 +205,33 @@ class TestScalingStep:
         with pytest.raises(ValueError):
             ts.scaling_step(ts.identity_group((3, 3)), x, p)
 
+    def test_measure_solves_once_per_dimension(self, rng, monkeypatch):
+        # (1;2,3,2,3) has two distinct factor dimensions: one stacked
+        # Hermitian check and one stacked eigen-solve each, not one per factor
+        x = normalized(random_integer_tensor((1, 2, 3, 2, 3), rng))
+        p = ts.TargetSpectrum(((F(3, 5), F(2, 5)), (F(1, 2), F(1, 3), F(1, 6)),
+                               (F(1, 2), F(1, 2)), (F(1, 3),) * 3))
+        plan = ts.scaling._Plan(x.shape, p)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(ts.scaling, "check_hermitian",
+                            counted("check_hermitian", ts.check_hermitian))
+        rhos, dists = ts.scaling._measure(x.data, plan)
+        assert sorted(calls) == ["check_hermitian"] * 2 + ["eigvalsh"] * 2
+        monkeypatch.undo()
+        for i in range(1, 5):
+            assert np.array_equal(rhos[i - 1], ts.marginal(x, i))
+            assert dists[i - 1] == ts.trace_distance(ts.marginal(x, i),
+                                                     np.diag(p.ascending(i)))
+
 
 class TestRunScaling:
     def test_dense_orbit_tensor_scales(self):

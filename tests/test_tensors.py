@@ -115,6 +115,41 @@ class TestMarginal:
             ts.marginal(ghz_tensor(), 4)
 
 
+class TestCheckHermitian:
+    def test_stack_checks_each_matrix_against_its_own_norm(self, rng):
+        big = 1e8 * random_hermitian(3, rng)
+        small = 1e-8 * random_hermitian(3, rng)
+        # a defect far above rtol of its own norm, far below the stack's
+        small[0, 1] += 1e-14
+        ts.check_hermitian(big)
+        with pytest.raises(ValueError):
+            ts.check_hermitian(small)
+        with pytest.raises(ValueError):
+            ts.check_hermitian(np.stack([big, small]))
+
+    def test_valid_stack_passes(self, rng):
+        stack = np.stack([random_hermitian(4, rng) for _ in range(5)])
+        assert np.array_equal(ts.check_hermitian(stack), stack)
+
+    def test_rejects_non_square(self):
+        for shape in [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)]:
+            with pytest.raises(ValueError):
+                ts.check_hermitian(np.zeros(shape))
+
+    def test_single_matrix_functions_reject_stacks(self):
+        stack = np.stack([np.eye(2) / 2] * 3)
+        with pytest.raises(ValueError):
+            ts.spectrum(stack)
+        with pytest.raises(ValueError):
+            ts.trace_distance(stack, stack)
+        with pytest.raises(ValueError):
+            ts.trace_distance(np.eye(2) / 2, stack)
+        for factor in (ts.upper_cholesky, ts.psd_sqrt,
+                       lambda rho: ts.block_cholesky(rho, (1, 1))):
+            with pytest.raises(ValueError):
+                factor(stack)
+
+
 class TestSpectrum:
     def test_diagonal(self):
         assert np.allclose(ts.spectrum(np.diag([0.3, 0.7])), [0.7, 0.3])
