@@ -32,7 +32,6 @@ from .oracle import (
     KroneckerQuery,
     MembershipVerdict,
     SinkhornResult,
-    gap_constant,
     kronecker_support,
     matrix_to_diagonal_tensor,
     membership,

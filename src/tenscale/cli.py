@@ -23,7 +23,6 @@ from .hwv import (
 from .oracle import (
     IN,
     KroneckerQuery,
-    gap_constant,
     kronecker_support,
     membership,
     qmp,
@@ -143,15 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="promise membership for a fixed tensor")
     member.add_argument("--tensor", required=True)
     member.add_argument("--repeats", type=int, default=6)
-    member.add_argument("--gap-constant-c", type=float, default=None,
-                        help="also report the separation threshold for this "
-                             "constant")
     _add_run_flags(member)
 
     qmp_cmd = commands.add_parser("qmp", help="one-body marginal realizability")
     qmp_cmd.add_argument("--dims", required=True)
     qmp_cmd.add_argument("--repeats", type=int, default=6)
-    qmp_cmd.add_argument("--gap-constant-c", type=float, default=None)
     _add_run_flags(qmp_cmd)
 
     kron = commands.add_parser("kronecker",
@@ -161,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     kron.add_argument("--nu", required=True)
     kron.add_argument("--n", type=int, default=0)
     kron.add_argument("--repeats", type=int, default=6)
-    kron.add_argument("--gap-constant-c", type=float, default=None)
     _add_run_flags(kron, target=False)
 
     reduce_cmd = commands.add_parser(
@@ -189,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sink.add_argument("--max-iters", type=int, default=10_000)
     sink.add_argument("--out", default=None)
     return parser
-
-
-def _gap_field(args, dims, ell) -> dict:
-    c = getattr(args, "gap_constant_c", None)
-    if c is None:
-        return {}
-    return {"gapConstant": gap_constant(dims, ell, c), "gapConstantC": c}
 
 
 def _cmd_scale(args) -> int:
@@ -247,8 +234,7 @@ def _cmd_membership(args) -> int:
     p = _load_target(args, x.dims)
     verdict = membership(x, p, args.epsilon, cfg=_config(args),
                          repeats=args.repeats)
-    obj = {"command": "membership", **io.verdict_to_obj(verdict),
-           **_gap_field(args, x.dims, p.denominator_lcm)}
+    obj = {"command": "membership", **io.verdict_to_obj(verdict)}
     _emit(obj, args.out)
     return 0 if verdict.answer == IN else 1
 
@@ -257,8 +243,7 @@ def _cmd_qmp(args) -> int:
     dims = _csv_ints(args.dims, "--dims")
     p = _load_target(args, dims)
     verdict = qmp(p, dims, args.epsilon, cfg=_config(args), repeats=args.repeats)
-    obj = {"command": "qmp", **io.verdict_to_obj(verdict),
-           **_gap_field(args, dims, p.denominator_lcm)}
+    obj = {"command": "qmp", **io.verdict_to_obj(verdict)}
     _emit(obj, args.out)
     return 0 if verdict.answer == IN else 1
 
@@ -269,11 +254,9 @@ def _cmd_kronecker(args) -> int:
                            nu=_csv_ints(args.nu, "--nu"), n=args.n)
     verdict = kronecker_support(query, args.epsilon, cfg=_config(args),
                                 repeats=args.repeats)
-    point = query.normalized_point()
     obj = {"command": "kronecker", "lam": list(query.lam),
            "mu": list(query.mu), "nu": list(query.nu), "n": query.n,
-           **io.verdict_to_obj(verdict),
-           **_gap_field(args, (query.n,) * 3, point.denominator_lcm)}
+           **io.verdict_to_obj(verdict)}
     _emit(obj, args.out)
     return 0 if verdict.answer == IN else 1
 

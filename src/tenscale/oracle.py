@@ -142,17 +142,6 @@ def kronecker_support(query: KroneckerQuery, epsilon: float,
     return qmp(point, (query.n,) * 3, epsilon, cfg=cfg, repeats=repeats)
 
 
-def gap_constant(dims: Sequence[int], ell: int, c: float) -> float:
-    """Heuristic separation threshold exp(-c * (sum n_i) * ln(ell * max n_j)).
-
-    The constant c must come from the caller; no certified default exists,
-    so this is a diagnostic threshold, never a proof of membership.
-    """
-    if ell < 1 or not dims:
-        raise ValueError("need ell >= 1 and at least one dimension")
-    return math.exp(-c * sum(dims) * math.log(ell * max(dims)))
-
-
 # --------------------------------------------------------------------------
 # Classical matrix scaling cross-check
 # --------------------------------------------------------------------------

@@ -43,6 +43,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
+_GATE_MARGIN = 1e3 * SINGULARITY_RTOL  # see _step_matrix
 
 
 # --------------------------------------------------------------------------
@@ -440,9 +441,10 @@ class _Plan:
 
 
 def _measure(y: np.ndarray, plan: _Plan
-             ) -> tuple[list[np.ndarray], list[float]]:
-    """Every one-body marginal of the raw tensor y, checked Hermitian, and
-    its trace distance to the matching target diagonal.
+             ) -> tuple[list[np.ndarray], list[float], list[float]]:
+    """Every one-body marginal rho_j of the raw tensor y, checked Hermitian,
+    its trace distance to the matching target diagonal D_j, and the
+    smallest eigenvalue of rho_j - D_j.
 
     Each dimension group takes one stacked check_hermitian and one stacked
     eigvalsh.  LAPACK solves each matrix of a stack on its own, exactly as
@@ -452,19 +454,33 @@ def _measure(y: np.ndarray, plan: _Plan
     """
     rhos = [None] * len(plan.perms)
     dists = [0.0] * len(plan.perms)
+    lows = [0.0] * len(plan.perms)
     for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
         check_hermitian(stack)
-        spread = np.abs(np.linalg.eigvalsh(stack - diags)).sum(axis=1)
-        for j, rho, dist in zip(factors, stack, spread.tolist()):
-            rhos[j], dists[j] = rho, dist
-    return rhos, dists
+        eigs = np.linalg.eigvalsh(stack - diags)
+        spread = np.abs(eigs).sum(axis=1)
+        for j, rho, dist, low in zip(factors, stack, spread.tolist(),
+                                     eigs[:, 0].tolist()):
+            rhos[j], dists[j], lows[j] = rho, dist, low
+    return rhos, dists, lows
 
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray,
-                 blocks: tuple[int, ...] | None) -> np.ndarray:
+                 blocks: tuple[int, ...] | None,
+                 bound: float) -> np.ndarray:
     """Factor A with (A rho A^dagger) = root @ root for the diagonal root of
-    the target.  rho must already have passed check_hermitian."""
-    _assert_nonsingular(rho)
+    the target.  rho must already have passed check_hermitian.
+
+    ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
+    for the target diagonal D, its first term as _measure computed it.  One
+    above _GATE_MARGIN * max(tr rho, 1) skips the exact gate's eigvalsh.
+    eigvalsh errs by a small multiple of n * 2.2e-16 times the norm, and
+    ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
+    thousands a bound clearing 1e-9 of it leaves the exact gate's eigenvalue
+    far above its 1e-12 threshold: the bound passes only what the gate does.
+    """
+    if not bound > _GATE_MARGIN * max(float(np.trace(rho).real), 1.0):
+        _assert_nonsingular(rho)
     r = _upper_cholesky(rho) if blocks is None else _block_cholesky(rho, blocks)
     return root @ np.linalg.inv(r)
 
@@ -485,10 +501,11 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    rhos, dists = _measure(y.data, _Plan(y.shape, p))
+    rhos, dists, lows = _measure(y.data, _Plan(y.shape, p))
     i = dists.index(max(dists)) + 1
     blocks = p.block_sizes(i) if mode == PARABOLIC else None
-    a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks)
+    a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks,
+                     lows[i - 1] + p.ascending(i)[0])
     g_new = list(np.asarray(m, dtype=complex) for m in g)
     g_new[i - 1] = a @ g_new[i - 1]
     return tuple(g_new), i, tuple(dists)
@@ -499,9 +516,9 @@ def capacity(group: Sequence[np.ndarray],
              norm_y: float) -> float:
     """Capacity objective norm(R . X) * |chi(R)| for a triangular tuple R.
 
-    ``norm_y`` is norm(R . X) and ``blocks`` is TargetSpectrum.capacity_blocks():
-    the character modulus is a product of block determinants on the
-    target's multiplicity pattern, read off the diagonal for 1x1 blocks.
+    ``norm_y`` is norm(R . X) and ``blocks`` is TargetSpectrum.capacity_blocks()
+    or a refinement that R is block triangular on: the character modulus is
+    a product of block determinants, read off the diagonal for 1x1 blocks.
     """
     value = norm_y
     for r, factor_blocks in zip(group, blocks):
@@ -562,7 +579,14 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else None
               for i in range(1, d + 1)]
     roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
+    floors = [float(p.ascending(i)[0]) for i in range(1, d + 1)]
     cap_blocks = p.capacity_blocks()
+    if cfg.mode == BOREL:
+        # LU never pivots on an upper-triangular matrix, so every Borel factor
+        # is exactly upper triangular: read each determinant off the diagonal
+        cap_blocks = tuple(tuple((k, k + 1, e) for lo, hi, e in factor_blocks
+                                 for k in range(lo, hi))
+                           for factor_blocks in cap_blocks)
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace: list[IterationRecord] = []
@@ -572,7 +596,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
         # halt on the caller's check: on instances at the boundary of
         # scalability the incrementally maintained iterate drifts off the
         # orbit closure and reports spuriously small distances
-        nonlocal y, rhos, dists
+        nonlocal y, rhos, dists, lows
         try:
             y_check = apply_group(tuple(borel), x0)
         except ValueError as exc:
@@ -585,18 +609,19 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
             return None
         y = y_check.data / nrm
         borel[0] = borel[0] / nrm
-        rhos, dists = _measure(y, plan)
+        rhos, dists, lows = _measure(y, plan)
         if max(dists) > epsilon:
             return None
         return confirm(tuple(borel))
 
-    rhos, dists = _measure(y, plan)
+    rhos, dists, lows = _measure(y, plan)
     for _ in range(limit):
         if max(dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace
         i = dists.index(max(dists)) + 1
         try:
-            a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1])
+            a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1],
+                             lows[i - 1] + floors[i - 1])
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(borel), trace
         y = plan.apply(a, y, i - 1)
@@ -608,10 +633,10 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
         borel[i - 1] = a @ borel[i - 1]
         y = y / norm_after
         borel[0] = borel[0] / norm_after
-        cap = (capacity(borel, cap_blocks, float(np.linalg.norm(y)))
-               if cfg.log_capacity else math.nan)
+        # y was just divided by its norm: norm(R . X) is 1 up to rounding
+        cap = capacity(borel, cap_blocks, 1.0) if cfg.log_capacity else math.nan
         trace.append(IterationRecord(i, tuple(dists), norm_after, cap))
-        rhos, dists = _measure(y, plan)
+        rhos, dists, lows = _measure(y, plan)
 
     if max(dists) <= epsilon and (witness := verified_halt()) is not None:
         return SCALED, witness, trace

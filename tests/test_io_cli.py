@@ -287,11 +287,12 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_gap_constant_field(self, capsys):
-        code = cli.main(["qmp", "--dims", "2,2,2", "--target", "uniform",
-                         "--epsilon", "0.05", "--gap-constant-c", "1.0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["gapConstant"] == pytest.approx(
-            ts.gap_constant((2, 2, 2), 2, 1.0))
+    @pytest.mark.parametrize("command", [
+        ["membership", "--tensor", "x.json", "--target", "uniform"],
+        ["qmp", "--dims", "2,2,2", "--target", "uniform"],
+        ["kronecker", "--lam", "2", "--mu", "1,1", "--nu", "1,1"],
+    ])
+    def test_gap_constant_flag_is_gone(self, capsys, command):
+        assert cli.main(command + ["--epsilon", "0.05",
+                                   "--gap-constant-c", "1.0"]) == 2
+        assert "--gap-constant-c" in capsys.readouterr().err

@@ -178,6 +178,11 @@ ZERO = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
 MIXED = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
                            (F(3, 5), F(2, 5)),
                            (F(2, 5), F(2, 5), F(1, 5))))
+TWO_THIRDS = ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3)
+# an unrandomized start that ends NOT_IN_POLYTOPE at step 423 through the
+# singularity gate of a mid-loop step
+GATE_START = ts.Tensor(np.array([[[[3, 4], [1, 4]], [[3, 2], [2, 2]]]],
+                                dtype=complex))
 
 
 @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
@@ -191,12 +196,19 @@ MIXED = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
     # mixed dimensions: the engine measures each dimension as one stack
     ((1, 3, 2, 3), "mixed", 1e-3, 6),
     ((1, 2, 3, 2), "uniform", 1e-3, 7),
+    # a fixed start, not randomized and capped at 800 steps
+    (GATE_START, "two_thirds", 0.05, 0),
 ])
 def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
-    x = random_integer_tensor(shape, rng)
-    p = {"uniform": ts.TargetSpectrum.uniform(shape[1:]),
-         "nonuniform": NONUNIFORM, "zero": ZERO, "mixed": MIXED}[target]
-    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode, max_iters=3000)
+    if isinstance(shape, ts.Tensor):
+        x, randomize, cap = shape, False, 800
+    else:
+        x, randomize, cap = random_integer_tensor(shape, rng), True, 3000
+    p = {"uniform": ts.TargetSpectrum.uniform(x.dims),
+         "nonuniform": NONUNIFORM, "zero": ZERO, "mixed": MIXED,
+         "two_thirds": TWO_THIRDS}[target]
+    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode,
+                           randomize=randomize, max_iters=cap)
     rep = assert_same_run(x, p, cfg)
     assert rep.iterations > 0
 

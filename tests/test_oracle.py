@@ -166,20 +166,6 @@ class TestKronecker:
                 == base.normalized_point().parts
 
 
-class TestGapConstant:
-    def test_worked_example(self):
-        assert ts.gap_constant((2, 2, 2), ell=2, c=1.0) \
-            == pytest.approx(4.0 ** -6)
-
-    def test_log_one_gives_one(self):
-        assert ts.gap_constant((1, 1), ell=1, c=5.0) == 1.0
-
-    def test_monotone(self):
-        base = ts.gap_constant((2, 2), 2, 1.0)
-        assert ts.gap_constant((2, 2), 4, 1.0) < base
-        assert ts.gap_constant((3, 2), 2, 1.0) < base
-
-
 class TestSinkhorn:
     def test_already_doubly_stochastic(self):
         a = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -3,9 +3,12 @@ import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tenscale as ts
 from conftest import (
@@ -224,13 +227,104 @@ class TestScalingStep:
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(ts.scaling, "check_hermitian",
                             counted("check_hermitian", ts.check_hermitian))
-        rhos, dists = ts.scaling._measure(x.data, plan)
+        rhos, dists, lows = ts.scaling._measure(x.data, plan)
         assert sorted(calls) == ["check_hermitian"] * 2 + ["eigvalsh"] * 2
         monkeypatch.undo()
         for i in range(1, 5):
-            assert np.array_equal(rhos[i - 1], ts.marginal(x, i))
-            assert dists[i - 1] == ts.trace_distance(ts.marginal(x, i),
-                                                     np.diag(p.ascending(i)))
+            rho, diag = ts.marginal(x, i), np.diag(p.ascending(i))
+            assert np.array_equal(rhos[i - 1], rho)
+            assert dists[i - 1] == ts.trace_distance(rho, diag)
+            assert lows[i - 1] == np.linalg.eigvalsh(rho - diag)[0]
+
+    def test_borel_run_solves_once_per_measurement(self, monkeypatch):
+        # a (1;2,2,2) latin member with uniform target: the Weyl bound is the
+        # marginal's smallest eigenvalue, so no step needs the exact gate, and
+        # the Borel capacity reads every determinant off the diagonal
+        latin = np.zeros((1, 2, 2, 2), dtype=complex)
+        for a, b in np.ndindex(2, 2):
+            latin[0, a, b, (a + b) % 2] = 1
+        h = [np.array([[2, 1], [1, 1]]), np.array([[1, -1], [1, 2]]),
+             np.array([[3, 1], [-1, 1]])]
+        x = ts.apply_group(h, ts.Tensor(latin))
+        calls = {"eigvalsh": 0, "det": 0, "measure": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+        monkeypatch.setattr(ts.scaling, "_measure",
+                            counted("measure", ts.scaling._measure))
+        rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=1e-9, seed=0,
+                                              max_iters=40))
+        assert rep.verdict == ts.SCALED and calls["measure"] > rep.iterations
+        # one dimension group: one solve per measurement plus the start check
+        assert calls["eigvalsh"] == calls["measure"] + 1
+        assert calls["det"] == 0
+
+
+def weyl_case(n, log_low, log_floor, log_turn, seed):
+    """A Hermitian PSD rho of trace about 1 whose smallest eigenvalue is
+    10**log_low, near the diagonal D of a target with floor 10**log_floor
+    (10**log_turn sets how far rho's eigenbasis is turned away from D's),
+    and the Weyl bound lambda_min(rho - D) + min(D) the loop hands to
+    _step_matrix."""
+    rng = np.random.default_rng(seed)
+    rest = np.sort(rng.uniform(1.0, 2.0, n - 1))
+    floor = 10.0 ** log_floor
+    target = np.concatenate(([floor], (1.0 - floor) * rest / rest.sum()))
+    spectrum = np.concatenate(([10.0 ** log_low], target[1:]))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(np.eye(n) + 10.0 ** log_turn * g)
+    rho = (u * spectrum) @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    diag = np.diag(target).astype(complex)
+    low = np.linalg.eigvalsh((rho - diag)[None])[0, 0]
+    return rho, np.diag(np.sqrt(target)), low + target[0]
+
+
+def gated_step(rho, root, bound):
+    """_step_matrix on rho with the exact gate observed: (whether the gate
+    ran, whether the step raised SingularMarginalError)."""
+    gate = mock.Mock(wraps=ts.scaling._assert_nonsingular)
+    with mock.patch.object(ts.scaling, "_assert_nonsingular", gate):
+        try:
+            ts.scaling._step_matrix(rho, root, None, bound)
+        except ts.SingularMarginalError:
+            return gate.called, True
+    return gate.called, False
+
+
+class TestWeylCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4, 8, 32]),
+           log_low=st.floats(-15.0, -8.0),
+           log_floor=st.floats(-15.0, -2.0),
+           log_turn=st.floats(-16.0, 0.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_passes_only_what_the_exact_gate_passes(self, n, log_low,
+                                                    log_floor, log_turn, seed):
+        rho, root, bound = weyl_case(n, log_low, log_floor, log_turn, seed)
+        gated, raised = gated_step(rho, root, bound)
+        if not gated:
+            ts.scaling._assert_nonsingular(rho)  # must not raise
+            assert not raised
+
+    def test_certificate_passes_near_the_target(self):
+        rho, root, bound = weyl_case(4, -8.5, -3.0, -14.0, seed=1)
+        assert gated_step(rho, root, bound) == (False, False)
+
+    def test_inconclusive_certificate_falls_back_and_raises(self):
+        rho, root, bound = weyl_case(4, -14.0, -3.0, -14.0, seed=2)
+        assert bound <= ts.scaling._GATE_MARGIN
+        with pytest.raises(ts.SingularMarginalError):
+            ts.scaling._assert_nonsingular(rho)
+        assert gated_step(rho, root, bound) == (True, True)
 
 
 class TestRunScaling:
