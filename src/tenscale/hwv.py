@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import conjugate_partition, is_partition
+from .partitions import conjugate_partition, is_partition, partitions_of
 from .scaling import TargetSpectrum, capacity
-from .tensors import Tensor
+from .tensors import Tensor, apply_group, trace_distance
 
 DEFAULT_EVAL_BUDGET = 200_000_000
 
@@ -218,35 +218,24 @@ def character(weight: Sequence[Sequence[int]], group: Sequence[np.ndarray],
     return complex(value)
 
 
-def _transform_factor(spec: HWVSpec, group: Sequence[np.ndarray]) -> complex:
-    """Multiplier picked up by the weight vector under a triangular action:
-    the product over factors and positions j of R_jj ** lam[n - 1 - j]."""
-    value = 1.0 + 0.0j
-    for lam, mat in zip(spec.weight, group):
-        n = np.asarray(mat).shape[0]
-        padded = tuple(lam) + (0,) * (n - len(lam))
-        for j in range(n):
-            value *= complex(mat[j, j]) ** padded[n - 1 - j]
-    return value
-
-
 def check_hwv_transformation(spec: HWVSpec, x: Tensor,
                              group: Sequence[np.ndarray],
                              rtol: float = 1e-8,
                              max_terms: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Verify the triangular eigenvector law: the value on the transformed
-    tensor equals the character multiplier times the value on ``x``.
+    tensor equals the value on ``x`` times the character of the weight read
+    bottom-up, with zeros past each partition's length.
 
     The comparison carries an absolute floor proportional to the evaluation
     bound, since a functional may vanish identically on ``x`` and leave
     only floating noise on both sides.
     """
-    from .tensors import apply_group
-
     transformed = apply_group(group, x)
     lhs = evaluate_hwv(spec, transformed, max_terms=max_terms)
-    rhs = _transform_factor(spec, group) * evaluate_hwv(spec, x,
-                                                        max_terms=max_terms)
+    bottom_up = [tuple(reversed((tuple(lam) + (0,) * n)[:n]))
+                 for lam, n in zip(spec.weight, x.dims)]
+    rhs = character(bottom_up, group) * evaluate_hwv(spec, x,
+                                                     max_terms=max_terms)
     tol = rtol * max(abs(lhs), abs(rhs)) \
         + 1e-12 * evaluation_bound(spec, transformed)
     return abs(lhs - rhs) <= tol
@@ -265,8 +254,6 @@ def capacity_value(x: Tensor, p: TargetSpectrum,
     multiplicity pattern, which agrees with the plain diagonal product
     whenever R is fully triangular.
     """
-    from .tensors import apply_group
-
     y = apply_group(group, x)
     return capacity(group, p.capacity_blocks(), y.norm())
 
@@ -307,8 +294,6 @@ def pinsker_gap(p: Sequence[float], r: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"factorization must have unit trace, got {tr}")
     q = np.abs(np.diag(r)) ** 2
     lhs = kl_divergence(p, q)
-    from .tensors import trace_distance
-
     rhs = trace_distance(np.diag(np.asarray(p, dtype=float)), rho) ** 2 \
         / (16.0 * math.log(2))
     return lhs, rhs
@@ -361,18 +346,21 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
     return reps
 
 
+def _specs_of_weight(weight: tuple[tuple[int, ...], ...], n0: int, k: int):
+    """Every description of degree k with the given weight, index sequences
+    outermost, one representative permutation tuple per functional."""
+    perm_choices = [canonical_slot_permutations(lam, k) for lam in weight]
+    for index_seq in itertools.product(range(n0), repeat=k):
+        for perms in itertools.product(*perm_choices):
+            yield HWVSpec(weight=weight, index_seq=index_seq, perms=perms)
+
+
 def enumerate_specs(dims: Sequence[int], n0: int, k: int):
     """All weight-vector descriptions of degree k on the given format, one
     representative per distinct functional."""
-    from .partitions import partitions_of
-
     weight_choices = [list(partitions_of(k, n)) for n in dims]
     for weight in itertools.product(*weight_choices):
-        perm_choices = [canonical_slot_permutations(lam, k) for lam in weight]
-        for index_seq in itertools.product(range(n0), repeat=k):
-            for perms in itertools.product(*perm_choices):
-                yield HWVSpec(weight=tuple(weight), index_seq=index_seq,
-                              perms=perms)
+        yield from _specs_of_weight(tuple(weight), n0, k)
 
 
 def find_nonvanishing_spec(x: Tensor, p: TargetSpectrum, max_degree: int = 4,
@@ -384,10 +372,7 @@ def find_nonvanishing_spec(x: Tensor, p: TargetSpectrum, max_degree: int = 4,
     ell = p.denominator_lcm
     for k in range(ell, max_degree + 1, ell):
         weight = tuple(tuple(int(k * v) for v in vec) for vec in p.parts)
-        perm_choices = [canonical_slot_permutations(lam, k) for lam in weight]
-        for index_seq in itertools.product(range(x.n0), repeat=k):
-            for perms in itertools.product(*perm_choices):
-                spec = HWVSpec(weight=weight, index_seq=index_seq, perms=perms)
-                if abs(evaluate_hwv(spec, x, max_terms=max_terms)) > tol:
-                    return spec
+        for spec in _specs_of_weight(weight, x.n0, k):
+            if abs(evaluate_hwv(spec, x, max_terms=max_terms)) > tol:
+                return spec
     return None

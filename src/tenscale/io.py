@@ -7,6 +7,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -25,6 +26,17 @@ class SchemaError(ValueError):
 def _require(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise SchemaError(f"{where}: {message}")
+
+
+def _number(v: Any, kinds: tuple = (int, float)) -> bool:
+    """A JSON number of the given Python types that a float holds finitely;
+    JSON true and false, which Python reads as ints, are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, kinds):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # --------------------------------------------------------------------------
@@ -47,12 +59,12 @@ def tensor_to_obj(x: Tensor) -> dict:
 
 def _dense_to_array(node: Any, dims: Sequence[int], where: str) -> np.ndarray:
     if not dims:
-        if isinstance(node, (int, float)) and int(node) == node:
+        if _number(node) and int(node) == node:
             return np.array(complex(int(node)))
         if isinstance(node, list) and len(node) == 2 \
-                and all(isinstance(v, (int, float)) and int(v) == v for v in node):
+                and all(_number(v) and int(v) == v for v in node):
             return np.array(complex(int(node[0]), int(node[1])))
-        raise SchemaError(f"{where}: expected an integer or [re, im] pair")
+        raise SchemaError(f"{where}: expected a finite integer or [re, im] pair")
     _require(isinstance(node, list) and len(node) == dims[0], where,
              f"expected a list of length {dims[0]}")
     return np.stack([_dense_to_array(child, dims[1:], f"{where}[{i}]")
@@ -64,7 +76,7 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
     _require("dims" in obj, where, "missing 'dims'")
     dims = obj["dims"]
     _require(isinstance(dims, list) and len(dims) >= 2
-             and all(isinstance(n, int) and n >= 1 for n in dims),
+             and all(_number(n, int) and n >= 1 for n in dims),
              f"{where}.dims", "expected a list of >= 2 positive integers")
     if "dense" in obj:
         data = _dense_to_array(obj["dense"], dims, f"{where}.dense")
@@ -78,13 +90,13 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
         _require(isinstance(entry, dict), here, "expected an object")
         idx = entry.get("idx")
         _require(isinstance(idx, list) and len(idx) == len(dims)
-                 and all(isinstance(i, int) for i in idx),
+                 and all(_number(i, int) for i in idx),
                  f"{here}.idx", f"expected {len(dims)} integers")
         _require(all(0 <= i < n for i, n in zip(idx, dims)), f"{here}.idx",
                  f"index out of range for dims {dims}")
         re, im = entry.get("re", 0), entry.get("im", 0)
-        _require(isinstance(re, int) and isinstance(im, int), here,
-                 "'re' and 'im' must be integers")
+        _require(_number(re, int) and _number(im, int), here,
+                 "'re' and 'im' must be integers within the float range")
         data[tuple(idx)] = complex(re, im)
     return Tensor(data)
 
@@ -125,10 +137,11 @@ def spectrum_from_obj(obj: Any, where: str = "spectrum") -> TargetSpectrum:
                     row.append(Fraction(v))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise SchemaError(f"{here}[{j}]: bad fraction {v!r}") from exc
-            elif isinstance(v, (int, float)):
+            elif _number(v):
                 row.append(v)
             else:
-                raise SchemaError(f"{here}[{j}]: expected a fraction string or number")
+                raise SchemaError(
+                    f"{here}[{j}]: expected a fraction string or finite number")
         rows.append(row)
     try:
         if all(isinstance(v, Fraction) for row in rows for v in row):

@@ -29,7 +29,6 @@ from .tensors import (
     apply_group,
     compose_group,
     check_hermitian,
-    check_hermitian_matrix,
     identity_group,
 )
 
@@ -237,41 +236,27 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
 
 
 def _assert_nonsingular(rho: np.ndarray, *, scale: float | None = None) -> None:
-    eigs = np.linalg.eigvalsh(rho)
-    ref = scale if scale is not None else float(np.trace(rho).real)
-    if eigs[0] <= SINGULARITY_RTOL * ref:
-        raise SingularMarginalError(
-            f"smallest eigenvalue {eigs[0]:.3e} below threshold "
-            f"{SINGULARITY_RTOL * ref:.3e}")
+    """Raise SingularMarginalError unless the smallest eigenvalue of rho, or
+    of each matrix of a (k, n, n) stack, lies above SINGULARITY_RTOL times
+    ``scale``, by default that matrix's trace."""
+    lows = np.linalg.eigvalsh(rho)[..., 0]
+    refs = np.trace(rho, axis1=-2, axis2=-1).real if scale is None else scale
+    for low, ref in np.broadcast(lows, refs):
+        if low <= SINGULARITY_RTOL * ref:
+            raise SingularMarginalError(
+                f"smallest eigenvalue {low:.3e} below threshold "
+                f"{SINGULARITY_RTOL * ref:.3e}")
 
 
 def upper_cholesky(rho: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with positive diagonal and R @ R^dagger = rho.
-
-    Obtained from the ordinary lower Cholesky factorization of the
-    coordinate-reversed matrix.
-    """
-    rho = check_hermitian_matrix(rho)
-    _assert_nonsingular(rho)
-    return _upper_cholesky(rho)
-
-
-def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
-    try:
-        lower = np.linalg.cholesky(rho[::-1, ::-1])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMarginalError(str(exc)) from exc
-    return lower[::-1, ::-1]
+    """Upper-triangular R with positive diagonal and R @ R^dagger = rho."""
+    return block_cholesky(rho, (1,) * len(rho))
 
 
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root."""
-    return _psd_sqrt(check_hermitian_matrix(rho))
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(rho)
-    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    """Hermitian PSD square root; rho may be singular."""
+    rho = check_hermitian(rho)
+    return _block_cholesky(rho, (rho.shape[0],))
 
 
 def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
@@ -279,10 +264,10 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     R @ R^dagger = rho.
 
     A single block gives the Hermitian square root; all blocks of size 1
-    reduce to upper_cholesky.  In between, blocks are eliminated bottom-up
-    through Schur complements.
+    give the upper-triangular Cholesky factor.  In between, blocks are
+    eliminated bottom-up through Schur complements.
     """
-    rho = check_hermitian_matrix(rho)
+    rho = check_hermitian(rho)
     n = rho.shape[0]
     sizes = tuple(int(b) for b in block_sizes)
     if any(b < 1 for b in sizes) or sum(sizes) != n:
@@ -292,12 +277,18 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 
 
 def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """block_cholesky on a Hermitian, nonsingular rho with valid sizes; each
-    Schur complement block is still checked."""
+    """block_cholesky on a Hermitian rho with valid sizes, nonsingular unless
+    it is one block; each Schur complement block is still checked."""
     if len(sizes) == 1:
-        return _psd_sqrt(rho)
+        eigs, vecs = np.linalg.eigh(rho)
+        return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     if all(b == 1 for b in sizes):
-        return _upper_cholesky(rho)
+        # the lower Cholesky factor of the coordinate-reversed matrix
+        try:
+            lower = np.linalg.cholesky(rho[::-1, ::-1])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMarginalError(str(exc)) from exc
+        return lower[::-1, ::-1]
 
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     out = np.zeros_like(rho, dtype=complex)
@@ -442,21 +433,21 @@ class _Plan:
 
 def _measure(y: np.ndarray, plan: _Plan
              ) -> tuple[list[np.ndarray], list[float], list[float]]:
-    """Every one-body marginal rho_j of the raw tensor y, checked Hermitian,
-    its trace distance to the matching target diagonal D_j, and the
-    smallest eigenvalue of rho_j - D_j.
+    """Every one-body marginal rho_j of the raw tensor y, its trace distance
+    to the matching target diagonal D_j, and the smallest eigenvalue of
+    rho_j - D_j.  Each rho_j is a Gram matrix m @ m^dagger, Hermitian by
+    construction, so none is checked.
 
-    Each dimension group takes one stacked check_hermitian and one stacked
-    eigvalsh.  LAPACK solves each matrix of a stack on its own, exactly as
-    it solves that matrix alone, and each row's sum of absolute eigenvalues
-    is the same reduction as np.sum over one spectrum, so the distances
-    agree bit for bit with trace_distance on tensors.marginal.
+    Each dimension group takes one stacked eigvalsh.  LAPACK solves each
+    matrix of a stack on its own, exactly as it solves that matrix alone,
+    and each row's sum of absolute eigenvalues is the same reduction as
+    np.sum over one spectrum, so the distances agree bit for bit with
+    trace_distance on tensors.marginal.
     """
     rhos = [None] * len(plan.perms)
     dists = [0.0] * len(plan.perms)
     lows = [0.0] * len(plan.perms)
     for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
-        check_hermitian(stack)
         eigs = np.linalg.eigvalsh(stack - diags)
         spread = np.abs(eigs).sum(axis=1)
         for j, rho, dist, low in zip(factors, stack, spread.tolist(),
@@ -465,11 +456,10 @@ def _measure(y: np.ndarray, plan: _Plan
     return rhos, dists, lows
 
 
-def _step_matrix(rho: np.ndarray, root: np.ndarray,
-                 blocks: tuple[int, ...] | None,
+def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
                  bound: float) -> np.ndarray:
     """Factor A with (A rho A^dagger) = root @ root for the diagonal root of
-    the target.  rho must already have passed check_hermitian.
+    the target and the Hermitian rho; unit blocks are the Borel step.
 
     ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
     for the target diagonal D, its first term as _measure computed it.  One
@@ -481,8 +471,7 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray,
     """
     if not bound > _GATE_MARGIN * max(float(np.trace(rho).real), 1.0):
         _assert_nonsingular(rho)
-    r = _upper_cholesky(rho) if blocks is None else _block_cholesky(rho, blocks)
-    return root @ np.linalg.inv(r)
+    return root @ np.linalg.inv(_block_cholesky(rho, blocks))
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -503,7 +492,7 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
     rhos, dists, lows = _measure(y.data, _Plan(y.shape, p))
     i = dists.index(max(dists)) + 1
-    blocks = p.block_sizes(i) if mode == PARABOLIC else None
+    blocks = p.block_sizes(i) if mode == PARABOLIC else (1,) * x.dims[i - 1]
     a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks,
                      lows[i - 1] + p.ascending(i)[0])
     g_new = list(np.asarray(m, dtype=complex) for m in g)
@@ -562,12 +551,11 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     """
     d = x0.num_factors
     plan = _Plan(x0.shape, p)
-    for stack in plan.grams(x0.data):
-        eigs = np.linalg.eigvalsh(stack)
-        traces = np.trace(stack, axis1=1, axis2=2).real
-        if np.any(eigs[:, 0] <= SINGULARITY_RTOL * np.maximum(traces, 0.0)) \
-                or np.any(traces == 0.0):
-            return NOT_IN_POLYTOPE, identity_group(x0.dims), []
+    try:
+        for stack in plan.grams(x0.data):
+            _assert_nonsingular(stack)
+    except SingularMarginalError:
+        return NOT_IN_POLYTOPE, identity_group(x0.dims), []
 
     scale = x0.norm()
     borel = [np.eye(n, dtype=complex) for n in x0.dims]
@@ -576,8 +564,8 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     # Tensor copies did: np.linalg.norm sums in memory order
     y = x0.data / scale
 
-    blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else None
-              for i in range(1, d + 1)]
+    blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else (1,) * n
+              for i, n in enumerate(x0.dims, start=1)]
     roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
     floors = [float(p.ascending(i)[0]) for i in range(1, d + 1)]
     cap_blocks = p.capacity_blocks()

@@ -92,30 +92,15 @@ class Tensor:
         return max(1, int(np.ceil(top)).bit_length())
 
 
-def check_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate conjugate symmetry of a square matrix, or of each matrix of a
-    (k, n, n) stack, relative to that matrix's own Frobenius norm."""
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate conjugate symmetry relative to the Frobenius norm."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(
-            f"expected a square matrix or a stack of them, got shape {a.shape}")
-    stack = a[None] if a.ndim == 2 else a
-    # each matrix as one row of its real and imaginary parts, so a row
-    # times its transpose is the squared Frobenius norm
-    shape = (len(stack), 1, 2 * a.shape[-1] ** 2)
-    parts = np.ascontiguousarray(stack).view(float).reshape(shape)
-    skew = (stack - stack.conj().transpose(0, 2, 1)).view(float).reshape(shape)
-    if (skew @ skew.transpose(0, 2, 1)
-            > rtol ** 2 * (parts @ parts.transpose(0, 2, 1))).any():
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = max(np.linalg.norm(a), np.finfo(float).tiny)
+    if np.linalg.norm(a - a.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
-
-
-def check_hermitian_matrix(a: np.ndarray) -> np.ndarray:
-    """check_hermitian for exactly one square matrix, not a stack."""
-    if np.ndim(a) != 2:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(a)}")
-    return check_hermitian(a)
 
 
 def flatten(x: Tensor, subset: Sequence[int]) -> np.ndarray:
@@ -146,14 +131,14 @@ def marginal(x: Tensor, i: int) -> np.ndarray:
 
 def spectrum(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted nonincreasingly."""
-    a = check_hermitian_matrix(a)
+    a = check_hermitian(a)
     return np.linalg.eigvalsh(a)[::-1]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Trace norm of a - b for Hermitian a, b (sum of absolute eigenvalues)."""
-    a = check_hermitian_matrix(a)
-    b = check_hermitian_matrix(b)
+    a = check_hermitian(a)
+    b = check_hermitian(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))

@@ -65,6 +65,19 @@ class TestTensorJson:
         with pytest.raises(io.SchemaError):
             io.tensor_from_obj({"dims": [1, 2],
                                 "entries": [{"idx": [0, 0], "re": 1.5, "im": 0}]})
+        # JSON true and false are not integers, though Python reads them so
+        with pytest.raises(io.SchemaError, match=r"entries\[0\]\.idx"):
+            io.tensor_from_obj({"dims": [1, 2, 2],
+                                "entries": [{"idx": [False, 1, 1], "re": 1}]})
+        with pytest.raises(io.SchemaError, match="dims"):
+            io.tensor_from_obj({"dims": [True, 2, 2], "entries": []})
+        # numbers a float cannot hold
+        with pytest.raises(io.SchemaError, match=r"dense\[0\]\[0\]"):
+            io.tensor_from_obj({"dims": [1, 2],
+                                "dense": [[[float("inf"), 0], 0]]})
+        with pytest.raises(io.SchemaError, match=r"entries\[0\]"):
+            io.tensor_from_obj({"dims": [1, 2],
+                                "entries": [{"idx": [0, 0], "re": 10**400}]})
 
 
 class TestSpectrumJson:
@@ -76,6 +89,11 @@ class TestSpectrumJson:
     def test_non_monotone_rejected(self):
         with pytest.raises(io.SchemaError):
             io.spectrum_from_obj({"parts": [["1/3", "2/3"]]})
+
+    def test_non_numbers_rejected(self):
+        for row in ([float("inf"), 0], [10**400, 0], [True, False]):
+            with pytest.raises(io.SchemaError, match=r"parts\[0\]\[0\]"):
+                io.spectrum_from_obj({"parts": [row, [0.5, 0.5]]})
 
     def test_decimal_entries_rationalized(self):
         p = io.spectrum_from_obj({"parts": [[0.75, 0.25]]})
@@ -253,6 +271,13 @@ class TestCli:
     def test_missing_file_exit_two(self):
         assert cli.main(["scale", "--tensor", "/nonexistent.json", "--target",
                          "uniform", "--epsilon", "0.1"]) == 2
+
+    def test_malformed_number_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dims": [1, 2], "dense": [[[Infinity, 0], 1]]}')
+        assert cli.main(["scale", "--tensor", str(bad), "--target", "uniform",
+                         "--epsilon", "0.1"]) == 2
+        assert "dense[0][0]" in capsys.readouterr().err
 
     def test_numeric_failure_exit_three(self, tmp_path, rng):
         # a weight vector whose naive evaluation exceeds the term budget

@@ -124,12 +124,8 @@ class TestCheckHermitian:
         ts.check_hermitian(big)
         with pytest.raises(ValueError):
             ts.check_hermitian(small)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="square matrix"):
             ts.check_hermitian(np.stack([big, small]))
-
-    def test_valid_stack_passes(self, rng):
-        stack = np.stack([random_hermitian(4, rng) for _ in range(5)])
-        assert np.array_equal(ts.check_hermitian(stack), stack)
 
     def test_rejects_non_square(self):
         for shape in [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)]:
