@@ -9,10 +9,14 @@ These polynomials are triangular eigenvectors of the group action, which is
 what makes them usable as progress potentials for the scaling loop.
 
 Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
-meant for desk-scale certification, not production-sized tensors.
+meant for desk-scale certification, not production-sized tensors.  The
+contraction order and the determinant tables depend only on the format and
+the description, not on the tensor's entries, so evaluations on one format
+reuse a memoized contraction order and memoized determinant tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import string
@@ -107,33 +111,49 @@ def _perm_sign(positions: Sequence[int]) -> int:
     return sign
 
 
-def _det_block_array(lam: Sequence[int], perm: Sequence[int], n: int,
+@functools.lru_cache(maxsize=128)
+def _det_block_array(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
                      k: int) -> np.ndarray:
     """Values of the antisymmetrized determinant functional on all standard
-    basis slot assignments, as an array of shape (n,) * k.
+    basis slot assignments, as a read-only array of shape (n,) * k.
 
     For each column block of height h the assigned basis indices must be
     exactly the top h coordinates; the value is the sign of their
-    arrangement, else zero.
+    arrangement, else zero.  The blocks take disjoint slots (block c the
+    slots perm[o : o + h], o being the heights of the blocks before it), so
+    the table is the outer product of one table per block, transposed back
+    to slot order.  Memoized, so every caller shares one array.
     """
-    heights = conjugate_partition(tuple(v for v in lam if v > 0))
-    offsets = np.concatenate(([0], np.cumsum(heights))).astype(int)
-    arr = np.zeros((n,) * k)
-    for assign in itertools.product(range(n), repeat=k):
-        total = 1
-        for c, h in enumerate(heights):
-            cols = [n - 1 - assign[perm[offsets[c] + a]] for a in range(h)]
-            if sorted(cols) != list(range(h)):
-                total = 0
-                break
-            total *= _perm_sign(cols)
-        if total:
-            arr[assign] = total
+    table = np.ones((), dtype=int)
+    for h in conjugate_partition(tuple(v for v in lam if v > 0)):
+        block = np.zeros((n,) * h, dtype=int)
+        if h <= n:
+            for cols in itertools.permutations(range(h)):
+                block[tuple(n - 1 - c for c in cols)] = _perm_sign(cols)
+        table = np.multiply.outer(table, block)
+    arr = table.transpose(np.argsort(perm)).astype(float, order="C")
+    arr.flags.writeable = False
     return arr
 
 
+@functools.lru_cache(maxsize=256)
+def _contraction(k: int, dims: tuple[int, ...]) -> tuple[str, tuple]:
+    """Einsum expression of a degree-k evaluation on factors of the given
+    dimensions, and numpy's greedy contraction order for it.  The order
+    depends only on the subscripts and the operand shapes, so passing it
+    back as ``optimize`` contracts exactly as ``optimize=True`` would."""
+    d = len(dims)
+    labels = [string.ascii_letters[a * d: (a + 1) * d] for a in range(k)]
+    subscripts = labels + ["".join(row[i] for row in labels) for i in range(d)]
+    expr = ",".join(subscripts) + "->"
+    shapes = [dims] * k + [(n,) * k for n in dims]
+    path = np.einsum_path(expr, *(np.broadcast_to(0.0, s) for s in shapes),
+                          optimize=True)[0]
+    return expr, tuple(path)
+
+
 def eval_cost(dims: Sequence[int], k: int) -> int:
-    return k * int(np.prod([int(n) for n in dims])) ** k
+    return k * math.prod(int(n) for n in dims) ** k
 
 
 def evaluate_hwv(spec: HWVSpec, x: Tensor,
@@ -153,23 +173,19 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor,
     if any(v >= x.n0 for v in spec.index_seq):
         raise ValueError("index sequence leaves factor 0's range")
     cost = eval_cost(x.dims, k)
-    if cost > max_terms or k * d > len(string.ascii_letters):
+    if cost > max_terms:
         raise EvalBudgetError(
             f"evaluation needs {cost} terms, budget is {max_terms}")
+    if k * d > len(string.ascii_letters):
+        raise EvalBudgetError(
+            f"evaluation needs {k * d} einsum labels (degree {k} times "
+            f"{d} factors), einsum has {len(string.ascii_letters)}")
 
-    labels = [[string.ascii_letters[a * d + i] for i in range(d)]
-              for a in range(k)]
-    operands: list[np.ndarray] = []
-    subscripts: list[str] = []
-    for a in range(k):
-        operands.append(np.asarray(x.data[spec.index_seq[a]]))
-        subscripts.append("".join(labels[a]))
-    for i in range(d):
-        operands.append(_det_block_array(spec.weight[i], spec.perms[i],
-                                         x.dims[i], k))
-        subscripts.append("".join(labels[a][i] for a in range(k)))
-    value = np.einsum(",".join(subscripts) + "->", *operands, optimize=True)
-    return complex(value)
+    expr, path = _contraction(k, x.dims)
+    operands = [x.data[v] for v in spec.index_seq]
+    operands += [_det_block_array(lam, perm, n, k)
+                 for lam, perm, n in zip(spec.weight, spec.perms, x.dims)]
+    return complex(np.einsum(expr, *operands, optimize=path))
 
 
 def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:

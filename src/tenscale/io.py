@@ -172,14 +172,26 @@ def hwv_spec_to_obj(spec: HWVSpec) -> dict:
             "perms": [list(pi) for pi in spec.perms]}
 
 
+def _int_row(node: Any, where: str) -> tuple[int, ...]:
+    _require(isinstance(node, list) and all(_number(v, int) for v in node),
+             where, "expected a list of integers")
+    return tuple(node)
+
+
+def _int_rows(node: Any, where: str) -> tuple[tuple[int, ...], ...]:
+    _require(isinstance(node, list), where, "expected a list of integer lists")
+    return tuple(_int_row(row, f"{where}[{i}]") for i, row in enumerate(node))
+
+
 def hwv_spec_from_obj(obj: Any, where: str = "hwv") -> HWVSpec:
     _require(isinstance(obj, dict), where, "expected an object")
     for key in ("weight", "indexSeq", "perms"):
         _require(key in obj, where, f"missing {key!r}")
+    weight = _int_rows(obj["weight"], f"{where}.weight")
+    index_seq = _int_row(obj["indexSeq"], f"{where}.indexSeq")
+    perms = _int_rows(obj["perms"], f"{where}.perms")
     try:
-        return HWVSpec(weight=tuple(tuple(v) for v in obj["weight"]),
-                       index_seq=tuple(obj["indexSeq"]),
-                       perms=tuple(tuple(pi) for pi in obj["perms"]))
+        return HWVSpec(weight=weight, index_seq=index_seq, perms=perms)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

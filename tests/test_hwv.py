@@ -80,6 +80,15 @@ class TestEvaluateHwv:
         with pytest.raises(ts.EvalBudgetError):
             ts.evaluate_hwv(spec, x, max_terms=10)
 
+    def test_label_refusal_names_labels(self):
+        # 27 factors of dimension 1 cost 2 terms but need 54 einsum labels
+        spec = ts.HWVSpec(weight=((2,),) * 27, index_seq=(0, 0),
+                          perms=((0, 1),) * 27)
+        x = ts.Tensor(np.ones((1,) * 28))
+        with pytest.raises(ts.EvalBudgetError,
+                           match=r"needs 54 einsum labels .* einsum has 52"):
+            ts.evaluate_hwv(spec, x)
+
     def test_antisymmetry_on_product_tensors(self, rng):
         # any column of height >= 2 contracts equal slot vectors on a
         # rank-one tensor, so the value vanishes

@@ -1,5 +1,6 @@
 """Wire formats and the command-line surface."""
 import json
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -117,6 +118,21 @@ class TestHwvSpecJson:
         with pytest.raises(io.SchemaError):
             io.hwv_spec_from_obj({"weight": [[1, 1]], "indexSeq": [0, 0],
                                   "perms": [[0, 0]]})
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("weight", [[1.7, 1.2], [1, 1]], "weight[0]"),
+        ("weight", [[1, 1], [True, 1]], "weight[1]"),
+        ("weight", ["11", [1, 1]], "weight[0]"),
+        ("indexSeq", [0.9, 0], "indexSeq"),
+        ("indexSeq", [False, 0], "indexSeq"),
+        ("perms", [[0, True], [1, 0]], "perms[0]"),
+        ("perms", [[0, 1], [1.0, 0]], "perms[1]"),
+    ])
+    def test_non_integers_rejected(self, field, value, where):
+        obj = {"weight": [[1, 1], [1, 1]], "indexSeq": [0, 0],
+               "perms": [[0, 1], [1, 0]], field: value}
+        with pytest.raises(io.SchemaError, match=rf"hwv\.{re.escape(where)}:"):
+            io.hwv_spec_from_obj(obj)
 
 
 class TestFloatFormatting:
@@ -278,6 +294,17 @@ class TestCli:
         assert cli.main(["scale", "--tensor", str(bad), "--target", "uniform",
                          "--epsilon", "0.1"]) == 2
         assert "dense[0][0]" in capsys.readouterr().err
+
+    def test_non_integer_spec_exit_two(self, tmp_path, capsys):
+        xpath = tmp_path / "x.json"
+        io.save_tensor(ts.Tensor(np.eye(2, dtype=complex).reshape(1, 2, 2)),
+                       str(xpath))
+        spath = tmp_path / "spec.json"
+        spath.write_text('{"weight": [[1.7, 1.2], [1, 1]], "indexSeq": [0.9, 0],'
+                         ' "perms": [[0, true], [1, 0]]}')
+        assert cli.main(["verify-hwv", "--tensor", str(xpath), "--spec",
+                         str(spath)]) == 2
+        assert "weight[0]" in capsys.readouterr().err
 
     def test_numeric_failure_exit_three(self, tmp_path, rng):
         # a weight vector whose naive evaluation exceeds the term budget

@@ -1,4 +1,5 @@
-"""Module boundaries: no package module reaches into another's private helpers."""
+"""Module boundaries: no package module reaches into another's private
+helpers, and no module keeps an unbounded functools cache."""
 import ast
 from pathlib import Path
 
@@ -31,3 +32,65 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert len(modules) > 1
     reaches = {path.name: private_imports(path.read_text()) for path in modules}
     assert {name: found for name, found in reaches.items() if found} == {}
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that build a functools cache without a finite maxsize:
+    ``cache`` itself, or ``lru_cache`` called with maxsize None."""
+    tree = ast.parse(source)
+    local = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            local.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            local.update({a.asname or a.name: "functools"
+                          for a in node.names if a.name == "functools"})
+
+    def functools_name(node):
+        if isinstance(node, ast.Name):
+            return local.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and local.get(node.value.id) == "functools":
+            return node.attr
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if functools_name(node) == "cache":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and functools_name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [kw.value for kw in node.keywords
+                                     if kw.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None
+                   for v in sizes):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_sees_unbounded_caches():
+    assert unbounded_caches("import functools\n"
+                            "import functools as ft\n"
+                            "from functools import cache, lru_cache as lru\n"
+                            "@functools.lru_cache(maxsize=None)\n"
+                            "def a(): pass\n"
+                            "@lru(None)\n"
+                            "def b(): pass\n"
+                            "@cache\n"
+                            "def c(): pass\n"
+                            "d = ft.cache(len)\n") == [4, 6, 8, 10]
+    assert unbounded_caches("import functools\n"
+                            "from functools import lru_cache\n"
+                            "@functools.lru_cache(maxsize=256)\n"
+                            "def a(): pass\n"
+                            "@lru_cache\n"
+                            "def b(): pass\n"
+                            "@lru_cache()\n"
+                            "def c(): pass\n"
+                            "cache = {}\n"
+                            "e = lru_cache(len)\n") == []
+
+
+def test_no_module_keeps_an_unbounded_cache():
+    found = {path.name: unbounded_caches(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
