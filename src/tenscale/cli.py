@@ -21,6 +21,7 @@ from .hwv import (
     evaluation_bound,
 )
 from .oracle import (
+    DEFAULT_REPEATS,
     IN,
     KroneckerQuery,
     kronecker_support,
@@ -102,6 +103,13 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
+def _positive_int(value, name: str) -> int:
+    """An --mps file's count: a JSON integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"--mps {name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None:
     if target:
         sub.add_argument("--target", required=True,
@@ -141,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     member = commands.add_parser("membership",
                                  help="promise membership for a fixed tensor")
     member.add_argument("--tensor", required=True)
-    member.add_argument("--repeats", type=int, default=6)
+    member.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     _add_run_flags(member)
 
     qmp_cmd = commands.add_parser("qmp", help="one-body marginal realizability")
     qmp_cmd.add_argument("--dims", required=True)
-    qmp_cmd.add_argument("--repeats", type=int, default=6)
+    qmp_cmd.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     _add_run_flags(qmp_cmd)
 
     kron = commands.add_parser("kronecker",
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     kron.add_argument("--mu", required=True)
     kron.add_argument("--nu", required=True)
     kron.add_argument("--n", type=int, default=0)
-    kron.add_argument("--repeats", type=int, default=6)
+    kron.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     _add_run_flags(kron, target=False)
 
     reduce_cmd = commands.add_parser(
@@ -202,18 +210,20 @@ def _cmd_general_scale(args) -> int:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise UsageError("--mps file must hold a JSON object")
-        sites = args.sites or obj.get("sites")
-        if not sites:
+        sites = obj.get("sites") if args.sites is None else args.sites
+        if sites is None:
             raise UsageError("give --sites (or a 'sites' key) for --mps")
+        sites = _positive_int(sites, "sites")
         if "matrices" in obj:
             # explicit site matrices: scale the ray through that tensor
             mats = [np.asarray(m, dtype=complex) for m in obj["matrices"]]
-            phi = fixed_tensor_parametrization(mps_tensor(mats, int(sites)))
-            dims = (len(mats),) * int(sites)
+            phi = fixed_tensor_parametrization(mps_tensor(mats, sites))
+            dims = (len(mats),) * sites
         elif "n" in obj and "bond" in obj:
-            phi = mps_parametrization(int(obj["n"]), int(obj["bond"]),
-                                      int(sites))
-            dims = (int(obj["n"]),) * int(sites)
+            n = _positive_int(obj["n"], "n")
+            phi = mps_parametrization(n, _positive_int(obj["bond"], "bond"),
+                                      sites)
+            dims = (n,) * sites
         else:
             raise UsageError("--mps file needs 'matrices' or 'n' and 'bond'")
     else:

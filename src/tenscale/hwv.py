@@ -156,12 +156,11 @@ def eval_cost(dims: Sequence[int], k: int) -> int:
     return k * math.prod(int(n) for n in dims) ** k
 
 
-def evaluate_hwv(spec: HWVSpec, x: Tensor,
-                 max_terms: int = DEFAULT_EVAL_BUDGET) -> complex:
+def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     """Value of the weight vector on ``x`` by the naive sum over index maps.
 
     Exact for integer tensors up to floating error.  Refuses evaluations
-    whose term count k * (n1...nd)**k exceeds ``max_terms``.
+    whose term count k * (n1...nd)**k exceeds DEFAULT_EVAL_BUDGET.
     """
     k = spec.degree
     d = x.num_factors
@@ -173,9 +172,9 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor,
     if any(v >= x.n0 for v in spec.index_seq):
         raise ValueError("index sequence leaves factor 0's range")
     cost = eval_cost(x.dims, k)
-    if cost > max_terms:
+    if cost > DEFAULT_EVAL_BUDGET:
         raise EvalBudgetError(
-            f"evaluation needs {cost} terms, budget is {max_terms}")
+            f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
     if k * d > len(string.ascii_letters):
         raise EvalBudgetError(
             f"evaluation needs {k * d} einsum labels (degree {k} times "
@@ -199,45 +198,26 @@ def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:
 # --------------------------------------------------------------------------
 
 
-def character(weight: Sequence[Sequence[int]], group: Sequence[np.ndarray],
-              blocks: Sequence[Sequence[int]] | None = None) -> complex:
-    """Character value on a tuple of (block-)triangular matrices.
-
-    Without blocks: the product of each factor's diagonal entries raised to
-    the weight entries.  With blocks, the weight must be constant on each
-    block and block determinants replace the diagonal entries.
-    """
+def character(weight: Sequence[Sequence[int]],
+              group: Sequence[np.ndarray]) -> complex:
+    """Character value on a tuple of triangular matrices: the product of
+    each factor's diagonal entries raised to the weight entries.  Block
+    determinants on parabolic runs are scaling.capacity's job."""
     value = 1.0 + 0.0j
-    for f, (lam, mat) in enumerate(zip(weight, group)):
+    for lam, mat in zip(weight, group):
         mat = np.asarray(mat, dtype=complex)
-        if blocks is None:
-            if len(lam) != mat.shape[0]:
-                raise ValueError("weight length must match matrix size")
-            for exp, diag in zip(lam, np.diag(mat)):
-                if diag == 0 and exp < 0:
-                    raise ZeroDivisionError("zero diagonal with negative exponent")
-                value *= diag ** exp
-        else:
-            lo = 0
-            for size in blocks[f]:
-                exps = set(lam[lo: lo + size])
-                if len(exps) != 1:
-                    raise ValueError("weight must be constant on each block")
-                det = np.linalg.det(mat[lo: lo + size, lo: lo + size])
-                exp = exps.pop()
-                if det == 0 and exp < 0:
-                    raise ZeroDivisionError("zero block with negative exponent")
-                value *= det ** exp
-                lo += size
-            if lo != mat.shape[0]:
-                raise ValueError("blocks do not tile the matrix")
+        if len(lam) != mat.shape[0]:
+            raise ValueError("weight length must match matrix size")
+        for exp, diag in zip(lam, np.diag(mat)):
+            if diag == 0 and exp < 0:
+                raise ZeroDivisionError("zero diagonal with negative exponent")
+            value *= diag ** exp
     return complex(value)
 
 
 def check_hwv_transformation(spec: HWVSpec, x: Tensor,
                              group: Sequence[np.ndarray],
-                             rtol: float = 1e-8,
-                             max_terms: int = DEFAULT_EVAL_BUDGET) -> bool:
+                             rtol: float = 1e-8) -> bool:
     """Verify the triangular eigenvector law: the value on the transformed
     tensor equals the value on ``x`` times the character of the weight read
     bottom-up, with zeros past each partition's length.
@@ -247,11 +227,10 @@ def check_hwv_transformation(spec: HWVSpec, x: Tensor,
     only floating noise on both sides.
     """
     transformed = apply_group(group, x)
-    lhs = evaluate_hwv(spec, transformed, max_terms=max_terms)
+    lhs = evaluate_hwv(spec, transformed)
     bottom_up = [tuple(reversed((tuple(lam) + (0,) * n)[:n]))
                  for lam, n in zip(spec.weight, x.dims)]
-    rhs = character(bottom_up, group) * evaluate_hwv(spec, x,
-                                                     max_terms=max_terms)
+    rhs = character(bottom_up, group) * evaluate_hwv(spec, x)
     tol = rtol * max(abs(lhs), abs(rhs)) \
         + 1e-12 * evaluation_bound(spec, transformed)
     return abs(lhs - rhs) <= tol
@@ -315,16 +294,15 @@ def pinsker_gap(p: Sequence[float], r: np.ndarray) -> tuple[float, float]:
     return lhs, rhs
 
 
-def verify_progress(spec: HWVSpec, y: Tensor, y_next: Tensor, eps_i: float,
-                    slack: float = 1e-6,
-                    max_terms: int = DEFAULT_EVAL_BUDGET) -> bool:
-    """Check the per-step growth of the potential:
+def verify_progress(spec: HWVSpec, y: Tensor, y_next: Tensor,
+                    eps_i: float) -> bool:
+    """Check the per-step growth of the potential, up to a relative 1e-6:
     |P(next)| >= 2**(k * eps_i**2 / (32 ln 2)) * |P(current)|."""
     k = spec.degree
-    before = abs(evaluate_hwv(spec, y, max_terms=max_terms))
-    after = abs(evaluate_hwv(spec, y_next, max_terms=max_terms))
+    before = abs(evaluate_hwv(spec, y))
+    after = abs(evaluate_hwv(spec, y_next))
     needed = 2.0 ** (k * PROGRESS_CONST * eps_i**2) * before
-    return after >= (1.0 - slack) * needed
+    return after >= (1.0 - 1e-6) * needed
 
 
 # --------------------------------------------------------------------------
@@ -338,25 +316,23 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
 
     Permutations that only reorder slots within a column block, or swap
     whole blocks of equal height, change the functional by at most a sign,
-    so a single representative per block-content signature suffices.
+    so a single representative per block-content signature suffices: the
+    one whose equal-height blocks come in increasing order of first slot.
     """
     heights = list(conjugate_partition(tuple(v for v in lam if v > 0)))
     if sum(heights) != k:
         raise ValueError("partition size must equal the degree")
     reps: list[tuple[int, ...]] = []
-    seen: set[tuple] = set()
 
     def rec(remaining: frozenset[int], blocks: list[tuple[int, ...]]):
-        if len(blocks) == len(heights):
-            signature = tuple(sorted(
-                (h, blk) for h, blk in zip(heights, blocks)))
-            if signature not in seen:
-                seen.add(signature)
-                reps.append(tuple(itertools.chain.from_iterable(blocks)))
+        b = len(blocks)
+        if b == len(heights):
+            reps.append(tuple(itertools.chain.from_iterable(blocks)))
             return
-        h = heights[len(blocks)]
-        for combo in itertools.combinations(sorted(remaining), h):
-            rec(remaining - set(combo), blocks + [combo])
+        after = blocks[-1][0] if b and heights[b - 1] == heights[b] else -1
+        for combo in itertools.combinations(sorted(remaining), heights[b]):
+            if combo[0] > after:
+                rec(remaining - set(combo), blocks + [combo])
 
     rec(frozenset(range(k)), [])
     return reps
@@ -379,16 +355,15 @@ def enumerate_specs(dims: Sequence[int], n0: int, k: int):
         yield from _specs_of_weight(tuple(weight), n0, k)
 
 
-def find_nonvanishing_spec(x: Tensor, p: TargetSpectrum, max_degree: int = 4,
-                           tol: float = 1e-8,
-                           max_terms: int = DEFAULT_EVAL_BUDGET
+def find_nonvanishing_spec(x: Tensor, p: TargetSpectrum, max_degree: int = 4
                            ) -> HWVSpec | None:
-    """Earliest weight-vector description (in enumeration order) that does
-    not vanish on ``x``, among degrees k that make k * p integral."""
+    """Earliest weight-vector description (in enumeration order) whose value
+    on ``x`` exceeds 1e-8 in modulus, among degrees k that make k * p
+    integral."""
     ell = p.denominator_lcm
     for k in range(ell, max_degree + 1, ell):
         weight = tuple(tuple(int(k * v) for v in vec) for vec in p.parts)
         for spec in _specs_of_weight(weight, x.n0, k):
-            if abs(evaluate_hwv(spec, x, max_terms=max_terms)) > tol:
+            if abs(evaluate_hwv(spec, x)) > 1e-8:
                 return spec
     return None

@@ -133,14 +133,13 @@ class TargetSpectrum:
         return cls(tuple(tuple(Fraction(s) for s in vec) for vec in parts))
 
     @classmethod
-    def from_floats(cls, parts: Sequence[Sequence[float]],
-                    max_denominator: int = 10**6) -> "TargetSpectrum":
-        """Rationalize floating targets by continued fractions with a
-        denominator cap, then repair the largest entry so the sum is exact."""
+    def from_floats(cls, parts: Sequence[Sequence[float]]) -> "TargetSpectrum":
+        """Rationalize floating targets by continued fractions with
+        denominators up to 10**6, then repair the largest entry so the sum
+        is exact."""
         out = []
         for vec in parts:
-            approx = [Fraction(float(v)).limit_denominator(max_denominator)
-                      for v in vec]
+            approx = [Fraction(float(v)).limit_denominator(10**6) for v in vec]
             approx[0] += 1 - sum(approx)
             out.append(tuple(approx))
         return cls(tuple(out))
@@ -387,15 +386,19 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
 
 
 class _Plan:
-    """How the scaling loop reads and writes a raw iterate of one format.
+    """How the scaling loop reads, steps and writes a raw iterate of one
+    format.
 
     perms[j] moves factor j + 1 to the front, (j + 1, 0, 1, ...), the
     flattening order of tensors.marginal; shapes[j] and inverse[j] undo it
     after an update.  groups pairs the 0-based factors of each distinct
-    dimension with their target diagonals, stacked.
+    dimension with their target diagonals, stacked.  roots[j], floors[j]
+    and blocks[j] are factor j + 1's target root, smallest target entry and
+    the block sizes of the mode's step.
     """
 
-    def __init__(self, shape: tuple[int, ...], p: TargetSpectrum):
+    def __init__(self, shape: tuple[int, ...], p: TargetSpectrum,
+                 mode: str = BOREL):
         d = len(shape) - 1
         self.perms = [(i,) + tuple(j for j in range(d + 1) if j != i)
                       for i in range(1, d + 1)]
@@ -409,6 +412,19 @@ class _Plan:
             (factors, np.stack([np.diag(p.ascending(j + 1)).astype(complex)
                                 for j in factors]))
             for factors in by_dim.values()]
+        self.roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
+        self.floors = [float(p.ascending(i)[0]) for i in range(1, d + 1)]
+        self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
+                       for i, n in enumerate(shape[1:], start=1)]
+
+    def step(self, rhos: list[np.ndarray], dists: list[float],
+             lows: list[float]) -> tuple[int, np.ndarray]:
+        """The loop's step rule on a measurement from _measure: the 0-based
+        factor j farthest from its target (the lowest on ties) and the
+        _step_matrix that fixes its marginal."""
+        j = dists.index(max(dists))
+        return j, _step_matrix(rhos[j], self.roots[j], self.blocks[j],
+                               lows[j] + self.floors[j])
 
     def grams(self, y: np.ndarray) -> list[np.ndarray]:
         """One-body marginals of the raw tensor y, one (k, n, n) stack per
@@ -490,14 +506,12 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    rhos, dists, lows = _measure(y.data, _Plan(y.shape, p))
-    i = dists.index(max(dists)) + 1
-    blocks = p.block_sizes(i) if mode == PARABOLIC else (1,) * x.dims[i - 1]
-    a = _step_matrix(rhos[i - 1], np.diag(np.sqrt(p.ascending(i))), blocks,
-                     lows[i - 1] + p.ascending(i)[0])
-    g_new = list(np.asarray(m, dtype=complex) for m in g)
-    g_new[i - 1] = a @ g_new[i - 1]
-    return tuple(g_new), i, tuple(dists)
+    plan = _Plan(y.shape, p, mode)
+    rhos, dists, lows = _measure(y.data, plan)
+    j, a = plan.step(rhos, dists, lows)
+    g_new = [np.asarray(m, dtype=complex) for m in g]
+    g_new[j] = a @ g_new[j]
+    return tuple(g_new), j + 1, tuple(dists)
 
 
 def capacity(group: Sequence[np.ndarray],
@@ -549,8 +563,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     candidate halt it rejects keeps iterating.  Any other verdict reports
     the accumulated tuple itself.
     """
-    d = x0.num_factors
-    plan = _Plan(x0.shape, p)
+    plan = _Plan(x0.shape, p, cfg.mode)
     try:
         for stack in plan.grams(x0.data):
             _assert_nonsingular(stack)
@@ -564,10 +577,6 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     # Tensor copies did: np.linalg.norm sums in memory order
     y = x0.data / scale
 
-    blocks = [p.block_sizes(i) if cfg.mode == PARABOLIC else (1,) * n
-              for i, n in enumerate(x0.dims, start=1)]
-    roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
-    floors = [float(p.ascending(i)[0]) for i in range(1, d + 1)]
     cap_blocks = p.capacity_blocks()
     if cfg.mode == BOREL:
         # LU never pivots on an upper-triangular matrix, so every Borel factor
@@ -606,24 +615,22 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     for _ in range(limit):
         if max(dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace
-        i = dists.index(max(dists)) + 1
         try:
-            a = _step_matrix(rhos[i - 1], roots[i - 1], blocks[i - 1],
-                             lows[i - 1] + floors[i - 1])
+            j, a = plan.step(rhos, dists, lows)
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(borel), trace
-        y = plan.apply(a, y, i - 1)
+        y = plan.apply(a, y, j)
         norm_after = float(np.linalg.norm(y))
         # a finite norm means every entry is finite
         if not 0.0 < norm_after < math.inf:
             raise NumericBreakdownError(
                 f"iterate left the floating-point range at step {len(trace) + 1}")
-        borel[i - 1] = a @ borel[i - 1]
+        borel[j] = a @ borel[j]
         y = y / norm_after
         borel[0] = borel[0] / norm_after
         # y was just divided by its norm: norm(R . X) is 1 up to rounding
         cap = capacity(borel, cap_blocks, 1.0) if cfg.log_capacity else math.nan
-        trace.append(IterationRecord(i, tuple(dists), norm_after, cap))
+        trace.append(IterationRecord(j + 1, tuple(dists), norm_after, cap))
         rhos, dists, lows = _measure(y, plan)
 
     if max(dists) <= epsilon and (witness := verified_halt()) is not None:
@@ -741,7 +748,6 @@ class Parametrization:
     param_dim: int
     degree: int
     evaluate: Callable[[np.ndarray], Tensor]
-    description: str = ""
     coeff_bits: int = 1
 
     def __post_init__(self):
@@ -757,7 +763,6 @@ def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrizatio
         param_dim=size,
         degree=1,
         evaluate=lambda z: Tensor(np.asarray(z, dtype=complex).reshape(shape)),
-        description=f"identity map on format {shape}",
     )
 
 
@@ -771,7 +776,6 @@ def fixed_tensor_parametrization(x: Tensor) -> Parametrization:
         param_dim=1,
         degree=1,
         evaluate=lambda z: Tensor(complex(np.asarray(z).ravel()[0]) * x.data),
-        description=f"ray through a fixed tensor of format {x.shape}",
         coeff_bits=x.entry_bitsize(),
     )
 
@@ -792,7 +796,6 @@ def orbit_parametrization(x: Tensor) -> Parametrization:
         param_dim=int(sum(sizes)),
         degree=len(dims),
         evaluate=evaluate,
-        description=f"orbit map of a fixed tensor of format {x.shape}",
         coeff_bits=x.entry_bitsize(),
     )
 
@@ -827,20 +830,19 @@ def mps_parametrization(n: int, bond_dim: int, d: int) -> Parametrization:
         param_dim=n * bond_dim * bond_dim,
         degree=d,
         evaluate=evaluate,
-        description=f"matrix product states with {n} site matrices of size {bond_dim}",
     )
 
 
-def check_homogeneity(phi: Parametrization, seed: int = 0,
-                      rtol: float = 1e-8) -> bool:
-    """Spot-check evaluate(t*z) == t**degree * evaluate(z) on random data."""
+def check_homogeneity(phi: Parametrization, seed: int = 0) -> bool:
+    """Spot-check evaluate(t*z) == t**degree * evaluate(z) on random data,
+    to a relative 1e-8."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(phi.param_dim) + 1j * rng.standard_normal(phi.param_dim)
     t = complex(rng.standard_normal() + 1j * rng.standard_normal())
     lhs = phi.evaluate(t * z).data
     rhs = t**phi.degree * phi.evaluate(z).data
     scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    return bool(np.linalg.norm(lhs - rhs) <= rtol * scale)
+    return bool(np.linalg.norm(lhs - rhs) <= 1e-8 * scale)
 
 
 def run_general_scaling(phi: Parametrization, p: TargetSpectrum,

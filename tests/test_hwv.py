@@ -1,4 +1,5 @@
 """Weight-vector lab: determinant functionals, characters, divergences."""
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -13,6 +14,27 @@ from conftest import (
     random_upper_triangular,
     w_tensor,
 )
+
+
+def ref_canonical_slot_permutations(lam, k):
+    """Reference: every ordered choice of blocks, deduplicated by the sorted
+    (height, block) signature, the first of each signature kept."""
+    heights = list(ts.conjugate_partition(tuple(v for v in lam if v > 0)))
+    reps, seen = [], set()
+
+    def rec(remaining, blocks):
+        if len(blocks) == len(heights):
+            signature = tuple(sorted(zip(heights, blocks)))
+            if signature not in seen:
+                seen.add(signature)
+                reps.append(tuple(itertools.chain.from_iterable(blocks)))
+            return
+        for combo in itertools.combinations(sorted(remaining),
+                                            heights[len(blocks)]):
+            rec(remaining - set(combo), blocks + [combo])
+
+    rec(frozenset(range(k)), [])
+    return reps
 
 
 def det_spec_2x2(perm1=(0, 1), perm2=(0, 1)):
@@ -74,11 +96,14 @@ class TestEvaluateHwv:
         assert abs(ts.evaluate_hwv(spec, x)) <= ts.evaluation_bound(spec, x)
 
     def test_budget_refusal(self):
-        spec = ts.HWVSpec(weight=((3, 3), (3, 3)), index_seq=(0,) * 6,
-                          perms=(tuple(range(6)),) * 2)
-        x = ts.Tensor(np.ones((1, 2, 2)))
-        with pytest.raises(ts.EvalBudgetError):
-            ts.evaluate_hwv(spec, x, max_terms=10)
+        # degree 5 on (1;4,4,4) costs 5 * 64**5 terms, past the fixed budget
+        spec = ts.HWVSpec(weight=((5,),) * 3, index_seq=(0,) * 5,
+                          perms=(tuple(range(5)),) * 3)
+        x = ts.Tensor(np.ones((1, 4, 4, 4)))
+        assert ts.eval_cost(x.dims, 5) == 5 * 64**5 > ts.DEFAULT_EVAL_BUDGET
+        with pytest.raises(ts.EvalBudgetError,
+                           match=f"budget is {ts.DEFAULT_EVAL_BUDGET}"):
+            ts.evaluate_hwv(spec, x)
 
     def test_label_refusal_names_labels(self):
         # 27 factors of dimension 1 cost 2 terms but need 54 einsum labels
@@ -123,14 +148,17 @@ class TestCharacter:
             rhs = ts.character(weight, r) * ts.character(weight, s)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
-    def test_block_determinants(self, rng):
-        r = random_upper_triangular(3, rng)
-        # weight constant on the top 2x2 block
-        lhs = ts.character(((2, 2, 1),), (r,), blocks=((2, 1),))
-        rhs = (r[0, 0] * r[1, 1]) ** 2 * r[2, 2] ** 1
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-        with pytest.raises(ValueError):
-            ts.character(((2, 1, 1),), (r,), blocks=((2, 1),))
+    def test_block_determinants(self):
+        # block characters belong to capacity: the target (1/2, 1/4, 1/4)
+        # ascends as (1/4, 1/4 | 1/2), a (2, 1) block pattern, and the
+        # leading block's determinant 2*1 - 1*1 replaces its diagonal's 2
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)),))
+        blocks = p.capacity_blocks()
+        assert blocks == (((0, 2, 0.25), (2, 3, 0.5)),)
+        r = np.array([[2, 1, 3], [1, 1, 0.5], [0, 0, 4]], dtype=complex)
+        expected = 3.0 * 1.0 ** -0.25 * 4.0 ** -0.5
+        assert ts.capacity((r,), blocks, 3.0) == pytest.approx(expected,
+                                                               rel=1e-12)
 
 
 class TestTransformationLaw:
@@ -229,6 +257,16 @@ class TestProgress:
 
 
 class TestSpecSearch:
+    def test_canonical_matches_exhaustive_reference(self):
+        for k in range(1, 8):
+            for lam in ts.partitions_of(k, k):
+                assert ts.canonical_slot_permutations(lam, k) \
+                    == ref_canonical_slot_permutations(lam, k), lam
+
+    def test_one_row_has_one_representative(self):
+        # the exhaustive walk took seconds from k = 9 on
+        assert ts.canonical_slot_permutations((10,), 10) == [tuple(range(10))]
+
     def test_canonical_representative_counts(self):
         assert len(ts.canonical_slot_permutations((1, 1), 2)) == 1
         assert len(ts.canonical_slot_permutations((2, 2), 4)) == 3

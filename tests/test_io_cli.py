@@ -271,6 +271,23 @@ class TestCli:
         assert json.loads(out)["verdict"] in ("SCALED", "NOT_IN_POLYTOPE",
                                               "BUDGET_EXHAUSTED")
 
+    @pytest.mark.parametrize("obj,flags,key", [
+        ({"n": 2, "bond": 2, "sites": 2.7}, [], "sites"),
+        ({"n": 2, "bond": 1.9, "sites": 2}, [], "bond"),
+        ({"n": True, "bond": 2, "sites": 2}, [], "n"),
+        ({"n": 2, "bond": 2, "sites": 2}, ["--sites", "0"], "sites"),
+    ])
+    def test_general_scale_mps_counts_must_be_positive_integers(
+            self, tmp_path, capsys, obj, flags, key):
+        mpath = tmp_path / "mps.json"
+        mpath.write_text(json.dumps(obj))
+        code = cli.main(["general-scale", "--mps", str(mpath), "--target",
+                         "uniform", "--epsilon", "0.1", "--max-iters", "10",
+                         *flags])
+        assert code == 2
+        assert f"--mps {key} must be a positive integer" \
+            in capsys.readouterr().err
+
     def test_general_scale_mps_explicit_matrices(self, tmp_path, capsys):
         # diagonal site matrices build the unit-diagonal tensor, which has
         # exactly uniform marginals

@@ -238,6 +238,24 @@ class TestScalingStep:
         with pytest.raises(ValueError):
             ts.scaling_step(ts.identity_group((3, 3)), x, p)
 
+    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+    def test_same_step_rule_as_the_loop(self, rng, mode):
+        # factor 2 is the worst, and its repeated 1/4 makes the parabolic
+        # step a 2x2-block one
+        x = normalized(random_integer_tensor((1, 3, 3), rng))
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
+                               (F(1, 2), F(1, 4), F(1, 4))))
+        g, i, dists = ts.scaling_step(ts.identity_group((3, 3)), x, p, mode)
+        assert i == 2 and (g[1][1, 0] != 0) == (mode == ts.PARABOLIC)
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(
+            epsilon=1e-6, mode=mode, randomize=False, max_iters=1))
+        (record,) = rep.trace
+        assert record.index == i
+        assert np.allclose(record.distances, dists, rtol=1e-12, atol=0)
+        y = ts.apply_group(g, x)
+        assert np.allclose(ts.apply_group(rep.group, x).data,
+                           y.data / y.norm(), rtol=0, atol=1e-10)
+
     def test_measure_solves_once_per_dimension(self, rng, monkeypatch):
         # (1;2,3,2,3) has two distinct factor dimensions: one stacked
         # eigen-solve each, not one per factor
@@ -677,8 +695,7 @@ class TestGeneralScaling:
     def test_vanishing_sample_resampled_then_rejected(self):
         dead = ts.Parametrization(
             param_dim=2, degree=1,
-            evaluate=lambda z: ts.Tensor(np.zeros((1, 2, 2))),
-            description="identically zero")
+            evaluate=lambda z: ts.Tensor(np.zeros((1, 2, 2))))
         p = ts.TargetSpectrum.uniform((2, 2))
         rep, x = ts.run_general_scaling(dead, p,
                                         ts.ScalingConfig(epsilon=0.1, seed=0))
