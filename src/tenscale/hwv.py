@@ -10,9 +10,17 @@ what makes them usable as progress potentials for the scaling loop.
 
 Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
 meant for desk-scale certification, not production-sized tensors.  The
-contraction order and the determinant tables depend only on the format and
-the description, not on the tensor's entries, so evaluations on one format
-reuse a memoized contraction order and memoized determinant tables.
+determinant tables depend only on the format and the description, not on
+the tensor's entries, so evaluations on one format reuse memoized tables.
+
+On a Gaussian-integer tensor whose entry components are at most B in
+modulus (B >= 1), every partial product and partial sum of the expansion is
+an integer below 2**53 when k * log2(sqrt(2) * B * n1 * ... * nd) < 53.  Such
+evaluations sum the tables' nonzero terms only, gathering the entry
+products in one pass, and the value is exact.  Every other input goes
+through one einsum contraction along a memoized contraction order.  Both
+paths refuse the same evaluations: the term budget does not depend on the
+path.
 """
 from __future__ import annotations
 
@@ -52,7 +60,7 @@ class HWVSpec:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        weight = tuple(tuple(int(v) for v in lam) for lam in self.weight)
+        weight = tuple(_integers(lam) for lam in self.weight)
         if not weight:
             raise ValueError("weight needs at least one factor")
         sums = {sum(lam) for lam in weight}
@@ -64,10 +72,10 @@ class HWVSpec:
         for lam in weight:
             if not is_partition(lam):
                 raise ValueError(f"weight row is not a partition: {lam}")
-        index_seq = tuple(int(v) for v in self.index_seq)
+        index_seq = _integers(self.index_seq)
         if len(index_seq) != k or any(v < 0 for v in index_seq):
             raise ValueError("index sequence must hold k nonnegative entries")
-        perms = tuple(tuple(int(v) for v in pi) for pi in self.perms)
+        perms = tuple(_integers(pi) for pi in self.perms)
         if len(perms) != len(weight):
             raise ValueError("need one slot permutation per factor")
         for pi in perms:
@@ -84,6 +92,19 @@ class HWVSpec:
     @property
     def num_factors(self) -> int:
         return len(self.weight)
+
+
+def _integers(values) -> tuple[int, ...]:
+    """The entries as Python ints; ValueError unless each is a Python or
+    NumPy integer other than a bool."""
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool)
+           for t in kinds):
+        raise ValueError(f"expected integer entries, got {values}")
+    return tuple(map(int, values))
 
 
 def det_bottom(vectors: Sequence[np.ndarray]) -> complex:
@@ -136,6 +157,20 @@ def _det_block_array(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     return arr
 
 
+@functools.lru_cache(maxsize=128)
+def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of the determinant table, in row-major order: their
+    slot assignments as a read-only (terms, k) index array, and their signs.
+    Memoized like the table."""
+    table = _det_block_array(lam, perm, n, k)
+    slots = np.argwhere(table)
+    signs = table[table != 0]
+    slots.flags.writeable = False
+    signs.flags.writeable = False
+    return slots, signs
+
+
 @functools.lru_cache(maxsize=256)
 def _contraction(k: int, dims: tuple[int, ...]) -> tuple[str, tuple]:
     """Einsum expression of a degree-k evaluation on factors of the given
@@ -156,10 +191,37 @@ def eval_cost(dims: Sequence[int], k: int) -> int:
     return k * math.prod(int(n) for n in dims) ** k
 
 
+def _exact_in_floats(x: Tensor, k: int) -> bool:
+    """Whether every partial product and partial sum of a degree-k expansion
+    on ``x`` is an integer below 2**53: x is a Gaussian-integer tensor with
+    entry components bounded by B and (sqrt(2) * B * n1...nd)**k < 2**53,
+    compared in integers as (2 * (B * n1...nd)**2)**k < 2**106."""
+    bound = x.gaussian_integer_bound
+    return bound is not None \
+        and (2 * (bound * math.prod(x.dims)) ** 2) ** k < 1 << 106
+
+
+def _sum_nonzero_terms(spec: HWVSpec, x: Tensor) -> complex:
+    """The naive expansion restricted to index maps on which every
+    determinant table is nonzero: one gather of the k-fold entry products
+    and one signed sum."""
+    k = spec.degree
+    # row-major positions in x.data, one axis of terms per factor, then k
+    flat = np.array(spec.index_seq)
+    signs = 1.0
+    for lam, perm, n in zip(spec.weight, spec.perms, x.dims):
+        slots, table_signs = _det_terms(lam, perm, n, k)
+        flat = flat[..., None, :] * n + slots
+        signs = np.multiply.outer(signs, table_signs)
+    products = x.data.reshape(-1)[flat].prod(axis=-1)
+    return complex(products.ravel() @ signs.ravel())
+
+
 def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     """Value of the weight vector on ``x`` by the naive sum over index maps.
 
-    Exact for integer tensors up to floating error.  Refuses evaluations
+    Exact on Gaussian-integer tensors within the 2**53 bound of the module
+    docstring, otherwise exact up to floating error.  Refuses evaluations
     whose term count k * (n1...nd)**k exceeds DEFAULT_EVAL_BUDGET.
     """
     k = spec.degree
@@ -179,6 +241,8 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
         raise EvalBudgetError(
             f"evaluation needs {k * d} einsum labels (degree {k} times "
             f"{d} factors), einsum has {len(string.ascii_letters)}")
+    if _exact_in_floats(x, k):
+        return _sum_nonzero_terms(spec, x)
 
     expr, path = _contraction(k, x.dims)
     operands = [x.data[v] for v in spec.index_seq]
@@ -322,6 +386,12 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
     heights = list(conjugate_partition(tuple(v for v in lam if v > 0)))
     if sum(heights) != k:
         raise ValueError("partition size must equal the degree")
+    # blocks from last_run on all have the last height and fill the slots
+    # left by the earlier blocks; in increasing order of first slot, each
+    # of them starts at the smallest slot still free
+    last_run = len(heights)
+    while last_run > 0 and heights[last_run - 1] == heights[-1]:
+        last_run -= 1
     reps: list[tuple[int, ...]] = []
 
     def rec(remaining: frozenset[int], blocks: list[tuple[int, ...]]):
@@ -330,7 +400,10 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
             reps.append(tuple(itertools.chain.from_iterable(blocks)))
             return
         after = blocks[-1][0] if b and heights[b - 1] == heights[b] else -1
-        for combo in itertools.combinations(sorted(remaining), heights[b]):
+        slots = sorted(remaining)
+        for combo in itertools.combinations(slots, heights[b]):
+            if b >= last_run and combo[0] > slots[0]:
+                break
             if combo[0] > after:
                 rec(remaining - set(combo), blocks + [combo])
 

@@ -129,6 +129,25 @@ class TestEvaluateHwv:
             ts.HWVSpec(weight=((1, 2),), index_seq=(0, 0), perms=((0, 1),))
         with pytest.raises(ValueError):
             ts.HWVSpec(weight=((2,),), index_seq=(0, 0), perms=((0, 0),))
+        # entries must be integers, never truncated floats or bools
+        for fields in [
+            (((1.7, 1.2), (1, 1)), (0.9, 0), ((0, True), (1, 0))),
+            (((1, 1), (1, 1)), (0.9, 0), ((0, 1), (1, 0))),
+            (((1, 1), (1, 1)), (0, 0), ((0, True), (1, 0))),
+            (((2.0,),), (0, 0), ((0, 1),)),
+            (((1,),), (-0.5,), ((0,),)),
+            (((1,),), (np.float64(0),), ((0,),)),
+            (((1,),), (np.bool_(False),), ((0,),)),
+            (((True,),), (0,), ((0,),)),
+        ]:
+            with pytest.raises(ValueError):
+                ts.HWVSpec(*fields)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = ts.HWVSpec(weight=(np.array([2, 1]),), index_seq=np.arange(3),
+                          perms=((np.int8(2), 0, 1),))
+        assert spec == ts.HWVSpec(((2, 1),), (0, 1, 2), ((2, 0, 1),))
+        assert all(type(v) is int for v in spec.index_seq + spec.perms[0])
 
 
 class TestCharacter:
@@ -266,6 +285,24 @@ class TestSpecSearch:
     def test_one_row_has_one_representative(self):
         # the exhaustive walk took seconds from k = 9 on
         assert ts.canonical_slot_permutations((10,), 10) == [tuple(range(10))]
+
+    def test_one_row_walk_is_linear(self, monkeypatch):
+        # every block of the last run of equal heights starts at the
+        # smallest free slot, so a one-row partition never backtracks; the
+        # walk without that rule made about 2**k combinations calls
+        calls = []
+        combinations = itertools.combinations
+
+        def counting(*args):
+            calls.append(args)
+            assert len(calls) <= 1000, "the walk backtracks"
+            return combinations(*args)
+
+        monkeypatch.setattr(itertools, "combinations", counting)
+        for k in (10, 20):
+            calls.clear()
+            assert ts.canonical_slot_permutations((k,), k) == [tuple(range(k))]
+            assert len(calls) == k
 
     def test_canonical_representative_counts(self):
         assert len(ts.canonical_slot_permutations((1, 1), 2)) == 1

@@ -1,5 +1,6 @@
 """Module boundaries: no package module reaches into another's private
-helpers, and no module keeps an unbounded functools cache."""
+helpers or into numpy's private modules, and no module keeps an unbounded
+functools cache."""
 import ast
 from pathlib import Path
 
@@ -32,6 +33,47 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert len(modules) > 1
     reaches = {path.name: private_imports(path.read_text()) for path in modules}
     assert {name: found for name, found in reaches.items() if found} == {}
+
+
+def numpy_private_imports(source: str) -> list[str]:
+    """Imports of a numpy module with an underscore-prefixed component, or
+    of an underscore-prefixed name from numpy.  Evaluation relies on public
+    numpy only, which pins it to ``np.einsum`` rather than the private
+    helpers that run einsum's contraction lists."""
+    def private(dotted: str) -> bool:
+        parts = dotted.split(".")
+        return parts[0] == "numpy" and any(p.startswith("_") for p in parts)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if private(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "numpy":
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if private(f"{node.module}.{a.name}")]
+    return found
+
+
+def test_guard_sees_numpy_private_imports():
+    assert numpy_private_imports(
+        "import numpy as np\n"
+        "import numpy.linalg\n"
+        "import numpy._core.einsumfunc\n"
+        "from numpy import _private, einsum\n"
+        "from numpy._core.einsumfunc import einsum_path\n"
+        "from numpy.linalg import _umath_linalg as ul\n"
+        "from ._numpy import x\n"
+        "from numpyish import _y\n") \
+        == ["numpy._core.einsumfunc", "numpy._private",
+            "numpy._core.einsumfunc.einsum_path",
+            "numpy.linalg._umath_linalg"]
+
+
+def test_no_module_imports_numpy_private_code():
+    found = {path.name: numpy_private_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def unbounded_caches(source: str) -> list[int]:
