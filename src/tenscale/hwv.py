@@ -9,25 +9,23 @@ These polynomials are triangular eigenvectors of the group action, which is
 what makes them usable as progress potentials for the scaling loop.
 
 Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
-meant for desk-scale certification, not production-sized tensors.  The
-determinant tables depend only on the format and the description, not on
-the tensor's entries, so evaluations on one format reuse memoized tables.
+meant for desk-scale certification, not production-sized tensors.  One
+evaluator serves every input: it sums the expansion over the index maps on
+which every determinant functional is nonzero, gathering the entry products
+in one pass.  Those terms depend only on the format and the description,
+not on the tensor's entries, so they are generated once per description
+(never as a dense n**k table) and memoized.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
-an integer below 2**53 when k * log2(sqrt(2) * B * n1 * ... * nd) < 53.  Such
-evaluations sum the tables' nonzero terms only, gathering the entry
-products in one pass, and the value is exact.  Every other input goes
-through one einsum contraction along a memoized contraction order.  Both
-paths refuse the same evaluations: the term budget does not depend on the
-path.
+an integer below 2**53 when k * log2(sqrt(2) * B * n1 * ... * nd) < 53, and
+the value is exact.  Every other input is exact up to floating error.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,102 +121,52 @@ def det_bottom(vectors: Sequence[np.ndarray]) -> complex:
     return complex(np.linalg.det(mat))
 
 
-def _perm_sign(positions: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            if positions[a] > positions[b]:
-                sign = -sign
-    return sign
-
-
-@functools.lru_cache(maxsize=128)
-def _det_block_array(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
-                     k: int) -> np.ndarray:
-    """Values of the antisymmetrized determinant functional on all standard
-    basis slot assignments, as a read-only array of shape (n,) * k.
-
-    For each column block of height h the assigned basis indices must be
-    exactly the top h coordinates; the value is the sign of their
-    arrangement, else zero.  The blocks take disjoint slots (block c the
-    slots perm[o : o + h], o being the heights of the blocks before it), so
-    the table is the outer product of one table per block, transposed back
-    to slot order.  Memoized, so every caller shares one array.
-    """
-    table = np.ones((), dtype=int)
-    for h in conjugate_partition(tuple(v for v in lam if v > 0)):
-        block = np.zeros((n,) * h, dtype=int)
-        if h <= n:
-            for cols in itertools.permutations(range(h)):
-                block[tuple(n - 1 - c for c in cols)] = _perm_sign(cols)
-        table = np.multiply.outer(table, block)
-    arr = table.transpose(np.argsort(perm)).astype(float, order="C")
-    arr.flags.writeable = False
-    return arr
-
-
 @functools.lru_cache(maxsize=128)
 def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero entries of the determinant table, in row-major order: their
-    slot assignments as a read-only (terms, k) index array, and their signs.
-    Memoized like the table."""
-    table = _det_block_array(lam, perm, n, k)
-    slots = np.argwhere(table)
-    signs = table[table != 0]
+    """Standard basis slot assignments on which the antisymmetrized
+    determinant functional is nonzero, as a read-only (terms, k) index array
+    in row-major order, and the functional's value (a sign) on each.
+
+    For each column block of height h the assigned basis indices must be
+    exactly the top h coordinates, with the sign of their arrangement.  The
+    blocks take disjoint slots (block c the slots perm[o : o + h], o being
+    the heights of the blocks before it), so the terms are the products of
+    one arrangement per block.  Memoized, so every caller shares one pair.
+    """
+    heights = conjugate_partition(tuple(v for v in lam if v > 0))
+    # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
+    blocks = [np.array(list(itertools.permutations(range(h))) if h <= n
+                       else [], dtype=np.intp).reshape(-1, h) for h in heights]
+    # one axis per block, indexing its arrangement, then the k slots
+    slots = np.empty([len(cols) for cols in blocks] + [k], dtype=np.intp)
+    signs = np.ones(())
+    start = 0
+    for c, (h, cols) in enumerate(zip(heights, blocks)):
+        shape = [1] * len(blocks) + [h]
+        shape[c] = len(cols)
+        slots[..., perm[start:start + h]] = (n - 1 - cols).reshape(shape)
+        inversions = sum((cols[:, a] > cols[:, b] for a, b
+                          in itertools.combinations(range(h), 2)),
+                         np.zeros(len(cols), dtype=int))
+        signs = np.multiply.outer(signs, 1.0 - 2.0 * (inversions % 2))
+        start += h
+    slots = slots.reshape(-1, k)
+    order = np.lexsort(slots.T[::-1])
+    slots, signs = slots[order], signs.ravel()[order]
     slots.flags.writeable = False
     signs.flags.writeable = False
     return slots, signs
-
-
-@functools.lru_cache(maxsize=256)
-def _contraction(k: int, dims: tuple[int, ...]) -> tuple[str, tuple]:
-    """Einsum expression of a degree-k evaluation on factors of the given
-    dimensions, and numpy's greedy contraction order for it.  The order
-    depends only on the subscripts and the operand shapes, so passing it
-    back as ``optimize`` contracts exactly as ``optimize=True`` would."""
-    d = len(dims)
-    labels = [string.ascii_letters[a * d: (a + 1) * d] for a in range(k)]
-    subscripts = labels + ["".join(row[i] for row in labels) for i in range(d)]
-    expr = ",".join(subscripts) + "->"
-    shapes = [dims] * k + [(n,) * k for n in dims]
-    path = np.einsum_path(expr, *(np.broadcast_to(0.0, s) for s in shapes),
-                          optimize=True)[0]
-    return expr, tuple(path)
 
 
 def eval_cost(dims: Sequence[int], k: int) -> int:
     return k * math.prod(int(n) for n in dims) ** k
 
 
-def _exact_in_floats(x: Tensor, k: int) -> bool:
-    """Whether every partial product and partial sum of a degree-k expansion
-    on ``x`` is an integer below 2**53: x is a Gaussian-integer tensor with
-    entry components bounded by B and (sqrt(2) * B * n1...nd)**k < 2**53,
-    compared in integers as (2 * (B * n1...nd)**2)**k < 2**106."""
-    bound = x.gaussian_integer_bound
-    return bound is not None \
-        and (2 * (bound * math.prod(x.dims)) ** 2) ** k < 1 << 106
-
-
-def _sum_nonzero_terms(spec: HWVSpec, x: Tensor) -> complex:
-    """The naive expansion restricted to index maps on which every
-    determinant table is nonzero: one gather of the k-fold entry products
-    and one signed sum."""
-    k = spec.degree
-    # row-major positions in x.data, one axis of terms per factor, then k
-    flat = np.array(spec.index_seq)
-    signs = 1.0
-    for lam, perm, n in zip(spec.weight, spec.perms, x.dims):
-        slots, table_signs = _det_terms(lam, perm, n, k)
-        flat = flat[..., None, :] * n + slots
-        signs = np.multiply.outer(signs, table_signs)
-    products = x.data.reshape(-1)[flat].prod(axis=-1)
-    return complex(products.ravel() @ signs.ravel())
-
-
 def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
-    """Value of the weight vector on ``x`` by the naive sum over index maps.
+    """Value of the weight vector on ``x`` by the naive sum over index maps,
+    restricted to the maps on which every determinant functional is nonzero:
+    one gather of the k-fold entry products and one signed sum.
 
     Exact on Gaussian-integer tensors within the 2**53 bound of the module
     docstring, otherwise exact up to floating error.  Refuses evaluations
@@ -237,18 +185,16 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     if cost > DEFAULT_EVAL_BUDGET:
         raise EvalBudgetError(
             f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
-    if k * d > len(string.ascii_letters):
-        raise EvalBudgetError(
-            f"evaluation needs {k * d} einsum labels (degree {k} times "
-            f"{d} factors), einsum has {len(string.ascii_letters)}")
-    if _exact_in_floats(x, k):
-        return _sum_nonzero_terms(spec, x)
 
-    expr, path = _contraction(k, x.dims)
-    operands = [x.data[v] for v in spec.index_seq]
-    operands += [_det_block_array(lam, perm, n, k)
-                 for lam, perm, n in zip(spec.weight, spec.perms, x.dims)]
-    return complex(np.einsum(expr, *operands, optimize=path))
+    # row-major positions in x.data, one axis of terms per factor, then k
+    flat = np.array(spec.index_seq)
+    signs = 1.0
+    for lam, perm, n in zip(spec.weight, spec.perms, x.dims):
+        slots, det_signs = _det_terms(lam, perm, n, k)
+        flat = flat[..., None, :] * n + slots
+        signs = np.multiply.outer(signs, det_signs)
+    products = x.data.reshape(-1)[flat].prod(axis=-1)
+    return complex(products.ravel() @ signs.ravel())
 
 
 def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:

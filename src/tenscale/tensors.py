@@ -10,7 +10,6 @@ labels 1..d used in the rest of the package.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,19 +72,12 @@ class Tensor:
         """l2 norm of the entry sequence."""
         return float(np.linalg.norm(self.data))
 
-    @functools.cached_property
-    def gaussian_integer_bound(self) -> int | None:
-        """Largest |Re| or |Im| of an entry, at least 1, when every entry has
-        integer real and imaginary parts; None otherwise.  Computed once per
-        tensor, since entries are immutable."""
-        re, im = np.abs(self.data.real), np.abs(self.data.imag)
-        if not (np.all(re == np.round(re)) and np.all(im == np.round(im))):
-            return None
-        return max(1, int(max(re.max(), im.max())))
-
     def is_gaussian_integer(self) -> bool:
         """True when every entry has integer real and imaginary parts."""
-        return self.gaussian_integer_bound is not None
+        return bool(
+            np.all(self.data.real == np.round(self.data.real))
+            and np.all(self.data.imag == np.round(self.data.imag))
+        )
 
     def entry_bitsize(self) -> int:
         """Bit size of the largest entry component, at least 1.

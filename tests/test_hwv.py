@@ -1,12 +1,14 @@
 """Weight-vector lab: determinant functionals, characters, divergences."""
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import tenscale as ts
+from tenscale import hwv
 from conftest import (
     ghz_tensor,
     hwv_bruteforce,
@@ -106,13 +108,28 @@ class TestEvaluateHwv:
             ts.evaluate_hwv(spec, x)
 
     def test_label_refusal_names_labels(self):
-        # 27 factors of dimension 1 cost 2 terms but need 54 einsum labels
+        # 27 factors of dimension 1, 54 slot indices in all, cost 2 terms;
+        # each factor contributes the square of the one entry
         spec = ts.HWVSpec(weight=((2,),) * 27, index_seq=(0, 0),
                           perms=((0, 1),) * 27)
         x = ts.Tensor(np.ones((1,) * 28))
-        with pytest.raises(ts.EvalBudgetError,
-                           match=r"needs 54 einsum labels .* einsum has 52"):
-            ts.evaluate_hwv(spec, x)
+        assert ts.evaluate_hwv(spec, x) == 1
+
+    def test_degree_eight_memory(self):
+        # (1;8) at degree 8 is within the budget (8 * 8**8 terms) and has
+        # 8! nonzero terms; an n**k table of them alone would take 128 MiB
+        spec = ts.HWVSpec(weight=((1,) * 8,), index_seq=tuple(range(8)),
+                          perms=(tuple(range(8)),))
+        x = ts.Tensor(np.eye(8))
+        hwv._det_terms.cache_clear()
+        tracemalloc.start()
+        try:
+            value = ts.evaluate_hwv(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value) == 1
+        assert peak < 64 * 2**20
 
     def test_antisymmetry_on_product_tensors(self, rng):
         # any column of height >= 2 contracts equal slot vectors on a

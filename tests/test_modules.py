@@ -37,9 +37,8 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 
 def numpy_private_imports(source: str) -> list[str]:
     """Imports of a numpy module with an underscore-prefixed component, or
-    of an underscore-prefixed name from numpy.  Evaluation relies on public
-    numpy only, which pins it to ``np.einsum`` rather than the private
-    helpers that run einsum's contraction lists."""
+    of an underscore-prefixed name from numpy.  The package relies on public
+    numpy only, since private modules and names move between releases."""
     def private(dotted: str) -> bool:
         parts = dotted.split(".")
         return parts[0] == "numpy" and any(p.startswith("_") for p in parts)

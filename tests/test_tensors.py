@@ -42,11 +42,8 @@ class TestTensor:
 
     def test_gaussian_integer_bound_is_cached(self):
         x = ts.Tensor(np.array([[[1, 0], [0, -9]]]) * (1 - 2j))
-        assert x.gaussian_integer_bound == 18
-        assert vars(x)["gaussian_integer_bound"] == 18
-        assert ts.Tensor(x.data / 4).gaussian_integer_bound is None
+        assert x.is_gaussian_integer()
         assert not ts.Tensor(x.data / 4).is_gaussian_integer()
-        assert ts.Tensor(np.zeros((1, 2))).gaussian_integer_bound == 1
 
 
 class TestFlatten:
