@@ -150,23 +150,29 @@ class TestMemos:
         assert close_to(ts.evaluate_hwv(spec, y), want, abs(want))
 
 
-@pytest.fixture
-def einsum_calls(monkeypatch):
-    calls = []
-    einsum = np.einsum
+class TestExactDispatch:
+    """Every input takes the one evaluator, which never calls einsum.
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return einsum(*args, **kwargs)
+    The test names come from the earlier exactness dispatch, which sent
+    in-range Gaussian integers to the nonzero-term sum and everything else
+    to einsum; each input it distinguished is still checked here, now for
+    zero einsum calls and agreement with the reference: bit for bit on
+    in-range Gaussian integers, within 1e-12 of the largest value
+    otherwise."""
 
-    monkeypatch.setattr(np, "einsum", counting)
-    return calls
+    @pytest.fixture
+    def einsum_calls(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
 
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
 
-def test_evaluation_never_calls_einsum(einsum_calls, rng):
-    """In-range Gaussian integers, in either memory order, non-integer
-    entries and integers past the 2**53 bound all take the one evaluator."""
-    specs = (
+        monkeypatch.setattr(np, "einsum", counting)
+        return calls
+
+    SPECS = (
         ts.HWVSpec(weight=((1, 1), (1, 1)), index_seq=(0, 0),
                    perms=((0, 1), (1, 0))),
         ts.HWVSpec(weight=((2, 1), (2, 1)), index_seq=(0, 1, 1),
@@ -174,17 +180,9 @@ def test_evaluation_never_calls_einsum(einsum_calls, rng):
         ts.HWVSpec(weight=((2, 2), (3, 1)), index_seq=(1, 0, 1, 1),
                    perms=((0, 2, 1, 3), (3, 0, 1, 2))),
     )
-    gaussian = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2))
-                         + 1j * rng.integers(-9, 10, size=(2, 2, 2)))
-    # entries laid out in another memory order, as apply_group leaves them
-    fortran = ts.Tensor(np.asfortranarray(gaussian.data))
-    assert not fortran.data.flags.c_contiguous
-    # at degree 2, (sqrt(2) * 2**40 * 4)**2 = 2**85 is past 2**53
-    past_bound = ts.Tensor(np.full((2, 2, 2), 2.0**40))
-    non_integer = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2)) + 0.5)
-    for x, exact in ((gaussian, True), (fortran, True), (past_bound, False),
-                     (non_integer, False)):
-        for spec in specs:
+
+    def check(self, x, einsum_calls, exact):
+        for spec in self.SPECS:
             want = ref_evaluate(spec, x)
             einsum_calls.clear()
             got = ts.evaluate_hwv(spec, x)
@@ -193,3 +191,26 @@ def test_evaluation_never_calls_einsum(einsum_calls, rng):
                 assert bits(got) == bits(want), spec
             else:
                 assert close_to(got, want, abs(want)), (spec, got, want)
+
+    def test_in_range_gaussian_integers_skip_einsum(self, einsum_calls, rng):
+        x = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2))
+                      + 1j * rng.integers(-9, 10, size=(2, 2, 2)))
+        self.check(x, einsum_calls, exact=True)
+        # entries laid out in another memory order, as apply_group leaves them
+        y = ts.Tensor(np.asfortranarray(x.data))
+        assert not y.data.flags.c_contiguous
+        self.check(y, einsum_calls, exact=True)
+
+    def test_non_integer_tensor_uses_einsum(self, einsum_calls, rng):
+        x = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2)) + 0.5)
+        self.check(x, einsum_calls, exact=False)
+
+    def test_integers_past_the_bound_use_einsum(self, einsum_calls):
+        # at degree 2, (sqrt(2) * 2**40 * 4)**2 = 2**85 is past 2**53
+        x = ts.Tensor(np.full((2, 2, 2), 2.0**40))
+        self.check(x, einsum_calls, exact=False)
+        einsum_calls.clear()
+        # degree 1 stays in range: sqrt(2) * 2**40 * 4 < 2**53
+        assert ts.evaluate_hwv(ts.HWVSpec(((1,), (1,)), (0,), ((0,), (0,))),
+                               x) == 2.0**40
+        assert not einsum_calls
