@@ -14,6 +14,7 @@ padding the resulting group back with a small diagonal block.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,6 +146,16 @@ class TargetSpectrum:
         return cls(tuple(out))
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``low``
+    raises ValueError.  NumPy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScalingConfig:
     """Knobs for a single scaling run.
@@ -169,12 +180,13 @@ class ScalingConfig:
             raise ValueError("epsilon must be positive")
         if self.mode not in (BOREL, PARABOLIC):
             raise ValueError(f"mode must be {BOREL!r} or {PARABOLIC!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.rand_range != THEORETICAL:
-            if int(self.rand_range) < 1:
-                raise ValueError("rand_range must be >= 1 or 'theoretical'")
-            object.__setattr__(self, "rand_range", int(self.rand_range))
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be positive when given")
+            object.__setattr__(self, "rand_range",
+                               _integer("rand_range", self.rand_range, low=1))
+        if self.max_iters is not None:
+            object.__setattr__(self, "max_iters",
+                               _integer("max_iters", self.max_iters, low=1))
 
 
 @dataclass
@@ -215,17 +227,45 @@ def randomization_bounds(ell: int, d: int, dims: Sequence[int]) -> tuple[int, in
     return k, 2 * d * k
 
 
+def _uniform_draws(seed: int, count: int, rand_range: int) -> np.ndarray:
+    """The floats [rng.randint(1, rand_range) for _ in range(count)] of
+    rng = random.Random(seed), drawn in bulk.
+
+    Below 2**32, randint tries the top rand_range.bit_length() bits of one
+    32-bit Mersenne Twister output and rejects values >= rand_range; one
+    getrandbits(32 * m) returns the next m outputs, the first in the lowest
+    word.  Larger ranges take several outputs per try and draw one by one.
+    """
+    rng = random.Random(seed)
+    if rand_range >= 1 << 32:
+        return np.array([float(rng.randint(1, rand_range)) for _ in range(count)])
+    bits = rand_range.bit_length()
+    kept = [np.empty(0, dtype=np.uint32)]
+    need = count
+    while need > 0:
+        # the expected number of tries plus about three standard deviations,
+        # so one round almost always suffices; surplus outputs go unused
+        tries = (need << bits) // rand_range + 4 * math.isqrt(need) + 4
+        words = np.frombuffer(rng.getrandbits(32 * tries).to_bytes(4 * tries, "little"),
+                              dtype="<u4") >> (32 - bits)
+        kept.append(words[words < rand_range][:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept) + 1.0
+
+
 def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
     """Tuple of matrices with entries drawn independently and uniformly from
     {1, ..., rand_range}.  Deterministic for a fixed seed; entries are drawn
-    factor by factor in row-major order."""
+    factor by factor in row-major order, exactly as random.Random(seed)'s
+    randint(1, rand_range) would draw them."""
     if rand_range < 1:
         raise ValueError("rand_range must be >= 1")
-    rng = random.Random(seed)
-    factors = []
+    entries = _uniform_draws(seed, sum(n * n for n in dims),
+                             operator.index(rand_range))
+    factors, lo = [], 0
     for n in dims:
-        entries = [float(rng.randint(1, rand_range)) for _ in range(n * n)]
-        factors.append(np.array(entries, dtype=complex).reshape(n, n))
+        factors.append(entries[lo:lo + n * n].astype(complex).reshape(n, n))
+        lo += n * n
     return tuple(factors)
 
 
@@ -297,7 +337,7 @@ def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
         lo, hi = bounds[j], bounds[j + 1]
         diag = work[lo:hi, lo:hi]
         _assert_nonsingular(diag, scale=scale)
-        r_jj = psd_sqrt(diag)
+        r_jj = _block_cholesky(diag, (hi - lo,))
         out[lo:hi, lo:hi] = r_jj
         if lo > 0:
             coupling = work[:lo, lo:hi] @ np.linalg.inv(r_jj)
@@ -447,12 +487,14 @@ class _Plan:
         return np.dot(a, flat).reshape(self.shapes[j]).transpose(self.inverse[j])
 
 
-def _measure(y: np.ndarray, plan: _Plan
+def _measure(y: np.ndarray, plan: _Plan,
+             stacks: list[np.ndarray] | None = None
              ) -> tuple[list[np.ndarray], list[float], list[float]]:
     """Every one-body marginal rho_j of the raw tensor y, its trace distance
     to the matching target diagonal D_j, and the smallest eigenvalue of
     rho_j - D_j.  Each rho_j is a Gram matrix m @ m^dagger, Hermitian by
-    construction, so none is checked.
+    construction, so none is checked.  ``stacks`` is plan.grams(y) when the
+    caller already has it.
 
     Each dimension group takes one stacked eigvalsh.  LAPACK solves each
     matrix of a stack on its own, exactly as it solves that matrix alone,
@@ -463,7 +505,9 @@ def _measure(y: np.ndarray, plan: _Plan
     rhos = [None] * len(plan.perms)
     dists = [0.0] * len(plan.perms)
     lows = [0.0] * len(plan.perms)
-    for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
+    if stacks is None:
+        stacks = plan.grams(y)
+    for (factors, diags), stack in zip(plan.groups, stacks):
         eigs = np.linalg.eigvalsh(stack - diags)
         spread = np.abs(eigs).sum(axis=1)
         for j, rho, dist, low in zip(factors, stack, spread.tolist(),
@@ -549,11 +593,12 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
     return int(cfg.rand_range)
 
 
-def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
-               epsilon: float, budget: int,
+def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
+               cfg: ScalingConfig, epsilon: float, budget: int,
                confirm: Callable[[GroupTuple], GroupTuple | None]
                ) -> tuple[str, GroupTuple, list[IterationRecord]]:
-    """Scale the full-rank-target tensor x0 from the identity.
+    """Scale the full-rank-target tensor x0 of norm ``scale`` > 0 from the
+    identity.
 
     Returns (verdict, group, per-step trace).  The loop keeps an accumulated
     triangular tuple that carries every step factor plus all normalizations,
@@ -564,18 +609,19 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
     the accumulated tuple itself.
     """
     plan = _Plan(x0.shape, p, cfg.mode)
-    try:
-        for stack in plan.grams(x0.data):
-            _assert_nonsingular(stack)
-    except SingularMarginalError:
-        return NOT_IN_POLYTOPE, identity_group(x0.dims), []
-
-    scale = x0.norm()
     borel = [np.eye(n, dtype=complex) for n in x0.dims]
     borel[0] /= scale
     # the raw iterate keeps the memory layout each update leaves, as the
     # Tensor copies did: np.linalg.norm sums in memory order
     y = x0.data / scale
+    # the singularity rule compares each marginal with its own trace, so
+    # the normalized start's marginals serve for x0's
+    stacks = plan.grams(y)
+    try:
+        for stack in stacks:
+            _assert_nonsingular(stack)
+    except SingularMarginalError:
+        return NOT_IN_POLYTOPE, identity_group(x0.dims), []
 
     cap_blocks = p.capacity_blocks()
     if cfg.mode == BOREL:
@@ -611,7 +657,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
             return None
         return confirm(tuple(borel))
 
-    rhos, dists, lows = _measure(y, plan)
+    rhos, dists, lows = _measure(y, plan, stacks)
     for _ in range(limit):
         if max(dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace
@@ -626,7 +672,7 @@ def _core_loop(x0: Tensor, p: TargetSpectrum, cfg: ScalingConfig,
             raise NumericBreakdownError(
                 f"iterate left the floating-point range at step {len(trace) + 1}")
         borel[j] = a @ borel[j]
-        y = y / norm_after
+        y /= norm_after  # in place: the same bits and layout, no new tensor
         borel[0] = borel[0] / norm_after
         # y was just divided by its norm: norm(R . X) is 1 up to rounding
         cap = capacity(borel, cap_blocks, 1.0) if cfg.log_capacity else math.nan
@@ -688,18 +734,19 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         eps_active = cfg.epsilon / 2.0
     else:
         x0, p_active, eps_active = start, p, cfg.epsilon
-    if x0.norm() == 0.0:
+    norm_x0 = x0.norm()
+    if norm_x0 == 0.0:
         return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
                              note="restricted tensor vanished")
     budget = budget_for((x0.n0,) + x0.dims, eps_active)
-    norm_start = start.norm()
+    norm_start = norm_x0 if x0 is start else start.norm()
 
     def confirm(borel: GroupTuple) -> GroupTuple | None:
         group, dists = _witness(borel, pre, x, p, cfg.epsilon, norm_start)
         return group if max(dists) <= cfg.epsilon else None
 
-    verdict, group, trace = _core_loop(x0, p_active, cfg, eps_active, budget,
-                                       confirm)
+    verdict, group, trace = _core_loop(x0, norm_x0, p_active, cfg, eps_active,
+                                       budget, confirm)
     if verdict != SCALED:
         group = _full_group(group, pre, p, cfg.epsilon, norm_start)
     return ScalingReport(verdict, group, len(trace), trace, budget, cfg.epsilon,
@@ -858,10 +905,7 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
                                degree=phi.degree)
 
     def draw(seed: int) -> Tensor:
-        rng = random.Random(seed)
-        z = np.array([float(rng.randint(1, rng_range))
-                      for _ in range(phi.param_dim)])
-        return phi.evaluate(z)
+        return phi.evaluate(_uniform_draws(seed, phi.param_dim, rng_range))
 
     note = ""
     x = draw(cfg.seed)

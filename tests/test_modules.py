@@ -1,6 +1,7 @@
 """Module boundaries: no package module reaches into another's private
-helpers or into numpy's private modules, and no module keeps an unbounded
-functools cache."""
+helpers or into numpy's private modules, no module keeps an unbounded
+functools cache, and the scaling loop's kernels leave validation to the
+public entry points."""
 import ast
 from pathlib import Path
 
@@ -135,3 +136,56 @@ def test_no_module_keeps_an_unbounded_cache():
     found = {path.name: unbounded_caches(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the scaling loop's private kernels and the checked public entry points
+# they must not call: validation belongs at the API boundary
+LOOP_KERNELS = {"_core_loop", "_measure", "_step_matrix", "_block_cholesky",
+                "_Plan"}
+CHECKED_ENTRIES = {"check_hermitian", "psd_sqrt", "block_cholesky",
+                   "upper_cholesky"}
+
+
+def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
+    """(kernel, callee) for each call from a loop kernel, or from a function
+    nested in one or a method of _Plan, to a checked entry point by plain or
+    attribute name."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name not in LOOP_KERNELS:
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in CHECKED_ENTRIES:
+                found.append((node.name, name))
+    return found
+
+
+def test_guard_sees_kernel_entry_calls():
+    assert kernel_entry_calls(
+        "def _block_cholesky(rho, sizes):\n"
+        "    return psd_sqrt(rho[:1, :1])\n"
+        "class _Plan:\n"
+        "    def step(self, rho):\n"
+        "        return ts.upper_cholesky(rho)\n"
+        "def _core_loop(x):\n"
+        "    def verified_halt():\n"
+        "        return check_hermitian(x)\n"
+        "    return _block_cholesky(x, (1,))\n"
+        "def block_cholesky(rho, sizes):\n"
+        "    return _block_cholesky(check_hermitian(rho), sizes)\n") \
+        == [("_block_cholesky", "psd_sqrt"), ("_Plan", "upper_cholesky"),
+            ("_core_loop", "check_hermitian")]
+
+
+def test_loop_kernels_call_no_checked_entry_point():
+    source = (PACKAGE / "scaling.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert LOOP_KERNELS <= defined
+    assert kernel_entry_calls(source) == []

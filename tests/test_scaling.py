@@ -1,6 +1,7 @@
 """Scaling engine: factorizations, budgets, steps, and full runs."""
 import inspect
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
@@ -89,6 +90,23 @@ class TestRandomGroup:
         entries = np.array(entries)
         sigma = math.sqrt((8**2 - 1) / 12) / math.sqrt(entries.size)
         assert abs(entries.mean() - 4.5) <= 3 * sigma
+
+    @pytest.mark.parametrize("rand_range", [1, 2, 3, 16, 2**16, 2**16 + 1,
+                                            2**31, 2**32 - 1, 2**40 + 3])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4), (48, 48, 48)])
+    def test_matches_the_per_entry_stream(self, rand_range, dims):
+        # the bulk draw reproduces randint one entry at a time, rejections
+        # included: every range just above a power of two rejects about half
+        for seed in (0, 1, 7, 2**31 - 2):
+            rng = random.Random(seed)
+            want = [np.array([float(rng.randint(1, rand_range))
+                              for _ in range(n * n)], dtype=complex).reshape(n, n)
+                    for n in dims]
+            got = ts.random_group(dims, rand_range, seed)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.flags.c_contiguous
+                assert np.array_equal(a, b)
 
 
 class TestUpperCholesky:
@@ -519,6 +537,31 @@ class TestRunScaling:
             ts.ScalingConfig(epsilon=0.1, mode="sideways")
         with pytest.raises(ValueError):
             ts.ScalingConfig(epsilon=0.1, rand_range=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", 3.0),
+        ("rand_range", 2.7), ("rand_range", True), ("rand_range", "16"),
+        ("seed", 1.5), ("seed", False), ("seed", "0"),
+        ("max_iters", np.float64(4.0)), ("seed", np.bool_(True))])
+    def test_config_rejects_non_integers(self, field, value):
+        # unchecked, these fail or drift later: 2.5 steps raise TypeError
+        # inside the loop, True runs one step, and ranges of 2.7 and True
+        # become 2 and 1
+        with pytest.raises(ValueError, match=field):
+            ts.ScalingConfig(epsilon=0.1, **{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ts.ScalingConfig(epsilon=0.1, seed=np.int64(3),
+                               rand_range=np.int32(16), max_iters=np.uint8(5))
+        assert (cfg.seed, cfg.rand_range, cfg.max_iters) == (3, 16, 5)
+        assert all(type(v) is int
+                   for v in (cfg.seed, cfg.rand_range, cfg.max_iters))
+        p = ts.TargetSpectrum.uniform((2, 2, 2))
+        rep = ts.run_scaling(ghz_tensor(), p, cfg)
+        want = ts.run_scaling(ghz_tensor(), p, ts.ScalingConfig(
+            epsilon=0.1, seed=3, rand_range=16, max_iters=5))
+        assert (rep.verdict, rep.iterations) == (want.verdict, want.iterations)
+        assert all(np.array_equal(a, b) for a, b in zip(rep.group, want.group))
 
     def test_numeric_breakdown_is_an_arithmetic_error(self):
         # unrandomized, this start drives factor 2 of the accumulated group
