@@ -1,8 +1,22 @@
 """JSON schemas for tensors, spectra, weight-vector descriptions, and reports.
 
-All indices are 0-based on the wire.  Floats are emitted with at most 12
-significant digits; serialization is deterministic, so identical inputs give
-byte-identical documents.
+All indices are 0-based on the wire.  Serialization is deterministic, so
+identical inputs give byte-identical documents, in exactly the bytes of
+``json.dumps(doc, indent=2) + "\n"`` on the document with every float first
+rounded to 12 significant digits:
+
+- each nested item on its own line, indented two spaces per level, items
+  separated by ``,`` and keys followed by ``": "``; empty lists and objects
+  are ``[]`` and ``{}``; object keys keep their insertion order;
+- strings with json's ASCII escapes (``\\uXXXX`` beyond ASCII);
+- ``true``, ``false``, ``null``, and ints in full;
+- floats as ``repr`` of the rounded value (``0.5``, ``3.0``, ``1e-05``),
+  non-finite ones as ``NaN``, ``Infinity`` and ``-Infinity``;
+- one trailing newline.
+
+Tuples are written as lists and NumPy integer and floating scalars as their
+Python values.  Object keys must be strings; any other value raises
+TypeError.
 """
 from __future__ import annotations
 
@@ -48,12 +62,11 @@ def tensor_to_obj(x: Tensor) -> dict:
     """Canonical sparse form: integer entries sorted by index, zeros omitted."""
     if not x.is_gaussian_integer():
         raise ValueError("only Gaussian-integer tensors are serialized")
-    entries = []
-    for idx in np.ndindex(*x.shape):
-        v = x.data[idx]
-        if v != 0:
-            entries.append({"idx": [int(i) for i in idx],
-                            "re": int(v.real), "im": int(v.imag)})
+    nonzero = x.data != 0
+    values = x.data[nonzero]  # C order, as np.argwhere lists the indices
+    entries = [{"idx": idx, "re": int(re), "im": int(im)}
+               for idx, re, im in zip(np.argwhere(nonzero).tolist(),
+                                      values.real.tolist(), values.imag.tolist())]
     return {"dims": [int(n) for n in x.shape], "entries": entries}
 
 
@@ -245,25 +258,70 @@ def verdict_to_obj(verdict: MembershipVerdict) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _round_floats(node: Any) -> Any:
-    """Round every float to 12 significant digits so the emitted document
-    never shows more."""
-    if isinstance(node, bool):
-        return node
-    if isinstance(node, float):
-        return float(format(node, ".12g"))
-    if isinstance(node, (int, str)) or node is None:
-        return node
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v: float) -> str:
+    """json's spelling of v rounded to 12 significant digits.
+
+    "%.12g" with a point and no exponent is already the shortest repr of
+    the rounded double: below 1e12 distinct 12-digit decimals lie farther
+    apart than a normal double's spacing.  An integral text lacks only the
+    ".0"; any text with an exponent (subnormals, and [1e12, 1e16) where repr
+    still writes plain digits) is parsed and re-spelled by repr.
+    """
+    text = "%.12g" % v
+    if "e" in text:
+        return float.__repr__(float(text))
+    if "." in text:
+        return text
+    return _NONFINITE.get(text) or text + ".0"
+
+
+def _encode(node: Any, indent: str) -> str:
+    """node as JSON text whose nested lines start with ``indent`` plus two
+    spaces; ``indent`` begins with the newline."""
+    cls = type(node)
+    if cls is float:
+        return _float_text(node)
+    if cls is str:
+        return _ESCAPE(node)
+    if cls is dict:
+        if not node:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_ESCAPE(k) + ": " + _encode(v, inner) for k, v in node.items()]
+        ) + indent + "}"
+    if cls is list or cls is tuple:
+        if not node:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            [_encode(v, inner) for v in node]) + indent + "]"
+    if cls is int:
+        return int.__repr__(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    # subclasses of the JSON types and NumPy scalars
+    if isinstance(node, (float, np.floating)):
+        return _float_text(float(node))
+    if isinstance(node, str):
+        return _ESCAPE(node)
+    if isinstance(node, (int, np.integer)):
+        return int.__repr__(int(node))
     if isinstance(node, dict):
-        return {k: _round_floats(v) for k, v in node.items()}
+        return _encode(dict(node), indent)
     if isinstance(node, (list, tuple)):
-        return [_round_floats(v) for v in node]
-    if isinstance(node, (np.integer,)):
-        return int(node)
-    if isinstance(node, (np.floating,)):
-        return float(format(float(node), ".12g"))
+        return _encode(list(node), indent)
     raise TypeError(f"cannot serialize {type(node)!r}")
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(_round_floats(obj), indent=2, sort_keys=False) + "\n"
+    """obj as canonical JSON text; see the module docstring for the layout."""
+    return _encode(obj, "\n") + "\n"

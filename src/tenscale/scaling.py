@@ -487,14 +487,12 @@ class _Plan:
         return np.dot(a, flat).reshape(self.shapes[j]).transpose(self.inverse[j])
 
 
-def _measure(y: np.ndarray, plan: _Plan,
-             stacks: list[np.ndarray] | None = None
+def _measure(y: np.ndarray, plan: _Plan
              ) -> tuple[list[np.ndarray], list[float], list[float]]:
     """Every one-body marginal rho_j of the raw tensor y, its trace distance
     to the matching target diagonal D_j, and the smallest eigenvalue of
     rho_j - D_j.  Each rho_j is a Gram matrix m @ m^dagger, Hermitian by
-    construction, so none is checked.  ``stacks`` is plan.grams(y) when the
-    caller already has it.
+    construction, so none is checked.
 
     Each dimension group takes one stacked eigvalsh.  LAPACK solves each
     matrix of a stack on its own, exactly as it solves that matrix alone,
@@ -505,9 +503,7 @@ def _measure(y: np.ndarray, plan: _Plan,
     rhos = [None] * len(plan.perms)
     dists = [0.0] * len(plan.perms)
     lows = [0.0] * len(plan.perms)
-    if stacks is None:
-        stacks = plan.grams(y)
-    for (factors, diags), stack in zip(plan.groups, stacks):
+    for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
         eigs = np.linalg.eigvalsh(stack - diags)
         spread = np.abs(eigs).sum(axis=1)
         for j, rho, dist, low in zip(factors, stack, spread.tolist(),
@@ -529,9 +525,15 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
     thousands a bound clearing 1e-9 of it leaves the exact gate's eigenvalue
     far above its 1e-12 threshold: the bound passes only what the gate does.
     """
-    if not bound > _GATE_MARGIN * max(float(np.trace(rho).real), 1.0):
+    if not _weyl_clears(rho, bound):
         _assert_nonsingular(rho)
     return root @ np.linalg.inv(_block_cholesky(rho, blocks))
+
+
+def _weyl_clears(rho: np.ndarray, bound: float) -> bool:
+    """True when the Weyl bound on lambda_min(rho) vouches for the exact
+    singularity gate; see _step_matrix."""
+    return bound > _GATE_MARGIN * max(float(np.trace(rho).real), 1.0)
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -615,11 +617,15 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
     # Tensor copies did: np.linalg.norm sums in memory order
     y = x0.data / scale
     # the singularity rule compares each marginal with its own trace, so
-    # the normalized start's marginals serve for x0's
-    stacks = plan.grams(y)
+    # the normalized start's marginals serve for x0's; as in _step_matrix,
+    # only a group where some factor's Weyl bound is too small to vouch for
+    # the exact gate pays the gate's own eigvalsh
+    rhos, dists, lows = _measure(y, plan)
     try:
-        for stack in stacks:
-            _assert_nonsingular(stack)
+        for factors, _ in plan.groups:
+            if not all(_weyl_clears(rhos[j], lows[j] + plan.floors[j])
+                       for j in factors):
+                _assert_nonsingular(np.stack([rhos[j] for j in factors]))
     except SingularMarginalError:
         return NOT_IN_POLYTOPE, identity_group(x0.dims), []
 
@@ -657,7 +663,6 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
             return None
         return confirm(tuple(borel))
 
-    rhos, dists, lows = _measure(y, plan, stacks)
     for _ in range(limit):
         if max(dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace

@@ -5,10 +5,47 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tenscale as ts
 from tenscale import cli, io
-from conftest import ghz_tensor, random_integer_tensor
+from conftest import ghz_tensor, random_integer_tensor, w_tensor
+
+
+def _round_floats(node):
+    """The two-step writer's rounding walk, kept as the reference."""
+    if isinstance(node, bool):
+        return node
+    if isinstance(node, float):
+        return float(format(node, ".12g"))
+    if isinstance(node, (int, str)) or node is None:
+        return node
+    if isinstance(node, dict):
+        return {k: _round_floats(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_round_floats(v) for v in node]
+    if isinstance(node, (np.integer,)):
+        return int(node)
+    if isinstance(node, (np.floating,)):
+        return float(format(float(node), ".12g"))
+    raise TypeError(f"cannot serialize {type(node)!r}")
+
+
+def reference_dumps(obj) -> str:
+    """Canonical text as rounding every float, then json.dumps(indent=2)."""
+    return json.dumps(_round_floats(obj), indent=2, sort_keys=False) + "\n"
+
+
+def walked_tensor_obj(x: ts.Tensor) -> dict:
+    """tensor_to_obj as a walk over every index, kept as the reference."""
+    entries = []
+    for idx in np.ndindex(*x.shape):
+        v = x.data[idx]
+        if v != 0:
+            entries.append({"idx": [int(i) for i in idx],
+                            "re": int(v.real), "im": int(v.imag)})
+    return {"dims": [int(n) for n in x.shape], "entries": entries}
 
 
 @pytest.fixture
@@ -55,6 +92,24 @@ class TestTensorJson:
         io.save_tensor(x, str(p1))
         io.save_tensor(io.load_tensor(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sparse_form_matches_index_walk(self, rng, order):
+        for shape in [(1, 2, 2), (2, 3, 2, 4), (3, 1, 5), (1, 4, 4, 4)]:
+            values = rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
+            values[rng.random(shape) < 0.7] = 0
+            x = ts.Tensor(np.asarray(values, order=order))
+            assert x.data.flags[f"{order}_CONTIGUOUS"]
+            assert io.dumps_canonical(io.tensor_to_obj(x)) \
+                == io.dumps_canonical(walked_tensor_obj(x))
+
+    def test_sparse_form_keeps_large_integers_exact(self):
+        data = np.zeros((1, 2, 2), dtype=complex)
+        data[0, 1, 0] = 2.0 ** 70 - 2.0 ** 20 + 1j * -(2.0 ** 64)
+        obj = io.tensor_to_obj(ts.Tensor(data))
+        assert obj == walked_tensor_obj(ts.Tensor(data))
+        assert obj["entries"] == [{"idx": [0, 1, 0], "re": 2 ** 70 - 2 ** 20,
+                                   "im": -(2 ** 64)}]
 
     def test_positional_error_messages(self):
         with pytest.raises(io.SchemaError, match=r"entries\[1\]"):
@@ -154,6 +209,98 @@ class TestFloatFormatting:
             # every emitted number is exactly representable with 12
             # significant digits
             assert value == float(format(value, ".12g"))
+
+
+# JSON scalars plus the NumPy scalars reports may carry; the extra float
+# ranges are the ones where the writer leaves its fast path: subnormals
+# and [1e12, 1e16), where %g and repr choose different notations
+_SCALARS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e12, max_value=1e16),
+    st.floats(min_value=-1e16, max_value=-1e12),
+    st.floats(min_value=-1e-306, max_value=1e-306),
+    st.integers(), st.booleans(), st.none(), st.text(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
+
+
+class TestCanonicalWriter:
+    """dumps_canonical is one pass that writes exactly the bytes of the
+    rounding walk plus json.dumps(indent=2)."""
+
+    def test_reports_and_verdicts_match_reference(self):
+        rep = ts.run_scaling(ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=0.1, seed=0))
+        verdict = ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                                1e-3, cfg=ts.ScalingConfig(epsilon=1e-3, seed=3,
+                                                           max_iters=60),
+                                repeats=2)
+        assert verdict.witness is None
+        for obj in (io.report_to_obj(rep), io.verdict_to_obj(verdict),
+                    io.report_to_obj(verdict.evidence)):
+            assert io.dumps_canonical(obj) == reference_dumps(obj)
+
+    def test_saved_tensor_and_spectrum_match_reference(self, rng, tmp_path):
+        x = random_integer_tensor((2, 3, 2), rng)
+        p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 3), F(1, 6)),
+                               (F(1, 2), F(1, 2))))
+        io.save_tensor(x, str(tmp_path / "x.json"))
+        io.save_spectrum(p, str(tmp_path / "p.json"))
+        assert (tmp_path / "x.json").read_text() \
+            == reference_dumps(io.tensor_to_obj(x))
+        assert (tmp_path / "p.json").read_text() \
+            == reference_dumps(io.spectrum_to_obj(p))
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 1.0, -3.0, 1e-5, 0.0001, 123456789012.0, 999999999999.5,
+        1e12, 1.5e15, 1e16, 2.0 ** 53, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, float("nan"), float("inf"), float("-inf")])
+    def test_float_edges_match_reference(self, value):
+        for obj in (value, -value, [value], {"v": value}):
+            assert io.dumps_canonical(obj) == reference_dumps(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS)
+    def test_documents_match_reference(self, doc):
+        assert io.dumps_canonical(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("obj", [
+        1 + 2j, {"v": [np.complex128(1)]}, np.zeros(2), [np.ones((2, 2))],
+        {1: "a"}, {"a": {None: 1}}, {(0, 1): 2}, [{1.5: 0}], {"v": {1, 2}},
+        np.bool_(True)])
+    def test_unsupported_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            io.dumps_canonical(obj)
+
+    def test_never_enters_pure_python_encoder(self, monkeypatch):
+        # a far-sized membership verdict: two capped runs' traces and groups
+        verdict = ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                                1e-3, cfg=ts.ScalingConfig(epsilon=1e-3, seed=1,
+                                                           max_iters=60),
+                                repeats=2)
+        obj = io.verdict_to_obj(verdict)
+        assert len(obj["evidence"]["trace"]) == 60
+        calls = []
+        make_iterencode = json.encoder._make_iterencode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make_iterencode(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        text = io.dumps_canonical(obj)
+        assert calls == []
+        # the counter sees the indented json.dumps the writer replaces
+        assert reference_dumps(obj) == text and calls
 
 
 class TestCli:

@@ -327,9 +327,33 @@ class TestScalingStep:
                              ts.ScalingConfig(epsilon=1e-9, seed=0,
                                               max_iters=40))
         assert rep.verdict == ts.SCALED and calls["measure"] > rep.iterations
-        # one dimension group: one solve per measurement plus the start check
-        assert calls["eigvalsh"] == calls["measure"] + 1
+        # one dimension group: one solve per measurement; the start's Weyl
+        # bound vouches for its singularity check too
+        assert calls["eigvalsh"] == calls["measure"]
         assert calls["det"] == 0
+
+    @pytest.mark.parametrize("top,start_checks", [(F(1, 2), 0), (F(999, 1000), 1)])
+    def test_start_check_only_where_weyl_bound_fails(self, monkeypatch, top,
+                                                     start_checks):
+        # GHZ's marginals are I/2: against (1/2, 1/2) the bound is 1/2, against
+        # (999/1000, 1/1000) it is 1/2 - 999/1000 + 1/1000 < 0, so the exact
+        # check runs once on the one dimension group's stack, and passes
+        stacks = []
+        check = ts.scaling._assert_nonsingular
+
+        def counted(rho, **kwargs):
+            if rho.ndim == 3:
+                stacks.append(rho.shape)
+            return check(rho, **kwargs)
+
+        monkeypatch.setattr(ts.scaling, "_assert_nonsingular", counted)
+        p = ts.TargetSpectrum(((top, 1 - top),) + ((F(1, 2), F(1, 2)),) * 2)
+        rep = ts.run_scaling(ghz_tensor(), p,
+                             ts.ScalingConfig(epsilon=1e-9, randomize=False,
+                                              max_iters=5))
+        assert stacks == [(3, 2, 2)] * start_checks
+        assert rep.verdict != ts.NOT_IN_POLYTOPE
+        assert rep.iterations == (0 if top == F(1, 2) else 5)
 
 
 def weyl_case(n, log_low, log_floor, log_turn, seed):
