@@ -91,6 +91,7 @@ from .tensors import (
     apply_group,
     check_hermitian,
     compose_group,
+    contract,
     flatten,
     identity_group,
     marginal,

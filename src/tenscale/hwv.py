@@ -358,12 +358,23 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
 
 
 def _specs_of_weight(weight: tuple[tuple[int, ...], ...], n0: int, k: int):
-    """Every description of degree k with the given weight, index sequences
-    outermost, one representative permutation tuple per functional."""
+    """Every description of degree k >= 1 with the given weight, a tuple of
+    partitions of k in Python ints: index sequences outermost, one
+    representative permutation tuple per functional.
+
+    Those parts make every description valid by construction, so each is
+    built without HWVSpec's checks, equal to the checked one.
+    """
+    if k < 1:
+        raise ValueError("degree must be positive")
     perm_choices = [canonical_slot_permutations(lam, k) for lam in weight]
     for index_seq in itertools.product(range(n0), repeat=k):
         for perms in itertools.product(*perm_choices):
-            yield HWVSpec(weight=weight, index_seq=index_seq, perms=perms)
+            spec = object.__new__(HWVSpec)
+            object.__setattr__(spec, "weight", weight)
+            object.__setattr__(spec, "index_seq", index_seq)
+            object.__setattr__(spec, "perms", perms)
+            yield spec
 
 
 def enumerate_specs(dims: Sequence[int], n0: int, k: int):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import conjugate_partition, is_partition
-from .tensors import Tensor
+from .tensors import Tensor, contract
 
 __all__ = [
     "ReductionData",
@@ -167,7 +167,7 @@ def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
     data = y.data
     for i, rd in enumerate(rds):
         mat = reduction_matrix(rd)  # (width * ell, n)
-        data = np.moveaxis(np.tensordot(mat, data, axes=([1], [i + 1])), 0, i + 1)
+        data = contract(mat, data, i + 1)
     d = y.num_factors
     split = (y.n0,) + tuple(chain.from_iterable((rd.width, ell) for rd in rds))
     data = data.reshape(split)

@@ -13,12 +13,13 @@ padding the resulting group back with a small diagonal block.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .tensors import (
     apply_group,
     compose_group,
     check_hermitian,
+    contract,
     identity_group,
 )
 
@@ -44,6 +46,11 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
 _GATE_MARGIN = 1e3 * SINGULARITY_RTOL  # see _step_matrix
+# A format whose d flattenings hold at most this many entries in all (d times
+# its entry count) takes every marginal of a dimension group from one gather
+# of the raw iterate.  Past it the gathered stacks outgrow 128 KiB, and the
+# factor-by-factor copies cost less than the gather's scattered reads.
+GATHER_MAX_ENTRIES = 8192
 
 
 # --------------------------------------------------------------------------
@@ -59,17 +66,21 @@ class TargetSpectrum:
     parts: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        parts = tuple(tuple(Fraction(v) for v in vec) for vec in self.parts)
+        parts = tuple(tuple(v if type(v) is Fraction else Fraction(v)
+                            for v in vec) for vec in self.parts)
         if not parts:
             raise ValueError("a target needs at least one factor")
         for vec in parts:
             if not vec:
                 raise ValueError("empty spectrum vector")
-            if any(v < 0 or v > 1 for v in vec):
+            # the entries as integers over their common denominator
+            den = math.lcm(*(v.denominator for v in vec))
+            ints = [v.numerator * (den // v.denominator) for v in vec]
+            if any(v < 0 or v > den for v in ints):
                 raise ValueError(f"entries must lie in [0, 1]: {vec}")
-            if any(vec[j] < vec[j + 1] for j in range(len(vec) - 1)):
+            if any(ints[j] < ints[j + 1] for j in range(len(vec) - 1)):
                 raise ValueError(f"spectrum must be nonincreasing: {vec}")
-            if sum(vec) != 1:
+            if sum(ints) != den:
                 raise ValueError(f"spectrum must sum to exactly 1: {vec}")
         object.__setattr__(self, "parts", parts)
 
@@ -97,10 +108,21 @@ class TargetSpectrum:
         """Number of nonzero entries per factor."""
         return tuple(sum(1 for v in vec if v > 0) for vec in self.parts)
 
+    @functools.cached_property
+    def _ascending(self) -> tuple[np.ndarray, ...]:
+        """Read-only float entries of every factor in ascending order,
+        converted from the fractions once."""
+        out = tuple(np.array([float(v) for v in reversed(vec)])
+                    for vec in self.parts)
+        for asc in out:
+            asc.flags.writeable = False
+        return out
+
     def ascending(self, i: int) -> np.ndarray:
         """Float entries of factor i (1-based) in ascending order, the
-        diagonal the scaling loop drives marginal i toward."""
-        return np.array([float(v) for v in reversed(self.parts[i - 1])])
+        diagonal the scaling loop drives marginal i toward; a fresh
+        writable array on every call."""
+        return self._ascending[i - 1].copy()
 
     def block_sizes(self, i: int) -> tuple[int, ...]:
         """Multiplicities of the distinct values of factor i's ascending
@@ -118,11 +140,12 @@ class TargetSpectrum:
         """Per factor, (start, stop, exponent) of each block of equal
         ascending entries; the exponent is the block's common entry."""
         out = []
-        for i in range(1, self.num_factors + 1):
-            asc = self.ascending(i)
-            bounds = np.cumsum((0,) + self.block_sizes(i))
-            out.append(tuple((int(lo), int(hi), float(asc[lo]))
-                             for lo, hi in zip(bounds[:-1], bounds[1:])))
+        for i, asc in enumerate(self._ascending, start=1):
+            blocks, lo = [], 0
+            for size in self.block_sizes(i):
+                blocks.append((lo, lo + size, float(asc[lo])))
+                lo += size
+            out.append(tuple(blocks))
         return tuple(out)
 
     @classmethod
@@ -425,35 +448,61 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
 # --------------------------------------------------------------------------
 
 
-class _Plan:
-    """How the scaling loop reads, steps and writes a raw iterate of one
-    format.
+def _dimension_groups(shape: tuple[int, ...]) -> list[list[int]]:
+    """The 0-based scaled factors of the format grouped by dimension, in
+    order of first appearance."""
+    by_dim: dict[int, list[int]] = {}
+    for j, n in enumerate(shape[1:]):
+        by_dim.setdefault(n, []).append(j)
+    return list(by_dim.values())
 
-    perms[j] moves factor j + 1 to the front, (j + 1, 0, 1, ...), the
-    flattening order of tensors.marginal; shapes[j] and inverse[j] undo it
-    after an update.  groups pairs the 0-based factors of each distinct
-    dimension with their target diagonals, stacked.  roots[j], floors[j]
-    and blocks[j] are factor j + 1's target root, smallest target entry and
-    the block sizes of the mode's step.
+
+def _front(ndim: int, i: int) -> tuple[int, ...]:
+    """The axis order (i, 0, 1, ...) of tensors.marginal's flattening."""
+    return (i,) + tuple(j for j in range(ndim) if j != i)
+
+
+@functools.lru_cache(maxsize=64)
+def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per dimension group of the format, a read-only (k, n, N) array of
+    row-major positions: gathered from a raw tensor's ravel, its t-th
+    matrix is the flattening of the group's t-th factor."""
+    pos = np.arange(math.prod(shape)).reshape(shape)
+    out = []
+    for factors in _dimension_groups(shape):
+        n = shape[factors[0] + 1]
+        index = np.stack([pos.transpose(_front(len(shape), j + 1)).reshape(n, -1)
+                          for j in factors])
+        index.flags.writeable = False
+        out.append(index)
+    return tuple(out)
+
+
+class _Plan:
+    """How the scaling loop measures and steps a raw iterate of one format.
+
+    groups pairs the 0-based factors of each distinct dimension with their
+    target diagonals, stacked.  index holds the groups' flattening positions
+    from _flattening_index when the d flattenings hold at most
+    GATHER_MAX_ENTRIES entries, else None.  roots[j], floors[j] and
+    blocks[j] are factor j + 1's target root vector, smallest target entry
+    and the block sizes of the mode's step.
     """
 
     def __init__(self, shape: tuple[int, ...], p: TargetSpectrum,
                  mode: str = BOREL):
-        d = len(shape) - 1
-        self.perms = [(i,) + tuple(j for j in range(d + 1) if j != i)
-                      for i in range(1, d + 1)]
-        self.shapes = [tuple(shape[j] for j in perm) for perm in self.perms]
-        self.inverse = [tuple(int(j) for j in np.argsort(perm))
-                        for perm in self.perms]
-        by_dim: dict[int, list[int]] = {}
-        for j, n in enumerate(shape[1:]):
-            by_dim.setdefault(n, []).append(j)
-        self.groups = [
-            (factors, np.stack([np.diag(p.ascending(j + 1)).astype(complex)
-                                for j in factors]))
-            for factors in by_dim.values()]
-        self.roots = [np.diag(np.sqrt(p.ascending(i))) for i in range(1, d + 1)]
-        self.floors = [float(p.ascending(i)[0]) for i in range(1, d + 1)]
+        asc = [p.ascending(i) for i in range(1, len(shape))]
+        self.groups = []
+        for factors in _dimension_groups(shape):
+            n = shape[factors[0] + 1]
+            diags = np.zeros((len(factors), n, n), dtype=complex)
+            diags[:, range(n), range(n)] = [asc[j] for j in factors]
+            self.groups.append((factors, diags))
+        gathered = (len(shape) - 1) * math.prod(shape)
+        self.index = (_flattening_index(shape)
+                      if gathered <= GATHER_MAX_ENTRIES else None)
+        self.roots = [np.sqrt(a) for a in asc]
+        self.floors = [float(a[0]) for a in asc]
         self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
                        for i, n in enumerate(shape[1:], start=1)]
 
@@ -468,23 +517,25 @@ class _Plan:
 
     def grams(self, y: np.ndarray) -> list[np.ndarray]:
         """One-body marginals of the raw tensor y, one (k, n, n) stack per
-        group, each computed alone exactly as tensors.marginal does."""
+        group, each the Gram matrix m @ m^dagger of a flattening m, exactly
+        as tensors.marginal computes it: a stacked np.matmul calls the same
+        BLAS product for each matrix as a single one does."""
+        if self.index is not None:
+            flat = y.ravel()
+            stacks = []
+            for index in self.index:
+                ms = flat[index]
+                stacks.append(np.matmul(ms, ms.conj().swapaxes(1, 2)))
+            return stacks
         stacks = []
         for factors, diags in self.groups:
             n = diags.shape[-1]
             stack = np.empty((len(factors), n, n), dtype=complex)
             for j, gram in zip(factors, stack):
-                m = y.transpose(self.perms[j]).reshape(n, -1)
+                m = y.transpose(_front(y.ndim, j + 1)).reshape(n, -1)
                 np.matmul(m, m.conj().T, out=gram)
             stacks.append(stack)
         return stacks
-
-    def apply(self, a: np.ndarray, y: np.ndarray, j: int) -> np.ndarray:
-        """a acting on factor j + 1 of the raw tensor y: np.tensordot's own
-        copy and product, so the bits and the strides of the result match
-        np.moveaxis(np.tensordot(a, y, axes=([1], [j + 1])), 0, j + 1)."""
-        flat = y.transpose(self.perms[j]).reshape(a.shape[1], -1)
-        return np.dot(a, flat).reshape(self.shapes[j]).transpose(self.inverse[j])
 
 
 def _measure(y: np.ndarray, plan: _Plan
@@ -500,9 +551,8 @@ def _measure(y: np.ndarray, plan: _Plan
     np.sum over one spectrum, so the distances agree bit for bit with
     trace_distance on tensors.marginal.
     """
-    rhos = [None] * len(plan.perms)
-    dists = [0.0] * len(plan.perms)
-    lows = [0.0] * len(plan.perms)
+    d = len(plan.roots)
+    rhos, dists, lows = [None] * d, [0.0] * d, [0.0] * d
     for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
         eigs = np.linalg.eigvalsh(stack - diags)
         spread = np.abs(eigs).sum(axis=1)
@@ -514,7 +564,7 @@ def _measure(y: np.ndarray, plan: _Plan
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
                  bound: float) -> np.ndarray:
-    """Factor A with (A rho A^dagger) = root @ root for the diagonal root of
+    """Factor A with (A rho A^dagger) = diag(root)**2 for the root vector of
     the target and the Hermitian rho; unit blocks are the Borel step.
 
     ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
@@ -527,13 +577,14 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
     """
     if not _weyl_clears(rho, bound):
         _assert_nonsingular(rho)
-    return root @ np.linalg.inv(_block_cholesky(rho, blocks))
+    # scaling the rows of inv(R) is the diagonal product, entry by entry
+    return np.linalg.inv(_block_cholesky(rho, blocks)) * root[:, None]
 
 
 def _weyl_clears(rho: np.ndarray, bound: float) -> bool:
     """True when the Weyl bound on lambda_min(rho) vouches for the exact
     singularity gate; see _step_matrix."""
-    return bound > _GATE_MARGIN * max(float(np.trace(rho).real), 1.0)
+    return bound > _GATE_MARGIN * max(float(rho.trace().real), 1.0)
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -560,6 +611,21 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     return tuple(g_new), j + 1, tuple(dists)
 
 
+def _block_dets(group: Sequence[np.ndarray],
+                blocks: Sequence[Sequence[tuple[int, int, float]]]
+                ) -> dict[int, Iterator[complex]]:
+    """Per block size above 1, the determinants of the blocks of that size
+    in block order, from one stacked np.linalg.det, which factors each
+    matrix on its own exactly as it factors that matrix alone."""
+    stacks: dict[int, list[np.ndarray]] = {}
+    for r, factor_blocks in zip(group, blocks):
+        for lo, hi, _ in factor_blocks:
+            if hi - lo > 1:
+                stacks.setdefault(hi - lo, []).append(r[lo:hi, lo:hi])
+    return {size: iter(np.linalg.det(np.array(mats)))
+            for size, mats in stacks.items()}
+
+
 def capacity(group: Sequence[np.ndarray],
              blocks: Sequence[Sequence[tuple[int, int, float]]],
              norm_y: float) -> float:
@@ -570,12 +636,15 @@ def capacity(group: Sequence[np.ndarray],
     a product of block determinants, read off the diagonal for 1x1 blocks.
     """
     value = norm_y
+    dets = None
     for r, factor_blocks in zip(group, blocks):
         for lo, hi, exponent in factor_blocks:
             if hi - lo == 1:
                 det = abs(r[lo, lo])
             else:
-                det = abs(np.linalg.det(r[lo:hi, lo:hi]))
+                if dets is None:  # every larger block at once, on first need
+                    dets = _block_dets(group, blocks)
+                det = abs(next(dets[hi - lo]))
             if det == 0.0:
                 return math.inf
             value *= det ** -exponent
@@ -670,7 +739,7 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
             j, a = plan.step(rhos, dists, lows)
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(borel), trace
-        y = plan.apply(a, y, j)
+        y = contract(a, y, j + 1)
         norm_after = float(np.linalg.norm(y))
         # a finite norm means every entry is finite
         if not 0.0 < norm_after < math.inf:

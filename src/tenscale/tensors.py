@@ -10,6 +10,7 @@ labels 1..d used in the rest of the package.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,12 +145,34 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+@functools.lru_cache(maxsize=64)
+def _front_orders(ndim: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order (i, 0, 1, ...) that moves axis i to the front, and
+    its inverse, which moves it back."""
+    front = (i,) + tuple(j for j in range(ndim) if j != i)
+    return front, tuple(range(1, i + 1)) + (0,) + tuple(range(i + 1, ndim))
+
+
+def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
+    """The matrix m acting on axis i of the raw array data.
+
+    np.tensordot's own copy and product, without its checks: the bits and
+    the strides of the result match
+    np.moveaxis(np.tensordot(m, data, axes=([1], [i])), 0, i).  m may be
+    non-square; a mismatched axis makes np.dot raise ValueError.
+    """
+    front, back = _front_orders(data.ndim, i)
+    moved = data.transpose(front)
+    flat = moved.reshape(moved.shape[0], -1)
+    return np.dot(m, flat).reshape(m.shape[:1] + moved.shape[1:]).transpose(back)
+
+
 def apply_factor(m: np.ndarray, i: int, x: Tensor) -> Tensor:
     """Contract matrix ``m`` with factor i (1-based) of ``x``."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[1] != x.shape[i]:
         raise ValueError(f"matrix shape {m.shape} does not fit factor {i} of {x.shape}")
-    return Tensor(np.moveaxis(np.tensordot(m, x.data, axes=([1], [i])), 0, i))
+    return Tensor(contract(m, x.data, i))
 
 
 def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:
@@ -162,7 +185,7 @@ def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:
         if m.shape != (x.dims[i], x.dims[i]):
             raise ValueError(f"factor {i + 1} matrix has shape {m.shape}, "
                              f"expected {(x.dims[i], x.dims[i])}")
-        data = np.moveaxis(np.tensordot(m, data, axes=([1], [i + 1])), 0, i + 1)
+        data = contract(m, data, i + 1)
     return Tensor(data)
 
 

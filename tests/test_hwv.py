@@ -39,6 +39,15 @@ def ref_canonical_slot_permutations(lam, k):
     return reps
 
 
+def ref_enumerate_specs(dims, n0, k):
+    """enumerate_specs as it was, every spec built through HWVSpec's checks."""
+    for weight in itertools.product(*[ts.partitions_of(k, n) for n in dims]):
+        perm_choices = [ts.canonical_slot_permutations(lam, k) for lam in weight]
+        for index_seq in itertools.product(range(n0), repeat=k):
+            for perms in itertools.product(*perm_choices):
+                yield ts.HWVSpec(weight, index_seq, perms)
+
+
 def det_spec_2x2(perm1=(0, 1), perm2=(0, 1)):
     """Degree-2 functional on (1; 2, 2) whose value is +/- 2 det."""
     return ts.HWVSpec(weight=((1, 1), (1, 1)), index_seq=(0, 0),
@@ -320,6 +329,24 @@ class TestSpecSearch:
             calls.clear()
             assert ts.canonical_slot_permutations((k,), k) == [tuple(range(k))]
             assert len(calls) == k
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 2, 2), (1, 3, 2),
+                                       (1, 2, 2, 2)])
+    def test_enumerated_specs_equal_checked_ones(self, shape):
+        # the enumeration skips HWVSpec's checks on parts that are valid by
+        # construction; rebuilding each spec through them changes nothing
+        n0, dims = shape[0], shape[1:]
+        for k in range(1, 5):
+            specs = list(ts.enumerate_specs(dims, n0, k))
+            checked = list(ref_enumerate_specs(dims, n0, k))
+            assert specs == checked and len(specs) == len(set(specs)) > 0
+            assert [hash(s) for s in specs] == [hash(s) for s in checked]
+            assert all(type(v) is int for s in specs for part in
+                       (s.index_seq, *s.weight, *s.perms) for v in part)
+
+    def test_enumeration_still_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="degree"):
+            next(ts.enumerate_specs((2, 2), 1, 0))
 
     def test_canonical_representative_counts(self):
         assert len(ts.canonical_slot_permutations((1, 1), 2)) == 1

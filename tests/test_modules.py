@@ -189,3 +189,40 @@ def test_loop_kernels_call_no_checked_entry_point():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert LOOP_KERNELS <= defined
     assert kernel_entry_calls(source) == []
+
+
+# numpy's general contraction helpers; every package contraction goes
+# through tensors.contract, which computes the same bits with fewer calls
+CONTRACTION_HELPERS = {"tensordot", "moveaxis"}
+
+
+def contraction_helper_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call to a contraction helper, by attribute
+    (np.tensordot) or by a bare imported name (tensordot)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            func.id if isinstance(func, ast.Name) else None
+        if name in CONTRACTION_HELPERS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_guard_sees_contraction_helper_calls():
+    assert contraction_helper_calls(
+        "import numpy as np\n"
+        "from numpy import tensordot\n"
+        "y = np.moveaxis(np.tensordot(m, x, axes=([1], [2])), 0, 2)\n"
+        "z = tensordot(m, x, 1)\n"
+        "w = contract(m, x, 2)\n"
+        "v = np.dot(m, x.moveaxis)\n") \
+        == [(3, "moveaxis"), (3, "tensordot"), (4, "tensordot")]
+
+
+def test_no_module_calls_a_contraction_helper():
+    found = {path.name: contraction_helper_calls(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

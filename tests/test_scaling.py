@@ -56,6 +56,39 @@ class TestTargetSpectrum:
         p = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2))))
         assert p.has_zeros() and p.ranks() == (1, 2)
 
+    def test_ascending_returns_a_fresh_writable_array(self):
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),))
+        asc = p.ascending(1)
+        assert asc.flags.writeable and asc.tolist() == [1 / 6, 1 / 3, 1 / 2]
+        asc[:] = 7.0
+        assert p.ascending(1).tolist() == [1 / 6, 1 / 3, 1 / 2]
+        assert p.ascending(1) is not p.ascending(1)
+        assert p.capacity_blocks() == (((0, 1, 1 / 6), (1, 2, 1 / 3),
+                                        (2, 3, 1 / 2)),)
+
+    def test_sum_off_by_a_tiny_fraction_raises(self):
+        off = F(1, 10**18)
+        with pytest.raises(ValueError, match="sum"):
+            ts.TargetSpectrum(((F(1, 2) + off, F(1, 2)),))
+        with pytest.raises(ValueError, match="sum"):
+            ts.TargetSpectrum(((F(1, 3), F(1, 3), F(1, 3) - off),))
+        ts.TargetSpectrum(((F(1, 2) + off, F(1, 2) - off),))
+
+    def test_checks_range_and_order_exactly(self):
+        with pytest.raises(ValueError, match="lie in"):
+            ts.TargetSpectrum(((F(3, 2), F(-1, 2)),))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            ts.TargetSpectrum(((F(1, 2) - F(1, 10**18), F(1, 2) + F(1, 10**18)),))
+
+    def test_equality_and_hash_depend_on_the_parts_only(self):
+        p = ts.TargetSpectrum.from_strings([["1/2", "1/4", "1/4"], ["2/3", "1/3"]])
+        q = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)), (F(2, 3), F(1, 3))))
+        before = hash(p)
+        p.ascending(1), p.capacity_blocks()  # fills the cached floats
+        assert p == q and hash(p) == hash(q) == before == hash((p.parts,))
+        assert p != ts.TargetSpectrum(((F(1, 2), F(1, 2)), (F(2, 3), F(1, 3))))
+        assert repr(p) == repr(q)
+
 
 class TestRandomizationBounds:
     def test_smallest_nontrivial_values(self):
@@ -356,6 +389,127 @@ class TestScalingStep:
         assert rep.iterations == (0 if top == F(1, 2) else 5)
 
 
+def flattening_shapes():
+    """Formats on both sides of the gather cutoff: n0 > 1, mixed
+    dimensions, and (1;2,3,3) as restrict_positive leaves (1;3,3,3)."""
+    restricted = ts.restrict_positive(
+        ts.Tensor(np.ones((1, 3, 3, 3))),
+        ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),) + ((F(1, 3),) * 3,) * 2))[0]
+    return [(1, 2, 2, 2), (1, 3, 3, 3, 3, 3), (2, 3, 3, 3), (3, 2, 4),
+            restricted.shape, (1, 2, 3, 2, 3), (1, 12, 12), (2, 12, 12, 12),
+            (1, 8, 8, 8, 8)]
+
+
+def iterates(shape, rng):
+    """A unit-norm raw tensor of the format, then the non-contiguous
+    iterates the loop's contract leaves behind on each factor."""
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = x / np.linalg.norm(x)
+    yield y
+    for i in range(1, len(shape)):
+        a = rng.standard_normal((shape[i],) * 2) + 1j * rng.standard_normal((shape[i],) * 2)
+        yield ts.contract(a, y, i)
+
+
+class TestGatheredMarginals:
+    @pytest.mark.parametrize("shape", flattening_shapes())
+    def test_gather_equals_the_per_factor_path(self, rng, shape):
+        plan = ts.scaling._Plan(shape, ts.TargetSpectrum.uniform(shape[1:]))
+        gathered = (len(shape) - 1) * math.prod(shape)
+        assert (plan.index is None) == (gathered > ts.scaling.GATHER_MAX_ENTRIES)
+        index = ts.scaling._flattening_index(shape)
+        assert index is ts.scaling._flattening_index(shape)  # memoized
+        assert not any(a.flags.writeable for a in index)
+        for y in iterates(shape, rng):
+            plan.index = index
+            stacks = plan.grams(y)
+            plan.index = None
+            for (factors, _), stack, alone in zip(plan.groups, stacks,
+                                                   plan.grams(y)):
+                assert np.array_equal(stack, alone)
+                for j, gram in zip(factors, stack):
+                    assert np.array_equal(gram, ts.marginal(ts.Tensor(y), j + 1))
+
+    @pytest.mark.parametrize("shape", flattening_shapes())
+    def test_measured_distances_are_trace_distances(self, rng, shape):
+        dims = shape[1:]
+        p = ts.TargetSpectrum(tuple(
+            tuple(F(2 * (n - r), n * (n + 1)) for r in range(n)) for n in dims))
+        plan = ts.scaling._Plan(shape, p)
+        for y in iterates(shape, rng):
+            rhos, dists, lows = ts.scaling._measure(y, plan)
+            for i in range(1, len(shape)):
+                rho = ts.marginal(ts.Tensor(y), i)
+                assert np.array_equal(rhos[i - 1], rho)
+                assert dists[i - 1] == ts.trace_distance(rho, np.diag(p.ascending(i)))
+
+
+def ref_capacity(group, blocks, norm_y):
+    """capacity as it was: one np.linalg.det per block larger than 1x1."""
+    value = norm_y
+    for r, factor_blocks in zip(group, blocks):
+        for lo, hi, exponent in factor_blocks:
+            if hi - lo == 1:
+                det = abs(r[lo, lo])
+            else:
+                det = abs(np.linalg.det(r[lo:hi, lo:hi]))
+            if det == 0.0:
+                return math.inf
+            value *= det ** -exponent
+    return value
+
+
+class TestCapacity:
+    TARGET = ts.TargetSpectrum((
+        (F(1, 4), F(1, 4), F(1, 4), F(1, 8), F(1, 8)),   # blocks 2, 3
+        (F(1, 2), F(1, 4), F(1, 4)),                     # blocks 2, 1
+        (F(1, 3),) * 3,                                  # block 3
+        (F(1, 2), F(1, 2))))                             # block 2
+
+    def group(self, rng):
+        return [np.triu(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n))) + 2 * np.eye(n)
+                for n in self.TARGET.dims]
+
+    def test_stacked_determinants_match_the_block_loop(self, rng):
+        blocks = self.TARGET.capacity_blocks()
+        assert sorted({hi - lo for fb in blocks for lo, hi, _ in fb}) == [1, 2, 3]
+        for _ in range(20):
+            g = self.group(rng)
+            # parabolic: the factors are only block triangular
+            for r, fb in zip(g, blocks):
+                for lo, hi, _ in fb:
+                    r[lo:hi, lo:hi] += rng.standard_normal((hi - lo,) * 2)
+            norm_y = float(rng.uniform(0.5, 2.0))
+            assert ts.capacity(g, blocks, norm_y) == ref_capacity(g, blocks, norm_y)
+
+    def test_borel_blocks_match_the_block_loop(self, rng):
+        borel = tuple(tuple((k, k + 1, e) for lo, hi, e in fb for k in range(lo, hi))
+                      for fb in self.TARGET.capacity_blocks())
+        for _ in range(5):
+            g = self.group(rng)
+            assert ts.capacity(g, borel, 1.0) == ref_capacity(g, borel, 1.0)
+
+    def test_one_stacked_det_per_block_size(self, rng, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(a.shape)
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        ts.capacity(self.group(rng), self.TARGET.capacity_blocks(), 1.0)
+        assert sorted(calls) == [(2, 3, 3), (3, 2, 2)]
+
+    @pytest.mark.parametrize("factor,entry", [(0, 3), (1, 0), (1, 2), (2, 1), (3, 1)])
+    def test_a_zero_block_gives_infinity(self, rng, factor, entry):
+        g = self.group(rng)
+        g[factor][entry, :] = 0.0
+        blocks = self.TARGET.capacity_blocks()
+        assert ts.capacity(g, blocks, 1.0) == math.inf == ref_capacity(g, blocks, 1.0)
+
+
 def weyl_case(n, log_low, log_floor, log_turn, seed):
     """A Hermitian PSD rho of trace about 1 whose smallest eigenvalue is
     10**log_low, near the diagonal D of a target with floor 10**log_floor
@@ -373,7 +527,7 @@ def weyl_case(n, log_low, log_floor, log_turn, seed):
     rho = (rho + rho.conj().T) / 2
     diag = np.diag(target).astype(complex)
     low = np.linalg.eigvalsh((rho - diag)[None])[0, 0]
-    return rho, np.diag(np.sqrt(target)), low + target[0]
+    return rho, np.sqrt(target), low + target[0]
 
 
 def gated_step(rho, root, bound):

@@ -253,3 +253,86 @@ def test_rank_invariance_under_invertible_action(n, seed):
     for i in (1, 2, 3):
         assert np.linalg.matrix_rank(ts.flatten(y, [i]), tol=1e-8) \
             == np.linalg.matrix_rank(ts.flatten(x, [i]), tol=1e-8)
+
+
+def ref_contract(m, data, i):
+    """The contraction apply_factor, apply_group and reduce_tensor used to
+    compute, kept as the reference for tensors.contract."""
+    return np.moveaxis(np.tensordot(m, data, axes=([1], [i])), 0, i)
+
+
+def ref_reduce_tensor(y, lams):
+    """reduce_tensor as it was, one np.tensordot per factor."""
+    rds = [ts.ReductionData(tuple(lam)) for lam in lams]
+    ell = rds[0].ell
+    data = y.data
+    for i, rd in enumerate(rds):
+        data = ref_contract(ts.reduction_matrix(rd), data, i + 1)
+    d = y.num_factors
+    split = (y.n0,) + tuple(v for rd in rds for v in (rd.width, ell))
+    perm = [0] + [1 + 2 * i for i in range(d)] + [2 + 2 * i for i in range(d)]
+    data = np.transpose(data.reshape(split), perm)
+    front = y.n0 * int(np.prod([rd.width for rd in rds]))
+    return ts.Tensor(data.reshape((front,) + (ell,) * d))
+
+
+def same_array(a, b):
+    """Equal values and equal memory layout."""
+    return np.array_equal(a, b) and a.strides == b.strides
+
+
+def complex_matrix(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+class TestContract:
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 2, 4), (3, 4),
+                                       (1, 2, 2, 2, 2)])
+    def test_matches_tensordot_on_every_axis(self, rng, shape):
+        data = random_integer_tensor(shape, rng).data
+        for i in range(len(shape)):
+            for rows in (1, shape[i], shape[i] + 2):  # square and not
+                m = complex_matrix(rng, rows, shape[i])
+                assert same_array(ts.contract(m, data, i),
+                                  ref_contract(m, data, i))
+
+    def test_matches_tensordot_on_a_transposed_iterate(self, rng):
+        # the layout the scaling loop's updates leave behind
+        data = random_integer_tensor((2, 3, 4, 3), rng).data
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                m = complex_matrix(rng, data.shape[i], data.shape[i])
+                a = complex_matrix(rng, data.shape[j], data.shape[j])
+                moved = ts.contract(m, data, i)
+                assert same_array(ts.contract(a, moved, j),
+                                  ref_contract(a, moved, j))
+
+    def test_rejects_a_mismatched_axis(self, rng):
+        data = random_integer_tensor((1, 2, 4), rng).data
+        with pytest.raises(ValueError):
+            ts.contract(complex_matrix(rng, 2, 2), data, 2)
+
+    def test_apply_factor_and_apply_group_match_tensordot(self, rng):
+        x = random_integer_tensor((2, 3, 2, 4), rng)
+        g = tuple(complex_matrix(rng, n, n) for n in x.dims)
+        data = x.data
+        for i, m in enumerate(g, start=1):
+            ref = ts.Tensor(ref_contract(m, x.data, i))
+            assert same_array(ts.apply_factor(m, i, x).data, ref.data)
+            data = ref_contract(m, data, i)
+            # a rectangular factor maps into a different format
+            wide = complex_matrix(rng, x.shape[i] + 1, x.shape[i])
+            assert same_array(ts.apply_factor(wide, i, x).data,
+                              ts.Tensor(ref_contract(wide, x.data, i)).data)
+        assert same_array(ts.apply_group(g, x).data, ts.Tensor(data).data)
+
+    @pytest.mark.parametrize("shape,lams", [
+        ((1, 2, 2), [(2, 1), (2, 1)]),
+        ((2, 3, 3), [(3, 2, 1), (4, 1, 1)]),
+        ((1, 2, 2, 2), [(3, 3), (5, 1), (4, 2)]),
+    ])
+    def test_reduce_tensor_matches_tensordot(self, rng, shape, lams):
+        # reduce_tensor contracts with the non-square reduction matrices
+        y = random_integer_tensor(shape, rng)
+        assert same_array(ts.reduce_tensor(y, lams).data,
+                          ref_reduce_tensor(y, lams).data)
