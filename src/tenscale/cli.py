@@ -57,17 +57,12 @@ def _parse_rand_range(text: str) -> int | str:
     if text == THEORETICAL:
         return THEORETICAL
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise UsageError(f"--rand-range must be an integer or '{THEORETICAL}'") from exc
-    if value < 1:
-        raise UsageError("--rand-range must be >= 1")
-    return value
 
 
 def _config(args: argparse.Namespace) -> ScalingConfig:
-    if args.epsilon <= 0:
-        raise UsageError("--epsilon must be positive")
     return ScalingConfig(
         epsilon=args.epsilon,
         seed=args.seed,

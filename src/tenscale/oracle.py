@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .partitions import is_partition
 from .scaling import (
     SCALED,
     ScalingConfig,
@@ -59,12 +60,11 @@ class KroneckerQuery:
         if len(sizes) != 1 or sizes.pop() < 1:
             raise ValueError("partitions must share a positive size")
         for vec in parts:
-            if any(vec[i] < vec[i + 1] for i in range(len(vec) - 1)) \
-                    or any(v < 0 for v in vec):
+            if not is_partition(vec):
                 raise ValueError(f"not a partition: {vec}")
-        n = self.n if self.n else max(len([v for v in vec if v > 0])
-                                      for vec in parts)
-        if n < max(len([v for v in vec if v > 0]) for vec in parts):
+        count = max(sum(1 for v in vec if v > 0) for vec in parts)
+        n = self.n if self.n else count
+        if n < count:
             raise ValueError("n is smaller than a partition's part count")
         object.__setattr__(self, "lam", parts[0])
         object.__setattr__(self, "mu", parts[1])

@@ -9,7 +9,10 @@ the randomization yield a not-in-polytope verdict.
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
-padding the resulting group back with a small diagonal block.
+padding the resulting group b back with a diagonal block delta * I, where
+delta = min(1, eps / (8 ||start|| prod_i max(1, ||b_i||_F))) keeps every
+marginal within eps / 4 of the restricted one: a halt makes one witness
+measurement.
 """
 from __future__ import annotations
 
@@ -95,11 +98,7 @@ class TargetSpectrum:
     @property
     def denominator_lcm(self) -> int:
         """Least positive integer l making every l * p_j integral."""
-        ell = 1
-        for vec in self.parts:
-            for v in vec:
-                ell = ell * v.denominator // math.gcd(ell, v.denominator)
-        return ell
+        return math.lcm(*(v.denominator for vec in self.parts for v in vec))
 
     def has_zeros(self) -> bool:
         return any(vec[-1] == 0 for vec in self.parts)
@@ -430,12 +429,27 @@ def restrict_positive(x: Tensor, p: TargetSpectrum
 def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
                 epsilon: float, norm_x: float) -> GroupTuple:
     """Extend a group tuple for the restricted problem back to the full
-    dimensions with a small leading diagonal block delta * I."""
-    d = p.num_factors
-    ranks = p.ranks()
-    delta = min(epsilon ** (1.0 / d) / (4.0 * norm_x), 1e-3)
+    dimensions with a leading block delta * I, where delta = min(1, epsilon
+    / (8 norm_x prod_i max(1, ||b_i||_F))) and norm_x is the start's norm.
+
+    The tuple is block diagonal, so each entry of (padded . start) outside
+    the restricted block is delta**m, m >= 1, times its entry under the
+    identity-padded tuple.  That remainder R has norm at most delta * norm_x
+    * prod_i max(1, ||b_i||_2) <= epsilon / 8 and no entry in common with
+    the unit restricted image, so each marginal moves by at most 2 ||R|| +
+    ||R||**2 <= epsilon / 4 + epsilon**2 / 64 in trace norm.  The loop halts
+    at epsilon / 2, so for epsilon <= 16 the witness passes whenever the
+    resynced restricted iterate did.  A delta that underflows to 0 raises
+    NumericBreakdownError.
+    """
+    growth = math.prod(max(1.0, float(np.linalg.norm(b))) for b in b_plus)
+    delta = min(1.0, epsilon / (8.0 * norm_x * growth))
+    if delta == 0.0 and p.has_zeros():
+        raise NumericBreakdownError(
+            f"the zero-target pad underflowed: start norm {norm_x:.3e}, "
+            f"group growth {growth:.3e}")
     out = []
-    for vec_len, r, b in zip(p.dims, ranks, b_plus):
+    for vec_len, r, b in zip(p.dims, p.ranks(), b_plus):
         full = np.zeros((vec_len, vec_len), dtype=complex)
         full[: vec_len - r, : vec_len - r] = delta * np.eye(vec_len - r)
         full[vec_len - r:, vec_len - r:] = b
@@ -759,35 +773,16 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
 
 
 def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
-                p: TargetSpectrum, pad: float, norm_start: float) -> GroupTuple:
+                p: TargetSpectrum, epsilon: float, norm_start: float) -> GroupTuple:
     """The loop's tuple composed with the initial basis change ``pre``, with
-    zero-target factors padded back by pad_scaling at ``pad``."""
+    zero-target factors padded back by pad_scaling at tolerance ``epsilon``."""
     if p.has_zeros():
-        borel = pad_scaling(borel, p, pad, norm_start)
+        borel = pad_scaling(borel, p, epsilon, norm_start)
     group = compose_group(borel, pre)
     if not all(np.all(np.isfinite(m)) for m in group):
         raise NumericBreakdownError(
             "the scaling group left the floating-point range")
     return group
-
-
-def _witness(borel: GroupTuple, pre: GroupTuple, x: Tensor, p: TargetSpectrum,
-             epsilon: float, norm_start: float
-             ) -> tuple[GroupTuple, list[float]]:
-    """The full group of a candidate halt and the trace distances of its
-    marginals to p, measured from scratch on x.
-
-    Zero targets try the pads epsilon, epsilon/16, ... and stop at the first
-    group within epsilon, or once the pad falls below 1e-12.
-    """
-    plan = _Plan(x.shape, p)
-    pad = epsilon
-    while True:
-        group = _full_group(borel, pre, p, pad, norm_start)
-        dists = _measure(apply_group(group, x).data, plan)[1]
-        if max(dists) <= epsilon or not p.has_zeros() or pad < 1e-12:
-            return group, dists
-        pad /= 16.0
 
 
 def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
@@ -797,9 +792,10 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
 
     Zero targets restrict the start to their positive part and run the loop
     at half the tolerance; a restriction that vanishes is rejected.  The
-    step budget is budget_for(restricted format, loop tolerance).  A SCALED
-    report ships the group the loop's halt check verified on x; any other
-    group is composed and padded at epsilon without a measurement.  A group
+    step budget is budget_for(restricted format, loop tolerance).  A halt
+    composes and pads the loop's group once and measures it once from
+    scratch on x; a SCALED report ships that group.  Any other group is
+    composed and padded by the same rule without a measurement.  A group
     with non-finite entries raises NumericBreakdownError instead of being
     reported.
     """
@@ -816,7 +812,8 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     norm_start = norm_x0 if x0 is start else start.norm()
 
     def confirm(borel: GroupTuple) -> GroupTuple | None:
-        group, dists = _witness(borel, pre, x, p, cfg.epsilon, norm_start)
+        group = _full_group(borel, pre, p, cfg.epsilon, norm_start)
+        dists = _measure(apply_group(group, x).data, _Plan(x.shape, p))[1]
         return group if max(dists) <= cfg.epsilon else None
 
     verdict, group, trace = _core_loop(x0, norm_x0, p_active, cfg, eps_active,

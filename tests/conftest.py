@@ -7,11 +7,17 @@ paths they certify.
 from __future__ import annotations
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tenscale import Tensor
+
+# the benchmark's engine-independent ground truth (bench/truth.py) and its
+# instance generators (bench/workloads.py) serve the tests where they stand
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
 
 def random_integer_tensor(shape, rng, low=-4, high=5) -> Tensor:

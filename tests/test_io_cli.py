@@ -328,6 +328,19 @@ class TestCli:
                            uniform_path, "--epsilon", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "nan"),
+                                             ("--epsilon", "0"),
+                                             ("--rand-range", "0")])
+    def test_config_rejects_bad_values(self, ghz_path, capsys, flag, value):
+        # ScalingConfig is the one check of these values
+        argv = {"--epsilon": "0.1", flag: value}
+        code = cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
+                         *(item for pair in argv.items() for item in pair)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flag[2:].replace("-", "_") in err
+
     def test_unknown_flag_is_error(self, ghz_path):
         assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
                          "--epsilon", "0.1", "--frobulate"]) == 2

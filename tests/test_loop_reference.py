@@ -99,18 +99,10 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     return ts.BUDGET_EXHAUSTED, tuple(borel), trace
 
 
-def ref_verified_group(verdict, borel, pre, x, p, epsilon, restricted, norm_x0):
+def ref_verified_group(borel, pre, p, epsilon, restricted, norm_x0):
     if not restricted:
         return ts.compose_group(borel, pre)
-    eps = epsilon
-    while True:
-        total = ts.compose_group(ts.pad_scaling(borel, p, eps, norm_x0), pre)
-        if verdict != ts.SCALED:
-            return total
-        if max(ref_distances(ts.apply_group(total, x), p)) <= epsilon \
-                or eps < 1e-12:
-            return total
-        eps /= 16.0
+    return ts.compose_group(ts.pad_scaling(borel, p, epsilon, norm_x0), pre)
 
 
 def ref_run_scaling(x, p, cfg):
@@ -133,14 +125,14 @@ def ref_run_scaling(x, p, cfg):
                                  eps_active, log2_range)
 
     def confirm(borel):
-        total = ref_verified_group(ts.SCALED, borel, g0, x, p, cfg.epsilon,
-                                   restricted, x0_full.norm())
+        total = ref_verified_group(borel, g0, p, cfg.epsilon, restricted,
+                                   x0_full.norm())
         return max(ref_distances(ts.apply_group(total, x), p)) <= cfg.epsilon
 
     verdict, borel, trace = ref_core_loop(x0, p_active, cfg, eps_active, budget,
                                           confirm)
-    group = ref_verified_group(verdict, borel, g0, x, p, cfg.epsilon,
-                               restricted, x0_full.norm())
+    group = ref_verified_group(borel, g0, p, cfg.epsilon, restricted,
+                               x0_full.norm())
     report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
                               cfg.epsilon)
     if verdict == ts.SCALED:
@@ -263,14 +255,14 @@ def ref_run_general_scaling(phi, p, cfg):
                                          math.log2(cfg.rand_range))
 
     def confirm(borel):
-        total = ref_verified_group(ts.SCALED, borel, pre, x, p, cfg.epsilon,
-                                   restricted, x.norm())
+        total = ref_verified_group(borel, pre, p, cfg.epsilon, restricted,
+                                   x.norm())
         return max(ref_distances(ts.apply_group(total, x), p)) <= cfg.epsilon
 
     verdict, borel, trace = ref_core_loop(x0, p_active, cfg, eps_active, budget,
                                           confirm)
-    group = ref_verified_group(verdict, borel, pre, x, p, cfg.epsilon,
-                               restricted, x.norm())
+    group = ref_verified_group(borel, pre, p, cfg.epsilon, restricted,
+                               x.norm())
     report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
                               cfg.epsilon)
     if verdict == ts.SCALED:

@@ -799,11 +799,82 @@ class TestSingularTargets:
         assert all(np.array_equal(m, bm) for m, bm in zip(padded, b))
 
     def test_pad_scaling_single_factor_delta(self):
-        # with one factor and a small tolerance the cap does not bind
+        # the identity 1x1 tuple has no growth: delta = eps / (8 * norm_x)
         p = ts.TargetSpectrum(((F(1), F(0)),))
         eps, norm_x = 1e-4, 1.0
         padded = ts.pad_scaling((np.eye(1, dtype=complex),), p, eps, norm_x)
-        assert padded[0][0, 0] == pytest.approx(eps / (4 * norm_x))
+        assert padded[0][0, 0] == pytest.approx(eps / 8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_norm=st.floats(-6, 28),
+           log_growth=st.floats(0, 6), log_kept=st.floats(-6, 0),
+           eps=st.sampled_from([1e-1, 1e-3, 1e-6]))
+    def test_padded_witness_within_a_quarter_epsilon(self, seed, log_norm,
+                                                     log_growth, log_kept, eps):
+        # a random restricted tuple with factor norms up to 1e6, normalized
+        # so its image of the restricted start is a unit tensor, padded back
+        # onto a start of norm 1e-6 .. 1e28 whose kept block may hold as
+        # little as 1e-6 of it
+        rng = np.random.default_rng(seed)
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
+                               (F(2, 3), F(1, 3), F(0)),
+                               (F(1, 2), F(1, 2))))
+        data = rng.standard_normal((1, 3, 3, 2)) \
+            + 1j * rng.standard_normal((1, 3, 3, 2))
+        data[:, 1:, 1:, :] *= 10.0 ** log_kept
+        start = ts.Tensor(data * 10.0 ** log_norm / np.linalg.norm(data))
+        x0, p_plus, ranks = ts.restrict_positive(start, p)
+        b = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+             for r in ranks]
+        b[1] *= 10.0 ** log_growth / np.linalg.norm(b[1])
+        b[2] *= 10.0 ** (log_growth * rng.random()) / np.linalg.norm(b[2])
+        b[0] /= ts.apply_group(b, x0).norm()
+        y_plus = ts.apply_group(b, x0)
+        restricted = max(ts.trace_distance(ts.marginal(y_plus, i),
+                                           np.diag(p_plus.ascending(i)))
+                         for i in (1, 2, 3))
+        padded = ts.pad_scaling(tuple(b), p, eps, start.norm())
+        y = ts.apply_group(padded, start)
+        witness = max(ts.trace_distance(ts.marginal(y, i),
+                                        np.diag(p.ascending(i)))
+                      for i in (1, 2, 3))
+        assert witness <= restricted + eps / 4
+
+    @pytest.mark.parametrize("growth, norm_x", [(1e200, 1.0), (1e160, 1e160)])
+    def test_pad_underflow_raises(self, growth, norm_x):
+        # prod max(1, ||b_i||) or its product with norm_x overflows, so
+        # delta = eps / inf is 0 and the padded tuple would be singular
+        p = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2)),
+                              (F(1, 2), F(1, 2))))
+        b = (np.eye(1, dtype=complex), growth * np.eye(2, dtype=complex),
+             growth * np.eye(2, dtype=complex))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ts.NumericBreakdownError):
+            ts.pad_scaling(b, p, 1e-3, norm_x)
+
+    def test_zero_target_halt_pads_and_measures_once(self, rng, monkeypatch):
+        x = random_integer_tensor((2, 3, 3, 3), rng, low=1, high=5)
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
+                              (F(2, 3), F(1, 3), F(0)),
+                              (F(1, 3), F(1, 3), F(1, 3))))
+        pads, full_measures = [], []
+        pad, measure = ts.scaling.pad_scaling, ts.scaling._measure
+
+        def counted_pad(*args):
+            pads.append(1)
+            return pad(*args)
+
+        def counted_measure(y, plan):
+            if y.shape == x.shape:  # the loop measures the restricted format
+                full_measures.append(1)
+            return measure(y, plan)
+
+        monkeypatch.setattr(ts.scaling, "pad_scaling", counted_pad)
+        monkeypatch.setattr(ts.scaling, "_measure", counted_measure)
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-5, seed=11,
+                                                    max_iters=300))
+        assert rep.verdict == ts.SCALED and rep.iterations > 50
+        assert len(pads) == 1 and len(full_measures) == 1
 
     def test_end_to_end_singular_target(self, rng):
         # factor 1 pinned pure, factors 2 and 3 free: realizable
