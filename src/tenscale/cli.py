@@ -88,6 +88,20 @@ def _emit(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(command: str, report, out: str | None, **extra) -> int:
+    """Write a scaling report with its command name (and any ``extra`` keys
+    after the report's); exit status 0 for SCALED, else 1."""
+    _emit({"command": command, **io.report_to_obj(report), **extra}, out)
+    return 0 if report.verdict == SCALED else 1
+
+
+def _emit_verdict(command: str, verdict, out: str | None, **extra) -> int:
+    """Write a decision verdict after its command name and ``extra`` keys;
+    exit status 0 for IN, else 1."""
+    _emit({"command": command, **extra, **io.verdict_to_obj(verdict)}, out)
+    return 0 if verdict.answer == IN else 1
+
+
 def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         values = tuple(int(v) for v in text.split(","))
@@ -191,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_scale(args) -> int:
     x = io.load_tensor(args.tensor)
     p = _load_target(args, x.dims)
-    report = run_scaling(x, p, _config(args))
-    _emit({"command": "scale", **io.report_to_obj(report)}, args.out)
-    return 0 if report.verdict == SCALED else 1
+    return _emit_report("scale", run_scaling(x, p, _config(args)), args.out)
 
 
 def _cmd_general_scale(args) -> int:
@@ -211,9 +223,9 @@ def _cmd_general_scale(args) -> int:
         sites = _positive_int(sites, "sites")
         if "matrices" in obj:
             # explicit site matrices: scale the ray through that tensor
-            mats = [np.asarray(m, dtype=complex) for m in obj["matrices"]]
-            phi = fixed_tensor_parametrization(mps_tensor(mats, sites))
-            dims = (len(mats),) * sites
+            x0 = mps_tensor(obj["matrices"], sites)
+            phi = fixed_tensor_parametrization(x0)
+            dims = x0.dims
         elif "n" in obj and "bond" in obj:
             n = _positive_int(obj["n"], "n")
             phi = mps_parametrization(n, _positive_int(obj["bond"], "bond"),
@@ -227,11 +239,10 @@ def _cmd_general_scale(args) -> int:
         dims = x0.dims
     p = _load_target(args, dims)
     report, sample = run_general_scaling(phi, p, _config(args))
-    obj = {"command": "general-scale", **io.report_to_obj(report)}
+    extra = {}
     if sample.norm() > 0 and sample.is_gaussian_integer():
-        obj["sample"] = io.tensor_to_obj(sample)
-    _emit(obj, args.out)
-    return 0 if report.verdict == SCALED else 1
+        extra["sample"] = io.tensor_to_obj(sample)
+    return _emit_report("general-scale", report, args.out, **extra)
 
 
 def _cmd_membership(args) -> int:
@@ -239,18 +250,14 @@ def _cmd_membership(args) -> int:
     p = _load_target(args, x.dims)
     verdict = membership(x, p, args.epsilon, cfg=_config(args),
                          repeats=args.repeats)
-    obj = {"command": "membership", **io.verdict_to_obj(verdict)}
-    _emit(obj, args.out)
-    return 0 if verdict.answer == IN else 1
+    return _emit_verdict("membership", verdict, args.out)
 
 
 def _cmd_qmp(args) -> int:
     dims = _csv_ints(args.dims, "--dims")
     p = _load_target(args, dims)
     verdict = qmp(p, dims, args.epsilon, cfg=_config(args), repeats=args.repeats)
-    obj = {"command": "qmp", **io.verdict_to_obj(verdict)}
-    _emit(obj, args.out)
-    return 0 if verdict.answer == IN else 1
+    return _emit_verdict("qmp", verdict, args.out)
 
 
 def _cmd_kronecker(args) -> int:
@@ -259,11 +266,8 @@ def _cmd_kronecker(args) -> int:
                            nu=_csv_ints(args.nu, "--nu"), n=args.n)
     verdict = kronecker_support(query, args.epsilon, cfg=_config(args),
                                 repeats=args.repeats)
-    obj = {"command": "kronecker", "lam": list(query.lam),
-           "mu": list(query.mu), "nu": list(query.nu), "n": query.n,
-           **io.verdict_to_obj(verdict)}
-    _emit(obj, args.out)
-    return 0 if verdict.answer == IN else 1
+    return _emit_verdict("kronecker", verdict, args.out, lam=list(query.lam),
+                         mu=list(query.mu), nu=list(query.nu), n=query.n)
 
 
 def _cmd_reduce(args) -> int:
@@ -289,18 +293,23 @@ def _cmd_verify_hwv(args) -> int:
                         + 1j * rng.standard_normal((n, n)), k=1)
         group.append(np.eye(n) + np.diag(1.0 + rng.random(n)) + upper)
     transform_ok = check_hwv_transformation(spec, x, group)
-    ok = abs(value) <= bound * (1 + 1e-9) and transform_ok
+    bound_ok = abs(value) <= bound * (1 + 1e-9)
     _emit({"command": "verify-hwv",
            "value": {"re": value.real, "im": value.imag},
            "abs": abs(value), "bound": bound,
-           "boundOk": abs(value) <= bound * (1 + 1e-9),
+           "boundOk": bound_ok,
            "transformOk": transform_ok}, args.out)
-    return 0 if ok else 1
+    return 0 if bound_ok and transform_ok else 1
 
 
 def _cmd_sinkhorn(args) -> int:
     with open(args.matrix) as fh:
-        matrix = np.asarray(json.load(fh), dtype=float)
+        obj = json.load(fh)
+    try:
+        matrix = np.asarray(obj, dtype=float)
+    except TypeError as exc:
+        raise UsageError(
+            f"--matrix must hold a nested array of numbers: {exc}") from exc
     rows = [float(v) for v in args.rows.split(",")]
     cols = [float(v) for v in args.cols.split(",")]
     result = sinkhorn(matrix, rows, cols, args.epsilon, max_iters=args.max_iters)

@@ -44,7 +44,11 @@ class ReductionData:
     lam: tuple[int, ...]
 
     def __post_init__(self):
-        lam = tuple(int(v) for v in self.lam)
+        try:
+            lam = tuple(int(v) for v in self.lam)
+        except TypeError as exc:
+            raise ValueError(f"a partition must be a sequence of integers, "
+                             f"got {self.lam!r}") from exc
         if not lam or not is_partition(lam) or any(v == 0 for v in lam):
             raise ValueError(
                 f"need a partition with all parts positive, got {lam}")
@@ -152,7 +156,10 @@ def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
     Applies the per-factor embedding on every scaled factor and regroups the
     width indices into factor 0 in row-major order (index0, a1, ..., ad).
     """
-    rds = [ReductionData(tuple(lam)) for lam in lams]
+    try:
+        rds = [ReductionData(lam) for lam in lams]
+    except TypeError as exc:  # lams is not iterable
+        raise ValueError(f"need a sequence of partitions, got {lams!r}") from exc
     if len(rds) != y.num_factors:
         raise ValueError(f"need one partition per factor, got {len(rds)}")
     ells = {rd.ell for rd in rds}

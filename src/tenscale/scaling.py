@@ -5,7 +5,9 @@ The engine drives an upper-triangular (Borel) or block-upper-triangular
 factor whose marginal is farthest from its target is fixed exactly by a
 triangular factorization, until every marginal is within the requested trace
 distance or the iteration budget runs out.  Rank obstructions detected after
-the randomization yield a not-in-polytope verdict.
+the randomization yield a not-in-polytope verdict.  One _Iterate holds the
+loop's normalized iterate, the group carrying the start to it and its last
+measurement.  Steps update them in place; only a halt resyncs from scratch.
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
@@ -492,19 +494,21 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-class _Plan:
-    """How the scaling loop measures and steps a raw iterate of one format.
+class _Iterate:
+    """A scaling loop's state: the raw iterate y = group . x0, normalizations
+    folded into group[0], and y's last measurement: marginals rhos, distances
+    dists to the target diagonals and least eigenvalues lows of rho - D.
 
     groups pairs the 0-based factors of each distinct dimension with their
-    target diagonals, stacked.  index holds the groups' flattening positions
-    from _flattening_index when the d flattenings hold at most
-    GATHER_MAX_ENTRIES entries, else None.  roots[j], floors[j] and
-    blocks[j] are factor j + 1's target root vector, smallest target entry
-    and the block sizes of the mode's step.
+    stacked target diagonals; index holds their flattening positions from
+    _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
+    entries, else None.  roots[j], floors[j] and blocks[j] are factor j + 1's
+    target root vector, smallest target entry and step block sizes.
     """
 
-    def __init__(self, shape: tuple[int, ...], p: TargetSpectrum,
-                 mode: str = BOREL):
+    def __init__(self, x0: Tensor, p: TargetSpectrum, mode: str = BOREL,
+                 scale: float = 1.0):
+        shape = x0.shape
         asc = [p.ascending(i) for i in range(1, len(shape))]
         self.groups = []
         for factors in _dimension_groups(shape):
@@ -519,61 +523,80 @@ class _Plan:
         self.floors = [float(a[0]) for a in asc]
         self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
                        for i, n in enumerate(shape[1:], start=1)]
+        self.group = [np.eye(n, dtype=complex) for n in x0.dims]
+        self.steps = 0
+        self.renormalize(x0.data, scale)
 
-    def step(self, rhos: list[np.ndarray], dists: list[float],
-             lows: list[float]) -> tuple[int, np.ndarray]:
-        """The loop's step rule on a measurement from _measure: the 0-based
-        factor j farthest from its target (the lowest on ties) and the
-        _step_matrix that fixes its marginal."""
-        j = dists.index(max(dists))
-        return j, _step_matrix(rhos[j], self.roots[j], self.blocks[j],
-                               lows[j] + self.floors[j])
+    def renormalize(self, y: np.ndarray, norm: float, out=None) -> None:
+        """Take y / norm as the iterate, into ``out`` when given, fold 1 / norm
+        into group[0] and measure.  The iterate keeps the layout each update
+        leaves, as Tensor copies did: np.linalg.norm sums in memory order."""
+        self.y = np.divide(y, norm, out=out)
+        self.group[0] = self.group[0] / norm
+        self.measure()
 
-    def grams(self, y: np.ndarray) -> list[np.ndarray]:
-        """One-body marginals of the raw tensor y, one (k, n, n) stack per
+    def step(self, j: int, a: np.ndarray) -> float:
+        """Apply a to factor j + 1 of the iterate and the group, renormalize
+        and return the norm it divided by.  An iterate that leaves the
+        floating-point range raises NumericBreakdownError, changing nothing."""
+        y = contract(a, self.y, j + 1)
+        norm = float(np.linalg.norm(y))
+        # a finite norm means every entry is finite
+        if not 0.0 < norm < math.inf:
+            raise NumericBreakdownError(
+                f"iterate left the floating-point range at step {self.steps + 1}")
+        self.steps += 1
+        self.group[j] = a @ self.group[j]
+        self.renormalize(y, norm, out=y)  # in place: the same bits and layout
+        return norm
+
+    def rule(self) -> tuple[int, np.ndarray]:
+        """The step rule: the 0-based factor j farthest from its target (the
+        lowest on ties) and the _step_matrix that fixes its marginal."""
+        j = self.dists.index(max(self.dists))
+        return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks[j],
+                               self.lows[j] + self.floors[j])
+
+    def grams(self) -> list[np.ndarray]:
+        """One-body marginals of the raw iterate, one (k, n, n) stack per
         group, each the Gram matrix m @ m^dagger of a flattening m, exactly
         as tensors.marginal computes it: a stacked np.matmul calls the same
         BLAS product for each matrix as a single one does."""
+        stacks = []
         if self.index is not None:
-            flat = y.ravel()
-            stacks = []
+            flat = self.y.ravel()
             for index in self.index:
                 ms = flat[index]
                 stacks.append(np.matmul(ms, ms.conj().swapaxes(1, 2)))
             return stacks
-        stacks = []
         for factors, diags in self.groups:
             n = diags.shape[-1]
             stack = np.empty((len(factors), n, n), dtype=complex)
             for j, gram in zip(factors, stack):
-                m = y.transpose(_front(y.ndim, j + 1)).reshape(n, -1)
+                m = self.y.transpose(_front(self.y.ndim, j + 1)).reshape(n, -1)
                 np.matmul(m, m.conj().T, out=gram)
             stacks.append(stack)
         return stacks
 
+    def measure(self) -> None:
+        """Set rhos, dists and lows from the raw iterate.  Each rho_j is a
+        Gram matrix, Hermitian by construction, so none is checked.
 
-def _measure(y: np.ndarray, plan: _Plan
-             ) -> tuple[list[np.ndarray], list[float], list[float]]:
-    """Every one-body marginal rho_j of the raw tensor y, its trace distance
-    to the matching target diagonal D_j, and the smallest eigenvalue of
-    rho_j - D_j.  Each rho_j is a Gram matrix m @ m^dagger, Hermitian by
-    construction, so none is checked.
-
-    Each dimension group takes one stacked eigvalsh.  LAPACK solves each
-    matrix of a stack on its own, exactly as it solves that matrix alone,
-    and each row's sum of absolute eigenvalues is the same reduction as
-    np.sum over one spectrum, so the distances agree bit for bit with
-    trace_distance on tensors.marginal.
-    """
-    d = len(plan.roots)
-    rhos, dists, lows = [None] * d, [0.0] * d, [0.0] * d
-    for (factors, diags), stack in zip(plan.groups, plan.grams(y)):
-        eigs = np.linalg.eigvalsh(stack - diags)
-        spread = np.abs(eigs).sum(axis=1)
-        for j, rho, dist, low in zip(factors, stack, spread.tolist(),
-                                     eigs[:, 0].tolist()):
-            rhos[j], dists[j], lows[j] = rho, dist, low
-    return rhos, dists, lows
+        Each dimension group takes one stacked eigvalsh.  LAPACK solves each
+        matrix of a stack on its own, exactly as it solves that matrix alone,
+        and each row's sum of absolute eigenvalues is the same reduction as
+        np.sum over one spectrum, so the distances agree bit for bit with
+        trace_distance on tensors.marginal.
+        """
+        d = len(self.roots)
+        rhos, dists, lows = [None] * d, [0.0] * d, [0.0] * d
+        for (factors, diags), stack in zip(self.groups, self.grams()):
+            eigs = np.linalg.eigvalsh(stack - diags)
+            spread = np.abs(eigs).sum(axis=1)
+            for j, rho, dist, low in zip(factors, stack, spread.tolist(),
+                                         eigs[:, 0].tolist()):
+                rhos[j], dists[j], lows[j] = rho, dist, low
+        self.rhos, self.dists, self.lows = rhos, dists, lows
 
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
@@ -582,7 +605,7 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
     the target and the Hermitian rho; unit blocks are the Borel step.
 
     ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
-    for the target diagonal D, its first term as _measure computed it.  One
+    for the target diagonal D, its first term from _Iterate.measure.  One
     above _GATE_MARGIN * max(tr rho, 1) skips the exact gate's eigvalsh.
     eigvalsh errs by a small multiple of n * 2.2e-16 times the norm, and
     ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
@@ -617,12 +640,11 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    plan = _Plan(y.shape, p, mode)
-    rhos, dists, lows = _measure(y.data, plan)
-    j, a = plan.step(rhos, dists, lows)
+    it = _Iterate(y, p, mode)
+    j, a = it.rule()
     g_new = [np.asarray(m, dtype=complex) for m in g]
     g_new[j] = a @ g_new[j]
-    return tuple(g_new), j + 1, tuple(dists)
+    return tuple(g_new), j + 1, tuple(it.dists)
 
 
 def _block_dets(group: Sequence[np.ndarray],
@@ -683,32 +705,22 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
                confirm: Callable[[GroupTuple], GroupTuple | None]
                ) -> tuple[str, GroupTuple, list[IterationRecord]]:
     """Scale the full-rank-target tensor x0 of norm ``scale`` > 0 from the
-    identity.
-
-    Returns (verdict, group, per-step trace).  The loop keeps an accumulated
-    triangular tuple that carries every step factor plus all normalizations,
-    so the maintained iterate always equals (tuple . x0).  ``confirm`` is
-    the caller's authoritative acceptance check on that tuple: it returns
-    the group it verified, which a SCALED verdict reports, or None, and a
-    candidate halt it rejects keeps iterating.  Any other verdict reports
-    the accumulated tuple itself.
+    identity; returns (verdict, group, per-step trace).  ``confirm`` is the
+    caller's authoritative acceptance check on the iterate's group: it
+    returns the group it verified, which a SCALED verdict reports, or None,
+    and a candidate halt it rejects keeps iterating.  Any other verdict
+    reports the accumulated group itself.
     """
-    plan = _Plan(x0.shape, p, cfg.mode)
-    borel = [np.eye(n, dtype=complex) for n in x0.dims]
-    borel[0] /= scale
-    # the raw iterate keeps the memory layout each update leaves, as the
-    # Tensor copies did: np.linalg.norm sums in memory order
-    y = x0.data / scale
+    it = _Iterate(x0, p, cfg.mode, scale)
     # the singularity rule compares each marginal with its own trace, so
     # the normalized start's marginals serve for x0's; as in _step_matrix,
     # only a group where some factor's Weyl bound is too small to vouch for
     # the exact gate pays the gate's own eigvalsh
-    rhos, dists, lows = _measure(y, plan)
     try:
-        for factors, _ in plan.groups:
-            if not all(_weyl_clears(rhos[j], lows[j] + plan.floors[j])
+        for factors, _ in it.groups:
+            if not all(_weyl_clears(it.rhos[j], it.lows[j] + it.floors[j])
                        for j in factors):
-                _assert_nonsingular(np.stack([rhos[j] for j in factors]))
+                _assert_nonsingular(np.stack([it.rhos[j] for j in factors]))
     except SingularMarginalError:
         return NOT_IN_POLYTOPE, identity_group(x0.dims), []
 
@@ -728,48 +740,35 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         # halt on the caller's check: on instances at the boundary of
         # scalability the incrementally maintained iterate drifts off the
         # orbit closure and reports spuriously small distances
-        nonlocal y, rhos, dists, lows
         try:
-            y_check = apply_group(tuple(borel), x0)
+            y_check = apply_group(tuple(it.group), x0)
         except ValueError as exc:
             # the shapes fit by construction: only non-finite entries get here
             raise NumericBreakdownError(
                 f"accumulated group left the floating-point range after "
                 f"{len(trace)} steps") from exc
-        nrm = y_check.norm()
-        if nrm == 0.0:
+        norm = y_check.norm()
+        if norm == 0.0:
             return None
-        y = y_check.data / nrm
-        borel[0] = borel[0] / nrm
-        rhos, dists, lows = _measure(y, plan)
-        if max(dists) > epsilon:
+        it.renormalize(y_check.data, norm)
+        if max(it.dists) > epsilon:
             return None
-        return confirm(tuple(borel))
+        return confirm(tuple(it.group))
 
-    for _ in range(limit):
-        if max(dists) <= epsilon and (witness := verified_halt()) is not None:
+    while True:
+        if max(it.dists) <= epsilon and (witness := verified_halt()) is not None:
             return SCALED, witness, trace
+        if it.steps == limit:
+            return BUDGET_EXHAUSTED, tuple(it.group), trace
         try:
-            j, a = plan.step(rhos, dists, lows)
+            j, a = it.rule()
         except SingularMarginalError:
-            return NOT_IN_POLYTOPE, tuple(borel), trace
-        y = contract(a, y, j + 1)
-        norm_after = float(np.linalg.norm(y))
-        # a finite norm means every entry is finite
-        if not 0.0 < norm_after < math.inf:
-            raise NumericBreakdownError(
-                f"iterate left the floating-point range at step {len(trace) + 1}")
-        borel[j] = a @ borel[j]
-        y /= norm_after  # in place: the same bits and layout, no new tensor
-        borel[0] = borel[0] / norm_after
-        # y was just divided by its norm: norm(R . X) is 1 up to rounding
-        cap = capacity(borel, cap_blocks, 1.0) if cfg.log_capacity else math.nan
-        trace.append(IterationRecord(j + 1, tuple(dists), norm_after, cap))
-        rhos, dists, lows = _measure(y, plan)
-
-    if max(dists) <= epsilon and (witness := verified_halt()) is not None:
-        return SCALED, witness, trace
-    return BUDGET_EXHAUSTED, tuple(borel), trace
+            return NOT_IN_POLYTOPE, tuple(it.group), trace
+        dists = tuple(it.dists)
+        norm_after = it.step(j, a)
+        # it.y was just divided by its norm: norm(R . X) is 1 up to rounding
+        cap = capacity(it.group, cap_blocks, 1.0) if cfg.log_capacity else math.nan
+        trace.append(IterationRecord(j + 1, dists, norm_after, cap))
 
 
 def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
@@ -813,7 +812,7 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
 
     def confirm(borel: GroupTuple) -> GroupTuple | None:
         group = _full_group(borel, pre, p, cfg.epsilon, norm_start)
-        dists = _measure(apply_group(group, x).data, _Plan(x.shape, p))[1]
+        dists = _Iterate(apply_group(group, x), p).dists
         return group if max(dists) <= cfg.epsilon else None
 
     verdict, group, trace = _core_loop(x0, norm_x0, p_active, cfg, eps_active,
@@ -919,20 +918,21 @@ def orbit_parametrization(x: Tensor) -> Parametrization:
 
 
 def mps_tensor(matrices: Sequence[np.ndarray], d: int) -> Tensor:
-    """Tensor with entries tr[M_{j1} ... M_{jd}] in format (1; n, ..., n)."""
+    """Tensor with entries tr[M_{j1} ... M_{jd}] in format (1; n, ..., n) from
+    a nonempty list of n equal square matrices, else raises ValueError."""
     if d < 2:
         raise ValueError("need at least two sites")
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    bond = mats[0].shape[0]
-    if any(m.shape != (bond, bond) for m in mats):
-        raise ValueError("site matrices must be square and of equal size")
-    n = len(mats)
-    stack = np.stack(mats)  # (n, N, N)
+    try:
+        stack = np.array(matrices, dtype=complex)  # (n, N, N)
+    except TypeError as exc:
+        raise ValueError(f"site matrices must hold numbers: {exc}") from exc
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError("need a nonempty list of equal square site matrices")
     result = stack
     for _ in range(d - 1):
         result = np.einsum("...ab,jbc->...jac", result, stack)
     data = np.trace(result, axis1=-2, axis2=-1)
-    return Tensor(data.reshape((1,) + (n,) * d))
+    return Tensor(data.reshape((1,) + (len(stack),) * d))
 
 
 def mps_parametrization(n: int, bond_dim: int, d: int) -> Parametrization:

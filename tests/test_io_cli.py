@@ -461,6 +461,29 @@ class TestCli:
         payload = json.loads(out)
         assert payload["verdict"] == "SCALED" and payload["iterations"] == 0
 
+    @pytest.mark.parametrize("content,argv", [
+        ({"matrices": 5, "sites": 2}, ["general-scale", "--mps"]),
+        ({"matrices": [], "sites": 2}, ["general-scale", "--mps"]),
+        ({"matrices": [1, 2], "sites": 2}, ["general-scale", "--mps"]),
+        ({"rows": [[1, 1], [1, 1]]}, ["sinkhorn", "--matrix"]),
+        (None, ["reduce", "--lambdas", "5", "--tensor"]),
+        (None, ["reduce", "--lambdas", "[5, 3]", "--tensor"]),
+    ], ids=["mps-number", "mps-empty", "mps-flat", "sinkhorn-object",
+            "lambdas-number", "lambdas-flat"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, content, argv):
+        # each used to escape main as a TypeError or IndexError (exit 1)
+        path = tmp_path / "in.json"
+        if content is None:
+            io.save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
+        else:
+            path.write_text(json.dumps(content))
+        rest = {"general-scale": ["--target", "uniform", "--epsilon", "0.1"],
+                "sinkhorn": ["--rows", "1,1", "--cols", "1,1",
+                             "--epsilon", "0.1"],
+                "reduce": []}[argv[0]]
+        assert cli.main(argv + [str(path)] + rest) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file_exit_two(self):
         assert cli.main(["scale", "--tensor", "/nonexistent.json", "--target",
                          "uniform", "--epsilon", "0.1"]) == 2

@@ -140,15 +140,14 @@ def test_no_module_keeps_an_unbounded_cache():
 
 # the scaling loop's private kernels and the checked public entry points
 # they must not call: validation belongs at the API boundary
-LOOP_KERNELS = {"_core_loop", "_measure", "_step_matrix", "_block_cholesky",
-                "_Plan"}
+LOOP_KERNELS = {"_core_loop", "_step_matrix", "_block_cholesky", "_Iterate"}
 CHECKED_ENTRIES = {"check_hermitian", "psd_sqrt", "block_cholesky",
                    "upper_cholesky"}
 
 
 def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
     """(kernel, callee) for each call from a loop kernel, or from a function
-    nested in one or a method of _Plan, to a checked entry point by plain or
+    nested in one or a method of _Iterate, to a checked entry point by plain or
     attribute name."""
     found = []
     for node in ast.parse(source).body:
@@ -170,7 +169,7 @@ def test_guard_sees_kernel_entry_calls():
     assert kernel_entry_calls(
         "def _block_cholesky(rho, sizes):\n"
         "    return psd_sqrt(rho[:1, :1])\n"
-        "class _Plan:\n"
+        "class _Iterate:\n"
         "    def step(self, rho):\n"
         "        return ts.upper_cholesky(rho)\n"
         "def _core_loop(x):\n"
@@ -179,7 +178,7 @@ def test_guard_sees_kernel_entry_calls():
         "    return _block_cholesky(x, (1,))\n"
         "def block_cholesky(rho, sizes):\n"
         "    return _block_cholesky(check_hermitian(rho), sizes)\n") \
-        == [("_block_cholesky", "psd_sqrt"), ("_Plan", "upper_cholesky"),
+        == [("_block_cholesky", "psd_sqrt"), ("_Iterate", "upper_cholesky"),
             ("_core_loop", "check_hermitian")]
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenscale as ts
+import tracer
 from conftest import (
     ghz_tensor,
     product_tensor,
@@ -313,7 +314,7 @@ class TestScalingStep:
         x = normalized(random_integer_tensor((1, 2, 3, 2, 3), rng))
         p = ts.TargetSpectrum(((F(3, 5), F(2, 5)), (F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 2)), (F(1, 3),) * 3))
-        plan = ts.scaling._Plan(x.shape, p)
+        it = ts.scaling._Iterate(x, p)
         calls = []
 
         def counted(name, fn):
@@ -324,9 +325,10 @@ class TestScalingStep:
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
-        rhos, dists, lows = ts.scaling._measure(x.data, plan)
+        it.measure()
         assert calls == ["eigvalsh"] * 2
         monkeypatch.undo()
+        rhos, dists, lows = it.rhos, it.dists, it.lows
         for i in range(1, 5):
             rho, diag = ts.marginal(x, i), np.diag(p.ascending(i))
             assert np.array_equal(rhos[i - 1], rho)
@@ -354,8 +356,8 @@ class TestScalingStep:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
-        monkeypatch.setattr(ts.scaling, "_measure",
-                            counted("measure", ts.scaling._measure))
+        monkeypatch.setattr(ts.scaling._Iterate, "measure",
+                            counted("measure", ts.scaling._Iterate.measure))
         rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
                              ts.ScalingConfig(epsilon=1e-9, seed=0,
                                               max_iters=40))
@@ -414,18 +416,19 @@ def iterates(shape, rng):
 class TestGatheredMarginals:
     @pytest.mark.parametrize("shape", flattening_shapes())
     def test_gather_equals_the_per_factor_path(self, rng, shape):
-        plan = ts.scaling._Plan(shape, ts.TargetSpectrum.uniform(shape[1:]))
+        it = ts.scaling._Iterate(ts.Tensor(np.ones(shape)),
+                                 ts.TargetSpectrum.uniform(shape[1:]))
         gathered = (len(shape) - 1) * math.prod(shape)
-        assert (plan.index is None) == (gathered > ts.scaling.GATHER_MAX_ENTRIES)
+        assert (it.index is None) == (gathered > ts.scaling.GATHER_MAX_ENTRIES)
         index = ts.scaling._flattening_index(shape)
         assert index is ts.scaling._flattening_index(shape)  # memoized
         assert not any(a.flags.writeable for a in index)
         for y in iterates(shape, rng):
-            plan.index = index
-            stacks = plan.grams(y)
-            plan.index = None
-            for (factors, _), stack, alone in zip(plan.groups, stacks,
-                                                   plan.grams(y)):
+            it.y, it.index = y, index
+            stacks = it.grams()
+            it.index = None
+            for (factors, _), stack, alone in zip(it.groups, stacks,
+                                                   it.grams()):
                 assert np.array_equal(stack, alone)
                 for j, gram in zip(factors, stack):
                     assert np.array_equal(gram, ts.marginal(ts.Tensor(y), j + 1))
@@ -435,9 +438,11 @@ class TestGatheredMarginals:
         dims = shape[1:]
         p = ts.TargetSpectrum(tuple(
             tuple(F(2 * (n - r), n * (n + 1)) for r in range(n)) for n in dims))
-        plan = ts.scaling._Plan(shape, p)
+        it = ts.scaling._Iterate(ts.Tensor(np.ones(shape)), p)
         for y in iterates(shape, rng):
-            rhos, dists, lows = ts.scaling._measure(y, plan)
+            it.y = y
+            it.measure()
+            rhos, dists = it.rhos, it.dists
             for i in range(1, len(shape)):
                 rho = ts.marginal(ts.Tensor(y), i)
                 assert np.array_equal(rhos[i - 1], rho)
@@ -765,6 +770,21 @@ class TestRunScaling:
         assert len(halts) == 1
         assert "apply_group" in halts[0].co_names
 
+    @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 7), (ts.PARABOLIC, 5)])
+    def test_benchmark_counts_every_rejected_halt(self, mode, halts):
+        # W -> uniform is not scalable: every halt the loop attempts in 120
+        # steps is a resync that the benchmark's counter must see and reject
+        counters = tracer.Counters()
+        counters.install()
+        try:
+            rep = ts.run_scaling(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                                 ts.ScalingConfig(epsilon=1e-3, seed=0,
+                                                  max_iters=120, mode=mode))
+        finally:
+            counters.restore()
+        assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
+        assert counters.halt_checks == counters.rejected_halts() == halts
+
 
 class TestSingularTargets:
     def test_restrict_identity_when_full_rank(self, rng):
@@ -858,19 +878,19 @@ class TestSingularTargets:
                               (F(2, 3), F(1, 3), F(0)),
                               (F(1, 3), F(1, 3), F(1, 3))))
         pads, full_measures = [], []
-        pad, measure = ts.scaling.pad_scaling, ts.scaling._measure
+        pad, measure = ts.scaling.pad_scaling, ts.scaling._Iterate.measure
 
         def counted_pad(*args):
             pads.append(1)
             return pad(*args)
 
-        def counted_measure(y, plan):
-            if y.shape == x.shape:  # the loop measures the restricted format
+        def counted_measure(it):
+            if it.y.shape == x.shape:  # the loop measures the restricted format
                 full_measures.append(1)
-            return measure(y, plan)
+            return measure(it)
 
         monkeypatch.setattr(ts.scaling, "pad_scaling", counted_pad)
-        monkeypatch.setattr(ts.scaling, "_measure", counted_measure)
+        monkeypatch.setattr(ts.scaling._Iterate, "measure", counted_measure)
         rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-5, seed=11,
                                                     max_iters=300))
         assert rep.verdict == ts.SCALED and rep.iterations > 50

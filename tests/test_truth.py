@@ -1,6 +1,7 @@
 """Engine answers checked by the benchmark's ground truth, which never runs
 the engine (bench/truth.py)."""
 import numpy as np
+import pytest
 
 import tenscale as ts
 import truth
@@ -19,3 +20,37 @@ def test_zero_target_member_scales_with_a_true_witness():
                                                 max_iters=200))
     assert rep.verdict == ts.SCALED
     assert truth.witness_holds(x.data, rep.group, parts, 1e-4)
+
+
+# Probes the engine answers wrongly today, each built by name from the
+# benchmark's probe lists and judged as the benchmark judges it, with the
+# answer and reason it gives.  A fix that makes one pass turns its strict
+# xfail into a failure: remove the entry then.  A miss for another reason
+# fails outright.
+KNOWN_MISSES = {
+    "W->(2/3,1/3)^3 eps=1e-6 cap=500":
+        "BUDGET_EXHAUSTED: negative on a member",
+    "ill-conditioned (1;4,4,4) member eps=1e-3":
+        "NOT_IN_POLYTOPE: negative on a member",
+    "progress run (1;2,2,2) parabolic raw spec, rng 57":
+        "FAIL: step did not fix its marginal",
+    "progress run (1;2,2,2) borel raw spec, rng 159":
+        "FAIL: potential grew too little",
+    "reduction cross-oracle triple on the hyperdeterminant's zero set":
+        "FAIL: direct and reduced runs disagree",
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                               reason=reason))
+    for name, reason in KNOWN_MISSES.items()])
+def test_known_miss(name):
+    probes = {q.name: q for q in workloads.far_probes(False)
+              + workloads.certify_probes()}
+    q = probes[name]
+    judgement = q.judge(q.call(True))
+    found = f"{judgement.answer}: {judgement.reason}"
+    if not judgement.ok and not found.startswith(KNOWN_MISSES[name]):
+        pytest.fail(f"missed for another reason: {found}")
+    assert judgement.ok, found
