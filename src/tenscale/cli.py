@@ -29,6 +29,7 @@ from .oracle import (
     qmp,
     sinkhorn,
 )
+from .partitions import as_int
 from .reduction import reduce_tensor
 from .scaling import (
     BOREL,
@@ -110,13 +111,6 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     if not values or any(v < 0 for v in values):
         raise UsageError(f"{flag} expects nonnegative integers")
     return values
-
-
-def _positive_int(value, name: str) -> int:
-    """An --mps file's count: a JSON integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"--mps {name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None:
@@ -220,15 +214,15 @@ def _cmd_general_scale(args) -> int:
         sites = obj.get("sites") if args.sites is None else args.sites
         if sites is None:
             raise UsageError("give --sites (or a 'sites' key) for --mps")
-        sites = _positive_int(sites, "sites")
+        sites = as_int(sites, "--mps sites", low=1)
         if "matrices" in obj:
             # explicit site matrices: scale the ray through that tensor
             x0 = mps_tensor(obj["matrices"], sites)
             phi = fixed_tensor_parametrization(x0)
             dims = x0.dims
         elif "n" in obj and "bond" in obj:
-            n = _positive_int(obj["n"], "n")
-            phi = mps_parametrization(n, _positive_int(obj["bond"], "bond"),
+            n = as_int(obj["n"], "--mps n", low=1)
+            phi = mps_parametrization(n, as_int(obj["bond"], "--mps bond", low=1),
                                       sites)
             dims = (n,) * sites
         else:

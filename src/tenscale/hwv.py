@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import conjugate_partition, is_partition, partitions_of
+from .partitions import as_int, as_partition, conjugate_partition, partitions_of
 from .scaling import TargetSpectrum, capacity
 from .tensors import Tensor, apply_group, trace_distance
 
@@ -58,7 +58,7 @@ class HWVSpec:
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        weight = tuple(_integers(lam) for lam in self.weight)
+        weight = tuple(as_partition(lam, "weight") for lam in self.weight)
         if not weight:
             raise ValueError("weight needs at least one factor")
         sums = {sum(lam) for lam in weight}
@@ -67,13 +67,10 @@ class HWVSpec:
         k = sums.pop()
         if k < 1:
             raise ValueError("degree must be positive")
-        for lam in weight:
-            if not is_partition(lam):
-                raise ValueError(f"weight row is not a partition: {lam}")
-        index_seq = _integers(self.index_seq)
-        if len(index_seq) != k or any(v < 0 for v in index_seq):
-            raise ValueError("index sequence must hold k nonnegative entries")
-        perms = tuple(_integers(pi) for pi in self.perms)
+        index_seq = tuple(as_int(v, "index_seq", low=0) for v in self.index_seq)
+        if len(index_seq) != k:
+            raise ValueError(f"index_seq must hold k = {k} entries")
+        perms = tuple(tuple(as_int(v, "perms") for v in pi) for pi in self.perms)
         if len(perms) != len(weight):
             raise ValueError("need one slot permutation per factor")
         for pi in perms:
@@ -90,19 +87,6 @@ class HWVSpec:
     @property
     def num_factors(self) -> int:
         return len(self.weight)
-
-
-def _integers(values) -> tuple[int, ...]:
-    """The entries as Python ints; ValueError unless each is a Python or
-    NumPy integer other than a bool."""
-    values = tuple(values)
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return values
-    if any(not issubclass(t, (int, np.integer)) or issubclass(t, bool)
-           for t in kinds):
-        raise ValueError(f"expected integer entries, got {values}")
-    return tuple(map(int, values))
 
 
 def det_bottom(vectors: Sequence[np.ndarray]) -> complex:
@@ -160,7 +144,7 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
 
 
 def eval_cost(dims: Sequence[int], k: int) -> int:
-    return k * math.prod(int(n) for n in dims) ** k
+    return k * math.prod(as_int(n, "dims", low=1) for n in dims) ** k
 
 
 def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:

@@ -67,7 +67,7 @@ def tensor_to_obj(x: Tensor) -> dict:
     entries = [{"idx": idx, "re": int(re), "im": int(im)}
                for idx, re, im in zip(np.argwhere(nonzero).tolist(),
                                       values.real.tolist(), values.imag.tolist())]
-    return {"dims": [int(n) for n in x.shape], "entries": entries}
+    return {"dims": list(x.shape), "entries": entries}
 
 
 def _dense_to_array(node: Any, dims: Sequence[int], where: str) -> np.ndarray:

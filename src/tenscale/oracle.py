@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .partitions import is_partition
+from .partitions import as_int, as_partition
 from .scaling import (
     SCALED,
     ScalingConfig,
@@ -54,16 +54,13 @@ class KroneckerQuery:
     n: int = 0
 
     def __post_init__(self):
-        parts = tuple(tuple(int(v) for v in vec)
-                      for vec in (self.lam, self.mu, self.nu))
+        parts = tuple(as_partition(getattr(self, name), name)
+                      for name in ("lam", "mu", "nu"))
         sizes = {sum(vec) for vec in parts}
         if len(sizes) != 1 or sizes.pop() < 1:
             raise ValueError("partitions must share a positive size")
-        for vec in parts:
-            if not is_partition(vec):
-                raise ValueError(f"not a partition: {vec}")
         count = max(sum(1 for v in vec if v > 0) for vec in parts)
-        n = self.n if self.n else count
+        n = as_int(self.n, "n", low=0) or count
         if n < count:
             raise ValueError("n is smaller than a partition's part count")
         object.__setattr__(self, "lam", parts[0])
@@ -92,8 +89,7 @@ def _decide(run: Callable[[ScalingConfig], tuple[ScalingReport, Tensor | None]],
     """Call ``run`` on ``repeats`` derived seeds; the first SCALED report
     answers IN with its witness, and otherwise the last report is the
     evidence for EPS_FAR."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    repeats = as_int(repeats, "repeats", low=1)
     base = replace(cfg if cfg is not None else ScalingConfig(epsilon=epsilon),
                    epsilon=epsilon)
     for r in range(repeats):
@@ -176,8 +172,7 @@ def sinkhorn(a: np.ndarray, row_targets: Sequence[float],
         raise ValueError("matrix and targets must be finite")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    max_iters = as_int(max_iters, "max_iters", low=0)
     if np.any(a < 0) or np.any(r < 0) or np.any(c < 0):
         raise ValueError("matrix and targets must be nonnegative")
     if abs(r.sum() - c.sum()) > 1e-9 * max(r.sum(), 1.0):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import conjugate_partition, is_partition
+from .partitions import as_partition, conjugate_partition
 from .tensors import Tensor, contract
 
 __all__ = [
@@ -44,14 +44,9 @@ class ReductionData:
     lam: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            lam = tuple(int(v) for v in self.lam)
-        except TypeError as exc:
-            raise ValueError(f"a partition must be a sequence of integers, "
-                             f"got {self.lam!r}") from exc
-        if not lam or not is_partition(lam) or any(v == 0 for v in lam):
-            raise ValueError(
-                f"need a partition with all parts positive, got {lam}")
+        lam = as_partition(self.lam, "lam")
+        if not lam or lam[-1] == 0:
+            raise ValueError(f"need a partition with all parts positive, got {lam}")
         object.__setattr__(self, "lam", lam)
 
     @property

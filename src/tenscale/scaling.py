@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .partitions import as_int
 from .tensors import (
     GroupTuple,
     NumericBreakdownError,
@@ -170,16 +170,6 @@ class TargetSpectrum:
         return cls(tuple(out))
 
 
-def _integer(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int; a bool, a non-integer or a value below ``low``
-    raises ValueError.  NumPy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ScalingConfig:
     """Knobs for a single scaling run.
@@ -204,13 +194,13 @@ class ScalingConfig:
             raise ValueError("epsilon must be positive")
         if self.mode not in (BOREL, PARABOLIC):
             raise ValueError(f"mode must be {BOREL!r} or {PARABOLIC!r}")
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.rand_range != THEORETICAL:
             object.__setattr__(self, "rand_range",
-                               _integer("rand_range", self.rand_range, low=1))
+                               as_int(self.rand_range, "rand_range", low=1))
         if self.max_iters is not None:
             object.__setattr__(self, "max_iters",
-                               _integer("max_iters", self.max_iters, low=1))
+                               as_int(self.max_iters, "max_iters", low=1))
 
 
 @dataclass
@@ -282,10 +272,9 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
     {1, ..., rand_range}.  Deterministic for a fixed seed; entries are drawn
     factor by factor in row-major order, exactly as random.Random(seed)'s
     randint(1, rand_range) would draw them."""
-    if rand_range < 1:
-        raise ValueError("rand_range must be >= 1")
-    entries = _uniform_draws(seed, sum(n * n for n in dims),
-                             operator.index(rand_range))
+    dims = [as_int(n, "dims", low=1) for n in dims]
+    entries = _uniform_draws(as_int(seed, "seed"), sum(n * n for n in dims),
+                             as_int(rand_range, "rand_range", low=1))
     factors, lo = [], 0
     for n in dims:
         factors.append(entries[lo:lo + n * n].astype(complex).reshape(n, n))
@@ -332,9 +321,9 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """
     rho = check_hermitian(rho)
     n = rho.shape[0]
-    sizes = tuple(int(b) for b in block_sizes)
-    if any(b < 1 for b in sizes) or sum(sizes) != n:
-        raise ValueError(f"block sizes {block_sizes} do not tile dimension {n}")
+    sizes = tuple(as_int(b, "block_sizes", low=1) for b in block_sizes)
+    if sum(sizes) != n:
+        raise ValueError(f"block sizes {sizes} do not tile dimension {n}")
     _assert_nonsingular(rho)
     return _block_cholesky(rho, sizes)
 
@@ -421,8 +410,6 @@ def restrict_positive(x: Tensor, p: TargetSpectrum
     if p.dims != x.dims:
         raise ValueError(f"target dims {p.dims} do not match tensor dims {x.dims}")
     ranks = p.ranks()
-    if any(r == 0 for r in ranks):
-        raise ValueError("a target factor is identically zero")
     slices = (slice(None),) + tuple(slice(n - r, n) for n, r in zip(x.dims, ranks))
     p_plus = TargetSpectrum(tuple(vec[:r] for vec, r in zip(p.parts, ranks)))
     return Tensor(x.data[slices]), p_plus, ranks
@@ -697,7 +684,7 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
     if cfg.rand_range == THEORETICAL:
         k, _ = randomization_bounds(ell, d, dims)
         return 2 * degree * k
-    return int(cfg.rand_range)
+    return cfg.rand_range
 
 
 def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
@@ -751,6 +738,7 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         if norm == 0.0:
             return None
         it.renormalize(y_check.data, norm)
+        del y_check  # the iterate holds its own copy: free this one before confirm
         if max(it.dists) > epsilon:
             return None
         return confirm(tuple(it.group))

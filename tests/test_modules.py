@@ -225,3 +225,57 @@ def test_no_module_calls_a_contraction_helper():
     found = {path.name: contraction_helper_calls(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def truncating_int_calls(source: str) -> list[int]:
+    """Lines of comprehensions whose element is int(v) of one of their own
+    loop variables, and of map(int, ...) calls: the pattern that reads 2.7
+    as 2 and True as 1.  Comprehensions over a str.split(...) are exempt,
+    since int('2.7') already raises."""
+    def int_of(node, names) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "int" and len(node.args) == 1 \
+            and isinstance(node.args[0], ast.Name) and node.args[0].id in names
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            if any(isinstance(gen.iter, ast.Call)
+                   and isinstance(gen.iter.func, ast.Attribute)
+                   and gen.iter.func.attr == "split" for gen in node.generators):
+                continue
+            names = {n.id for gen in node.generators
+                     for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+            elts = [node.key, node.value] if isinstance(node, ast.DictComp) \
+                else [node.elt]
+            if any(int_of(elt, names) for elt in elts):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "map" and node.args \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "int":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_guard_sees_truncating_int_calls():
+    assert truncating_int_calls(
+        "a = tuple(int(v) for v in lam)\n"
+        "b = [int(n) for n in x.shape]\n"
+        "c = {int(p) for row in rows for p in row}\n"
+        "d = {k: int(v) for k, v in pairs}\n"
+        "e = tuple(map(int, values))\n"
+        "f = tuple(int(v) for v in text.split(','))\n"
+        "g = [int(k * v) for v in vec]\n"
+        "h = [int(w) for v in vec]\n"
+        "i = [as_int(v, 'lam') for v in lam]\n"
+        "j = int(v) + sum(map(float, vec))\n") == [1, 2, 3, 4, 5]
+
+
+def test_counts_and_partitions_are_read_only_by_the_partitions_rule():
+    # partitions.as_int and as_partition are the one place that decides
+    # whether a value is an integer; elsewhere int(v) would truncate
+    found = {path.name: truncating_int_calls(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "partitions.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

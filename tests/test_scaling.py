@@ -2,6 +2,7 @@
 import inspect
 import math
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
@@ -769,6 +770,29 @@ class TestRunScaling:
                  if inspect.iscode(c) and c.co_name == "verified_halt"]
         assert len(halts) == 1
         assert "apply_group" in halts[0].co_names
+
+    def test_halt_frees_its_resync_before_the_witness_check(self, monkeypatch, rng):
+        # the iterate copies the resynced tensor, so a halt holds one full
+        # copy fewer if that tensor is gone before confirm applies the group
+        applied, alive = [], []
+
+        def tracked_apply(g, x):
+            y = ts.tensors.apply_group(g, x)
+            applied.append(weakref.ref(y))
+            return y
+
+        def tracked_full_group(*args):
+            alive.append(applied[-1]() is not None)  # the halt's resync
+            return full_group(*args)
+
+        full_group = ts.scaling._full_group
+        monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
+        monkeypatch.setattr(ts.scaling, "_full_group", tracked_full_group)
+        x = random_integer_tensor((1, 3, 3, 3), rng)
+        rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((3, 3, 3)),
+                             ts.ScalingConfig(epsilon=1e-2, seed=5))
+        assert rep.verdict == ts.SCALED
+        assert alive and not any(alive)
 
     @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 7), (ts.PARABOLIC, 5)])
     def test_benchmark_counts_every_rejected_halt(self, mode, halts):
