@@ -338,14 +338,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, io.SchemaError, ValueError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, EvalBudgetError, np.linalg.LinAlgError,
-            OverflowError) as exc:
+    # the numeric clause comes first: np.linalg.LinAlgError is a ValueError
+    except (ArithmeticError, EvalBudgetError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

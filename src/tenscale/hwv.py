@@ -375,7 +375,7 @@ def find_nonvanishing_spec(x: Tensor, p: TargetSpectrum, max_degree: int = 4
     on ``x`` exceeds 1e-8 in modulus, among degrees k that make k * p
     integral."""
     ell = p.denominator_lcm
-    for k in range(ell, max_degree + 1, ell):
+    for k in range(ell, as_int(max_degree, "max_degree") + 1, ell):
         weight = tuple(tuple(int(k * v) for v in vec) for vec in p.parts)
         for spec in _specs_of_weight(weight, x.n0, k):
             if abs(evaluate_hwv(spec, x)) > 1e-8:

@@ -5,9 +5,11 @@ The engine drives an upper-triangular (Borel) or block-upper-triangular
 factor whose marginal is farthest from its target is fixed exactly by a
 triangular factorization, until every marginal is within the requested trace
 distance or the iteration budget runs out.  Rank obstructions detected after
-the randomization yield a not-in-polytope verdict.  One _Iterate holds the
-loop's normalized iterate, the group carrying the start to it and its last
-measurement.  Steps update them in place; only a halt resyncs from scratch.
+the randomization yield a not-in-polytope verdict.  One rule, _gate, decides
+singularity: at the start for every factor, then for each stepped factor.
+One _Iterate holds the loop's normalized iterate, the group carrying the start
+to it, its block tables and its last measurement.  Steps update them in
+place; only a halt resyncs from scratch.
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
@@ -19,6 +21,7 @@ measurement.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -50,7 +53,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
-_GATE_MARGIN = 1e3 * SINGULARITY_RTOL  # see _step_matrix
+_GATE_MARGIN = 1e3 * SINGULARITY_RTOL  # see _gate
 # A format whose d flattenings hold at most this many entries in all (d times
 # its entry count) takes every marginal of a dimension group from one gather
 # of the raw iterate.  Past it the gathered stacks outgrow 128 KiB, and the
@@ -288,16 +291,30 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
 
 
 def _assert_nonsingular(rho: np.ndarray, *, scale: float | None = None) -> None:
-    """Raise SingularMarginalError unless the smallest eigenvalue of rho, or
-    of each matrix of a (k, n, n) stack, lies above SINGULARITY_RTOL times
-    ``scale``, by default that matrix's trace."""
-    lows = np.linalg.eigvalsh(rho)[..., 0]
-    refs = np.trace(rho, axis1=-2, axis2=-1).real if scale is None else scale
-    for low, ref in np.broadcast(lows, refs):
-        if low <= SINGULARITY_RTOL * ref:
-            raise SingularMarginalError(
-                f"smallest eigenvalue {low:.3e} below threshold "
-                f"{SINGULARITY_RTOL * ref:.3e}")
+    """Raise SingularMarginalError unless the smallest eigenvalue of rho lies
+    above SINGULARITY_RTOL times ``scale``, by default rho's trace."""
+    low = np.linalg.eigvalsh(rho)[0]
+    ref = SINGULARITY_RTOL * (np.trace(rho).real if scale is None else scale)
+    if low <= ref:
+        raise SingularMarginalError(
+            f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
+
+
+def _gate(rho: np.ndarray, bound: float) -> None:
+    """The singularity rule of the scaling loop: raise SingularMarginalError
+    unless rho's smallest eigenvalue lies above SINGULARITY_RTOL times its
+    trace.
+
+    ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
+    for the target diagonal D, its first term from _Iterate.measure.  One
+    above _GATE_MARGIN * max(tr rho, 1) skips the exact check's eigvalsh.
+    eigvalsh errs by a small multiple of n * 2.2e-16 times the norm, and
+    ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
+    thousands a bound clearing 1e-9 of it leaves the exact check's eigenvalue
+    far above its 1e-12 threshold: the bound passes only what the check does.
+    """
+    if bound <= _GATE_MARGIN * max(float(rho.trace().real), 1.0):
+        _assert_nonsingular(rho)
 
 
 def upper_cholesky(rho: np.ndarray) -> np.ndarray:
@@ -490,7 +507,10 @@ class _Iterate:
     stacked target diagonals; index holds their flattening positions from
     _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
     entries, else None.  roots[j], floors[j] and blocks[j] are factor j + 1's
-    target root vector, smallest target entry and step block sizes.
+    target root vector, smallest target entry and step block sizes.  The group
+    stays block upper triangular on them (inv's LU never pivots on a triangular
+    factor), so cap_blocks[j], the (start, stop, exponent) of each step block
+    with its common target entry, is the table capacity reads.
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, mode: str = BOREL,
@@ -510,6 +530,10 @@ class _Iterate:
         self.floors = [float(a[0]) for a in asc]
         self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
                        for i, n in enumerate(shape[1:], start=1)]
+        self.cap_blocks = [tuple((lo, lo + b, float(a[lo])) for lo, b
+                                 in zip(itertools.accumulate(sizes, initial=0),
+                                        sizes))
+                           for a, sizes in zip(asc, self.blocks)]
         self.group = [np.eye(n, dtype=complex) for n in x0.dims]
         self.steps = 0
         self.renormalize(x0.data, scale)
@@ -539,10 +563,10 @@ class _Iterate:
 
     def rule(self) -> tuple[int, np.ndarray]:
         """The step rule: the 0-based factor j farthest from its target (the
-        lowest on ties) and the _step_matrix that fixes its marginal."""
+        lowest on ties), gated, and the _step_matrix that fixes its marginal."""
         j = self.dists.index(max(self.dists))
-        return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks[j],
-                               self.lows[j] + self.floors[j])
+        _gate(self.rhos[j], self.lows[j] + self.floors[j])
+        return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks[j])
 
     def grams(self) -> list[np.ndarray]:
         """One-body marginals of the raw iterate, one (k, n, n) stack per
@@ -586,29 +610,13 @@ class _Iterate:
         self.rhos, self.dists, self.lows = rhos, dists, lows
 
 
-def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: tuple[int, ...],
-                 bound: float) -> np.ndarray:
+def _step_matrix(rho: np.ndarray, root: np.ndarray,
+                 blocks: tuple[int, ...]) -> np.ndarray:
     """Factor A with (A rho A^dagger) = diag(root)**2 for the root vector of
-    the target and the Hermitian rho; unit blocks are the Borel step.
-
-    ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
-    for the target diagonal D, its first term from _Iterate.measure.  One
-    above _GATE_MARGIN * max(tr rho, 1) skips the exact gate's eigvalsh.
-    eigvalsh errs by a small multiple of n * 2.2e-16 times the norm, and
-    ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
-    thousands a bound clearing 1e-9 of it leaves the exact gate's eigenvalue
-    far above its 1e-12 threshold: the bound passes only what the gate does.
-    """
-    if not _weyl_clears(rho, bound):
-        _assert_nonsingular(rho)
+    the target and the Hermitian rho, which _gate passed; unit blocks are
+    the Borel step."""
     # scaling the rows of inv(R) is the diagonal product, entry by entry
     return np.linalg.inv(_block_cholesky(rho, blocks)) * root[:, None]
-
-
-def _weyl_clears(rho: np.ndarray, bound: float) -> bool:
-    """True when the Weyl bound on lambda_min(rho) vouches for the exact
-    singularity gate; see _step_matrix."""
-    return bound > _GATE_MARGIN * max(float(rho.trace().real), 1.0)
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -680,7 +688,7 @@ def capacity(group: Sequence[np.ndarray],
 
 
 def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
-                   degree: int = 1) -> int:
+                   degree: int) -> int:
     if cfg.rand_range == THEORETICAL:
         k, _ = randomization_bounds(ell, d, dims)
         return 2 * degree * k
@@ -700,24 +708,12 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
     """
     it = _Iterate(x0, p, cfg.mode, scale)
     # the singularity rule compares each marginal with its own trace, so
-    # the normalized start's marginals serve for x0's; as in _step_matrix,
-    # only a group where some factor's Weyl bound is too small to vouch for
-    # the exact gate pays the gate's own eigvalsh
+    # the normalized start's marginals serve for x0's
     try:
-        for factors, _ in it.groups:
-            if not all(_weyl_clears(it.rhos[j], it.lows[j] + it.floors[j])
-                       for j in factors):
-                _assert_nonsingular(np.stack([it.rhos[j] for j in factors]))
+        for rho, low, floor in zip(it.rhos, it.lows, it.floors):
+            _gate(rho, low + floor)
     except SingularMarginalError:
         return NOT_IN_POLYTOPE, identity_group(x0.dims), []
-
-    cap_blocks = p.capacity_blocks()
-    if cfg.mode == BOREL:
-        # LU never pivots on an upper-triangular matrix, so every Borel factor
-        # is exactly upper triangular: read each determinant off the diagonal
-        cap_blocks = tuple(tuple((k, k + 1, e) for lo, hi, e in factor_blocks
-                                 for k in range(lo, hi))
-                           for factor_blocks in cap_blocks)
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace: list[IterationRecord] = []
@@ -755,7 +751,7 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         dists = tuple(it.dists)
         norm_after = it.step(j, a)
         # it.y was just divided by its norm: norm(R . X) is 1 up to rounding
-        cap = capacity(it.group, cap_blocks, 1.0) if cfg.log_capacity else math.nan
+        cap = capacity(it.group, it.cap_blocks, 1.0) if cfg.log_capacity else math.nan
         trace.append(IterationRecord(j + 1, dists, norm_after, cap))
 
 
@@ -823,7 +819,8 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
     if p.dims != x.dims:
         raise ValueError(f"target dims {p.dims} do not match tensor dims {x.dims}")
 
-    rng_range = _resolve_range(cfg, p.denominator_lcm, x.num_factors, x.dims)
+    rng_range = _resolve_range(cfg, p.denominator_lcm, x.num_factors, x.dims,
+                               degree=x.num_factors)
     if cfg.randomize:
         g0 = random_group(x.dims, rng_range, cfg.seed)
         log2_range = math.log2(rng_range)
@@ -862,7 +859,8 @@ class Parametrization:
 
 def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrization:
     """Parameters are the tensor entries themselves."""
-    shape = (n0,) + tuple(dims)
+    shape = (as_int(n0, "n0", low=1),) + tuple(as_int(n, "dims", low=1)
+                                               for n in dims)
     size = int(np.prod(shape))
     return Parametrization(
         param_dim=size,
@@ -908,8 +906,7 @@ def orbit_parametrization(x: Tensor) -> Parametrization:
 def mps_tensor(matrices: Sequence[np.ndarray], d: int) -> Tensor:
     """Tensor with entries tr[M_{j1} ... M_{jd}] in format (1; n, ..., n) from
     a nonempty list of n equal square matrices, else raises ValueError."""
-    if d < 2:
-        raise ValueError("need at least two sites")
+    d = as_int(d, "d", low=2)
     try:
         stack = np.array(matrices, dtype=complex)  # (n, N, N)
     except TypeError as exc:
@@ -925,8 +922,8 @@ def mps_tensor(matrices: Sequence[np.ndarray], d: int) -> Tensor:
 
 def mps_parametrization(n: int, bond_dim: int, d: int) -> Parametrization:
     """Parameters are the entries of n site matrices of size bond_dim."""
-    if n < 1 or bond_dim < 1 or d < 2:
-        raise ValueError("need n >= 1, bond_dim >= 1, d >= 2")
+    n, bond_dim = as_int(n, "n", low=1), as_int(bond_dim, "bond_dim", low=1)
+    d = as_int(d, "d", low=2)
 
     def evaluate(z: np.ndarray) -> Tensor:
         z = np.asarray(z, dtype=complex).reshape(n, bond_dim, bond_dim)

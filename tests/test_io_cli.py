@@ -533,6 +533,51 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err.startswith("numeric failure:")
 
+    def test_linalg_error_is_a_numeric_failure(self, ghz_path, capsys,
+                                               monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, yet a numeric failure
+        def broken(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "run_scaling", broken)
+        assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
+                         "--epsilon", "0.1"]) == 3
+        assert capsys.readouterr().err == "numeric failure: Singular matrix\n"
+
+    def test_membership_in(self, ghz_path, capsys):
+        code, out = self.run("membership", "--tensor", ghz_path, "--target",
+                             "uniform", "--epsilon", "0.05", capsys=capsys)
+        assert code == 0 and json.loads(out)["answer"] == "IN"
+
+    @pytest.mark.parametrize("rand_range", ["65536", "theoretical"])
+    def test_general_scale_dims_carries_its_sample(self, capsys, rand_range):
+        code, out = self.run("general-scale", "--dims", "2,2,2", "--target",
+                             "uniform", "--epsilon", "0.05", "--rand-range",
+                             rand_range, "--max-iters", "200", capsys=capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "SCALED"
+        sample = io.tensor_from_obj(payload["sample"])
+        assert sample.shape == (1, 2, 2, 2)
+        # the identity map has degree 1: the theoretical range is 2K
+        k, _ = ts.randomization_bounds(2, 3, (2, 2, 2))
+        top = 2 * k if rand_range == "theoretical" else 65536
+        assert all(1 <= v <= top for v in sample.data.real.ravel())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["qmp", "--dims", "2,x"], "--dims expects comma-separated integers"),
+        (["qmp", "--dims", "2,-1"], "--dims expects nonnegative integers"),
+        (["scale", "--tensor", None, "--rand-range", "huge"],
+         "--rand-range must be an integer or 'theoretical'"),
+        (["reduce", "--tensor", None, "--lambdas", "[[2,1]"],
+         "--lambdas is not valid JSON"),
+    ], ids=["dims-not-integer", "dims-negative", "rand-range", "lambdas-json"])
+    def test_malformed_flag_exits_two(self, ghz_path, capsys, argv, message):
+        argv = [ghz_path if a is None else a for a in argv]
+        rest = [] if argv[0] == "reduce" else ["--target", "uniform",
+                                               "--epsilon", "0.1"]
+        assert cli.main(argv + rest) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_zero_repeats_is_a_usage_error(self, capsys):
         code = cli.main(["qmp", "--dims", "2,2,2", "--target", "uniform",
                          "--epsilon", "0.05", "--repeats", "0"])

@@ -190,6 +190,56 @@ def test_loop_kernels_call_no_checked_entry_point():
     assert kernel_entry_calls(source) == []
 
 
+# the one singularity rule: the exact check and the Weyl margin, by the only
+# top-level definitions of scaling.py that may use each
+GATE_USERS = {"_assert_nonsingular": {"_gate", "block_cholesky", "_block_cholesky"},
+              "_GATE_MARGIN": {"_gate"}}
+
+
+def gate_bypasses(source: str) -> list[tuple[str, str]]:
+    """(owner, name) for each use of a GATE_USERS name, by plain or attribute
+    name, outside its allowed top-level definitions; the owner is the
+    enclosing top-level function or class, or "<module>"."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+            else "<module>"
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name in GATE_USERS and isinstance(node.ctx, ast.Load) \
+                    and owner not in GATE_USERS[name]:
+                found.append((owner, name))
+    return found
+
+
+def test_guard_sees_gate_bypasses():
+    assert gate_bypasses(
+        "_GATE_MARGIN = 1e-9\n"
+        "def _gate(rho, bound):\n"
+        "    if bound <= _GATE_MARGIN:\n"
+        "        _assert_nonsingular(rho)\n"
+        "def _block_cholesky(rho, sizes):\n"
+        "    _assert_nonsingular(rho[:1, :1], scale=1.0)\n"
+        "class _Iterate:\n"
+        "    def rule(self):\n"
+        "        return scaling._assert_nonsingular(self.rho)\n"
+        "def _core_loop(it):\n"
+        "    def start():\n"
+        "        return it.low > _GATE_MARGIN\n"
+        "check = _assert_nonsingular\n") \
+        == [("_Iterate", "_assert_nonsingular"), ("_core_loop", "_GATE_MARGIN"),
+            ("<module>", "_assert_nonsingular")]
+
+
+def test_singularity_is_decided_by_the_one_gate():
+    source = (PACKAGE / "scaling.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_gate", "_assert_nonsingular", "block_cholesky"} <= defined
+    assert gate_bypasses(source) == []
+
+
 # numpy's general contraction helpers; every package contraction goes
 # through tensors.contract, which computes the same bits with fewer calls
 CONTRACTION_HELPERS = {"tensordot", "moveaxis"}

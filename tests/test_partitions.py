@@ -29,6 +29,13 @@ def _membership(repeats) -> str:
                          repeats=repeats).answer
 
 
+def _spec(max_degree):
+    # (1;2,2) holds the 2x2 identity, whose degree-2 weight vector is nonzero
+    x = ts.Tensor(np.eye(2).reshape(1, 2, 2))
+    return ts.find_nonvanishing_spec(x, ts.TargetSpectrum.uniform((2, 2)),
+                                     max_degree)
+
+
 # entry -> (argument its messages name, call putting a value where 2 is valid)
 ENTRIES = {
     "random_group.dims": ("dims",
@@ -52,6 +59,16 @@ ENTRIES = {
     "partitions_of.max_parts": ("max_parts", lambda v: list(ts.partitions_of(2, v))),
     "conjugate_partition": ("parts", lambda v: ts.conjugate_partition((v, 1))),
     "membership.repeats": ("repeats", _membership),
+    "mps_parametrization.n": ("n", lambda v: ts.mps_parametrization(v, 2, 2).param_dim),
+    "mps_parametrization.bond_dim": (
+        "bond_dim", lambda v: ts.mps_parametrization(2, v, 2).param_dim),
+    "mps_parametrization.d": ("d", lambda v: ts.mps_parametrization(2, 2, v).degree),
+    "mps_tensor.d": ("d", lambda v: ts.mps_tensor([np.eye(2)], v).data.tobytes()),
+    "identity_parametrization.dims": (
+        "dims", lambda v: ts.identity_parametrization((v, 2)).param_dim),
+    "identity_parametrization.n0": (
+        "n0", lambda v: ts.identity_parametrization((2, 2), n0=v).param_dim),
+    "find_nonvanishing_spec.max_degree": ("max_degree", _spec),
     # never within 1e-9 in two sweeps, so iterations reports max_iters back
     "sinkhorn.max_iters": ("max_iters", lambda v: ts.sinkhorn(
         np.array([[1.0, 1.0], [0.0, 1.0]]), [1, 1], [1, 1], 1e-9,

@@ -209,19 +209,23 @@ class TestBlockCholesky:
 
 class TestAssertNonsingular:
     def test_stack_checks_each_matrix_against_its_own_trace(self):
-        # 1e-9 * I is healthy against its own trace, though far below
-        # 1e-12 of the largest trace in the stack
+        # each matrix of these stacks, checked on its own: 1e-9 * I is
+        # healthy against its own trace, though far below 1e-12 of the
+        # largest trace in the stack
         healthy = np.stack([1e-9 * np.eye(3), np.diag([1e6, 1.0, 1.0]),
                             np.diag([3.0, 2.0, 1e-3])]).astype(complex)
-        ts.scaling._assert_nonsingular(healthy)
         one_singular = healthy.copy()
         one_singular[1, 2, 2] = 1e-7
-        with pytest.raises(ts.SingularMarginalError):
-            ts.scaling._assert_nonsingular(one_singular)
         one_zero = healthy.copy()
         one_zero[2] = 0.0
-        with pytest.raises(ts.SingularMarginalError):
-            ts.scaling._assert_nonsingular(one_zero)
+        for stack, singular in [(healthy, None), (one_singular, 1),
+                                (one_zero, 2)]:
+            for k, rho in enumerate(stack):
+                if k == singular:
+                    with pytest.raises(ts.SingularMarginalError):
+                        ts.scaling._assert_nonsingular(rho)
+                else:
+                    ts.scaling._assert_nonsingular(rho)
         with pytest.raises(ts.SingularMarginalError):
             ts.scaling._assert_nonsingular(np.zeros((2, 2)))
 
@@ -373,21 +377,27 @@ class TestScalingStep:
                                                      start_checks):
         # GHZ's marginals are I/2: against (1/2, 1/2) the bound is 1/2, against
         # (999/1000, 1/1000) it is 1/2 - 999/1000 + 1/1000 < 0, so the exact
-        # check runs once on the one dimension group's stack, and passes
-        stacks = []
-        check = ts.scaling._assert_nonsingular
+        # check runs once, on factor 1's marginal alone, and passes
+        calls = []
+        check, rule = ts.scaling._assert_nonsingular, ts.scaling._Iterate.rule
 
         def counted(rho, **kwargs):
-            if rho.ndim == 3:
-                stacks.append(rho.shape)
+            calls.append(rho.shape)
             return check(rho, **kwargs)
 
+        def marked(it):
+            calls.append("step")
+            return rule(it)
+
         monkeypatch.setattr(ts.scaling, "_assert_nonsingular", counted)
+        monkeypatch.setattr(ts.scaling._Iterate, "rule", marked)
         p = ts.TargetSpectrum(((top, 1 - top),) + ((F(1, 2), F(1, 2)),) * 2)
         rep = ts.run_scaling(ghz_tensor(), p,
                              ts.ScalingConfig(epsilon=1e-9, randomize=False,
                                               max_iters=5))
-        assert stacks == [(3, 2, 2)] * start_checks
+        # only the checks made before the first step
+        start = calls[:calls.index("step")] if "step" in calls else calls
+        assert start == [(2, 2)] * start_checks
         assert rep.verdict != ts.NOT_IN_POLYTOPE
         assert rep.iterations == (0 if top == F(1, 2) else 5)
 
@@ -521,7 +531,7 @@ def weyl_case(n, log_low, log_floor, log_turn, seed):
     10**log_low, near the diagonal D of a target with floor 10**log_floor
     (10**log_turn sets how far rho's eigenbasis is turned away from D's),
     and the Weyl bound lambda_min(rho - D) + min(D) the loop hands to
-    _step_matrix."""
+    _gate."""
     rng = np.random.default_rng(seed)
     rest = np.sort(rng.uniform(1.0, 2.0, n - 1))
     floor = 10.0 ** log_floor
@@ -537,12 +547,13 @@ def weyl_case(n, log_low, log_floor, log_turn, seed):
 
 
 def gated_step(rho, root, bound):
-    """_step_matrix on rho with the exact gate observed: (whether the gate
-    ran, whether the step raised SingularMarginalError)."""
+    """_gate, then _step_matrix, on rho with the exact gate observed: (whether
+    the gate ran, whether the step raised SingularMarginalError)."""
     gate = mock.Mock(wraps=ts.scaling._assert_nonsingular)
     with mock.patch.object(ts.scaling, "_assert_nonsingular", gate):
         try:
-            ts.scaling._step_matrix(rho, root, (1,) * len(rho), bound)
+            ts.scaling._gate(rho, bound)
+            ts.scaling._step_matrix(rho, root, (1,) * len(rho))
         except ts.SingularMarginalError:
             return gate.called, True
     return gate.called, False
@@ -669,6 +680,17 @@ class TestRunScaling:
         for i in (1, 2, 3):
             assert ts.trace_distance(ts.marginal(y, i),
                                      np.diag(p.ascending(i))) <= 1e-2
+
+    def test_theoretical_range_is_the_documented_m(self):
+        # M = 2 d K, d the number of factors: the run's budget is the one
+        # log2 M gives, not log2 of 2K
+        x, p = ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2))
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(
+            epsilon=1e-2, rand_range=ts.THEORETICAL, max_iters=1))
+        _, m = ts.randomization_bounds(2, 3, (2, 2, 2))
+        assert m == 53_496_602_689_536
+        assert rep.budget == ts.iteration_budget(
+            (1, 2, 2, 2), x.entry_bitsize(), 1e-2, math.log2(m)) == 32_564_285
 
     def test_theoretical_range_runs_exactly(self):
         # the worst-case sampling range is huge but still floats for this
