@@ -5,8 +5,10 @@ The engine drives an upper-triangular (Borel) or block-upper-triangular
 factor whose marginal is farthest from its target is fixed exactly by a
 triangular factorization, until every marginal is within the requested trace
 distance or the iteration budget runs out.  Rank obstructions detected after
-the randomization yield a not-in-polytope verdict.  One rule, _gate, decides
-singularity: at the start for every factor, then for each stepped factor.
+the randomization yield a not-in-polytope verdict.  Each failure has one
+rule: _gate decides singularity, at the start and for each stepped factor
+(by interlacing, the Schur blocks a factorization meets after it need no
+check), and _Iterate.renormalize breakdown, an iterate norm outside (0, inf).
 One _Iterate holds the loop's normalized iterate, the group carrying the start
 to it, its block tables and its last measurement.  Steps update them in
 place; only a halt resyncs from scratch.
@@ -143,14 +145,8 @@ class TargetSpectrum:
     def capacity_blocks(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
         """Per factor, (start, stop, exponent) of each block of equal
         ascending entries; the exponent is the block's common entry."""
-        out = []
-        for i, asc in enumerate(self._ascending, start=1):
-            blocks, lo = [], 0
-            for size in self.block_sizes(i):
-                blocks.append((lo, lo + size, float(asc[lo])))
-                lo += size
-            out.append(tuple(blocks))
-        return tuple(out)
+        return tuple(_block_table(asc, self.block_sizes(i))
+                     for i, asc in enumerate(self._ascending, start=1))
 
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
@@ -171,6 +167,13 @@ class TargetSpectrum:
             approx[0] += 1 - sum(approx)
             out.append(tuple(approx))
         return cls(tuple(out))
+
+
+def _block_table(asc: np.ndarray, sizes: Sequence[int]
+                 ) -> tuple[tuple[int, int, float], ...]:
+    """(start, stop, asc[start]) of each block of the given sizes."""
+    return tuple((lo, lo + b, float(asc[lo]))
+                 for lo, b in zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 @dataclass(frozen=True)
@@ -290,11 +293,11 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
 # --------------------------------------------------------------------------
 
 
-def _assert_nonsingular(rho: np.ndarray, *, scale: float | None = None) -> None:
+def _assert_nonsingular(rho: np.ndarray) -> None:
     """Raise SingularMarginalError unless the smallest eigenvalue of rho lies
-    above SINGULARITY_RTOL times ``scale``, by default rho's trace."""
+    above SINGULARITY_RTOL times its trace."""
     low = np.linalg.eigvalsh(rho)[0]
-    ref = SINGULARITY_RTOL * (np.trace(rho).real if scale is None else scale)
+    ref = SINGULARITY_RTOL * np.trace(rho).real
     if low <= ref:
         raise SingularMarginalError(
             f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
@@ -312,6 +315,9 @@ def _gate(rho: np.ndarray, bound: float) -> None:
     ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
     thousands a bound clearing 1e-9 of it leaves the exact check's eigenvalue
     far above its 1e-12 threshold: the bound passes only what the check does.
+    Each Schur complement _block_cholesky then forms has a principal block of
+    inv(rho) as inverse, so by interlacing it and its diagonal blocks keep
+    least eigenvalue at least lambda_min(rho).
     """
     if bound <= _GATE_MARGIN * max(float(rho.trace().real), 1.0):
         _assert_nonsingular(rho)
@@ -346,27 +352,22 @@ def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 
 
 def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """block_cholesky on a Hermitian rho with valid sizes, nonsingular unless
-    it is one block; each Schur complement block is still checked."""
+    """block_cholesky on a Hermitian rho with valid sizes that passed the
+    singularity rule unless it is one block.  By interlacing (see _gate) no
+    Schur complement block needs a check, so a LinAlgError is numeric."""
     if len(sizes) == 1:
         eigs, vecs = np.linalg.eigh(rho)
         return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     if all(b == 1 for b in sizes):
         # the lower Cholesky factor of the coordinate-reversed matrix
-        try:
-            lower = np.linalg.cholesky(rho[::-1, ::-1])
-        except np.linalg.LinAlgError as exc:
-            raise SingularMarginalError(str(exc)) from exc
-        return lower[::-1, ::-1]
+        return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
 
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     out = np.zeros_like(rho, dtype=complex)
     work = np.array(rho, dtype=complex)
-    scale = float(np.trace(rho).real)
     for j in range(len(sizes) - 1, -1, -1):
         lo, hi = bounds[j], bounds[j + 1]
         diag = work[lo:hi, lo:hi]
-        _assert_nonsingular(diag, scale=scale)
         r_jj = _block_cholesky(diag, (hi - lo,))
         out[lo:hi, lo:hi] = r_jj
         if lo > 0:
@@ -530,32 +531,29 @@ class _Iterate:
         self.floors = [float(a[0]) for a in asc]
         self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
                        for i, n in enumerate(shape[1:], start=1)]
-        self.cap_blocks = [tuple((lo, lo + b, float(a[lo])) for lo, b
-                                 in zip(itertools.accumulate(sizes, initial=0),
-                                        sizes))
-                           for a, sizes in zip(asc, self.blocks)]
+        self.cap_blocks = [_block_table(a, b) for a, b in zip(asc, self.blocks)]
         self.group = [np.eye(n, dtype=complex) for n in x0.dims]
         self.steps = 0
         self.renormalize(x0.data, scale)
 
     def renormalize(self, y: np.ndarray, norm: float, out=None) -> None:
         """Take y / norm as the iterate, into ``out`` when given, fold 1 / norm
-        into group[0] and measure.  The iterate keeps the layout each update
-        leaves, as Tensor copies did: np.linalg.norm sums in memory order."""
+        into group[0] and measure; the layout each update leaves is kept, as
+        Tensor copies did: np.linalg.norm sums in memory order.  The one
+        breakdown rule, for the start, each step and each resync: a norm outside
+        (0, inf), which a non-finite entry forces, raises NumericBreakdownError."""
+        if not 0.0 < norm < math.inf:
+            raise NumericBreakdownError(
+                f"iterate left the floating-point range at step {self.steps}")
         self.y = np.divide(y, norm, out=out)
         self.group[0] = self.group[0] / norm
         self.measure()
 
     def step(self, j: int, a: np.ndarray) -> float:
         """Apply a to factor j + 1 of the iterate and the group, renormalize
-        and return the norm it divided by.  An iterate that leaves the
-        floating-point range raises NumericBreakdownError, changing nothing."""
+        and return the norm it divided by."""
         y = contract(a, self.y, j + 1)
         norm = float(np.linalg.norm(y))
-        # a finite norm means every entry is finite
-        if not 0.0 < norm < math.inf:
-            raise NumericBreakdownError(
-                f"iterate left the floating-point range at step {self.steps + 1}")
         self.steps += 1
         self.group[j] = a @ self.group[j]
         self.renormalize(y, norm, out=y)  # in place: the same bits and layout
@@ -725,15 +723,11 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         # orbit closure and reports spuriously small distances
         try:
             y_check = apply_group(tuple(it.group), x0)
-        except ValueError as exc:
-            # the shapes fit by construction: only non-finite entries get here
+        except ValueError as exc:  # the shapes fit: only non-finite entries
             raise NumericBreakdownError(
                 f"accumulated group left the floating-point range after "
                 f"{len(trace)} steps") from exc
-        norm = y_check.norm()
-        if norm == 0.0:
-            return None
-        it.renormalize(y_check.data, norm)
+        it.renormalize(y_check.data, y_check.norm())
         del y_check  # the iterate holds its own copy: free this one before confirm
         if max(it.dists) > epsilon:
             return None
@@ -827,8 +821,13 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
     else:
         g0 = identity_group(x.dims)
         log2_range = 0.0
+    try:
+        start = apply_group(g0, x)
+    except ValueError as exc:  # the shapes fit: only non-finite entries
+        raise NumericBreakdownError(
+            "the randomized start left the floating-point range") from exc
     bits = x.entry_bitsize()
-    return _scale(x, apply_group(g0, x), g0, p, cfg,
+    return _scale(x, start, g0, p, cfg,
                   lambda shape, eps: iteration_budget(shape, bits, eps,
                                                       log2_range))
 

@@ -281,6 +281,37 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError):
             io.dumps_canonical(obj)
 
+    def test_subclasses_of_json_types_write_their_plain_bytes(self):
+        class Text(str):
+            pass
+
+        class Mapping(dict):
+            pass
+
+        class Items(list):
+            pass
+
+        plain = {"a": ["x", {"b": [1.5, "y"]}], "c": {}}
+        doc = Mapping(a=Items([Text("x"), Mapping(b=Items([1.5, Text("y")]))]),
+                      c=Mapping())
+        assert io.dumps_canonical(doc) == io.dumps_canonical(plain) \
+            == reference_dumps(plain)
+
+    def test_report_note_is_written(self):
+        # (z0 - z1) * GHZ vanishes on seed 1's first draw (1, 1) from range 2
+        # and not on the redraw (2, 1)
+        phi = ts.Parametrization(
+            param_dim=2, degree=1,
+            evaluate=lambda z: ts.Tensor((z[0] - z[1]) * ghz_tensor().data))
+        rep, _ = ts.run_general_scaling(
+            phi, ts.TargetSpectrum.uniform((2, 2, 2)),
+            ts.ScalingConfig(epsilon=0.1, seed=1, rand_range=2))
+        obj = io.report_to_obj(rep)
+        assert rep.verdict == ts.SCALED
+        assert obj["note"] \
+            == "parametrization vanished on the first sample; redrew once"
+        assert io.dumps_canonical(obj) == reference_dumps(obj)
+
     def test_never_enters_pure_python_encoder(self, monkeypatch):
         # a far-sized membership verdict: two capped runs' traces and groups
         verdict = ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
@@ -543,6 +574,27 @@ class TestCli:
         assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
                          "--epsilon", "0.1"]) == 3
         assert capsys.readouterr().err == "numeric failure: Singular matrix\n"
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_overflowing_theoretical_start_exits_three(self, tmp_path, capsys,
+                                                        n):
+        # n = 4, 5: the unit tensor's randomized start overflows; n = 6: the
+        # qmp sample does.  Each is a numeric failure, never a verdict or a
+        # usage error
+        if n == 6:
+            argv = ["qmp", "--dims", "6,6,6", "--repeats", "1"]
+        else:
+            data = np.zeros((1, n, n, n), dtype=complex)
+            data[0, range(n), range(n), range(n)] = 1
+            io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
+            argv = ["scale", "--tensor", str(tmp_path / "x.json")]
+        with np.errstate(all="ignore"):
+            code = cli.main(argv + ["--target", "uniform", "--epsilon", "0.01",
+                                    "--rand-range", "theoretical",
+                                    "--max-iters", "50"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numeric failure:")
 
     def test_membership_in(self, ghz_path, capsys):
         code, out = self.run("membership", "--tensor", ghz_path, "--target",

@@ -1,7 +1,7 @@
 """Module boundaries: no package module reaches into another's private
 helpers or into numpy's private modules, no module keeps an unbounded
-functools cache, and the scaling loop's kernels leave validation to the
-public entry points."""
+functools cache, the scaling loop's kernels leave validation to the public
+entry points, and singularity is decided by one check."""
 import ast
 from pathlib import Path
 
@@ -191,8 +191,9 @@ def test_loop_kernels_call_no_checked_entry_point():
 
 
 # the one singularity rule: the exact check and the Weyl margin, by the only
-# top-level definitions of scaling.py that may use each
-GATE_USERS = {"_assert_nonsingular": {"_gate", "block_cholesky", "_block_cholesky"},
+# top-level definitions of scaling.py that may use each; the factorizations
+# the gate passed recheck nothing (see _gate on interlacing)
+GATE_USERS = {"_assert_nonsingular": {"_gate", "block_cholesky"},
               "_GATE_MARGIN": {"_gate"}}
 
 
@@ -219,8 +220,10 @@ def test_guard_sees_gate_bypasses():
         "def _gate(rho, bound):\n"
         "    if bound <= _GATE_MARGIN:\n"
         "        _assert_nonsingular(rho)\n"
+        "def block_cholesky(rho, sizes):\n"
+        "    _assert_nonsingular(rho)\n"
         "def _block_cholesky(rho, sizes):\n"
-        "    _assert_nonsingular(rho[:1, :1], scale=1.0)\n"
+        "    _assert_nonsingular(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def rule(self):\n"
         "        return scaling._assert_nonsingular(self.rho)\n"
@@ -228,7 +231,8 @@ def test_guard_sees_gate_bypasses():
         "    def start():\n"
         "        return it.low > _GATE_MARGIN\n"
         "check = _assert_nonsingular\n") \
-        == [("_Iterate", "_assert_nonsingular"), ("_core_loop", "_GATE_MARGIN"),
+        == [("_block_cholesky", "_assert_nonsingular"),
+            ("_Iterate", "_assert_nonsingular"), ("_core_loop", "_GATE_MARGIN"),
             ("<module>", "_assert_nonsingular")]
 
 
@@ -238,6 +242,55 @@ def test_singularity_is_decided_by_the_one_gate():
                if isinstance(node, ast.FunctionDef)}
     assert {"_gate", "_assert_nonsingular", "block_cholesky"} <= defined
     assert gate_bypasses(source) == []
+
+
+def singular_raises(source: str) -> list[str]:
+    """The owner of each raise or construction of SingularMarginalError, by
+    plain or attribute name, outside _assert_nonsingular; the owner is the
+    enclosing top-level function or class, or "<module>"."""
+    def names_error(node) -> bool:
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        return name == "SingularMarginalError"
+
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+            else "<module>"
+        if owner == "_assert_nonsingular":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and names_error(node.exc) \
+                    or isinstance(node, ast.Call) and names_error(node.func):
+                found.append(owner)
+    return found
+
+
+def test_guard_sees_singular_raises():
+    assert singular_raises(
+        "def _assert_nonsingular(rho):\n"
+        "    raise SingularMarginalError('low')\n"
+        "def _block_cholesky(rho, sizes):\n"
+        "    try:\n"
+        "        return cholesky(rho)\n"
+        "    except LinAlgError as exc:\n"
+        "        raise SingularMarginalError(str(exc)) from exc\n"
+        "class _Iterate:\n"
+        "    def rule(self):\n"
+        "        raise tensors.SingularMarginalError\n"
+        "def _core_loop(it):\n"
+        "    try:\n"
+        "        it.rule()\n"
+        "    except SingularMarginalError:\n"
+        "        return None\n"
+        "FAILURE = SingularMarginalError('at import')\n") \
+        == ["_block_cholesky", "_Iterate", "<module>"]
+
+
+def test_only_the_exact_check_raises_singular():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert singular_raises(path.read_text()) == [], path.name
 
 
 # numpy's general contraction helpers; every package contraction goes

@@ -116,6 +116,15 @@ class TestQmp:
                 ts.kronecker_support(ts.KroneckerQuery((1, 1), (1, 1), (1, 1)),
                                      0.1, repeats=repeats)
 
+    def test_overflowing_theoretical_sample_is_a_numeric_breakdown(self):
+        # the uniform (6,6,6) point's theoretical range is M ~ 1e220: the
+        # sample's norm overflows, which is no evidence for EPS_FAR
+        p = ts.TargetSpectrum.uniform((6, 6, 6))
+        cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ts.NumericBreakdownError):
+            ts.qmp(p, (6, 6, 6), 1e-2, cfg=cfg, repeats=1)
+
 
 class TestKronecker:
     def test_query_validation(self):

@@ -207,6 +207,53 @@ class TestBlockCholesky:
             ts.block_cholesky(np.eye(3), (2, 2))
 
 
+def gate_passed_case(n, log_low, cuts, seed):
+    """A Hermitian rho with random eigenvectors whose n eigenvalues spread
+    log-uniformly from 10**log_low to 1, so 10**log_low / n <= lambda_min / tr
+    <= 10**log_low, and the block sizes the cut points leave."""
+    rng = np.random.default_rng(seed)
+    spectrum = 10.0 ** np.sort(rng.uniform(log_low, 0.0, n))
+    spectrum[0], spectrum[-1] = 10.0 ** log_low, 1.0
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(g)
+    rho = (u * spectrum) @ u.conj().T
+    edges = [0, *sorted(c for c in cuts if c < n), n]
+    return (rho + rho.conj().T) / 2, tuple(np.diff(edges).tolist())
+
+
+class TestFactorizationsAfterTheGate:
+    """_assert_nonsingular is the one singularity check: on every rho it
+    passes, the factorizations succeed without a check of their own (by
+    interlacing, each Schur complement block keeps lambda_min(rho))."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), log_low=st.floats(-11.0, 0.0),
+           cuts=st.sets(st.integers(1, 5)), seed=st.integers(0, 2**32 - 1))
+    def test_gate_passed_rho_factors(self, n, log_low, cuts, seed):
+        rho, sizes = gate_passed_case(n, log_low, cuts, seed)
+        try:
+            ts.scaling._assert_nonsingular(rho)
+        except ts.SingularMarginalError:
+            return
+        r = ts.block_cholesky(rho, sizes)
+        assert np.all(np.isfinite(r))
+        edges = np.cumsum((0,) + sizes)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            assert not r[hi:, lo:hi].any()  # block upper triangular
+        assert np.linalg.norm(r @ r.conj().T - rho) \
+            <= 1e-8 * np.linalg.norm(rho)
+        assert np.all(np.isfinite(ts.upper_cholesky(rho)))
+
+    def test_cases_reach_ten_times_the_threshold(self):
+        # the strategy's far end: lambda_min / tr below 10 * SINGULARITY_RTOL,
+        # which the check still passes
+        rho, sizes = gate_passed_case(6, -11.0, {2, 3}, seed=0)
+        ratio = np.linalg.eigvalsh(rho)[0] / np.trace(rho).real
+        assert 1 < ratio / ts.scaling.SINGULARITY_RTOL < 10
+        ts.scaling._assert_nonsingular(rho)
+        assert sizes == (2, 1, 3)
+
+
 class TestAssertNonsingular:
     def test_stack_checks_each_matrix_against_its_own_trace(self):
         # each matrix of these stacks, checked on its own: 1e-9 * I is
@@ -704,6 +751,21 @@ class TestRunScaling:
         g = ts.random_group((2, 2, 2), m, seed=3)
         assert all(1 <= v <= m for mat in g for v in mat.real.ravel())
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_overflowing_theoretical_start_is_a_breakdown(self, n):
+        # from (4,4,4) up, the (1;n,n,n) unit tensor's theoretical range puts
+        # group entries near M ~ 1e81 (n = 4) or 1e141 (n = 5): the start's
+        # norm (n = 4) or entries (n = 5) overflow, a numeric failure and
+        # not a rank obstruction
+        data = np.zeros((1, n, n, n), dtype=complex)
+        data[0, range(n), range(n), range(n)] = 1
+        cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL,
+                               max_iters=50)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ts.NumericBreakdownError, match="floating-point range"):
+            ts.run_scaling(ts.Tensor(data), ts.TargetSpectrum.uniform((n,) * 3),
+                           cfg)
+
     def test_null_cone_instance_never_claims_scaled(self):
         # this integer tensor has vanishing degree-4 invariants, so uniform
         # marginals are unreachable; near the boundary the incremental
@@ -784,6 +846,20 @@ class TestRunScaling:
         assert isinstance(info.value, ArithmeticError)
         assert not isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("entry, norm", [(0.0, 0.0), (1e308, math.inf),
+                                             (math.nan, math.nan)])
+    def test_iterate_norm_outside_the_float_range_breaks_down(self, entry,
+                                                              norm):
+        # the one breakdown rule, at the start and at a step: an iterate
+        # norm that is 0, overflows or is NaN raises
+        p = ts.TargetSpectrum.uniform((2, 2, 2))
+        with pytest.raises(ts.NumericBreakdownError, match="at step 0"):
+            ts.scaling._Iterate(ghz_tensor(), p, scale=norm)
+        it = ts.scaling._Iterate(normalized(ghz_tensor()), p)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ts.NumericBreakdownError, match="at step 1"):
+            it.step(0, np.full((2, 2), entry, dtype=complex))
+
     def test_core_loop_keeps_its_halt_check_frame(self):
         # the benchmark counts halt checks (and so rejected halts) by the
         # frame of the loop's nested verified_halt, whose resync calls
@@ -848,6 +924,20 @@ class TestSingularTargets:
         assert x_plus.shape == (1, 1, 2, 2)
         assert np.array_equal(x_plus.data[0, 0], x.data[0, 1])
         assert ranks == (1, 2, 2) and p_plus.dims == (1, 2, 2)
+
+    def test_vanished_restriction_is_rejected_before_the_loop(self):
+        # the one entry sits outside the last coordinates the target keeps:
+        # unrandomized, the restricted tensor is zero, a rank obstruction;
+        # the random basis change moves weight into it
+        data = np.zeros((1, 2, 2), dtype=complex)
+        data[0, 0, 0] = 1
+        x, p = ts.Tensor(data), ts.TargetSpectrum(((F(1), F(0)), (F(1), F(0))))
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2,
+                                                    randomize=False))
+        assert rep.verdict == ts.NOT_IN_POLYTOPE and rep.iterations == 0
+        assert rep.note == "restricted tensor vanished"
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2))
+        assert rep.verdict == ts.SCALED
 
     def test_restrict_embed_round_trip(self, rng):
         x = random_integer_tensor((1, 2, 3), rng)
