@@ -84,6 +84,7 @@ from .scaling import (
     upper_cholesky,
 )
 from .tensors import (
+    NonFiniteEntriesError,
     NumericBreakdownError,
     SingularMarginalError,
     Tensor,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .hwv import HWVSpec
 from .oracle import MembershipVerdict
+from .partitions import as_int
 from .scaling import ScalingReport, TargetSpectrum
 from .tensors import GroupTuple, Tensor
 
@@ -185,27 +186,31 @@ def hwv_spec_to_obj(spec: HWVSpec) -> dict:
             "perms": [list(pi) for pi in spec.perms]}
 
 
-def _int_row(node: Any, where: str) -> tuple[int, ...]:
-    _require(isinstance(node, list) and all(_number(v, int) for v in node),
-             where, "expected a list of integers")
-    return tuple(node)
-
-
-def _int_rows(node: Any, where: str) -> tuple[tuple[int, ...], ...]:
-    _require(isinstance(node, list), where, "expected a list of integer lists")
-    return tuple(_int_row(row, f"{where}[{i}]") for i, row in enumerate(node))
+def _entries(node: Any, where: str) -> tuple[int, ...]:
+    """A JSON list read entry by entry with as_int, the integer rule HWVSpec
+    applies; a failure is a SchemaError at the list's JSON path."""
+    _require(isinstance(node, list), where, "expected a list of integers")
+    try:
+        return tuple(as_int(v, f"entry {t}") for t, v in enumerate(node))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def hwv_spec_from_obj(obj: Any, where: str = "hwv") -> HWVSpec:
     _require(isinstance(obj, dict), where, "expected an object")
     for key in ("weight", "indexSeq", "perms"):
         _require(key in obj, where, f"missing {key!r}")
-    weight = _int_rows(obj["weight"], f"{where}.weight")
-    index_seq = _int_row(obj["indexSeq"], f"{where}.indexSeq")
-    perms = _int_rows(obj["perms"], f"{where}.perms")
+    rows = {}
+    for key in ("weight", "perms"):
+        _require(isinstance(obj[key], list), f"{where}.{key}",
+                 "expected a list of integer lists")
+        rows[key] = tuple(_entries(row, f"{where}.{key}[{i}]")
+                          for i, row in enumerate(obj[key]))
+    index_seq = _entries(obj["indexSeq"], f"{where}.indexSeq")
     try:
-        return HWVSpec(weight=weight, index_seq=index_seq, perms=perms)
-    except (TypeError, ValueError) as exc:
+        return HWVSpec(weight=rows["weight"], index_seq=index_seq,
+                       perms=rows["perms"])
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 

@@ -8,10 +8,14 @@ distance or the iteration budget runs out.  Rank obstructions detected after
 the randomization yield a not-in-polytope verdict.  Each failure has one
 rule: _gate decides singularity, at the start and for each stepped factor
 (by interlacing, the Schur blocks a factorization meets after it need no
-check), and _Iterate.renormalize breakdown, an iterate norm outside (0, inf).
+check), and _Iterate breakdown, a norm outside (0, inf): ||y|| of the start
+and of each resync, nu of each step.
 One _Iterate holds the loop's normalized iterate, the group carrying the start
-to it, its block tables and its last measurement.  Steps update them in
-place; only a halt resyncs from scratch.
+to it, its block tables and its last measurement.  Steps update them; only a
+halt resyncs from scratch.  A step costs one contraction and d - 1 Gram
+matrices: nu**2 = tr(a rho_j a^dagger) of the gated marginal is the stepped
+iterate's norm, the contraction with a / nu leaves it normalized, and
+a rho_j a^dagger / nu**2 is factor j's new marginal (see _Iterate).
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
@@ -35,6 +39,7 @@ import numpy as np
 from .partitions import as_int
 from .tensors import (
     GroupTuple,
+    NonFiniteEntriesError,
     NumericBreakdownError,
     SingularMarginalError,
     Tensor,
@@ -212,8 +217,9 @@ class ScalingConfig:
 @dataclass
 class IterationRecord:
     """One scaling step: chosen factor (1-based), trace distances of all
-    marginals before the step, the norm of the updated tensor before
-    renormalization, and the logged capacity objective."""
+    marginals before the step, the norm nu of the updated tensor before
+    renormalization, read off the stepped marginal as sqrt(tr(a rho a^dagger)),
+    and the logged capacity objective."""
 
     index: int
     distances: tuple[float, ...]
@@ -504,6 +510,13 @@ class _Iterate:
     folded into group[0], and y's last measurement: marginals rhos, distances
     dists to the target diagonals and least eigenvalues lows of rho - D.
 
+    A step makes one pass over y, the contraction with a / nu: nu**2 =
+    tr(a rho_j a^dagger), read off the gated marginal, is the norm of a
+    applied to y, so no norm or divide pass follows.  The congruence
+    a rho_j a^dagger / nu**2 is factor j's new marginal, so only the other
+    d - 1 are measured, one Gram matrix each (a gather still forms its whole
+    dimension group in one call).  The start and a resync measure all d.
+
     groups pairs the 0-based factors of each distinct dimension with their
     stacked target diagonals; index holds their flattening positions from
     _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
@@ -518,12 +531,13 @@ class _Iterate:
                  scale: float = 1.0):
         shape = x0.shape
         asc = [p.ascending(i) for i in range(1, len(shape))]
-        self.groups = []
-        for factors in _dimension_groups(shape):
+        self.groups, self.slots = [], {}
+        for g, factors in enumerate(_dimension_groups(shape)):
             n = shape[factors[0] + 1]
             diags = np.zeros((len(factors), n, n), dtype=complex)
             diags[:, range(n), range(n)] = [asc[j] for j in factors]
             self.groups.append((factors, diags))
+            self.slots.update({j: (g, t) for t, j in enumerate(factors)})
         gathered = (len(shape) - 1) * math.prod(shape)
         self.index = (_flattening_index(shape)
                       if gathered <= GATHER_MAX_ENTRIES else None)
@@ -536,28 +550,40 @@ class _Iterate:
         self.steps = 0
         self.renormalize(x0.data, scale)
 
-    def renormalize(self, y: np.ndarray, norm: float, out=None) -> None:
-        """Take y / norm as the iterate, into ``out`` when given, fold 1 / norm
-        into group[0] and measure; the layout each update leaves is kept, as
-        Tensor copies did: np.linalg.norm sums in memory order.  The one
-        breakdown rule, for the start, each step and each resync: a norm outside
-        (0, inf), which a non-finite entry forces, raises NumericBreakdownError."""
+    def _breakdown(self, norm: float) -> None:
+        """The breakdown rule: a norm outside (0, inf) raises."""
         if not 0.0 < norm < math.inf:
             raise NumericBreakdownError(
                 f"iterate left the floating-point range at step {self.steps}")
-        self.y = np.divide(y, norm, out=out)
+
+    def renormalize(self, y: np.ndarray, norm: float) -> None:
+        """Take y / norm as the iterate, fold 1 / norm into group[0] and
+        measure every factor: the start and each resync, whose norm ||y||
+        passes the breakdown rule first."""
+        self._breakdown(norm)
+        self.y = y / norm
         self.group[0] = self.group[0] / norm
         self.measure()
 
     def step(self, j: int, a: np.ndarray) -> float:
-        """Apply a to factor j + 1 of the iterate and the group, renormalize
-        and return the norm it divided by."""
-        y = contract(a, self.y, j + 1)
-        norm = float(np.linalg.norm(y))
+        """Apply a / nu to factor j + 1 of the iterate and a to the group,
+        fold 1 / nu into group[0] and return nu.  Factor j + 1's marginal
+        becomes a rho_j a^dagger / nu**2, by its Hermitian part (the product
+        is Hermitian only up to rounding); the others are measured."""
         self.steps += 1
-        self.group[j] = a @ self.group[j]
-        self.renormalize(y, norm, out=y)  # in place: the same bits and layout
-        return norm
+        # ndarray.dot: the BLAS product of @, with less overhead on small n
+        rho = a.dot(self.rhos[j]).dot(a.conj().T)
+        # the trace, correctly rounded, without a NumPy reduction's overhead
+        nu2 = math.fsum(rho.diagonal().real.tolist())
+        self._breakdown(nu2)  # nu**2 in (0, inf), so nu too
+        nu = math.sqrt(nu2)
+        self.y = contract(a / nu, self.y, j + 1)
+        self.group[j] = a.dot(self.group[j])
+        self.group[0] = self.group[0] / nu
+        rho += rho.conj().T
+        rho *= 0.5 / nu2
+        self.measure(j, rho)
+        return nu
 
     def rule(self) -> tuple[int, np.ndarray]:
         """The step rule: the 0-based factor j farthest from its target (the
@@ -566,11 +592,12 @@ class _Iterate:
         _gate(self.rhos[j], self.lows[j] + self.floors[j])
         return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks[j])
 
-    def grams(self) -> list[np.ndarray]:
+    def grams(self, skip: int | None = None) -> list[np.ndarray]:
         """One-body marginals of the raw iterate, one (k, n, n) stack per
         group, each the Gram matrix m @ m^dagger of a flattening m, exactly
         as tensors.marginal computes it: a stacked np.matmul calls the same
-        BLAS product for each matrix as a single one does."""
+        BLAS product for each matrix as a single one does.  The per-factor
+        path leaves factor ``skip``'s place unset, the gather path fills it."""
         stacks = []
         if self.index is not None:
             flat = self.y.ravel()
@@ -582,29 +609,38 @@ class _Iterate:
             n = diags.shape[-1]
             stack = np.empty((len(factors), n, n), dtype=complex)
             for j, gram in zip(factors, stack):
-                m = self.y.transpose(_front(self.y.ndim, j + 1)).reshape(n, -1)
-                np.matmul(m, m.conj().T, out=gram)
+                if j != skip:
+                    m = self.y.transpose(_front(self.y.ndim, j + 1)).reshape(n, -1)
+                    np.matmul(m, m.conj().T, out=gram)
             stacks.append(stack)
         return stacks
 
-    def measure(self) -> None:
-        """Set rhos, dists and lows from the raw iterate.  Each rho_j is a
-        Gram matrix, Hermitian by construction, so none is checked.
+    def measure(self, j: int | None = None, rho: np.ndarray | None = None
+                ) -> None:
+        """Set rhos, dists and lows from the raw iterate.  A step passes its
+        factor j and the marginal rho it computed, which both paths report in
+        place of j's Gram matrix.  Each rho_j is a Gram matrix, Hermitian by
+        construction, or the Hermitian part of a step's congruence, so none
+        is checked.
 
         Each dimension group takes one stacked eigvalsh.  LAPACK solves each
         matrix of a stack on its own, exactly as it solves that matrix alone,
         and each row's sum of absolute eigenvalues is the same reduction as
         np.sum over one spectrum, so the distances agree bit for bit with
-        trace_distance on tensors.marginal.
+        trace_distance on the same marginals.
         """
+        stacks = self.grams(j)
+        if j is not None:
+            g, t = self.slots[j]
+            stacks[g][t] = rho
         d = len(self.roots)
         rhos, dists, lows = [None] * d, [0.0] * d, [0.0] * d
-        for (factors, diags), stack in zip(self.groups, self.grams()):
+        for (factors, diags), stack in zip(self.groups, stacks):
             eigs = np.linalg.eigvalsh(stack - diags)
-            spread = np.abs(eigs).sum(axis=1)
-            for j, rho, dist, low in zip(factors, stack, spread.tolist(),
-                                         eigs[:, 0].tolist()):
-                rhos[j], dists[j], lows[j] = rho, dist, low
+            spread = np.add.reduce(np.abs(eigs), axis=1)
+            for k, rho_k, dist, low in zip(factors, stack, spread.tolist(),
+                                           eigs[:, 0].tolist()):
+                rhos[k], dists[k], lows[k] = rho_k, dist, low
         self.rhos, self.dists, self.lows = rhos, dists, lows
 
 
@@ -723,7 +759,7 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         # orbit closure and reports spuriously small distances
         try:
             y_check = apply_group(tuple(it.group), x0)
-        except ValueError as exc:  # the shapes fit: only non-finite entries
+        except NonFiniteEntriesError as exc:
             raise NumericBreakdownError(
                 f"accumulated group left the floating-point range after "
                 f"{len(trace)} steps") from exc
@@ -743,10 +779,10 @@ def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
         except SingularMarginalError:
             return NOT_IN_POLYTOPE, tuple(it.group), trace
         dists = tuple(it.dists)
-        norm_after = it.step(j, a)
-        # it.y was just divided by its norm: norm(R . X) is 1 up to rounding
+        nu = it.step(j, a)
+        # it.y came out of the step normalized: norm(R . X) is 1 up to rounding
         cap = capacity(it.group, it.cap_blocks, 1.0) if cfg.log_capacity else math.nan
-        trace.append(IterationRecord(j + 1, dists, norm_after, cap))
+        trace.append(IterationRecord(j + 1, dists, nu, cap))
 
 
 def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
@@ -781,12 +817,13 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         eps_active = cfg.epsilon / 2.0
     else:
         x0, p_active, eps_active = start, p, cfg.epsilon
-    norm_x0 = x0.norm()
+    with np.errstate(over="ignore"):  # an infinite norm is the loop's breakdown
+        norm_x0 = x0.norm()
+        norm_start = norm_x0 if x0 is start else start.norm()
     if norm_x0 == 0.0:
         return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
                              note="restricted tensor vanished")
     budget = budget_for((x0.n0,) + x0.dims, eps_active)
-    norm_start = norm_x0 if x0 is start else start.norm()
 
     def confirm(borel: GroupTuple) -> GroupTuple | None:
         group = _full_group(borel, pre, p, cfg.epsilon, norm_start)
@@ -822,8 +859,9 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
         g0 = identity_group(x.dims)
         log2_range = 0.0
     try:
-        start = apply_group(g0, x)
-    except ValueError as exc:  # the shapes fit: only non-finite entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = apply_group(g0, x)
+    except NonFiniteEntriesError as exc:
         raise NumericBreakdownError(
             "the randomized start left the floating-point range") from exc
     bits = x.entry_bitsize()
@@ -959,15 +997,22 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
     rng_range = _resolve_range(cfg, p.denominator_lcm, len(dims), dims,
                                degree=phi.degree)
 
-    def draw(seed: int) -> Tensor:
-        return phi.evaluate(_uniform_draws(seed, phi.param_dim, rng_range))
+    def draw(seed: int) -> tuple[Tensor, float]:
+        # a sample or norm past the float range is a breakdown, not a warning
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = phi.evaluate(_uniform_draws(seed, phi.param_dim, rng_range))
+                return x, x.norm()
+        except NonFiniteEntriesError as exc:
+            raise NumericBreakdownError(
+                "the sampled start left the floating-point range") from exc
 
     note = ""
-    x = draw(cfg.seed)
-    if x.norm() == 0.0:
-        x = draw(cfg.seed + 0x9E3779B9)
+    x, norm = draw(cfg.seed)
+    if norm == 0.0:
+        x, norm = draw(cfg.seed + 0x9E3779B9)
         note = "parametrization vanished on the first sample; redrew once"
-        if x.norm() == 0.0:
+        if norm == 0.0:
             return (ScalingReport(NOT_IN_POLYTOPE, identity_group(dims), 0, [],
                                   0, cfg.epsilon,
                                   note="parametrization vanished twice"), x)

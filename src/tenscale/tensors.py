@@ -30,6 +30,11 @@ class NumericBreakdownError(ArithmeticError):
     floating-point range."""
 
 
+class NonFiniteEntriesError(ValueError):
+    """A tensor was built from entries that are not all finite: a usage
+    error for given data, a numeric breakdown for computed data."""
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Dense complex tensor with a distinguished 0th factor.
@@ -47,7 +52,7 @@ class Tensor:
         if any(n < 1 for n in data.shape):
             raise ValueError(f"all dimensions must be >= 1, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
-            raise ValueError("tensor entries must be finite")
+            raise NonFiniteEntriesError("tensor entries must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

@@ -1,6 +1,7 @@
 """Wire formats and the command-line surface."""
 import json
 import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -595,6 +596,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("numeric failure:")
+
+    @pytest.mark.parametrize("case", ["unit4", "unit5", "qmp6", "mps5"])
+    def test_overflowing_theoretical_start_prints_one_line(self, tmp_path,
+                                                           capsys, case):
+        # the breakdown rule decides an overflowing start or sample, so
+        # NumPy's overflow warnings stay silent: stderr is the one message
+        if case.startswith("unit"):
+            n = int(case[-1])
+            data = np.zeros((1, n, n, n), dtype=complex)
+            data[0, range(n), range(n), range(n)] = 1
+            io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
+            argv = ["scale", "--tensor", str(tmp_path / "x.json")]
+        elif case == "qmp6":
+            argv = ["qmp", "--dims", "6,6,6", "--repeats", "1"]
+        else:
+            (tmp_path / "mps.json").write_text('{"n": 3, "bond": 2}')
+            argv = ["general-scale", "--mps", str(tmp_path / "mps.json"),
+                    "--sites", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + ["--target", "uniform", "--epsilon", "0.1",
+                                    "--rand-range", "theoretical",
+                                    "--max-iters", "50"])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numeric failure:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_membership_in(self, ghz_path, capsys):
         code, out = self.run("membership", "--tensor", ghz_path, "--target",

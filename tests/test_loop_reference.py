@@ -1,13 +1,17 @@
-"""The raw-array scaling loop against the Tensor-level loop it replaced.
+"""The raw-array scaling loop against a Tensor-level loop on the same rule.
 
-The reference below is the earlier loop, rebuilt from public functions: it
-re-wraps the iterate in a Tensor every step, measures each distance with
-trace_distance on a fresh marginal, and factors the chosen marginal with
-upper_cholesky or block_cholesky.  The engine does the same arithmetic on
-raw arrays, so it must match the reference bit for bit in verdict, step
-count, budget, group and every step's factor, distances and norm.  The
-capacity reads 1x1 block determinants off the diagonal instead of through
-np.linalg.det, so it is compared within 1e-12 relative.
+The reference below is the loop rebuilt from public functions: it re-wraps
+the iterate in a Tensor every step, measures each distance with
+trace_distance, and factors the chosen marginal with upper_cholesky or
+block_cholesky.  Its step follows the engine's one-pass rule: nu**2 is the
+trace of the congruence a rho a^dagger of the gated marginal, the iterate
+is stepped with apply_factor(a / nu, ...), the stepped factor's marginal is
+the Hermitian part of that congruence over nu**2 and every other one is a
+fresh marginal.  The engine does the same arithmetic on raw arrays, so it
+must match the reference bit for bit in verdict, step count, budget, group
+and every step's factor, distances and norm.  The capacity reads 1x1 block
+determinants off the diagonal instead of through np.linalg.det, so it is
+compared within 1e-12 relative.
 """
 import math
 import random
@@ -20,9 +24,13 @@ import tenscale as ts
 from conftest import random_integer_tensor, w_tensor
 
 
-def ref_distances(y, p):
-    return [ts.trace_distance(ts.marginal(y, i), np.diag(p.ascending(i)))
-            for i in range(1, y.num_factors + 1)]
+def ref_marginals(y):
+    return [ts.marginal(y, i) for i in range(1, y.num_factors + 1)]
+
+
+def ref_distances(rhos, p):
+    return [ts.trace_distance(rho, np.diag(p.ascending(i)))
+            for i, rho in enumerate(rhos, start=1)]
 
 
 def ref_capacity(borel, p, norm_y):
@@ -57,6 +65,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     borel = [np.eye(n, dtype=complex) for n in x0.dims]
     borel[0] /= scale
     y = ts.Tensor(x0.data / scale)
+    rhos = ref_marginals(y)
     blocks = [p.block_sizes(i) if cfg.mode == ts.PARABOLIC else None
               for i in range(1, d + 1)]
     targets = [p.ascending(i) for i in range(1, d + 1)]
@@ -64,37 +73,44 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     trace = []
 
     def verified_halt():
-        nonlocal y
+        nonlocal y, rhos
         y_check = ts.apply_group(tuple(borel), x0)
         nrm = y_check.norm()
         if nrm == 0.0:
             return False
         y = ts.Tensor(y_check.data / nrm)
         borel[0] = borel[0] / nrm
-        if max(ref_distances(y, p)) > epsilon:
+        rhos = ref_marginals(y)
+        if max(ref_distances(rhos, p)) > epsilon:
             return False
         return confirm(tuple(borel))
 
     for _ in range(limit):
-        dists = ref_distances(y, p)
+        dists = ref_distances(rhos, p)
         if max(dists) <= epsilon:
             if verified_halt():
                 return ts.SCALED, tuple(borel), trace
-            dists = ref_distances(y, p)
+            dists = ref_distances(rhos, p)
         i = int(np.argmax(dists)) + 1
         try:
-            a = ref_step_matrix(ts.marginal(y, i), targets[i - 1], blocks[i - 1])
+            a = ref_step_matrix(rhos[i - 1], targets[i - 1], blocks[i - 1])
         except ts.SingularMarginalError:
             return ts.NOT_IN_POLYTOPE, tuple(borel), trace
-        y = ts.apply_factor(a, i, y)
+        stepped = a.dot(rhos[i - 1]).dot(a.conj().T)
+        nu2 = math.fsum(np.diag(stepped).real)
+        nu = math.sqrt(nu2)
+        y = ts.apply_factor(a / nu, i, y)
         borel[i - 1] = a @ borel[i - 1]
-        norm_after = y.norm()
-        y = ts.Tensor(y.data / norm_after)
-        borel[0] = borel[0] / norm_after
-        cap = ref_capacity(borel, p, y.norm()) if cfg.log_capacity else math.nan
-        trace.append(ts.IterationRecord(i, tuple(dists), norm_after, cap))
+        borel[0] = borel[0] / nu
+        rhos = ref_marginals(y)
+        stepped += stepped.conj().T
+        stepped *= 0.5 / nu2
+        rhos[i - 1] = stepped
+        # the step leaves y normalized up to rounding: the capacity reads 1
+        cap = ref_capacity(borel, p, 1.0) if cfg.log_capacity else math.nan
+        trace.append(ts.IterationRecord(i, tuple(dists), nu, cap))
 
-    if max(ref_distances(y, p)) <= epsilon and verified_halt():
+    if max(ref_distances(rhos, p)) <= epsilon and verified_halt():
         return ts.SCALED, tuple(borel), trace
     return ts.BUDGET_EXHAUSTED, tuple(borel), trace
 
@@ -127,7 +143,8 @@ def ref_run_scaling(x, p, cfg):
     def confirm(borel):
         total = ref_verified_group(borel, g0, p, cfg.epsilon, restricted,
                                    x0_full.norm())
-        return max(ref_distances(ts.apply_group(total, x), p)) <= cfg.epsilon
+        return max(ref_distances(ref_marginals(ts.apply_group(total, x)), p)) \
+            <= cfg.epsilon
 
     verdict, borel, trace = ref_core_loop(x0, p_active, cfg, eps_active, budget,
                                           confirm)
@@ -136,7 +153,7 @@ def ref_run_scaling(x, p, cfg):
     report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
                               cfg.epsilon)
     if verdict == ts.SCALED:
-        final = max(ref_distances(ts.apply_group(group, x), p))
+        final = max(ref_distances(ref_marginals(ts.apply_group(group, x)), p))
         if final > cfg.epsilon:
             report.verdict = ts.BUDGET_EXHAUSTED
             report.note = f"post-hoc verification failed at {final:.3e}"
@@ -171,9 +188,9 @@ MIXED = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
                            (F(3, 5), F(2, 5)),
                            (F(2, 5), F(2, 5), F(1, 5))))
 TWO_THIRDS = ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3)
-# an unrandomized start that ends NOT_IN_POLYTOPE at step 423 through the
+# an unrandomized start that ends NOT_IN_POLYTOPE at step 218 through the
 # singularity gate of a mid-loop step
-GATE_START = ts.Tensor(np.array([[[[3, 4], [1, 4]], [[3, 2], [2, 2]]]],
+GATE_START = ts.Tensor(np.array([[[[4, 4], [2, 3]], [[4, 2], [4, 2]]]],
                                 dtype=complex))
 
 
@@ -203,6 +220,8 @@ def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
                            randomize=randomize, max_iters=cap)
     rep = assert_same_run(x, p, cfg)
     assert rep.iterations > 0
+    if x is GATE_START:  # the case that covers the gate of a mid-loop step
+        assert (rep.verdict, rep.iterations) == (ts.NOT_IN_POLYTOPE, 218)
 
 
 @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
@@ -257,7 +276,8 @@ def ref_run_general_scaling(phi, p, cfg):
     def confirm(borel):
         total = ref_verified_group(borel, pre, p, cfg.epsilon, restricted,
                                    x.norm())
-        return max(ref_distances(ts.apply_group(total, x), p)) <= cfg.epsilon
+        return max(ref_distances(ref_marginals(ts.apply_group(total, x)), p)) \
+            <= cfg.epsilon
 
     verdict, borel, trace = ref_core_loop(x0, p_active, cfg, eps_active, budget,
                                           confirm)
@@ -266,7 +286,7 @@ def ref_run_general_scaling(phi, p, cfg):
     report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
                               cfg.epsilon)
     if verdict == ts.SCALED:
-        final = max(ref_distances(ts.apply_group(group, x), p))
+        final = max(ref_distances(ref_marginals(ts.apply_group(group, x)), p))
         if final > cfg.epsilon:
             report.verdict = ts.BUDGET_EXHAUSTED
             report.note = f"post-hoc verification failed at {final:.3e}"

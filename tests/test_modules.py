@@ -1,7 +1,8 @@
 """Module boundaries: no package module reaches into another's private
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
-entry points, and singularity is decided by one check."""
+entry points, singularity is decided by one check, and each halt check makes
+the one resync call the benchmark's tracer counts."""
 import ast
 from pathlib import Path
 
@@ -382,3 +383,86 @@ def test_counts_and_partitions_are_read_only_by_the_partitions_rule():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "partitions.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# bench/tracer.py counts a halt check as each call of scaling.apply_group, by
+# the module name, made from the frame of _core_loop's nested verified_halt,
+# and a rejected halt as a check that shipped no SCALED report
+BRANCHES = (ast.If, ast.For, ast.While, ast.Try, ast.With, ast.IfExp,
+            ast.BoolOp, ast.Lambda, ast.FunctionDef, ast.ListComp,
+            ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def halt_apply_calls(source: str) -> list[str]:
+    """Each apply_group call in _core_loop's nested verified_halt, in order:
+    "once" for a call by plain name that every check makes exactly once (in
+    a simple statement of the body, or of a try's body there, after no
+    statement that can return, and outside any branch, loop, short circuit
+    or nested function), "conditional" for another plain call, "attribute"
+    for a call through an attribute, which the tracer does not see; [] when
+    there is no verified_halt."""
+    loop = next((n for n in ast.parse(source).body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_core_loop"),
+                None)
+    halt = next((n for n in ast.walk(loop) if isinstance(n, ast.FunctionDef)
+                 and n.name == "verified_halt"), None) if loop else None
+    if halt is None:
+        return []
+    found = []
+
+    def visit(node, conditional):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "apply_group":
+                found.append("attribute")
+            elif isinstance(func, ast.Name) and func.id == "apply_group":
+                found.append("conditional" if conditional else "once")
+        for child in ast.iter_child_nodes(node):
+            visit(child, conditional or isinstance(node, BRANCHES))
+
+    returned = False
+    for stmt in halt.body:
+        for inner in stmt.body if isinstance(stmt, ast.Try) else [stmt]:
+            visit(inner, returned)
+            returned = returned or any(isinstance(n, ast.Return)
+                                       for n in ast.walk(inner))
+    return found
+
+
+def test_guard_sees_uncounted_halt_checks():
+    def halt(*lines):
+        return ("def _core_loop(x0, it):\n"
+                "    def verified_halt():\n"
+                + "".join(f"        {line}\n" for line in lines)
+                + "    return verified_halt\n")
+
+    assert halt_apply_calls(halt(
+        "try:",
+        "    y = apply_group(it.group, x0)",
+        "except ValueError:",
+        "    raise",
+        "it.renormalize(y.data, y.norm())",
+        "return None")) == ["once"]
+    assert halt_apply_calls(halt("return apply_group(it.group, x0)")) == ["once"]
+    assert halt_apply_calls(halt(
+        "if it.dirty:",
+        "    y = apply_group(it.group, x0)",
+        "y = tensors.apply_group(it.group, x0)",
+        "z = [apply_group(g, x0) for g in it.groups]",
+        "w = it.ok and apply_group(it.group, x0)")) \
+        == ["conditional", "attribute", "conditional", "conditional"]
+    assert halt_apply_calls(halt(
+        "if it.clean:",
+        "    return None",
+        "y = apply_group(it.group, x0)")) == ["conditional"]
+    assert halt_apply_calls(halt(
+        "y = apply_group(it.group, x0)",
+        "z = apply_group(it.group, y)")) == ["once", "once"]
+    assert halt_apply_calls("def _core_loop(x0, it):\n"
+                            "    return apply_group(it.group, x0)\n") == []
+
+
+def test_each_halt_check_is_one_counted_resync():
+    # exactly one counted call per check: a second one would double the
+    # benchmark's rejected-halt count, a skipped one would undercount it
+    assert halt_apply_calls((PACKAGE / "scaling.py").read_text()) == ["once"]

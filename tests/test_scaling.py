@@ -507,6 +507,95 @@ class TestGatheredMarginals:
                 assert dists[i - 1] == ts.trace_distance(rho, np.diag(p.ascending(i)))
 
 
+def paired_target(dims):
+    """Per factor, entries proportional to (2, ..., 2, 1, ..., 1): repeated
+    entries, so a parabolic step has blocks larger than 1x1."""
+    parts = []
+    for n in dims:
+        weights = [2] * (n - n // 2) + [1] * (n // 2)
+        parts.append(tuple(F(w, sum(weights)) for w in weights))
+    return ts.TargetSpectrum(tuple(parts))
+
+
+class TestOnePassStep:
+    """A step contracts once with a / nu, nu**2 = tr(a rho a^dagger), and
+    takes the stepped factor's marginal from that congruence."""
+
+    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+    @pytest.mark.parametrize("shape", flattening_shapes())
+    def test_congruence_marginal_matches_the_measured_one(self, rng, shape,
+                                                          mode):
+        # a Gaussian start is well conditioned: step each factor once and
+        # compare every marginal with a fresh tensors.marginal
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        it = ts.scaling._Iterate(ts.Tensor(x), paired_target(shape[1:]), mode)
+        assert (it.index is None) == \
+            ((len(shape) - 1) * math.prod(shape) > ts.scaling.GATHER_MAX_ENTRIES)
+        for j in range(len(shape) - 1):
+            it.step(j, ts.scaling._step_matrix(it.rhos[j], it.roots[j],
+                                               it.blocks[j]))
+            y = ts.Tensor(it.y)
+            assert abs(y.norm() - 1.0) <= 1e-12
+            for i in range(1, len(shape)):
+                measured = ts.marginal(y, i)
+                if i == j + 1:
+                    err = np.linalg.norm(it.rhos[j] - measured)
+                    assert err <= 1e-12 * np.linalg.norm(measured)
+                    assert np.array_equal(it.rhos[j], it.rhos[j].conj().T)
+                else:  # measured, bit for bit as tensors.marginal
+                    assert np.array_equal(it.rhos[i - 1], measured)
+
+    @pytest.mark.parametrize("shape", [(2, 12, 12, 12), (1, 8, 8, 8, 8),
+                                       (1, 2, 3, 2, 3)])
+    def test_step_forms_no_norm_and_one_gram_per_other_factor(
+            self, rng, monkeypatch, shape):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        it = ts.scaling._Iterate(ts.Tensor(x), paired_target(shape[1:]))
+        grams = []
+
+        def counted_matmul(*args, **kwargs):
+            grams.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("a step took a norm")
+
+        matmul = np.matmul
+        a = ts.scaling._step_matrix(it.rhos[1], it.roots[1], it.blocks[1])
+        monkeypatch.setattr(np, "matmul", counted_matmul)
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        nu = it.step(1, a)
+        monkeypatch.undo()
+        assert nu == pytest.approx(1.0, abs=1e-12)
+        d = len(shape) - 1
+        if it.index is None:  # one Gram matrix per factor but the stepped one
+            assert len(grams) == d - 1
+            assert all(g[0] == shape[i + 1] for g, i in
+                       zip(grams, [i for i in range(d) if i != 1]))
+        else:  # one gathered stack per dimension group
+            assert len(grams) == len(it.groups)
+
+    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+    def test_iterate_norm_stays_one_over_a_long_far_run(self, monkeypatch,
+                                                        mode):
+        # W -> uniform is not scalable: 3,000 steps of ill-conditioned step
+        # matrices, and no norm is taken between halts
+        drift, step = [], ts.scaling._Iterate.step
+
+        def tracked(it, j, a):
+            nu = step(it, j, a)
+            drift.append(abs(float(np.linalg.norm(it.y)) - 1.0))
+            return nu
+
+        monkeypatch.setattr(ts.scaling._Iterate, "step", tracked)
+        rep = ts.run_scaling(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=1e-3, seed=1, mode=mode,
+                                              max_iters=3000))
+        assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 3000)
+        assert len(drift) == 3000 and max(drift) <= 1e-8
+        assert all(rec.norm == pytest.approx(1.0, abs=1e-6) for rec in rep.trace)
+
+
 def ref_capacity(group, blocks, norm_y):
     """capacity as it was: one np.linalg.det per block larger than 1x1."""
     value = norm_y
@@ -892,7 +981,7 @@ class TestRunScaling:
         assert rep.verdict == ts.SCALED
         assert alive and not any(alive)
 
-    @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 7), (ts.PARABOLIC, 5)])
+    @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 6), (ts.PARABOLIC, 6)])
     def test_benchmark_counts_every_rejected_halt(self, mode, halts):
         # W -> uniform is not scalable: every halt the loop attempts in 120
         # steps is a resync that the benchmark's counter must see and reject
@@ -1020,10 +1109,10 @@ class TestSingularTargets:
             pads.append(1)
             return pad(*args)
 
-        def counted_measure(it):
+        def counted_measure(it, *args):
             if it.y.shape == x.shape:  # the loop measures the restricted format
                 full_measures.append(1)
-            return measure(it)
+            return measure(it, *args)
 
         monkeypatch.setattr(ts.scaling, "pad_scaling", counted_pad)
         monkeypatch.setattr(ts.scaling._Iterate, "measure", counted_measure)
@@ -1119,6 +1208,17 @@ class TestGeneralScaling:
             via_orbit, _ = ts.run_general_scaling(
                 ts.orbit_parametrization(product_tensor()), p, cfg)
             assert direct.verdict == via_orbit.verdict == ts.NOT_IN_POLYTOPE
+
+    def test_overflowing_parametrized_sample_is_a_breakdown(self):
+        # the theoretical range is about 1e75 and the MPS entries are degree
+        # 5 in it: the sample overflows, a numeric failure, not a ValueError
+        phi = ts.mps_parametrization(3, 2, 5)
+        cfg = ts.ScalingConfig(epsilon=0.1, rand_range=ts.THEORETICAL)
+        with pytest.raises(ts.NumericBreakdownError, match="sampled start") \
+                as info:
+            ts.run_general_scaling(phi, ts.TargetSpectrum.uniform((3,) * 5), cfg)
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, ts.NonFiniteEntriesError)
 
     def test_mps_run_produces_report(self):
         phi = ts.mps_parametrization(2, 2, 3)

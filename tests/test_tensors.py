@@ -29,6 +29,16 @@ class TestTensor:
         with pytest.raises(ValueError):
             ts.Tensor(np.array([[np.inf, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_non_finite_entries_have_their_own_error(self, entry):
+        # a ValueError for given data; the engine maps it to a numeric
+        # breakdown where it computed the data
+        with pytest.raises(ts.NonFiniteEntriesError, match="finite"):
+            ts.Tensor(np.array([[entry, 0], [0, 0]]))
+        with pytest.raises(ValueError) as info:
+            ts.Tensor(np.zeros((1, 0, 2)))
+        assert not isinstance(info.value, ts.NonFiniteEntriesError)
+
     def test_immutable(self):
         x = ghz_tensor()
         with pytest.raises(ValueError):
