@@ -12,17 +12,13 @@ from .hwv import (
     EvalBudgetError,
     HWVSpec,
     canonical_slot_permutations,
-    capacity_value,
     character,
     check_hwv_transformation,
-    det_bottom,
     enumerate_specs,
     eval_cost,
     evaluate_hwv,
     evaluation_bound,
     find_nonvanishing_spec,
-    kl_divergence,
-    pinsker_gap,
     verify_progress,
 )
 from .oracle import (
@@ -65,7 +61,6 @@ from .scaling import (
     TargetSpectrum,
     block_cholesky,
     capacity,
-    check_homogeneity,
     fixed_tensor_parametrization,
     general_iteration_budget,
     identity_parametrization,
@@ -74,7 +69,6 @@ from .scaling import (
     mps_tensor,
     orbit_parametrization,
     pad_scaling,
-    psd_sqrt,
     random_group,
     randomization_bounds,
     restrict_positive,

@@ -6,7 +6,10 @@ into factor 0, and one permutation of the k tensor slots per factor.  Its
 value on a tensor is a sum over all index maps of a product of entry factors
 and small antisymmetrized determinants, evaluated by the naive expansion.
 These polynomials are triangular eigenvectors of the group action, which is
-what makes them usable as progress potentials for the scaling loop.
+what makes them usable as progress potentials for the scaling loop: the
+module checks that law (check_hwv_transformation) and each step's growth of
+the potential (verify_progress), and searches for a description that does
+not vanish on a tensor.  The capacity objective is scaling.capacity's.
 
 Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
 meant for desk-scale certification, not production-sized tensors.  One
@@ -32,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import as_int, as_partition, conjugate_partition, partitions_of
-from .scaling import TargetSpectrum, capacity
-from .tensors import Tensor, apply_group, trace_distance
+from .scaling import TargetSpectrum
+from .tensors import Tensor, apply_group
 
 DEFAULT_EVAL_BUDGET = 200_000_000
 
@@ -87,22 +90,6 @@ class HWVSpec:
     @property
     def num_factors(self) -> int:
         return len(self.weight)
-
-
-def det_bottom(vectors: Sequence[np.ndarray]) -> complex:
-    """Determinant of the bottom block of the column-stacked vectors:
-    entry (i, j) is component n-j of vector i (1-based)."""
-    vecs = [np.asarray(v, dtype=complex) for v in vectors]
-    ell = len(vecs)
-    if ell == 0:
-        return 1.0 + 0.0j
-    n = vecs[0].shape[0]
-    if any(v.shape != (n,) for v in vecs):
-        raise ValueError("all vectors must share one dimension")
-    if ell > n:
-        raise ValueError(f"cannot take a {ell}x{ell} bottom block of C^{n}")
-    mat = np.array([[v[n - 1 - j] for j in range(ell)] for v in vecs])
-    return complex(np.linalg.det(mat))
 
 
 @functools.lru_cache(maxsize=128)
@@ -231,61 +218,8 @@ def check_hwv_transformation(spec: HWVSpec, x: Tensor,
 
 
 # --------------------------------------------------------------------------
-# Capacity, divergence, progress
+# Progress of the potential
 # --------------------------------------------------------------------------
-
-
-def capacity_value(x: Tensor, p: TargetSpectrum,
-                   group: Sequence[np.ndarray]) -> float:
-    """Capacity objective norm(R . x) * |chi(R)| at a triangular tuple R.
-
-    The character modulus uses block determinants on the target's
-    multiplicity pattern, which agrees with the plain diagonal product
-    whenever R is fully triangular.
-    """
-    y = apply_group(group, x)
-    return capacity(group, p.capacity_blocks(), y.norm())
-
-
-def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
-    """Relative entropy sum p_j log2(p_j / q_j) of a probability vector
-    against a subnormalized nonnegative vector; +inf on support violation."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("vectors must have equal length")
-    if np.any(q < 0):
-        raise ValueError("second argument must be entrywise nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValueError("first argument must be a probability vector")
-    total = 0.0
-    for pj, qj in zip(p, q):
-        if pj == 0.0:
-            continue
-        if qj == 0.0:
-            return math.inf
-        total += pj * math.log2(pj / qj)
-    return total
-
-
-def pinsker_gap(p: Sequence[float], r: np.ndarray) -> tuple[float, float]:
-    """Both sides of the divergence bound for a unit-trace factorization.
-
-    For rho = R R^dagger of unit trace, the squared moduli of R's diagonal
-    form a subnormalized vector q, and the divergence of p against q
-    dominates the squared trace distance between diag(p) and rho over
-    16 ln 2.  Returns (divergence, dominated quantity).
-    """
-    r = np.asarray(r, dtype=complex)
-    rho = r @ r.conj().T
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"factorization must have unit trace, got {tr}")
-    q = np.abs(np.diag(r)) ** 2
-    lhs = kl_divergence(p, q)
-    rhs = trace_distance(np.diag(np.asarray(p, dtype=float)), rho) ** 2 \
-        / (16.0 * math.log(2))
-    return lhs, rhs
 
 
 def verify_progress(spec: HWVSpec, y: Tensor, y_next: Tensor,

@@ -253,6 +253,13 @@ def randomization_bounds(ell: int, d: int, dims: Sequence[int]) -> tuple[int, in
     return k, 2 * d * k
 
 
+def _to_float(v: int) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _uniform_draws(seed: int, count: int, rand_range: int) -> np.ndarray:
     """The floats [rng.randint(1, rand_range) for _ in range(count)] of
     rng = random.Random(seed), drawn in bulk.
@@ -260,11 +267,13 @@ def _uniform_draws(seed: int, count: int, rand_range: int) -> np.ndarray:
     Below 2**32, randint tries the top rand_range.bit_length() bits of one
     32-bit Mersenne Twister output and rejects values >= rand_range; one
     getrandbits(32 * m) returns the next m outputs, the first in the lowest
-    word.  Larger ranges take several outputs per try and draw one by one.
+    word.  Larger ranges take several outputs per try and draw one by one;
+    a draw past the float range is inf, which the caller's start or sample
+    then reports as a numeric breakdown.
     """
     rng = random.Random(seed)
     if rand_range >= 1 << 32:
-        return np.array([float(rng.randint(1, rand_range)) for _ in range(count)])
+        return np.array([_to_float(rng.randint(1, rand_range)) for _ in range(count)])
     bits = rand_range.bit_length()
     kept = [np.empty(0, dtype=np.uint32)]
     need = count
@@ -325,19 +334,14 @@ def _gate(rho: np.ndarray, bound: float) -> None:
     inv(rho) as inverse, so by interlacing it and its diagonal blocks keep
     least eigenvalue at least lambda_min(rho).
     """
-    if bound <= _GATE_MARGIN * max(float(rho.trace().real), 1.0):
+    trace = math.fsum(rho.diagonal().real.tolist())  # as _Iterate.step reads it
+    if bound <= _GATE_MARGIN * max(trace, 1.0):
         _assert_nonsingular(rho)
 
 
 def upper_cholesky(rho: np.ndarray) -> np.ndarray:
     """Upper-triangular R with positive diagonal and R @ R^dagger = rho."""
     return block_cholesky(rho, (1,) * len(rho))
-
-
-def psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; rho may be singular."""
-    rho = check_hermitian(rho)
-    return _block_cholesky(rho, (rho.shape[0],))
 
 
 def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
@@ -817,9 +821,8 @@ def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         eps_active = cfg.epsilon / 2.0
     else:
         x0, p_active, eps_active = start, p, cfg.epsilon
-    with np.errstate(over="ignore"):  # an infinite norm is the loop's breakdown
-        norm_x0 = x0.norm()
-        norm_start = norm_x0 if x0 is start else start.norm()
+    norm_x0 = x0.norm()
+    norm_start = norm_x0 if x0 is start else start.norm()
     if norm_x0 == 0.0:
         return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
                              note="restricted tensor vanished")
@@ -971,18 +974,6 @@ def mps_parametrization(n: int, bond_dim: int, d: int) -> Parametrization:
         degree=d,
         evaluate=evaluate,
     )
-
-
-def check_homogeneity(phi: Parametrization, seed: int = 0) -> bool:
-    """Spot-check evaluate(t*z) == t**degree * evaluate(z) on random data,
-    to a relative 1e-8."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(phi.param_dim) + 1j * rng.standard_normal(phi.param_dim)
-    t = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    lhs = phi.evaluate(t * z).data
-    rhs = t**phi.degree * phi.evaluate(z).data
-    scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    return bool(np.linalg.norm(lhs - rhs) <= 1e-8 * scale)
 
 
 def run_general_scaling(phi: Parametrization, p: TargetSpectrum,

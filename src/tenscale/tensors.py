@@ -11,12 +11,14 @@ labels 1..d used in the rest of the package.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 GroupTuple = tuple  # tuple of d square complex matrices acting on factors 1..d
 
@@ -74,9 +76,21 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @np.errstate(over="ignore")  # an overflowing sum of squares is redone
     def norm(self) -> float:
-        """l2 norm of the entry sequence."""
-        return float(np.linalg.norm(self.data))
+        """l2 norm of the entry sequence, to rounding whenever it is a finite
+        float: a sum of squares that overflows, or that falls below tiny and
+        loses bits to underflow, is redone as m * ||x / m|| over the real and
+        imaginary parts, m the largest of their moduli.  A norm past the
+        largest float is inf."""
+        norm = float(np.linalg.norm(self.data))
+        if _SQRT_TINY <= norm < math.inf:
+            return norm
+        parts = self.data.ravel(order="K").view(float)
+        top = float(np.max(np.abs(parts)))
+        if top == 0.0:
+            return 0.0
+        return top * float(np.linalg.norm(parts / top))
 
     def is_gaussian_integer(self) -> bool:
         """True when every entry has integer real and imaginary parts."""

@@ -7,6 +7,7 @@ paths they certify.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,31 @@ def hwv_bruteforce(spec, x: Tensor) -> complex:
                 break
         total += amp
     return total
+
+
+def kl_divergence(p, q) -> float:
+    """Relative entropy sum p_j log2(p_j / q_j) of a probability vector
+    against a nonnegative vector; +inf on a support violation."""
+    total = 0.0
+    for pj, qj in zip(p, q):
+        if pj == 0.0:
+            continue
+        if qj == 0.0:
+            return math.inf
+        total += pj * math.log2(pj / qj)
+    return total
+
+
+def pinsker_gap(p, r) -> tuple[float, float]:
+    """Both sides of the divergence bound for a unit-trace factorization
+    rho = R R^dagger: the divergence of p against the squared moduli of R's
+    diagonal, and the squared trace distance between diag(p) and rho over
+    16 ln 2, which the divergence dominates."""
+    rho = r @ r.conj().T
+    assert abs(np.trace(rho).real - 1.0) <= 1e-8
+    gap = np.linalg.eigvalsh(np.diag(np.asarray(p, dtype=float)) - rho)
+    return (kl_divergence(p, np.abs(np.diag(r)) ** 2),
+            float(np.sum(np.abs(gap))) ** 2 / (16.0 * math.log(2)))
 
 
 def ghz_tensor() -> Tensor:

@@ -14,6 +14,7 @@ import pytest
 import tenscale as ts
 from conftest import (
     ghz_tensor,
+    pinsker_gap,
     pure_state_spectra_gap,
     random_integer_tensor,
     random_upper_triangular,
@@ -184,7 +185,7 @@ def test_criterion_05_divergence_dominates_distance():
             r /= math.sqrt(np.trace(r @ r.conj().T).real)
             weights = rng.random(n) + 1e-3
             p = weights / weights.sum()
-            lhs, rhs = ts.pinsker_gap(p, r)
+            lhs, rhs = pinsker_gap(p, r)
             assert lhs >= rhs - 1e-12
             checked += 1
     assert checked == 4000

@@ -12,6 +12,8 @@ from tenscale import hwv
 from conftest import (
     ghz_tensor,
     hwv_bruteforce,
+    kl_divergence,
+    pinsker_gap,
     random_integer_tensor,
     random_upper_triangular,
     w_tensor,
@@ -52,26 +54,6 @@ def det_spec_2x2(perm1=(0, 1), perm2=(0, 1)):
     """Degree-2 functional on (1; 2, 2) whose value is +/- 2 det."""
     return ts.HWVSpec(weight=((1, 1), (1, 1)), index_seq=(0, 0),
                       perms=(perm1, perm2))
-
-
-class TestDetBottom:
-    def test_last_basis_vectors(self):
-        vecs = [np.eye(4)[2], np.eye(4)[3]]
-        assert abs(ts.det_bottom(vecs)) == pytest.approx(1)
-
-    def test_repeated_vector_vanishes(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert ts.det_bottom([v, v]) == 0
-
-    def test_hand_expansion(self):
-        v1 = np.array([1.0, 2.0])   # (a, b)
-        v2 = np.array([3.0, 4.0])   # (c, d)
-        # det [[b, a], [d, c]] = b c - a d
-        assert ts.det_bottom([v1, v2]) == pytest.approx(2 * 3 - 1 * 4)
-
-    def test_too_many_vectors(self):
-        with pytest.raises(ValueError):
-            ts.det_bottom([np.ones(2)] * 3)
 
 
 class TestEvaluateHwv:
@@ -230,11 +212,16 @@ class TestTransformationLaw:
             assert ts.check_hwv_transformation(det_spec_2x2(), x, g)
 
 
+def capacity_value(x, p, group):
+    """Capacity objective norm(R . x) * |chi(R)| at a triangular tuple R."""
+    return ts.capacity(group, p.capacity_blocks(), ts.apply_group(group, x).norm())
+
+
 class TestCapacityValue:
     def test_identity_unit_tensor(self):
         x = ts.Tensor(ghz_tensor().data / np.sqrt(2))
         p = ts.TargetSpectrum.uniform((2, 2, 2))
-        assert ts.capacity_value(x, p, ts.identity_group((2, 2, 2))) \
+        assert capacity_value(x, p, ts.identity_group((2, 2, 2))) \
             == pytest.approx(1.0)
 
     def test_scale_invariance_per_factor(self, rng):
@@ -242,10 +229,10 @@ class TestCapacityValue:
         x = random_integer_tensor((1, 2, 2), rng)
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))))
         g = tuple(random_upper_triangular(2, rng) for _ in range(2))
-        base = ts.capacity_value(x, p, g)
+        base = capacity_value(x, p, g)
         for t in (0.5, 2.0, 7.5):
             scaled = (t * g[0], g[1])
-            assert ts.capacity_value(x, p, scaled) == pytest.approx(base)
+            assert capacity_value(x, p, scaled) == pytest.approx(base)
 
 
 class TestCapacityLogging:
@@ -261,34 +248,34 @@ class TestCapacityLogging:
         post = ts.compose_group(rep.group,
                                 tuple(np.linalg.inv(m) for m in g0))
         x0 = ts.apply_group(g0, x)
-        value = ts.capacity_value(x0, p, post)
+        value = capacity_value(x0, p, post)
         assert value == pytest.approx(rep.trace[-1].capacity, rel=1e-6)
 
 
 class TestDivergences:
     def test_kl_zero_on_equal(self):
-        assert ts.kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0
+        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0
 
     def test_kl_point_mass(self):
-        assert ts.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
+        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(1.0)
 
     def test_kl_subnormalized(self):
-        assert ts.kl_divergence([0.5, 0.5], [0.5, 0.25]) == pytest.approx(0.5)
+        assert kl_divergence([0.5, 0.5], [0.5, 0.25]) == pytest.approx(0.5)
 
     def test_kl_support_violation(self):
-        assert ts.kl_divergence([1.0, 0.0], [0.0, 1.0]) == math.inf
+        assert kl_divergence([1.0, 0.0], [0.0, 1.0]) == math.inf
 
     def test_pinsker_tight_at_diagonal(self):
         p = [0.25, 0.75]
         r = np.diag(np.sqrt(p)).astype(complex)
-        lhs, rhs = ts.pinsker_gap(p, r)
+        lhs, rhs = pinsker_gap(p, r)
         assert lhs == pytest.approx(0, abs=1e-12)
         assert rhs == pytest.approx(0, abs=1e-12)
 
     def test_pinsker_worked_example(self):
         rho = np.array([[2.0, 1], [1, 1]]) / 3
         r = ts.upper_cholesky(rho)
-        lhs, rhs = ts.pinsker_gap([0.5, 0.5], r)
+        lhs, rhs = pinsker_gap([0.5, 0.5], r)
         assert lhs >= rhs > 0
 
 

@@ -579,14 +579,14 @@ class TestCli:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_overflowing_theoretical_start_exits_three(self, tmp_path, capsys,
                                                         n):
-        # n = 4, 5: the unit tensor's randomized start overflows; n = 6: the
-        # qmp sample does.  Each is a numeric failure, never a verdict or a
-        # usage error
+        # n = 4, 5: the randomized start of the diagonal tensor with entries
+        # 2**300 overflows; n = 6: the (6,6,6,6) qmp sample does.  Each is a
+        # numeric failure, never a verdict or a usage error
         if n == 6:
-            argv = ["qmp", "--dims", "6,6,6", "--repeats", "1"]
+            argv = ["qmp", "--dims", "6,6,6,6", "--repeats", "1"]
         else:
             data = np.zeros((1, n, n, n), dtype=complex)
-            data[0, range(n), range(n), range(n)] = 1
+            data[0, range(n), range(n), range(n)] = 2.0 ** 300
             io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
             argv = ["scale", "--tensor", str(tmp_path / "x.json")]
         with np.errstate(all="ignore"):
@@ -605,11 +605,11 @@ class TestCli:
         if case.startswith("unit"):
             n = int(case[-1])
             data = np.zeros((1, n, n, n), dtype=complex)
-            data[0, range(n), range(n), range(n)] = 1
+            data[0, range(n), range(n), range(n)] = 2.0 ** 300
             io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
             argv = ["scale", "--tensor", str(tmp_path / "x.json")]
         elif case == "qmp6":
-            argv = ["qmp", "--dims", "6,6,6", "--repeats", "1"]
+            argv = ["qmp", "--dims", "6,6,6,6", "--repeats", "1"]
         else:
             (tmp_path / "mps.json").write_text('{"n": 3, "bond": 2}')
             argv = ["general-scale", "--mps", str(tmp_path / "mps.json"),
@@ -624,6 +624,24 @@ class TestCli:
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("numeric failure:")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_input_past_the_root_of_the_float_range_scales(self, tmp_path,
+                                                           capsys):
+        # entries 10**200: the sum of squares overflows, the norm does not,
+        # so the run scales with no NumPy warning and an empty stderr
+        big = str(10 ** 200)
+        (tmp_path / "x.json").write_text(
+            '{"dims": [1, 2, 2], "entries": ['
+            f'{{"idx": [0, 0, 0], "re": {big}, "im": 0}}, '
+            f'{{"idx": [0, 1, 1], "re": {big}, "im": 0}}]}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["scale", "--tensor", str(tmp_path / "x.json"),
+                             "--target", "uniform", "--epsilon", "0.01"])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["verdict"] == "SCALED"
 
     def test_membership_in(self, ghz_path, capsys):
         code, out = self.run("membership", "--tensor", ghz_path, "--target",

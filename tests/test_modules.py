@@ -1,8 +1,9 @@
 """Module boundaries: no package module reaches into another's private
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
-entry points, singularity is decided by one check, and each halt check makes
-the one resync call the benchmark's tracer counts."""
+entry points, singularity is decided by one check, each halt check makes
+the one resync call the benchmark's tracer counts, and no public function
+stays in the package that only the tests call."""
 import ast
 from pathlib import Path
 
@@ -466,3 +467,72 @@ def test_each_halt_check_is_one_counted_resync():
     # exactly one counted call per check: a second one would double the
     # benchmark's rejected-halt count, a skipped one would undercount it
     assert halt_apply_calls((PACKAGE / "scaling.py").read_text()) == ["once"]
+
+
+# public functions of the package that neither the engine, the CLI nor the
+# benchmark calls: each stays on purpose, or it belongs in the tests
+BENCH = PACKAGE.parent.parent / "bench"
+KEPT_API = {
+    # the tensor primitives tests/test_loop_reference.py builds its
+    # reference loop from
+    "marginal", "spectrum", "trace_distance", "apply_factor", "upper_cholesky",
+    # the write side of the file formats the CLI reads
+    "save_tensor", "save_spectrum", "hwv_spec_to_obj",
+    # the reduction's map of Borel steps, and the partition predicate that
+    # README documents
+    "borel_homomorphism", "is_partition",
+}
+
+
+def public_functions(source: str) -> set[str]:
+    """Names of the module-level functions without a leading underscore."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the source loads, reaches as an attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return found
+
+
+def unreferenced_functions(package: dict[str, str],
+                           users: list[str]) -> list[str]:
+    """Public functions of the package modules (file name to source) that
+    no other package module than __init__.py, and no user source, names."""
+    defined = set().union(*map(public_functions, package.values()))
+    named = set().union(*map(referenced_names, users),
+                        *(referenced_names(source) for name, source
+                          in package.items() if name != "__init__.py"))
+    return sorted(defined - named)
+
+
+def test_guard_sees_unreferenced_helpers():
+    package = {
+        "__init__.py": "from .a import helper, used, via_attribute\n",
+        "a.py": "def used(): pass\n"
+                "def helper(): pass\n"
+                "def via_attribute(): pass\n"
+                "def _private(): pass\n"
+                "class Kept:\n"
+                "    def method(self): pass\n",
+        "b.py": "from .a import used\n",
+    }
+    users = ["import tenscale as ts\nts.via_attribute()\n"]
+    assert unreferenced_functions(package, users) == ["helper"]
+    assert unreferenced_functions(package, []) == ["helper", "via_attribute"]
+
+
+def test_src_keeps_only_called_or_kept_functions():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    users = [path.read_text() for path in BENCH.glob("*.py")]
+    assert users
+    assert set(unreferenced_functions(package, users)) - KEPT_API == set()
+    assert KEPT_API <= set().union(*map(public_functions, package.values()))

@@ -117,13 +117,20 @@ class TestQmp:
                                      0.1, repeats=repeats)
 
     def test_overflowing_theoretical_sample_is_a_numeric_breakdown(self):
-        # the uniform (6,6,6) point's theoretical range is M ~ 1e220: the
-        # sample's norm overflows, which is no evidence for EPS_FAR
-        p = ts.TargetSpectrum.uniform((6, 6, 6))
+        # the uniform (6,6,6,6) point's theoretical range is M ~ 1e311: the
+        # sample's entries overflow, which is no evidence for EPS_FAR
+        p = ts.TargetSpectrum.uniform((6, 6, 6, 6))
         cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL)
         with np.errstate(all="ignore"), \
                 pytest.raises(ts.NumericBreakdownError):
-            ts.qmp(p, (6, 6, 6), 1e-2, cfg=cfg, repeats=1)
+            ts.qmp(p, (6, 6, 6, 6), 1e-2, cfg=cfg, repeats=1)
+
+    def test_theoretical_sample_past_the_root_of_the_float_range_runs(self):
+        # the uniform (6,6,6) point's theoretical range is M ~ 1e220: the
+        # sample's sum of squares overflows, its norm does not
+        p = ts.TargetSpectrum.uniform((6, 6, 6))
+        cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL)
+        assert ts.qmp(p, (6, 6, 6), 1e-2, cfg=cfg, repeats=1).answer == ts.IN
 
 
 class TestKronecker:

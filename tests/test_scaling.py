@@ -2,6 +2,7 @@
 import inspect
 import math
 import random
+import warnings
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
@@ -24,6 +25,17 @@ from conftest import (
 
 def normalized(x):
     return ts.Tensor(x.data / x.norm())
+
+
+def homogeneous(phi, seed):
+    """Spot-check evaluate(t*z) == t**degree * evaluate(z) on random data,
+    to a relative 1e-8."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(phi.param_dim) + 1j * rng.standard_normal(phi.param_dim)
+    t = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    lhs = phi.evaluate(t * z).data
+    rhs = t**phi.degree * phi.evaluate(z).data
+    return np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestTargetSpectrum:
@@ -190,7 +202,6 @@ class TestBlockCholesky:
             root = np.array([[np.sqrt(complex(value))]])
             assert np.array_equal(ts.block_cholesky(rho, (1,)), root)
             assert np.array_equal(ts.upper_cholesky(rho), root)
-            assert np.array_equal(ts.psd_sqrt(rho), root)
             assert np.array_equal(np.linalg.cholesky(rho), root)
 
     def test_mixed_blocks(self, rng):
@@ -842,18 +853,52 @@ class TestRunScaling:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_overflowing_theoretical_start_is_a_breakdown(self, n):
-        # from (4,4,4) up, the (1;n,n,n) unit tensor's theoretical range puts
-        # group entries near M ~ 1e81 (n = 4) or 1e141 (n = 5): the start's
-        # norm (n = 4) or entries (n = 5) overflow, a numeric failure and
-        # not a rank obstruction
+        # the theoretical range puts group entries near M ~ 1e81 (n = 4) or
+        # 1e141 (n = 5): on the (1;n,n,n) diagonal tensor with entries 2**300
+        # the start's entries overflow, a numeric failure and not a rank
+        # obstruction
         data = np.zeros((1, n, n, n), dtype=complex)
-        data[0, range(n), range(n), range(n)] = 1
+        data[0, range(n), range(n), range(n)] = 2.0 ** 300
         cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL,
                                max_iters=50)
         with np.errstate(all="ignore"), \
                 pytest.raises(ts.NumericBreakdownError, match="floating-point range"):
             ts.run_scaling(ts.Tensor(data), ts.TargetSpectrum.uniform((n,) * 3),
                            cfg)
+
+    def test_theoretical_start_past_the_root_of_the_float_range_runs(self):
+        # the (4,4,4) unit tensor's start has entries near 1e243, so its sum
+        # of squares overflows though its norm is a finite float
+        data = np.zeros((1, 4, 4, 4), dtype=complex)
+        data[0, range(4), range(4), range(4)] = 1
+        cfg = ts.ScalingConfig(epsilon=1e-2, rand_range=ts.THEORETICAL,
+                               max_iters=50)
+        rep = ts.run_scaling(ts.Tensor(data), ts.TargetSpectrum.uniform((4,) * 3),
+                             cfg)
+        assert rep.verdict == ts.SCALED
+
+    @pytest.mark.parametrize("randomize", [True, False])
+    @pytest.mark.parametrize("s", [1e200, 1e-200, 1e-160])
+    def test_inputs_over_the_whole_float_range_scale(self, s, randomize):
+        x = ts.Tensor(np.eye(2).reshape(1, 2, 2) * s)
+        cfg = ts.ScalingConfig(epsilon=1e-3, randomize=randomize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2)), cfg)
+        assert rep.verdict == ts.SCALED
+        y = ts.apply_group(rep.group, x)
+        for i in (1, 2):
+            rho = ts.marginal(ts.Tensor(y.data / y.norm()), i)
+            assert ts.trace_distance(rho, np.eye(2) / 2) <= 1e-3
+
+    def test_randomized_start_past_the_float_range_breaks_down(self):
+        x = ts.Tensor(np.eye(2).reshape(1, 2, 2) * 1e300)
+        p = ts.TargetSpectrum.uniform((2, 2))
+        with pytest.raises(ts.NumericBreakdownError, match="randomized start"):
+            ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3))
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3,
+                                                    randomize=False))
+        assert rep.verdict == ts.SCALED
 
     def test_null_cone_instance_never_claims_scaled(self):
         # this integer tensor has vanishing degree-4 invariants, so uniform
@@ -1142,17 +1187,17 @@ class TestParametrizations:
     def test_identity_homogeneous(self):
         phi = ts.identity_parametrization((2, 2, 2))
         assert phi.degree == 1 and phi.param_dim == 8
-        assert ts.check_homogeneity(phi, seed=3)
+        assert homogeneous(phi, seed=3)
 
     def test_orbit_homogeneous(self, rng):
         phi = ts.orbit_parametrization(random_integer_tensor((1, 2, 2), rng))
         assert phi.degree == 2 and phi.param_dim == 8
-        assert ts.check_homogeneity(phi, seed=4)
+        assert homogeneous(phi, seed=4)
 
     def test_mps_homogeneous(self):
         phi = ts.mps_parametrization(2, 2, 3)
         assert phi.degree == 3 and phi.param_dim == 8
-        assert ts.check_homogeneity(phi, seed=5)
+        assert homogeneous(phi, seed=5)
 
 
 class TestMpsTensor:
@@ -1228,7 +1273,7 @@ class TestGeneralScaling:
         assert x.shape == (1, 2, 2, 2)
         assert rep.verdict in (ts.SCALED, ts.NOT_IN_POLYTOPE,
                                ts.BUDGET_EXHAUSTED)
-        assert ts.check_homogeneity(phi, seed=7)
+        assert homogeneous(phi, seed=7)
 
     def test_uniform_parabolic_allows_range_one(self):
         # a ray through the tensor itself plus range 1 removes all randomness

@@ -1,4 +1,6 @@
 """Tensor substrate: flattenings, marginals, spectra, group actions."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,31 @@ class TestTensor:
         assert x.entry_bitsize() == 4
         assert ghz_tensor().entry_bitsize() == 1
         assert x.is_gaussian_integer()
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200, 1e-160, 1e300, 5e-324])
+    def test_norm_holds_the_whole_float_range(self, s):
+        # the diagonal s * I of format (1;2,2): a plain sum of squares
+        # overflows to inf, underflows to 0, or keeps a 6e-6 relative error
+        x = ts.Tensor(np.eye(2).reshape(1, 2, 2) * s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = x.norm()
+        assert norm == pytest.approx(np.sqrt(2) * s, rel=1e-15, abs=0)
+        mixed = ts.Tensor(np.array([[[3 * s, 4j * s]]]))
+        assert mixed.norm() == pytest.approx(5 * s, rel=1e-15, abs=0)
+
+    def test_norm_range_ends(self):
+        assert ts.Tensor(np.zeros((1, 2, 2))).norm() == 0.0
+        # past the largest float, the norm itself overflows
+        big = ts.Tensor(np.full((1, 2, 2), 1e308 + 1e308j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert big.norm() == np.inf
+        # a strided layout takes the same route as a row-major one
+        data = np.arange(1.0, 25.0).reshape(2, 3, 4) * 1e-200
+        x = ts.Tensor(data.transpose(0, 2, 1))
+        assert x.norm() == pytest.approx(np.linalg.norm(np.arange(1.0, 25.0))
+                                         * 1e-200, rel=1e-15, abs=0)
 
     def test_gaussian_integer_bound_is_cached(self):
         x = ts.Tensor(np.array([[[1, 0], [0, -9]]]) * (1 - 2j))
@@ -155,7 +182,7 @@ class TestCheckHermitian:
             ts.trace_distance(stack, stack)
         with pytest.raises(ValueError):
             ts.trace_distance(np.eye(2) / 2, stack)
-        for factor in (ts.upper_cholesky, ts.psd_sqrt,
+        for factor in (ts.upper_cholesky,
                        lambda rho: ts.block_cholesky(rho, (1, 1))):
             with pytest.raises(ValueError):
                 factor(stack)
