@@ -10,12 +10,14 @@ rule: _gate decides singularity, at the start and for each stepped factor
 (by interlacing, the Schur blocks a factorization meets after it need no
 check), and _Iterate breakdown, a norm outside (0, inf): ||y|| of the start
 and of each resync, nu of each step.
-One _Iterate holds the loop's normalized iterate, the group carrying the start
-to it, its block tables and its last measurement.  Steps update them; only a
-halt resyncs from scratch.  A step costs one contraction and d - 1 Gram
-matrices: nu**2 = tr(a rho_j a^dagger) of the gated marginal is the stepped
-iterate's norm, the contraction with a / nu leaves it normalized, and
-a rho_j a^dagger / nu**2 is factor j's new marginal (see _Iterate).
+One run function, _core_loop, takes a start from restriction to report.  Its
+_Iterate holds the normalized iterate, the group carrying the start to it,
+its block tables and its last measurement.  Steps update them; only a halt
+resyncs from scratch, before its witness is measured on the input.  A step
+costs one contraction and d - 1 Gram matrices: nu**2 = tr(a rho_j a^dagger)
+of the gated marginal is the stepped iterate's norm, the contraction with
+a / nu leaves it normalized, and a rho_j a^dagger / nu**2 is factor j's new
+marginal (see _Iterate).
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
@@ -158,10 +160,6 @@ class TargetSpectrum:
         return cls(tuple(tuple(Fraction(1, n) for _ in range(n)) for n in dims))
 
     @classmethod
-    def from_strings(cls, parts: Sequence[Sequence[str]]) -> "TargetSpectrum":
-        return cls(tuple(tuple(Fraction(s) for s in vec) for vec in parts))
-
-    @classmethod
     def from_floats(cls, parts: Sequence[Sequence[float]]) -> "TargetSpectrum":
         """Rationalize floating targets by continued fractions with
         denominators up to 10**6, then repair the largest entry so the sum
@@ -187,9 +185,9 @@ class ScalingConfig:
 
     rand_range is the sampling range {1, ..., M} for the initial basis
     change; the "theoretical" sentinel computes the worst-case range in
-    exact integer arithmetic.  randomize=False starts from the identity,
-    which suffices for uniform targets in parabolic mode and is what the
-    Borel-orbit cross-checks need.
+    exact integer arithmetic.  randomize=False starts from the input
+    itself, which suffices for uniform targets in parabolic mode and is
+    what the Borel-orbit cross-checks need.
     """
 
     epsilon: float
@@ -394,6 +392,16 @@ def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
 _BUDGET_CONST = 32 * math.log(2)
 
 
+def _budget(epsilon: float, weight: float) -> int:
+    """max(1, ceil(_BUDGET_CONST / epsilon**2 * weight)), in floats where
+    that is finite, else exactly from Fraction(epsilon): below epsilon near
+    1e-153 the float quotient overflows, and epsilon**2 underflows to 0."""
+    raw = _BUDGET_CONST / epsilon**2 * weight if epsilon**2 > 0 else math.inf
+    if not math.isfinite(raw):
+        raw = Fraction(_BUDGET_CONST) / Fraction(epsilon)**2 * Fraction(weight)
+    return max(1, math.ceil(raw))
+
+
 def iteration_budget(shape: Sequence[int], bits: int, epsilon: float,
                      log2_range: float) -> int:
     """Step budget of the orbit scaling loop.
@@ -405,8 +413,7 @@ def iteration_budget(shape: Sequence[int], bits: int, epsilon: float,
         raise ValueError("epsilon must be positive")
     d = len(shape) - 1
     logs = sum(math.log2(n) for n in shape)
-    raw = (_BUDGET_CONST / epsilon**2) * (3 * logs + bits + d * log2_range)
-    return max(1, math.ceil(raw))
+    return _budget(epsilon, 3 * logs + bits + d * log2_range)
 
 
 def general_iteration_budget(shape: Sequence[int], coeff_bits: int,
@@ -418,12 +425,10 @@ def general_iteration_budget(shape: Sequence[int], coeff_bits: int,
         raise ValueError("epsilon must be positive")
     logs_all = sum(math.log2(n) for n in shape)
     logs_scaled = sum(math.log2(n) for n in shape[1:])
-    raw = (_BUDGET_CONST / epsilon**2) * (
-        logs_scaled
-        + 0.5 * (logs_all + coeff_bits
-                 + degree * (math.log2(max(param_dim, 1)) + log2_range))
-    )
-    return max(1, math.ceil(raw))
+    return _budget(epsilon, logs_scaled
+                   + 0.5 * (logs_all + coeff_bits
+                            + degree * (math.log2(max(param_dim, 1))
+                                        + log2_range)))
 
 
 # --------------------------------------------------------------------------
@@ -733,62 +738,6 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
     return cfg.rand_range
 
 
-def _core_loop(x0: Tensor, scale: float, p: TargetSpectrum,
-               cfg: ScalingConfig, epsilon: float, budget: int,
-               confirm: Callable[[GroupTuple], GroupTuple | None]
-               ) -> tuple[str, GroupTuple, list[IterationRecord]]:
-    """Scale the full-rank-target tensor x0 of norm ``scale`` > 0 from the
-    identity; returns (verdict, group, per-step trace).  ``confirm`` is the
-    caller's authoritative acceptance check on the iterate's group: it
-    returns the group it verified, which a SCALED verdict reports, or None,
-    and a candidate halt it rejects keeps iterating.  Any other verdict
-    reports the accumulated group itself.
-    """
-    it = _Iterate(x0, p, cfg.mode, scale)
-    # the singularity rule compares each marginal with its own trace, so
-    # the normalized start's marginals serve for x0's
-    try:
-        for rho, low, floor in zip(it.rhos, it.lows, it.floors):
-            _gate(rho, low + floor)
-    except SingularMarginalError:
-        return NOT_IN_POLYTOPE, identity_group(x0.dims), []
-
-    limit = cfg.max_iters if cfg.max_iters is not None else budget
-    trace: list[IterationRecord] = []
-
-    def verified_halt() -> GroupTuple | None:
-        # resynchronize the iterate with the accumulated tuple and gate the
-        # halt on the caller's check: on instances at the boundary of
-        # scalability the incrementally maintained iterate drifts off the
-        # orbit closure and reports spuriously small distances
-        try:
-            y_check = apply_group(tuple(it.group), x0)
-        except NonFiniteEntriesError as exc:
-            raise NumericBreakdownError(
-                f"accumulated group left the floating-point range after "
-                f"{len(trace)} steps") from exc
-        it.renormalize(y_check.data, y_check.norm())
-        del y_check  # the iterate holds its own copy: free this one before confirm
-        if max(it.dists) > epsilon:
-            return None
-        return confirm(tuple(it.group))
-
-    while True:
-        if max(it.dists) <= epsilon and (witness := verified_halt()) is not None:
-            return SCALED, witness, trace
-        if it.steps == limit:
-            return BUDGET_EXHAUSTED, tuple(it.group), trace
-        try:
-            j, a = it.rule()
-        except SingularMarginalError:
-            return NOT_IN_POLYTOPE, tuple(it.group), trace
-        dists = tuple(it.dists)
-        nu = it.step(j, a)
-        # it.y came out of the step normalized: norm(R . X) is 1 up to rounding
-        cap = capacity(it.group, it.cap_blocks, 1.0) if cfg.log_capacity else math.nan
-        trace.append(IterationRecord(j + 1, dists, nu, cap))
-
-
 def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
                 p: TargetSpectrum, epsilon: float, norm_start: float) -> GroupTuple:
     """The loop's tuple composed with the initial basis change ``pre``, with
@@ -802,43 +751,84 @@ def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
     return group
 
 
-def _scale(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
-           cfg: ScalingConfig, budget_for: Callable[[tuple[int, ...], float], int],
-           note: str = "") -> ScalingReport:
+def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
+               cfg: ScalingConfig,
+               budget_for: Callable[[tuple[int, ...], float], int],
+               note: str = "") -> ScalingReport:
     """Scale ``start`` = pre . x toward p and report a group acting on x.
 
     Zero targets restrict the start to their positive part and run the loop
     at half the tolerance; a restriction that vanishes is rejected.  The
-    step budget is budget_for(restricted format, loop tolerance).  A halt
-    composes and pads the loop's group once and measures it once from
-    scratch on x; a SCALED report ships that group.  Any other group is
-    composed and padded by the same rule without a measurement.  A group
-    with non-finite entries raises NumericBreakdownError instead of being
-    reported.
+    step budget is budget_for(restricted format, loop tolerance).  The loop
+    steps the restricted start x0 from the identity.  A candidate halt
+    resyncs the iterate, which drifts at the boundary of scalability, by
+    applying the loop's group to x0; if that passes, it composes and pads
+    the group once and measures it once on x, and SCALED ships it.  The
+    resync does not reuse that application of the composed group to x: it
+    differs from the loop's iterate by rounding (and by the pad), and
+    resyncing from it turns capped W -> uniform runs (eps = 1e-3) into a
+    NOT_IN_POLYTOPE on a float-singular marginal.  Other verdicts compose
+    and pad the loop's group without a measurement; a group with non-finite
+    entries raises NumericBreakdownError.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
-        eps_active = cfg.epsilon / 2.0
+        epsilon = cfg.epsilon / 2.0
     else:
-        x0, p_active, eps_active = start, p, cfg.epsilon
+        x0, p_active, epsilon = start, p, cfg.epsilon
     norm_x0 = x0.norm()
     norm_start = norm_x0 if x0 is start else start.norm()
     if norm_x0 == 0.0:
         return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
                              note="restricted tensor vanished")
-    budget = budget_for((x0.n0,) + x0.dims, eps_active)
+    budget = budget_for((x0.n0,) + x0.dims, epsilon)
+    trace: list[IterationRecord] = []
 
-    def confirm(borel: GroupTuple) -> GroupTuple | None:
-        group = _full_group(borel, pre, p, cfg.epsilon, norm_start)
-        dists = _Iterate(apply_group(group, x), p).dists
-        return group if max(dists) <= cfg.epsilon else None
+    def full(borel: Sequence[np.ndarray]) -> GroupTuple:
+        return _full_group(borel, pre, p, cfg.epsilon, norm_start)
 
-    verdict, group, trace = _core_loop(x0, norm_x0, p_active, cfg, eps_active,
-                                       budget, confirm)
-    if verdict != SCALED:
-        group = _full_group(group, pre, p, cfg.epsilon, norm_start)
-    return ScalingReport(verdict, group, len(trace), trace, budget, cfg.epsilon,
-                         note=note)
+    def report(verdict: str, group: GroupTuple) -> ScalingReport:
+        return ScalingReport(verdict, group, len(trace), trace, budget,
+                             cfg.epsilon, note=note)
+
+    it = _Iterate(x0, p_active, cfg.mode, norm_x0)
+    # the singularity rule compares each marginal with its own trace, so
+    # the normalized start's marginals serve for x0's
+    try:
+        for rho, low, floor in zip(it.rhos, it.lows, it.floors):
+            _gate(rho, low + floor)
+    except SingularMarginalError:
+        return report(NOT_IN_POLYTOPE, full(identity_group(x0.dims)))
+
+    limit = cfg.max_iters if cfg.max_iters is not None else budget
+
+    def verified_halt() -> bool:
+        # resync by the loop's group; y_check is freed before the witness
+        try:
+            y_check = apply_group(tuple(it.group), x0)
+        except NonFiniteEntriesError as exc:
+            raise NumericBreakdownError(
+                f"accumulated group left the floating-point range after "
+                f"{len(trace)} steps") from exc
+        it.renormalize(y_check.data, y_check.norm())
+        return max(it.dists) <= epsilon
+
+    while True:
+        if max(it.dists) <= epsilon and verified_halt():
+            group = full(it.group)
+            if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
+                return report(SCALED, group)
+        if it.steps == limit:
+            return report(BUDGET_EXHAUSTED, full(it.group))
+        try:
+            j, a = it.rule()
+        except SingularMarginalError:
+            return report(NOT_IN_POLYTOPE, full(it.group))
+        dists = tuple(it.dists)
+        nu = it.step(j, a)
+        # it.y came out of the step normalized: norm(R . X) is 1 up to rounding
+        cap = capacity(it.group, it.cap_blocks, 1.0) if cfg.log_capacity else math.nan
+        trace.append(IterationRecord(j + 1, dists, nu, cap))
 
 
 def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingReport:
@@ -858,19 +848,18 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
     if cfg.randomize:
         g0 = random_group(x.dims, rng_range, cfg.seed)
         log2_range = math.log2(rng_range)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = apply_group(g0, x)
+        except NonFiniteEntriesError as exc:
+            raise NumericBreakdownError(
+                "the randomized start left the floating-point range") from exc
     else:
-        g0 = identity_group(x.dims)
-        log2_range = 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            start = apply_group(g0, x)
-    except NonFiniteEntriesError as exc:
-        raise NumericBreakdownError(
-            "the randomized start left the floating-point range") from exc
+        g0, start, log2_range = identity_group(x.dims), x, 0.0
     bits = x.entry_bitsize()
-    return _scale(x, start, g0, p, cfg,
-                  lambda shape, eps: iteration_budget(shape, bits, eps,
-                                                      log2_range))
+    return _core_loop(x, start, g0, p, cfg,
+                      lambda shape, eps: iteration_budget(shape, bits, eps,
+                                                          log2_range))
 
 
 # --------------------------------------------------------------------------
@@ -1015,4 +1004,5 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
         return general_iteration_budget(shape, phi.coeff_bits, eps, phi.degree,
                                         phi.param_dim, math.log2(rng_range))
 
-    return _scale(x, x, identity_group(dims), p, cfg, budget_for, note=note), x
+    return _core_loop(x, x, identity_group(dims), p, cfg, budget_for,
+                      note=note), x

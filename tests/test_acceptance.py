@@ -179,18 +179,21 @@ def test_criterion_04_per_step_exactness():
 def test_criterion_05_divergence_dominates_distance():
     rng = np.random.default_rng(MASTER_SEED + 5)
     checked = 0
-    for n in (2, 3, 4, 5):
-        for _ in range(1000):
-            r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            r /= math.sqrt(np.trace(r @ r.conj().T).real)
-            weights = rng.random(n) + 1e-3
-            p = weights / weights.sum()
-            lhs, rhs = pinsker_gap(p, r)
-            assert lhs >= rhs - 1e-12
-            checked += 1
-    assert checked == 4000
-    report(5, "divergence bound held on 1000 random instances for each "
-              "dimension 2..5")
+    # dense factors, then upper-triangular ones as the bound states it
+    for form in (np.asarray, np.triu):
+        for n in (2, 3, 4, 5):
+            for _ in range(1000):
+                r = form(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))
+                r /= math.sqrt(np.trace(r @ r.conj().T).real)
+                weights = rng.random(n) + 1e-3
+                p = weights / weights.sum()
+                lhs, rhs = pinsker_gap(p, r)
+                assert lhs >= rhs - 1e-12
+                checked += 1
+    assert checked == 8000
+    report(5, "divergence bound held on 1000 dense and 1000 upper-triangular "
+              "random factors for each dimension 2..5")
 
 
 # --------------------------------------------------------------------------

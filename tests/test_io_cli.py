@@ -373,6 +373,24 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert flag[2:].replace("-", "_") in err
 
+    @pytest.mark.parametrize("eps", ["1e-157", "1e-170"])
+    def test_capped_run_at_a_tiny_epsilon_ends_at_its_cap(self, ghz_path,
+                                                          capsys, eps):
+        # the budget overflows the float range at these tolerances, and
+        # --max-iters still ends the run after 5 steps
+        code, out = self.run("scale", "--tensor", ghz_path, "--target",
+                             "uniform", "--epsilon", eps, "--max-iters", "5",
+                             capsys=capsys)
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] == "BUDGET_EXHAUSTED"
+        assert report["iterations"] == 5
+        code, out = self.run("qmp", "--dims", "2,2,2", "--target", "uniform",
+                             "--epsilon", eps, "--max-iters", "5",
+                             "--repeats", "1", capsys=capsys)
+        evidence = json.loads(out)["evidence"]
+        assert code == 1 and evidence["verdict"] == "BUDGET_EXHAUSTED"
+        assert evidence["iterations"] == 5
+
     def test_unknown_flag_is_error(self, ghz_path):
         assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
                          "--epsilon", "0.1", "--frobulate"]) == 2

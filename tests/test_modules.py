@@ -469,8 +469,9 @@ def test_each_halt_check_is_one_counted_resync():
     assert halt_apply_calls((PACKAGE / "scaling.py").read_text()) == ["once"]
 
 
-# public functions of the package that neither the engine, the CLI nor the
-# benchmark calls: each stays on purpose, or it belongs in the tests
+# public functions and public class members of the package that neither the
+# engine, the CLI nor the benchmark calls: each stays on purpose, or it
+# belongs in the tests
 BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
     # the tensor primitives tests/test_loop_reference.py builds its
@@ -481,12 +482,18 @@ KEPT_API = {
     # the reduction's map of Borel steps, and the partition predicate that
     # README documents
     "borel_homomorphism", "is_partition",
+    # TargetSpectrum's block table, which the public capacity reads
+    "capacity_blocks",
 }
 
 
 def public_functions(source: str) -> set[str]:
-    """Names of the module-level functions without a leading underscore."""
-    return {node.name for node in ast.parse(source).body
+    """Names without a leading underscore of the module-level functions and
+    of the methods, properties and classmethods of public classes."""
+    body = ast.parse(source).body
+    members = [node for cls in body if isinstance(cls, ast.ClassDef)
+               and not cls.name.startswith("_") for node in cls.body]
+    return {node.name for node in body + members
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
@@ -526,8 +533,9 @@ def test_guard_sees_unreferenced_helpers():
         "b.py": "from .a import used\n",
     }
     users = ["import tenscale as ts\nts.via_attribute()\n"]
-    assert unreferenced_functions(package, users) == ["helper"]
-    assert unreferenced_functions(package, []) == ["helper", "via_attribute"]
+    assert unreferenced_functions(package, users) == ["helper", "method"]
+    assert unreferenced_functions(package, []) == ["helper", "method",
+                                                   "via_attribute"]
 
 
 def test_src_keeps_only_called_or_kept_functions():

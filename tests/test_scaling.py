@@ -48,7 +48,7 @@ class TestTargetSpectrum:
             ts.TargetSpectrum(())
 
     def test_lcm_uses_lowest_terms(self):
-        p = ts.TargetSpectrum.from_strings([["4/6", "2/6"]])
+        p = ts.TargetSpectrum([["4/6", "2/6"]])
         assert p.parts[0] == (F(2, 3), F(1, 3))
         assert p.denominator_lcm == 3
 
@@ -95,7 +95,7 @@ class TestTargetSpectrum:
             ts.TargetSpectrum(((F(1, 2) - F(1, 10**18), F(1, 2) + F(1, 10**18)),))
 
     def test_equality_and_hash_depend_on_the_parts_only(self):
-        p = ts.TargetSpectrum.from_strings([["1/2", "1/4", "1/4"], ["2/3", "1/3"]])
+        p = ts.TargetSpectrum([["1/2", "1/4", "1/4"], ["2/3", "1/3"]])
         q = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)), (F(2, 3), F(1, 3))))
         before = hash(p)
         p.ascending(1), p.capacity_blocks()  # fills the cached floats
@@ -301,6 +301,9 @@ class TestIterationBudget:
         log2m = math.log2(m)
         assert ts.iteration_budget((1, 2, 2, 2), 1, 1.0, log2m) \
             == self.direct((1, 2, 2, 2), 1, 1.0, log2m)
+        # a tolerance just above the overflow keeps the float formula
+        assert ts.iteration_budget((1, 2, 2, 2), 1, 1e-150, 16.0) \
+            == self.direct((1, 2, 2, 2), 1, 1e-150, 16.0)
 
     def test_floor_of_one(self):
         assert ts.iteration_budget((1, 2, 2), 1, 1e9, 1.0) == 1
@@ -311,6 +314,18 @@ class TestIterationBudget:
         t2 = ts.iteration_budget((1, 2, 2), 16, eps, 4.0)
         expected = 32 * math.log(2) * 8 / eps**2
         assert abs((t2 - t1) - expected) <= 1
+
+    @pytest.mark.parametrize("eps", [1e-157, 1e-170])
+    def test_tiny_epsilon_takes_the_exact_ceiling(self, eps):
+        # below eps near 1e-153 the float quotient overflows, and below about
+        # 2e-162 eps**2 is 0; both budgets are then the exact ceiling
+        exact = F(32 * math.log(2)) / F(eps) ** 2
+        budget = ts.iteration_budget((1, 2, 2, 2), 1, eps, 16.0)
+        assert type(budget) is int
+        assert budget == math.ceil(exact * F(3 * 3.0 + 1 + 3 * 16.0))
+        general = ts.general_iteration_budget((1, 2, 2, 2), 1, eps, 1, 8, 16.0)
+        assert type(general) is int
+        assert general == math.ceil(exact * F(3.0 + 0.5 * (3.0 + 1 + 3.0 + 16.0)))
 
 
 class TestScalingStep:
@@ -770,6 +785,25 @@ class TestRunScaling:
             ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
             ts.ScalingConfig(epsilon=1e-3, mode=ts.PARABOLIC, randomize=False))
         assert rep.verdict == ts.SCALED and rep.iterations == 0
+
+    def test_unrandomized_run_starts_from_the_input(self, monkeypatch):
+        # no identity basis change is applied: apply_group runs only at the
+        # halt, in its resync and in its witness check
+        callers = []
+
+        def tracked_apply(g, x):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            return ts.tensors.apply_group(g, x)
+
+        monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
+        x = ghz_tensor()
+        before = x.data.copy()
+        rep = ts.run_scaling(
+            x, ts.TargetSpectrum.uniform((2, 2, 2)),
+            ts.ScalingConfig(epsilon=1e-3, mode=ts.PARABOLIC, randomize=False))
+        assert rep.verdict == ts.SCALED
+        assert callers == ["verified_halt", "_core_loop"]
+        assert np.array_equal(x.data, before)
 
     def test_parabolic_equals_borel_for_distinct_targets(self, rng):
         x = random_integer_tensor((1, 2, 2), rng, low=1, high=6)
