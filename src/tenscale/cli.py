@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 for SCALED/IN, 1 for NOT_IN_POLYTOPE/EPS_FAR (and failed
-checks), 2 for usage or validation errors, 3 for numeric failures.
+checks), 2 for usage or validation errors and unreadable or unwritable
+files, 3 for numeric failures and exhausted memory.
 Reports are JSON, written to --out or standard output.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .scaling import (
     run_general_scaling,
     run_scaling,
 )
-from .tensors import Tensor
+from .tensors import NonFiniteEntriesError, NumericBreakdownError, Tensor
 
 
 class UsageError(ValueError):
@@ -78,6 +79,11 @@ def _load_target(args: argparse.Namespace, dims: Sequence[int]) -> TargetSpectru
     if args.target == "uniform":
         return TargetSpectrum.uniform(dims)
     return io.load_spectrum(args.target)
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -124,7 +130,8 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None
     sub.add_argument("--mode", choices=[BOREL, PARABOLIC], default=BOREL)
     sub.add_argument("--max-iters", type=int, default=None)
     sub.add_argument("--no-randomize", action="store_true",
-                     help="start from the identity instead of a random basis")
+                     help="start from the input itself, without a random "
+                          "basis change")
     sub.add_argument("--out", default=None)
 
 
@@ -207,8 +214,7 @@ def _cmd_general_scale(args) -> int:
         dims = _csv_ints(args.dims, "--dims")
         phi = identity_parametrization(dims)
     elif args.mps:
-        with open(args.mps) as fh:
-            obj = json.load(fh)
+        obj = _load_json(args.mps)
         if not isinstance(obj, dict):
             raise UsageError("--mps file must hold a JSON object")
         sites = obj.get("sites") if args.sites is None else args.sites
@@ -217,7 +223,16 @@ def _cmd_general_scale(args) -> int:
         sites = as_int(sites, "--mps sites", low=1)
         if "matrices" in obj:
             # explicit site matrices: scale the ray through that tensor
-            x0 = mps_tensor(obj["matrices"], sites)
+            matrices = io.number_array(obj["matrices"], f"{args.mps}.matrices")
+            # trace products past the float range are a breakdown, as for
+            # a sampled start
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x0 = mps_tensor(matrices, sites)
+            except NonFiniteEntriesError as exc:
+                raise NumericBreakdownError(
+                    "the site matrices' trace products left the "
+                    "floating-point range") from exc
             phi = fixed_tensor_parametrization(x0)
             dims = x0.dims
         elif "n" in obj and "bond" in obj:
@@ -297,13 +312,7 @@ def _cmd_verify_hwv(args) -> int:
 
 
 def _cmd_sinkhorn(args) -> int:
-    with open(args.matrix) as fh:
-        obj = json.load(fh)
-    try:
-        matrix = np.asarray(obj, dtype=float)
-    except TypeError as exc:
-        raise UsageError(
-            f"--matrix must hold a nested array of numbers: {exc}") from exc
+    matrix = io.number_array(_load_json(args.matrix), args.matrix)
     rows = [float(v) for v in args.rows.split(",")]
     cols = [float(v) for v in args.cols.split(",")]
     result = sinkhorn(matrix, rows, cols, args.epsilon, max_iters=args.max_iters)
@@ -342,7 +351,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ArithmeticError, EvalBudgetError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

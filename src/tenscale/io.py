@@ -54,6 +54,19 @@ def _number(v: Any, kinds: tuple = (int, float)) -> bool:
         return False
 
 
+def number_array(node: Any, where: str) -> np.ndarray:
+    """A JSON number, or a nested array of them with equal lengths at each
+    level, as a float array; any other entry is a SchemaError at its path."""
+    if _number(node):
+        return np.array(float(node))
+    _require(isinstance(node, list) and node, where,
+             "expected a finite number or a nonempty list of them")
+    items = [number_array(v, f"{where}[{i}]") for i, v in enumerate(node)]
+    _require(len({a.shape for a in items}) == 1, where,
+             "expected items of one shape")
+    return np.stack(items)
+
+
 # --------------------------------------------------------------------------
 # Tensors
 # --------------------------------------------------------------------------

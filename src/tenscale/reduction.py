@@ -1,12 +1,14 @@
 """Reduction from nonuniform triangular scaling to uniform scaling.
 
 For a partition lam of ell with exactly n nonzero parts, the expansion map
-sends an n x n matrix to an ell x ell matrix as a sum of Kraus terms built
-from projections to the last coordinates.  It is completely positive,
-injective, intertwines the triangular actions through a group homomorphism,
-and the induced map on tensors turns the nonuniform scaling problem into a
-uniform one on a larger format.  The exact algebraic identities satisfied by
-these maps serve as an independent test oracle for the scaling engine.
+sends an n x n matrix to an ell x ell block-diagonal matrix: its Kraus
+operators tau_j project to the last mu_j coordinates (mu the conjugate
+partition), so block j is the trailing mu_j x mu_j corner of the input.
+It is completely positive, injective, intertwines the triangular actions
+through a group homomorphism, and the induced map on tensors turns the
+nonuniform scaling problem into a uniform one on a larger format.  The
+exact algebraic identities satisfied by these maps serve as an independent
+test oracle for the scaling engine.
 """
 from __future__ import annotations
 
@@ -18,20 +20,6 @@ import numpy as np
 
 from .partitions import as_partition, conjugate_partition
 from .tensors import Tensor, contract
-
-__all__ = [
-    "ReductionData",
-    "conjugate_partition",
-    "kraus_operator",
-    "expand_matrix",
-    "expand_adjoint",
-    "normalized_expand",
-    "normalized_expand_adjoint",
-    "borel_homomorphism",
-    "reduction_matrix",
-    "reduce_tensor",
-]
-
 
 @dataclass(frozen=True)
 class ReductionData:
@@ -68,12 +56,17 @@ class ReductionData:
     def lam_ascending(self) -> np.ndarray:
         return np.array(self.lam[::-1], dtype=float)
 
+    def _blocks(self) -> list[tuple[int, int]]:
+        """(row offset, mu_j) of Kraus operator j's row block, j = 1..width."""
+        offsets = np.cumsum((0,) + self.mu).tolist()
+        return list(zip(offsets, self.mu))
 
-def _last_coords_projection(n: int, j: int) -> np.ndarray:
-    """j x n projection to the last j coordinates."""
-    out = np.zeros((j, n))
-    out[:, n - j:] = np.eye(j)
-    return out
+
+def _square(m: np.ndarray, k: int) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (k, k):
+        raise ValueError(f"expected a {k}x{k} matrix, got {m.shape}")
+    return m
 
 
 def kraus_operator(rd: ReductionData, j: int) -> np.ndarray:
@@ -81,35 +74,30 @@ def kraus_operator(rd: ReductionData, j: int) -> np.ndarray:
     whose j-th row block is the projection to the last mu_j coordinates."""
     if not 1 <= j <= rd.width:
         raise ValueError(f"j must be in 1..{rd.width}, got {j}")
-    mu = rd.mu
-    offsets = np.concatenate(([0], np.cumsum(mu))).astype(int)
+    off, mu = rd._blocks()[j - 1]
     out = np.zeros((rd.ell, rd.n), dtype=complex)
-    out[offsets[j - 1]: offsets[j], :] = _last_coords_projection(rd.n, mu[j - 1])
+    out[off: off + mu, rd.n - mu:] = np.eye(mu)
     return out
 
 
 def expand_matrix(rd: ReductionData, x: np.ndarray) -> np.ndarray:
-    """Completely positive expansion: the Kraus sum over tau_j x tau_j^dagger.
-    Injective because the first Kraus operator embeds x whole."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (rd.n, rd.n):
-        raise ValueError(f"expected a {rd.n}x{rd.n} matrix, got {x.shape}")
+    """Completely positive expansion, the Kraus sum over tau_j x tau_j^dagger:
+    block j of the diagonal is x's trailing mu_j x mu_j corner.  Injective
+    because the first block holds x whole."""
+    x = _square(x, rd.n)
     out = np.zeros((rd.ell, rd.ell), dtype=complex)
-    for j in range(1, rd.width + 1):
-        tau = kraus_operator(rd, j)
-        out += tau @ x @ tau.conj().T
+    for off, mu in rd._blocks():
+        out[off: off + mu, off: off + mu] = x[rd.n - mu:, rd.n - mu:]
     return out
 
 
 def expand_adjoint(rd: ReductionData, y: np.ndarray) -> np.ndarray:
-    """Adjoint of the expansion, the Kraus sum over tau_j^dagger y tau_j."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (rd.ell, rd.ell):
-        raise ValueError(f"expected a {rd.ell}x{rd.ell} matrix, got {y.shape}")
+    """Adjoint of the expansion, the Kraus sum over tau_j^dagger y tau_j:
+    diagonal block j of y is added into the trailing mu_j x mu_j corner."""
+    y = _square(y, rd.ell)
     out = np.zeros((rd.n, rd.n), dtype=complex)
-    for j in range(1, rd.width + 1):
-        tau = kraus_operator(rd, j)
-        out += tau.conj().T @ y @ tau
+    for off, mu in rd._blocks():
+        out[rd.n - mu:, rd.n - mu:] += y[off: off + mu, off: off + mu]
     return out
 
 
@@ -130,9 +118,7 @@ def borel_homomorphism(rd: ReductionData, b: np.ndarray) -> np.ndarray:
     """Group homomorphism from n x n upper-triangular matrices to ell x ell
     upper-triangular matrices compatible with the normalized expansion:
     it maps b to the expansion of Lambda^{-1/2} b Lambda^{1/2}."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (rd.n, rd.n):
-        raise ValueError(f"expected a {rd.n}x{rd.n} matrix, got {b.shape}")
+    b = _square(b, rd.n)
     scale = np.sqrt(rd.lam_ascending())
     return expand_matrix(rd, (b / scale[:, None]) * scale[None, :])
 

@@ -738,19 +738,6 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
     return cfg.rand_range
 
 
-def _full_group(borel: Sequence[np.ndarray], pre: GroupTuple,
-                p: TargetSpectrum, epsilon: float, norm_start: float) -> GroupTuple:
-    """The loop's tuple composed with the initial basis change ``pre``, with
-    zero-target factors padded back by pad_scaling at tolerance ``epsilon``."""
-    if p.has_zeros():
-        borel = pad_scaling(borel, p, epsilon, norm_start)
-    group = compose_group(borel, pre)
-    if not all(np.all(np.isfinite(m)) for m in group):
-        raise NumericBreakdownError(
-            "the scaling group left the floating-point range")
-    return group
-
-
 def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                cfg: ScalingConfig,
                budget_for: Callable[[tuple[int, ...], float], int],
@@ -785,7 +772,14 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     trace: list[IterationRecord] = []
 
     def full(borel: Sequence[np.ndarray]) -> GroupTuple:
-        return _full_group(borel, pre, p, cfg.epsilon, norm_start)
+        # the loop's tuple composed with pre, zero-target factors padded back
+        if p.has_zeros():
+            borel = pad_scaling(borel, p, cfg.epsilon, norm_start)
+        group = compose_group(borel, pre)
+        if not all(np.all(np.isfinite(m)) for m in group):
+            raise NumericBreakdownError(
+                "the scaling group left the floating-point range")
+        return group
 
     def report(verdict: str, group: GroupTuple) -> ScalingReport:
         return ScalingReport(verdict, group, len(trace), trace, budget,

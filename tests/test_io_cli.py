@@ -191,6 +191,30 @@ class TestHwvSpecJson:
             io.hwv_spec_from_obj(obj)
 
 
+class TestNumberArray:
+    def test_nested_numbers_become_floats(self):
+        out = io.number_array([[[1, 0.5], [0, -2]], [[3, 0], [0, 1e300]]], "m")
+        assert out.dtype == float and out.shape == (2, 2, 2)
+        assert out[0, 0, 1] == 0.5 and out[1, 1, 1] == 1e300
+        assert io.number_array(7, "m").shape == ()
+
+    @pytest.mark.parametrize("node,where", [
+        ([[1, "2"], [3, 4]], "m[0][1]"),
+        ([[1, 2], [None, 4]], "m[1][0]"),
+        ([[1, 2], [3, True]], "m[1][1]"),
+        ([[1, 2], [3, 10 ** 400]], "m[1][1]"),
+        ([[1, 2], [3, float("nan")]], "m[1][1]"),
+        ([[1, 2], []], "m[1]"),
+        ([[1, 2], [3]], "m"),
+        ([[1, 2], 3], "m"),
+        ({"rows": [[1]]}, "m"),
+        ([], "m"),
+    ])
+    def test_other_entries_fail_at_their_path(self, node, where):
+        with pytest.raises(io.SchemaError, match=rf"^{re.escape(where)}:"):
+            io.number_array(node, "m")
+
+
 class TestFloatFormatting:
     def test_twelve_significant_digits(self):
         text = io.dumps_canonical({"v": 1 / 3, "w": 2 / 3e12})
@@ -537,6 +561,70 @@ class TestCli:
     def test_missing_file_exit_two(self):
         assert cli.main(["scale", "--tensor", "/nonexistent.json", "--target",
                          "uniform", "--epsilon", "0.1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tensor", "--out"])
+    def test_directory_as_a_file_exits_two(self, ghz_path, tmp_path, capsys,
+                                           flag):
+        # an OSError other than a missing file used to escape main (exit 1,
+        # the negative-verdict code), for --out after the whole run
+        tensor = str(tmp_path) if flag == "--tensor" else ghz_path
+        out = ["--out", str(tmp_path)] if flag == "--out" else []
+        code = cli.main(["scale", "--tensor", tensor, "--target", "uniform",
+                         "--epsilon", "0.1", *out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exhausted_memory_exits_three(self, ghz_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "run_scaling", exhausted)
+        code = cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
+                         "--epsilon", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "out of memory: Unable to allocate 8.00 GiB\n"
+
+    @pytest.mark.parametrize("content,argv,where", [
+        ({"sites": 3, "matrices": [[["1", True], [0, 1]], [[1, 0], [0, 1]]]},
+         ["general-scale", "--target", "uniform", "--epsilon", "0.1", "--mps"],
+         ".matrices[0][0][0]"),
+        ({"sites": 3, "matrices": [[[1, True], [0, 1]], [[1, 0], [0, 1]]]},
+         ["general-scale", "--target", "uniform", "--epsilon", "0.1", "--mps"],
+         ".matrices[0][0][1]"),
+        ([["1", True], [2, 3]],
+         ["sinkhorn", "--rows", "1,1", "--cols", "1,1", "--epsilon", "1e-3",
+          "--matrix"], "[0][0]"),
+        ([[1, 1], [2, False]],
+         ["sinkhorn", "--rows", "1,1", "--cols", "1,1", "--epsilon", "1e-3",
+          "--matrix"], "[1][1]"),
+    ], ids=["mps-string", "mps-bool", "sinkhorn-string", "sinkhorn-bool"])
+    def test_matrix_entries_must_be_numbers(self, tmp_path, capsys, content,
+                                            argv, where):
+        # strings and booleans used to be read as numbers: the --mps run
+        # answered, and sinkhorn scaled [[1, 1], [2, 3]]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        assert cli.main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}{where}:")
+
+    def test_overflowing_site_matrices_are_a_breakdown(self, tmp_path, capsys):
+        # every given number is finite, only the trace products overflow:
+        # a numeric failure like an overflowing sample, not a usage error
+        path = tmp_path / "mps.json"
+        path.write_text(json.dumps(
+            {"sites": 3,
+             "matrices": [[[1e200, 0], [0, 1]], [[1, 0], [0, 1]]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["general-scale", "--mps", str(path), "--target",
+                             "uniform", "--epsilon", "0.1"])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numeric failure:")
+        assert captured.err.count("\n") == 1
 
     def test_malformed_number_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

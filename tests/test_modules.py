@@ -2,8 +2,9 @@
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
 entry points, singularity is decided by one check, each halt check makes
-the one resync call the benchmark's tracer counts, and no public function
-stays in the package that only the tests call."""
+the one resync call the benchmark's tracer counts, no public function
+stays in the package that only the tests call, and no private top-level
+function or class stays that no package module calls."""
 import ast
 from pathlib import Path
 
@@ -497,10 +498,10 @@ def public_functions(source: str) -> set[str]:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name the source loads, reaches as an attribute or imports."""
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree loads, reaches as an attribute or imports."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -515,9 +516,10 @@ def unreferenced_functions(package: dict[str, str],
     """Public functions of the package modules (file name to source) that
     no other package module than __init__.py, and no user source, names."""
     defined = set().union(*map(public_functions, package.values()))
-    named = set().union(*map(referenced_names, users),
-                        *(referenced_names(source) for name, source
-                          in package.items() if name != "__init__.py"))
+    sources = users + [source for name, source in package.items()
+                       if name != "__init__.py"]
+    named = set().union(*(referenced_names(ast.parse(source))
+                          for source in sources))
     return sorted(defined - named)
 
 
@@ -544,3 +546,40 @@ def test_src_keeps_only_called_or_kept_functions():
     assert users
     assert set(unreferenced_functions(package, users)) - KEPT_API == set()
     assert KEPT_API <= set().union(*map(public_functions, package.values()))
+
+
+def unreferenced_private(package: dict[str, str]) -> list[str]:
+    """Underscore-prefixed top-level functions and classes of the package
+    modules (file name to source) that no top-level statement of a package
+    module names, other than their own definition."""
+    tops = [node for source in package.values()
+            for node in ast.parse(source).body]
+    private = {node.name for node in tops
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")}
+    named = set().union(*(referenced_names(node)
+                          - {getattr(node, "name", None)} for node in tops))
+    return sorted(private - named)
+
+
+def test_guard_sees_unreferenced_private_helpers():
+    package = {
+        "__init__.py": "from .a import run\n",
+        "a.py": "def run(): return _used() + _Box().v\n"
+                "def _used(): return 1\n"
+                "def _recursive(n): return _recursive(n - 1)\n"
+                "def _dead(): pass\n"
+                "class _Box:\n"
+                "    v = 1\n"
+                "class _Orphan:\n"
+                "    def copy(self): return _Orphan()\n"
+                "def _tabled(): pass\n",
+        "b.py": "from . import a\n"
+                "TABLE = {'x': a._tabled}\n",
+    }
+    assert unreferenced_private(package) == ["_Orphan", "_dead", "_recursive"]
+
+
+def test_src_keeps_only_called_private_helpers():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private(package) == []

@@ -68,6 +68,27 @@ class TestKrausOperators:
                     assert np.allclose(prod, nu.conj().T @ nu)
 
 
+class TestKrausSums:
+    # every term of a Kraus sum is a product with entries 0 and 1, so the
+    # block placement must reproduce the sums exactly
+    LAMS = [(1,), (3,), (1, 1), (2, 1), (4, 1), (2, 2), (3, 2, 1),
+            (2, 2, 2), (4, 2, 2, 1), (5, 3, 3, 1, 1)]
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_maps_equal_their_kraus_sums(self, lam, rng):
+        rd = ts.ReductionData(lam)
+        taus = [ts.kraus_operator(rd, j) for j in range(1, rd.width + 1)]
+        for _ in range(5):
+            x = rng.standard_normal((rd.n, rd.n)) \
+                + 1j * rng.standard_normal((rd.n, rd.n))
+            y = rng.standard_normal((rd.ell, rd.ell)) \
+                + 1j * rng.standard_normal((rd.ell, rd.ell))
+            assert np.array_equal(ts.expand_matrix(rd, x),
+                                  sum(t @ x @ t.conj().T for t in taus))
+            assert np.array_equal(ts.expand_adjoint(rd, y),
+                                  sum(t.conj().T @ y @ t for t in taus))
+
+
 class TestExpansionIdentities:
     @pytest.mark.parametrize("lam", [(2, 1), (3, 2, 1), (2, 2), (4, 1)])
     def test_unital_relations(self, lam):

@@ -1039,7 +1039,8 @@ class TestRunScaling:
 
     def test_halt_frees_its_resync_before_the_witness_check(self, monkeypatch, rng):
         # the iterate copies the resynced tensor, so a halt holds one full
-        # copy fewer if that tensor is gone before confirm applies the group
+        # copy fewer if that tensor is gone before the witness check composes
+        # and applies the group
         applied, alive = [], []
 
         def tracked_apply(g, x):
@@ -1047,13 +1048,13 @@ class TestRunScaling:
             applied.append(weakref.ref(y))
             return y
 
-        def tracked_full_group(*args):
+        def tracked_compose(*args):
             alive.append(applied[-1]() is not None)  # the halt's resync
-            return full_group(*args)
+            return compose(*args)
 
-        full_group = ts.scaling._full_group
+        compose = ts.scaling.compose_group
         monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
-        monkeypatch.setattr(ts.scaling, "_full_group", tracked_full_group)
+        monkeypatch.setattr(ts.scaling, "compose_group", tracked_compose)
         x = random_integer_tensor((1, 3, 3, 3), rng)
         rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((3, 3, 3)),
                              ts.ScalingConfig(epsilon=1e-2, seed=5))
