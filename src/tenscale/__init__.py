@@ -61,13 +61,11 @@ from .scaling import (
     TargetSpectrum,
     block_cholesky,
     capacity,
-    fixed_tensor_parametrization,
     general_iteration_budget,
     identity_parametrization,
     iteration_budget,
     mps_parametrization,
     mps_tensor,
-    orbit_parametrization,
     pad_scaling,
     random_group,
     randomization_bounds,

@@ -40,15 +40,13 @@ from .scaling import (
     DEFAULT_RAND_RANGE,
     ScalingConfig,
     TargetSpectrum,
-    fixed_tensor_parametrization,
     identity_parametrization,
     mps_parametrization,
     mps_tensor,
-    orbit_parametrization,
     run_general_scaling,
     run_scaling,
 )
-from .tensors import NonFiniteEntriesError, NumericBreakdownError, Tensor
+from .tensors import NonFiniteEntriesError, NumericBreakdownError
 
 
 class UsageError(ValueError):
@@ -119,7 +117,9 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True,
+                   randomize: bool = False) -> None:
+    """A run's flags; --no-randomize only where a run reads it."""
     if target:
         sub.add_argument("--target", required=True,
                          help="spectrum JSON path, or the shorthand 'uniform'")
@@ -129,9 +129,10 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None
                      help=f"integer sampling range or '{THEORETICAL}'")
     sub.add_argument("--mode", choices=[BOREL, PARABOLIC], default=BOREL)
     sub.add_argument("--max-iters", type=int, default=None)
-    sub.add_argument("--no-randomize", action="store_true",
-                     help="start from the input itself, without a random "
-                          "basis change")
+    if randomize:
+        sub.add_argument("--no-randomize", action="store_true",
+                         help="start from the input itself, without a random "
+                              "basis change")
     sub.add_argument("--out", default=None)
 
 
@@ -144,14 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = commands.add_parser("scale", help="scale a tensor to a target")
     scale.add_argument("--tensor", required=True)
-    _add_run_flags(scale)
+    _add_run_flags(scale, randomize=True)
 
     general = commands.add_parser(
-        "general-scale", help="scale a sampled point of a parametrized variety")
+        "general-scale", help="scale a sampled point of a parametrized variety, "
+                              "or a given tensor as scale does")
     src = general.add_mutually_exclusive_group(required=True)
     src.add_argument("--dims", help="identity parametrization on 1;DIMS")
-    src.add_argument("--mps", help="JSON file with matrix-product site data")
-    src.add_argument("--orbit-tensor", help="tensor JSON for the orbit map")
+    src.add_argument("--mps", help="JSON file with matrix-product site data: "
+                                   "'n' and 'bond', or 'matrices'")
+    src.add_argument("--orbit-tensor",
+                     help="tensor JSON, scaled as by the scale command")
     general.add_argument("--sites", type=int, default=None,
                          help="number of tensor factors for --mps")
     _add_run_flags(general)
@@ -160,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="promise membership for a fixed tensor")
     member.add_argument("--tensor", required=True)
     member.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    _add_run_flags(member)
+    _add_run_flags(member, randomize=True)
 
     qmp_cmd = commands.add_parser("qmp", help="one-body marginal realizability")
     qmp_cmd.add_argument("--dims", required=True)
@@ -210,10 +214,15 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_general_scale(args) -> int:
+    if args.sites is not None and not args.mps:
+        raise UsageError("--sites applies only to --mps")
+    x = phi = None
     if args.dims:
         dims = _csv_ints(args.dims, "--dims")
         phi = identity_parametrization(dims)
-    elif args.mps:
+    elif args.orbit_tensor:
+        x = io.load_tensor(args.orbit_tensor)
+    else:
         obj = _load_json(args.mps)
         if not isinstance(obj, dict):
             raise UsageError("--mps file must hold a JSON object")
@@ -222,19 +231,15 @@ def _cmd_general_scale(args) -> int:
             raise UsageError("give --sites (or a 'sites' key) for --mps")
         sites = as_int(sites, "--mps sites", low=1)
         if "matrices" in obj:
-            # explicit site matrices: scale the ray through that tensor
             matrices = io.number_array(obj["matrices"], f"{args.mps}.matrices")
             # trace products past the float range are a breakdown, as for
             # a sampled start
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x0 = mps_tensor(matrices, sites)
+                x = mps_tensor(matrices, sites)
             except NonFiniteEntriesError as exc:
                 raise NumericBreakdownError(
                     "the site matrices' trace products left the "
                     "floating-point range") from exc
-            phi = fixed_tensor_parametrization(x0)
-            dims = x0.dims
         elif "n" in obj and "bond" in obj:
             n = as_int(obj["n"], "--mps n", low=1)
             phi = mps_parametrization(n, as_int(obj["bond"], "--mps bond", low=1),
@@ -242,15 +247,15 @@ def _cmd_general_scale(args) -> int:
             dims = (n,) * sites
         else:
             raise UsageError("--mps file needs 'matrices' or 'n' and 'bond'")
+    if phi is None:
+        # one given tensor is scaled as `scale` scales it; the group acts on it
+        report = run_scaling(x, _load_target(args, x.dims), _config(args))
     else:
-        x0 = io.load_tensor(args.orbit_tensor)
-        phi = orbit_parametrization(x0)
-        dims = x0.dims
-    p = _load_target(args, dims)
-    report, sample = run_general_scaling(phi, p, _config(args))
+        report, x = run_general_scaling(phi, _load_target(args, dims),
+                                        _config(args))
     extra = {}
-    if sample.norm() > 0 and sample.is_gaussian_integer():
-        extra["sample"] = io.tensor_to_obj(sample)
+    if x.norm() > 0 and x.is_gaussian_integer():
+        extra["sample"] = io.tensor_to_obj(x)
     return _emit_report("general-scale", report, args.out, **extra)
 
 
@@ -346,7 +351,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        # the breakdown rules decide values past the float range, so NumPy's
+        # warnings stay silent and stderr holds at most the one line below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](args)
     # the numeric clause comes first: np.linalg.LinAlgError is a ValueError
     except (ArithmeticError, EvalBudgetError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

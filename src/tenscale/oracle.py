@@ -106,8 +106,12 @@ def membership(x: Tensor, p: TargetSpectrum, epsilon: float,
     """Promise membership of the target point in the orbit polytope of x.
 
     Runs the scaling loop on ``repeats`` derived seeds; any verified
-    success answers IN with the witness from the lowest seed.
+    success answers IN with the witness from the lowest seed.  Unrandomized
+    runs ignore the seed, so they make one run.
     """
+    repeats = as_int(repeats, "repeats", low=1)
+    if cfg is not None and not cfg.randomize:
+        repeats = 1
     return _decide(lambda c: (run_scaling(x, p, c), None), epsilon, cfg,
                    repeats)
 

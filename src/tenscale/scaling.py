@@ -185,9 +185,10 @@ class ScalingConfig:
 
     rand_range is the sampling range {1, ..., M} for the initial basis
     change; the "theoretical" sentinel computes the worst-case range in
-    exact integer arithmetic.  randomize=False starts from the input
-    itself, which suffices for uniform targets in parabolic mode and is
-    what the Borel-orbit cross-checks need.
+    exact integer arithmetic.  randomize=False starts run_scaling from the
+    input itself, which suffices for uniform targets in parabolic mode and
+    is what the Borel-orbit cross-checks need; run_general_scaling always
+    samples its start and ignores it.
     """
 
     epsilon: float
@@ -461,9 +462,12 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
     the unit restricted image, so each marginal moves by at most 2 ||R|| +
     ||R||**2 <= epsilon / 4 + epsilon**2 / 64 in trace norm.  The loop halts
     at epsilon / 2, so for epsilon <= 16 the witness passes whenever the
-    resynced restricted iterate did.  A delta that underflows to 0 raises
-    NumericBreakdownError.
+    resynced restricted iterate did.  A factor with a non-finite entry, or
+    a delta that underflows to 0, raises NumericBreakdownError.
     """
+    if not all(np.all(np.isfinite(b)) for b in b_plus):
+        raise NumericBreakdownError(
+            "the scaling group left the floating-point range")
     growth = math.prod(max(1.0, float(np.linalg.norm(b))) for b in b_plus)
     delta = min(1.0, epsilon / (8.0 * norm_x * growth))
     if delta == 0.0 and p.has_zeros():
@@ -889,40 +893,6 @@ def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrizatio
         param_dim=size,
         degree=1,
         evaluate=lambda z: Tensor(np.asarray(z, dtype=complex).reshape(shape)),
-    )
-
-
-def fixed_tensor_parametrization(x: Tensor) -> Parametrization:
-    """One-parameter ray through a fixed tensor: z maps to z * x.
-
-    For fully uniform targets in parabolic mode this is all that is needed,
-    and a sampling range of 1 reproduces the tensor itself.
-    """
-    return Parametrization(
-        param_dim=1,
-        degree=1,
-        evaluate=lambda z: Tensor(complex(np.asarray(z).ravel()[0]) * x.data),
-        coeff_bits=x.entry_bitsize(),
-    )
-
-
-def orbit_parametrization(x: Tensor) -> Parametrization:
-    """Parameters are the entries of d matrices acting on the fixed tensor."""
-    dims = x.dims
-    sizes = [n * n for n in dims]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    def evaluate(z: np.ndarray) -> Tensor:
-        z = np.asarray(z, dtype=complex).ravel()
-        factors = [z[offsets[i]: offsets[i + 1]].reshape(dims[i], dims[i])
-                   for i in range(len(dims))]
-        return apply_group(factors, x)
-
-    return Parametrization(
-        param_dim=int(sum(sizes)),
-        degree=len(dims),
-        evaluate=evaluate,
-        coeff_bits=x.entry_bitsize(),
     )
 
 

@@ -13,6 +13,10 @@ import tenscale as ts
 from tenscale import cli, io
 from conftest import ghz_tensor, random_integer_tensor, w_tensor
 
+# a CLI run decides values past the float range by its breakdown rules, so
+# no NumPy warning may reach stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _round_floats(node):
     """The two-step writer's rounding walk, kept as the reference."""
@@ -47,6 +51,16 @@ def walked_tensor_obj(x: ts.Tensor) -> dict:
             entries.append({"idx": [int(i) for i in idx],
                             "re": int(v.real), "im": int(v.imag)})
     return {"dims": [int(n) for n in x.shape], "entries": entries}
+
+
+def witness_distance(payload, p):
+    """Largest trace distance to p of the marginals of the report's group
+    applied to its sample."""
+    group = [np.array([[complex(v["re"], v["im"]) for v in row] for row in mat])
+             for mat in payload["group"]]
+    y = ts.apply_group(group, io.tensor_from_obj(payload["sample"]))
+    return max(ts.trace_distance(ts.marginal(y, i), np.diag(p.ascending(i)))
+               for i in range(1, p.num_factors + 1))
 
 
 @pytest.fixture
@@ -530,10 +544,60 @@ class TestCli:
             {"matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "sites": 3}))
         code, out = self.run("general-scale", "--mps", str(mpath), "--target",
                              "uniform", "--epsilon", "0.01", "--mode",
-                             "parabolic", "--rand-range", "1", capsys=capsys)
+                             "parabolic", capsys=capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["verdict"] == "SCALED" and payload["iterations"] == 0
+        assert payload["verdict"] == "SCALED"
+        assert witness_distance(payload, ts.TargetSpectrum.uniform((2, 2, 2))) \
+            <= 0.01
+
+    def test_general_scale_site_matrices_scale_as_scale_does(self, tmp_path,
+                                                              capsys):
+        # they define [[[8,4],[4,0]],[[4,0],[0,0]]], a member whose start
+        # fails the rank gate unless a random basis change comes first
+        mpath, ppath = tmp_path / "mps.json", tmp_path / "p.json"
+        mpath.write_text(json.dumps(
+            {"matrices": [[[0, 0], [1, 2]], [[-2, -2], [2, 2]]], "sites": 3}))
+        p = ts.TargetSpectrum(((F(1), F(0)),) + ((F(1, 2), F(1, 2)),) * 2)
+        io.save_spectrum(p, str(ppath))
+        code, out = self.run("general-scale", "--mps", str(mpath), "--target",
+                             str(ppath), "--epsilon", "0.05", capsys=capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "SCALED"
+        sample = io.tensor_from_obj(payload["sample"])
+        assert np.array_equal(sample.data.real.ravel(), [8, 4, 4, 0, 4, 0, 0, 0])
+        assert witness_distance(payload, p) <= 0.05
+
+    def test_general_scale_orbit_tensor_reports_as_scale(self, ghz_path,
+                                                         capsys):
+        # one given tensor, one run: scale's report, plus the tensor
+        argv = ["--target", "uniform", "--epsilon", "0.02", "--seed", "1"]
+        code, out = self.run("general-scale", "--orbit-tensor", ghz_path,
+                             *argv, capsys=capsys)
+        general = json.loads(out)
+        assert code == self.run("scale", "--tensor", ghz_path, *argv)[0] == 0
+        direct = json.loads(capsys.readouterr().out)
+        assert general.pop("command") == "general-scale"
+        assert np.array_equal(io.tensor_from_obj(general.pop("sample")).data,
+                              ghz_tensor().data)
+        assert direct.pop("command") == "scale" and general == direct
+
+    @pytest.mark.parametrize("argv", [
+        ["qmp", "--dims", "2,2,2", "--target", "uniform"],
+        ["kronecker", "--lam", "2", "--mu", "1,1", "--nu", "1,1"],
+        ["general-scale", "--dims", "2,2,2", "--target", "uniform"],
+    ], ids=["qmp", "kronecker", "general-scale"])
+    def test_no_randomize_only_where_a_run_reads_it(self, capsys, argv):
+        # these runs sample their start and never read the flag
+        assert cli.main(argv + ["--epsilon", "0.1", "--no-randomize"]) == 2
+        assert "--no-randomize" in capsys.readouterr().err
+
+    def test_sites_without_mps_is_a_usage_error(self, capsys):
+        code = cli.main(["general-scale", "--dims", "2,2", "--sites", "5",
+                         "--target", "uniform", "--epsilon", "0.05"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --sites applies only to --mps\n"
 
     @pytest.mark.parametrize("content,argv", [
         ({"matrices": 5, "sites": 2}, ["general-scale", "--mps"]),
@@ -664,12 +728,12 @@ class TestCli:
         ppath = tmp_path / "p.json"
         io.save_spectrum(ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3),
                          str(ppath))
-        with np.errstate(all="ignore"):
-            code = cli.main(["scale", "--tensor", str(xpath), "--target",
-                             str(ppath), "--epsilon", "0.05", "--seed", "0",
-                             "--no-randomize", "--max-iters", "800"])
+        code = cli.main(["scale", "--tensor", str(xpath), "--target",
+                         str(ppath), "--epsilon", "0.05", "--seed", "0",
+                         "--no-randomize", "--max-iters", "800"])
+        err = capsys.readouterr().err
         assert code == 3
-        assert capsys.readouterr().err.startswith("numeric failure:")
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
 
     def test_linalg_error_is_a_numeric_failure(self, ghz_path, capsys,
                                                monkeypatch):
@@ -695,10 +759,9 @@ class TestCli:
             data[0, range(n), range(n), range(n)] = 2.0 ** 300
             io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
             argv = ["scale", "--tensor", str(tmp_path / "x.json")]
-        with np.errstate(all="ignore"):
-            code = cli.main(argv + ["--target", "uniform", "--epsilon", "0.01",
-                                    "--rand-range", "theoretical",
-                                    "--max-iters", "50"])
+        code = cli.main(argv + ["--target", "uniform", "--epsilon", "0.01",
+                                "--rand-range", "theoretical",
+                                "--max-iters", "50"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("numeric failure:")

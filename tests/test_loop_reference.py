@@ -329,8 +329,12 @@ def test_general_matches_tensor_level_driver(mode, n0, dims, target, eps, seed):
 
 @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
 def test_general_matches_on_fixed_mps_ray(mode):
+    # the ray z -> z * x, the one reference run with coeff_bits above 1
     mats = [np.array([[1, 2], [0, 1]]), np.array([[0, 1], [3, -1]])]
-    phi = ts.fixed_tensor_parametrization(ts.mps_tensor(mats, d=3))
+    x = ts.mps_tensor(mats, d=3)
+    phi = ts.Parametrization(
+        param_dim=1, degree=1, coeff_bits=x.entry_bitsize(),
+        evaluate=lambda z: ts.Tensor(complex(np.asarray(z).ravel()[0]) * x.data))
     cfg = ts.ScalingConfig(epsilon=1e-3, seed=3, mode=mode, max_iters=3000)
     rep = assert_same_general_run(phi, ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
     assert rep.iterations > 0

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import tenscale as ts
-from conftest import ghz_tensor, pure_state_spectra_gap, random_integer_tensor
+from conftest import (ghz_tensor, pure_state_spectra_gap, random_integer_tensor,
+                      w_tensor)
 
 
 class TestMembership:
@@ -63,6 +64,26 @@ class TestMembership:
         gap = pure_state_spectra_gap(((0.5, 0.5), (0.9, 0.1), (0.9, 0.1)),
                                      samples=200_000)
         assert gap > 0.05
+
+    def test_unrandomized_membership_makes_one_run(self, monkeypatch):
+        # run_scaling reads the seed only for its basis change, so the
+        # repeats of an unrandomized run would all be the same run
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run(*args)
+
+        run = ts.oracle.run_scaling
+        monkeypatch.setattr(ts.oracle, "run_scaling", counted)
+        cfg = ts.ScalingConfig(epsilon=1e-3, randomize=False, max_iters=300)
+        verdict = ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                                1e-3, cfg=cfg)
+        assert verdict.answer == ts.EPS_FAR and len(calls) == 1
+        with pytest.raises(ValueError, match="repeats"):
+            ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                          1e-3, cfg=cfg, repeats=0)
+        assert len(calls) == 1
 
     def test_single_run_success_rate_supports_amplification(self):
         x = ghz_tensor()
