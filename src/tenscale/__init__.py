@@ -1,7 +1,7 @@
 """Tensor scaling to prescribed one-body marginal spectra.
 
-The package scales dense complex tensors with a randomized triangular
-(or block-triangular) alternating loop, exposes promise-decision front-ends
+The package scales dense complex tensors with a randomized upper-triangular
+(Borel) alternating loop, exposes promise-decision front-ends
 for marginal-spectrum membership questions, and ships two independent
 verification tracks: classical highest weight vectors as progress
 potentials, and an exact reduction to uniform scaling.
@@ -59,7 +59,6 @@ from .scaling import (
     ScalingConfig,
     ScalingReport,
     TargetSpectrum,
-    block_cholesky,
     capacity,
     general_iteration_budget,
     identity_parametrization,

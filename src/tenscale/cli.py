@@ -33,8 +33,6 @@ from .oracle import (
 from .partitions import as_int
 from .reduction import reduce_tensor
 from .scaling import (
-    BOREL,
-    PARABOLIC,
     SCALED,
     THEORETICAL,
     DEFAULT_RAND_RANGE,
@@ -67,7 +65,6 @@ def _config(args: argparse.Namespace) -> ScalingConfig:
         epsilon=args.epsilon,
         seed=args.seed,
         rand_range=_parse_rand_range(args.rand_range),
-        mode=args.mode,
         max_iters=args.max_iters,
         randomize=not getattr(args, "no_randomize", False),
     )
@@ -127,7 +124,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True,
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--rand-range", default=str(DEFAULT_RAND_RANGE),
                      help=f"integer sampling range or '{THEORETICAL}'")
-    sub.add_argument("--mode", choices=[BOREL, PARABOLIC], default=BOREL)
     sub.add_argument("--max-iters", type=int, default=None)
     if randomize:
         sub.add_argument("--no-randomize", action="store_true",

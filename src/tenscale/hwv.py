@@ -17,7 +17,7 @@ evaluator serves every input: it sums the expansion over the index maps on
 which every determinant functional is nonzero, gathering the entry products
 in one pass.  Those terms depend only on the format and the description,
 not on the tensor's entries, so they are generated once per description
-(never as a dense n**k table) and memoized.
+(never as a dense n**k table) and memoized when they are small.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
@@ -103,7 +103,8 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     exactly the top h coordinates, with the sign of their arrangement.  The
     blocks take disjoint slots (block c the slots perm[o : o + h], o being
     the heights of the blocks before it), so the terms are the products of
-    one arrangement per block.  Memoized, so every caller shares one pair.
+    one arrangement per block.  Memoized, so every caller shares one pair;
+    evaluate_hwv reaches it through _shared_det_terms.
     """
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
@@ -128,6 +129,27 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     slots.flags.writeable = False
     signs.flags.writeable = False
     return slots, signs
+
+
+# _shared_det_terms memoizes a pair of at most this many bytes, so the 128
+# entries hold at most 8 MiB; a (1;8), k = 8 pair holds 2.9 MB
+_DET_TERMS_MEMO_BYTES = 1 << 16
+
+
+@functools.lru_cache(maxsize=128)
+def _det_terms_bytes(lam: tuple[int, ...], n: int, k: int) -> int:
+    """Bytes of _det_terms's pair, k slots and a sign per term."""
+    heights = conjugate_partition(tuple(v for v in lam if v > 0))
+    terms = math.prod(math.factorial(h) if h <= n else 0 for h in heights)
+    return terms * (k + 1) * 8
+
+
+def _shared_det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_det_terms, memoized only if its pair fits _DET_TERMS_MEMO_BYTES."""
+    if _det_terms_bytes(lam, n, k) <= _DET_TERMS_MEMO_BYTES:
+        return _det_terms(lam, perm, n, k)
+    return _det_terms.__wrapped__(lam, perm, n, k)
 
 
 def eval_cost(dims: Sequence[int], k: int) -> int:
@@ -161,7 +183,7 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     flat = np.array(spec.index_seq)
     signs = 1.0
     for lam, perm, n in zip(spec.weight, spec.perms, x.dims):
-        slots, det_signs = _det_terms(lam, perm, n, k)
+        slots, det_signs = _shared_det_terms(lam, perm, n, k)
         flat = flat[..., None, :] * n + slots
         signs = np.multiply.outer(signs, det_signs)
     products = x.data.reshape(-1)[flat].prod(axis=-1)
@@ -182,8 +204,8 @@ def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:
 def character(weight: Sequence[Sequence[int]],
               group: Sequence[np.ndarray]) -> complex:
     """Character value on a tuple of triangular matrices: the product of
-    each factor's diagonal entries raised to the weight entries.  Block
-    determinants on parabolic runs are scaling.capacity's job."""
+    each factor's diagonal entries raised to the weight entries, as
+    scaling.capacity reads the scaling group's diagonal."""
     value = 1.0 + 0.0j
     for lam, mat in zip(weight, group):
         mat = np.asarray(mat, dtype=complex)

@@ -1,7 +1,7 @@
 """One rule for the counts and partitions that enter the package.
 
-as_int reads a count (a seed, a range, a step cap, a dimension, a block size,
-a repeat count): a Python or NumPy integer, returned as a Python int.  Bools
+as_int reads a count (a seed, a range, a step cap, a dimension, a repeat
+count): a Python or NumPy integer, returned as a Python int.  Bools
 (Python's or NumPy's), floats, even integral ones, and strings raise
 ValueError naming the argument; nothing is truncated.  as_partition reads a
 partition, nonnegative counts in nonincreasing order, as a tuple of ints;

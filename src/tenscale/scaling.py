@@ -1,18 +1,17 @@
 """Alternating scaling of tensors to prescribed one-body marginal spectra.
 
-The engine drives an upper-triangular (Borel) or block-upper-triangular
-(parabolic) update loop: after an initial random integer basis change, the
-factor whose marginal is farthest from its target is fixed exactly by a
-triangular factorization, until every marginal is within the requested trace
-distance or the iteration budget runs out.  Rank obstructions detected after
-the randomization yield a not-in-polytope verdict.  Each failure has one
-rule: _gate decides singularity, at the start and for each stepped factor
-(by interlacing, the Schur blocks a factorization meets after it need no
-check), and _Iterate breakdown, a norm outside (0, inf): ||y|| of the start
-and of each resync, nu of each step.
+The engine drives an upper-triangular (Borel) update loop: after an initial
+random integer basis change, the factor whose marginal is farthest from its
+target is fixed exactly by a triangular (Cholesky) factorization, until every
+marginal is within the requested trace distance or the iteration budget runs
+out.  Rank obstructions detected after the randomization yield a
+not-in-polytope verdict.  Each failure has one rule: _gate decides
+singularity, at the start and for each stepped factor, and _Iterate
+breakdown, a norm outside (0, inf): ||y|| of the start and of each resync,
+nu of each step, or a group factor with a non-finite entry.
 One run function, _core_loop, takes a start from restriction to report.  Its
-_Iterate holds the normalized iterate, the group carrying the start to it,
-its block tables and its last measurement.  Steps update them; a halt
+_Iterate holds the normalized iterate, the upper-triangular group carrying
+the start to it and its last measurement.  Steps update them; a halt
 measures its witness first and resyncs only after a rejection.  A step
 costs one contraction and d - 1 Gram matrices: nu**2 = tr(a rho_j a^dagger)
 of the gated marginal is the stepped iterate's norm, the contraction with
@@ -29,12 +28,11 @@ measurement.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,24 +135,6 @@ class TargetSpectrum:
         writable array on every call."""
         return self._ascending[i - 1].copy()
 
-    def block_sizes(self, i: int) -> tuple[int, ...]:
-        """Multiplicities of the distinct values of factor i's ascending
-        arrangement, decided by exact rational equality."""
-        vec = tuple(reversed(self.parts[i - 1]))
-        sizes = []
-        for j, v in enumerate(vec):
-            if j > 0 and v == vec[j - 1]:
-                sizes[-1] += 1
-            else:
-                sizes.append(1)
-        return tuple(sizes)
-
-    def capacity_blocks(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-        """Per factor, (start, stop, exponent) of each block of equal
-        ascending entries; the exponent is the block's common entry."""
-        return tuple(_block_table(asc, self.block_sizes(i))
-                     for i, asc in enumerate(self._ascending, start=1))
-
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
         return cls(tuple(tuple(Fraction(1, n) for _ in range(n)) for n in dims))
@@ -172,13 +152,6 @@ class TargetSpectrum:
         return cls(tuple(out))
 
 
-def _block_table(asc: np.ndarray, sizes: Sequence[int]
-                 ) -> tuple[tuple[int, int, float], ...]:
-    """(start, stop, asc[start]) of each block of the given sizes."""
-    return tuple((lo, lo + b, float(asc[lo]))
-                 for lo, b in zip(itertools.accumulate(sizes, initial=0), sizes))
-
-
 @dataclass(frozen=True)
 class ScalingConfig:
     """Knobs for a single scaling run.
@@ -186,9 +159,16 @@ class ScalingConfig:
     rand_range is the sampling range {1, ..., M} for the initial basis
     change; the "theoretical" sentinel computes the worst-case range in
     exact integer arithmetic.  randomize=False starts run_scaling from the
-    input itself, which suffices for uniform targets in parabolic mode and
-    is what the Borel-orbit cross-checks need; run_general_scaling always
+    input itself, which suffices for uniform targets in either mode and is
+    what the Borel-orbit cross-checks need; run_general_scaling always
     samples its start and ignores it.
+
+    mode is BOREL or PARABOLIC; both run the one Borel loop.  If a and b
+    are the Borel and parabolic steps on rho, a rho a^dagger = b rho
+    b^dagger = D makes D^(-1/2) b a^-1 D^(1/2) unitary and block upper
+    triangular, hence block diagonal: the two iterates differ by a unitary
+    commuting with the target, so distances, factor choices, capacities and
+    verdicts agree, and either group is a witness.
     """
 
     epsilon: float
@@ -344,9 +324,7 @@ def _gate(rho: np.ndarray, bound: float) -> None:
     ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
     thousands a bound clearing 1e-9 of it leaves the exact check's eigenvalue
     far above its 1e-12 threshold: the bound passes only what the check does.
-    Each Schur complement _block_cholesky then forms has a principal block of
-    inv(rho) as inverse, so by interlacing it and its diagonal blocks keep
-    least eigenvalue at least lambda_min(rho).
+    A rho that passes factors by Cholesky without a check of its own.
     """
     trace = math.fsum(rho.diagonal().real.tolist())  # as _Iterate.step reads it
     if bound <= _GATE_MARGIN * max(trace, 1.0):
@@ -355,50 +333,16 @@ def _gate(rho: np.ndarray, bound: float) -> None:
 
 def upper_cholesky(rho: np.ndarray) -> np.ndarray:
     """Upper-triangular R with positive diagonal and R @ R^dagger = rho."""
-    return block_cholesky(rho, (1,) * len(rho))
-
-
-def block_cholesky(rho: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Block-upper-triangular R with Hermitian PSD diagonal blocks and
-    R @ R^dagger = rho.
-
-    A single block gives the Hermitian square root; all blocks of size 1
-    give the upper-triangular Cholesky factor.  In between, blocks are
-    eliminated bottom-up through Schur complements.
-    """
     rho = check_hermitian(rho)
-    n = rho.shape[0]
-    sizes = tuple(as_int(b, "block_sizes", low=1) for b in block_sizes)
-    if sum(sizes) != n:
-        raise ValueError(f"block sizes {sizes} do not tile dimension {n}")
     _assert_nonsingular(rho)
-    return _block_cholesky(rho, sizes)
+    return _upper_cholesky(rho)
 
 
-def _block_cholesky(rho: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """block_cholesky on a Hermitian rho with valid sizes that passed the
-    singularity rule unless it is one block.  By interlacing (see _gate) no
-    Schur complement block needs a check, so a LinAlgError is numeric."""
-    if len(sizes) == 1:
-        eigs, vecs = np.linalg.eigh(rho)
-        return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    if all(b == 1 for b in sizes):
-        # the lower Cholesky factor of the coordinate-reversed matrix
-        return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
-
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    out = np.zeros_like(rho, dtype=complex)
-    work = np.array(rho, dtype=complex)
-    for j in range(len(sizes) - 1, -1, -1):
-        lo, hi = bounds[j], bounds[j + 1]
-        diag = work[lo:hi, lo:hi]
-        r_jj = _block_cholesky(diag, (hi - lo,))
-        out[lo:hi, lo:hi] = r_jj
-        if lo > 0:
-            coupling = work[:lo, lo:hi] @ np.linalg.inv(r_jj)
-            out[:lo, lo:hi] = coupling
-            work[:lo, :lo] -= coupling @ coupling.conj().T
-    return out
+def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
+    """upper_cholesky on a Hermitian rho that passed the singularity rule,
+    so a LinAlgError is numeric: the lower Cholesky factor of the
+    coordinate-reversed matrix, reversed back."""
+    return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
 
 
 # --------------------------------------------------------------------------
@@ -548,15 +492,13 @@ class _Iterate:
     groups pairs the 0-based factors of each distinct dimension with their
     stacked target diagonals; index holds their flattening positions from
     _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
-    entries, else None.  roots[j], floors[j] and blocks[j] are factor j + 1's
-    target root vector, smallest target entry and step block sizes.  The group
-    stays block upper triangular on them (inv's LU never pivots on a triangular
-    factor), so cap_blocks[j], the (start, stop, exponent) of each step block
-    with its common target entry, is the table capacity reads.
+    entries, else None.  roots[j] and floors[j] are factor j + 1's target
+    root vector and smallest target entry.  The group stays upper triangular
+    (inv's LU never pivots on a triangular factor), so capacity reads its
+    diagonal.
     """
 
-    def __init__(self, x0: Tensor, p: TargetSpectrum, mode: str = BOREL,
-                 scale: float = 1.0):
+    def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
         shape = x0.shape
         asc = [p.ascending(i) for i in range(1, len(shape))]
         self.groups, self.slots = [], {}
@@ -571,9 +513,6 @@ class _Iterate:
                       if gathered <= GATHER_MAX_ENTRIES else None)
         self.roots = [np.sqrt(a) for a in asc]
         self.floors = [float(a[0]) for a in asc]
-        self.blocks = [p.block_sizes(i) if mode == PARABOLIC else (1,) * n
-                       for i, n in enumerate(shape[1:], start=1)]
-        self.cap_blocks = [_block_table(a, b) for a, b in zip(asc, self.blocks)]
         self.group = [np.eye(n, dtype=complex) for n in x0.dims]
         self.steps = 0
         self.renormalize(x0.data, scale)
@@ -597,7 +536,9 @@ class _Iterate:
         """Apply a / nu to factor j + 1 of the iterate and a to the group,
         fold 1 / nu into group[0] and return nu.  Factor j + 1's marginal
         becomes a rho_j a^dagger / nu**2, by its Hermitian part (the product
-        is Hermitian only up to rounding); the others are measured."""
+        is Hermitian only up to rounding); the others are measured.  A
+        non-finite entry in the stepped group factor raises
+        NumericBreakdownError at once: no later step makes it finite."""
         self.steps += 1
         # ndarray.dot: the BLAS product of @, with less overhead on small n
         rho = a.dot(self.rhos[j]).dot(a.conj().T)
@@ -607,6 +548,9 @@ class _Iterate:
         nu = math.sqrt(nu2)
         self.y = contract(a / nu, self.y, j + 1)
         self.group[j] = a.dot(self.group[j])
+        if not np.isfinite(self.group[j]).all():
+            raise NumericBreakdownError("the scaling group left the "
+                                        f"floating-point range at step {self.steps}")
         self.group[0] = self.group[0] / nu
         rho += rho.conj().T
         rho *= 0.5 / nu2
@@ -618,7 +562,7 @@ class _Iterate:
         lowest on ties), gated, and the _step_matrix that fixes its marginal."""
         j = self.dists.index(max(self.dists))
         _gate(self.rhos[j], self.lows[j] + self.floors[j])
-        return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks[j])
+        return j, _step_matrix(self.rhos[j], self.roots[j])
 
     def grams(self, skip: int | None = None) -> list[np.ndarray]:
         """One-body marginals of the raw iterate, one (k, n, n) stack per
@@ -672,13 +616,12 @@ class _Iterate:
         self.rhos, self.dists, self.lows = rhos, dists, lows
 
 
-def _step_matrix(rho: np.ndarray, root: np.ndarray,
-                 blocks: tuple[int, ...]) -> np.ndarray:
-    """Factor A with (A rho A^dagger) = diag(root)**2 for the root vector of
-    the target and the Hermitian rho, which _gate passed; unit blocks are
-    the Borel step."""
+def _step_matrix(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The Borel step: upper-triangular A with (A rho A^dagger) =
+    diag(root)**2 for the root vector of the target and the Hermitian rho,
+    which _gate passed."""
     # scaling the rows of inv(R) is the diagonal product, entry by entry
-    return np.linalg.inv(_block_cholesky(rho, blocks)) * root[:, None]
+    return np.linalg.inv(_upper_cholesky(rho)) * root[:, None]
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -687,8 +630,9 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
 
     Measures every marginal's trace distance to its target diagonal, picks
     the worst factor (smallest label wins ties) and updates that factor of g
-    so the chosen marginal becomes exactly the target diagonal.  Returns the
-    updated tuple, the 1-based chosen factor, and the measured distances.
+    by the Borel step of either mode (see ScalingConfig), so the chosen
+    marginal becomes exactly the target diagonal.  Returns the updated
+    tuple, the 1-based chosen factor, and the measured distances.
     """
     if mode not in (BOREL, PARABOLIC):
         raise ValueError(f"unknown mode {mode!r}")
@@ -697,47 +641,23 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     y = apply_group(g, x)
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
-    it = _Iterate(y, p, mode)
+    it = _Iterate(y, p)
     j, a = it.rule()
     g_new = [np.asarray(m, dtype=complex) for m in g]
     g_new[j] = a @ g_new[j]
     return tuple(g_new), j + 1, tuple(it.dists)
 
 
-def _block_dets(group: Sequence[np.ndarray],
-                blocks: Sequence[Sequence[tuple[int, int, float]]]
-                ) -> dict[int, Iterator[complex]]:
-    """Per block size above 1, the determinants of the blocks of that size
-    in block order, from one stacked np.linalg.det, which factors each
-    matrix on its own exactly as it factors that matrix alone."""
-    stacks: dict[int, list[np.ndarray]] = {}
-    for r, factor_blocks in zip(group, blocks):
-        for lo, hi, _ in factor_blocks:
-            if hi - lo > 1:
-                stacks.setdefault(hi - lo, []).append(r[lo:hi, lo:hi])
-    return {size: iter(np.linalg.det(np.array(mats)))
-            for size, mats in stacks.items()}
-
-
-def capacity(group: Sequence[np.ndarray],
-             blocks: Sequence[Sequence[tuple[int, int, float]]],
+def capacity(group: Sequence[np.ndarray], p: TargetSpectrum,
              norm_y: float) -> float:
-    """Capacity objective norm(R . X) * |chi(R)| for a triangular tuple R.
-
-    ``norm_y`` is norm(R . X) and ``blocks`` is TargetSpectrum.capacity_blocks()
-    or a refinement that R is block triangular on: the character modulus is
-    a product of block determinants, read off the diagonal for 1x1 blocks.
-    """
+    """Capacity objective norm(R . X) * |chi(R)| for an upper-triangular
+    tuple R and the target p, where ``norm_y`` is norm(R . X): the
+    character modulus is the product of |R_kk| ** -(p's k-th ascending
+    entry), read off the diagonal.  A zero diagonal entry gives inf."""
     value = norm_y
-    dets = None
-    for r, factor_blocks in zip(group, blocks):
-        for lo, hi, exponent in factor_blocks:
-            if hi - lo == 1:
-                det = abs(r[lo, lo])
-            else:
-                if dets is None:  # every larger block at once, on first need
-                    dets = _block_dets(group, blocks)
-                det = abs(next(dets[hi - lo]))
+    for r, asc in zip(group, p._ascending):
+        for k, exponent in enumerate(asc.tolist()):
+            det = abs(r[k, k])
             if det == 0.0:
                 return math.inf
             value *= det ** -exponent
@@ -764,19 +684,18 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     """Scale ``start`` = pre . x toward p and report a group acting on x.
 
     Zero targets restrict the start to their positive part and run the loop
-    at half the tolerance; a restriction that vanishes is rejected.  The
-    step budget is budget_for(restricted format, loop tolerance).  The loop
-    steps the restricted start x0 from the identity.  A halt measures the
-    composed, padded group on x and ships it as SCALED if it holds, as
-    almost every first halt does; a rejected one resyncs the drifting
-    iterate from x0.  The witness's image of x differs from it by rounding
-    and the pad, and resyncing from that image turns capped W -> uniform
-    runs into a float-singular NOT_IN_POLYTOPE.  Drift that fails a halt
+    at half the tolerance.  The step budget is budget_for(restricted format,
+    loop tolerance).  The loop steps the restricted start x0 from the
+    identity.  A halt measures the composed, padded group on x and ships it
+    as SCALED if it holds, as almost every first halt does; a rejected one
+    resyncs the drifting iterate from x0.  The witness's image of x differs
+    from it by rounding and the pad, and resyncing from that image turns
+    capped W -> uniform runs into a float-singular NOT_IN_POLYTOPE.  Drift that fails a halt
     fails the next, so a later halt's witness waits for a passing resync.
     Other verdicts pad the loop's group unmeasured; a non-finite group or
-    image raises NumericBreakdownError.  A start failing the singularity
-    gate is a rank obstruction unless a factor of pre is exactly singular:
-    that run ends BUDGET_EXHAUSTED at step 0.
+    image raises NumericBreakdownError.  A restriction that vanishes, or a
+    start failing the singularity gate, is a rank obstruction unless a factor
+    of pre is exactly singular: that run ends BUDGET_EXHAUSTED at step 0.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
@@ -785,9 +704,6 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         x0, p_active, epsilon = start, p, cfg.epsilon
     norm_x0 = x0.norm()
     norm_start = norm_x0 if x0 is start else start.norm()
-    if norm_x0 == 0.0:
-        return ScalingReport(NOT_IN_POLYTOPE, pre, 0, [], 0, cfg.epsilon,
-                             note="restricted tensor vanished")
     budget = budget_for((x0.n0,) + x0.dims, epsilon)
     trace: list[IterationRecord] = []
 
@@ -805,17 +721,23 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         return ScalingReport(verdict, group, len(trace), trace, budget,
                              cfg.epsilon, note=why)
 
-    it = _Iterate(x0, p_active, cfg.mode, norm_x0)
+    def obstruction(group: Callable[[], GroupTuple], why: str = note) -> ScalingReport:
+        # a rank obstruction, unless a factor of pre is exactly singular
+        singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
+        if singular:
+            return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
+        return report(NOT_IN_POLYTOPE, group(), why)
+
+    if norm_x0 == 0.0:
+        return obstruction(lambda: pre, "restricted tensor vanished")
+    it = _Iterate(x0, p_active, norm_x0)
     # the singularity rule compares each marginal with its own trace, so
     # the normalized start's marginals serve for x0's
     try:
         for rho, low, floor in zip(it.rhos, it.lows, it.floors):
             _gate(rho, low + floor)
     except SingularMarginalError:
-        singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
-        if singular:
-            return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
-        return report(NOT_IN_POLYTOPE, full(identity_group(x0.dims)))
+        return obstruction(lambda: full(identity_group(x0.dims)))
 
     limit = cfg.max_iters if cfg.max_iters is not None else budget
 
@@ -855,7 +777,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         dists = tuple(it.dists)
         nu = it.step(j, a)
         # it.y came out of the step normalized: norm(R . X) is 1 up to rounding
-        cap = capacity(it.group, it.cap_blocks, 1.0) if cfg.log_capacity else math.nan
+        cap = capacity(it.group, p_active, 1.0) if cfg.log_capacity else math.nan
         trace.append(IterationRecord(j + 1, dists, nu, cap))
 
 

@@ -256,11 +256,11 @@ def test_criterion_07_hwv_bound_and_transformation():
 
 
 # --------------------------------------------------------------------------
-# 8. Per-step growth of the potential, triangular and block variants
+# 8. Per-step growth of the potential along Borel steps
 # --------------------------------------------------------------------------
 
 
-def _instrumented_progress_run(x, mode, seed):
+def _instrumented_progress_run(x, seed):
     p = ts.TargetSpectrum.uniform(x.dims)
     g = list(ts.random_group(x.dims, 16, seed))
     x0 = ts.apply_group(g, x)  # integer entries
@@ -282,7 +282,7 @@ def _instrumented_progress_run(x, mode, seed):
     for _ in range(40):
         y = ts.apply_group(g, x0)
         assert abs(ts.evaluate_hwv(spec, y)) <= bound * (1 + 1e-6)
-        g_next, i, dists = ts.scaling_step(g, x0, p, mode=mode)
+        g_next, i, dists = ts.scaling_step(g, x0, p)
         if max(dists) <= 1e-2:
             break
         y_next = ts.apply_group(g_next, x0)
@@ -296,21 +296,20 @@ def _instrumented_progress_run(x, mode, seed):
 
 def test_criterion_08_progress_inequality():
     rng = np.random.default_rng(MASTER_SEED + 8)
-    steps = {ts.BOREL: 0, ts.PARABOLIC: 0}
+    steps = 0
     completed = 0
     attempt = 0
     while completed < 20:
         x = random_integer_tensor((1, 2, 2, 2), rng, low=1, high=4)
-        mode = ts.BOREL if completed % 2 == 0 else ts.PARABOLIC
-        outcome = _instrumented_progress_run(x, mode, seed=attempt)
+        outcome = _instrumented_progress_run(x, seed=attempt)
         attempt += 1
         if outcome is None:
             continue  # no nonvanishing functional of degree <= 4 here
-        steps[mode] += outcome
+        steps += outcome
         completed += 1
-    assert steps[ts.BOREL] > 0 and steps[ts.PARABOLIC] > 0
+    assert steps > 0
     report(8, f"growth bound held on every step of 20 instrumented runs "
-              f"({steps[ts.BOREL]} triangular, {steps[ts.PARABOLIC]} block)")
+              f"({steps} triangular steps)")
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +329,8 @@ def _reduced_uniform_scalable(y, lams, max_iters=800):
     reduced = ts.reduce_tensor(ts.apply_group(scales, y), lams)
     rep = ts.run_scaling(
         reduced, ts.TargetSpectrum.uniform(reduced.dims),
-        ts.ScalingConfig(epsilon=0.05, seed=0, mode=ts.PARABOLIC,
-                         randomize=False, max_iters=max_iters))
+        ts.ScalingConfig(epsilon=0.05, seed=0, randomize=False,
+                         max_iters=max_iters))
     return rep.verdict == ts.SCALED
 
 

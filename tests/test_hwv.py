@@ -122,6 +122,34 @@ class TestEvaluateHwv:
         assert abs(value) == 1
         assert peak < 64 * 2**20
 
+    def test_large_term_tables_are_not_memoized(self):
+        # each (1;8), k = 8 description's terms take 2.9 MB: memoized, these
+        # 20 would hold 58 MB after their evaluations return
+        assert hwv._det_terms_bytes((1,) * 8, 8, 8) == 2_903_040
+        x = ts.Tensor(np.eye(8))
+        tracemalloc.start()
+        try:
+            for perm in itertools.islice(itertools.permutations(range(8)), 20):
+                spec = ts.HWVSpec(weight=((1,) * 8,), index_seq=tuple(range(8)),
+                                  perms=(perm,))
+                assert abs(ts.evaluate_hwv(spec, x)) == 1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * 2**20
+        # a full memo of pairs at the size bound holds at most 8 MiB
+        assert hwv._det_terms.cache_info().maxsize * hwv._DET_TERMS_MEMO_BYTES \
+            <= 8 * 2**20
+
+    def test_certify_sized_term_tables_are_memoized(self):
+        # the degree-3 (1;2,2) and degree-4 (1;2,2,2) descriptions certify
+        # runs evaluate: the same pair comes back
+        for lam, perm, n, k in [((2, 1), (1, 2, 0), 2, 3),
+                                ((2, 2), (0, 2, 1, 3), 2, 4)]:
+            first = hwv._shared_det_terms(lam, perm, n, k)
+            again = hwv._shared_det_terms(lam, perm, n, k)
+            assert first[0] is again[0] and first[1] is again[1]
+
     def test_antisymmetry_on_product_tensors(self, rng):
         # any column of height >= 2 contracts equal slot vectors on a
         # rank-one tensor, so the value vanishes
@@ -176,16 +204,14 @@ class TestCharacter:
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_block_determinants(self):
-        # block characters belong to capacity: the target (1/2, 1/4, 1/4)
-        # ascends as (1/4, 1/4 | 1/2), a (2, 1) block pattern, and the
-        # leading block's determinant 2*1 - 1*1 replaces its diagonal's 2
+        # the target (1/2, 1/4, 1/4) ascends as (1/4, 1/4 | 1/2), a (2, 1)
+        # block pattern; on a triangular group the leading block's
+        # determinant 2*3 is its diagonal's product, so capacity reads the
+        # diagonal with the ascending entries as exponents
         p = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)),))
-        blocks = p.capacity_blocks()
-        assert blocks == (((0, 2, 0.25), (2, 3, 0.5)),)
-        r = np.array([[2, 1, 3], [1, 1, 0.5], [0, 0, 4]], dtype=complex)
-        expected = 3.0 * 1.0 ** -0.25 * 4.0 ** -0.5
-        assert ts.capacity((r,), blocks, 3.0) == pytest.approx(expected,
-                                                               rel=1e-12)
+        r = np.array([[2, 1, 3], [0, 3, 0.5], [0, 0, 4]], dtype=complex)
+        expected = 3.0 * 6.0 ** -0.25 * 4.0 ** -0.5
+        assert ts.capacity((r,), p, 3.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTransformationLaw:
@@ -214,7 +240,7 @@ class TestTransformationLaw:
 
 def capacity_value(x, p, group):
     """Capacity objective norm(R . x) * |chi(R)| at a triangular tuple R."""
-    return ts.capacity(group, p.capacity_blocks(), ts.apply_group(group, x).norm())
+    return ts.capacity(group, p, ts.apply_group(group, x).norm())
 
 
 class TestCapacityValue:

@@ -544,8 +544,7 @@ class TestCli:
         mpath.write_text(json.dumps(
             {"matrices": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "sites": 3}))
         code, out = self.run("general-scale", "--mps", str(mpath), "--target",
-                             "uniform", "--epsilon", "0.01", "--mode",
-                             "parabolic", capsys=capsys)
+                             "uniform", "--epsilon", "0.01", capsys=capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["verdict"] == "SCALED"
@@ -592,6 +591,12 @@ class TestCli:
         # these runs sample their start and never read the flag
         assert cli.main(argv + ["--epsilon", "0.1", "--no-randomize"]) == 2
         assert "--no-randomize" in capsys.readouterr().err
+
+    def test_mode_flag_is_retired(self, capsys):
+        # every run takes the Borel step, so there is no mode to select
+        assert cli.main(["qmp", "--dims", "2,2", "--target", "uniform",
+                         "--epsilon", "0.1", "--mode", "parabolic"]) == 2
+        assert "--mode" in capsys.readouterr().err
 
     def test_sites_without_mps_is_a_usage_error(self, capsys):
         code = cli.main(["general-scale", "--dims", "2,2", "--sites", "5",

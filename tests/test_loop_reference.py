@@ -2,8 +2,8 @@
 
 The reference below is the loop rebuilt from public functions: it re-wraps
 the iterate in a Tensor every step, measures each distance with
-trace_distance, and factors the chosen marginal with upper_cholesky or
-block_cholesky.  Its step follows the engine's one-pass rule: nu**2 is the
+trace_distance, and factors the chosen marginal with upper_cholesky.  Its
+step follows the engine's one-pass rule: nu**2 is the
 trace of the congruence a rho a^dagger of the gated marginal, the iterate
 is stepped with apply_factor(a / nu, ...), the stepped factor's marginal is
 the Hermitian part of that congruence over nu**2 and every other one is a
@@ -12,9 +12,8 @@ rejection; once a witness has failed, each later halt resyncs first and
 measures the witness only if the resync passes.  The engine does the same
 arithmetic on raw arrays, so it must match the reference bit for bit in
 verdict, step count, budget, group and every step's factor, distances and
-norm.  The capacity reads 1x1 block
-determinants off the diagonal instead of through np.linalg.det, so it is
-compared within 1e-12 relative.
+norm.  The capacity is compared within 1e-12 relative.  Both mode values
+run the one Borel loop, so each is checked against the same reference.
 """
 import math
 import random
@@ -39,20 +38,16 @@ def ref_distances(rhos, p):
 def ref_capacity(borel, p, norm_y):
     value = norm_y
     for i in range(1, p.num_factors + 1):
-        asc = p.ascending(i)
-        lo = 0
-        for size in p.block_sizes(i):
-            det = abs(np.linalg.det(borel[i - 1][lo: lo + size, lo: lo + size]))
+        for k, exponent in enumerate(p.ascending(i)):
+            det = abs(borel[i - 1][k, k])
             if det == 0.0:
                 return math.inf
-            value *= det ** (-float(asc[lo]))
-            lo += size
+            value *= det ** (-float(exponent))
     return value
 
 
-def ref_step_matrix(rho, target, blocks):
-    r = ts.upper_cholesky(rho) if blocks is None else ts.block_cholesky(rho, blocks)
-    return np.diag(np.sqrt(target)) @ np.linalg.inv(r)
+def ref_step_matrix(rho, target):
+    return np.diag(np.sqrt(target)) @ np.linalg.inv(ts.upper_cholesky(rho))
 
 
 def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
@@ -69,8 +64,6 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     borel[0] /= scale
     y = ts.Tensor(x0.data / scale)
     rhos = ref_marginals(y)
-    blocks = [p.block_sizes(i) if cfg.mode == ts.PARABOLIC else None
-              for i in range(1, d + 1)]
     targets = [p.ascending(i) for i in range(1, d + 1)]
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace = []
@@ -106,7 +99,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
             dists = ref_distances(rhos, p)
         i = int(np.argmax(dists)) + 1
         try:
-            a = ref_step_matrix(rhos[i - 1], targets[i - 1], blocks[i - 1])
+            a = ref_step_matrix(rhos[i - 1], targets[i - 1])
         except ts.SingularMarginalError:
             return ts.NOT_IN_POLYTOPE, tuple(borel), trace
         stepped = a.dot(rhos[i - 1]).dot(a.conj().T)

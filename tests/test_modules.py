@@ -1,10 +1,11 @@
 """Module boundaries: no package module reaches into another's private
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
-entry points, singularity is decided by one check, each halt check makes
-the one resync call the benchmark's tracer counts, no public function
-stays in the package that only the tests call, and no private top-level
-function or class stays that no package module calls."""
+entry points, singularity is decided by one check, no module calls a dense
+eigendecomposition or determinant, each halt check makes the one resync
+call the benchmark's tracer counts, no public function stays in the
+package that only the tests call, and no private top-level function or
+class stays that no package module calls."""
 import ast
 from pathlib import Path
 
@@ -143,9 +144,8 @@ def test_no_module_keeps_an_unbounded_cache():
 
 # the scaling loop's private kernels and the checked public entry points
 # they must not call: validation belongs at the API boundary
-LOOP_KERNELS = {"_core_loop", "_step_matrix", "_block_cholesky", "_Iterate"}
-CHECKED_ENTRIES = {"check_hermitian", "psd_sqrt", "block_cholesky",
-                   "upper_cholesky"}
+LOOP_KERNELS = {"_core_loop", "_step_matrix", "_upper_cholesky", "_Iterate"}
+CHECKED_ENTRIES = {"check_hermitian", "psd_sqrt", "upper_cholesky"}
 
 
 def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
@@ -170,7 +170,7 @@ def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
 
 def test_guard_sees_kernel_entry_calls():
     assert kernel_entry_calls(
-        "def _block_cholesky(rho, sizes):\n"
+        "def _upper_cholesky(rho):\n"
         "    return psd_sqrt(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def step(self, rho):\n"
@@ -178,10 +178,10 @@ def test_guard_sees_kernel_entry_calls():
         "def _core_loop(x):\n"
         "    def verified_halt():\n"
         "        return check_hermitian(x)\n"
-        "    return _block_cholesky(x, (1,))\n"
-        "def block_cholesky(rho, sizes):\n"
-        "    return _block_cholesky(check_hermitian(rho), sizes)\n") \
-        == [("_block_cholesky", "psd_sqrt"), ("_Iterate", "upper_cholesky"),
+        "    return _upper_cholesky(x)\n"
+        "def upper_cholesky(rho):\n"
+        "    return _upper_cholesky(check_hermitian(rho))\n") \
+        == [("_upper_cholesky", "psd_sqrt"), ("_Iterate", "upper_cholesky"),
             ("_core_loop", "check_hermitian")]
 
 
@@ -196,7 +196,7 @@ def test_loop_kernels_call_no_checked_entry_point():
 # the one singularity rule: the exact check and the Weyl margin, by the only
 # top-level definitions of scaling.py that may use each; the factorizations
 # the gate passed recheck nothing (see _gate on interlacing)
-GATE_USERS = {"_assert_nonsingular": {"_gate", "block_cholesky"},
+GATE_USERS = {"_assert_nonsingular": {"_gate", "upper_cholesky"},
               "_GATE_MARGIN": {"_gate"}}
 
 
@@ -223,9 +223,9 @@ def test_guard_sees_gate_bypasses():
         "def _gate(rho, bound):\n"
         "    if bound <= _GATE_MARGIN:\n"
         "        _assert_nonsingular(rho)\n"
-        "def block_cholesky(rho, sizes):\n"
+        "def upper_cholesky(rho):\n"
         "    _assert_nonsingular(rho)\n"
-        "def _block_cholesky(rho, sizes):\n"
+        "def _upper_cholesky(rho):\n"
         "    _assert_nonsingular(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def rule(self):\n"
@@ -234,7 +234,7 @@ def test_guard_sees_gate_bypasses():
         "    def start():\n"
         "        return it.low > _GATE_MARGIN\n"
         "check = _assert_nonsingular\n") \
-        == [("_block_cholesky", "_assert_nonsingular"),
+        == [("_upper_cholesky", "_assert_nonsingular"),
             ("_Iterate", "_assert_nonsingular"), ("_core_loop", "_GATE_MARGIN"),
             ("<module>", "_assert_nonsingular")]
 
@@ -243,7 +243,7 @@ def test_singularity_is_decided_by_the_one_gate():
     source = (PACKAGE / "scaling.py").read_text()
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
-    assert {"_gate", "_assert_nonsingular", "block_cholesky"} <= defined
+    assert {"_gate", "_assert_nonsingular", "upper_cholesky"} <= defined
     assert gate_bypasses(source) == []
 
 
@@ -274,7 +274,7 @@ def test_guard_sees_singular_raises():
     assert singular_raises(
         "def _assert_nonsingular(rho):\n"
         "    raise SingularMarginalError('low')\n"
-        "def _block_cholesky(rho, sizes):\n"
+        "def _upper_cholesky(rho):\n"
         "    try:\n"
         "        return cholesky(rho)\n"
         "    except LinAlgError as exc:\n"
@@ -288,7 +288,7 @@ def test_guard_sees_singular_raises():
         "    except SingularMarginalError:\n"
         "        return None\n"
         "FAILURE = SingularMarginalError('at import')\n") \
-        == ["_block_cholesky", "_Iterate", "<module>"]
+        == ["_upper_cholesky", "_Iterate", "<module>"]
 
 
 def test_only_the_exact_check_raises_singular():
@@ -329,6 +329,43 @@ def test_guard_sees_contraction_helper_calls():
 
 def test_no_module_calls_a_contraction_helper():
     found = {path.name: contraction_helper_calls(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# dense eigendecompositions and determinants: every step is the Borel step,
+# so a factorization is a Cholesky and a determinant is a diagonal product
+DENSE_SOLVERS = {"eigh", "det"}
+
+
+def dense_solver_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call to a DENSE_SOLVERS function, by attribute
+    (np.linalg.det) or by a bare imported name (eigh)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                func.id if isinstance(func, ast.Name) else None
+            if name in DENSE_SOLVERS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_guard_sees_dense_solver_calls():
+    assert dense_solver_calls(
+        "import numpy as np\n"
+        "from numpy.linalg import eigh\n"
+        "w, v = np.linalg.eigh(rho)\n"
+        "d = abs(np.linalg.det(r)) * abs(det(s))\n"
+        "e = eigh(rho)\n"
+        "f = np.linalg.eigvalsh(rho) + np.linalg.slogdet(r)[1]\n"
+        "det = abs(r[0, 0])\n") \
+        == [(3, "eigh"), (4, "det"), (4, "det"), (5, "eigh")]
+
+
+def test_no_module_calls_eigh_or_det():
+    found = {path.name: dense_solver_calls(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
 
@@ -483,8 +520,6 @@ KEPT_API = {
     # the reduction's map of Borel steps, and the partition predicate that
     # README documents
     "borel_homomorphism", "is_partition",
-    # TargetSpectrum's block table, which the public capacity reads
-    "capacity_blocks",
 }
 
 

@@ -184,12 +184,13 @@ class TestKronecker:
 
     def test_overflowing_group_is_a_numeric_breakdown(self):
         # far from this point, the accumulated group's third factor leaves
-        # the float range near step 13,360 while the normalized iterate stays
-        # finite and no halt check runs; the capped run must not report the
-        # non-finite group as EPS_FAR evidence
+        # the float range at step 13,361 while the normalized iterate stays
+        # finite and no halt check runs; the run stops at that step, not at
+        # its cap, and never reports the non-finite group as EPS_FAR evidence
         cfg = ts.ScalingConfig(epsilon=0.01, seed=0, max_iters=14000)
-        with np.errstate(all="ignore"), \
-                pytest.raises(ts.NumericBreakdownError):
+        with np.errstate(all="ignore"), pytest.raises(
+                ts.NumericBreakdownError,
+                match=r"group left the floating-point range at step 13361$"):
             ts.kronecker_support(ts.KroneckerQuery((4, 2), (3, 3), (2, 2, 2)),
                                  0.01, cfg=cfg, repeats=1)
 

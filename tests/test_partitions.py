@@ -11,8 +11,6 @@ from tenscale import cli, io
 
 REJECTED = [2.7, 2.0, True, np.bool_(True), "2"]
 
-RHO = np.diag([3.0, 2.0, 1.0]).astype(complex)
-
 
 def _group_bytes(group) -> tuple[bytes, ...]:
     return tuple(m.tobytes() for m in group)
@@ -52,8 +50,6 @@ ENTRIES = {
     "KroneckerQuery.mu": ("mu", lambda v: _kronecker((2, 1), (v, 1), (3,))),
     "KroneckerQuery.nu": ("nu", lambda v: _kronecker((2, 1), (3,), (v, 1))),
     "KroneckerQuery.n": ("n", lambda v: _kronecker((1,), (1,), (1,), v)),
-    "block_cholesky": ("block_sizes",
-                       lambda v: ts.block_cholesky(RHO, (v, 1)).tobytes()),
     "eval_cost": ("dims", lambda v: ts.eval_cost((v, 2), 1)),
     "partitions_of.k": ("k", lambda v: list(ts.partitions_of(v, 2))),
     "partitions_of.max_parts": ("max_parts", lambda v: list(ts.partitions_of(2, v))),

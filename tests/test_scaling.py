@@ -54,13 +54,13 @@ class TestTargetSpectrum:
         assert p.denominator_lcm == 3
 
     def test_uniform_and_blocks(self):
+        # a block of equal entries ascends as equal floats
         p = ts.TargetSpectrum.uniform((2, 3))
         assert p.denominator_lcm == 6
-        assert p.block_sizes(1) == (2,)
-        assert p.block_sizes(2) == (3,)
+        assert p.ascending(1).tolist() == [0.5, 0.5]
+        assert p.ascending(2).tolist() == [1 / 3] * 3
         q = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)),))
-        assert q.block_sizes(1) == (2, 1)
-        assert np.allclose(q.ascending(1), [0.25, 0.25, 0.5])
+        assert q.ascending(1).tolist() == [0.25, 0.25, 0.5]
 
     def test_from_floats_repairs_sum(self):
         p = ts.TargetSpectrum.from_floats([[0.7, 0.3], [2 / 3, 1 / 3]])
@@ -78,8 +78,6 @@ class TestTargetSpectrum:
         asc[:] = 7.0
         assert p.ascending(1).tolist() == [1 / 6, 1 / 3, 1 / 2]
         assert p.ascending(1) is not p.ascending(1)
-        assert p.capacity_blocks() == (((0, 1, 1 / 6), (1, 2, 1 / 3),
-                                        (2, 3, 1 / 2)),)
 
     def test_sum_off_by_a_tiny_fraction_raises(self):
         off = F(1, 10**18)
@@ -99,7 +97,7 @@ class TestTargetSpectrum:
         p = ts.TargetSpectrum([["1/2", "1/4", "1/4"], ["2/3", "1/3"]])
         q = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)), (F(2, 3), F(1, 3))))
         before = hash(p)
-        p.ascending(1), p.capacity_blocks()  # fills the cached floats
+        p.ascending(1)  # fills the cached floats
         assert p == q and hash(p) == hash(q) == before == hash((p.parts,))
         assert p != ts.TargetSpectrum(((F(1, 2), F(1, 2)), (F(2, 3), F(1, 3))))
         assert repr(p) == repr(q)
@@ -183,87 +181,58 @@ class TestUpperCholesky:
         with pytest.raises(ts.SingularMarginalError):
             ts.upper_cholesky(np.diag([1.0, 0.0]))
 
-
-class TestBlockCholesky:
-    def test_single_block_is_hermitian_sqrt(self):
-        r = ts.block_cholesky(np.diag([4.0, 1.0]), (2,))
-        assert np.allclose(r, np.diag([2.0, 1.0]))
-        assert np.allclose(r, r.conj().T)
-
-    def test_all_singletons_match_upper_cholesky(self):
+    def test_is_the_reversed_lower_factor(self):
         rho = np.array([[2.0, 1], [1, 1]])
-        assert np.array_equal(ts.block_cholesky(rho, (1, 1)),
-                              ts.upper_cholesky(rho))
         assert np.array_equal(ts.upper_cholesky(rho),
                               np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1])
-        # a 1x1 input is one block and all singletons at once: the square
-        # root and the Cholesky factor agree bit for bit
+        # a 1x1 input: the Cholesky factor is the square root, bit for bit
         for value in (2.0, 0.3, 7.0 + 0j, 1e-300, 1e150):
             rho = np.array([[value]])
             root = np.array([[np.sqrt(complex(value))]])
-            assert np.array_equal(ts.block_cholesky(rho, (1,)), root)
             assert np.array_equal(ts.upper_cholesky(rho), root)
             assert np.array_equal(np.linalg.cholesky(rho), root)
 
-    def test_mixed_blocks(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = a @ a.conj().T + 0.2 * np.eye(3)
-        r = ts.block_cholesky(rho, (1, 2))
-        assert np.allclose(r[1:, 0], 0)
-        assert np.linalg.norm(r @ r.conj().T - rho) <= 1e-10 * np.linalg.norm(rho)
-        block = r[1:, 1:]
-        assert np.allclose(block, block.conj().T)
 
-    def test_bad_blocks(self):
-        with pytest.raises(ValueError):
-            ts.block_cholesky(np.eye(3), (2, 2))
-
-
-def gate_passed_case(n, log_low, cuts, seed):
+def gate_passed_case(n, log_low, seed):
     """A Hermitian rho with random eigenvectors whose n eigenvalues spread
     log-uniformly from 10**log_low to 1, so 10**log_low / n <= lambda_min / tr
-    <= 10**log_low, and the block sizes the cut points leave."""
+    <= 10**log_low."""
     rng = np.random.default_rng(seed)
     spectrum = 10.0 ** np.sort(rng.uniform(log_low, 0.0, n))
     spectrum[0], spectrum[-1] = 10.0 ** log_low, 1.0
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u, _ = np.linalg.qr(g)
     rho = (u * spectrum) @ u.conj().T
-    edges = [0, *sorted(c for c in cuts if c < n), n]
-    return (rho + rho.conj().T) / 2, tuple(np.diff(edges).tolist())
+    return (rho + rho.conj().T) / 2
 
 
 class TestFactorizationsAfterTheGate:
     """_assert_nonsingular is the one singularity check: on every rho it
-    passes, the factorizations succeed without a check of their own (by
-    interlacing, each Schur complement block keeps lambda_min(rho))."""
+    passes, the loop's Cholesky kernel succeeds without a check of its own."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 6), log_low=st.floats(-11.0, 0.0),
-           cuts=st.sets(st.integers(1, 5)), seed=st.integers(0, 2**32 - 1))
-    def test_gate_passed_rho_factors(self, n, log_low, cuts, seed):
-        rho, sizes = gate_passed_case(n, log_low, cuts, seed)
+           seed=st.integers(0, 2**32 - 1))
+    def test_gate_passed_rho_factors(self, n, log_low, seed):
+        rho = gate_passed_case(n, log_low, seed)
         try:
             ts.scaling._assert_nonsingular(rho)
         except ts.SingularMarginalError:
             return
-        r = ts.block_cholesky(rho, sizes)
+        r = ts.scaling._upper_cholesky(rho)
         assert np.all(np.isfinite(r))
-        edges = np.cumsum((0,) + sizes)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            assert not r[hi:, lo:hi].any()  # block upper triangular
+        assert not np.tril(r, -1).any()  # upper triangular
         assert np.linalg.norm(r @ r.conj().T - rho) \
             <= 1e-8 * np.linalg.norm(rho)
-        assert np.all(np.isfinite(ts.upper_cholesky(rho)))
+        assert np.array_equal(ts.upper_cholesky(rho), r)
 
     def test_cases_reach_ten_times_the_threshold(self):
         # the strategy's far end: lambda_min / tr below 10 * SINGULARITY_RTOL,
         # which the check still passes
-        rho, sizes = gate_passed_case(6, -11.0, {2, 3}, seed=0)
+        rho = gate_passed_case(6, -11.0, seed=0)
         ratio = np.linalg.eigvalsh(rho)[0] / np.trace(rho).real
         assert 1 < ratio / ts.scaling.SINGULARITY_RTOL < 10
         ts.scaling._assert_nonsingular(rho)
-        assert sizes == (2, 1, 3)
 
 
 class TestAssertNonsingular:
@@ -371,13 +340,13 @@ class TestScalingStep:
 
     @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
     def test_same_step_rule_as_the_loop(self, rng, mode):
-        # factor 2 is the worst, and its repeated 1/4 makes the parabolic
-        # step a 2x2-block one
+        # factor 2 is the worst; its repeated 1/4 leaves the step of either
+        # mode value upper triangular, the Borel step
         x = normalized(random_integer_tensor((1, 3, 3), rng))
         p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 4), F(1, 4))))
         g, i, dists = ts.scaling_step(ts.identity_group((3, 3)), x, p, mode)
-        assert i == 2 and (g[1][1, 0] != 0) == (mode == ts.PARABOLIC)
+        assert i == 2 and not np.tril(g[1], -1).any()
         rep = ts.run_scaling(x, p, ts.ScalingConfig(
             epsilon=1e-6, mode=mode, randomize=False, max_iters=1))
         (record,) = rep.trace
@@ -536,7 +505,7 @@ class TestGatheredMarginals:
 
 def paired_target(dims):
     """Per factor, entries proportional to (2, ..., 2, 1, ..., 1): repeated
-    entries, so a parabolic step has blocks larger than 1x1."""
+    entries, on which a parabolic step would have blocks larger than 1x1."""
     parts = []
     for n in dims:
         weights = [2] * (n - n // 2) + [1] * (n // 2)
@@ -555,12 +524,18 @@ class TestOnePassStep:
         # a Gaussian start is well conditioned: step each factor once and
         # compare every marginal with a fresh tensors.marginal
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        it = ts.scaling._Iterate(ts.Tensor(x), paired_target(shape[1:]), mode)
+        p = paired_target(shape[1:])
+        it = ts.scaling._Iterate(ts.Tensor(x), p)
         assert (it.index is None) == \
             ((len(shape) - 1) * math.prod(shape) > ts.scaling.GATHER_MAX_ENTRIES)
+        # scaling_step takes the loop's Borel step in either mode
+        y0 = ts.Tensor(x / np.linalg.norm(x))
+        g, i, _ = ts.scaling_step(ts.identity_group(y0.dims), y0, p, mode)
+        first = ts.scaling._Iterate(y0, p)
+        assert np.array_equal(g[i - 1], ts.scaling._step_matrix(
+            first.rhos[i - 1], first.roots[i - 1]) @ np.eye(shape[i]))
         for j in range(len(shape) - 1):
-            it.step(j, ts.scaling._step_matrix(it.rhos[j], it.roots[j],
-                                               it.blocks[j]))
+            it.step(j, ts.scaling._step_matrix(it.rhos[j], it.roots[j]))
             y = ts.Tensor(it.y)
             assert abs(y.norm() - 1.0) <= 1e-12
             for i in range(1, len(shape)):
@@ -588,7 +563,7 @@ class TestOnePassStep:
             raise AssertionError("a step took a norm")
 
         matmul = np.matmul
-        a = ts.scaling._step_matrix(it.rhos[1], it.roots[1], it.blocks[1])
+        a = ts.scaling._step_matrix(it.rhos[1], it.roots[1])
         monkeypatch.setattr(np, "matmul", counted_matmul)
         monkeypatch.setattr(np.linalg, "norm", no_norm)
         nu = it.step(1, a)
@@ -623,15 +598,12 @@ class TestOnePassStep:
         assert all(rec.norm == pytest.approx(1.0, abs=1e-6) for rec in rep.trace)
 
 
-def ref_capacity(group, blocks, norm_y):
-    """capacity as it was: one np.linalg.det per block larger than 1x1."""
+def ref_capacity(group, p, norm_y):
+    """capacity as it was on Borel runs: a loop over 1x1 blocks."""
     value = norm_y
-    for r, factor_blocks in zip(group, blocks):
-        for lo, hi, exponent in factor_blocks:
-            if hi - lo == 1:
-                det = abs(r[lo, lo])
-            else:
-                det = abs(np.linalg.det(r[lo:hi, lo:hi]))
+    for i, r in enumerate(group, start=1):
+        for k, exponent in enumerate(p.ascending(i).tolist()):
+            det = abs(r[k, k])
             if det == 0.0:
                 return math.inf
             value *= det ** -exponent
@@ -650,43 +622,21 @@ class TestCapacity:
                         + 1j * rng.standard_normal((n, n))) + 2 * np.eye(n)
                 for n in self.TARGET.dims]
 
-    def test_stacked_determinants_match_the_block_loop(self, rng):
-        blocks = self.TARGET.capacity_blocks()
-        assert sorted({hi - lo for fb in blocks for lo, hi, _ in fb}) == [1, 2, 3]
-        for _ in range(20):
-            g = self.group(rng)
-            # parabolic: the factors are only block triangular
-            for r, fb in zip(g, blocks):
-                for lo, hi, _ in fb:
-                    r[lo:hi, lo:hi] += rng.standard_normal((hi - lo,) * 2)
-            norm_y = float(rng.uniform(0.5, 2.0))
-            assert ts.capacity(g, blocks, norm_y) == ref_capacity(g, blocks, norm_y)
-
     def test_borel_blocks_match_the_block_loop(self, rng):
-        borel = tuple(tuple((k, k + 1, e) for lo, hi, e in fb for k in range(lo, hi))
-                      for fb in self.TARGET.capacity_blocks())
+        # the diagonal with the target's ascending entries as exponents,
+        # bit for bit, whatever the target's blocks of equal entries
         for _ in range(5):
             g = self.group(rng)
-            assert ts.capacity(g, borel, 1.0) == ref_capacity(g, borel, 1.0)
-
-    def test_one_stacked_det_per_block_size(self, rng, monkeypatch):
-        calls = []
-        det = np.linalg.det
-
-        def counted(a):
-            calls.append(a.shape)
-            return det(a)
-
-        monkeypatch.setattr(np.linalg, "det", counted)
-        ts.capacity(self.group(rng), self.TARGET.capacity_blocks(), 1.0)
-        assert sorted(calls) == [(2, 3, 3), (3, 2, 2)]
+            norm_y = float(rng.uniform(0.5, 2.0))
+            assert ts.capacity(g, self.TARGET, norm_y) \
+                == ref_capacity(g, self.TARGET, norm_y)
 
     @pytest.mark.parametrize("factor,entry", [(0, 3), (1, 0), (1, 2), (2, 1), (3, 1)])
     def test_a_zero_block_gives_infinity(self, rng, factor, entry):
         g = self.group(rng)
         g[factor][entry, :] = 0.0
-        blocks = self.TARGET.capacity_blocks()
-        assert ts.capacity(g, blocks, 1.0) == math.inf == ref_capacity(g, blocks, 1.0)
+        assert ts.capacity(g, self.TARGET, 1.0) == math.inf \
+            == ref_capacity(g, self.TARGET, 1.0)
 
 
 def weyl_case(n, log_low, log_floor, log_turn, seed):
@@ -716,7 +666,7 @@ def gated_step(rho, root, bound):
     with mock.patch.object(ts.scaling, "_assert_nonsingular", gate):
         try:
             ts.scaling._gate(rho, bound)
-            ts.scaling._step_matrix(rho, root, (1,) * len(rho))
+            ts.scaling._step_matrix(rho, root)
         except ts.SingularMarginalError:
             return gate.called, True
     return gate.called, False
@@ -812,12 +762,11 @@ class TestRunScaling:
         cfg = ts.ScalingConfig(epsilon=1e-4, seed=2, max_iters=300)
         a = ts.run_scaling(x, p, cfg)
         b = ts.run_scaling(x, p, replace(cfg, mode=ts.PARABOLIC))
+        # both values run the one Borel loop, bit for bit
         assert a.verdict == b.verdict and a.iterations == b.iterations
-        for ra, rb in zip(a.trace, b.trace):
-            assert ra.index == rb.index
-            assert np.allclose(ra.distances, rb.distances, atol=1e-10)
+        assert a.trace == b.trace
         for ma, mb in zip(a.group, b.group):
-            assert np.allclose(ma, mb, atol=1e-10)
+            assert np.array_equal(ma, mb)
 
     def test_norm_kept_unit_along_run(self, rng):
         x = random_integer_tensor((1, 3, 2, 2), rng)
@@ -1200,6 +1149,24 @@ class TestSingularTargets:
         assert rep.note == "restricted tensor vanished"
         rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2))
         assert rep.verdict == ts.SCALED
+
+    @pytest.mark.parametrize("rand_range, verdict, note", [
+        (1, ts.BUDGET_EXHAUSTED, "basis change factor 1 is singular"),
+        (65_536, ts.SCALED, "")], ids=["singular_draw", "regular_draw"])
+    def test_vanished_restriction_from_a_singular_draw(self, rand_range,
+                                                       verdict, note):
+        # x = (e0 - e1) (x) (e00 + e11) is a member; the all-ones draw of
+        # range 1 sends factor 1's e0 - e1 to 0, so the restriction to the
+        # target's nonzero coordinate vanishes, which proves nothing
+        data = np.zeros((1, 2, 2, 2), dtype=complex)
+        data[0, 0, 0, 0] = data[0, 0, 1, 1] = 1
+        data[0, 1, 0, 0] = data[0, 1, 1, 1] = -1
+        p = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2)),
+                               (F(1, 2), F(1, 2))))
+        rep = ts.run_scaling(ts.Tensor(data), p, ts.ScalingConfig(
+            epsilon=0.05, rand_range=rand_range))
+        assert (rep.verdict, rep.note) == (verdict, note)
+        assert rep.iterations == (0 if verdict == ts.BUDGET_EXHAUSTED else 1)
 
     def test_restrict_embed_round_trip(self, rng):
         x = random_integer_tensor((1, 2, 3), rng)
