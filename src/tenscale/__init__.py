@@ -59,7 +59,6 @@ from .scaling import (
     ScalingConfig,
     ScalingReport,
     TargetSpectrum,
-    capacity,
     general_iteration_budget,
     identity_parametrization,
     iteration_budget,

@@ -9,7 +9,7 @@ These polynomials are triangular eigenvectors of the group action, which is
 what makes them usable as progress potentials for the scaling loop: the
 module checks that law (check_hwv_transformation) and each step's growth of
 the potential (verify_progress), and searches for a description that does
-not vanish on a tensor.  The capacity objective is scaling.capacity's.
+not vanish on a tensor.  The capacity objective is the one scaling logs.
 
 Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
 meant for desk-scale certification, not production-sized tensors.  One
@@ -108,8 +108,9 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     """
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
-    blocks = [np.array(list(itertools.permutations(range(h))) if h <= n
-                       else [], dtype=np.intp).reshape(-1, h) for h in heights]
+    blocks = [np.fromiter(itertools.chain.from_iterable(
+        itertools.permutations(range(h)) if h <= n else ()),
+        dtype=np.intp).reshape(-1, h) for h in heights]
     # one axis per block, indexing its arrangement, then the k slots
     slots = np.empty([len(cols) for cols in blocks] + [k], dtype=np.intp)
     signs = np.ones(())
@@ -204,8 +205,8 @@ def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:
 def character(weight: Sequence[Sequence[int]],
               group: Sequence[np.ndarray]) -> complex:
     """Character value on a tuple of triangular matrices: the product of
-    each factor's diagonal entries raised to the weight entries, as
-    scaling.capacity reads the scaling group's diagonal."""
+    each factor's diagonal entries raised to the weight entries, as the
+    scaling loop's running capacity reads the diagonal of each step."""
     value = 1.0 + 0.0j
     for lam, mat in zip(weight, group):
         mat = np.asarray(mat, dtype=complex)

@@ -120,20 +120,16 @@ class TargetSpectrum:
         return tuple(sum(1 for v in vec if v > 0) for vec in self.parts)
 
     @functools.cached_property
-    def _ascending(self) -> tuple[np.ndarray, ...]:
-        """Read-only float entries of every factor in ascending order,
-        converted from the fractions once."""
-        out = tuple(np.array([float(v) for v in reversed(vec)])
-                    for vec in self.parts)
-        for asc in out:
-            asc.flags.writeable = False
-        return out
+    def _ascending(self) -> tuple[tuple[float, ...], ...]:
+        """Float entries of every factor in ascending order, converted from
+        the fractions once."""
+        return tuple(tuple(float(v) for v in reversed(vec)) for vec in self.parts)
 
     def ascending(self, i: int) -> np.ndarray:
         """Float entries of factor i (1-based) in ascending order, the
         diagonal the scaling loop drives marginal i toward; a fresh
         writable array on every call."""
-        return self._ascending[i - 1].copy()
+        return np.array(self._ascending[i - 1])
 
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
@@ -198,7 +194,7 @@ class IterationRecord:
     """One scaling step: chosen factor (1-based), trace distances of all
     marginals before the step, the norm nu of the updated tensor before
     renormalization, read off the stepped marginal as sqrt(tr(a rho a^dagger)),
-    and the logged capacity objective."""
+    and the capacity the iterate carries (nan when log_capacity is off)."""
 
     index: int
     distances: tuple[float, ...]
@@ -492,10 +488,12 @@ class _Iterate:
     groups pairs the 0-based factors of each distinct dimension with their
     stacked target diagonals; index holds their flattening positions from
     _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
-    entries, else None.  roots[j] and floors[j] are factor j + 1's target
-    root vector and smallest target entry.  The group stays upper triangular
-    (inv's LU never pivots on a triangular factor), so capacity reads its
-    diagonal.
+    entries, else None.  roots[j], floors[j] and exponents[j] are factor
+    j + 1's target root vector, smallest entry and negated ascending entries.
+    The group stays upper triangular (inv's LU never pivots on a triangular
+    factor), so diag(a g) = diag(a) diag(g): capacity, ||y|| prod |group_kk|
+    ** -(ascending target entry k), is the running product of the norms
+    renormalize divides out and each step's nu prod |a_kk| ** exponents[j][k].
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
@@ -513,8 +511,10 @@ class _Iterate:
                       if gathered <= GATHER_MAX_ENTRIES else None)
         self.roots = [np.sqrt(a) for a in asc]
         self.floors = [float(a[0]) for a in asc]
+        self.exponents = [(-a).tolist() for a in asc]
         self.group = [np.eye(n, dtype=complex) for n in x0.dims]
         self.steps = 0
+        self.capacity = 1.0
         self.renormalize(x0.data, scale)
 
     def _breakdown(self, norm: float) -> None:
@@ -530,14 +530,15 @@ class _Iterate:
         self._breakdown(norm)
         self.y = y if norm == 1.0 else y / norm  # y / 1.0 only copies y
         self.group[0] = self.group[0] / norm
+        self.capacity *= norm
         self.measure()
 
     def step(self, j: int, a: np.ndarray) -> float:
         """Apply a / nu to factor j + 1 of the iterate and a to the group,
-        fold 1 / nu into group[0] and return nu.  Factor j + 1's marginal
-        becomes a rho_j a^dagger / nu**2, by its Hermitian part (the product
-        is Hermitian only up to rounding); the others are measured.  A
-        non-finite entry in the stepped group factor raises
+        fold 1 / nu into group[0], update capacity and return nu.  Factor
+        j + 1's marginal becomes a rho_j a^dagger / nu**2, by its Hermitian
+        part (the product is Hermitian only up to rounding); the others are
+        measured.  A non-finite entry in the stepped group factor raises
         NumericBreakdownError at once: no later step makes it finite."""
         self.steps += 1
         # ndarray.dot: the BLAS product of @, with less overhead on small n
@@ -552,6 +553,8 @@ class _Iterate:
             raise NumericBreakdownError("the scaling group left the "
                                         f"floating-point range at step {self.steps}")
         self.group[0] = self.group[0] / nu
+        self.capacity *= nu * math.prod(abs(v) ** e for v, e in zip(
+            a.diagonal().tolist(), self.exponents[j]))
         rho += rho.conj().T
         rho *= 0.5 / nu2
         self.measure(j, rho)
@@ -648,22 +651,6 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     return tuple(g_new), j + 1, tuple(it.dists)
 
 
-def capacity(group: Sequence[np.ndarray], p: TargetSpectrum,
-             norm_y: float) -> float:
-    """Capacity objective norm(R . X) * |chi(R)| for an upper-triangular
-    tuple R and the target p, where ``norm_y`` is norm(R . X): the
-    character modulus is the product of |R_kk| ** -(p's k-th ascending
-    entry), read off the diagonal.  A zero diagonal entry gives inf."""
-    value = norm_y
-    for r, asc in zip(group, p._ascending):
-        for k, exponent in enumerate(asc.tolist()):
-            det = abs(r[k, k])
-            if det == 0.0:
-                return math.inf
-            value *= det ** -exponent
-    return value
-
-
 # --------------------------------------------------------------------------
 # Full runs
 # --------------------------------------------------------------------------
@@ -680,7 +667,7 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
 def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                cfg: ScalingConfig,
                budget_for: Callable[[tuple[int, ...], float], int],
-               note: str = "") -> ScalingReport:
+               note: str = "", randomized: bool = True) -> ScalingReport:
     """Scale ``start`` = pre . x toward p and report a group acting on x.
 
     Zero targets restrict the start to their positive part and run the loop
@@ -695,7 +682,10 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     Other verdicts pad the loop's group unmeasured; a non-finite group or
     image raises NumericBreakdownError.  A restriction that vanishes, or a
     start failing the singularity gate, is a rank obstruction unless a factor
-    of pre is exactly singular: that run ends BUDGET_EXHAUSTED at step 0.
+    of pre is exactly singular or the start, not ``randomized``, restricts to
+    a slice that is not generic: then the run ends BUDGET_EXHAUSTED at step
+    0.  The loop runs with overflow and invalid-value warnings off, once per
+    run, as the breakdown rules report each value past the float range.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
@@ -722,10 +712,13 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                              cfg.epsilon, note=why)
 
     def obstruction(group: Callable[[], GroupTuple], why: str = note) -> ScalingReport:
-        # a rank obstruction, unless a factor of pre is exactly singular
+        # a rank obstruction, unless pre is singular or the slice is not generic
         singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
         if singular:
             return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
+        if not randomized and p.has_zeros():
+            return report(BUDGET_EXHAUSTED, pre, "an unrandomized start's "
+                          "restriction is not generic; randomize it")
         return report(NOT_IN_POLYTOPE, group(), why)
 
     if norm_x0 == 0.0:
@@ -750,35 +743,35 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         it.renormalize(y.data, y.norm())
         return max(it.dists) <= epsilon
 
-    rejected = False  # whether a witness of this run has failed
-    while True:
-        if max(it.dists) <= epsilon:
-            try:  # each pass's tensor is an argument, freed before the next
-                if not rejected:
-                    group = full(it.group)
-                    if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
-                        return report(SCALED, group)
-                    resynced(apply_group(tuple(it.group), x0))
-                    rejected = True
-                elif resynced(verified_halt(tuple(it.group), x0)):
-                    group = full(it.group)
-                    if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
-                        return report(SCALED, group)
-            except NonFiniteEntriesError as exc:
-                raise NumericBreakdownError(
-                    f"the scaling group's image left the floating-point range "
-                    f"after {len(trace)} steps") from exc
-        if it.steps == limit:
-            return report(BUDGET_EXHAUSTED, full(it.group))
-        try:
-            j, a = it.rule()
-        except SingularMarginalError:
-            return report(NOT_IN_POLYTOPE, full(it.group))
-        dists = tuple(it.dists)
-        nu = it.step(j, a)
-        # it.y came out of the step normalized: norm(R . X) is 1 up to rounding
-        cap = capacity(it.group, p_active, 1.0) if cfg.log_capacity else math.nan
-        trace.append(IterationRecord(j + 1, dists, nu, cap))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rejected = False  # whether a witness of this run has failed
+        while True:
+            if max(it.dists) <= epsilon:
+                try:  # each pass's tensor is an argument, freed before the next
+                    if not rejected:
+                        group = full(it.group)
+                        if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
+                            return report(SCALED, group)
+                        resynced(apply_group(tuple(it.group), x0))
+                        rejected = True
+                    elif resynced(verified_halt(tuple(it.group), x0)):
+                        group = full(it.group)
+                        if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
+                            return report(SCALED, group)
+                except NonFiniteEntriesError as exc:
+                    raise NumericBreakdownError(
+                        "the scaling group's image left the floating-point "
+                        f"range after {len(trace)} steps") from exc
+            if it.steps == limit:
+                return report(BUDGET_EXHAUSTED, full(it.group))
+            try:
+                j, a = it.rule()
+            except SingularMarginalError:
+                return report(NOT_IN_POLYTOPE, full(it.group))
+            dists = tuple(it.dists)
+            nu = it.step(j, a)
+            trace.append(IterationRecord(j + 1, dists, nu, it.capacity
+                                         if cfg.log_capacity else math.nan))
 
 
 def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingReport:
@@ -809,7 +802,8 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
     bits = x.entry_bitsize()
     return _core_loop(x, start, g0, p, cfg,
                       lambda shape, eps: iteration_budget(shape, bits, eps,
-                                                          log2_range))
+                                                          log2_range),
+                      randomized=cfg.randomize)
 
 
 # --------------------------------------------------------------------------

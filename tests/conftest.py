@@ -128,6 +128,21 @@ def pinsker_gap(p, r) -> tuple[float, float]:
             float(np.sum(np.abs(gap))) ** 2 / (16.0 * math.log(2)))
 
 
+def ref_capacity(group, p, norm_y) -> float:
+    """Capacity objective norm_y * |chi(R)| of an upper-triangular tuple R
+    toward the target p, where norm_y is norm(R . x): the product of
+    |R_kk| ** -(p's k-th ascending entry) over every factor, read off the
+    diagonal one entry at a time; a zero diagonal entry gives inf."""
+    value = norm_y
+    for i, r in enumerate(group, start=1):
+        for k, exponent in enumerate(p.ascending(i).tolist()):
+            det = abs(r[k, k])
+            if det == 0.0:
+                return math.inf
+            value *= det ** -exponent
+    return value
+
+
 def ghz_tensor() -> Tensor:
     data = np.zeros((1, 2, 2, 2), dtype=complex)
     data[0, 0, 0, 0] = data[0, 1, 1, 1] = 1

@@ -16,6 +16,7 @@ from conftest import (
     pinsker_gap,
     random_integer_tensor,
     random_upper_triangular,
+    ref_capacity,
     w_tensor,
 )
 
@@ -205,13 +206,16 @@ class TestCharacter:
 
     def test_block_determinants(self):
         # the target (1/2, 1/4, 1/4) ascends as (1/4, 1/4 | 1/2), a (2, 1)
-        # block pattern; on a triangular group the leading block's
-        # determinant 2*3 is its diagonal's product, so capacity reads the
-        # diagonal with the ascending entries as exponents
+        # block pattern; on a triangular step the leading block's
+        # determinant 2*3 is its diagonal's product, so a step by r
+        # multiplies the iterate's capacity by nu and r's diagonal with the
+        # ascending entries as exponents
         p = ts.TargetSpectrum(((F(1, 2), F(1, 4), F(1, 4)),))
         r = np.array([[2, 1, 3], [0, 3, 0.5], [0, 0, 4]], dtype=complex)
-        expected = 3.0 * 6.0 ** -0.25 * 4.0 ** -0.5
-        assert ts.capacity((r,), p, 3.0) == pytest.approx(expected, rel=1e-12)
+        it = ts.scaling._Iterate(ts.Tensor(np.eye(3, dtype=complex)), p, 3.0)
+        nu = it.step(0, r)
+        expected = 3.0 * nu * 6.0 ** -0.25 * 4.0 ** -0.5
+        assert it.capacity == pytest.approx(expected, rel=1e-12)
 
 
 class TestTransformationLaw:
@@ -240,18 +244,23 @@ class TestTransformationLaw:
 
 def capacity_value(x, p, group):
     """Capacity objective norm(R . x) * |chi(R)| at a triangular tuple R."""
-    return ts.capacity(group, p, ts.apply_group(group, x).norm())
+    return ref_capacity(group, p, ts.apply_group(group, x).norm())
 
 
 class TestCapacityValue:
     def test_identity_unit_tensor(self):
+        # the iterate starts at the start's norm, the objective at the
+        # identity: 1 on a unit tensor
         x = ts.Tensor(ghz_tensor().data / np.sqrt(2))
         p = ts.TargetSpectrum.uniform((2, 2, 2))
+        it = ts.scaling._Iterate(x, p, x.norm())
+        assert it.capacity == x.norm() == pytest.approx(1.0)
         assert capacity_value(x, p, ts.identity_group((2, 2, 2))) \
             == pytest.approx(1.0)
 
     def test_scale_invariance_per_factor(self, rng):
-        # p sums to 1 per factor, so rescaling one factor cancels exactly
+        # p sums to 1 per factor, so rescaling one factor cancels exactly,
+        # in the objective and in a step's update of the iterate's capacity
         x = random_integer_tensor((1, 2, 2), rng)
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))))
         g = tuple(random_upper_triangular(2, rng) for _ in range(2))
@@ -259,6 +268,13 @@ class TestCapacityValue:
         for t in (0.5, 2.0, 7.5):
             scaled = (t * g[0], g[1])
             assert capacity_value(x, p, scaled) == pytest.approx(base)
+        caps = []
+        for t in (1.0, 0.5, 2.0, 7.5):
+            it = ts.scaling._Iterate(x, p, x.norm())
+            j, a = it.rule()
+            it.step(j, t * a)
+            caps.append(it.capacity)
+        assert caps[1:] == pytest.approx([caps[0]] * 3, rel=1e-12)
 
 
 class TestCapacityLogging:

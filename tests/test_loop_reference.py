@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import tenscale as ts
-from conftest import random_integer_tensor, w_tensor
+from conftest import random_integer_tensor, ref_capacity, w_tensor
 
 
 def ref_marginals(y):
@@ -33,17 +33,6 @@ def ref_marginals(y):
 def ref_distances(rhos, p):
     return [ts.trace_distance(rho, np.diag(p.ascending(i)))
             for i, rho in enumerate(rhos, start=1)]
-
-
-def ref_capacity(borel, p, norm_y):
-    value = norm_y
-    for i in range(1, p.num_factors + 1):
-        for k, exponent in enumerate(p.ascending(i)):
-            det = abs(borel[i - 1][k, k])
-            if det == 0.0:
-                return math.inf
-            value *= det ** (-float(exponent))
-    return value
 
 
 def ref_step_matrix(rho, target):

@@ -1,4 +1,5 @@
 """Decision front-ends: membership, marginal realizability, Kronecker."""
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -186,13 +187,17 @@ class TestKronecker:
         # far from this point, the accumulated group's third factor leaves
         # the float range at step 13,361 while the normalized iterate stays
         # finite and no halt check runs; the run stops at that step, not at
-        # its cap, and never reports the non-finite group as EPS_FAR evidence
+        # its cap, and never reports the non-finite group as EPS_FAR evidence;
+        # the breakdown is the report, so NumPy warns of no overflow
         cfg = ts.ScalingConfig(epsilon=0.01, seed=0, max_iters=14000)
-        with np.errstate(all="ignore"), pytest.raises(
-                ts.NumericBreakdownError,
-                match=r"group left the floating-point range at step 13361$"):
-            ts.kronecker_support(ts.KroneckerQuery((4, 2), (3, 3), (2, 2, 2)),
-                                 0.01, cfg=cfg, repeats=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                    ts.NumericBreakdownError,
+                    match=r"group left the floating-point range at step 13361$"):
+                ts.kronecker_support(
+                    ts.KroneckerQuery((4, 2), (3, 3), (2, 2, 2)), 0.01, cfg=cfg,
+                    repeats=1)
 
     def test_scale_invariance_of_normalized_point(self):
         base = ts.KroneckerQuery((2,), (1, 1), (1, 1))

@@ -20,6 +20,7 @@ from conftest import (
     marginal_bruteforce,
     product_tensor,
     random_integer_tensor,
+    ref_capacity,
     w_tensor,
 )
 
@@ -598,18 +599,6 @@ class TestOnePassStep:
         assert all(rec.norm == pytest.approx(1.0, abs=1e-6) for rec in rep.trace)
 
 
-def ref_capacity(group, p, norm_y):
-    """capacity as it was on Borel runs: a loop over 1x1 blocks."""
-    value = norm_y
-    for i, r in enumerate(group, start=1):
-        for k, exponent in enumerate(p.ascending(i).tolist()):
-            det = abs(r[k, k])
-            if det == 0.0:
-                return math.inf
-            value *= det ** -exponent
-    return value
-
-
 class TestCapacity:
     TARGET = ts.TargetSpectrum((
         (F(1, 4), F(1, 4), F(1, 4), F(1, 8), F(1, 8)),   # blocks 2, 3
@@ -617,26 +606,18 @@ class TestCapacity:
         (F(1, 3),) * 3,                                  # block 3
         (F(1, 2), F(1, 2))))                             # block 2
 
-    def group(self, rng):
-        return [np.triu(rng.standard_normal((n, n))
-                        + 1j * rng.standard_normal((n, n))) + 2 * np.eye(n)
-                for n in self.TARGET.dims]
-
     def test_borel_blocks_match_the_block_loop(self, rng):
-        # the diagonal with the target's ascending entries as exponents,
-        # bit for bit, whatever the target's blocks of equal entries
-        for _ in range(5):
-            g = self.group(rng)
-            norm_y = float(rng.uniform(0.5, 2.0))
-            assert ts.capacity(g, self.TARGET, norm_y) \
-                == ref_capacity(g, self.TARGET, norm_y)
-
-    @pytest.mark.parametrize("factor,entry", [(0, 3), (1, 0), (1, 2), (2, 1), (3, 1)])
-    def test_a_zero_block_gives_infinity(self, rng, factor, entry):
-        g = self.group(rng)
-        g[factor][entry, :] = 0.0
-        assert ts.capacity(g, self.TARGET, 1.0) == math.inf \
-            == ref_capacity(g, self.TARGET, 1.0)
+        # the capacity the iterate carries, updated from each step's
+        # diagonal, stays within rounding of the diagonal reference read off
+        # the whole group, whatever the target's blocks of equal entries
+        x = random_integer_tensor((1,) + self.TARGET.dims, rng)
+        it = ts.scaling._Iterate(x, self.TARGET, x.norm())
+        assert it.capacity == x.norm()
+        for _ in range(8):
+            it.step(*it.rule())
+            # the step leaves the iterate normalized: norm(R . x) reads 1
+            assert it.capacity == pytest.approx(
+                ref_capacity(it.group, self.TARGET, 1.0), rel=1e-12)
 
 
 def weyl_case(n, log_low, log_floor, log_turn, seed):
@@ -1137,18 +1118,25 @@ class TestSingularTargets:
         assert ranks == (1, 2, 2) and p_plus.dims == (1, 2, 2)
 
     def test_vanished_restriction_is_rejected_before_the_loop(self):
-        # the one entry sits outside the last coordinates the target keeps:
-        # unrandomized, the restricted tensor is zero, a rank obstruction;
-        # the random basis change moves weight into it
-        data = np.zeros((1, 2, 2), dtype=complex)
-        data[0, 0, 0] = 1
-        x, p = ts.Tensor(data), ts.TargetSpectrum(((F(1), F(0)), (F(1), F(0))))
-        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2,
-                                                    randomize=False))
-        assert rep.verdict == ts.NOT_IN_POLYTOPE and rep.iterations == 0
-        assert rep.note == "restricted tensor vanished"
-        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2))
-        assert rep.verdict == ts.SCALED
+        # both are members.  e0 (x) e0 puts its one entry outside the last
+        # coordinates the target keeps, so the unrandomized restriction
+        # vanishes; the second tensor restricts to a singular slice.  An
+        # unrandomized slice is not generic, so neither is an obstruction,
+        # and the random basis change scales both
+        e00 = np.zeros((1, 2, 2), dtype=complex)
+        e00[0, 0, 0] = 1
+        slice_ = np.array([[[[8, 4], [4, 0]], [[4, 0], [0, 0]]]], dtype=complex)
+        half = (F(1, 2), F(1, 2))
+        for data, parts in [(e00, ((F(1), F(0)),) * 2),
+                            (slice_, ((F(1), F(0)), half, half))]:
+            x, p = ts.Tensor(data), ts.TargetSpectrum(parts)
+            rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2,
+                                                        randomize=False))
+            assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 0)
+            assert rep.note == ("an unrandomized start's restriction is not "
+                                "generic; randomize it")
+            rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2))
+            assert rep.verdict == ts.SCALED
 
     @pytest.mark.parametrize("rand_range, verdict, note", [
         (1, ts.BUDGET_EXHAUSTED, "basis change factor 1 is singular"),
