@@ -112,6 +112,7 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
     entries = obj["entries"]
     _require(isinstance(entries, list), f"{where}.entries", "expected a list")
     data = np.zeros(tuple(dims), dtype=complex)
+    seen = set()
     for pos, entry in enumerate(entries):
         here = f"{where}.entries[{pos}]"
         _require(isinstance(entry, dict), here, "expected an object")
@@ -121,6 +122,8 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
                  f"{here}.idx", f"expected {len(dims)} integers")
         _require(all(0 <= i < n for i, n in zip(idx, dims)), f"{here}.idx",
                  f"index out of range for dims {dims}")
+        _require(tuple(idx) not in seen, f"{here}.idx", f"index {idx} listed twice")
+        seen.add(tuple(idx))
         re, im = entry.get("re", 0), entry.get("im", 0)
         _require(_number(re, int) and _number(im, int), here,
                  "'re' and 'im' must be integers within the float range")

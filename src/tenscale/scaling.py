@@ -5,16 +5,17 @@ random integer basis change, the factor whose marginal is farthest from its
 target is fixed exactly by a triangular (Cholesky) factorization, until every
 marginal is within the requested trace distance or the iteration budget runs
 out.  Rank obstructions detected after the randomization yield a
-not-in-polytope verdict.  Each failure has one rule: _gate decides
-singularity, at the start and for each stepped factor, and _Iterate
-breakdown, a norm outside (0, inf): ||y|| of the start and of each resync,
-nu of each step, or a group factor with a non-finite entry.
+not-in-polytope verdict.  Each failure has one rule: _check_start decides
+singularity, once, on the (restricted) start's marginals, as no step, an
+invertible triangular map, changes a marginal's rank; _Iterate breakdown, a
+norm outside (0, inf) (||y|| of the start and of each resync, nu of each
+step), a non-finite group factor or a step whose Cholesky fails.
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
 measures its witness first and resyncs only after a rejection.  A step
 costs one contraction and d - 1 Gram matrices: nu**2 = tr(a rho_j a^dagger)
-of the gated marginal is the stepped iterate's norm, the contraction with
+of the stepped marginal is the stepped iterate's norm, the contraction with
 a / nu leaves it normalized, and a rho_j a^dagger / nu**2 is factor j's new
 marginal (see _Iterate).
 
@@ -60,7 +61,6 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
-_GATE_MARGIN = 1e3 * SINGULARITY_RTOL  # see _gate
 # A format whose d flattenings hold at most this many entries in all (d times
 # its entry count) takes every marginal of a dimension group from one gather
 # of the raw iterate.  Past it the gathered stacks outgrow 128 KiB, and the
@@ -221,9 +221,8 @@ class ScalingReport:
 def randomization_bounds(ell: int, d: int, dims: Sequence[int]) -> tuple[int, int]:
     """Exact worst-case degree bound K and sampling range M = 2*d*K for a
     run with common denominator ell on factors of the given dimensions."""
-    if ell < 1 or d < 1:
-        raise ValueError("ell and d must be positive")
-    n_max = max(dims)
+    ell, d = as_int(ell, "ell", low=1), as_int(d, "d", low=1)
+    n_max = max(as_int(n, "dims", low=1) for n in dims)
     k = (ell * d * n_max) ** (d * n_max * n_max)
     return k, 2 * d * k
 
@@ -308,22 +307,10 @@ def _assert_nonsingular(rho: np.ndarray) -> None:
             f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
 
 
-def _gate(rho: np.ndarray, bound: float) -> None:
-    """The singularity rule of the scaling loop: raise SingularMarginalError
-    unless rho's smallest eigenvalue lies above SINGULARITY_RTOL times its
-    trace.
-
-    ``bound`` is the Weyl bound lambda_min(rho - D) + min(D) <= lambda_min(rho)
-    for the target diagonal D, its first term from _Iterate.measure.  One
-    above _GATE_MARGIN * max(tr rho, 1) skips the exact check's eigvalsh.
-    eigvalsh errs by a small multiple of n * 2.2e-16 times the norm, and
-    ||rho - D|| and ||rho|| are at most max(tr rho, 1), so even for n in the
-    thousands a bound clearing 1e-9 of it leaves the exact check's eigenvalue
-    far above its 1e-12 threshold: the bound passes only what the check does.
-    A rho that passes factors by Cholesky without a check of its own.
-    """
-    trace = math.fsum(rho.diagonal().real.tolist())  # as _Iterate.step reads it
-    if bound <= _GATE_MARGIN * max(trace, 1.0):
+def _check_start(rhos: Sequence[np.ndarray]) -> None:
+    """The loop's one singularity rule: _assert_nonsingular on each marginal
+    of a start; an invertible triangular step changes no marginal's rank."""
+    for rho in rhos:
         _assert_nonsingular(rho)
 
 
@@ -335,9 +322,8 @@ def upper_cholesky(rho: np.ndarray) -> np.ndarray:
 
 
 def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
-    """upper_cholesky on a Hermitian rho that passed the singularity rule,
-    so a LinAlgError is numeric: the lower Cholesky factor of the
-    coordinate-reversed matrix, reversed back."""
+    """upper_cholesky without its checks: the lower Cholesky factor of the
+    coordinate-reversed matrix, reversed back (see _check_start)."""
     return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
 
 
@@ -475,11 +461,11 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
-    folded into group[0], and y's last measurement: marginals rhos, distances
-    dists to the target diagonals and least eigenvalues lows of rho - D.
+    folded into group[0], and y's last measurement: marginals rhos and
+    distances dists to the target diagonals.
 
     A step makes one pass over y, the contraction with a / nu: nu**2 =
-    tr(a rho_j a^dagger), read off the gated marginal, is the norm of a
+    tr(a rho_j a^dagger), read off the stepped marginal, is the norm of a
     applied to y, so no norm or divide pass follows.  The congruence
     a rho_j a^dagger / nu**2 is factor j's new marginal, so only the other
     d - 1 are measured, one Gram matrix each (a gather still forms its whole
@@ -488,12 +474,12 @@ class _Iterate:
     groups pairs the 0-based factors of each distinct dimension with their
     stacked target diagonals; index holds their flattening positions from
     _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
-    entries, else None.  roots[j], floors[j] and exponents[j] are factor
-    j + 1's target root vector, smallest entry and negated ascending entries.
-    The group stays upper triangular (inv's LU never pivots on a triangular
-    factor), so diag(a g) = diag(a) diag(g): capacity, ||y|| prod |group_kk|
-    ** -(ascending target entry k), is the running product of the norms
-    renormalize divides out and each step's nu prod |a_kk| ** exponents[j][k].
+    entries, else None.  roots[j] and exponents[j] are factor j + 1's target
+    root vector and negated ascending entries.  The group stays upper
+    triangular (inv's LU never pivots on a triangular factor), so diag(a g) =
+    diag(a) diag(g): capacity, ||y|| prod |group_kk| ** -(ascending target
+    entry k), is the running product of the norms renormalize divides out
+    and each step's nu prod |a_kk| ** exponents[j][k].
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
@@ -510,7 +496,6 @@ class _Iterate:
         self.index = (_flattening_index(shape)
                       if gathered <= GATHER_MAX_ENTRIES else None)
         self.roots = [np.sqrt(a) for a in asc]
-        self.floors = [float(a[0]) for a in asc]
         self.exponents = [(-a).tolist() for a in asc]
         self.group = [np.eye(n, dtype=complex) for n in x0.dims]
         self.steps = 0
@@ -562,10 +547,14 @@ class _Iterate:
 
     def rule(self) -> tuple[int, np.ndarray]:
         """The step rule: the 0-based factor j farthest from its target (the
-        lowest on ties), gated, and the _step_matrix that fixes its marginal."""
+        lowest on ties) and the _step_matrix that fixes its marginal, whose
+        failed factorization is a numeric breakdown (see _check_start)."""
         j = self.dists.index(max(self.dists))
-        _gate(self.rhos[j], self.lows[j] + self.floors[j])
-        return j, _step_matrix(self.rhos[j], self.roots[j])
+        try:
+            return j, _step_matrix(self.rhos[j], self.roots[j])
+        except np.linalg.LinAlgError as exc:
+            raise NumericBreakdownError("the Cholesky factorization failed "
+                                        f"at step {self.steps + 1}") from exc
 
     def grams(self, skip: int | None = None) -> list[np.ndarray]:
         """One-body marginals of the raw iterate, one (k, n, n) stack per
@@ -592,7 +581,7 @@ class _Iterate:
 
     def measure(self, j: int | None = None, rho: np.ndarray | None = None
                 ) -> None:
-        """Set rhos, dists and lows from the raw iterate.  A step passes its
+        """Set rhos and dists from the raw iterate.  A step passes its
         factor j and the marginal rho it computed, which both paths report in
         place of j's Gram matrix.  Each rho_j is a Gram matrix, Hermitian by
         construction, or the Hermitian part of a step's congruence, so none
@@ -609,20 +598,17 @@ class _Iterate:
             g, t = self.slots[j]
             stacks[g][t] = rho
         d = len(self.roots)
-        rhos, dists, lows = [None] * d, [0.0] * d, [0.0] * d
+        rhos, dists = [None] * d, [0.0] * d
         for (factors, diags), stack in zip(self.groups, stacks):
-            eigs = np.linalg.eigvalsh(stack - diags)
-            spread = np.add.reduce(np.abs(eigs), axis=1)
-            for k, rho_k, dist, low in zip(factors, stack, spread.tolist(),
-                                           eigs[:, 0].tolist()):
-                rhos[k], dists[k], lows[k] = rho_k, dist, low
-        self.rhos, self.dists, self.lows = rhos, dists, lows
+            spread = np.add.reduce(np.abs(np.linalg.eigvalsh(stack - diags)), axis=1)
+            for k, rho_k, dist in zip(factors, stack, spread.tolist()):
+                rhos[k], dists[k] = rho_k, dist
+        self.rhos, self.dists = rhos, dists
 
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
     """The Borel step: upper-triangular A with (A rho A^dagger) =
-    diag(root)**2 for the root vector of the target and the Hermitian rho,
-    which _gate passed."""
+    diag(root)**2 for the root vector of the target and the Hermitian rho."""
     # scaling the rows of inv(R) is the diagonal product, entry by entry
     return np.linalg.inv(_upper_cholesky(rho)) * root[:, None]
 
@@ -631,11 +617,12 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
                  mode: str = BOREL) -> tuple[GroupTuple, int, tuple[float, ...]]:
     """One alternating-minimization step on the unit-norm tensor g . x.
 
-    Measures every marginal's trace distance to its target diagonal, picks
-    the worst factor (smallest label wins ties) and updates that factor of g
-    by the Borel step of either mode (see ScalingConfig), so the chosen
-    marginal becomes exactly the target diagonal.  Returns the updated
-    tuple, the 1-based chosen factor, and the measured distances.
+    Measures every marginal's trace distance to its target diagonal, raises
+    SingularMarginalError if a marginal fails _check_start, picks the worst
+    factor (smallest label wins ties) and updates that factor of g by the
+    Borel step of either mode (see ScalingConfig), so the chosen marginal
+    becomes exactly the target diagonal.  Returns the updated tuple, the
+    1-based chosen factor, and the measured distances.
     """
     if mode not in (BOREL, PARABOLIC):
         raise ValueError(f"unknown mode {mode!r}")
@@ -645,6 +632,7 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
     it = _Iterate(y, p)
+    _check_start(it.rhos)
     j, a = it.rule()
     g_new = [np.asarray(m, dtype=complex) for m in g]
     g_new[j] = a @ g_new[j]
@@ -675,17 +663,17 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     loop tolerance).  The loop steps the restricted start x0 from the
     identity.  A halt measures the composed, padded group on x and ships it
     as SCALED if it holds, as almost every first halt does; a rejected one
-    resyncs the drifting iterate from x0.  The witness's image of x differs
-    from it by rounding and the pad, and resyncing from that image turns
-    capped W -> uniform runs into a float-singular NOT_IN_POLYTOPE.  Drift that fails a halt
-    fails the next, so a later halt's witness waits for a passing resync.
-    Other verdicts pad the loop's group unmeasured; a non-finite group or
-    image raises NumericBreakdownError.  A restriction that vanishes, or a
-    start failing the singularity gate, is a rank obstruction unless a factor
-    of pre is exactly singular or the start, not ``randomized``, restricts to
-    a slice that is not generic: then the run ends BUDGET_EXHAUSTED at step
-    0.  The loop runs with overflow and invalid-value warnings off, once per
-    run, as the breakdown rules report each value past the float range.
+    resyncs the drifting iterate from x0, not from the witness's image of x,
+    which differs by rounding and the pad.  Drift that fails a halt fails the
+    next, so a later halt's witness waits for a passing resync.  Other
+    verdicts pad the loop's group unmeasured; a non-finite group or image,
+    or a failed step, raises NumericBreakdownError.  NOT_IN_POLYTOPE comes
+    only at step 0: a restriction that vanishes, or a start failing
+    _check_start, is a rank obstruction unless a factor of pre is exactly
+    singular or the start, not ``randomized``, restricts to a slice that is
+    not generic: then the run ends BUDGET_EXHAUSTED at step 0.  The loop runs
+    with overflow and invalid-value warnings off, once per run, as the
+    breakdown rules report each value past the float range.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
@@ -724,11 +712,9 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     if norm_x0 == 0.0:
         return obstruction(lambda: pre, "restricted tensor vanished")
     it = _Iterate(x0, p_active, norm_x0)
-    # the singularity rule compares each marginal with its own trace, so
-    # the normalized start's marginals serve for x0's
+    # scale-free (relative to each trace): the normalized start's marginals serve
     try:
-        for rho, low, floor in zip(it.rhos, it.lows, it.floors):
-            _gate(rho, low + floor)
+        _check_start(it.rhos)
     except SingularMarginalError:
         return obstruction(lambda: full(identity_group(x0.dims)))
 
@@ -764,10 +750,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                         f"range after {len(trace)} steps") from exc
             if it.steps == limit:
                 return report(BUDGET_EXHAUSTED, full(it.group))
-            try:
-                j, a = it.rule()
-            except SingularMarginalError:
-                return report(NOT_IN_POLYTOPE, full(it.group))
+            j, a = it.rule()
             dists = tuple(it.dists)
             nu = it.step(j, a)
             trace.append(IterationRecord(j + 1, dists, nu, it.capacity
@@ -826,17 +809,16 @@ class Parametrization:
     coeff_bits: int = 1
 
     def __post_init__(self):
-        if self.param_dim < 1 or self.degree < 1:
-            raise ValueError("param_dim and degree must be positive")
+        for name, low in (("param_dim", 1), ("degree", 1), ("coeff_bits", 0)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, low=low))
 
 
 def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrization:
     """Parameters are the tensor entries themselves."""
     shape = (as_int(n0, "n0", low=1),) + tuple(as_int(n, "dims", low=1)
                                                for n in dims)
-    size = int(np.prod(shape))
     return Parametrization(
-        param_dim=size,
+        param_dim=math.prod(shape),
         degree=1,
         evaluate=lambda z: Tensor(np.asarray(z, dtype=complex).reshape(shape)),
     )

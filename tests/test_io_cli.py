@@ -134,6 +134,12 @@ class TestTensorJson:
                                             {"idx": [0, 9], "re": 1, "im": 0}]})
         with pytest.raises(io.SchemaError, match="dims"):
             io.tensor_from_obj({"dims": [1]})
+        # an index listed twice: tensor_to_obj never writes one
+        with pytest.raises(io.SchemaError,
+                           match=r"^tensor\.entries\[1\]\.idx: index \[0, 0, 0\] listed twice$"):
+            io.tensor_from_obj({"dims": [1, 1, 1],
+                                "entries": [{"idx": [0, 0, 0], "re": 1},
+                                            {"idx": [0, 0, 0], "re": 5}]})
         with pytest.raises(io.SchemaError):
             io.tensor_from_obj({"dims": [1, 2],
                                 "entries": [{"idx": [0, 0], "re": 1.5, "im": 0}]})

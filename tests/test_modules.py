@@ -1,7 +1,8 @@
 """Module boundaries: no package module reaches into another's private
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
-entry points, singularity is decided by one check, no module calls a dense
+entry points, singularity is decided by one check on the start and no
+loop step answers NOT_IN_POLYTOPE, no module calls a dense
 eigendecomposition or determinant, each halt check makes the one resync
 call the benchmark's tracer counts, no public function stays in the
 package that only the tests call, and no private top-level function or
@@ -193,11 +194,12 @@ def test_loop_kernels_call_no_checked_entry_point():
     assert kernel_entry_calls(source) == []
 
 
-# the one singularity rule: the exact check and the Weyl margin, by the only
-# top-level definitions of scaling.py that may use each; the factorizations
-# the gate passed recheck nothing (see _gate on interlacing)
-GATE_USERS = {"_assert_nonsingular": {"_gate", "upper_cholesky"},
-              "_GATE_MARGIN": {"_gate"}}
+# the one singularity rule, by the only top-level definitions of scaling.py
+# that may use each name: the exact check in the start check and the public
+# factorization, the start check in the two loops' starts; the loop's steps
+# recheck nothing (see _check_start)
+GATE_USERS = {"_assert_nonsingular": {"_check_start", "upper_cholesky"},
+              "_check_start": {"_core_loop", "scaling_step"}}
 
 
 def gate_bypasses(source: str) -> list[tuple[str, str]]:
@@ -219,9 +221,8 @@ def gate_bypasses(source: str) -> list[tuple[str, str]]:
 
 def test_guard_sees_gate_bypasses():
     assert gate_bypasses(
-        "_GATE_MARGIN = 1e-9\n"
-        "def _gate(rho, bound):\n"
-        "    if bound <= _GATE_MARGIN:\n"
+        "def _check_start(rhos):\n"
+        "    for rho in rhos:\n"
         "        _assert_nonsingular(rho)\n"
         "def upper_cholesky(rho):\n"
         "    _assert_nonsingular(rho)\n"
@@ -229,22 +230,69 @@ def test_guard_sees_gate_bypasses():
         "    _assert_nonsingular(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def rule(self):\n"
-        "        return scaling._assert_nonsingular(self.rho)\n"
+        "        return scaling._assert_nonsingular(self.rhos[0])\n"
+        "    def step(self):\n"
+        "        _check_start(self.rhos)\n"
         "def _core_loop(it):\n"
-        "    def start():\n"
-        "        return it.low > _GATE_MARGIN\n"
+        "    _check_start(it.rhos)\n"
+        "    def step():\n"
+        "        return _assert_nonsingular(it.rhos[1])\n"
         "check = _assert_nonsingular\n") \
         == [("_upper_cholesky", "_assert_nonsingular"),
-            ("_Iterate", "_assert_nonsingular"), ("_core_loop", "_GATE_MARGIN"),
+            ("_Iterate", "_assert_nonsingular"), ("_Iterate", "_check_start"),
+            ("_core_loop", "_assert_nonsingular"),
             ("<module>", "_assert_nonsingular")]
 
 
 def test_singularity_is_decided_by_the_one_gate():
+    # the start check is the loop's only singularity test: the per-step
+    # gate, its Weyl margin and the iterate's inputs to that bound are gone
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = {getattr(node, "name", None) or getattr(node, "id", None)
+                 or getattr(node, "attr", None)
+                 for node in ast.walk(ast.parse(path.read_text()))}
+        assert not {"_gate", "_GATE_MARGIN", "lows", "floors"} & names, path.name
     source = (PACKAGE / "scaling.py").read_text()
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
-    assert {"_gate", "_assert_nonsingular", "upper_cholesky"} <= defined
+    assert {"_check_start", "_assert_nonsingular", "upper_cholesky"} <= defined
     assert gate_bypasses(source) == []
+
+
+# names a scaling loop may not load once it steps: a negative answer, the
+# obstruction report that gives one, and the error a singular marginal raises
+LOOP_NEGATIVES = {"NOT_IN_POLYTOPE", "obstruction", "SingularMarginalError"}
+
+
+def loop_negatives(source: str) -> list[str]:
+    """LOOP_NEGATIVES names loaded inside a while or for loop of _core_loop,
+    in order of appearance: NOT_IN_POLYTOPE is a step-0 answer only."""
+    loop = next((n for n in ast.parse(source).body
+                 if isinstance(n, ast.FunctionDef) and n.name == "_core_loop"),
+                None)
+    inside = {n for node in (ast.walk(loop) if loop else [])
+              if isinstance(node, (ast.While, ast.For)) for n in ast.walk(node)
+              if isinstance(n, ast.Name) and n.id in LOOP_NEGATIVES}
+    return [n.id for n in sorted(inside, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_guard_sees_mid_loop_negatives():
+    assert loop_negatives(
+        "def _core_loop(it):\n"
+        "    if it.singular:\n"
+        "        return obstruction(NOT_IN_POLYTOPE)\n"
+        "    while True:\n"
+        "        try:\n"
+        "            it.rule()\n"
+        "        except SingularMarginalError:\n"
+        "            return report(NOT_IN_POLYTOPE)\n"
+        "        for j in it.factors:\n"
+        "            obstruction()\n") \
+        == ["SingularMarginalError", "NOT_IN_POLYTOPE", "obstruction"]
+
+
+def test_core_loop_answers_not_in_polytope_only_at_step_0():
+    assert loop_negatives((PACKAGE / "scaling.py").read_text()) == []
 
 
 def singular_raises(source: str) -> list[str]:
@@ -513,7 +561,7 @@ def test_each_halt_check_is_one_counted_resync():
 BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
     # the tensor primitives tests/test_loop_reference.py builds its
-    # reference loop from
+    # reference loop from, and the checked Borel factorization README documents
     "marginal", "spectrum", "trace_distance", "apply_factor", "upper_cholesky",
     # the write side of the file formats the CLI reads
     "save_tensor", "save_spectrum", "hwv_spec_to_obj",

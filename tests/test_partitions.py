@@ -34,6 +34,11 @@ def _spec(max_degree):
                                      max_degree)
 
 
+def _phi(**counts) -> ts.Parametrization:
+    return ts.Parametrization(**{"param_dim": 2, "degree": 1, **counts},
+                              evaluate=lambda z: ts.Tensor(np.reshape(z, (1, 2))))
+
+
 # entry -> (argument its messages name, call putting a value where 2 is valid)
 ENTRIES = {
     "random_group.dims": ("dims",
@@ -65,6 +70,15 @@ ENTRIES = {
     "identity_parametrization.n0": (
         "n0", lambda v: ts.identity_parametrization((2, 2), n0=v).param_dim),
     "find_nonvanishing_spec.max_degree": ("max_degree", _spec),
+    "Parametrization.param_dim": (
+        "param_dim", lambda v: _phi(param_dim=v).param_dim),
+    "Parametrization.degree": ("degree", lambda v: _phi(degree=v).degree),
+    "Parametrization.coeff_bits": (
+        "coeff_bits", lambda v: _phi(coeff_bits=v).coeff_bits),
+    "randomization_bounds.ell": ("ell", lambda v: ts.randomization_bounds(v, 1, (2,))),
+    "randomization_bounds.d": ("d", lambda v: ts.randomization_bounds(1, v, (2,))),
+    "randomization_bounds.dims": (
+        "dims", lambda v: ts.randomization_bounds(1, 1, (v,))),
     # never within 1e-9 in two sweeps, so iterations reports max_iters back
     "sinkhorn.max_iters": ("max_iters", lambda v: ts.sinkhorn(
         np.array([[1.0, 1.0], [0.0, 1.0]]), [1, 1], [1, 1], 1e-9,

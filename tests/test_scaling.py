@@ -6,7 +6,6 @@ import warnings
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -377,17 +376,15 @@ class TestScalingStep:
         it.measure()
         assert calls == ["eigvalsh"] * 2
         monkeypatch.undo()
-        rhos, dists, lows = it.rhos, it.dists, it.lows
         for i in range(1, 5):
             rho, diag = ts.marginal(x, i), np.diag(p.ascending(i))
-            assert np.array_equal(rhos[i - 1], rho)
-            assert dists[i - 1] == ts.trace_distance(rho, diag)
-            assert lows[i - 1] == np.linalg.eigvalsh(rho - diag)[0]
+            assert np.array_equal(it.rhos[i - 1], rho)
+            assert it.dists[i - 1] == ts.trace_distance(rho, diag)
 
     def test_borel_run_solves_once_per_measurement(self, monkeypatch):
-        # a (1;2,2,2) latin member with uniform target: the Weyl bound is the
-        # marginal's smallest eigenvalue, so no step needs the exact gate, and
-        # the Borel capacity reads every determinant off the diagonal
+        # a (1;2,2,2) latin member with uniform target: the start's three
+        # marginals take the exact singularity check, no step does, and the
+        # Borel capacity reads every determinant off the diagonal
         latin = np.zeros((1, 2, 2, 2), dtype=complex)
         for a, b in np.ndindex(2, 2):
             latin[0, a, b, (a + b) % 2] = 1
@@ -411,17 +408,18 @@ class TestScalingStep:
                              ts.ScalingConfig(epsilon=1e-9, seed=0,
                                               max_iters=40))
         assert rep.verdict == ts.SCALED and calls["measure"] > rep.iterations
-        # one dimension group: one solve per measurement; the start's Weyl
-        # bound vouches for its singularity check too
-        assert calls["eigvalsh"] == calls["measure"]
+        # one dimension group: one solve per measurement, and one per start
+        # marginal
+        assert calls["eigvalsh"] == calls["measure"] + 3
         assert calls["det"] == 0
 
-    @pytest.mark.parametrize("top,start_checks", [(F(1, 2), 0), (F(999, 1000), 1)])
+    @pytest.mark.parametrize("top,iterations", [(F(1, 2), 0), (F(999, 1000), 1)])
     def test_start_check_only_where_weyl_bound_fails(self, monkeypatch, top,
-                                                     start_checks):
-        # GHZ's marginals are I/2: against (1/2, 1/2) the bound is 1/2, against
-        # (999/1000, 1/1000) it is 1/2 - 999/1000 + 1/1000 < 0, so the exact
-        # check runs once, on factor 1's marginal alone, and passes
+                                                     iterations):
+        # the exact check runs once per marginal of the start, whatever the
+        # target, and never on a stepped marginal: GHZ's marginals are I/2,
+        # so the run halts at once toward (1/2, 1/2) and takes its one
+        # allowed step toward (999/1000, 1/1000)
         calls = []
         check, rule = ts.scaling._assert_nonsingular, ts.scaling._Iterate.rule
 
@@ -438,12 +436,10 @@ class TestScalingStep:
         p = ts.TargetSpectrum(((top, 1 - top),) + ((F(1, 2), F(1, 2)),) * 2)
         rep = ts.run_scaling(ghz_tensor(), p,
                              ts.ScalingConfig(epsilon=1e-9, randomize=False,
-                                              max_iters=5))
-        # only the checks made before the first step
-        start = calls[:calls.index("step")] if "step" in calls else calls
-        assert start == [(2, 2)] * start_checks
+                                              max_iters=1))
+        assert calls == [(2, 2)] * 3 + ["step"] * iterations
         assert rep.verdict != ts.NOT_IN_POLYTOPE
-        assert rep.iterations == (0 if top == F(1, 2) else 5)
+        assert rep.iterations == iterations
 
 
 def flattening_shapes():
@@ -618,66 +614,6 @@ class TestCapacity:
             # the step leaves the iterate normalized: norm(R . x) reads 1
             assert it.capacity == pytest.approx(
                 ref_capacity(it.group, self.TARGET, 1.0), rel=1e-12)
-
-
-def weyl_case(n, log_low, log_floor, log_turn, seed):
-    """A Hermitian PSD rho of trace about 1 whose smallest eigenvalue is
-    10**log_low, near the diagonal D of a target with floor 10**log_floor
-    (10**log_turn sets how far rho's eigenbasis is turned away from D's),
-    and the Weyl bound lambda_min(rho - D) + min(D) the loop hands to
-    _gate."""
-    rng = np.random.default_rng(seed)
-    rest = np.sort(rng.uniform(1.0, 2.0, n - 1))
-    floor = 10.0 ** log_floor
-    target = np.concatenate(([floor], (1.0 - floor) * rest / rest.sum()))
-    spectrum = np.concatenate(([10.0 ** log_low], target[1:]))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    u, _ = np.linalg.qr(np.eye(n) + 10.0 ** log_turn * g)
-    rho = (u * spectrum) @ u.conj().T
-    rho = (rho + rho.conj().T) / 2
-    diag = np.diag(target).astype(complex)
-    low = np.linalg.eigvalsh((rho - diag)[None])[0, 0]
-    return rho, np.sqrt(target), low + target[0]
-
-
-def gated_step(rho, root, bound):
-    """_gate, then _step_matrix, on rho with the exact gate observed: (whether
-    the gate ran, whether the step raised SingularMarginalError)."""
-    gate = mock.Mock(wraps=ts.scaling._assert_nonsingular)
-    with mock.patch.object(ts.scaling, "_assert_nonsingular", gate):
-        try:
-            ts.scaling._gate(rho, bound)
-            ts.scaling._step_matrix(rho, root)
-        except ts.SingularMarginalError:
-            return gate.called, True
-    return gate.called, False
-
-
-class TestWeylCertificate:
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.sampled_from([2, 3, 4, 8, 32]),
-           log_low=st.floats(-15.0, -8.0),
-           log_floor=st.floats(-15.0, -2.0),
-           log_turn=st.floats(-16.0, 0.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_passes_only_what_the_exact_gate_passes(self, n, log_low,
-                                                    log_floor, log_turn, seed):
-        rho, root, bound = weyl_case(n, log_low, log_floor, log_turn, seed)
-        gated, raised = gated_step(rho, root, bound)
-        if not gated:
-            ts.scaling._assert_nonsingular(rho)  # must not raise
-            assert not raised
-
-    def test_certificate_passes_near_the_target(self):
-        rho, root, bound = weyl_case(4, -8.5, -3.0, -14.0, seed=1)
-        assert gated_step(rho, root, bound) == (False, False)
-
-    def test_inconclusive_certificate_falls_back_and_raises(self):
-        rho, root, bound = weyl_case(4, -14.0, -3.0, -14.0, seed=2)
-        assert bound <= ts.scaling._GATE_MARGIN
-        with pytest.raises(ts.SingularMarginalError):
-            ts.scaling._assert_nonsingular(rho)
-        assert gated_step(rho, root, bound) == (True, True)
 
 
 class TestRunScaling:
@@ -958,6 +894,28 @@ class TestRunScaling:
         with np.errstate(all="ignore"), \
                 pytest.raises(ts.NumericBreakdownError, match="at step 1"):
             it.step(0, np.full((2, 2), entry, dtype=complex))
+
+    def test_failed_step_factorization_is_a_numeric_breakdown(self, monkeypatch):
+        # no step changes a marginal's rank, so a Cholesky failure after the
+        # start is rounding: a numeric breakdown naming its step, never a
+        # singular marginal or a NOT_IN_POLYTOPE answer
+        factor, calls = ts.scaling._upper_cholesky, []
+
+        def failing_third(rho):
+            calls.append(rho)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return factor(rho)
+
+        monkeypatch.setattr(ts.scaling, "_upper_cholesky", failing_third)
+        x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
+                               dtype=complex))
+        cfg = ts.ScalingConfig(epsilon=1e-6, seed=0, max_iters=50)
+        with pytest.raises(ts.NumericBreakdownError,
+                           match=r"factorization failed at step 3$") as info:
+            ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert len(calls) == 3
 
     def test_core_loop_keeps_its_halt_check_frame(self):
         # the benchmark counts halt checks (and so rejected halts) by the
