@@ -44,7 +44,6 @@ from .scaling import (
     run_general_scaling,
     run_scaling,
 )
-from .tensors import NonFiniteEntriesError, NumericBreakdownError
 
 
 class UsageError(ValueError):
@@ -145,13 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     general = commands.add_parser(
         "general-scale", help="scale a sampled point of a parametrized variety, "
-                              "or a given tensor as scale does")
+                              "or the tensor given site matrices define")
     src = general.add_mutually_exclusive_group(required=True)
     src.add_argument("--dims", help="identity parametrization on 1;DIMS")
     src.add_argument("--mps", help="JSON file with matrix-product site data: "
                                    "'n' and 'bond', or 'matrices'")
-    src.add_argument("--orbit-tensor",
-                     help="tensor JSON, scaled as by the scale command")
     general.add_argument("--sites", type=int, default=None,
                          help="number of tensor factors for --mps")
     _add_run_flags(general)
@@ -212,12 +209,10 @@ def _cmd_scale(args) -> int:
 def _cmd_general_scale(args) -> int:
     if args.sites is not None and not args.mps:
         raise UsageError("--sites applies only to --mps")
-    x = phi = None
+    phi = None
     if args.dims:
         dims = _csv_ints(args.dims, "--dims")
         phi = identity_parametrization(dims)
-    elif args.orbit_tensor:
-        x = io.load_tensor(args.orbit_tensor)
     else:
         obj = _load_json(args.mps)
         if not isinstance(obj, dict):
@@ -227,15 +222,8 @@ def _cmd_general_scale(args) -> int:
             raise UsageError("give --sites (or a 'sites' key) for --mps")
         sites = as_int(sites, "--mps sites", low=1)
         if "matrices" in obj:
-            matrices = io.number_array(obj["matrices"], f"{args.mps}.matrices")
-            # trace products past the float range are a breakdown, as for
-            # a sampled start
-            try:
-                x = mps_tensor(matrices, sites)
-            except NonFiniteEntriesError as exc:
-                raise NumericBreakdownError(
-                    "the site matrices' trace products left the "
-                    "floating-point range") from exc
+            x = mps_tensor(io.number_array(obj["matrices"], f"{args.mps}.matrices"),
+                           sites)
         elif "n" in obj and "bond" in obj:
             n = as_int(obj["n"], "--mps n", low=1)
             phi = mps_parametrization(n, as_int(obj["bond"], "--mps bond", low=1),
@@ -244,7 +232,7 @@ def _cmd_general_scale(args) -> int:
         else:
             raise UsageError("--mps file needs 'matrices' or 'n' and 'bond'")
     if phi is None:
-        # one given tensor is scaled as `scale` scales it; the group acts on it
+        # the given tensor is scaled as `scale` scales it; the group acts on it
         report = run_scaling(x, _load_target(args, x.dims), _config(args))
     else:
         report, x = run_general_scaling(phi, _load_target(args, dims),

@@ -9,7 +9,9 @@ not-in-polytope verdict.  Each failure has one rule: _check_start decides
 singularity, once, on the (restricted) start's marginals, as no step, an
 invertible triangular map, changes a marginal's rank; _Iterate breakdown, a
 norm outside (0, inf) (||y|| of the start and of each resync, nu of each
-step), a non-finite group factor or a step whose Cholesky fails.
+step), a non-finite group factor or a step whose Cholesky fails; any other
+overflow, where it is computed (_to_float, apply_group, compose_group,
+mps_tensor).
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
@@ -230,8 +232,9 @@ def randomization_bounds(ell: int, d: int, dims: Sequence[int]) -> tuple[int, in
 def _to_float(v: int) -> float:
     try:
         return float(v)
-    except OverflowError:
-        return math.inf
+    except OverflowError as exc:
+        raise NumericBreakdownError(
+            "a random draw left the floating-point range") from exc
 
 
 def _uniform_draws(seed: int, count: int, rand_range: int) -> np.ndarray:
@@ -242,8 +245,7 @@ def _uniform_draws(seed: int, count: int, rand_range: int) -> np.ndarray:
     32-bit Mersenne Twister output and rejects values >= rand_range; one
     getrandbits(32 * m) returns the next m outputs, the first in the lowest
     word.  Larger ranges take several outputs per try and draw one by one;
-    a draw past the float range is inf, which the caller's start or sample
-    then reports as a numeric breakdown.
+    a draw past the float range raises NumericBreakdownError.
     """
     rng = random.Random(seed)
     if rand_range >= 1 << 32:
@@ -655,7 +657,7 @@ def _resolve_range(cfg: ScalingConfig, ell: int, d: int, dims: Sequence[int],
 def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                cfg: ScalingConfig,
                budget_for: Callable[[tuple[int, ...], float], int],
-               note: str = "", randomized: bool = True) -> ScalingReport:
+               randomized: bool = True) -> ScalingReport:
     """Scale ``start`` = pre . x toward p and report a group acting on x.
 
     Zero targets restrict the start to their positive part and run the loop
@@ -666,14 +668,14 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     resyncs the drifting iterate from x0, not from the witness's image of x,
     which differs by rounding and the pad.  Drift that fails a halt fails the
     next, so a later halt's witness waits for a passing resync.  Other
-    verdicts pad the loop's group unmeasured; a non-finite group or image,
-    or a failed step, raises NumericBreakdownError.  NOT_IN_POLYTOPE comes
-    only at step 0: a restriction that vanishes, or a start failing
-    _check_start, is a rank obstruction unless a factor of pre is exactly
-    singular or the start, not ``randomized``, restricts to a slice that is
-    not generic: then the run ends BUDGET_EXHAUSTED at step 0.  The loop runs
-    with overflow and invalid-value warnings off, once per run, as the
-    breakdown rules report each value past the float range.
+    verdicts pad the loop's group unmeasured; a failed step, or a non-finite
+    group or image (compose_group, apply_group), raises NumericBreakdownError.
+    NOT_IN_POLYTOPE comes only at step 0: a restriction that vanishes, or a
+    start failing _check_start, is a rank obstruction unless a factor of pre
+    is exactly singular or the start, not ``randomized``, restricts to a
+    slice that is not generic: then the run ends BUDGET_EXHAUSTED at step 0.
+    Its steps run with overflow and invalid-value warnings off, once per
+    run, as the breakdown rules report each value past the float range.
     """
     if p.has_zeros():
         x0, p_active, _ = restrict_positive(start, p)
@@ -689,17 +691,13 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         # the loop's tuple composed with pre, zero-target factors padded back
         if p.has_zeros():
             borel = pad_scaling(borel, p, cfg.epsilon, norm_start)
-        group = compose_group(borel, pre)
-        if not all(np.all(np.isfinite(m)) for m in group):
-            raise NumericBreakdownError(
-                "the scaling group left the floating-point range")
-        return group
+        return compose_group(borel, pre)
 
-    def report(verdict: str, group: GroupTuple, why: str = note) -> ScalingReport:
+    def report(verdict: str, group: GroupTuple, why: str = "") -> ScalingReport:
         return ScalingReport(verdict, group, len(trace), trace, budget,
                              cfg.epsilon, note=why)
 
-    def obstruction(group: Callable[[], GroupTuple], why: str = note) -> ScalingReport:
+    def obstruction(group: Callable[[], GroupTuple], why: str = "") -> ScalingReport:
         # a rank obstruction, unless pre is singular or the slice is not generic
         singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
         if singular:
@@ -732,22 +730,18 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     with np.errstate(over="ignore", invalid="ignore"):
         rejected = False  # whether a witness of this run has failed
         while True:
+            # each pass's tensor is an argument, freed before the next
             if max(it.dists) <= epsilon:
-                try:  # each pass's tensor is an argument, freed before the next
-                    if not rejected:
-                        group = full(it.group)
-                        if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
-                            return report(SCALED, group)
-                        resynced(apply_group(tuple(it.group), x0))
-                        rejected = True
-                    elif resynced(verified_halt(tuple(it.group), x0)):
-                        group = full(it.group)
-                        if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
-                            return report(SCALED, group)
-                except NonFiniteEntriesError as exc:
-                    raise NumericBreakdownError(
-                        "the scaling group's image left the floating-point "
-                        f"range after {len(trace)} steps") from exc
+                if not rejected:
+                    group = full(it.group)
+                    if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
+                        return report(SCALED, group)
+                    resynced(apply_group(tuple(it.group), x0))
+                    rejected = True
+                elif resynced(verified_halt(tuple(it.group), x0)):
+                    group = full(it.group)
+                    if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
+                        return report(SCALED, group)
             if it.steps == limit:
                 return report(BUDGET_EXHAUSTED, full(it.group))
             j, a = it.rule()
@@ -773,13 +767,7 @@ def run_scaling(x: Tensor, p: TargetSpectrum, cfg: ScalingConfig) -> ScalingRepo
                                degree=x.num_factors)
     if cfg.randomize:
         g0 = random_group(x.dims, rng_range, cfg.seed)
-        log2_range = math.log2(rng_range)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                start = apply_group(g0, x)
-        except NonFiniteEntriesError as exc:
-            raise NumericBreakdownError(
-                "the randomized start left the floating-point range") from exc
+        start, log2_range = apply_group(g0, x), math.log2(rng_range)
     else:
         g0, start, log2_range = identity_group(x.dims), x, 0.0
     bits = x.entry_bitsize()
@@ -826,7 +814,8 @@ def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrizatio
 
 def mps_tensor(matrices: Sequence[np.ndarray], d: int) -> Tensor:
     """Tensor with entries tr[M_{j1} ... M_{jd}] in format (1; n, ..., n) from
-    a nonempty list of n equal square matrices, else raises ValueError."""
+    a nonempty list of n equal square finite matrices, else raises ValueError;
+    trace products past the float range raise NumericBreakdownError."""
     d = as_int(d, "d", low=2)
     try:
         stack = np.array(matrices, dtype=complex)  # (n, N, N)
@@ -834,11 +823,18 @@ def mps_tensor(matrices: Sequence[np.ndarray], d: int) -> Tensor:
         raise ValueError(f"site matrices must hold numbers: {exc}") from exc
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("need a nonempty list of equal square site matrices")
+    if not np.isfinite(stack).all():
+        raise NonFiniteEntriesError("site matrix entries must be finite")
     result = stack
-    for _ in range(d - 1):
-        result = np.einsum("...ab,jbc->...jac", result, stack)
-    data = np.trace(result, axis1=-2, axis2=-1)
-    return Tensor(data.reshape((1,) + (len(stack),) * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(d - 1):
+            result = np.einsum("...ab,jbc->...jac", result, stack)
+        data = np.trace(result, axis1=-2, axis2=-1)
+    try:
+        return Tensor(data.reshape((1,) + (len(stack),) * d))
+    except NonFiniteEntriesError as exc:
+        raise NumericBreakdownError("the site matrices' trace products left "
+                                    "the floating-point range") from exc
 
 
 def mps_parametrization(n: int, bond_dim: int, d: int) -> Parametrization:
@@ -863,38 +859,24 @@ def run_general_scaling(phi: Parametrization, p: TargetSpectrum,
 
     The sampled parameter vector has integer entries uniform in the
     resolved range; the loop then runs exactly as in run_scaling with no
-    further basis change.  A zero sample is redrawn once.
+    further basis change.  A sample of the wrong format raises ValueError; a
+    zero one, which only a custom parametrization gives on draws in 1..M,
+    proves nothing and ends BUDGET_EXHAUSTED at step 0.
     """
     dims = p.dims
     rng_range = _resolve_range(cfg, p.denominator_lcm, len(dims), dims,
                                degree=phi.degree)
-
-    def draw(seed: int) -> tuple[Tensor, float]:
-        # a sample or norm past the float range is a breakdown, not a warning
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = phi.evaluate(_uniform_draws(seed, phi.param_dim, rng_range))
-                return x, x.norm()
-        except NonFiniteEntriesError as exc:
-            raise NumericBreakdownError(
-                "the sampled start left the floating-point range") from exc
-
-    note = ""
-    x, norm = draw(cfg.seed)
-    if norm == 0.0:
-        x, norm = draw(cfg.seed + 0x9E3779B9)
-        note = "parametrization vanished on the first sample; redrew once"
-        if norm == 0.0:
-            return (ScalingReport(NOT_IN_POLYTOPE, identity_group(dims), 0, [],
-                                  0, cfg.epsilon,
-                                  note="parametrization vanished twice"), x)
+    x = phi.evaluate(_uniform_draws(cfg.seed, phi.param_dim, rng_range))
     if x.dims != dims:
         raise ValueError(f"parametrization produced format {x.shape}, "
                          f"target wants dims {dims}")
+    if x.norm() == 0.0:
+        note = "the parametrization vanished on its sample"
+        return ScalingReport(BUDGET_EXHAUSTED, identity_group(dims), 0, [], 0,
+                             cfg.epsilon, note=note), x
 
     def budget_for(shape: tuple[int, ...], eps: float) -> int:
         return general_iteration_budget(shape, phi.coeff_bits, eps, phi.degree,
                                         phi.param_dim, math.log2(rng_range))
 
-    return _core_loop(x, x, identity_group(dims), p, cfg, budget_for,
-                      note=note), x
+    return _core_loop(x, x, identity_group(dims), p, cfg, budget_for), x

@@ -33,8 +33,8 @@ class NumericBreakdownError(ArithmeticError):
 
 
 class NonFiniteEntriesError(ValueError):
-    """A tensor was built from entries that are not all finite: a usage
-    error for given data, a numeric breakdown for computed data."""
+    """A tensor was given entries that are not all finite: a usage error for
+    given data only; computed data past the float range is a breakdown."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +195,23 @@ def apply_factor(m: np.ndarray, i: int, x: Tensor) -> Tensor:
 
 
 def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:
-    """Act with the group tuple g on factors 1..d; factor 0 is untouched."""
+    """Act with the group tuple g on factors 1..d; factor 0 is untouched.
+    An image past the float range raises NumericBreakdownError, unwarned."""
     if len(g) != x.num_factors:
         raise ValueError(f"expected {x.num_factors} factors, got {len(g)}")
     data = x.data
-    for i, m in enumerate(g):
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (x.dims[i], x.dims[i]):
-            raise ValueError(f"factor {i + 1} matrix has shape {m.shape}, "
-                             f"expected {(x.dims[i], x.dims[i])}")
-        data = contract(m, data, i + 1)
-    return Tensor(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, m in enumerate(g):
+            m = np.asarray(m, dtype=complex)
+            if m.shape != (x.dims[i], x.dims[i]):
+                raise ValueError(f"factor {i + 1} matrix has shape {m.shape}, "
+                                 f"expected {(x.dims[i], x.dims[i])}")
+            data = contract(m, data, i + 1)
+    try:
+        return Tensor(data)
+    except NonFiniteEntriesError as exc:
+        raise NumericBreakdownError(
+            "a group's image left the floating-point range") from exc
 
 
 def identity_group(dims: Sequence[int]) -> GroupTuple:
@@ -214,8 +220,13 @@ def identity_group(dims: Sequence[int]) -> GroupTuple:
 
 def compose_group(g: Sequence[np.ndarray], h: Sequence[np.ndarray]) -> GroupTuple:
     """Factorwise product g @ h, so apply_group(compose_group(g, h), x)
-    equals apply_group(g, apply_group(h, x))."""
+    equals apply_group(g, apply_group(h, x)).  A product with a non-finite
+    entry raises NumericBreakdownError."""
     if len(g) != len(h):
         raise ValueError("group tuples must have the same number of factors")
-    return tuple(np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-                 for a, b in zip(g, h))
+    out = tuple(np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
+                for a, b in zip(g, h))
+    if not all(np.isfinite(m).all() for m in out):
+        raise NumericBreakdownError(
+            "a composed group left the floating-point range")
+    return out

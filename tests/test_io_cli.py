@@ -1,7 +1,6 @@
 """Wire formats and the command-line surface."""
 import json
 import re
-import sys
 import warnings
 from fractions import Fraction as F
 
@@ -344,18 +343,12 @@ class TestCanonicalWriter:
             == reference_dumps(plain)
 
     def test_report_note_is_written(self):
-        # (z0 - z1) * GHZ vanishes on seed 1's first draw (1, 1) from range 2
-        # and not on the redraw (2, 1)
-        phi = ts.Parametrization(
-            param_dim=2, degree=1,
-            evaluate=lambda z: ts.Tensor((z[0] - z[1]) * ghz_tensor().data))
-        rep, _ = ts.run_general_scaling(
-            phi, ts.TargetSpectrum.uniform((2, 2, 2)),
-            ts.ScalingConfig(epsilon=0.1, seed=1, rand_range=2))
+        # range 1 draws all-ones factors, a singular basis change
+        rep = ts.run_scaling(ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                             ts.ScalingConfig(epsilon=0.1, rand_range=1))
         obj = io.report_to_obj(rep)
-        assert rep.verdict == ts.SCALED
-        assert obj["note"] \
-            == "parametrization vanished on the first sample; redrew once"
+        assert rep.verdict == ts.BUDGET_EXHAUSTED
+        assert obj["note"] == "basis change factor 1 is singular"
         assert io.dumps_canonical(obj) == reference_dumps(obj)
 
     def test_never_enters_pure_python_encoder(self, monkeypatch):
@@ -509,13 +502,6 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_general_scale_orbit(self, ghz_path, capsys):
-        code, out = self.run("general-scale", "--orbit-tensor", ghz_path,
-                             "--target", "uniform", "--epsilon", "0.02",
-                             "--seed", "1", "--max-iters", "2000",
-                             capsys=capsys)
-        assert code == 0 and json.loads(out)["verdict"] == "SCALED"
-
     def test_general_scale_mps(self, tmp_path, capsys):
         mpath = tmp_path / "mps.json"
         mpath.write_text(json.dumps({"n": 2, "bond": 2, "sites": 3}))
@@ -574,20 +560,6 @@ class TestCli:
         assert np.array_equal(sample.data.real.ravel(), [8, 4, 4, 0, 4, 0, 0, 0])
         assert witness_distance(payload, p) <= 0.05
 
-    def test_general_scale_orbit_tensor_reports_as_scale(self, ghz_path,
-                                                         capsys):
-        # one given tensor, one run: scale's report, plus the tensor
-        argv = ["--target", "uniform", "--epsilon", "0.02", "--seed", "1"]
-        code, out = self.run("general-scale", "--orbit-tensor", ghz_path,
-                             *argv, capsys=capsys)
-        general = json.loads(out)
-        assert code == self.run("scale", "--tensor", ghz_path, *argv)[0] == 0
-        direct = json.loads(capsys.readouterr().out)
-        assert general.pop("command") == "general-scale"
-        assert np.array_equal(io.tensor_from_obj(general.pop("sample")).data,
-                              ghz_tensor().data)
-        assert direct.pop("command") == "scale" and general == direct
-
     @pytest.mark.parametrize("argv", [
         ["qmp", "--dims", "2,2,2", "--target", "uniform"],
         ["kronecker", "--lam", "2", "--mu", "1,1", "--nu", "1,1"],
@@ -603,6 +575,14 @@ class TestCli:
         assert cli.main(["qmp", "--dims", "2,2", "--target", "uniform",
                          "--epsilon", "0.1", "--mode", "parabolic"]) == 2
         assert "--mode" in capsys.readouterr().err
+
+    def test_orbit_tensor_flag_is_retired(self, ghz_path, capsys):
+        # a given tensor is scaled by `scale`; general-scale has no second path
+        assert cli.main(["general-scale", "--dims", "2,2,2", "--orbit-tensor",
+                         ghz_path, "--target", "uniform",
+                         "--epsilon", "0.1"]) == 2
+        assert "unrecognized arguments: --orbit-tensor" \
+            in capsys.readouterr().err
 
     def test_sites_without_mps_is_a_usage_error(self, capsys):
         code = cli.main(["general-scale", "--dims", "2,2", "--sites", "5",
@@ -760,20 +740,21 @@ class TestCli:
 
     def test_overflowing_witness_exits_three(self, ghz_path, capsys,
                                              monkeypatch):
-        # the witness's apply_group raises NonFiniteEntriesError, a
-        # ValueError, when a finite group's image overflows: a numeric failure
-        def overflowing(g, y):
-            # the witness: the input's image, not the randomized start's
-            if np.array_equal(y.data, ghz_tensor().data) \
-                    and sys._getframe(1).f_code.co_name != "run_scaling":
-                raise ts.NonFiniteEntriesError("tensor entries must be finite")
-            return ts.tensors.apply_group(g, y)
+        # a finite witness group whose image of the input overflows in
+        # apply_group itself: a numeric failure, with no NumPy warning
+        def huge(g, h):
+            return tuple(1e200 * m for m in ts.compose_group(g, h))
 
-        monkeypatch.setattr(ts.scaling, "apply_group", overflowing)
-        assert cli.main(["scale", "--tensor", ghz_path, "--target", "uniform",
-                         "--epsilon", "0.1"]) == 3
+        monkeypatch.setattr(ts.scaling, "compose_group", huge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["scale", "--tensor", ghz_path, "--target",
+                             "uniform", "--epsilon", "0.1"])
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert code == 3 and err.count("\n") == 1
+        assert err == "numeric failure: a group's image left the " \
+                      "floating-point range\n"
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_overflowing_theoretical_start_exits_three(self, tmp_path, capsys,

@@ -2,7 +2,8 @@
 helpers or into numpy's private modules, no module keeps an unbounded
 functools cache, the scaling loop's kernels leave validation to the public
 entry points, singularity is decided by one check on the start and no
-loop step answers NOT_IN_POLYTOPE, no module calls a dense
+loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
+is computed, no module calls a dense
 eigendecomposition or determinant, each halt check makes the one resync
 call the benchmark's tracer counts, no public function stays in the
 package that only the tests call, and no private top-level function or
@@ -342,6 +343,88 @@ def test_guard_sees_singular_raises():
 def test_only_the_exact_check_raises_singular():
     for path in sorted(PACKAGE.glob("*.py")):
         assert singular_raises(path.read_text()) == [], path.name
+
+
+# the one overflow rule: the function that computes a value decides whether
+# it left the float range, so only these owners may silence NumPy's
+# warnings (np.errstate) or turn the given-data error NonFiniteEntriesError
+# into a NumericBreakdownError
+OVERFLOW_OWNERS = {
+    "errstate": {"tensors.Tensor.norm", "tensors.apply_group",
+                 "scaling.mps_tensor", "scaling._core_loop", "cli.main"},
+    "NonFiniteEntriesError": {"tensors.apply_group", "scaling.mps_tensor"},
+}
+
+
+def overflow_rule_breaches(module: str, source: str) -> list[tuple[str, str]]:
+    """(owner, name) for each use of errstate, by plain or attribute name or
+    as an imported name, and each except clause naming
+    NonFiniteEntriesError, outside the OVERFLOW_OWNERS allowed for it.  The
+    owner is module.function, module.Class.method, or module.Class or
+    module.<module> for a statement outside any function."""
+    def owned(body, prefix, outside):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                name = f"{prefix}{node.name}"
+                yield from owned(node.body, f"{name}.", name)
+            elif isinstance(node, ast.FunctionDef):
+                yield f"{prefix}{node.name}", node
+            else:
+                yield outside, node
+
+    def names(node) -> set[str]:
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    found = []
+    for owner, top in owned(ast.parse(source).body, f"{module}.",
+                            f"{module}.<module>"):
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and "NonFiniteEntriesError" in names(node.type):
+                found.append((owner, "NonFiniteEntriesError"))
+            elif isinstance(node, (ast.Name, ast.Attribute)) \
+                    and "errstate" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None)) \
+                    or isinstance(node, ast.alias) and node.name == "errstate":
+                found.append((owner, "errstate"))
+    return sorted((owner, name) for owner, name in found
+                  if owner not in OVERFLOW_OWNERS[name])
+
+
+def test_guard_sees_overflow_rule_breaches():
+    assert overflow_rule_breaches(
+        "tensors",
+        "import numpy as np\n"
+        "from numpy import errstate\n"
+        "class Tensor:\n"
+        "    @np.errstate(over='ignore')\n"
+        "    def norm(self):\n"
+        "        pass\n"
+        "    def check(self):\n"
+        "        with errstate(all='ignore'):\n"
+        "            pass\n"
+        "def apply_group(g, x):\n"
+        "    try:\n"
+        "        return Tensor(x)\n"
+        "    except NonFiniteEntriesError as exc:\n"
+        "        raise NumericBreakdownError() from exc\n"
+        "def run(x):\n"
+        "    def draw():\n"
+        "        try:\n"
+        "            with np.errstate(over='ignore'):\n"
+        "                return x()\n"
+        "        except (ValueError, tensors.NonFiniteEntriesError):\n"
+        "            raise\n"
+        "    return draw()\n") \
+        == [("tensors.<module>", "errstate"), ("tensors.Tensor.check", "errstate"),
+            ("tensors.run", "NonFiniteEntriesError"), ("tensors.run", "errstate")]
+
+
+def test_overflow_is_decided_where_each_value_is_computed():
+    found = {path.stem: overflow_rule_breaches(path.stem, path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {}
 
 
 # numpy's general contraction helpers; every package contraction goes

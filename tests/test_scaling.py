@@ -137,6 +137,12 @@ class TestRandomGroup:
         sigma = math.sqrt((8**2 - 1) / 12) / math.sqrt(entries.size)
         assert abs(entries.mean() - 4.5) <= 3 * sigma
 
+    def test_draw_past_the_float_range_is_a_breakdown(self):
+        # a draw from 1..2**1100 is almost surely past the largest float
+        with pytest.raises(ts.NumericBreakdownError,
+                           match="draw left the floating-point range"):
+            ts.random_group((2,), 2**1100, 0)
+
     @pytest.mark.parametrize("rand_range", [1, 2, 3, 16, 2**16, 2**16 + 1,
                                             2**31, 2**32 - 1, 2**40 + 3])
     @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 4), (48, 48, 48)])
@@ -793,9 +799,11 @@ class TestRunScaling:
             assert ts.trace_distance(rho, np.eye(2) / 2) <= 1e-3
 
     def test_randomized_start_past_the_float_range_breaks_down(self):
+        # apply_group decides that the randomized start overflowed
         x = ts.Tensor(np.eye(2).reshape(1, 2, 2) * 1e300)
         p = ts.TargetSpectrum.uniform((2, 2))
-        with pytest.raises(ts.NumericBreakdownError, match="randomized start"):
+        with pytest.raises(ts.NumericBreakdownError,
+                           match="group's image left the floating-point range"):
             ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3))
         rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3,
                                                     randomize=False))
@@ -998,21 +1006,20 @@ class TestRunScaling:
             assert np.sum(np.abs(np.linalg.eigvalsh(gap))) <= 1e-6
 
     def test_witness_overflow_is_a_breakdown(self, monkeypatch):
-        # a finite group whose image on x overflows: a numeric failure, as
-        # an overflowing resync is, not the ValueError of a bad input
-        x = ghz_tensor()
+        # a finite witness group whose image of x overflows in apply_group
+        # itself: a numeric failure, not the ValueError of a bad input, and
+        # no NumPy warning
+        def huge(g, h):
+            return tuple(1e200 * m for m in ts.compose_group(g, h))
 
-        def overflowing(g, y):
-            # the witness: the input's image, not the randomized start's
-            if y is x and inspect.currentframe().f_back.f_code.co_name \
-                    != "run_scaling":
-                raise ts.NonFiniteEntriesError("tensor entries must be finite")
-            return ts.tensors.apply_group(g, y)
-
-        monkeypatch.setattr(ts.scaling, "apply_group", overflowing)
-        with pytest.raises(ts.NumericBreakdownError, match="image left"):
-            ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
-                           ts.ScalingConfig(epsilon=1e-2, seed=1))
+        monkeypatch.setattr(ts.scaling, "compose_group", huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.NumericBreakdownError,
+                               match="group's image left") as info:
+                ts.run_scaling(ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
+                               ts.ScalingConfig(epsilon=1e-2, seed=1))
+        assert not isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("rand_range, seed, factor",
                              [(1, 0, 1), (1, 1, 1), (2, 0, 2), (2, 1, 2)])
@@ -1270,6 +1277,17 @@ class TestMpsTensor:
         with pytest.raises(ValueError):
             ts.mps_tensor([np.eye(2), np.eye(3)], d=2)
 
+    def test_given_and_computed_overflow_differ(self):
+        # a non-finite given matrix is a usage error; finite matrices whose
+        # trace products pass the float range are a numeric breakdown
+        with pytest.raises(ts.NonFiniteEntriesError, match="finite"):
+            ts.mps_tensor([np.diag([np.inf, 1.0]), np.eye(2)], d=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.NumericBreakdownError,
+                               match="trace products left"):
+                ts.mps_tensor([np.diag([1e200, 1.0]), np.eye(2)], d=3)
+
 
 class TestGeneralScaling:
     def test_identity_map_uniform(self):
@@ -1285,7 +1303,7 @@ class TestGeneralScaling:
 
     def test_orbit_map_reproduces_direct_runs(self):
         # the orbit map of a given tensor is run_scaling's randomized start,
-        # so general-scale --orbit-tensor runs run_scaling itself
+        # so a given tensor is scaled by run_scaling itself
         p = ts.TargetSpectrum.uniform((2, 2, 2))
         for seed in range(10):
             cfg = ts.ScalingConfig(epsilon=0.02, seed=seed, max_iters=2000)
@@ -1297,11 +1315,12 @@ class TestGeneralScaling:
 
     def test_overflowing_parametrized_sample_is_a_breakdown(self):
         # the theoretical range is about 1e75 and the MPS entries are degree
-        # 5 in it: the sample overflows, a numeric failure, not a ValueError
+        # 5 in it: mps_tensor's trace products overflow, a numeric failure,
+        # not a ValueError
         phi = ts.mps_parametrization(3, 2, 5)
         cfg = ts.ScalingConfig(epsilon=0.1, rand_range=ts.THEORETICAL)
-        with pytest.raises(ts.NumericBreakdownError, match="sampled start") \
-                as info:
+        with pytest.raises(ts.NumericBreakdownError,
+                           match="trace products left") as info:
             ts.run_general_scaling(phi, ts.TargetSpectrum.uniform((3,) * 5), cfg)
         assert not isinstance(info.value, ValueError)
         assert isinstance(info.value.__cause__, ts.NonFiniteEntriesError)
@@ -1317,15 +1336,30 @@ class TestGeneralScaling:
         assert homogeneous(phi, seed=7)
 
     def test_vanishing_sample_resampled_then_rejected(self):
-        dead = ts.Parametrization(
-            param_dim=2, degree=1,
-            evaluate=lambda z: ts.Tensor(np.zeros((1, 2, 2))))
+        # a zero sample is an unlucky draw, no rank obstruction: the run
+        # ends at step 0 on its one sample, and another seed may answer
+        samples = []
+
+        def evaluate(z):
+            samples.append(z)
+            return ts.Tensor(np.zeros((1, 2, 2)))
+
+        dead = ts.Parametrization(param_dim=2, degree=1, evaluate=evaluate)
         p = ts.TargetSpectrum.uniform((2, 2))
         rep, x = ts.run_general_scaling(dead, p,
                                         ts.ScalingConfig(epsilon=0.1, seed=0))
-        assert rep.verdict == ts.NOT_IN_POLYTOPE
+        assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 0)
         assert "vanished" in rep.note
-        assert x.norm() == 0
+        assert x.norm() == 0 and len(samples) == 1
+
+    def test_sample_format_is_checked_before_its_norm(self):
+        # a zero sample of the wrong format is a usage error, not a verdict
+        wrong = ts.Parametrization(
+            param_dim=2, degree=1,
+            evaluate=lambda z: ts.Tensor(np.zeros((1, 3, 3))))
+        with pytest.raises(ValueError, match="parametrization produced format"):
+            ts.run_general_scaling(wrong, ts.TargetSpectrum.uniform((2, 2)),
+                                   ts.ScalingConfig(epsilon=0.1))
 
     def test_budget_matches_direct_formula(self):
         phi = ts.identity_parametrization((2, 2, 2))

@@ -273,6 +273,28 @@ class TestApplyGroup:
         with pytest.raises(ValueError):
             ts.apply_group((np.eye(3), np.eye(2), np.eye(2)), ghz_tensor())
 
+    def test_overflowing_image_is_a_breakdown(self):
+        # a finite group and a finite tensor whose image passes the float
+        # range: apply_group decides it, with no NumPy warning
+        g = (1e200 * np.eye(2),) * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.NumericBreakdownError,
+                               match="image left the floating-point range") as info:
+                ts.apply_group(g, ghz_tensor())
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, ts.NonFiniteEntriesError)
+
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_non_finite_composition_is_a_breakdown(self, entry):
+        # 1e200 * 1e200 overflows; a non-finite factor stays non-finite
+        g = (np.diag([entry, 1.0]), np.eye(3))
+        h = (1e200 * np.eye(2), np.eye(3))
+        with np.errstate(all="ignore"), pytest.raises(
+                ts.NumericBreakdownError,
+                match="composed group left the floating-point range"):
+            ts.compose_group(g, h)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
