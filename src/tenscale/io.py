@@ -254,7 +254,6 @@ def report_to_obj(report: ScalingReport) -> dict:
         "epsilon": report.epsilon,
         "trace": [{"i": rec.index - 1,
                    "eps": [float(e) for e in rec.distances],
-                   "norm": float(rec.norm),
                    "capacity": float(rec.capacity)}
                   for rec in report.trace],
         "group": group_to_obj(report.group),

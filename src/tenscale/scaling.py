@@ -8,17 +8,17 @@ out.  Rank obstructions detected after the randomization yield a
 not-in-polytope verdict.  Each failure has one rule: _check_start decides
 singularity, once, on the (restricted) start's marginals, as no step, an
 invertible triangular map, changes a marginal's rank; _Iterate breakdown, a
-norm outside (0, inf) (||y|| of the start and of each resync, nu of each
-step), a non-finite group factor or a step whose Cholesky fails; any other
+norm ||y|| of the start or of a resync whose reciprocal leaves the float
+range, a non-finite group factor or a step whose Cholesky fails; any other
 overflow, where it is computed (_to_float, apply_group, compose_group,
 mps_tensor).
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
 measures its witness first and resyncs only after a rejection.  A step
-costs one contraction and d - 1 Gram matrices: nu**2 = tr(a rho_j a^dagger)
-of the stepped marginal is the stepped iterate's norm, the contraction with
-a / nu leaves it normalized, and a rho_j a^dagger / nu**2 is factor j's new
+costs one contraction and d - 1 Gram matrices: the Borel step a makes
+a rho_j a^dagger the target's diagonal, of trace 1, so the contraction with
+a leaves the iterate at unit norm and that congruence is factor j's new
 marginal (see _Iterate).
 
 Targets with zero entries are handled by restricting each factor to its last
@@ -194,13 +194,11 @@ class ScalingConfig:
 @dataclass
 class IterationRecord:
     """One scaling step: chosen factor (1-based), trace distances of all
-    marginals before the step, the norm nu of the updated tensor before
-    renormalization, read off the stepped marginal as sqrt(tr(a rho a^dagger)),
-    and the capacity the iterate carries (nan when log_capacity is off)."""
+    marginals before the step, and the capacity the iterate carries after it
+    (nan when log_capacity is off)."""
 
     index: int
     distances: tuple[float, ...]
-    norm: float
     capacity: float
 
 
@@ -466,12 +464,13 @@ class _Iterate:
     folded into group[0], and y's last measurement: marginals rhos and
     distances dists to the target diagonals.
 
-    A step makes one pass over y, the contraction with a / nu: nu**2 =
-    tr(a rho_j a^dagger), read off the stepped marginal, is the norm of a
-    applied to y, so no norm or divide pass follows.  The congruence
-    a rho_j a^dagger / nu**2 is factor j's new marginal, so only the other
-    d - 1 are measured, one Gram matrix each (a gather still forms its whole
-    dimension group in one call).  The start and a resync measure all d.
+    A step makes one pass over y, the contraction with the Borel step a:
+    tr(a rho_j a^dagger), the stepped iterate's squared norm, is the sum of
+    the target's entries, 1, so no norm or divide pass follows.  The
+    congruence a rho_j a^dagger is factor j's new marginal, so only the
+    other d - 1 are measured, one Gram matrix each (a gather still forms its
+    whole dimension group in one call).  The start and a resync measure all
+    d, and renormalize holds the iterate's one norm rule.
 
     groups pairs the 0-based factors of each distinct dimension with their
     stacked target diagonals; index holds their flattening positions from
@@ -481,7 +480,7 @@ class _Iterate:
     triangular (inv's LU never pivots on a triangular factor), so diag(a g) =
     diag(a) diag(g): capacity, ||y|| prod |group_kk| ** -(ascending target
     entry k), is the running product of the norms renormalize divides out
-    and each step's nu prod |a_kk| ** exponents[j][k].
+    and each step's prod |a_kk| ** exponents[j][k].
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
@@ -504,48 +503,39 @@ class _Iterate:
         self.capacity = 1.0
         self.renormalize(x0.data, scale)
 
-    def _breakdown(self, norm: float) -> None:
-        """The breakdown rule: a norm outside (0, inf) raises."""
-        if not 0.0 < norm < math.inf:
-            raise NumericBreakdownError(
-                f"iterate left the floating-point range at step {self.steps}")
-
     def renormalize(self, y: np.ndarray, norm: float) -> None:
         """Take y / norm as the iterate, fold 1 / norm into group[0] and
-        measure every factor: the start and each resync, whose norm ||y||
-        passes the breakdown rule first."""
-        self._breakdown(norm)
+        measure every factor: the start and each resync.  The iterate's one
+        norm rule: a norm ||y|| outside (1 / max float, inf), which would
+        carry 1 / norm past the float range, raises NumericBreakdownError."""
+        if not 1.0 / np.finfo(float).max < norm < math.inf:
+            raise NumericBreakdownError(
+                f"iterate left the floating-point range at step {self.steps}")
         self.y = y if norm == 1.0 else y / norm  # y / 1.0 only copies y
         self.group[0] = self.group[0] / norm
         self.capacity *= norm
         self.measure()
 
-    def step(self, j: int, a: np.ndarray) -> float:
-        """Apply a / nu to factor j + 1 of the iterate and a to the group,
-        fold 1 / nu into group[0], update capacity and return nu.  Factor
-        j + 1's marginal becomes a rho_j a^dagger / nu**2, by its Hermitian
-        part (the product is Hermitian only up to rounding); the others are
-        measured.  A non-finite entry in the stepped group factor raises
-        NumericBreakdownError at once: no later step makes it finite."""
+    def step(self, j: int, a: np.ndarray) -> None:
+        """Apply the Borel step a to factor j + 1 of the iterate and of the
+        group, and update capacity.  Factor j + 1's marginal becomes
+        a rho_j a^dagger, by its Hermitian part (the product is Hermitian only
+        up to rounding); the others are measured.  A non-finite entry in the
+        stepped group factor raises NumericBreakdownError at once: no later
+        step makes it finite."""
         self.steps += 1
         # ndarray.dot: the BLAS product of @, with less overhead on small n
         rho = a.dot(self.rhos[j]).dot(a.conj().T)
-        # the trace, correctly rounded, without a NumPy reduction's overhead
-        nu2 = math.fsum(rho.diagonal().real.tolist())
-        self._breakdown(nu2)  # nu**2 in (0, inf), so nu too
-        nu = math.sqrt(nu2)
-        self.y = contract(a / nu, self.y, j + 1)
+        self.y = contract(a, self.y, j + 1)
         self.group[j] = a.dot(self.group[j])
         if not np.isfinite(self.group[j]).all():
             raise NumericBreakdownError("the scaling group left the "
                                         f"floating-point range at step {self.steps}")
-        self.group[0] = self.group[0] / nu
-        self.capacity *= nu * math.prod(abs(v) ** e for v, e in zip(
+        self.capacity *= math.prod(abs(v) ** e for v, e in zip(
             a.diagonal().tolist(), self.exponents[j]))
         rho += rho.conj().T
-        rho *= 0.5 / nu2
+        rho *= 0.5
         self.measure(j, rho)
-        return nu
 
     def rule(self) -> tuple[int, np.ndarray]:
         """The step rule: the 0-based factor j farthest from its target (the
@@ -746,8 +736,8 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                 return report(BUDGET_EXHAUSTED, full(it.group))
             j, a = it.rule()
             dists = tuple(it.dists)
-            nu = it.step(j, a)
-            trace.append(IterationRecord(j + 1, dists, nu, it.capacity
+            it.step(j, a)
+            trace.append(IterationRecord(j + 1, dists, it.capacity
                                          if cfg.log_capacity else math.nan))
 
 

@@ -221,11 +221,12 @@ def identity_group(dims: Sequence[int]) -> GroupTuple:
 def compose_group(g: Sequence[np.ndarray], h: Sequence[np.ndarray]) -> GroupTuple:
     """Factorwise product g @ h, so apply_group(compose_group(g, h), x)
     equals apply_group(g, apply_group(h, x)).  A product with a non-finite
-    entry raises NumericBreakdownError."""
+    entry raises NumericBreakdownError, unwarned."""
     if len(g) != len(h):
         raise ValueError("group tuples must have the same number of factors")
-    out = tuple(np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-                for a, b in zip(g, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = tuple(np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
+                    for a, b in zip(g, h))
     if not all(np.isfinite(m).all() for m in out):
         raise NumericBreakdownError(
             "a composed group left the floating-point range")

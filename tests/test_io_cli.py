@@ -722,7 +722,7 @@ class TestCli:
                          str(ppath))
         code = cli.main(["scale", "--tensor", str(xpath), "--target",
                          str(ppath), "--epsilon", "0.05", "--seed", "0",
-                         "--no-randomize", "--max-iters", "800"])
+                         "--no-randomize", "--max-iters", "1500"])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("numeric failure:") and err.count("\n") == 1

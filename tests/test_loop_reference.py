@@ -4,17 +4,17 @@ The reference below is the loop rebuilt from public functions: it re-wraps
 the iterate in a Tensor every step, measures each distance with
 trace_distance, and factors the chosen marginal by the reversed Cholesky
 with no singularity rule, which only the start's marginals meet.  Its
-step follows the engine's one-pass rule: nu**2 is the
-trace of the congruence a rho a^dagger of the stepped marginal, the iterate
-is stepped with apply_factor(a / nu, ...), the stepped factor's marginal is
-the Hermitian part of that congruence over nu**2 and every other one is a
-fresh marginal.  A halt measures its witness first and resyncs only after a
-rejection; once a witness has failed, each later halt resyncs first and
-measures the witness only if the resync passes.  The engine does the same
-arithmetic on raw arrays, so it must match the reference bit for bit in
-verdict, step count, budget, group and every step's factor, distances and
-norm.  The capacity is compared within 1e-12 relative.  Both mode values
-run the one Borel loop, so each is checked against the same reference.
+step follows the engine's one-pass rule: the iterate is stepped with
+apply_factor(a, ...), which leaves it at unit norm as a rho a^dagger has
+the target's trace 1, the stepped factor's marginal is the Hermitian part of
+that congruence and every other one is a fresh marginal.  A halt measures
+its witness first and resyncs only after a rejection; once a witness has
+failed, each later halt resyncs first and measures the witness only if the
+resync passes.  The engine does the same arithmetic on raw arrays, so it
+must match the reference bit for bit in verdict, step count, budget, group
+and every step's factor and distances.  The capacity is compared within
+1e-12 relative.  Both mode values run the one Borel loop, so each is
+checked against the same reference.
 """
 import math
 import random
@@ -91,18 +91,15 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
         i = int(np.argmax(dists)) + 1
         a = ref_step_matrix(rhos[i - 1], targets[i - 1])
         stepped = a.dot(rhos[i - 1]).dot(a.conj().T)
-        nu2 = math.fsum(np.diag(stepped).real)
-        nu = math.sqrt(nu2)
-        y = ts.apply_factor(a / nu, i, y)
+        y = ts.apply_factor(a, i, y)
         borel[i - 1] = a @ borel[i - 1]
-        borel[0] = borel[0] / nu
         rhos = ref_marginals(y)
         stepped += stepped.conj().T
-        stepped *= 0.5 / nu2
+        stepped *= 0.5
         rhos[i - 1] = stepped
         # the step leaves y normalized up to rounding: the capacity reads 1
         cap = ref_capacity(borel, p, 1.0) if cfg.log_capacity else math.nan
-        trace.append(ts.IterationRecord(i, tuple(dists), nu, cap))
+        trace.append(ts.IterationRecord(i, tuple(dists), cap))
 
     if max(ref_distances(rhos, p)) <= epsilon and verified_halt():
         return ts.SCALED, tuple(borel), trace
@@ -163,8 +160,7 @@ def assert_same_run(x, p, cfg):
     assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
     assert len(got.trace) == len(want.trace)
     for new, old in zip(got.trace, want.trace):
-        assert (new.index, new.distances, new.norm) == \
-            (old.index, old.distances, old.norm)
+        assert (new.index, new.distances) == (old.index, old.distances)
         if math.isfinite(old.capacity):
             assert new.capacity == pytest.approx(old.capacity, rel=1e-12)
         else:
@@ -297,8 +293,7 @@ def assert_same_general_run(phi, p, cfg):
     assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
     assert len(got.trace) == len(want.trace)
     for new, old in zip(got.trace, want.trace):
-        assert (new.index, new.distances, new.norm) == \
-            (old.index, old.distances, old.norm)
+        assert (new.index, new.distances) == (old.index, old.distances)
         if math.isfinite(old.capacity):
             assert new.capacity == pytest.approx(old.capacity, rel=1e-12)
         else:

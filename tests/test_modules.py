@@ -351,7 +351,8 @@ def test_only_the_exact_check_raises_singular():
 # into a NumericBreakdownError
 OVERFLOW_OWNERS = {
     "errstate": {"tensors.Tensor.norm", "tensors.apply_group",
-                 "scaling.mps_tensor", "scaling._core_loop", "cli.main"},
+                 "tensors.compose_group", "scaling.mps_tensor",
+                 "scaling._core_loop", "cli.main"},
     "NonFiniteEntriesError": {"tensors.apply_group", "scaling.mps_tensor"},
 }
 

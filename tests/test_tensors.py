@@ -287,13 +287,15 @@ class TestApplyGroup:
 
     @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
     def test_non_finite_composition_is_a_breakdown(self, entry):
-        # 1e200 * 1e200 overflows; a non-finite factor stays non-finite
+        # 1e200 * 1e200 overflows; a non-finite factor stays non-finite;
+        # either raises with no NumPy warning first
         g = (np.diag([entry, 1.0]), np.eye(3))
         h = (1e200 * np.eye(2), np.eye(3))
-        with np.errstate(all="ignore"), pytest.raises(
-                ts.NumericBreakdownError,
-                match="composed group left the floating-point range"):
-            ts.compose_group(g, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ts.NumericBreakdownError,
+                               match="composed group left the floating-point range"):
+                ts.compose_group(g, h)
 
 
 @settings(max_examples=30, deadline=None)

@@ -36,6 +36,8 @@ KNOWN_MISSES = {
         "FAIL: step did not fix its marginal",
     "progress run (1;2,2,2) borel raw spec, rng 159":
         "FAIL: potential grew too little",
+    "reduction cross-oracle triple on the hyperdeterminant's zero set":
+        "FAIL: direct and reduced runs disagree",
 }
 
 
