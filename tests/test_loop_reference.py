@@ -13,8 +13,7 @@ failed, each later halt resyncs first and measures the witness only if the
 resync passes.  The engine does the same arithmetic on raw arrays, so it
 must match the reference bit for bit in verdict, step count, budget, group
 and every step's factor and distances.  The capacity is compared within
-1e-12 relative.  Both mode values run the one Borel loop, so each is
-checked against the same reference.
+1e-12 relative.
 """
 import math
 import random
@@ -184,7 +183,6 @@ GATE_START = ts.Tensor(np.array([[[[4, 4], [2, 3]], [[4, 2], [4, 2]]]],
                                 dtype=complex))
 
 
-@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
 @pytest.mark.parametrize("shape, target, eps, seed", [
     ((1, 2, 2, 2), "uniform", 1e-3, 0),
     ((1, 4, 4, 4), "uniform", 1e-3, 1),
@@ -198,7 +196,7 @@ GATE_START = ts.Tensor(np.array([[[[4, 4], [2, 3]], [[4, 2], [4, 2]]]],
     # a fixed start, not randomized and capped at 800 steps
     (GATE_START, "two_thirds", 0.05, 0),
 ])
-def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
+def test_matches_tensor_level_loop(rng, shape, target, eps, seed):
     if isinstance(shape, ts.Tensor):
         x, randomize, cap = shape, False, 800
     else:
@@ -206,7 +204,7 @@ def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
     p = {"uniform": ts.TargetSpectrum.uniform(x.dims),
          "nonuniform": NONUNIFORM, "zero": ZERO, "mixed": MIXED,
          "two_thirds": TWO_THIRDS}[target]
-    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode,
+    cfg = ts.ScalingConfig(epsilon=eps, seed=seed,
                            randomize=randomize, max_iters=cap)
     rep = assert_same_run(x, p, cfg)
     assert rep.iterations > 0
@@ -214,11 +212,10 @@ def test_matches_tensor_level_loop(rng, mode, shape, target, eps, seed):
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 800)
 
 
-@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
-def test_matches_on_capped_far_run(mode):
+def test_matches_on_capped_far_run():
     # W -> uniform lies outside the W polytope: every step is a capped loop
     # step and the drifting iterate triggers rejected halts
-    cfg = ts.ScalingConfig(epsilon=1e-3, seed=1, mode=mode, max_iters=400)
+    cfg = ts.ScalingConfig(epsilon=1e-3, seed=1, max_iters=400)
     rep = assert_same_run(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
     assert rep.verdict == ts.BUDGET_EXHAUSTED and rep.iterations == 400
 
@@ -301,29 +298,27 @@ def assert_same_general_run(phi, p, cfg):
     return got
 
 
-@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
 @pytest.mark.parametrize("n0, dims, target, eps, seed", [
     (1, (2, 2, 2), "uniform", 1e-3, 0),
     (2, (3, 3, 3), "nonuniform", 1e-3, 1),
     (2, (3, 3, 3), "zero", 1e-3, 2),
 ])
-def test_general_matches_tensor_level_driver(mode, n0, dims, target, eps, seed):
+def test_general_matches_tensor_level_driver(n0, dims, target, eps, seed):
     p = {"uniform": ts.TargetSpectrum.uniform(dims),
          "nonuniform": NONUNIFORM, "zero": ZERO}[target]
-    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, mode=mode, max_iters=3000)
+    cfg = ts.ScalingConfig(epsilon=eps, seed=seed, max_iters=3000)
     rep = assert_same_general_run(ts.identity_parametrization(dims, n0=n0), p,
                                   cfg)
     assert rep.verdict == ts.SCALED and rep.iterations > 0
 
 
-@pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
-def test_general_matches_on_fixed_mps_ray(mode):
+def test_general_matches_on_fixed_mps_ray():
     # the ray z -> z * x, the one reference run with coeff_bits above 1
     mats = [np.array([[1, 2], [0, 1]]), np.array([[0, 1], [3, -1]])]
     x = ts.mps_tensor(mats, d=3)
     phi = ts.Parametrization(
         param_dim=1, degree=1, coeff_bits=x.entry_bitsize(),
         evaluate=lambda z: ts.Tensor(complex(np.asarray(z).ravel()[0]) * x.data))
-    cfg = ts.ScalingConfig(epsilon=1e-3, seed=3, mode=mode, max_iters=3000)
+    cfg = ts.ScalingConfig(epsilon=1e-3, seed=3, max_iters=3000)
     rep = assert_same_general_run(phi, ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
     assert rep.iterations > 0

@@ -242,7 +242,7 @@ class TestFactorizationsAfterTheGate:
 
 
 class TestAssertNonsingular:
-    def test_stack_checks_each_matrix_against_its_own_trace(self):
+    def test_each_matrix_is_checked_against_its_own_trace(self):
         # each matrix of these stacks, checked on its own: 1e-9 * I is
         # healthy against its own trace, though far below 1e-12 of the
         # largest trace in the stack
@@ -344,17 +344,17 @@ class TestScalingStep:
         with pytest.raises(ValueError):
             ts.scaling_step(ts.identity_group((3, 3)), x, p)
 
-    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
-    def test_same_step_rule_as_the_loop(self, rng, mode):
+    def test_same_step_rule_as_the_loop(self, rng):
         # factor 2 is the worst; its repeated 1/4 leaves the step of either
         # mode value upper triangular, the Borel step
         x = normalized(random_integer_tensor((1, 3, 3), rng))
         p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 4), F(1, 4))))
-        g, i, dists = ts.scaling_step(ts.identity_group((3, 3)), x, p, mode)
+        g, i, dists = ts.scaling_step(ts.identity_group((3, 3)), x, p,
+                                      ts.PARABOLIC)
         assert i == 2 and not np.tril(g[1], -1).any()
         rep = ts.run_scaling(x, p, ts.ScalingConfig(
-            epsilon=1e-6, mode=mode, randomize=False, max_iters=1))
+            epsilon=1e-6, mode=ts.PARABOLIC, randomize=False, max_iters=1))
         (record,) = rep.trace
         assert record.index == i
         assert np.allclose(record.distances, dists, rtol=1e-12, atol=0)
@@ -420,8 +420,8 @@ class TestScalingStep:
         assert calls["det"] == 0
 
     @pytest.mark.parametrize("top,iterations", [(F(1, 2), 0), (F(999, 1000), 1)])
-    def test_start_check_only_where_weyl_bound_fails(self, monkeypatch, top,
-                                                     iterations):
+    def test_start_check_runs_once_per_start_marginal(self, monkeypatch, top,
+                                                      iterations):
         # the exact check runs once per marginal of the start, whatever the
         # target, and never on a stepped marginal: GHZ's marginals are I/2,
         # so the run halts at once toward (1/2, 1/2) and takes its one
@@ -534,10 +534,8 @@ class TestOnePassStep:
     at unit norm, and takes the stepped factor's marginal from the
     congruence a rho a^dagger."""
 
-    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
     @pytest.mark.parametrize("shape", flattening_shapes())
-    def test_congruence_marginal_matches_the_measured_one(self, rng, shape,
-                                                          mode):
+    def test_congruence_marginal_matches_the_measured_one(self, rng, shape):
         # a Gaussian start is well conditioned: step each factor once and
         # compare every marginal with a fresh tensors.marginal
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -547,7 +545,7 @@ class TestOnePassStep:
             ((len(shape) - 1) * math.prod(shape) > ts.scaling.GATHER_MAX_ENTRIES)
         # scaling_step takes the loop's Borel step in either mode
         y0 = ts.Tensor(x / np.linalg.norm(x))
-        g, i, _ = ts.scaling_step(ts.identity_group(y0.dims), y0, p, mode)
+        g, i, _ = ts.scaling_step(ts.identity_group(y0.dims), y0, p)
         first = ts.scaling._Iterate(y0, p)
         assert np.array_equal(g[i - 1], ts.scaling._step_matrix(
             first.rhos[i - 1], first.roots[i - 1]) @ np.eye(shape[i]))
@@ -612,7 +610,7 @@ class TestCapacity:
         (F(1, 3),) * 3,                                  # block 3
         (F(1, 2), F(1, 2))))                             # block 2
 
-    def test_borel_blocks_match_the_block_loop(self, rng):
+    def test_running_capacity_matches_the_diagonal_reference(self, rng):
         # the capacity the iterate carries, updated from each step's
         # diagonal, stays within rounding of the diagonal reference read off
         # the whole group, whatever the target's blocks of equal entries
@@ -658,10 +656,10 @@ class TestRunScaling:
         assert max(ts.trace_distance(ts.marginal(y, i), np.eye(2) / 2)
                    for i in (1, 2, 3)) <= 1e-2
 
-    def test_uniform_parabolic_needs_no_randomness(self):
+    def test_uniform_target_needs_no_randomness(self):
         rep = ts.run_scaling(
             ghz_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
-            ts.ScalingConfig(epsilon=1e-3, mode=ts.PARABOLIC, randomize=False))
+            ts.ScalingConfig(epsilon=1e-3, randomize=False))
         assert rep.verdict == ts.SCALED and rep.iterations == 0
 
     def test_unrandomized_run_starts_from_the_input(self, monkeypatch):
@@ -678,7 +676,7 @@ class TestRunScaling:
         before = x.data.copy()
         rep = ts.run_scaling(
             x, ts.TargetSpectrum.uniform((2, 2, 2)),
-            ts.ScalingConfig(epsilon=1e-3, mode=ts.PARABOLIC, randomize=False))
+            ts.ScalingConfig(epsilon=1e-3, randomize=False))
         assert rep.verdict == ts.SCALED
         assert callers == ["verified_halt"]
         assert np.array_equal(x.data, before)
@@ -991,9 +989,8 @@ class TestRunScaling:
             ("verified_halt", True), ("_core_loop", True)]
         assert alive and not any(alive)
 
-    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
     def test_capped_far_run_measures_the_witness_only_at_its_first_halt(
-            self, monkeypatch, mode):
+            self, monkeypatch):
         # the first halt measures its witness before any resync; drift keeps
         # failing the five later halts, which resync first and stop there
         # (test_benchmark_counts_every_rejected_halt counts all six)
@@ -1008,7 +1005,7 @@ class TestRunScaling:
         monkeypatch.setattr(ts.scaling, "apply_group", tracked_apply)
         rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
                              ts.ScalingConfig(epsilon=1e-3, seed=0,
-                                              max_iters=120, mode=mode))
+                                              max_iters=120))
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
         assert calls == [("run_scaling", True), ("verified_halt", True),
                          ("_core_loop", False)] + [("verified_halt", False)] * 5
@@ -1070,8 +1067,7 @@ class TestRunScaling:
         assert not singular(np.array([[b, b + 256], [b + 256, b + 512]],
                                      dtype=complex))
 
-    @pytest.mark.parametrize("mode,halts", [(ts.BOREL, 6), (ts.PARABOLIC, 6)])
-    def test_benchmark_counts_every_rejected_halt(self, mode, halts):
+    def test_benchmark_counts_every_rejected_halt(self):
         # W -> uniform is not scalable: every halt the loop attempts in 120
         # steps is a resync that the benchmark's counter must see and reject
         counters = tracer.Counters()
@@ -1079,11 +1075,11 @@ class TestRunScaling:
         try:
             rep = ts.run_scaling(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
                                  ts.ScalingConfig(epsilon=1e-3, seed=0,
-                                                  max_iters=120, mode=mode))
+                                                  max_iters=120))
         finally:
             counters.restore()
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
-        assert counters.halt_checks == counters.rejected_halts() == halts
+        assert counters.halt_checks == counters.rejected_halts() == 6
 
 
 class TestSingularTargets:
@@ -1219,6 +1215,18 @@ class TestSingularTargets:
         with pytest.raises(ts.NumericBreakdownError,
                            match="scaling group left the floating-point range"):
             ts.pad_scaling(b, p, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("eps, norm_x", [(0.1, 0.0), (0.1, -1.0),
+                                             (0.1, math.nan), (0.0, 1.0),
+                                             (math.nan, 1.0)])
+    def test_pad_needs_positive_epsilon_and_norm(self, eps, norm_x):
+        # no delta in (0, 1] follows: norm_x = 0 divides by zero, a negative
+        # norm flips the pad's sign, epsilon = 0 reads as an underflow and a
+        # NaN makes delta = min(1, nan) = 1
+        p = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2))))
+        b = (np.eye(1, dtype=complex), np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="need epsilon, norm_x > 0"):
+            ts.pad_scaling(b, p, eps, norm_x)
 
     def test_zero_target_halt_pads_and_measures_once(self, rng, monkeypatch):
         x = random_integer_tensor((2, 3, 3, 3), rng, low=1, high=5)
@@ -1356,7 +1364,7 @@ class TestGeneralScaling:
                                ts.BUDGET_EXHAUSTED)
         assert homogeneous(phi, seed=7)
 
-    def test_vanishing_sample_resampled_then_rejected(self):
+    def test_vanishing_sample_ends_at_step_0(self):
         # a zero sample is an unlucky draw, no rank obstruction: the run
         # ends at step 0 on its one sample, and another seed may answer
         samples = []

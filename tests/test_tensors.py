@@ -77,7 +77,7 @@ class TestTensor:
         assert x.norm() == pytest.approx(np.linalg.norm(np.arange(1.0, 25.0))
                                          * 1e-200, rel=1e-15, abs=0)
 
-    def test_gaussian_integer_bound_is_cached(self):
+    def test_gaussian_integer_check(self):
         x = ts.Tensor(np.array([[[1, 0], [0, -9]]]) * (1 - 2j))
         assert x.is_gaussian_integer()
         assert not ts.Tensor(x.data / 4).is_gaussian_integer()
@@ -158,7 +158,7 @@ class TestMarginal:
 
 
 class TestCheckHermitian:
-    def test_stack_checks_each_matrix_against_its_own_norm(self, rng):
+    def test_checks_against_its_own_norm_and_rejects_stacks(self, rng):
         big = 1e8 * random_hermitian(3, rng)
         small = 1e-8 * random_hermitian(3, rng)
         # a defect far above rtol of its own norm, far below the stack's
