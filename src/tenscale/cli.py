@@ -113,9 +113,8 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True,
-                   randomize: bool = False) -> None:
-    """A run's flags; --no-randomize only where a run reads it."""
+def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True) -> None:
+    """The flags every scaling run reads."""
     if target:
         sub.add_argument("--target", required=True,
                          help="spectrum JSON path, or the shorthand 'uniform'")
@@ -124,10 +123,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, target: bool = True,
     sub.add_argument("--rand-range", default=str(DEFAULT_RAND_RANGE),
                      help=f"integer sampling range or '{THEORETICAL}'")
     sub.add_argument("--max-iters", type=int, default=None)
-    if randomize:
-        sub.add_argument("--no-randomize", action="store_true",
-                         help="start from the input itself, without a random "
-                              "basis change")
     sub.add_argument("--out", default=None)
 
 
@@ -140,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = commands.add_parser("scale", help="scale a tensor to a target")
     scale.add_argument("--tensor", required=True)
-    _add_run_flags(scale, randomize=True)
+    _add_run_flags(scale)
+    scale.add_argument("--no-randomize", action="store_true",
+                       help="skip the random basis change; start from the input")
 
     general = commands.add_parser(
         "general-scale", help="scale a sampled point of a parametrized variety, "
@@ -157,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="promise membership for a fixed tensor")
     member.add_argument("--tensor", required=True)
     member.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    _add_run_flags(member, randomize=True)
+    _add_run_flags(member)
 
     qmp_cmd = commands.add_parser("qmp", help="one-body marginal realizability")
     qmp_cmd.add_argument("--dims", required=True)

@@ -4,9 +4,9 @@ Every decision here is a promise answer: IN ships the witness of a SCALED
 run, and rests on the engine's single from-scratch check of that witness
 (the group applied to the input and every marginal measured again), while
 EPS_FAR only records that no run among the seeded repetitions reached the
-requested accuracy.  With the engine's per-run success probability of at
-least 1/2 on members, R repetitions push the failure probability below
-2**-R.
+requested accuracy.  Every decision scales random starts g0 . x, on which
+the engine's per-run success probability on members is at least 1/2, so R
+repetitions push the failure probability of any decision below 2**-R.
 """
 from __future__ import annotations
 
@@ -88,10 +88,14 @@ def _decide(run: Callable[[ScalingConfig], tuple[ScalingReport, Tensor | None]],
             repeats: int) -> MembershipVerdict:
     """Call ``run`` on ``repeats`` derived seeds; the first SCALED report
     answers IN with its witness, and otherwise the last report is the
-    evidence for EPS_FAR."""
+    evidence for EPS_FAR.  A config with another epsilon, or an unrandomized
+    one, whose failed runs prove nothing, raises ValueError before any run."""
     repeats = as_int(repeats, "repeats", low=1)
-    base = replace(cfg if cfg is not None else ScalingConfig(epsilon=epsilon),
-                   epsilon=epsilon)
+    base = cfg if cfg is not None else ScalingConfig(epsilon=epsilon)
+    if base.epsilon != epsilon:
+        raise ValueError(f"cfg.epsilon {base.epsilon} differs from {epsilon}")
+    if not base.randomize:
+        raise ValueError("a decision needs randomized runs")
     for r in range(repeats):
         report, sample = run(replace(base, seed=base.seed + r))
         if report.verdict == SCALED:
@@ -105,13 +109,10 @@ def membership(x: Tensor, p: TargetSpectrum, epsilon: float,
                repeats: int = DEFAULT_REPEATS) -> MembershipVerdict:
     """Promise membership of the target point in the orbit polytope of x.
 
-    Runs the scaling loop on ``repeats`` derived seeds; any verified
-    success answers IN with the witness from the lowest seed.  Unrandomized
-    runs ignore the seed, so they make one run.
+    Scales a random point g0 . x of the orbit on each of ``repeats``
+    derived seeds; any verified success answers IN with the witness from
+    the lowest seed.
     """
-    repeats = as_int(repeats, "repeats", low=1)
-    if cfg is not None and not cfg.randomize:
-        repeats = 1
     return _decide(lambda c: (run_scaling(x, p, c), None), epsilon, cfg,
                    repeats)
 

@@ -157,9 +157,9 @@ class ScalingConfig:
     rand_range is the sampling range {1, ..., M} for the initial basis
     change; the "theoretical" sentinel computes the worst-case range in
     exact integer arithmetic.  randomize=False starts run_scaling from the
-    input itself, which suffices for uniform targets and is what the
-    Borel-orbit cross-checks need; run_general_scaling always samples its
-    start and ignores it.
+    input itself, a start that is not generic: the Borel-orbit cross-checks
+    use it, decisions refuse it, and a failed run toward a non-uniform target
+    notes it.  run_general_scaling always samples its start and ignores it.
 
     mode is BOREL or PARABOLIC, and both run the one Borel loop: a parabolic
     step differs from the Borel one by a unitary commuting with the target,
@@ -664,8 +664,9 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     group or image (compose_group, apply_group), raises NumericBreakdownError.
     NOT_IN_POLYTOPE comes only at step 0: a restriction that vanishes, or a
     start failing _check_start, is a rank obstruction unless a factor of pre
-    is exactly singular or the start, not ``randomized``, restricts to a
-    slice that is not generic: then the run ends BUDGET_EXHAUSTED at step 0.
+    is exactly singular or a start not ``randomized`` was restricted: the
+    run then ends BUDGET_EXHAUSTED at step 0.  Such a start is not generic,
+    so for a non-uniform target that exit and the cap exit note it.
     Its steps run with overflow and invalid-value warnings off, once per
     run, as the breakdown rules report each value past the float range.
     """
@@ -678,6 +679,8 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     norm_start = norm_x0 if x0 is start else start.norm()
     budget = budget_for((x0.n0,) + x0.dims, epsilon)
     trace: list[IterationRecord] = []
+    note = ("an unrandomized start is not generic; randomize it"
+            if not randomized and p != TargetSpectrum.uniform(p.dims) else "")
 
     def full(borel: Sequence[np.ndarray]) -> GroupTuple:
         # the loop's tuple composed with pre, zero-target factors padded back
@@ -694,9 +697,8 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
         if singular:
             return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
-        if not randomized and p.has_zeros():
-            return report(BUDGET_EXHAUSTED, pre, "an unrandomized start's "
-                          "restriction is not generic; randomize it")
+        if note and p.has_zeros():
+            return report(BUDGET_EXHAUSTED, pre, note)
         return report(NOT_IN_POLYTOPE, group(), why)
 
     if norm_x0 == 0.0:
@@ -735,7 +737,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
                     if max(_Iterate(apply_group(group, x), p).dists) <= cfg.epsilon:
                         return report(SCALED, group)
             if it.steps == limit:
-                return report(BUDGET_EXHAUSTED, full(it.group))
+                return report(BUDGET_EXHAUSTED, full(it.group), note)
             j, a = it.rule()
             dists = tuple(it.dists)
             it.step(j, a)

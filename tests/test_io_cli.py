@@ -561,14 +561,30 @@ class TestCli:
         assert witness_distance(payload, p) <= 0.05
 
     @pytest.mark.parametrize("argv", [
+        ["membership", "--tensor", "GHZ", "--target", "uniform"],
         ["qmp", "--dims", "2,2,2", "--target", "uniform"],
         ["kronecker", "--lam", "2", "--mu", "1,1", "--nu", "1,1"],
         ["general-scale", "--dims", "2,2,2", "--target", "uniform"],
-    ], ids=["qmp", "kronecker", "general-scale"])
-    def test_no_randomize_only_where_a_run_reads_it(self, capsys, argv):
-        # these runs sample their start and never read the flag
+    ], ids=["membership", "qmp", "kronecker", "general-scale"])
+    def test_no_randomize_only_where_a_run_reads_it(self, ghz_path, capsys,
+                                                    argv):
+        # the last three sample their start and never read the flag, and a
+        # decision from an unrandomized start would prove nothing
+        argv = [ghz_path if arg == "GHZ" else arg for arg in argv]
         assert cli.main(argv + ["--epsilon", "0.1", "--no-randomize"]) == 2
         assert "--no-randomize" in capsys.readouterr().err
+
+    def test_scale_no_randomize_scales_the_input_itself(self, ghz_path,
+                                                         capsys):
+        # GHZ has uniform marginals, so its own start halts at step 0, and
+        # the witness only normalizes it
+        code, out = self.run("scale", "--tensor", ghz_path, "--target",
+                             "uniform", "--epsilon", "1e-3", "--no-randomize",
+                             capsys=capsys)
+        report = json.loads(out)
+        assert code == 0 and report["iterations"] == 0
+        zero = {"re": 0.0, "im": 0.0}
+        assert all(mat[0][1] == mat[1][0] == zero for mat in report["group"])
 
     def test_mode_flag_is_retired(self, capsys):
         # every run takes the Borel step, so there is no mode to select

@@ -142,6 +142,10 @@ def ref_run_scaling(x, p, cfg):
                                x0_full.norm())
     report = ts.ScalingReport(verdict, group, len(trace), trace, budget,
                               cfg.epsilon)
+    if verdict == ts.BUDGET_EXHAUSTED and not cfg.randomize \
+            and p != ts.TargetSpectrum.uniform(p.dims):
+        # a capped run from a start that is not generic proves nothing
+        report.note = "an unrandomized start is not generic; randomize it"
     if verdict == ts.SCALED:
         final = max(ref_distances(ref_marginals(ts.apply_group(group, x)), p))
         if final > cfg.epsilon:

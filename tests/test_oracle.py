@@ -66,25 +66,35 @@ class TestMembership:
                                      samples=200_000)
         assert gap > 0.05
 
-    def test_unrandomized_membership_makes_one_run(self, monkeypatch):
-        # run_scaling reads the seed only for its basis change, so the
-        # repeats of an unrandomized run would all be the same run
+    @pytest.mark.parametrize("decide", [
+        lambda cfg, **kw: ts.membership(
+            w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)), 1e-3, cfg=cfg,
+            **kw),
+        lambda cfg, **kw: ts.qmp(ts.TargetSpectrum.uniform((2, 2, 2)),
+                                 (2, 2, 2), 1e-3, cfg=cfg, **kw),
+        lambda cfg, **kw: ts.kronecker_support(
+            ts.KroneckerQuery((1, 1), (1, 1), (1, 1)), 1e-3, cfg=cfg, **kw),
+    ], ids=["membership", "qmp", "kronecker_support"])
+    def test_decisions_refuse_a_config_before_any_run(self, monkeypatch,
+                                                      decide):
+        # an unrandomized start is not generic, so its failed run proves
+        # nothing; a config at another epsilon would run and report at it
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return run(*args)
+            raise AssertionError("the engine ran")
 
-        run = ts.oracle.run_scaling
-        monkeypatch.setattr(ts.oracle, "run_scaling", counted)
-        cfg = ts.ScalingConfig(epsilon=1e-3, randomize=False, max_iters=300)
-        verdict = ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
-                                1e-3, cfg=cfg)
-        assert verdict.answer == ts.EPS_FAR and len(calls) == 1
-        with pytest.raises(ValueError, match="repeats"):
-            ts.membership(w_tensor(), ts.TargetSpectrum.uniform((2, 2, 2)),
-                          1e-3, cfg=cfg, repeats=0)
-        assert len(calls) == 1
+        for name in ("run_scaling", "run_general_scaling"):
+            monkeypatch.setattr(ts.oracle, name, counted)
+        for cfg, repeats, match in [
+                (ts.ScalingConfig(epsilon=1e-3, randomize=False), 1,
+                 "randomized"),
+                (ts.ScalingConfig(epsilon=1e-2), 1, "cfg.epsilon 0.01 differs"),
+                (ts.ScalingConfig(epsilon=1e-3), 0, "repeats")]:
+            with pytest.raises(ValueError, match=match):
+                decide(cfg, repeats=repeats)
+        assert calls == []
 
     def test_single_run_success_rate_supports_amplification(self):
         x = ghz_tensor()

@@ -1115,8 +1115,8 @@ class TestSingularTargets:
             rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2,
                                                         randomize=False))
             assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 0)
-            assert rep.note == ("an unrandomized start's restriction is not "
-                                "generic; randomize it")
+            assert rep.note == ("an unrandomized start is not generic; "
+                                "randomize it")
             rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-2))
             assert rep.verdict == ts.SCALED
 

@@ -1,5 +1,7 @@
 """Engine answers checked by the benchmark's ground truth, which never runs
 the engine (bench/truth.py)."""
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,20 @@ def test_zero_target_member_scales_with_a_true_witness():
                                                 max_iters=200))
     assert rep.verdict == ts.SCALED
     assert truth.witness_holds(x.data, rep.group, parts, 1e-4)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zero_set_member_is_in_from_a_randomized_start(seed):
+    # the cross-oracle probe's triple, a member on the hyperdeterminant's
+    # zero set: its own start stalls in floats, a random point of its orbit
+    # scales in a few dozen steps
+    x = ts.Tensor(np.array(workloads.CROSS_PROBE_TENSOR, dtype=complex))
+    assert truth.hyperdeterminant(x.data) == 0
+    parts = ((F(2, 3), F(1, 3)),) * 3
+    verdict = ts.membership(x, ts.TargetSpectrum(parts), 0.05,
+                            cfg=ts.ScalingConfig(epsilon=0.05, seed=seed))
+    assert verdict.answer == ts.IN
+    assert truth.witness_holds(x.data, verdict.witness, parts, 0.05)
 
 
 # Probes the engine answers wrongly today, each built by name from the
