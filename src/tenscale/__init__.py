@@ -83,7 +83,6 @@ from .tensors import (
     check_hermitian,
     compose_group,
     contract,
-    flatten,
     identity_group,
     marginal,
     spectrum,

@@ -50,6 +50,7 @@ from .tensors import (
     compose_group,
     check_hermitian,
     contract,
+    flattening,
     identity_group,
 )
 
@@ -130,7 +131,9 @@ class TargetSpectrum:
     def ascending(self, i: int) -> np.ndarray:
         """Float entries of factor i (1-based) in ascending order, the
         diagonal the scaling loop drives marginal i toward; a fresh
-        writable array on every call."""
+        writable array on every call; other labels raise ValueError."""
+        if not 1 <= i <= self.num_factors:
+            raise ValueError(f"factor index must be in 1..{self.num_factors}, got {i}")
         return np.array(self._ascending[i - 1])
 
     @classmethod
@@ -404,11 +407,15 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
     ||R||**2 <= epsilon / 4 + epsilon**2 / 64 in trace norm.  The loop halts
     at epsilon / 2, so for epsilon <= 16 the witness passes whenever the
     resynced restricted iterate did.  A tolerance or start norm that is not
-    positive raises ValueError; a factor with a non-finite entry, or a delta
-    that underflows to 0, raises NumericBreakdownError.
+    positive, or a tuple that is not one r_i x r_i factor per rank r_i of p,
+    raises ValueError; a factor with a non-finite entry, or a delta that
+    underflows to 0, raises NumericBreakdownError.
     """
     if not (epsilon > 0 and norm_x > 0):
         raise ValueError(f"need epsilon, norm_x > 0, got {epsilon}, {norm_x}")
+    ranks = p.ranks()
+    if [np.shape(b) for b in b_plus] != [(r, r) for r in ranks]:
+        raise ValueError(f"group factor shapes do not fit the ranks {ranks}")
     if not all(np.all(np.isfinite(b)) for b in b_plus):
         raise NumericBreakdownError(
             "the scaling group left the floating-point range")
@@ -419,7 +426,7 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
             f"the zero-target pad underflowed: start norm {norm_x:.3e}, "
             f"group growth {growth:.3e}")
     out = []
-    for vec_len, r, b in zip(p.dims, p.ranks(), b_plus):
+    for vec_len, r, b in zip(p.dims, ranks, b_plus):
         full = np.zeros((vec_len, vec_len), dtype=complex)
         full[: vec_len - r, : vec_len - r] = delta * np.eye(vec_len - r)
         full[vec_len - r:, vec_len - r:] = b
@@ -441,11 +448,6 @@ def _dimension_groups(shape: tuple[int, ...]) -> list[list[int]]:
     return list(by_dim.values())
 
 
-def _front(ndim: int, i: int) -> tuple[int, ...]:
-    """The axis order (i, 0, 1, ...) of tensors.marginal's flattening."""
-    return (i,) + tuple(j for j in range(ndim) if j != i)
-
-
 @functools.lru_cache(maxsize=64)
 def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Per dimension group of the format, a read-only (k, n, N) array of
@@ -454,9 +456,7 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     pos = np.arange(math.prod(shape)).reshape(shape)
     out = []
     for factors in _dimension_groups(shape):
-        n = shape[factors[0] + 1]
-        index = np.stack([pos.transpose(_front(len(shape), j + 1)).reshape(n, -1)
-                          for j in factors])
+        index = np.stack([flattening(pos, j + 1) for j in factors])
         index.flags.writeable = False
         out.append(index)
     return tuple(out)
@@ -569,7 +569,7 @@ class _Iterate:
             stack = np.empty((len(factors), n, n), dtype=complex)
             for j, gram in zip(factors, stack):
                 if j != skip:
-                    m = self.y.transpose(_front(self.y.ndim, j + 1)).reshape(n, -1)
+                    m = flattening(self.y, j + 1)
                     np.matmul(m, m.conj().T, out=gram)
             stacks.append(stack)
         return stacks
@@ -722,7 +722,11 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         return max(it.dists) <= epsilon
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rejected = False  # whether a witness of this run has failed
+        # the halt order: until a witness fails, a halt measures the witness
+        # first; after that, it resyncs first, as drift that failed one
+        # witness fails the next.  Witness-first at every halt gives the same
+        # verdicts but adds a failing witness pass to each later halt.
+        rejected = False
         while True:
             # each pass's tensor is an argument, freed before the next
             if max(it.dists) <= epsilon:

@@ -3,7 +3,7 @@
 A tensor of this format is stored as a complex ndarray of shape
 (n0, n1, ..., nd), laid out row-major over (index0, index1, ..., indexd).
 Factor 0 is distinguished: group tuples act on factors 1..d only and leave
-factor 0 untouched.  All flattening orders derive from the row-major layout.
+factor 0 untouched.  Every flattening reads the one order of _front_orders.
 
 Factors are labeled 0..d throughout; the scaled factors carry the 1-based
 labels 1..d used in the rest of the package.
@@ -123,29 +123,12 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def flatten(x: Tensor, subset: Sequence[int]) -> np.ndarray:
-    """Flattening of ``x`` with factor labels in ``subset`` as rows.
-
-    Rows enumerate the subset's multi-indices in row-major order (ascending
-    factor label); columns enumerate the complement likewise.
-    """
-    labels = sorted(set(subset))
-    all_labels = range(x.num_factors + 1)
-    if not labels or any(i not in all_labels for i in labels):
-        raise ValueError(f"subset must be a nonempty subset of 0..{x.num_factors}")
-    complement = [i for i in all_labels if i not in labels]
-    if not complement:
-        raise ValueError("subset must be a proper subset of the factor labels")
-    rows = int(np.prod([x.shape[i] for i in labels]))
-    return np.transpose(x.data, labels + complement).reshape(rows, -1)
-
-
 def marginal(x: Tensor, i: int) -> np.ndarray:
     """One-body marginal of factor i (1-based), the Gram matrix of the
     i-th flattening.  PSD with trace equal to norm(x)**2."""
     if not 1 <= i <= x.num_factors:
         raise ValueError(f"factor index must be in 1..{x.num_factors}, got {i}")
-    m = flatten(x, [i])
+    m = flattening(x.data, i)
     return m @ m.conj().T
 
 
@@ -172,6 +155,13 @@ def _front_orders(ndim: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return front, tuple(range(1, i + 1)) + (0,) + tuple(range(i + 1, ndim))
 
 
+def flattening(data: np.ndarray, i: int) -> np.ndarray:
+    """The i-th flattening of the raw array data: axis i as rows, the other
+    axes in order (0, 1, ...) as columns."""
+    front, _ = _front_orders(data.ndim, i)
+    return data.transpose(front).reshape(data.shape[i], -1)
+
+
 def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
     """The matrix m acting on axis i of the raw array data.
 
@@ -189,7 +179,7 @@ def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
 def apply_factor(m: np.ndarray, i: int, x: Tensor) -> Tensor:
     """Contract matrix ``m`` with factor i (1-based) of ``x``."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[1] != x.shape[i]:
+    if not 1 <= i <= x.num_factors or m.ndim != 2 or m.shape[1] != x.shape[i]:
         raise ValueError(f"matrix shape {m.shape} does not fit factor {i} of {x.shape}")
     return Tensor(contract(m, x.data, i))
 

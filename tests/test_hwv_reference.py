@@ -151,14 +151,10 @@ class TestMemos:
 
 
 class TestExactDispatch:
-    """Every input takes the one evaluator, which never calls einsum.
-
-    The test names come from the earlier exactness dispatch, which sent
-    in-range Gaussian integers to the nonzero-term sum and everything else
-    to einsum; each input it distinguished is still checked here, now for
-    zero einsum calls and agreement with the reference: bit for bit on
-    in-range Gaussian integers, within 1e-12 of the largest value
-    otherwise."""
+    """Every input takes the one evaluator, which never calls einsum: each
+    input is checked for zero einsum calls and agreement with the reference,
+    bit for bit on in-range Gaussian integers, within 1e-12 of the largest
+    value otherwise."""
 
     @pytest.fixture
     def einsum_calls(self, monkeypatch):
@@ -201,11 +197,11 @@ class TestExactDispatch:
         assert not y.data.flags.c_contiguous
         self.check(y, einsum_calls, exact=True)
 
-    def test_non_integer_tensor_uses_einsum(self, einsum_calls, rng):
+    def test_non_integer_tensor_skips_einsum(self, einsum_calls, rng):
         x = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2)) + 0.5)
         self.check(x, einsum_calls, exact=False)
 
-    def test_integers_past_the_bound_use_einsum(self, einsum_calls):
+    def test_integers_past_the_bound_skip_einsum(self, einsum_calls):
         # at degree 2, (sqrt(2) * 2**40 * 4)**2 = 2**85 is past 2**53
         x = ts.Tensor(np.full((2, 2, 2), 2.0**40))
         self.check(x, einsum_calls, exact=False)

@@ -4,8 +4,9 @@ functools cache, the scaling loop's kernels leave validation to the public
 entry points, singularity is decided by one check on the start and no
 loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
 is computed, no module calls a dense
-eigendecomposition or determinant, each halt check makes the one resync
-call the benchmark's tracer counts, no public function stays in the
+eigendecomposition or determinant, scaling.py makes no transpose call as
+tensors.py owns the flattening's axis order, each halt check makes the one
+resync call the benchmark's tracer counts, no public function stays in the
 package that only the tests call, and no private top-level function or
 class stays that no package module calls."""
 import ast
@@ -147,7 +148,8 @@ def test_no_module_keeps_an_unbounded_cache():
 # the scaling loop's private kernels and the checked public entry points
 # they must not call: validation belongs at the API boundary
 LOOP_KERNELS = {"_core_loop", "_step_matrix", "_upper_cholesky", "_Iterate"}
-CHECKED_ENTRIES = {"check_hermitian", "psd_sqrt", "upper_cholesky"}
+CHECKED_ENTRIES = {"check_hermitian", "upper_cholesky", "marginal", "spectrum",
+                   "trace_distance", "apply_factor"}
 
 
 def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
@@ -173,18 +175,18 @@ def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
 def test_guard_sees_kernel_entry_calls():
     assert kernel_entry_calls(
         "def _upper_cholesky(rho):\n"
-        "    return psd_sqrt(rho[:1, :1])\n"
+        "    return spectrum(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def step(self, rho):\n"
-        "        return ts.upper_cholesky(rho)\n"
+        "        return ts.upper_cholesky(rho) + marginal(self.y, 1)\n"
         "def _core_loop(x):\n"
         "    def verified_halt():\n"
         "        return check_hermitian(x)\n"
         "    return _upper_cholesky(x)\n"
         "def upper_cholesky(rho):\n"
         "    return _upper_cholesky(check_hermitian(rho))\n") \
-        == [("_upper_cholesky", "psd_sqrt"), ("_Iterate", "upper_cholesky"),
-            ("_core_loop", "check_hermitian")]
+        == [("_upper_cholesky", "spectrum"), ("_Iterate", "upper_cholesky"),
+            ("_Iterate", "marginal"), ("_core_loop", "check_hermitian")]
 
 
 def test_loop_kernels_call_no_checked_entry_point():
@@ -433,9 +435,9 @@ def test_overflow_is_decided_where_each_value_is_computed():
 CONTRACTION_HELPERS = {"tensordot", "moveaxis"}
 
 
-def contraction_helper_calls(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each call to a contraction helper, by attribute
-    (np.tensordot) or by a bare imported name (tensordot)."""
+def named_calls(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each call to a function in names, by attribute
+    (np.tensordot, x.transpose) or by a bare imported name (eigh)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -443,24 +445,24 @@ def contraction_helper_calls(source: str) -> list[tuple[int, str]]:
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else \
             func.id if isinstance(func, ast.Name) else None
-        if name in CONTRACTION_HELPERS:
+        if name in names:
             found.append((node.lineno, name))
     return sorted(found)
 
 
 def test_guard_sees_contraction_helper_calls():
-    assert contraction_helper_calls(
+    assert named_calls(
         "import numpy as np\n"
         "from numpy import tensordot\n"
         "y = np.moveaxis(np.tensordot(m, x, axes=([1], [2])), 0, 2)\n"
         "z = tensordot(m, x, 1)\n"
         "w = contract(m, x, 2)\n"
-        "v = np.dot(m, x.moveaxis)\n") \
+        "v = np.dot(m, x.moveaxis)\n", CONTRACTION_HELPERS) \
         == [(3, "moveaxis"), (3, "tensordot"), (4, "tensordot")]
 
 
 def test_no_module_calls_a_contraction_helper():
-    found = {path.name: contraction_helper_calls(path.read_text())
+    found = {path.name: named_calls(path.read_text(), CONTRACTION_HELPERS)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
 
@@ -470,36 +472,37 @@ def test_no_module_calls_a_contraction_helper():
 DENSE_SOLVERS = {"eigh", "det"}
 
 
-def dense_solver_calls(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each call to a DENSE_SOLVERS function, by attribute
-    (np.linalg.det) or by a bare imported name (eigh)."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                func.id if isinstance(func, ast.Name) else None
-            if name in DENSE_SOLVERS:
-                found.append((node.lineno, name))
-    return sorted(found)
-
-
 def test_guard_sees_dense_solver_calls():
-    assert dense_solver_calls(
+    assert named_calls(
         "import numpy as np\n"
         "from numpy.linalg import eigh\n"
         "w, v = np.linalg.eigh(rho)\n"
         "d = abs(np.linalg.det(r)) * abs(det(s))\n"
         "e = eigh(rho)\n"
         "f = np.linalg.eigvalsh(rho) + np.linalg.slogdet(r)[1]\n"
-        "det = abs(r[0, 0])\n") \
+        "det = abs(r[0, 0])\n", DENSE_SOLVERS) \
         == [(3, "eigh"), (4, "det"), (4, "det"), (5, "eigh")]
 
 
 def test_no_module_calls_eigh_or_det():
-    found = {path.name: dense_solver_calls(path.read_text())
+    found = {path.name: named_calls(path.read_text(), DENSE_SOLVERS)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# tensors.py owns the flattening's axis order (_front_orders, read by
+# flattening and contract), so scaling.py reorders no axes itself
+def test_guard_sees_transpose_calls():
+    assert named_calls(
+        "import numpy as np\n"
+        "m = y.transpose(front).reshape(n, -1)\n"
+        "w = np.transpose(y, (1, 0, 2)) + y.T + y.conj().T\n"
+        "v = flattening(y, 1)\n", {"transpose"}) \
+        == [(2, "transpose"), (3, "transpose")]
+
+
+def test_scaling_makes_no_transpose_call():
+    assert named_calls((PACKAGE / "scaling.py").read_text(), {"transpose"}) == []
 
 
 def truncating_int_calls(source: str) -> list[int]:
@@ -645,8 +648,10 @@ def test_each_halt_check_is_one_counted_resync():
 BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
     # the tensor primitives tests/test_loop_reference.py builds its
-    # reference loop from, and the checked Borel factorization README documents
-    "marginal", "spectrum", "trace_distance", "apply_factor", "upper_cholesky",
+    # reference loop from; spectrum, which acceptance criteria 02 and 06 and
+    # tests/test_oracle.py read spectra with; and the checked Borel
+    # factorization README documents
+    "marginal", "trace_distance", "apply_factor", "spectrum", "upper_cholesky",
     # the write side of the file formats the CLI reads
     "save_tensor", "save_spectrum", "hwv_spec_to_obj",
     # the reduction's map of Borel steps, and the partition predicate that

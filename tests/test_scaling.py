@@ -79,6 +79,14 @@ class TestTargetSpectrum:
         assert p.ascending(1).tolist() == [1 / 6, 1 / 3, 1 / 2]
         assert p.ascending(1) is not p.ascending(1)
 
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_ascending_checks_the_label(self, i):
+        # 0 and -1 used to return another factor's entries through
+        # negative indexing
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 2)), (F(2, 3), F(1, 3))))
+        with pytest.raises(ValueError, match="factor index must be in 1..2"):
+            p.ascending(i)
+
     def test_sum_off_by_a_tiny_fraction_raises(self):
         off = F(1, 10**18)
         with pytest.raises(ValueError, match="sum"):
@@ -1215,6 +1223,18 @@ class TestSingularTargets:
         with pytest.raises(ts.NumericBreakdownError,
                            match="scaling group left the floating-point range"):
             ts.pad_scaling(b, p, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("b", [
+        # a 1x1 factor for a rank-2 factor used to broadcast into a
+        # singular 2x2 block of 2s
+        (np.eye(2, dtype=complex), 2 * np.eye(1, dtype=complex)),
+        # a tuple one factor short used to return a shorter tuple
+        (np.eye(2, dtype=complex),),
+    ])
+    def test_pad_checks_the_tuple_against_the_ranks(self, b):
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)), (F(1, 2), F(1, 2))))
+        with pytest.raises(ValueError, match="do not fit the ranks"):
+            ts.pad_scaling(b, p, 0.1, 1.0)
 
     @pytest.mark.parametrize("eps, norm_x", [(0.1, 0.0), (0.1, -1.0),
                                              (0.1, math.nan), (0.0, 1.0),

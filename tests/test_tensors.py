@@ -84,36 +84,32 @@ class TestTensor:
 
 
 class TestFlatten:
+    """tensors.flattening, the package's one flattening: axis i as rows, the
+    other axes in order as columns."""
+
     def test_basis_tensor(self):
         x = basis_tensor((1, 2, 2), (0, 0, 0))
-        m = ts.flatten(x, [1])
+        m = ts.tensors.flattening(x.data, 1)
         expected = np.zeros((2, 2))
         expected[0, 0] = 1
         assert np.array_equal(m, expected)
 
     def test_round_trip(self, rng):
         x = random_integer_tensor((2, 2, 3, 2), rng)
-        labels = [1, 2, 3]
-        m = ts.flatten(x, labels)
+        m = ts.tensors.flattening(x.data, 2)
+        assert m.shape == (3, 8)
         # invert: reshape to the permuted tensor, undo the transpose
-        permuted = m.reshape(2, 3, 2, 2)
-        back = np.transpose(permuted, np.argsort([1, 2, 3, 0]))
+        permuted = m.reshape(3, 2, 2, 2)
+        back = np.transpose(permuted, np.argsort([2, 0, 1, 3]))
         assert np.array_equal(back, x.data)
-        assert np.array_equal(ts.flatten(ts.Tensor(back), labels), m)
+        assert np.array_equal(ts.tensors.flattening(back, 2), m)
 
     def test_gram_is_marginal(self, rng):
         x = random_integer_tensor((1, 2, 2, 2), rng)
-        m = ts.flatten(x, [1])
-        assert np.allclose(m @ m.conj().T, marginal_bruteforce(x, 1))
-
-    def test_invalid_subsets(self):
-        x = ghz_tensor()
-        with pytest.raises(ValueError):
-            ts.flatten(x, [])
-        with pytest.raises(ValueError):
-            ts.flatten(x, [0, 1, 2, 3])
-        with pytest.raises(ValueError):
-            ts.flatten(x, [7])
+        for i in (1, 2, 3):
+            m = ts.tensors.flattening(x.data, i)
+            assert np.allclose(m @ m.conj().T, marginal_bruteforce(x, i))
+            assert same_array(m @ m.conj().T, ts.marginal(x, i))
 
 
 class TestMarginal:
@@ -155,6 +151,13 @@ class TestMarginal:
             ts.marginal(ghz_tensor(), 0)
         with pytest.raises(ValueError):
             ts.marginal(ghz_tensor(), 4)
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_apply_factor_checks_the_label(self, i):
+        # label 0 used to contract factor 0, -1 the last factor through
+        # negative indexing, and d + 1 raised IndexError
+        with pytest.raises(ValueError, match=f"does not fit factor {i} of"):
+            ts.apply_factor(np.eye(2), i, ts.Tensor(np.ones((2, 2, 2, 2))))
 
 
 class TestCheckHermitian:
@@ -310,8 +313,8 @@ def test_rank_invariance_under_invertible_action(n, seed):
         return
     y = ts.apply_group(g, x)
     for i in (1, 2, 3):
-        assert np.linalg.matrix_rank(ts.flatten(y, [i]), tol=1e-8) \
-            == np.linalg.matrix_rank(ts.flatten(x, [i]), tol=1e-8)
+        assert np.linalg.matrix_rank(ts.tensors.flattening(y.data, i), tol=1e-8) \
+            == np.linalg.matrix_rank(ts.tensors.flattening(x.data, i), tol=1e-8)
 
 
 def ref_contract(m, data, i):
