@@ -1,10 +1,11 @@
 """Tensor scaling to prescribed one-body marginal spectra.
 
-The package scales dense complex tensors with a randomized upper-triangular
-(Borel) alternating loop, exposes promise-decision front-ends
-for marginal-spectrum membership questions, and ships two independent
-verification tracks: classical highest weight vectors as progress
-potentials, and an exact reduction to uniform scaling.
+The package scales dense tensors, stored real unless an entry has a nonzero
+imaginary part, with a randomized upper-triangular (Borel) alternating loop,
+exposes promise-decision front-ends for marginal-spectrum membership
+questions, and ships two independent verification tracks: classical highest
+weight vectors as progress potentials, and an exact reduction to uniform
+scaling.
 """
 
 from .hwv import (

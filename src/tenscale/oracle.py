@@ -227,7 +227,7 @@ def matrix_to_diagonal_tensor(a: np.ndarray) -> Tensor:
     if a.ndim != 2 or np.any(a < 0):
         raise ValueError("need a nonnegative matrix")
     n, m = a.shape
-    data = np.zeros((n * m, n, m), dtype=complex)
+    data = np.zeros((n * m, n, m))
     for j in range(n):
         for k in range(m):
             data[j * m + k, j, k] = math.sqrt(a[j, k])

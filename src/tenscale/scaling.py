@@ -66,8 +66,10 @@ DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
 # A format whose d flattenings hold at most this many entries in all takes
 # each dimension group's marginals from one gather of the raw iterate.  Per
-# measurement the gather is 1.5-2x faster on (1;3^5) (1,215 entries), ties
-# the per-factor path on (2;8^3) and (1;12^3), and is 3.7x slower on (2;32^3).
+# measurement of a float64 iterate (2-core x86-64, one BLAS thread), the
+# gather is 1.6x faster on (1;3^5) (1,215 entries), ties the per-factor path
+# within noise from (2;8^3) to (2;12^3) (3,072 to 10,368), and is 1.2-1.7x
+# slower on (2;32^3); a complex128 iterate crosses over at the same size.
 GATHER_MAX_ENTRIES = 8192
 
 
@@ -409,7 +411,8 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
     resynced restricted iterate did.  A tolerance or start norm that is not
     positive, or a tuple that is not one r_i x r_i factor per rank r_i of p,
     raises ValueError; a factor with a non-finite entry, or a delta that
-    underflows to 0, raises NumericBreakdownError.
+    underflows to 0, raises NumericBreakdownError.  Each padded factor takes
+    its block's dtype, float64 at least.
     """
     if not (epsilon > 0 and norm_x > 0):
         raise ValueError(f"need epsilon, norm_x > 0, got {epsilon}, {norm_x}")
@@ -427,7 +430,7 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
             f"group growth {growth:.3e}")
     out = []
     for vec_len, r, b in zip(p.dims, ranks, b_plus):
-        full = np.zeros((vec_len, vec_len), dtype=complex)
+        full = np.zeros((vec_len, vec_len), np.result_type(np.asarray(b), float))
         full[: vec_len - r, : vec_len - r] = delta * np.eye(vec_len - r)
         full[vec_len - r:, vec_len - r:] = b
         out.append(full)
@@ -465,7 +468,8 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
     folded into group[0], and y's last measurement: marginals rhos and
-    distances dists to the target diagonals.
+    distances dists to the target diagonals.  All of them take x0's dtype:
+    the Borel step of a real iterate is real, so real data runs real.
 
     A step makes one pass over y, the contraction with the Borel step a:
     tr(a rho_j a^dagger), the stepped iterate's squared norm, is the sum of
@@ -487,12 +491,12 @@ class _Iterate:
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
-        shape = x0.shape
+        shape, dtype = x0.shape, x0.data.dtype
         asc = [p.ascending(i) for i in range(1, len(shape))]
         self.groups, self.slots = [], {}
         for g, factors in enumerate(_dimension_groups(shape)):
             n = shape[factors[0] + 1]
-            diags = np.zeros((len(factors), n, n), dtype=complex)
+            diags = np.zeros((len(factors), n, n), dtype=dtype)
             diags[:, range(n), range(n)] = [asc[j] for j in factors]
             self.groups.append((factors, diags))
             self.slots.update({j: (g, t) for t, j in enumerate(factors)})
@@ -501,7 +505,7 @@ class _Iterate:
                       if gathered <= GATHER_MAX_ENTRIES else None)
         self.roots = [np.sqrt(a) for a in asc]
         self.exponents = [(-a).tolist() for a in asc]
-        self.group = [np.eye(n, dtype=complex) for n in x0.dims]
+        self.group = [np.eye(n, dtype=dtype) for n in x0.dims]
         self.steps = 0
         self.capacity = 1.0
         self.renormalize(x0.data, scale)
@@ -566,7 +570,7 @@ class _Iterate:
             return stacks
         for factors, diags in self.groups:
             n = diags.shape[-1]
-            stack = np.empty((len(factors), n, n), dtype=complex)
+            stack = np.empty((len(factors), n, n), dtype=self.y.dtype)
             for j, gram in zip(factors, stack):
                 if j != skip:
                     m = flattening(self.y, j + 1)
@@ -586,7 +590,9 @@ class _Iterate:
         matrix of a stack on its own, exactly as it solves that matrix alone,
         and each row's sum of absolute eigenvalues is the same reduction as
         np.sum over one spectrum, so the distances agree bit for bit with
-        trace_distance on the same marginals.
+        trace_distance on the same complex marginals; a real marginal takes
+        the real solver, which trace_distance's complex check_hermitian does
+        not.
         """
         stacks = self.grams(j)
         if j is not None:
@@ -629,7 +635,7 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     it = _Iterate(y, p)
     _check_start(it.rhos)
     j, a = it.rule()
-    g_new = [np.asarray(m, dtype=complex) for m in g]
+    g_new = [np.asarray(m) for m in g]
     g_new[j] = a @ g_new[j]
     return tuple(g_new), j + 1, tuple(it.dists)
 
@@ -805,7 +811,7 @@ def identity_parametrization(dims: Sequence[int], n0: int = 1) -> Parametrizatio
     return Parametrization(
         param_dim=math.prod(shape),
         degree=1,
-        evaluate=lambda z: Tensor(np.asarray(z, dtype=complex).reshape(shape)),
+        evaluate=lambda z: Tensor(np.reshape(z, shape)),
     )
 
 

@@ -1,7 +1,10 @@
-"""Dense complex tensors of format (n0; n1, ..., nd).
+"""Dense tensors of format (n0; n1, ..., nd), real or complex.
 
-A tensor of this format is stored as a complex ndarray of shape
-(n0, n1, ..., nd), laid out row-major over (index0, index1, ..., indexd).
+A tensor of this format is stored as an ndarray of shape (n0, n1, ..., nd),
+laid out row-major over (index0, index1, ..., indexd): float64 when no entry
+has a nonzero imaginary part, else complex128 (see _real_if_real).  Every
+matrix that acts on a tensor follows the same rule, so real data is scaled
+in real arithmetic, and a complex result comes only from complex data.
 Factor 0 is distinguished: group tuples act on factors 1..d only and leave
 factor 0 untouched.  Every flattening reads the one order of _front_orders.
 
@@ -20,7 +23,7 @@ import numpy as np
 HERMITIAN_RTOL = 1e-12
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
-GroupTuple = tuple  # tuple of d square complex matrices acting on factors 1..d
+GroupTuple = tuple  # d square real or complex matrices acting on factors 1..d
 
 
 class SingularMarginalError(ArithmeticError):
@@ -37,9 +40,21 @@ class NonFiniteEntriesError(ValueError):
     given data only; computed data past the float range is a breakdown."""
 
 
+def _real_if_real(a) -> np.ndarray:
+    """The package's one dtype rule: integer, bool and float arrays as
+    float64; a complex array with no nonzero imaginary part as its contiguous
+    float64 real part; any other array as complex128."""
+    a = np.asarray(a)
+    if a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    a = a.astype(complex, copy=False)
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
-    """Dense complex tensor with a distinguished 0th factor.
+    """Dense tensor with a distinguished 0th factor, stored by the rule of
+    _real_if_real: float64 for real entries, else complex128.
 
     Entries are immutable after construction; all operations in this module
     are pure functions, so values are freely shareable across threads.
@@ -48,7 +63,7 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
+        data = np.array(_real_if_real(self.data))  # a copy: the caller's stays writable
         if data.ndim < 2:
             raise ValueError("a tensor needs factor 0 plus at least one scaled factor")
         if any(n < 1 for n in data.shape):
@@ -178,7 +193,7 @@ def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
 
 def apply_factor(m: np.ndarray, i: int, x: Tensor) -> Tensor:
     """Contract matrix ``m`` with factor i (1-based) of ``x``."""
-    m = np.asarray(m, dtype=complex)
+    m = _real_if_real(m)
     if not 1 <= i <= x.num_factors or m.ndim != 2 or m.shape[1] != x.shape[i]:
         raise ValueError(f"matrix shape {m.shape} does not fit factor {i} of {x.shape}")
     return Tensor(contract(m, x.data, i))
@@ -192,7 +207,7 @@ def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:
     data = x.data
     with np.errstate(over="ignore", invalid="ignore"):
         for i, m in enumerate(g):
-            m = np.asarray(m, dtype=complex)
+            m = _real_if_real(m)
             if m.shape != (x.dims[i], x.dims[i]):
                 raise ValueError(f"factor {i + 1} matrix has shape {m.shape}, "
                                  f"expected {(x.dims[i], x.dims[i])}")
@@ -215,8 +230,7 @@ def compose_group(g: Sequence[np.ndarray], h: Sequence[np.ndarray]) -> GroupTupl
     if len(g) != len(h):
         raise ValueError("group tuples must have the same number of factors")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = tuple(np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-                    for a, b in zip(g, h))
+        out = tuple(_real_if_real(a) @ _real_if_real(b) for a, b in zip(g, h))
     if not all(np.isfinite(m).all() for m in out):
         raise NumericBreakdownError(
             "a composed group left the floating-point range")

@@ -22,9 +22,9 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
 
 def random_integer_tensor(shape, rng, low=-4, high=5) -> Tensor:
-    """Nonzero Gaussian-integer tensor with entries in [low, high)."""
+    """Nonzero integer tensor with entries in [low, high), stored real."""
     while True:
-        data = rng.integers(low, high, size=shape).astype(complex)
+        data = rng.integers(low, high, size=shape)
         if np.linalg.norm(data) > 0:
             return Tensor(data)
 

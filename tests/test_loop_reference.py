@@ -1,8 +1,9 @@
 """The raw-array scaling loop against a Tensor-level loop on the same rule.
 
 The reference below is the loop rebuilt from public functions: it re-wraps
-the iterate in a Tensor every step, measures each distance with
-trace_distance, and factors the chosen marginal by the reversed Cholesky
+the iterate in a Tensor every step, measures each distance as
+trace_distance does but in the marginal's own dtype, real for real data as
+in the engine, and factors the chosen marginal by the reversed Cholesky
 with no singularity rule, which only the start's marginals meet.  Its
 step follows the engine's one-pass rule: the iterate is stepped with
 apply_factor(a, ...), which leaves it at unit norm as a rho a^dagger has
@@ -31,7 +32,9 @@ def ref_marginals(y):
 
 
 def ref_distances(rhos, p):
-    return [ts.trace_distance(rho, np.diag(p.ascending(i)))
+    # trace_distance's sum of absolute eigenvalues, solved in the marginal's
+    # own dtype: a real marginal takes the real solver, as in the engine
+    return [float(np.sum(np.abs(np.linalg.eigvalsh(rho - np.diag(p.ascending(i))))))
             for i, rho in enumerate(rhos, start=1)]
 
 
@@ -50,7 +53,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
             return ts.NOT_IN_POLYTOPE, ts.identity_group(x0.dims), []
 
     scale = x0.norm()
-    borel = [np.eye(n, dtype=complex) for n in x0.dims]
+    borel = [np.eye(n, dtype=x0.data.dtype) for n in x0.dims]
     borel[0] /= scale
     y = ts.Tensor(x0.data / scale)
     rhos = ref_marginals(y)
@@ -187,6 +190,16 @@ GATE_START = ts.Tensor(np.array([[[[4, 4], [2, 3]], [[4, 2], [4, 2]]]],
                                 dtype=complex))
 
 
+def gaussian_integer_tensor(shape, seed):
+    """A Gaussian-integer tensor with entries in [-4, 5) + i [-4, 5): its
+    imaginary part is nonzero, so it and its whole run stay complex."""
+    rng = np.random.default_rng(seed)
+    x = ts.Tensor(rng.integers(-4, 5, size=shape)
+                  + 1j * rng.integers(-4, 5, size=shape))
+    assert x.data.dtype == np.complex128
+    return x
+
+
 @pytest.mark.parametrize("shape, target, eps, seed", [
     ((1, 2, 2, 2), "uniform", 1e-3, 0),
     ((1, 4, 4, 4), "uniform", 1e-3, 1),
@@ -199,12 +212,16 @@ GATE_START = ts.Tensor(np.array([[[[4, 4], [2, 3]], [[4, 2], [4, 2]]]],
     ((1, 2, 3, 2), "uniform", 1e-3, 7),
     # a fixed start, not randomized and capped at 800 steps
     (GATE_START, "two_thirds", 0.05, 0),
+    # complex data: the loop runs in complex128, bit for bit as the reference
+    (gaussian_integer_tensor((2, 3, 3, 3), 8), "nonuniform", 1e-3, 8),
+    (gaussian_integer_tensor((2, 3, 3, 3), 9), "zero", 1e-3, 9),
 ])
 def test_matches_tensor_level_loop(rng, shape, target, eps, seed):
     if isinstance(shape, ts.Tensor):
-        x, randomize, cap = shape, False, 800
+        x = shape
     else:
-        x, randomize, cap = random_integer_tensor(shape, rng), True, 3000
+        x = random_integer_tensor(shape, rng)
+    randomize, cap = (False, 800) if x is GATE_START else (True, 3000)
     p = {"uniform": ts.TargetSpectrum.uniform(x.dims),
          "nonuniform": NONUNIFORM, "zero": ZERO, "mixed": MIXED,
          "two_thirds": TWO_THIRDS}[target]

@@ -5,8 +5,10 @@ entry points, singularity is decided by one check on the start and no
 loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
 is computed, no module calls a dense
 eigendecomposition or determinant, scaling.py makes no transpose call as
-tensors.py owns the flattening's axis order, each halt check makes the one
-resync call the benchmark's tracer counts, no public function stays in the
+tensors.py owns the flattening's axis order, the contraction kernels and
+the loop's state force no complex dtype as tensors._real_if_real holds the one
+dtype rule, each halt check makes the one resync call the benchmark's tracer
+counts, no public function stays in the
 package that only the tests call, and no private top-level function or
 class stays that no package module calls."""
 import ast
@@ -503,6 +505,67 @@ def test_guard_sees_transpose_calls():
 
 def test_scaling_makes_no_transpose_call():
     assert named_calls((PACKAGE / "scaling.py").read_text(), {"transpose"}) == []
+
+
+# tensors._real_if_real holds the one dtype rule: the contraction kernels and
+# the loop's state take their dtype from their data, so real data runs real
+DTYPE_FOLLOWERS = {"scaling.py": {"_Iterate"},
+                   "tensors.py": {"contract", "apply_factor", "apply_group",
+                                  "compose_group"}}
+COMPLEX_TYPES = {"complex", "complex64", "complex128", "complex_", "csingle",
+                 "cdouble"}
+
+
+def complex_casts(source: str, owners: set[str]) -> list[tuple[str, int]]:
+    """(owner, line) of each dtype=complex keyword and astype(complex) call in
+    a top-level definition named in owners, the type named bare, through a
+    module (np.complex128) or as a string."""
+    def complex_type(node: ast.AST) -> bool:
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.value if isinstance(node, ast.Constant) else None
+        return name in COMPLEX_TYPES
+
+    found = []
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) not in owners:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.keyword) and node.arg == "dtype" \
+                    and complex_type(node.value):
+                found.append((top.name, node.value.lineno))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "astype" and node.args \
+                    and complex_type(node.args[0]):
+                found.append((top.name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_guard_sees_complex_casts():
+    assert complex_casts(
+        "import numpy as np\n"
+        "class _Iterate:\n"
+        "    def __init__(self, x0):\n"
+        "        self.group = [np.eye(n, dtype=complex) for n in x0.dims]\n"
+        "def contract(m, data, i):\n"
+        "    return np.dot(m.astype(np.complex128), data)\n"
+        "def apply_group(g, x):\n"
+        "    return [np.asarray(m, dtype='complex') for m in g]\n"
+        "def identity_group(dims):\n"
+        "    return tuple(np.eye(n, dtype=complex) for n in dims)\n"
+        "def compose_group(g, h):\n"
+        "    return [a.astype(float) @ np.asarray(b, dtype=a.dtype)\n"
+        "            for a, b in zip(g, h)]\n",
+        {"_Iterate", "contract", "apply_group", "compose_group"}) \
+        == [("_Iterate", 4), ("contract", 6), ("apply_group", 8)]
+
+
+def test_kernels_take_their_dtype_from_their_data():
+    for module, owners in DTYPE_FOLLOWERS.items():
+        source = (PACKAGE / module).read_text()
+        assert owners <= {getattr(node, "name", None)
+                          for node in ast.parse(source).body}
+        assert complex_casts(source, owners) == []
 
 
 def truncating_int_calls(source: str) -> list[int]:

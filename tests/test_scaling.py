@@ -1000,8 +1000,8 @@ class TestRunScaling:
     def test_capped_far_run_measures_the_witness_only_at_its_first_halt(
             self, monkeypatch):
         # the first halt measures its witness before any resync; drift keeps
-        # failing the five later halts, which resync first and stop there
-        # (test_benchmark_counts_every_rejected_halt counts all six)
+        # failing the six later halts, which resync first and stop there
+        # (test_benchmark_counts_every_rejected_halt counts all seven)
         x = w_tensor()
         calls = []
 
@@ -1016,7 +1016,7 @@ class TestRunScaling:
                                               max_iters=120))
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
         assert calls == [("run_scaling", True), ("verified_halt", True),
-                         ("_core_loop", False)] + [("verified_halt", False)] * 5
+                         ("_core_loop", False)] + [("verified_halt", False)] * 6
 
     def test_witness_without_resync_holds_on_recomputation(self):
         # the shipped group never carries a resync's renormalization; its
@@ -1087,7 +1087,39 @@ class TestRunScaling:
         finally:
             counters.restore()
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 120)
-        assert counters.halt_checks == counters.rejected_halts() == 6
+        assert counters.halt_checks == counters.rejected_halts() == 7
+
+
+class TestRealArithmetic:
+    """The loop follows the start's dtype: a real input runs in float64 from
+    its randomized start to its shipped group, a complex one in complex128
+    (the complex128 draw of random_group acts as the real matrix it is)."""
+
+    @pytest.mark.parametrize("phase, dtype", [(1, np.float64), (1 + 2j, np.complex128)])
+    @pytest.mark.parametrize("target", [
+        ((F(2, 3), F(1, 3)),) * 3,  # a member of W's polytope: SCALED
+        ((F(1), F(0)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),  # restricted, padded
+    ])
+    def test_iterate_group_and_marginals_keep_the_data_dtype(
+            self, monkeypatch, phase, dtype, target):
+        seen, measure = [], ts.scaling._Iterate.measure
+
+        def tracked(it, *args):
+            measure(it, *args)
+            seen.append({it.y.dtype, *(m.dtype for m in it.group),
+                         *(rho.dtype for rho in it.rhos)})
+
+        monkeypatch.setattr(ts.scaling._Iterate, "measure", tracked)
+        x = ts.Tensor(phase * w_tensor().data)
+        assert x.data.dtype == dtype
+        rep = ts.run_scaling(x, ts.TargetSpectrum(target),
+                             ts.ScalingConfig(epsilon=1e-3, seed=2, max_iters=300))
+        assert rep.iterations > 0 and len(seen) > rep.iterations
+        assert all(kinds == {np.dtype(dtype)} for kinds in seen)
+        # compose_group ships each factor by the rule: real unless it has a
+        # nonzero imaginary part, as a complex run's first factor may not
+        assert all(m.dtype == (np.complex128 if np.imag(m).any() else np.float64)
+                   for m in rep.group)
 
 
 class TestSingularTargets:

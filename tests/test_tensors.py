@@ -83,6 +83,53 @@ class TestTensor:
         assert not ts.Tensor(x.data / 4).is_gaussian_integer()
 
 
+class TestDtypeRule:
+    """Real entries are stored as float64, whatever the input's dtype; only
+    a nonzero imaginary part keeps complex128."""
+
+    @pytest.mark.parametrize("data", [
+        [[1, -2]], [[True, False]], np.array([[0.5, 2.0]], dtype=np.float32),
+        np.array([[1, 2]], dtype=complex), np.array([[1, 2]], dtype=np.complex64)])
+    def test_real_entries_are_stored_as_float64(self, data):
+        x = ts.Tensor(data)
+        assert x.data.dtype == np.float64 and x.data.flags.c_contiguous
+        assert np.array_equal(x.data, np.real(np.asarray(data)))
+
+    def test_zero_imaginary_part_drops_to_its_real_part(self):
+        data = np.array([[[1, -2], [3, 0]]], dtype=complex)
+        data.imag[0, 0, 0] = -0.0
+        x = ts.Tensor(data)
+        assert x.data.dtype == np.float64 and not x.data.flags.writeable
+        assert np.array_equal(x.data, data.real)
+        assert data.flags.writeable  # the caller's array is not frozen
+
+    def test_nonzero_imaginary_part_stays_complex(self):
+        data = np.array([[[1, -2], [3, 1e-300j]]])
+        x = ts.Tensor(data)
+        assert x.data.dtype == np.complex128 and np.array_equal(x.data, data)
+
+    def test_zero_imaginary_group_acts_in_real_arithmetic(self, rng):
+        # integer entries: the real and the complex products are both exact
+        x = random_integer_tensor((2, 3, 2), rng)
+        g = tuple(rng.integers(1, 9, size=(n, n)).astype(complex) for n in x.dims)
+        want = x.data.astype(complex)
+        for i, m in enumerate(g, start=1):
+            want = np.moveaxis(np.tensordot(m, want, axes=([1], [i])), 0, i)
+        for y in (ts.apply_group(g, x),
+                  ts.apply_factor(g[1], 2, ts.apply_factor(g[0], 1, x)),
+                  ts.apply_group(ts.compose_group(g, ts.identity_group(x.dims)), x)):
+            assert y.data.dtype == np.float64 and np.array_equal(y.data, want)
+        assert all(m.dtype == np.float64 for m in ts.compose_group(g, g))
+
+    def test_complex_group_or_tensor_keeps_complex(self, rng):
+        x = random_integer_tensor((1, 2, 2), rng)
+        g = (np.array([[1, 1j], [0, 1]]), np.eye(2))
+        assert ts.apply_group(g, x).data.dtype == np.complex128
+        assert ts.apply_group(ts.identity_group(x.dims),
+                              ts.Tensor(1j * x.data)).data.dtype == np.complex128
+        assert ts.compose_group(g, g)[0].dtype == np.complex128
+
+
 class TestFlatten:
     """tensors.flattening, the package's one flattening: axis i as rows, the
     other axes in order as columns."""

@@ -50,8 +50,6 @@ KNOWN_MISSES = {
         "NOT_IN_POLYTOPE: negative on a member",
     "progress run (1;2,2,2) parabolic raw spec, rng 57":
         "FAIL: step did not fix its marginal",
-    "progress run (1;2,2,2) borel raw spec, rng 159":
-        "FAIL: potential grew too little",
     "reduction cross-oracle triple on the hyperdeterminant's zero set":
         "FAIL: direct and reduced runs disagree",
 }
