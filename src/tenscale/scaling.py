@@ -66,10 +66,10 @@ DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
 # A format whose d flattenings hold at most this many entries in all takes
 # each dimension group's marginals from one gather of the raw iterate.  Per
-# measurement of a float64 iterate (2-core x86-64, one BLAS thread), the
-# gather is 1.6x faster on (1;3^5) (1,215 entries), ties the per-factor path
-# within noise from (2;8^3) to (2;12^3) (3,072 to 10,368), and is 1.2-1.7x
-# slower on (2;32^3); a complex128 iterate crosses over at the same size.
+# measurement of a row-major float64 iterate (2-core x86-64, one BLAS
+# thread), the gather takes 0.6x the per-factor time on (1;3^5) (1,215
+# entries) and 0.8x on (2;8^3), ties within noise on (1;12^3) and (2;12^3)
+# (5,184 and 10,368), and takes 1.4x on (2;32^3).
 GATHER_MAX_ENTRIES = 8192
 
 
@@ -590,9 +590,7 @@ class _Iterate:
         matrix of a stack on its own, exactly as it solves that matrix alone,
         and each row's sum of absolute eigenvalues is the same reduction as
         np.sum over one spectrum, so the distances agree bit for bit with
-        trace_distance on the same complex marginals; a real marginal takes
-        the real solver, which trace_distance's complex check_hermitian does
-        not.
+        trace_distance on the same marginals, real or complex.
         """
         stacks = self.grams(j)
         if j is not None:

@@ -32,9 +32,7 @@ def ref_marginals(y):
 
 
 def ref_distances(rhos, p):
-    # trace_distance's sum of absolute eigenvalues, solved in the marginal's
-    # own dtype: a real marginal takes the real solver, as in the engine
-    return [float(np.sum(np.abs(np.linalg.eigvalsh(rho - np.diag(p.ascending(i))))))
+    return [ts.trace_distance(rho, np.diag(p.ascending(i)))
             for i, rho in enumerate(rhos, start=1)]
 
 

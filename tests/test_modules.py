@@ -5,7 +5,8 @@ entry points, singularity is decided by one check on the start and no
 loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
 is computed, no module calls a dense
 eigendecomposition or determinant, scaling.py makes no transpose call as
-tensors.py owns the flattening's axis order, the contraction kernels and
+tensors.py owns the flattening's axis order, tensors.contract makes none as
+its images stay row-major, the contraction kernels and
 the loop's state force no complex dtype as tensors._real_if_real holds the one
 dtype rule, each halt check makes the one resync call the benchmark's tracer
 counts, no public function stays in the
@@ -493,7 +494,8 @@ def test_no_module_calls_eigh_or_det():
 
 
 # tensors.py owns the flattening's axis order (_front_orders, read by
-# flattening and contract), so scaling.py reorders no axes itself
+# flattening), so scaling.py reorders no axes itself; contract reads its
+# input row-major as (P, n, Q), so it moves no axis either
 def test_guard_sees_transpose_calls():
     assert named_calls(
         "import numpy as np\n"
@@ -505,6 +507,14 @@ def test_guard_sees_transpose_calls():
 
 def test_scaling_makes_no_transpose_call():
     assert named_calls((PACKAGE / "scaling.py").read_text(), {"transpose"}) == []
+
+
+def test_contract_makes_no_transpose_call():
+    source = (PACKAGE / "tensors.py").read_text()
+    [contract] = [node for node in ast.parse(source).body
+                  if getattr(node, "name", None) == "contract"]
+    assert named_calls(ast.get_source_segment(source, contract),
+                       {"transpose"}) == []
 
 
 # tensors._real_if_real holds the one dtype rule: the contraction kernels and

@@ -468,14 +468,17 @@ def flattening_shapes():
 
 
 def iterates(shape, rng):
-    """A unit-norm raw tensor of the format, then the non-contiguous
-    iterates the loop's contract leaves behind on each factor."""
+    """Unit-norm raw tensors of the format, complex and real: each, its
+    Fortran-order copy (which the gather's ravel copies) and the iterates the
+    loop's contract leaves behind on each factor."""
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    y = x / np.linalg.norm(x)
-    yield y
-    for i in range(1, len(shape)):
-        a = rng.standard_normal((shape[i],) * 2) + 1j * rng.standard_normal((shape[i],) * 2)
-        yield ts.contract(a, y, i)
+    for y in (x / np.linalg.norm(x), x.real / np.linalg.norm(x.real)):
+        yield y
+        yield np.asfortranarray(y)
+        for i in range(1, len(shape)):
+            a = rng.standard_normal((shape[i],) * 2)
+            yield ts.contract(a + 1j * rng.standard_normal(a.shape)
+                              if np.iscomplexobj(y) else a, y, i)
 
 
 class TestGatheredMarginals:
@@ -578,9 +581,12 @@ class TestOnePassStep:
         it = ts.scaling._Iterate(ts.Tensor(x), paired_target(shape[1:]))
         grams = []
 
-        def counted_matmul(*args, **kwargs):
-            grams.append(args[0].shape)
-            return matmul(*args, **kwargs)
+        def counted_matmul(m, other, *args, **kwargs):
+            # a Gram product takes a flattening and its conjugate transpose,
+            # unlike the contraction's batched product with a
+            if other.shape == m.shape[:-2] + m.shape[:-3:-1]:
+                grams.append(m.shape)
+            return matmul(m, other, *args, **kwargs)
 
         def no_norm(*args, **kwargs):
             raise AssertionError("a step took a norm")
@@ -599,6 +605,18 @@ class TestOnePassStep:
                        zip(grams, [i for i in range(d) if i != 1]))
         else:  # one gathered stack per dimension group
             assert len(grams) == len(it.groups)
+
+    @pytest.mark.parametrize("shape", flattening_shapes())
+    def test_iterate_stays_row_major(self, rng, shape):
+        # each step's contraction leaves y C-contiguous, so the next one and
+        # each flattening read it without a transpose copy
+        for x in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            it = ts.scaling._Iterate(ts.Tensor(x), paired_target(shape[1:]),
+                                     float(np.linalg.norm(x)))
+            for _ in range(2 * (len(shape) - 1)):
+                it.step(*it.rule())
+                assert it.y.flags.c_contiguous
 
     def test_iterate_norm_stays_one_over_a_long_far_run(self, monkeypatch):
         # W -> uniform is not scalable: 3,000 steps of ill-conditioned step
