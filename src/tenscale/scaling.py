@@ -16,10 +16,10 @@ One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
 measures its witness first and resyncs only after a rejection.  A step
-costs one contraction and d - 1 Gram matrices: the Borel step a makes
-a rho_j a^dagger the target's diagonal, of trace 1, so the contraction with
-a leaves the iterate at unit norm and that congruence is factor j's new
-marginal (see _Iterate).
+costs one Cholesky call, one contraction and a measurement: the Borel step
+a makes a rho_j a^dagger the target's diagonal, of trace 1, so the
+contraction leaves the iterate at unit norm.  A gather forms all d Gram
+matrices; larger formats take that congruence as factor j's (see _Iterate).
 
 Targets with zero entries are handled by restricting each factor to its last
 r_i coordinates, scaling the restricted tensor to half the tolerance, and
@@ -302,21 +302,22 @@ def _singular(m: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _assert_nonsingular(rho: np.ndarray) -> None:
-    """Raise SingularMarginalError unless the smallest eigenvalue of rho lies
-    above SINGULARITY_RTOL times its trace."""
-    low = np.linalg.eigvalsh(rho)[0]
+def _assert_nonsingular(rho: np.ndarray, low: float | None = None) -> None:
+    """Raise SingularMarginalError unless the smallest eigenvalue of rho (low,
+    if given) lies above SINGULARITY_RTOL times its trace."""
+    low = np.linalg.eigvalsh(rho)[0] if low is None else low
     ref = SINGULARITY_RTOL * np.trace(rho).real
     if low <= ref:
         raise SingularMarginalError(
             f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
 
 
-def _check_start(rhos: Sequence[np.ndarray]) -> None:
-    """The loop's one singularity rule: _assert_nonsingular on each marginal
-    of a start; an invertible triangular step changes no marginal's rank."""
-    for rho in rhos:
-        _assert_nonsingular(rho)
+def _check_start(stacks: Sequence[np.ndarray]) -> None:
+    """The loop's one singularity rule: _assert_nonsingular on the marginals
+    of a start's stacks, one eigvalsh per stack; no step changes a rank."""
+    for stack in stacks:
+        for rho, low in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist()):
+            _assert_nonsingular(rho, low=low)
 
 
 def upper_cholesky(rho: np.ndarray) -> np.ndarray:
@@ -473,21 +474,21 @@ class _Iterate:
 
     A step makes one pass over y, the contraction with the Borel step a:
     tr(a rho_j a^dagger), the stepped iterate's squared norm, is the sum of
-    the target's entries, 1, so no norm or divide pass follows.  The
-    congruence a rho_j a^dagger is factor j's new marginal, so only the
-    other d - 1 are measured, one Gram matrix each (a gather still forms its
-    whole dimension group in one call).  The start and a resync measure all
-    d, and renormalize holds the iterate's one norm rule.
+    the target's entries, 1, so no norm or divide pass follows.  A gather
+    forms each dimension group's Gram matrices in one product, the stepped
+    factor's too; the per-factor path forms the other d - 1 and takes the
+    congruence a rho_j a^dagger as factor j's new marginal.  The start and a
+    resync measure all d, and renormalize holds the iterate's one norm rule.
 
     groups pairs the 0-based factors of each distinct dimension with their
-    stacked target diagonals; index holds their flattening positions from
-    _flattening_index when the d flattenings hold at most GATHER_MAX_ENTRIES
-    entries, else None.  roots[j] and exponents[j] are factor j + 1's target
-    root vector and negated ascending entries.  The group stays upper
-    triangular (inv's LU never pivots on a triangular factor), so diag(a g) =
-    diag(a) diag(g): capacity, ||y|| prod |group_kk| ** -(ascending target
-    entry k), is the running product of the norms renormalize divides out
-    and each step's prod |a_kk| ** exponents[j][k].
+    stacked target diagonals, stacks their last marginals, and index their
+    flattening positions from _flattening_index when the d flattenings hold
+    at most GATHER_MAX_ENTRIES entries, else None.  roots[j] and exponents[j]
+    are factor j + 1's target root vector and negated ascending entries, and
+    blocks the iterate's own _step_matrix buffers.  The group stays upper
+    triangular, so diag(a g) = diag(a) diag(g): capacity, ||y|| prod |g_kk| **
+    -(ascending target entry k), is the running product of the norms
+    renormalize divides out and each step's prod |a_kk| ** exponents[j][k].
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
@@ -505,6 +506,7 @@ class _Iterate:
                       if gathered <= GATHER_MAX_ENTRIES else None)
         self.roots = [np.sqrt(a) for a in asc]
         self.exponents = [(-a).tolist() for a in asc]
+        self.blocks = {}
         self.group = [np.eye(n, dtype=dtype) for n in x0.dims]
         self.steps = 0
         self.capacity = 1.0
@@ -525,14 +527,12 @@ class _Iterate:
 
     def step(self, j: int, a: np.ndarray) -> None:
         """Apply the Borel step a to factor j + 1 of the iterate and of the
-        group, and update capacity.  Factor j + 1's marginal becomes
-        a rho_j a^dagger, by its Hermitian part (the product is Hermitian only
-        up to rounding); the others are measured.  A non-finite entry in the
+        group, update capacity and measure.  Off the gather path, factor
+        j + 1's marginal becomes a rho_j a^dagger, by its Hermitian part (the
+        product is Hermitian only up to rounding).  A non-finite entry in the
         stepped group factor raises NumericBreakdownError at once: no later
         step makes it finite."""
         self.steps += 1
-        # ndarray.dot: the BLAS product of @, with less overhead on small n
-        rho = a.dot(self.rhos[j]).dot(a.conj().T)
         self.y = contract(a, self.y, j + 1)
         self.group[j] = a.dot(self.group[j])
         if not np.isfinite(self.group[j]).all():
@@ -540,6 +540,10 @@ class _Iterate:
                                         f"floating-point range at step {self.steps}")
         self.capacity *= math.prod(abs(v) ** e for v, e in zip(
             a.diagonal().tolist(), self.exponents[j]))
+        if self.index is not None:  # the gather forms factor j's Gram matrix
+            return self.measure()
+        # ndarray.dot: the BLAS product of @, with less overhead on small n
+        rho = a.dot(self.rhos[j]).dot(a.conj().T)
         rho += rho.conj().T
         rho *= 0.5
         self.measure(j, rho)
@@ -550,7 +554,7 @@ class _Iterate:
         failed factorization is a numeric breakdown (see _check_start)."""
         j = self.dists.index(max(self.dists))
         try:
-            return j, _step_matrix(self.rhos[j], self.roots[j])
+            return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks)
         except np.linalg.LinAlgError as exc:
             raise NumericBreakdownError("the Cholesky factorization failed "
                                         f"at step {self.steps + 1}") from exc
@@ -580,11 +584,11 @@ class _Iterate:
 
     def measure(self, j: int | None = None, rho: np.ndarray | None = None
                 ) -> None:
-        """Set rhos and dists from the raw iterate.  A step passes its
-        factor j and the marginal rho it computed, which both paths report in
-        place of j's Gram matrix.  Each rho_j is a Gram matrix, Hermitian by
-        construction, or the Hermitian part of a step's congruence, so none
-        is checked.
+        """Set stacks, rhos and dists from the raw iterate.  A per-factor
+        step passes its factor j and marginal rho, set in place of j's Gram
+        matrix.  Each rho_j is a Gram matrix, Hermitian to rounding, or the
+        Hermitian part of a congruence, so none is checked: eigvalsh reads
+        its lower triangle, _step_matrix its upper one (through a reversal).
 
         Each dimension group takes one stacked eigvalsh.  LAPACK solves each
         matrix of a stack on its own, exactly as it solves that matrix alone,
@@ -593,7 +597,7 @@ class _Iterate:
         trace_distance on the same marginals, real or complex.
         """
         stacks = self.grams(j)
-        if j is not None:
+        if rho is not None:
             g, t = self.slots[j]
             stacks[g][t] = rho
         d = len(self.roots)
@@ -602,14 +606,24 @@ class _Iterate:
             spread = np.add.reduce(np.abs(np.linalg.eigvalsh(stack - diags)), axis=1)
             for k, rho_k, dist in zip(factors, stack, spread.tolist()):
                 rhos[k], dists[k] = rho_k, dist
-        self.rhos, self.dists = rhos, dists
+        self.stacks, self.rhos, self.dists = stacks, rhos, dists
 
 
-def _step_matrix(rho: np.ndarray, root: np.ndarray) -> np.ndarray:
+def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
     """The Borel step: upper-triangular A with (A rho A^dagger) =
-    diag(root)**2 for the root vector of the target and the Hermitian rho."""
-    # scaling the rows of inv(R) is the diagonal product, entry by entry
-    return np.linalg.inv(_upper_cholesky(rho)) * root[:, None]
+    diag(root)**2 for the root vector of the target and the Hermitian rho,
+    from one Cholesky call on [[J rho J, I], [I, c I]], J the coordinate
+    reversal and c = 2**900.  For J rho J = L L^dagger, the factor's
+    lower-left block is inv(L)^dagger, upper triangular with exact zeros, and
+    inv(R) = J inv(L) J for R = J L J, upper_cholesky's factor.  The block c I
+    - inv(rho) fails only if 1 / lambda_min(rho) > c.  blocks, the caller's
+    own, keeps the matrix per dimension and dtype, refilled on every call."""
+    n, key = len(rho), (len(rho), rho.dtype)
+    if key not in blocks:
+        blocks[key] = np.kron([[0, 1], [1, 2.0**900]], np.eye(n)).astype(rho.dtype)
+    blocks[key][:n, :n] = rho[::-1, ::-1]
+    x = np.linalg.cholesky(blocks[key])[n:, :n]
+    return x.conj().T[::-1, ::-1] * root[:, None]  # rows of inv(R), scaled
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -631,7 +645,7 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     if abs(y.norm() - 1.0) > 1e-6:
         raise ValueError(f"g . x must have unit norm, got {y.norm():.6g}")
     it = _Iterate(y, p)
-    _check_start(it.rhos)
+    _check_start(it.stacks)
     j, a = it.rule()
     g_new = [np.asarray(m) for m in g]
     g_new[j] = a @ g_new[j]
@@ -710,7 +724,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     it = _Iterate(x0, p_active, norm_x0)
     # scale-free (relative to each trace): the normalized start's marginals serve
     try:
-        _check_start(it.rhos)
+        _check_start(it.stacks)
     except SingularMarginalError:
         return obstruction(lambda: full(identity_group(x0.dims)))
 

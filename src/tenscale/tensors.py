@@ -7,10 +7,10 @@ matrix that acts on a tensor follows the same rule, so real data is scaled
 in real arithmetic, and a complex result comes only from complex data.
 Factor 0 is distinguished: group tuples act on factors 1..d only and leave
 factor 0 untouched.  Every flattening reads the one order of _front_orders.
-Layout rule: contract reads a row-major array as (P, n_i, Q) and returns a
-row-major image without moving an axis, so the scaling iterate and each
-Tensor built from an image stay C-contiguous, and the next contraction or
-flattening reads them without a transposed copy.
+Layout rule: a Tensor stores a row-major copy, and contract reads a
+row-major array as (P, n_i, Q) and returns a row-major image without moving
+an axis, so the scaling iterate stays C-contiguous, and the next contraction
+or flattening reads it without a transposed copy.
 
 Factors are labeled 0..d throughout; the scaled factors carry the 1-based
 labels 1..d used in the rest of the package.
@@ -67,7 +67,8 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(_real_if_real(self.data))  # a copy: the caller's stays writable
+        # a row-major copy: the caller's stays writable, and sums read one order
+        data = np.array(_real_if_real(self.data), order="C")
         if data.ndim < 2:
             raise ValueError("a tensor needs factor 0 plus at least one scaled factor")
         if any(n < 1 for n in data.shape):
@@ -105,7 +106,7 @@ class Tensor:
         norm = float(np.linalg.norm(self.data))
         if _SQRT_TINY <= norm < math.inf:
             return norm
-        parts = self.data.ravel(order="K").view(float)
+        parts = self.data.ravel().view(float)
         top = float(np.max(np.abs(parts)))
         if top == 0.0:
             return 0.0
@@ -114,7 +115,7 @@ class Tensor:
     def is_gaussian_integer(self) -> bool:
         """True when every entry has integer real and imaginary parts, read
         in one pass over their float view (a real tensor's own entries)."""
-        parts = self.data.ravel(order="K").view(float)
+        parts = self.data.ravel().view(float)
         return bool(np.all(parts == np.round(parts)))
 
     def entry_bitsize(self) -> int:
@@ -123,7 +124,7 @@ class Tensor:
         For Gaussian-integer tensors this is the exact bit length; for other
         inputs the magnitude is rounded up first.
         """
-        top = float(np.max(np.abs(self.data.ravel(order="K").view(float))))
+        top = float(np.max(np.abs(self.data.ravel().view(float))))
         return max(1, int(np.ceil(top)).bit_length())
 
 

@@ -192,9 +192,10 @@ class TestExactDispatch:
         x = ts.Tensor(rng.integers(-9, 10, size=(2, 2, 2))
                       + 1j * rng.integers(-9, 10, size=(2, 2, 2)))
         self.check(x, einsum_calls, exact=True)
-        # entries laid out in another memory order, as apply_group leaves them
+        # entries given in another memory order: the Tensor stores them
+        # row-major, so the evaluator reads the same layout
         y = ts.Tensor(np.asfortranarray(x.data))
-        assert not y.data.flags.c_contiguous
+        assert y.data.flags.c_contiguous and np.array_equal(y.data, x.data)
         self.check(y, einsum_calls, exact=True)
 
     def test_non_integer_tensor_skips_einsum(self, einsum_calls, rng):

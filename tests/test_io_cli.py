@@ -113,8 +113,9 @@ class TestTensorJson:
         for shape in [(1, 2, 2), (2, 3, 2, 4), (3, 1, 5), (1, 4, 4, 4)]:
             values = rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
             values[rng.random(shape) < 0.7] = 0
+            # a Tensor stores either input order row-major
             x = ts.Tensor(np.asarray(values, order=order))
-            assert x.data.flags[f"{order}_CONTIGUOUS"]
+            assert x.data.flags.c_contiguous
             assert io.dumps_canonical(io.tensor_to_obj(x)) \
                 == io.dumps_canonical(walked_tensor_obj(x))
 

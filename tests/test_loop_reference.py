@@ -3,18 +3,20 @@
 The reference below is the loop rebuilt from public functions: it re-wraps
 the iterate in a Tensor every step, measures each distance as
 trace_distance does but in the marginal's own dtype, real for real data as
-in the engine, and factors the chosen marginal by the reversed Cholesky
-with no singularity rule, which only the start's marginals meet.  Its
-step follows the engine's one-pass rule: the iterate is stepped with
+in the engine, and builds the step matrix from one Cholesky factorization
+of the block matrix [[J rho J, I], [I, 2**900 I]], J the coordinate
+reversal, with no singularity rule, which only the start's marginals meet.
+Its step follows the engine's one-pass rule: the iterate is stepped with
 apply_factor(a, ...), which leaves it at unit norm as a rho a^dagger has
-the target's trace 1, the stepped factor's marginal is the Hermitian part of
-that congruence and every other one is a fresh marginal.  A halt measures
-its witness first and resyncs only after a rejection; once a witness has
-failed, each later halt resyncs first and measures the witness only if the
-resync passes.  The engine does the same arithmetic on raw arrays, so it
-must match the reference bit for bit in verdict, step count, budget, group
-and every step's factor and distances.  The capacity is compared within
-1e-12 relative.
+the target's trace 1.  On formats the engine gathers, every marginal is then
+a fresh marginal; on larger ones, the stepped factor's marginal is the
+Hermitian part of that congruence and every other one is a fresh marginal.
+A halt measures its witness first and resyncs only after a rejection; once
+a witness has failed, each later halt resyncs first and measures the
+witness only if the resync passes.  The engine does the same arithmetic on
+raw arrays, so it must match the reference bit for bit in verdict, step
+count, budget, group and every step's factor and distances.  The capacity
+is compared within 1e-12 relative.
 """
 import math
 import random
@@ -37,8 +39,15 @@ def ref_distances(rhos, p):
 
 
 def ref_step_matrix(rho, target):
-    upper = np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
-    return np.diag(np.sqrt(target)) @ np.linalg.inv(upper)
+    # with J rho J = L L^dagger, the factor's lower-left block is
+    # inv(L)^dagger, and R = J L J is the upper factor with R R^dagger = rho
+    n = len(rho)
+    block = np.zeros((2 * n, 2 * n), dtype=rho.dtype)
+    block[:n, :n] = rho[::-1, ::-1]
+    block[n:, :n] = block[:n, n:] = np.eye(n)
+    block[n:, n:] = 2.0 ** 900 * np.eye(n)
+    inv_upper = np.linalg.cholesky(block)[n:, :n].conj().T[::-1, ::-1]
+    return np.diag(np.sqrt(target)) @ inv_upper
 
 
 def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
@@ -56,6 +65,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
     y = ts.Tensor(x0.data / scale)
     rhos = ref_marginals(y)
     targets = [p.ascending(i) for i in range(1, d + 1)]
+    gathers = d * math.prod(x0.shape) <= ts.scaling.GATHER_MAX_ENTRIES
     limit = cfg.max_iters if cfg.max_iters is not None else budget
     trace = []
     rejected = False
@@ -94,9 +104,10 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
         y = ts.apply_factor(a, i, y)
         borel[i - 1] = a @ borel[i - 1]
         rhos = ref_marginals(y)
-        stepped += stepped.conj().T
-        stepped *= 0.5
-        rhos[i - 1] = stepped
+        if not gathers:
+            stepped += stepped.conj().T
+            stepped *= 0.5
+            rhos[i - 1] = stepped
         # the step leaves y normalized up to rounding: the capacity reads 1
         cap = ref_capacity(borel, p, 1.0) if cfg.log_capacity else math.nan
         trace.append(ts.IterationRecord(i, tuple(dists), cap))
@@ -213,6 +224,8 @@ def gaussian_integer_tensor(shape, seed):
     # complex data: the loop runs in complex128, bit for bit as the reference
     (gaussian_integer_tensor((2, 3, 3, 3), 8), "nonuniform", 1e-3, 8),
     (gaussian_integer_tensor((2, 3, 3, 3), 9), "zero", 1e-3, 9),
+    # past GATHER_MAX_ENTRIES: the stepped marginal is the step's congruence
+    ((2, 12, 12, 12), "uniform", 1e-3, 10),
 ])
 def test_matches_tensor_level_loop(rng, shape, target, eps, seed):
     if isinstance(shape, ts.Tensor):

@@ -86,6 +86,30 @@ def test_no_module_imports_numpy_private_code():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def inverse_uses(source: str) -> list[int]:
+    """Lines that name a general inverse ``inv``: np.linalg.inv, linalg.inv
+    or an import of inv, by plain or attribute name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "inv"
+                  or isinstance(node, ast.Name) and node.id == "inv"
+                  or isinstance(node, ast.alias) and node.name == "inv")
+
+
+def test_guard_sees_inverse_uses():
+    assert inverse_uses("import numpy as np\n"
+                        "a = np.linalg.inv(b)\n"
+                        "from numpy.linalg import inv, cholesky\n"
+                        "c = inv(d) @ np.linalg.pinv(e)\n"
+                        "f = scipy.linalg.inv\n"
+                        "g = inverse(h)\n") == [2, 3, 4, 5]
+
+
+def test_scaling_takes_no_general_inverse():
+    # the step matrix's inverse factor comes from its one block Cholesky
+    # call; a general inverse would add a LAPACK call to every step
+    assert inverse_uses((PACKAGE / "scaling.py").read_text()) == []
+
+
 def unbounded_caches(source: str) -> list[int]:
     """Lines that build a functools cache without a finite maxsize:
     ``cache`` itself, or ``lru_cache`` called with maxsize None."""

@@ -222,7 +222,8 @@ def gate_passed_case(n, log_low, seed):
 
 class TestFactorizationsAfterTheGate:
     """_assert_nonsingular is the one singularity check: on every rho it
-    passes, the loop's Cholesky kernel succeeds without a check of its own."""
+    passes, the loop's block Cholesky step and upper_cholesky's kernel
+    succeed without a check of their own."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 6), log_low=st.floats(-11.0, 0.0),
@@ -239,6 +240,10 @@ class TestFactorizationsAfterTheGate:
         assert np.linalg.norm(r @ r.conj().T - rho) \
             <= 1e-8 * np.linalg.norm(rho)
         assert np.array_equal(ts.upper_cholesky(rho), r)
+        a = ts.scaling._step_matrix(rho, np.ones(n), {})
+        assert np.all(np.isfinite(a)) and not np.tril(a, -1).any()
+        assert np.linalg.norm(a @ rho @ a.conj().T - np.eye(n)) \
+            <= 1e-14 * np.linalg.cond(rho)
 
     def test_cases_reach_ten_times_the_threshold(self):
         # the strategy's far end: lambda_min / tr below 10 * SINGULARITY_RTOL,
@@ -270,6 +275,137 @@ class TestAssertNonsingular:
                     ts.scaling._assert_nonsingular(rho)
         with pytest.raises(ts.SingularMarginalError):
             ts.scaling._assert_nonsingular(np.zeros((2, 2)))
+
+    def test_start_check_says_what_each_matrix_check_says(self):
+        # one stacked eigvalsh per stack: LAPACK solves each matrix of a
+        # stack as it solves it alone, so each matrix passes or fails with
+        # the message its own check gives
+        stack = np.stack([1e-9 * np.eye(3), np.diag([1e6, 1.0, 1e-7]),
+                          np.diag([3.0, 2.0, 1e-3])]).astype(complex)
+        with pytest.raises(ts.SingularMarginalError) as alone:
+            ts.scaling._assert_nonsingular(stack[1])
+        with pytest.raises(ts.SingularMarginalError) as stacked:
+            ts.scaling._check_start([np.eye(2)[None], stack])
+        assert str(stacked.value) == str(alone.value)
+        ts.scaling._check_start([np.eye(2)[None], stack[::2]])
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 12, 48):
+            g = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+            stack = g @ g.conj().swapaxes(1, 2)
+            assert np.linalg.eigvalsh(stack)[:, 0].tolist() == \
+                [np.linalg.eigvalsh(rho)[0] for rho in stack]
+
+
+def conditioned_case(n, cond, dtype, seed):
+    """A Hermitian rho of the given dtype with random eigenvectors whose
+    eigenvalues spread log-uniformly from 1 / cond to 1, both ends taken."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if dtype == complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(g)
+    spectrum = np.sort(10.0 ** rng.uniform(-math.log10(cond), 0.0, n))
+    spectrum[0], spectrum[-1] = 1.0 / cond, 1.0
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+class TestBlockStepMatrix:
+    """_step_matrix takes inv(R), R the upper Cholesky factor, from one
+    Cholesky call on a block matrix, with buffers that its caller owns."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    def test_matches_the_inverse_of_the_upper_factor(self, dtype, cond):
+        # both are inverses of triangular factors of rho, so they agree to
+        # rounding times the condition number: about 1e-15 relative for a
+        # well-conditioned rho
+        for n in range(1, 49):
+            rho = conditioned_case(n, cond, dtype, seed=n)
+            got = ts.scaling._step_matrix(rho, np.ones(n), {})
+            want = np.linalg.inv(ts.scaling._upper_cholesky(rho))
+            assert got.dtype == rho.dtype
+            assert not np.tril(got, -1).any()  # upper triangular, exactly
+            assert np.all(got.diagonal().real > 0)
+            assert np.linalg.norm(got - want) \
+                <= 1e-15 * max(cond, 4.0) * np.linalg.norm(want)
+            # and both fix the marginal to the same bound
+            for a in (got, want):
+                assert np.linalg.norm(a @ rho @ a.conj().T - np.eye(n)) \
+                    <= 1e-14 * max(cond, 4.0)
+
+    def test_rows_take_the_target_root(self):
+        rho = conditioned_case(4, 1e3, complex, seed=0)
+        root = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4]))
+        blocks = {}
+        a = ts.scaling._step_matrix(rho, root, blocks)
+        assert np.array_equal(a, ts.scaling._step_matrix(rho, np.ones(4), {})
+                              * root[:, None])
+        assert np.linalg.norm(a @ rho @ a.conj().T - np.diag(root**2)) <= 1e-12
+        # one buffer per dimension and dtype, reused by the next call
+        assert list(blocks) == [(4, np.dtype(complex))]
+        block = blocks[4, np.dtype(complex)]
+        ts.scaling._step_matrix(rho.real.copy(), root, blocks)
+        ts.scaling._step_matrix(rho, root, blocks)
+        assert blocks[4, np.dtype(complex)] is block and len(blocks) == 2
+
+    def test_trailing_block_bounds_the_smallest_eigenvalue(self):
+        # c = 2**900: the trailing block c I - inv(rho) is positive definite
+        # while 1 / lambda_min(rho) < c, where the plain factor still exists
+        ok = ts.scaling._step_matrix(np.diag([1.0, 2.0**-890]), np.ones(2), {})
+        assert np.array_equal(ok, np.diag([1.0, 2.0**445]))
+        rho = np.diag([1.0, 2.0**-950])
+        assert np.all(np.isfinite(ts.scaling._upper_cholesky(rho)))
+        with pytest.raises(np.linalg.LinAlgError):
+            ts.scaling._step_matrix(rho, np.ones(2), {})
+
+    def test_rho_not_positive_definite_is_a_breakdown_naming_its_step(self, rng):
+        x = random_integer_tensor((1, 3, 3, 3), rng)
+        it = ts.scaling._Iterate(x, ts.TargetSpectrum.uniform((3, 3, 3)),
+                                 x.norm())
+        for _ in range(2):
+            it.step(*it.rule())
+        j = it.dists.index(max(it.dists))
+        it.rhos[j] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(ts.NumericBreakdownError,
+                           match=r"factorization failed at step 3$") as info:
+            it.rule()
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_iterates_stepped_in_alternation_match_lone_runs(self, rng):
+        # three iterates of one format, two real and one complex: their
+        # buffers are their own, so interleaving their steps changes nothing
+        shape = (1, 3, 3, 3)
+        starts = [random_integer_tensor(shape, rng).data.real,
+                  random_integer_tensor(shape, rng).data.real,
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),) * 3)
+
+        def fresh():
+            return [ts.scaling._Iterate(ts.Tensor(x), p, float(np.linalg.norm(x)))
+                    for x in starts]
+
+        def state(it):
+            return it.y, it.group, it.dists, it.capacity
+
+        alone = []
+        for it in fresh():
+            for _ in range(12):
+                it.step(*it.rule())
+            alone.append(state(it))
+        its = fresh()
+        for _ in range(12):
+            for it in its:
+                it.step(*it.rule())
+        for it, want in zip(its, alone):
+            got = state(it)
+            assert np.array_equal(got[0], want[0])
+            assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+            assert got[2:] == want[2:]
+        buffers = [b for it in its for b in it.blocks.values()]
+        assert len(buffers) == 3
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(buffers)
+                       for b in buffers[k + 1:])
 
 
 class TestIterationBudget:
@@ -422,9 +558,9 @@ class TestScalingStep:
                              ts.ScalingConfig(epsilon=1e-9, seed=0,
                                               max_iters=40))
         assert rep.verdict == ts.SCALED and calls["measure"] > rep.iterations
-        # one dimension group: one solve per measurement, and one per start
-        # marginal
-        assert calls["eigvalsh"] == calls["measure"] + 3
+        # one dimension group: one solve per measurement, and one stacked
+        # solve for the start's marginals
+        assert calls["eigvalsh"] == calls["measure"] + 1
         assert calls["det"] == 0
 
     @pytest.mark.parametrize("top,iterations", [(F(1, 2), 0), (F(999, 1000), 1)])
@@ -542,13 +678,15 @@ def track_step_drift(monkeypatch) -> list[float]:
 
 class TestOnePassStep:
     """A step contracts once with the Borel step a, which leaves the iterate
-    at unit norm, and takes the stepped factor's marginal from the
-    congruence a rho a^dagger."""
+    at unit norm.  The gather takes the stepped factor's marginal from its
+    one stacked Gram product; the per-factor path from the congruence
+    a rho a^dagger."""
 
     @pytest.mark.parametrize("shape", flattening_shapes())
     def test_congruence_marginal_matches_the_measured_one(self, rng, shape):
         # a Gaussian start is well conditioned: step each factor once and
-        # compare every marginal with a fresh tensors.marginal
+        # compare every marginal with a fresh tensors.marginal, bit for bit
+        # where the engine gathers
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         p = paired_target(shape[1:])
         it = ts.scaling._Iterate(ts.Tensor(x), p)
@@ -559,14 +697,15 @@ class TestOnePassStep:
         g, i, _ = ts.scaling_step(ts.identity_group(y0.dims), y0, p)
         first = ts.scaling._Iterate(y0, p)
         assert np.array_equal(g[i - 1], ts.scaling._step_matrix(
-            first.rhos[i - 1], first.roots[i - 1]) @ np.eye(shape[i]))
+            first.rhos[i - 1], first.roots[i - 1], {}) @ np.eye(shape[i]))
         for j in range(len(shape) - 1):
-            it.step(j, ts.scaling._step_matrix(it.rhos[j], it.roots[j]))
+            it.step(j, ts.scaling._step_matrix(it.rhos[j], it.roots[j],
+                                               it.blocks))
             y = ts.Tensor(it.y)
             assert abs(y.norm() - 1.0) <= 1e-12
             for i in range(1, len(shape)):
                 measured = ts.marginal(y, i)
-                if i == j + 1:
+                if i == j + 1 and it.index is None:
                     err = np.linalg.norm(it.rhos[j] - measured)
                     assert err <= 1e-12 * np.linalg.norm(measured)
                     assert np.array_equal(it.rhos[j], it.rhos[j].conj().T)
@@ -592,7 +731,7 @@ class TestOnePassStep:
             raise AssertionError("a step took a norm")
 
         matmul = np.matmul
-        a = ts.scaling._step_matrix(it.rhos[1], it.roots[1])
+        a = ts.scaling._step_matrix(it.rhos[1], it.roots[1], it.blocks)
         monkeypatch.setattr(np, "matmul", counted_matmul)
         monkeypatch.setattr(np.linalg, "norm", no_norm)
         it.step(1, a)
@@ -951,16 +1090,17 @@ class TestRunScaling:
     def test_failed_step_factorization_is_a_numeric_breakdown(self, monkeypatch):
         # no step changes a marginal's rank, so a Cholesky failure after the
         # start is rounding: a numeric breakdown naming its step, never a
-        # singular marginal or a NOT_IN_POLYTOPE answer
-        factor, calls = ts.scaling._upper_cholesky, []
+        # singular marginal or a NOT_IN_POLYTOPE answer.  The step matrix's
+        # block factorization is the loop's only Cholesky call
+        factor, calls = np.linalg.cholesky, []
 
-        def failing_third(rho):
-            calls.append(rho)
+        def failing_third(block):
+            calls.append(block)
             if len(calls) == 3:
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return factor(rho)
+            return factor(block)
 
-        monkeypatch.setattr(ts.scaling, "_upper_cholesky", failing_third)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_third)
         x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
                                dtype=complex))
         cfg = ts.ScalingConfig(epsilon=1e-6, seed=0, max_iters=50)

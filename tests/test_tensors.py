@@ -1,5 +1,6 @@
 """Tensor substrate: flattenings, marginals, spectra, group actions."""
 import warnings
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ class TestDtypeRule:
         x = ts.Tensor(data)
         assert x.data.dtype == np.float64 and x.data.flags.c_contiguous
         assert np.array_equal(x.data, np.real(np.asarray(data)))
+
+    def test_fortran_order_input_runs_as_its_c_order_copy(self):
+        # a Tensor stores a row-major copy, so norm sums in one order and a
+        # run's rounding does not depend on the caller's layout; the first
+        # of these random tensors whose raw norms differ by layout is used
+        rng = np.random.default_rng(5)
+        data = next(a for a in (rng.standard_normal((8, 3, 3, 3))
+                                for _ in range(100))
+                    if np.linalg.norm(np.asfortranarray(a)) != np.linalg.norm(a))
+        x, y = ts.Tensor(np.ascontiguousarray(data)), ts.Tensor(np.asfortranarray(data))
+        assert y.data.flags.c_contiguous and np.array_equal(x.data, y.data)
+        assert x.norm().hex() == y.norm().hex()
+        p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),) * 3)
+        cfg = ts.ScalingConfig(epsilon=1e-6, seed=0, max_iters=2000)
+        got, want = ts.run_scaling(y, p, cfg), ts.run_scaling(x, p, cfg)
+        assert (got.verdict, got.iterations, got.trace) == \
+            (want.verdict, want.iterations, want.trace)
+        assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
 
     def test_zero_imaginary_part_drops_to_its_real_part(self):
         data = np.array([[[1, -2], [3, 0]]], dtype=complex)
