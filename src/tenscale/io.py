@@ -253,7 +253,7 @@ def report_to_obj(report: ScalingReport) -> dict:
         "budgetT": report.budget,
         "epsilon": report.epsilon,
         "trace": [{"i": rec.index - 1,
-                   "eps": [float(e) for e in rec.distances],
+                   "frobenius": [float(e) for e in rec.frobenius],
                    "capacity": float(rec.capacity)}
                   for rec in report.trace],
         "group": group_to_obj(report.group),

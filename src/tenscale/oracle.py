@@ -4,9 +4,11 @@ Every decision here is a promise answer: IN ships the witness of a SCALED
 run, and rests on the engine's single from-scratch check of that witness
 (the group applied to the input and every marginal measured again), while
 EPS_FAR only records that no run among the seeded repetitions reached the
-requested accuracy.  Every decision scales random starts g0 . x, on which
-the engine's per-run success probability on members is at least 1/2, so R
-repetitions push the failure probability of any decision below 2**-R.
+requested accuracy.  Every decision scales random starts g0 . x.  With
+rand_range="theoretical" and the full budget T, a run on a member succeeds
+with probability at least 1/2, so R repetitions fail below 2**-R.  Neither
+the default range 2**16, far below the theoretical one, nor a max_iters cap
+keeps that bound.
 """
 from __future__ import annotations
 

@@ -1,17 +1,17 @@
 """Alternating scaling of tensors to prescribed one-body marginal spectra.
 
 The engine drives an upper-triangular (Borel) update loop: after an initial
-random integer basis change, the factor whose marginal is farthest from its
-target is fixed exactly by a triangular (Cholesky) factorization, until every
-marginal is within the requested trace distance or the iteration budget runs
-out.  Rank obstructions detected after the randomization yield a
-not-in-polytope verdict.  Each failure has one rule: _check_start decides
-singularity, once, on the (restricted) start's marginals, as no step, an
-invertible triangular map, changes a marginal's rank; _Iterate breakdown, a
-norm ||y|| of the start or of a resync whose reciprocal leaves the float
-range, a non-finite group factor or a step whose Cholesky fails; any other
-overflow, where it is computed (_to_float, apply_group, compose_group,
-mps_tensor).
+random integer basis change, a factor more than the tolerance from its
+target in trace distance (see _Iterate.rule) is fixed exactly by a
+triangular (Cholesky) factorization, until every marginal is within the
+requested trace distance or the iteration budget runs out.  Rank
+obstructions detected after the randomization yield a not-in-polytope
+verdict.  Each failure has one rule: _check_start decides singularity, once,
+on the (restricted) start's marginals, as no step, an invertible triangular
+map, changes a marginal's rank; _Iterate breakdown, a norm ||y|| of the
+start or of a resync whose reciprocal leaves the float range, a non-finite
+group factor or a step whose Cholesky fails; any other overflow, where it is
+computed (_to_float, apply_group, compose_group, mps_tensor).
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
@@ -198,12 +198,12 @@ class ScalingConfig:
 
 @dataclass
 class IterationRecord:
-    """One scaling step: chosen factor (1-based), trace distances of all
-    marginals before the step, and the capacity the iterate carries after it
-    (nan when log_capacity is off)."""
+    """One scaling step: chosen factor (1-based), Frobenius distances of all
+    marginals to their targets before the step, which the rule reads first,
+    and the capacity the iterate carries after it (nan with log_capacity off)."""
 
     index: int
-    distances: tuple[float, ...]
+    frobenius: tuple[float, ...]
     capacity: float
 
 
@@ -468,9 +468,9 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
-    folded into group[0], and y's last measurement: marginals rhos and
-    distances dists to the target diagonals.  All of them take x0's dtype:
-    the Borel step of a real iterate is real, so real data runs real.
+    folded into group[0], the loop's tolerance epsilon and y's last measurement:
+    marginals rhos, Frobenius distances frob to the targets and, on first read,
+    trace distances dists, all in x0's dtype (a real iterate's Borel step is real).
 
     A step makes one pass over y, the contraction with the Borel step a:
     tr(a rho_j a^dagger), the stepped iterate's squared norm, is the sum of
@@ -491,8 +491,10 @@ class _Iterate:
     renormalize divides out and each step's prod |a_kk| ** exponents[j][k].
     """
 
-    def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0):
+    def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0,
+                 epsilon: float = math.inf):
         shape, dtype = x0.shape, x0.data.dtype
+        self.epsilon = epsilon
         asc = [p.ascending(i) for i in range(1, len(shape))]
         self.groups, self.slots = [], {}
         for g, factors in enumerate(_dimension_groups(shape)):
@@ -548,11 +550,17 @@ class _Iterate:
         rho *= 0.5
         self.measure(j, rho)
 
+    def halts(self) -> bool:
+        """Whether every Frobenius, then every trace distance is within epsilon."""
+        return max(self.frob) <= self.epsilon and max(self.dists) <= self.epsilon
+
     def rule(self) -> tuple[int, np.ndarray]:
-        """The step rule: the 0-based factor j farthest from its target (the
-        lowest on ties) and the _step_matrix that fixes its marginal, whose
-        failed factorization is a numeric breakdown (see _check_start)."""
-        j = self.dists.index(max(self.dists))
+        """The step rule: the 0-based factor j with the largest Frobenius
+        distance if it exceeds epsilon (||A||_F <= ||A||_tr), else the largest
+        trace distance, the lowest on ties, and the _step_matrix that fixes its
+        marginal, whose failed factorization is a numeric breakdown."""
+        dists = self.frob if max(self.frob) > self.epsilon else self.dists
+        j = dists.index(max(dists))
         try:
             return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks)
         except np.linalg.LinAlgError as exc:
@@ -584,29 +592,38 @@ class _Iterate:
 
     def measure(self, j: int | None = None, rho: np.ndarray | None = None
                 ) -> None:
-        """Set stacks, rhos and dists from the raw iterate.  A per-factor
-        step passes its factor j and marginal rho, set in place of j's Gram
-        matrix.  Each rho_j is a Gram matrix, Hermitian to rounding, or the
-        Hermitian part of a congruence, so none is checked: eigvalsh reads
-        its lower triangle, _step_matrix its upper one (through a reversal).
-
-        Each dimension group takes one stacked eigvalsh.  LAPACK solves each
-        matrix of a stack on its own, exactly as it solves that matrix alone,
-        and each row's sum of absolute eigenvalues is the same reduction as
-        np.sum over one spectrum, so the distances agree bit for bit with
-        trace_distance on the same marginals, real or complex.
-        """
+        """Set stacks, rhos and frob (one reduction per dimension group, the
+        same bits as over each matrix alone) from the raw iterate.  A
+        per-factor step passes its factor j and marginal rho, set in place of
+        j's Gram matrix.  Each rho_j is a Gram matrix, Hermitian to rounding,
+        or the Hermitian part of a congruence, so none is checked: eigvalsh
+        reads its lower triangle, _step_matrix its upper one."""
         stacks = self.grams(j)
         if rho is not None:
             g, t = self.slots[j]
             stacks[g][t] = rho
         d = len(self.roots)
-        rhos, dists = [None] * d, [0.0] * d
+        rhos, frob = [None] * d, [0.0] * d
         for (factors, diags), stack in zip(self.groups, stacks):
-            spread = np.add.reduce(np.abs(np.linalg.eigvalsh(stack - diags)), axis=1)
-            for k, rho_k, dist in zip(factors, stack, spread.tolist()):
-                rhos[k], dists[k] = rho_k, dist
-        self.stacks, self.rhos, self.dists = stacks, rhos, dists
+            diff = stack - diags
+            norms = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)))
+            for k, rho_k, dist in zip(factors, stack, norms.tolist()):
+                rhos[k], frob[k] = rho_k, dist
+        self.stacks, self.rhos, self.frob, self._dists = stacks, rhos, frob, None
+
+    @property
+    def dists(self) -> list[float]:
+        """The last measurement's trace distances, by one stacked eigvalsh
+        per dimension group on first read: LAPACK solves each matrix of a
+        stack as it solves it alone, and a row's sum is np.sum's reduction, so
+        they equal trace_distance's bits, real or complex."""
+        if self._dists is None:
+            self._dists = [0.0] * len(self.roots)
+            for (factors, diags), stack in zip(self.groups, self.stacks):
+                spread = np.abs(np.linalg.eigvalsh(stack - diags)).sum(axis=1)
+                for k, dist in zip(factors, spread.tolist()):
+                    self._dists[k] = dist
+        return self._dists
 
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
@@ -631,11 +648,12 @@ def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
     """One alternating-minimization step on the unit-norm tensor g . x.
 
     Measures every marginal's trace distance to its target diagonal, raises
-    SingularMarginalError if a marginal fails _check_start, picks the worst
-    factor (smallest label wins ties) and updates that factor of g by the
-    Borel step of either mode (see ScalingConfig), so the chosen marginal
-    becomes exactly the target diagonal.  Returns the updated tuple, the
-    1-based chosen factor, and the measured distances.
+    SingularMarginalError if a marginal fails _check_start, picks the factor
+    farthest in trace distance (the loop's rule at epsilon = inf; smallest
+    label wins ties) and updates that factor of g by the Borel step of either
+    mode (see ScalingConfig), so the chosen marginal becomes exactly the
+    target diagonal.  Returns the updated tuple, the 1-based chosen factor,
+    and the measured trace distances.
     """
     if mode not in (BOREL, PARABOLIC):
         raise ValueError(f"unknown mode {mode!r}")
@@ -721,7 +739,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
 
     if norm_x0 == 0.0:
         return obstruction(lambda: pre, "restricted tensor vanished")
-    it = _Iterate(x0, p_active, norm_x0)
+    it = _Iterate(x0, p_active, norm_x0, epsilon)
     # scale-free (relative to each trace): the normalized start's marginals serve
     try:
         _check_start(it.stacks)
@@ -737,7 +755,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
     def resynced(y: Tensor) -> bool:
         # take y, the loop's group applied to x0, as the iterate
         it.renormalize(y.data, y.norm())
-        return max(it.dists) <= epsilon
+        return it.halts()
 
     with np.errstate(over="ignore", invalid="ignore"):
         # the halt order: until a witness fails, a halt measures the witness
@@ -747,7 +765,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         rejected = False
         while True:
             # each pass's tensor is an argument, freed before the next
-            if max(it.dists) <= epsilon:
+            if it.halts():
                 if not rejected:
                     group = full(it.group)
                     if max(_Iterate(verified_halt(group, x), p).dists) <= cfg.epsilon:
@@ -761,9 +779,9 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
             if it.steps == limit:
                 return report(BUDGET_EXHAUSTED, full(it.group), note)
             j, a = it.rule()
-            dists = tuple(it.dists)
+            frob = tuple(it.frob)
             it.step(j, a)
-            trace.append(IterationRecord(j + 1, dists, it.capacity
+            trace.append(IterationRecord(j + 1, frob, it.capacity
                                          if cfg.log_capacity else math.nan))
 
 

@@ -9,16 +9,30 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tenscale import Tensor
+from tenscale import TargetSpectrum, Tensor
 
 # the benchmark's engine-independent ground truth (bench/truth.py) and its
 # instance generators (bench/workloads.py) serve the tests where they stand
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+
+
+# the loop reference's targets beyond uniform: non-uniform, with zero
+# entries (a restricted run), and on factors of mixed dimensions
+NONUNIFORM = TargetSpectrum(((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                             (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+                             (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))))
+ZERO = TargetSpectrum(((Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+                       (Fraction(2, 3), Fraction(1, 3), Fraction(0)),
+                       (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))))
+MIXED = TargetSpectrum(((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                        (Fraction(3, 5), Fraction(2, 5)),
+                        (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))))
 
 
 def random_integer_tensor(shape, rng, low=-4, high=5) -> Tensor:

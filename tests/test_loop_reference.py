@@ -1,11 +1,14 @@
 """The raw-array scaling loop against a Tensor-level loop on the same rule.
 
 The reference below is the loop rebuilt from public functions: it re-wraps
-the iterate in a Tensor every step, measures each distance as
-trace_distance does but in the marginal's own dtype, real for real data as
-in the engine, and builds the step matrix from one Cholesky factorization
+the iterate in a Tensor every step, measures each Frobenius distance one
+matrix at a time by the engine's formula and each trace distance by
+trace_distance, and builds the step matrix from one Cholesky factorization
 of the block matrix [[J rho J, I], [I, 2**900 I]], J the coordinate
 reversal, with no singularity rule, which only the start's marginals meet.
+It steps the factor with the largest Frobenius distance when that exceeds
+the tolerance; otherwise it solves the trace distances, halts if all are
+within the tolerance and else steps the factor with the largest one.
 Its step follows the engine's one-pass rule: the iterate is stepped with
 apply_factor(a, ...), which leaves it at unit norm as a rho a^dagger has
 the target's trace 1.  On formats the engine gathers, every marginal is then
@@ -15,7 +18,7 @@ A halt measures its witness first and resyncs only after a rejection; once
 a witness has failed, each later halt resyncs first and measures the
 witness only if the resync passes.  The engine does the same arithmetic on
 raw arrays, so it must match the reference bit for bit in verdict, step
-count, budget, group and every step's factor and distances.  The capacity
+count, budget, group and every step's factor and Frobenius distances.  The capacity
 is compared within 1e-12 relative.
 """
 import math
@@ -26,7 +29,14 @@ import numpy as np
 import pytest
 
 import tenscale as ts
-from conftest import random_integer_tensor, ref_capacity, w_tensor
+from conftest import (
+    MIXED,
+    NONUNIFORM,
+    ZERO,
+    random_integer_tensor,
+    ref_capacity,
+    w_tensor,
+)
 
 
 def ref_marginals(y):
@@ -36,6 +46,16 @@ def ref_marginals(y):
 def ref_distances(rhos, p):
     return [ts.trace_distance(rho, np.diag(p.ascending(i)))
             for i, rho in enumerate(rhos, start=1)]
+
+
+def ref_frobenius(rhos, p):
+    # sqrt of the sum of |rho - diag|**2, reduced over one matrix at a time
+    out = []
+    for i, rho in enumerate(rhos, start=1):
+        diff = rho - np.diag(p.ascending(i))
+        out.append(float(np.sqrt(np.add.reduce((diff.conj() * diff).real,
+                                                axis=(0, 1)))))
+    return out
 
 
 def ref_step_matrix(rho, target):
@@ -92,12 +112,18 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
         resync()
         return False
 
+    def ranked():
+        # the Frobenius distances, and the distances the rule ranks: the
+        # trace distances once no Frobenius distance exceeds epsilon
+        frob = ref_frobenius(rhos, p)
+        return frob, frob if max(frob) > epsilon else ref_distances(rhos, p)
+
     for _ in range(limit):
-        dists = ref_distances(rhos, p)
+        frob, dists = ranked()
         if max(dists) <= epsilon:
             if verified_halt():
                 return ts.SCALED, tuple(borel), trace
-            dists = ref_distances(rhos, p)
+            frob, dists = ranked()
         i = int(np.argmax(dists)) + 1
         a = ref_step_matrix(rhos[i - 1], targets[i - 1])
         stepped = a.dot(rhos[i - 1]).dot(a.conj().T)
@@ -110,7 +136,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
             rhos[i - 1] = stepped
         # the step leaves y normalized up to rounding: the capacity reads 1
         cap = ref_capacity(borel, p, 1.0) if cfg.log_capacity else math.nan
-        trace.append(ts.IterationRecord(i, tuple(dists), cap))
+        trace.append(ts.IterationRecord(i, tuple(frob), cap))
 
     if max(ref_distances(rhos, p)) <= epsilon and verified_halt():
         return ts.SCALED, tuple(borel), trace
@@ -175,7 +201,7 @@ def assert_same_run(x, p, cfg):
     assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
     assert len(got.trace) == len(want.trace)
     for new, old in zip(got.trace, want.trace):
-        assert (new.index, new.distances) == (old.index, old.distances)
+        assert (new.index, new.frobenius) == (old.index, old.frobenius)
         if math.isfinite(old.capacity):
             assert new.capacity == pytest.approx(old.capacity, rel=1e-12)
         else:
@@ -183,15 +209,6 @@ def assert_same_run(x, p, cfg):
     return got
 
 
-NONUNIFORM = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
-                                (F(1, 2), F(1, 4), F(1, 4)),
-                                (F(2, 5), F(2, 5), F(1, 5))))
-ZERO = ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
-                          (F(2, 3), F(1, 3), F(0)),
-                          (F(1, 3), F(1, 3), F(1, 3))))
-MIXED = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
-                           (F(3, 5), F(2, 5)),
-                           (F(2, 5), F(2, 5), F(1, 5))))
 TWO_THIRDS = ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3)
 # an unrandomized member whose stepped marginal reads singular in floats
 # after 218 steps; no step changes a rank, so the run goes on to its cap
@@ -322,7 +339,7 @@ def assert_same_general_run(phi, p, cfg):
     assert all(np.array_equal(a, b) for a, b in zip(got.group, want.group))
     assert len(got.trace) == len(want.trace)
     for new, old in zip(got.trace, want.trace):
-        assert (new.index, new.distances) == (old.index, old.distances)
+        assert (new.index, new.frobenius) == (old.index, old.frobenius)
         if math.isfinite(old.capacity):
             assert new.capacity == pytest.approx(old.capacity, rel=1e-12)
         else:

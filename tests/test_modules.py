@@ -4,7 +4,8 @@ functools cache, the scaling loop's kernels leave validation to the public
 entry points, singularity is decided by one check on the start and no
 loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
 is computed, no module calls a dense
-eigendecomposition or determinant, scaling.py makes no transpose call as
+eigendecomposition or determinant, scaling.py solves eigenvalues only in its
+start check and its lazy trace distances, scaling.py makes no transpose call as
 tensors.py owns the flattening's axis order, tensors.contract makes none as
 its images stay row-major, the contraction kernels and
 the loop's state force no complex dtype as tensors._real_if_real holds the one
@@ -515,6 +516,61 @@ def test_no_module_calls_eigh_or_det():
     found = {path.name: named_calls(path.read_text(), DENSE_SOLVERS)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# the step rule ranks factors by Frobenius distance, so scaling.py solves
+# eigenvalues only in the start check and the lazy trace-distance solve
+EIGENSOLVE_OWNERS = {"_check_start", "_assert_nonsingular", "_Iterate.dists"}
+
+
+def eigensolve_uses(source: str) -> list[tuple[str, int]]:
+    """(owner, line) of each use of eigvalsh, by plain or attribute name or
+    an import; the owner is the top-level function, the method as
+    Class.method, the class or "<module>"."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            parts = [(f"{top.name}.{node.name}" if isinstance(node, ast.FunctionDef)
+                      else top.name, node) for node in top.body]
+        else:
+            parts = [(top.name if isinstance(top, ast.FunctionDef) else "<module>",
+                      top)]
+        for owner, part in parts:
+            for node in ast.walk(part):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else \
+                    node.name if isinstance(node, ast.alias) else None
+                if name == "eigvalsh":
+                    found.append((owner, getattr(node, "lineno", part.lineno)))
+    return found
+
+
+def test_guard_sees_eigensolve_uses():
+    assert eigensolve_uses(
+        "import numpy as np\n"
+        "def _check_start(stacks):\n"
+        "    return np.linalg.eigvalsh(stacks[0])\n"
+        "class _Iterate:\n"
+        "    @property\n"
+        "    def dists(self):\n"
+        "        return np.linalg.eigvalsh(self.stacks[0])\n"
+        "    def measure(self):\n"
+        "        self.w = np.linalg.eigvalsh(self.stacks[0])\n"
+        "    def rule(self):\n"
+        "        from numpy.linalg import eigvalsh\n"
+        "def _core_loop(it):\n"
+        "    solve = np.linalg.eigvalsh\n"
+        "def scaling_step(g):\n"
+        "    return eigvalsh(g) + np.linalg.eigvals(g)\n"
+        "low = np.linalg.eigvalsh(np.eye(2))[0]\n") \
+        == [("_check_start", 3), ("_Iterate.dists", 7), ("_Iterate.measure", 9),
+            ("_Iterate.rule", 11), ("_core_loop", 13), ("scaling_step", 15),
+            ("<module>", 16)]
+
+
+def test_scaling_solves_eigenvalues_only_at_the_start_and_for_trace_distances():
+    uses = eigensolve_uses((PACKAGE / "scaling.py").read_text())
+    assert {owner for owner, _ in uses} == EIGENSOLVE_OWNERS
 
 
 # tensors.py owns the flattening's axis order (_front_orders, read by

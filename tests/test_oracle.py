@@ -195,7 +195,7 @@ class TestKronecker:
 
     def test_overflowing_group_is_a_numeric_breakdown(self):
         # far from this point, the accumulated group's third factor leaves
-        # the float range at step 13,361 while the normalized iterate stays
+        # the float range at step 13,362 while the normalized iterate stays
         # finite and no halt check runs; the run stops at that step, not at
         # its cap, and never reports the non-finite group as EPS_FAR evidence;
         # the breakdown is the report, so NumPy warns of no overflow
@@ -204,7 +204,7 @@ class TestKronecker:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(
                     ts.NumericBreakdownError,
-                    match=r"group left the floating-point range at step 13361$"):
+                    match=r"group left the floating-point range at step 13362$"):
                 ts.kronecker_support(
                     ts.KroneckerQuery((4, 2), (3, 3), (2, 2, 2)), 0.01, cfg=cfg,
                     repeats=1)

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import tenscale as ts
 import tracer
 from conftest import (
+    MIXED,
+    NONUNIFORM,
+    ZERO,
     ghz_tensor,
     marginal_bruteforce,
     product_tensor,
@@ -490,25 +493,31 @@ class TestScalingStep:
 
     def test_same_step_rule_as_the_loop(self, rng):
         # factor 2 is the worst; its repeated 1/4 leaves the step of either
-        # mode value upper triangular, the Borel step
+        # mode value upper triangular, the Borel step.  At a tolerance just
+        # above every Frobenius distance, the loop ranks by trace distance,
+        # as scaling_step does at any tolerance
         x = normalized(random_integer_tensor((1, 3, 3), rng))
         p = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 4), F(1, 4))))
         g, i, dists = ts.scaling_step(ts.identity_group((3, 3)), x, p,
                                       ts.PARABOLIC)
         assert i == 2 and not np.tril(g[1], -1).any()
+        frob = [np.linalg.norm(ts.marginal(x, k) - np.diag(p.ascending(k)))
+                for k in (1, 2)]
         rep = ts.run_scaling(x, p, ts.ScalingConfig(
-            epsilon=1e-6, mode=ts.PARABOLIC, randomize=False, max_iters=1))
+            epsilon=max(frob) * (1 + 1e-9), mode=ts.PARABOLIC,
+            randomize=False, max_iters=1))
         (record,) = rep.trace
         assert record.index == i
-        assert np.allclose(record.distances, dists, rtol=1e-12, atol=0)
+        assert np.allclose(record.frobenius, frob, rtol=1e-12, atol=0)
         y = ts.apply_group(g, x)
         assert np.allclose(ts.apply_group(rep.group, x).data,
                            y.data / y.norm(), rtol=0, atol=1e-10)
 
     def test_measure_solves_once_per_dimension(self, rng, monkeypatch):
-        # (1;2,3,2,3) has two distinct factor dimensions: one stacked
-        # eigen-solve each, not one per factor
+        # (1;2,3,2,3) has two distinct factor dimensions: a measurement takes
+        # no eigen-solve, and its first trace-distance read one stacked
+        # solve each, not one per factor
         x = normalized(random_integer_tensor((1, 2, 3, 2, 3), rng))
         p = ts.TargetSpectrum(((F(3, 5), F(2, 5)), (F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 2)), (F(1, 3),) * 3))
@@ -524,12 +533,17 @@ class TestScalingStep:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         it.measure()
+        assert calls == []
+        dists = it.dists
         assert calls == ["eigvalsh"] * 2
+        assert it.dists is dists and calls == ["eigvalsh"] * 2
         monkeypatch.undo()
         for i in range(1, 5):
             rho, diag = ts.marginal(x, i), np.diag(p.ascending(i))
             assert np.array_equal(it.rhos[i - 1], rho)
             assert it.dists[i - 1] == ts.trace_distance(rho, diag)
+            assert it.frob[i - 1] == pytest.approx(np.linalg.norm(rho - diag),
+                                                   rel=1e-14)
 
     def test_borel_run_solves_once_per_measurement(self, monkeypatch):
         # a (1;2,2,2) latin member with uniform target: the start's three
@@ -552,15 +566,23 @@ class TestScalingStep:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
-        monkeypatch.setattr(ts.scaling._Iterate, "measure",
-                            counted("measure", ts.scaling._Iterate.measure))
+        near, measure = [], ts.scaling._Iterate.measure
+
+        def measured(it, *args):
+            calls["measure"] += 1
+            measure(it, *args)
+            near.append(max(it.frob) <= it.epsilon)
+
+        monkeypatch.setattr(ts.scaling._Iterate, "measure", measured)
         rep = ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)),
                              ts.ScalingConfig(epsilon=1e-9, seed=0,
                                               max_iters=40))
         assert rep.verdict == ts.SCALED and calls["measure"] > rep.iterations
-        # one dimension group: one solve per measurement, and one stacked
-        # solve for the start's marginals
-        assert calls["eigvalsh"] == calls["measure"] + 1
+        # one dimension group: one solve for each measurement with every
+        # Frobenius distance within its tolerance (the witness's is inf), none
+        # for the others, and one stacked solve for the start's marginals
+        assert 0 < sum(near) < len(near)
+        assert calls["eigvalsh"] == sum(near) + 1
         assert calls["det"] == 0
 
     @pytest.mark.parametrize("top,iterations", [(F(1, 2), 0), (F(999, 1000), 1)])
@@ -590,6 +612,102 @@ class TestScalingStep:
         assert calls == [(2, 2)] * 3 + ["step"] * iterations
         assert rep.verdict != ts.NOT_IN_POLYTOPE
         assert rep.iterations == iterations
+
+
+class TestStepRule:
+    """The loop steps the factor with the largest Frobenius distance while
+    one exceeds epsilon, and solves trace distances only when none does:
+    ||A||_F <= ||A||_tr, so every stepped factor is epsilon-far in trace
+    distance, the per-step condition behind the budget T."""
+
+    @pytest.mark.parametrize("shape, target, eps, seed", [
+        ((1, 2, 2, 2), "uniform", 1e-3, 0),
+        ((1, 4, 4, 4), "uniform", 1e-3, 1),
+        ((2, 3, 3, 3), "nonuniform", 1e-3, 2),
+        ((2, 3, 3, 3), "zero", 1e-3, 3),
+        ((1, 3, 2, 3), "mixed", 1e-3, 6),
+        ((1, 2, 3, 2), "uniform", 1e-3, 7),
+    ])
+    def test_stepped_factor_is_epsilon_far_in_trace_distance(
+            self, rng, monkeypatch, shape, target, eps, seed):
+        x = random_integer_tensor(shape, rng)
+        p = {"uniform": ts.TargetSpectrum.uniform(x.dims), "zero": ZERO,
+             "nonuniform": NONUNIFORM, "mixed": MIXED}[target]
+        active = ts.restrict_positive(x, p)[1]  # p itself unless it has zeros
+        stepped, step = [], ts.scaling._Iterate.step
+
+        def checked(it, j, a):
+            diag = np.diag(active.ascending(j + 1))
+            stepped.append((ts.trace_distance(it.rhos[j], diag), it.epsilon))
+            step(it, j, a)
+
+        monkeypatch.setattr(ts.scaling._Iterate, "step", checked)
+        rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=eps, seed=seed,
+                                                    max_iters=3000))
+        assert rep.verdict == ts.SCALED and len(stepped) == rep.iterations > 0
+        loop_eps = eps / 2 if p.has_zeros() else eps
+        assert all(e == loop_eps and dist > e for dist, e in stepped)
+
+    def test_far_step_makes_no_eigensolve(self, rng, monkeypatch):
+        x = normalized(random_integer_tensor((1, 2, 3, 2, 3), rng))
+        p = ts.TargetSpectrum(((F(3, 5), F(2, 5)), (F(1, 2), F(1, 3), F(1, 6)),
+                               (F(1, 2), F(1, 2)), (F(1, 3),) * 3))
+        it = ts.scaling._Iterate(x, p, epsilon=1e-3)
+        assert max(it.frob) > it.epsilon
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert not it.halts()
+        j, a = it.rule()
+        assert j == it.frob.index(max(it.frob))
+        it.step(j, a)
+        assert calls == []
+
+    def test_scaling_step_keeps_the_trace_argmax(self):
+        # a start whose largest Frobenius distance (factor 3) is not its
+        # largest trace distance (factor 2): scaling_step runs at an
+        # infinite tolerance, so it ranks by trace distance
+        x = normalized(random_integer_tensor((1, 3, 3, 3),
+                                             np.random.default_rng(0)))
+        p = ts.TargetSpectrum.uniform((3, 3, 3))
+        rhos = [ts.marginal(x, i) for i in (1, 2, 3)]
+        dists = [ts.trace_distance(rho, np.eye(3) / 3) for rho in rhos]
+        frob = [np.linalg.norm(rho - np.eye(3) / 3) for rho in rhos]
+        assert np.argmax(frob) == 2 and np.argmax(dists) == 1
+        _, i, got = ts.scaling_step(ts.identity_group((3, 3, 3)), x, p)
+        assert i == 2 and got == tuple(dists)
+
+    def test_qubit_frobenius_is_the_trace_distance_over_root_two(
+            self, rng, monkeypatch):
+        # a 2x2 trace-zero Hermitian matrix has ||A||_tr = sqrt(2) ||A||_F,
+        # so on qubits both rankings pick the same factor
+        seen, rule = [], ts.scaling._Iterate.rule
+
+        def compared(it):
+            frob, dists = it.frob, it.dists
+            assert frob.index(max(frob)) == dists.index(max(dists))
+            # the stepped factor's distance is rounding-sized; elsewhere the
+            # difference's trace, about 1e-16, moves the ratio to second order
+            seen.extend((f, d) for f, d in zip(frob, dists) if d > 1e-8)
+            return rule(it)
+
+        monkeypatch.setattr(ts.scaling._Iterate, "rule", compared)
+        uniform = ts.TargetSpectrum.uniform((2, 2, 2))
+        for seed in range(3):
+            ts.run_scaling(random_integer_tensor((1, 2, 2, 2), rng), uniform,
+                           ts.ScalingConfig(epsilon=1e-6, seed=seed,
+                                            max_iters=3000))
+            ts.run_scaling(w_tensor(), uniform,
+                           ts.ScalingConfig(epsilon=1e-3, seed=seed,
+                                            max_iters=500))
+        assert len(seen) > 1000
+        assert all(math.sqrt(2) * f == pytest.approx(d, rel=1e-15)
+                   for f, d in seen)
 
 
 def flattening_shapes():
@@ -873,7 +991,7 @@ class TestRunScaling:
         a, b = ts.run_scaling(x, p, cfg), ts.run_scaling(x, p, cfg)
         assert a.verdict == b.verdict and a.iterations == b.iterations
         for ra, rb in zip(a.trace, b.trace):
-            assert ra.distances == rb.distances
+            assert ra.frobenius == rb.frobenius
             assert ra.capacity == rb.capacity
         assert all(np.array_equal(ma, mb) for ma, mb in zip(a.group, b.group))
 
