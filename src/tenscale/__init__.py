@@ -38,14 +38,11 @@ from .oracle import (
 from .partitions import conjugate_partition, is_partition, partitions_of
 from .reduction import (
     ReductionData,
-    borel_homomorphism,
     expand_adjoint,
     expand_matrix,
-    kraus_operator,
     normalized_expand,
     normalized_expand_adjoint,
     reduce_tensor,
-    reduction_matrix,
 )
 from .scaling import (
     BOREL,
@@ -72,14 +69,12 @@ from .scaling import (
     run_general_scaling,
     run_scaling,
     scaling_step,
-    upper_cholesky,
 )
 from .tensors import (
     NonFiniteEntriesError,
     NumericBreakdownError,
     SingularMarginalError,
     Tensor,
-    apply_factor,
     apply_group,
     check_hermitian,
     compose_group,

@@ -86,11 +86,11 @@ def tensor_to_obj(x: Tensor) -> dict:
 
 def _dense_to_array(node: Any, dims: Sequence[int], where: str) -> np.ndarray:
     if not dims:
-        if _number(node) and int(node) == node:
-            return np.array(complex(int(node)))
+        if _number(node, int):
+            return np.array(complex(node))
         if isinstance(node, list) and len(node) == 2 \
-                and all(_number(v) and int(v) == v for v in node):
-            return np.array(complex(int(node[0]), int(node[1])))
+                and all(_number(v, int) for v in node):
+            return np.array(complex(*node))
         raise SchemaError(f"{where}: expected a finite integer or [re, im] pair")
     _require(isinstance(node, list) and len(node) == dims[0], where,
              f"expected a list of length {dims[0]}")
@@ -136,18 +136,9 @@ def load_tensor(path: str) -> Tensor:
         return tensor_from_obj(json.load(fh), where=path)
 
 
-def save_tensor(x: Tensor, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(tensor_to_obj(x)))
-
-
 # --------------------------------------------------------------------------
 # Spectra
 # --------------------------------------------------------------------------
-
-
-def spectrum_to_obj(p: TargetSpectrum) -> dict:
-    return {"parts": [[str(v) for v in vec] for vec in p.parts]}
 
 
 def spectrum_from_obj(obj: Any, where: str = "spectrum") -> TargetSpectrum:
@@ -186,20 +177,9 @@ def load_spectrum(path: str) -> TargetSpectrum:
         return spectrum_from_obj(json.load(fh), where=path)
 
 
-def save_spectrum(p: TargetSpectrum, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(spectrum_to_obj(p)))
-
-
 # --------------------------------------------------------------------------
 # Weight-vector descriptions
 # --------------------------------------------------------------------------
-
-
-def hwv_spec_to_obj(spec: HWVSpec) -> dict:
-    return {"weight": [list(lam) for lam in spec.weight],
-            "indexSeq": list(spec.index_seq),
-            "perms": [list(pi) for pi in spec.perms]}
 
 
 def _entries(node: Any, where: str) -> tuple[int, ...]:

@@ -13,13 +13,12 @@ test oracle for the scaling engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .partitions import as_partition, conjugate_partition
-from .tensors import Tensor, contract
+from .tensors import Tensor
 
 @dataclass(frozen=True)
 class ReductionData:
@@ -69,17 +68,6 @@ def _square(m: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def kraus_operator(rd: ReductionData, j: int) -> np.ndarray:
-    """The j-th Kraus operator (1-based) of the expansion: an ell x n matrix
-    whose j-th row block is the projection to the last mu_j coordinates."""
-    if not 1 <= j <= rd.width:
-        raise ValueError(f"j must be in 1..{rd.width}, got {j}")
-    off, mu = rd._blocks()[j - 1]
-    out = np.zeros((rd.ell, rd.n), dtype=complex)
-    out[off: off + mu, rd.n - mu:] = np.eye(mu)
-    return out
-
-
 def expand_matrix(rd: ReductionData, x: np.ndarray) -> np.ndarray:
     """Completely positive expansion, the Kraus sum over tau_j x tau_j^dagger:
     block j of the diagonal is x's trailing mu_j x mu_j corner.  Injective
@@ -114,28 +102,13 @@ def normalized_expand_adjoint(rd: ReductionData, y: np.ndarray) -> np.ndarray:
     return (scale[:, None] * inner) * scale[None, :]
 
 
-def borel_homomorphism(rd: ReductionData, b: np.ndarray) -> np.ndarray:
-    """Group homomorphism from n x n upper-triangular matrices to ell x ell
-    upper-triangular matrices compatible with the normalized expansion:
-    it maps b to the expansion of Lambda^{-1/2} b Lambda^{1/2}."""
-    b = _square(b, rd.n)
-    scale = np.sqrt(rd.lam_ascending())
-    return expand_matrix(rd, (b / scale[:, None]) * scale[None, :])
-
-
-def reduction_matrix(rd: ReductionData) -> np.ndarray:
-    """Matrix of the isometric-style embedding C^n -> C^width (x) C^ell that
-    stacks e_j (x) tau_j v; reshaping its output to (width, ell) recovers
-    the block picture."""
-    blocks = [kraus_operator(rd, j) for j in range(1, rd.width + 1)]
-    return np.concatenate(blocks, axis=0)
-
-
 def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
     """Expanded tensor of format (n0 * width_1 * ... * width_d; ell, ..., ell).
 
-    Applies the per-factor embedding on every scaled factor and regroups the
-    width indices into factor 0 in row-major order (index0, a1, ..., ad).
+    Applies the per-factor embedding v -> sum_j e_j (x) tau_j v on every
+    scaled factor, by placing blocks with no matrix product, so a real
+    tensor stays real, and regroups the width indices into factor 0 in
+    row-major order (index0, a1, ..., ad).
     """
     try:
         rds = [ReductionData(lam) for lam in lams]
@@ -152,15 +125,22 @@ def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
             raise ValueError(
                 f"partition {rd.lam} has {rd.n} parts, factor has dimension {n}")
 
-    data = y.data
-    for i, rd in enumerate(rds):
-        mat = reduction_matrix(rd)  # (width * ell, n)
-        data = contract(mat, data, i + 1)
+    # the embedding as block placement: coordinate n of each factor is a
+    # zero pad; row r of Kraus block j reads coordinate n - mu_j + (r -
+    # offset_j), every other row the pad.  One gather, with factor i's index
+    # spread over axes i (width) and d + i (ell) of the index shape, puts the
+    # width axes before the ell axes: (n0, a1..ad, ell_1..ell_d)
     d = y.num_factors
-    split = (y.n0,) + tuple(chain.from_iterable((rd.width, ell) for rd in rds))
-    data = data.reshape(split)
-    # bring all width axes forward: (n0, a1..ad, ell_1..ell_d)
-    perm = [0] + [1 + 2 * i for i in range(d)] + [2 + 2 * i for i in range(d)]
-    data = np.transpose(data, perm)
+    padded = np.zeros((y.n0,) + tuple(n + 1 for n in y.dims), y.data.dtype)
+    padded[tuple(map(slice, y.shape))] = y.data
+    index = [slice(None)]
+    for i, rd in enumerate(rds):
+        src = np.full((rd.width, ell), rd.n)
+        for j, (off, mu) in enumerate(rd._blocks()):
+            src[j, off: off + mu] = np.arange(rd.n - mu, rd.n)
+        axes = [1] * (2 * d)
+        axes[i], axes[d + i] = rd.width, ell
+        index.append(src.reshape(axes))
+    data = padded[tuple(index)]
     front = y.n0 * int(np.prod([rd.width for rd in rds]))
     return Tensor(data.reshape((front,) + (ell,) * d))

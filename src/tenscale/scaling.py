@@ -48,7 +48,6 @@ from .tensors import (
     Tensor,
     apply_group,
     compose_group,
-    check_hermitian,
     contract,
     flattening,
     identity_group,
@@ -298,14 +297,13 @@ def _singular(m: np.ndarray) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Triangular factorizations
+# The singularity rule
 # --------------------------------------------------------------------------
 
 
-def _assert_nonsingular(rho: np.ndarray, low: float | None = None) -> None:
-    """Raise SingularMarginalError unless the smallest eigenvalue of rho (low,
-    if given) lies above SINGULARITY_RTOL times its trace."""
-    low = np.linalg.eigvalsh(rho)[0] if low is None else low
+def _assert_nonsingular(rho: np.ndarray, low: float) -> None:
+    """Raise SingularMarginalError unless low, the smallest eigenvalue of
+    rho, lies above SINGULARITY_RTOL times its trace."""
     ref = SINGULARITY_RTOL * np.trace(rho).real
     if low <= ref:
         raise SingularMarginalError(
@@ -318,19 +316,6 @@ def _check_start(stacks: Sequence[np.ndarray]) -> None:
     for stack in stacks:
         for rho, low in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist()):
             _assert_nonsingular(rho, low=low)
-
-
-def upper_cholesky(rho: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with positive diagonal and R @ R^dagger = rho."""
-    rho = check_hermitian(rho)
-    _assert_nonsingular(rho)
-    return _upper_cholesky(rho)
-
-
-def _upper_cholesky(rho: np.ndarray) -> np.ndarray:
-    """upper_cholesky without its checks: the lower Cholesky factor of the
-    coordinate-reversed matrix, reversed back (see _check_start)."""
-    return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
 
 
 # --------------------------------------------------------------------------
@@ -632,7 +617,8 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
     from one Cholesky call on [[J rho J, I], [I, c I]], J the coordinate
     reversal and c = 2**900.  For J rho J = L L^dagger, the factor's
     lower-left block is inv(L)^dagger, upper triangular with exact zeros, and
-    inv(R) = J inv(L) J for R = J L J, upper_cholesky's factor.  The block c I
+    inv(R) = J inv(L) J for R = J L J, the upper-triangular factor with
+    positive diagonal and R R^dagger = rho.  The block c I
     - inv(rho) fails only if 1 / lambda_min(rho) > c.  blocks, the caller's
     own, keeps the matrix per dimension and dtype, refilled on every call."""
     n, key = len(rho), (len(rho), rho.dtype)

@@ -200,14 +200,6 @@ def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
     return out.reshape(before + m.shape[:1] + after)
 
 
-def apply_factor(m: np.ndarray, i: int, x: Tensor) -> Tensor:
-    """Contract matrix ``m`` with factor i (1-based) of ``x``."""
-    m = _real_if_real(m)
-    if not 1 <= i <= x.num_factors or m.ndim != 2 or m.shape[1] != x.shape[i]:
-        raise ValueError(f"matrix shape {m.shape} does not fit factor {i} of {x.shape}")
-    return Tensor(contract(m, x.data, i))
-
-
 def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:
     """Act with the group tuple g on factors 1..d; factor 0 is untouched.
     An image past the float range raises NumericBreakdownError, unwarned."""

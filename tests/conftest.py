@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tenscale import TargetSpectrum, Tensor
+import tenscale as ts
+from tenscale import TargetSpectrum, Tensor, io
 
 # the benchmark's engine-independent ground truth (bench/truth.py) and its
 # instance generators (bench/workloads.py) serve the tests where they stand
@@ -115,6 +116,79 @@ def hwv_bruteforce(spec, x: Tensor) -> complex:
                 break
         total += amp
     return total
+
+
+def upper_cholesky(rho) -> np.ndarray:
+    """Upper-triangular R with positive diagonal and R @ R^dagger = rho: the
+    lower Cholesky factor of the coordinate-reversed matrix, reversed back."""
+    return np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1]
+
+
+def apply_factor(m, i: int, x: Tensor) -> Tensor:
+    """The matrix m acting on factor i (1-based) of x."""
+    return Tensor(ts.contract(m, x.data, i))
+
+
+def kraus_operator(rd, j: int) -> np.ndarray:
+    """The j-th Kraus operator (1-based) of the reduction's expansion: an
+    ell x n matrix whose j-th row block, after mu_1 + ... + mu_{j-1} rows,
+    is the projection to the last mu_j coordinates."""
+    off, mu = sum(rd.mu[:j - 1]), rd.mu[j - 1]
+    out = np.zeros((rd.ell, rd.n), dtype=complex)
+    out[off: off + mu, rd.n - mu:] = np.eye(mu)
+    return out
+
+
+def reduction_matrix(rd) -> np.ndarray:
+    """The embedding C^n -> C^width (x) C^ell that stacks e_j (x) tau_j v."""
+    return np.concatenate([kraus_operator(rd, j)
+                           for j in range(1, rd.width + 1)])
+
+
+def reduce_reference(y: Tensor, lams) -> Tensor:
+    """reduce_tensor as the Kraus sum: one np.tensordot with the reduction
+    matrix per factor, then the width axes moved into factor 0."""
+    rds = [ts.ReductionData(tuple(lam)) for lam in lams]
+    ell = rds[0].ell
+    data = y.data
+    for i, rd in enumerate(rds, start=1):
+        data = np.moveaxis(np.tensordot(reduction_matrix(rd), data,
+                                        axes=([1], [i])), 0, i)
+    d = y.num_factors
+    split = (y.n0,) + tuple(v for rd in rds for v in (rd.width, ell))
+    perm = [0] + [1 + 2 * i for i in range(d)] + [2 + 2 * i for i in range(d)]
+    data = np.transpose(data.reshape(split), perm)
+    front = y.n0 * math.prod(rd.width for rd in rds)
+    return Tensor(data.reshape((front,) + (ell,) * d))
+
+
+def borel_homomorphism(rd, b) -> np.ndarray:
+    """The reduction's map of upper-triangular n x n matrices to ell x ell
+    ones: b to the expansion of Lambda^{-1/2} b Lambda^{1/2}."""
+    scale = np.sqrt(rd.lam_ascending())
+    b = np.asarray(b, dtype=complex)
+    return ts.expand_matrix(rd, (b / scale[:, None]) * scale[None, :])
+
+
+def save_tensor(x: Tensor, path) -> None:
+    """The canonical tensor file the CLI reads."""
+    Path(path).write_text(io.dumps_canonical(io.tensor_to_obj(x)))
+
+
+def spectrum_to_obj(p: TargetSpectrum) -> dict:
+    """The spectrum document io.spectrum_from_obj reads, as fraction strings."""
+    return {"parts": [[str(v) for v in vec] for vec in p.parts]}
+
+
+def save_spectrum(p: TargetSpectrum, path) -> None:
+    Path(path).write_text(io.dumps_canonical(spectrum_to_obj(p)))
+
+
+def hwv_spec_to_obj(spec) -> dict:
+    """The weight-vector description document io.hwv_spec_from_obj reads."""
+    return {"weight": [list(lam) for lam in spec.weight],
+            "indexSeq": list(spec.index_seq),
+            "perms": [list(pi) for pi in spec.perms]}
 
 
 def kl_divergence(p, q) -> float:

@@ -18,6 +18,7 @@ from conftest import (
     pure_state_spectra_gap,
     random_integer_tensor,
     random_upper_triangular,
+    reduction_matrix,
     w_tensor,
 )
 
@@ -353,7 +354,7 @@ def test_criterion_09_reduction_identities_and_cross_oracle():
             det_rhs = ts.character(((tuple(-v for v in reversed(rd.lam))),),
                                    (b,))
             assert abs(det_lhs - det_rhs) <= 1e-12 * max(abs(det_rhs), 1.0)
-            mat = ts.reduction_matrix(rd)
+            mat = reduction_matrix(rd)
             lhs = mat @ b
             rhs = np.kron(np.eye(rd.width), ts.expand_matrix(rd, b)) @ mat
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(b).max())

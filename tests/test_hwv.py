@@ -17,6 +17,7 @@ from conftest import (
     random_integer_tensor,
     random_upper_triangular,
     ref_capacity,
+    upper_cholesky,
     w_tensor,
 )
 
@@ -309,7 +310,7 @@ class TestDivergences:
 
     def test_pinsker_worked_example(self):
         rho = np.array([[2.0, 1], [1, 1]]) / 3
-        r = ts.upper_cholesky(rho)
+        r = upper_cholesky(rho)
         lhs, rhs = pinsker_gap([0.5, 0.5], r)
         assert lhs >= rhs > 0
 

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import tenscale as ts
 from tenscale import cli, io
-from conftest import ghz_tensor, random_integer_tensor, w_tensor
+from conftest import (
+    ghz_tensor,
+    hwv_spec_to_obj,
+    random_integer_tensor,
+    save_spectrum,
+    save_tensor,
+    spectrum_to_obj,
+    w_tensor,
+)
 
 # a CLI run decides values past the float range by its breakdown rules, so
 # no NumPy warning may reach stderr
@@ -66,14 +74,14 @@ def witness_distance(payload, p):
 @pytest.fixture
 def ghz_path(tmp_path):
     path = tmp_path / "ghz.json"
-    io.save_tensor(ghz_tensor(), str(path))
+    save_tensor(ghz_tensor(), str(path))
     return str(path)
 
 
 @pytest.fixture
 def uniform_path(tmp_path):
     path = tmp_path / "uniform.json"
-    io.save_spectrum(ts.TargetSpectrum.uniform((2, 2, 2)), str(path))
+    save_spectrum(ts.TargetSpectrum.uniform((2, 2, 2)), str(path))
     return str(path)
 
 
@@ -81,7 +89,7 @@ class TestTensorJson:
     def test_sparse_round_trip(self, rng, tmp_path):
         x = random_integer_tensor((2, 2, 3), rng)
         path = tmp_path / "x.json"
-        io.save_tensor(x, str(path))
+        save_tensor(x, str(path))
         assert np.array_equal(io.load_tensor(str(path)).data, x.data)
 
     def test_sparse_and_dense_agree(self):
@@ -104,8 +112,8 @@ class TestTensorJson:
     def test_save_is_canonical(self, rng, tmp_path):
         x = random_integer_tensor((1, 2, 2), rng)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        io.save_tensor(x, str(p1))
-        io.save_tensor(io.load_tensor(str(p1)), str(p2))
+        save_tensor(x, str(p1))
+        save_tensor(io.load_tensor(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -157,6 +165,27 @@ class TestTensorJson:
             io.tensor_from_obj({"dims": [1, 2],
                                 "entries": [{"idx": [0, 0], "re": 10**400}]})
 
+    @pytest.mark.parametrize("bad,good", [(2.0, 2), ([1, 2.0], [1, 2]),
+                                          (True, 1)])
+    @pytest.mark.parametrize("form", ["sparse", "dense"])
+    def test_one_entry_rule_for_both_forms(self, form, bad, good):
+        # an entry, and each part of an [re, im] pair, is a JSON integer that
+        # a float holds: not 2.0 and not true, in either form
+        def document(value):
+            if form == "dense":
+                return {"dims": [1, 2], "dense": [[1, value]]}
+            parts = value if isinstance(value, list) else [value]
+            return {"dims": [1, 2],
+                    "entries": [{"idx": [0, 0], "re": 1},
+                                {"idx": [0, 1], **dict(zip(("re", "im"), parts))}]}
+
+        where = "tensor.dense[0][1]" if form == "dense" else "tensor.entries[1]"
+        with pytest.raises(io.SchemaError, match=rf"^{re.escape(where)}: "):
+            io.tensor_from_obj(document(bad))
+        parts = good if isinstance(good, list) else [good, 0]
+        assert np.array_equal(io.tensor_from_obj(document(good)).data,
+                              [[1, complex(*parts)]])
+
 
 class TestSpectrumJson:
     def test_fraction_strings_normalize(self):
@@ -180,7 +209,7 @@ class TestSpectrumJson:
     def test_round_trip(self, tmp_path):
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))))
         path = tmp_path / "p.json"
-        io.save_spectrum(p, str(path))
+        save_spectrum(p, str(path))
         assert io.load_spectrum(str(path)).parts == p.parts
 
 
@@ -188,7 +217,7 @@ class TestHwvSpecJson:
     def test_round_trip(self, tmp_path):
         spec = ts.HWVSpec(weight=((1, 1), (1, 1)), index_seq=(0, 0),
                           perms=((0, 1), (1, 0)))
-        obj = io.hwv_spec_to_obj(spec)
+        obj = hwv_spec_to_obj(spec)
         assert io.hwv_spec_from_obj(obj) == spec
 
     def test_bad_permutation(self):
@@ -299,12 +328,12 @@ class TestCanonicalWriter:
         x = random_integer_tensor((2, 3, 2), rng)
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 3), F(1, 6)),
                                (F(1, 2), F(1, 2))))
-        io.save_tensor(x, str(tmp_path / "x.json"))
-        io.save_spectrum(p, str(tmp_path / "p.json"))
+        save_tensor(x, str(tmp_path / "x.json"))
+        save_spectrum(p, str(tmp_path / "p.json"))
         assert (tmp_path / "x.json").read_text() \
             == reference_dumps(io.tensor_to_obj(x))
         assert (tmp_path / "p.json").read_text() \
-            == reference_dumps(io.spectrum_to_obj(p))
+            == reference_dumps(spectrum_to_obj(p))
 
     @pytest.mark.parametrize("value", [
         0.0, -0.0, 1.0, -3.0, 1e-5, 0.0001, 123456789012.0, 999999999999.5,
@@ -465,7 +494,7 @@ class TestCli:
     def test_reduce_command(self, tmp_path, capsys):
         x = ts.Tensor(np.arange(1, 5, dtype=complex).reshape(1, 2, 2))
         path = tmp_path / "x.json"
-        io.save_tensor(x, str(path))
+        save_tensor(x, str(path))
         code, out = self.run("reduce", "--tensor", str(path), "--lambdas",
                              "[[2,1],[2,1]]", capsys=capsys)
         assert code == 0
@@ -475,11 +504,11 @@ class TestCli:
     def test_verify_hwv_command(self, tmp_path, capsys):
         x = ts.Tensor(np.eye(2, dtype=complex).reshape(1, 2, 2))
         xpath = tmp_path / "x.json"
-        io.save_tensor(x, str(xpath))
+        save_tensor(x, str(xpath))
         spec = ts.HWVSpec(weight=((1, 1), (1, 1)), index_seq=(0, 0),
                           perms=((0, 1), (0, 1)))
         spath = tmp_path / "spec.json"
-        spath.write_text(json.dumps(io.hwv_spec_to_obj(spec)))
+        spath.write_text(json.dumps(hwv_spec_to_obj(spec)))
         code, out = self.run("verify-hwv", "--tensor", str(xpath), "--spec",
                              str(spath), capsys=capsys)
         assert code == 0
@@ -552,7 +581,7 @@ class TestCli:
         mpath.write_text(json.dumps(
             {"matrices": [[[0, 0], [1, 2]], [[-2, -2], [2, 2]]], "sites": 3}))
         p = ts.TargetSpectrum(((F(1), F(0)),) + ((F(1, 2), F(1, 2)),) * 2)
-        io.save_spectrum(p, str(ppath))
+        save_spectrum(p, str(ppath))
         code, out = self.run("general-scale", "--mps", str(mpath), "--target",
                              str(ppath), "--epsilon", "0.05", capsys=capsys)
         payload = json.loads(out)
@@ -621,7 +650,7 @@ class TestCli:
         # each used to escape main as a TypeError or IndexError (exit 1)
         path = tmp_path / "in.json"
         if content is None:
-            io.save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
+            save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
         else:
             path.write_text(json.dumps(content))
         rest = {"general-scale": ["--target", "uniform", "--epsilon", "0.1"],
@@ -708,8 +737,8 @@ class TestCli:
 
     def test_non_integer_spec_exit_two(self, tmp_path, capsys):
         xpath = tmp_path / "x.json"
-        io.save_tensor(ts.Tensor(np.eye(2, dtype=complex).reshape(1, 2, 2)),
-                       str(xpath))
+        save_tensor(ts.Tensor(np.eye(2, dtype=complex).reshape(1, 2, 2)),
+                    str(xpath))
         spath = tmp_path / "spec.json"
         spath.write_text('{"weight": [[1.7, 1.2], [1, 1]], "indexSeq": [0.9, 0],'
                          ' "perms": [[0, true], [1, 0]]}')
@@ -721,11 +750,11 @@ class TestCli:
         # a weight vector whose naive evaluation exceeds the term budget
         x = ts.Tensor(rng.integers(0, 2, size=(1, 4, 4)).astype(complex))
         xpath = tmp_path / "x.json"
-        io.save_tensor(x, str(xpath))
+        save_tensor(x, str(xpath))
         spec = ts.HWVSpec(weight=((2, 2, 2, 2), (8,)), index_seq=(0,) * 8,
                           perms=(tuple(range(8)),) * 2)
         spath = tmp_path / "big.json"
-        spath.write_text(json.dumps(io.hwv_spec_to_obj(spec)))
+        spath.write_text(json.dumps(hwv_spec_to_obj(spec)))
         assert cli.main(["verify-hwv", "--tensor", str(xpath), "--spec",
                          str(spath)]) == 3
 
@@ -733,10 +762,10 @@ class TestCli:
         x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
                                dtype=complex))
         xpath = tmp_path / "x.json"
-        io.save_tensor(x, str(xpath))
+        save_tensor(x, str(xpath))
         ppath = tmp_path / "p.json"
-        io.save_spectrum(ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3),
-                         str(ppath))
+        save_spectrum(ts.TargetSpectrum(((F(2, 3), F(1, 3)),) * 3),
+                      str(ppath))
         code = cli.main(["scale", "--tensor", str(xpath), "--target",
                          str(ppath), "--epsilon", "0.05", "--seed", "0",
                          "--no-randomize", "--max-iters", "1500"])
@@ -784,7 +813,7 @@ class TestCli:
         else:
             data = np.zeros((1, n, n, n), dtype=complex)
             data[0, range(n), range(n), range(n)] = 2.0 ** 300
-            io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
+            save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
             argv = ["scale", "--tensor", str(tmp_path / "x.json")]
         code = cli.main(argv + ["--target", "uniform", "--epsilon", "0.01",
                                 "--rand-range", "theoretical",
@@ -802,7 +831,7 @@ class TestCli:
             n = int(case[-1])
             data = np.zeros((1, n, n, n), dtype=complex)
             data[0, range(n), range(n), range(n)] = 2.0 ** 300
-            io.save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
+            save_tensor(ts.Tensor(data), str(tmp_path / "x.json"))
             argv = ["scale", "--tensor", str(tmp_path / "x.json")]
         elif case == "qmp6":
             argv = ["qmp", "--dims", "6,6,6,6", "--repeats", "1"]

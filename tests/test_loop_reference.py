@@ -33,6 +33,7 @@ from conftest import (
     MIXED,
     NONUNIFORM,
     ZERO,
+    apply_factor,
     random_integer_tensor,
     ref_capacity,
     w_tensor,
@@ -127,7 +128,7 @@ def ref_core_loop(x0, p, cfg, epsilon, budget, confirm):
         i = int(np.argmax(dists)) + 1
         a = ref_step_matrix(rhos[i - 1], targets[i - 1])
         stepped = a.dot(rhos[i - 1]).dot(a.conj().T)
-        y = ts.apply_factor(a, i, y)
+        y = apply_factor(a, i, y)
         borel[i - 1] = a @ borel[i - 1]
         rhos = ref_marginals(y)
         if not gathers:

@@ -175,9 +175,8 @@ def test_no_module_keeps_an_unbounded_cache():
 
 # the scaling loop's private kernels and the checked public entry points
 # they must not call: validation belongs at the API boundary
-LOOP_KERNELS = {"_core_loop", "_step_matrix", "_upper_cholesky", "_Iterate"}
-CHECKED_ENTRIES = {"check_hermitian", "upper_cholesky", "marginal", "spectrum",
-                   "trace_distance", "apply_factor"}
+LOOP_KERNELS = {"_core_loop", "_step_matrix", "_Iterate"}
+CHECKED_ENTRIES = {"check_hermitian", "marginal", "spectrum", "trace_distance"}
 
 
 def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
@@ -202,18 +201,18 @@ def kernel_entry_calls(source: str) -> list[tuple[str, str]]:
 
 def test_guard_sees_kernel_entry_calls():
     assert kernel_entry_calls(
-        "def _upper_cholesky(rho):\n"
+        "def _step_matrix(rho):\n"
         "    return spectrum(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def step(self, rho):\n"
-        "        return ts.upper_cholesky(rho) + marginal(self.y, 1)\n"
+        "        return ts.trace_distance(rho) + marginal(self.y, 1)\n"
         "def _core_loop(x):\n"
         "    def verified_halt():\n"
         "        return check_hermitian(x)\n"
-        "    return _upper_cholesky(x)\n"
-        "def upper_cholesky(rho):\n"
-        "    return _upper_cholesky(check_hermitian(rho))\n") \
-        == [("_upper_cholesky", "spectrum"), ("_Iterate", "upper_cholesky"),
+        "    return _step_matrix(x)\n"
+        "def measure(rho):\n"
+        "    return _step_matrix(check_hermitian(rho))\n") \
+        == [("_step_matrix", "spectrum"), ("_Iterate", "trace_distance"),
             ("_Iterate", "marginal"), ("_core_loop", "check_hermitian")]
 
 
@@ -226,10 +225,10 @@ def test_loop_kernels_call_no_checked_entry_point():
 
 
 # the one singularity rule, by the only top-level definitions of scaling.py
-# that may use each name: the exact check in the start check and the public
-# factorization, the start check in the two loops' starts; the loop's steps
-# recheck nothing (see _check_start)
-GATE_USERS = {"_assert_nonsingular": {"_check_start", "upper_cholesky"},
+# that may use each name: the exact check in the start check, the start
+# check in the two loops' starts; the loop's steps recheck nothing (see
+# _check_start)
+GATE_USERS = {"_assert_nonsingular": {"_check_start"},
               "_check_start": {"_core_loop", "scaling_step"}}
 
 
@@ -257,7 +256,7 @@ def test_guard_sees_gate_bypasses():
         "        _assert_nonsingular(rho)\n"
         "def upper_cholesky(rho):\n"
         "    _assert_nonsingular(rho)\n"
-        "def _upper_cholesky(rho):\n"
+        "def _step_matrix(rho):\n"
         "    _assert_nonsingular(rho[:1, :1])\n"
         "class _Iterate:\n"
         "    def rule(self):\n"
@@ -269,7 +268,8 @@ def test_guard_sees_gate_bypasses():
         "    def step():\n"
         "        return _assert_nonsingular(it.rhos[1])\n"
         "check = _assert_nonsingular\n") \
-        == [("_upper_cholesky", "_assert_nonsingular"),
+        == [("upper_cholesky", "_assert_nonsingular"),
+            ("_step_matrix", "_assert_nonsingular"),
             ("_Iterate", "_assert_nonsingular"), ("_Iterate", "_check_start"),
             ("_core_loop", "_assert_nonsingular"),
             ("<module>", "_assert_nonsingular")]
@@ -286,7 +286,7 @@ def test_singularity_is_decided_by_the_one_gate():
     source = (PACKAGE / "scaling.py").read_text()
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
-    assert {"_check_start", "_assert_nonsingular", "upper_cholesky"} <= defined
+    assert {"_check_start", "_assert_nonsingular"} <= defined
     assert gate_bypasses(source) == []
 
 
@@ -353,7 +353,7 @@ def test_guard_sees_singular_raises():
     assert singular_raises(
         "def _assert_nonsingular(rho):\n"
         "    raise SingularMarginalError('low')\n"
-        "def _upper_cholesky(rho):\n"
+        "def _step_matrix(rho):\n"
         "    try:\n"
         "        return cholesky(rho)\n"
         "    except LinAlgError as exc:\n"
@@ -367,7 +367,7 @@ def test_guard_sees_singular_raises():
         "    except SingularMarginalError:\n"
         "        return None\n"
         "FAILURE = SingularMarginalError('at import')\n") \
-        == ["_upper_cholesky", "_Iterate", "<module>"]
+        == ["_step_matrix", "_Iterate", "<module>"]
 
 
 def test_only_the_exact_check_raises_singular():
@@ -520,7 +520,7 @@ def test_no_module_calls_eigh_or_det():
 
 # the step rule ranks factors by Frobenius distance, so scaling.py solves
 # eigenvalues only in the start check and the lazy trace-distance solve
-EIGENSOLVE_OWNERS = {"_check_start", "_assert_nonsingular", "_Iterate.dists"}
+EIGENSOLVE_OWNERS = {"_check_start", "_Iterate.dists"}
 
 
 def eigensolve_uses(source: str) -> list[tuple[str, int]]:
@@ -600,8 +600,8 @@ def test_contract_makes_no_transpose_call():
 # tensors._real_if_real holds the one dtype rule: the contraction kernels and
 # the loop's state take their dtype from their data, so real data runs real
 DTYPE_FOLLOWERS = {"scaling.py": {"_Iterate"},
-                   "tensors.py": {"contract", "apply_factor", "apply_group",
-                                  "compose_group"}}
+                   "tensors.py": {"contract", "apply_group", "compose_group"},
+                   "reduction.py": {"reduce_tensor"}}
 COMPLEX_TYPES = {"complex", "complex64", "complex128", "complex_", "csingle",
                  "cdouble"}
 
@@ -802,14 +802,9 @@ BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
     # the tensor primitives tests/test_loop_reference.py builds its
     # reference loop from; spectrum, which acceptance criteria 02 and 06 and
-    # tests/test_oracle.py read spectra with; and the checked Borel
-    # factorization README documents
-    "marginal", "trace_distance", "apply_factor", "spectrum", "upper_cholesky",
-    # the write side of the file formats the CLI reads
-    "save_tensor", "save_spectrum", "hwv_spec_to_obj",
-    # the reduction's map of Borel steps, and the partition predicate that
-    # README documents
-    "borel_homomorphism", "is_partition",
+    # tests/test_oracle.py read spectra with; and the partition predicate
+    # that README documents
+    "marginal", "trace_distance", "spectrum", "is_partition",
 }
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import tenscale as ts
-from tenscale import cli, io
+from tenscale import cli
+from conftest import save_tensor
 
 REJECTED = [2.7, 2.0, True, np.bool_(True), "2"]
 
@@ -108,7 +109,7 @@ def test_is_partition_is_strict():
 def test_reduce_rejects_parts_that_are_not_integers(tmp_path, capsys, lambdas):
     # before the one rule these ran as (2, 1) and (1, 1) and exited 0
     path = tmp_path / "x.json"
-    io.save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
+    save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
     assert cli.main(["reduce", "--tensor", str(path), "--lambdas", lambdas]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

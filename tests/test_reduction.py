@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenscale as ts
-from conftest import random_integer_tensor, random_upper_triangular
+from conftest import (
+    borel_homomorphism,
+    kraus_operator,
+    random_integer_tensor,
+    random_upper_triangular,
+    reduce_reference,
+    reduction_matrix,
+)
 
 
 def lam_sqrt_inv(rd):
@@ -46,20 +53,20 @@ class TestReductionData:
 class TestKrausOperators:
     def test_trivial_partition(self):
         rd = ts.ReductionData((1,))
-        assert np.array_equal(ts.kraus_operator(rd, 1), [[1]])
+        assert np.array_equal(kraus_operator(rd, 1), [[1]])
 
     def test_two_one_blocks(self):
         rd = ts.ReductionData((2, 1))
-        assert np.array_equal(ts.kraus_operator(rd, 1).real,
+        assert np.array_equal(kraus_operator(rd, 1).real,
                               [[1, 0], [0, 1], [0, 0]])
-        assert np.array_equal(ts.kraus_operator(rd, 2).real,
+        assert np.array_equal(kraus_operator(rd, 2).real,
                               [[0, 0], [0, 0], [0, 1]])
 
     def test_orthogonality(self):
         rd = ts.ReductionData((3, 2, 1))
         for i in range(1, rd.width + 1):
             for j in range(1, rd.width + 1):
-                ti, tj = ts.kraus_operator(rd, i), ts.kraus_operator(rd, j)
+                ti, tj = kraus_operator(rd, i), kraus_operator(rd, j)
                 prod = tj.conj().T @ ti
                 if i != j:
                     assert np.allclose(prod, 0)
@@ -77,7 +84,7 @@ class TestKrausSums:
     @pytest.mark.parametrize("lam", LAMS)
     def test_maps_equal_their_kraus_sums(self, lam, rng):
         rd = ts.ReductionData(lam)
-        taus = [ts.kraus_operator(rd, j) for j in range(1, rd.width + 1)]
+        taus = [kraus_operator(rd, j) for j in range(1, rd.width + 1)]
         for _ in range(5):
             x = rng.standard_normal((rd.n, rd.n)) \
                 + 1j * rng.standard_normal((rd.n, rd.n))
@@ -106,7 +113,7 @@ class TestExpansionIdentities:
     def test_injectivity_via_first_kraus(self, rng):
         rd = ts.ReductionData((2, 2, 1))
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        tau1 = ts.kraus_operator(rd, 1)
+        tau1 = kraus_operator(rd, 1)
         assert np.allclose(tau1.conj().T @ ts.expand_matrix(rd, x) @ tau1, x)
 
     def test_adjoint_pairing(self, rng):
@@ -121,7 +128,7 @@ class TestExpansionIdentities:
 class TestHomomorphism:
     def test_identity(self):
         rd = ts.ReductionData((2, 1))
-        assert np.allclose(ts.borel_homomorphism(rd, np.eye(2)), np.eye(3))
+        assert np.allclose(borel_homomorphism(rd, np.eye(2)), np.eye(3))
 
     def test_multiplicative_and_triangular(self, rng):
         for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]:
@@ -129,8 +136,8 @@ class TestHomomorphism:
             for _ in range(500):
                 b1 = random_upper_triangular(rd.n, rng)
                 b2 = random_upper_triangular(rd.n, rng)
-                h1, h2 = (ts.borel_homomorphism(rd, b) for b in (b1, b2))
-                h12 = ts.borel_homomorphism(rd, b1 @ b2)
+                h1, h2 = (borel_homomorphism(rd, b) for b in (b1, b2))
+                h12 = borel_homomorphism(rd, b1 @ b2)
                 assert np.allclose(h12, h1 @ h2, atol=1e-10 * np.abs(h12).max())
                 assert np.allclose(np.tril(h1, -1), 0, atol=1e-12)
 
@@ -139,7 +146,7 @@ class TestHomomorphism:
         b = random_upper_triangular(2, rng)
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         lhs = ts.normalized_expand(rd, b @ x)
-        rhs = ts.borel_homomorphism(rd, b) @ ts.normalized_expand(rd, x)
+        rhs = borel_homomorphism(rd, b) @ ts.normalized_expand(rd, x)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.abs(rhs).max()))
 
     def test_det_identity(self, rng):
@@ -167,12 +174,27 @@ class TestReduceTensor:
 
     def test_embedding_norm_identity(self, rng):
         rd = ts.ReductionData((3, 2, 1))
-        mat = ts.reduction_matrix(rd)
+        mat = reduction_matrix(rd)
         for _ in range(10):
             v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lhs = np.linalg.norm(mat @ v) ** 2
             rhs = sum(np.linalg.norm(v[3 - m:]) ** 2 for m in rd.mu)
             assert lhs == pytest.approx(rhs)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_kraus_sum_and_keeps_real_data_real(self, rng, d):
+        # every tuple of d partitions of one ell <= 6 (<= 5 for d = 3, where
+        # ell = 6 alone has 1,331 tuples): block placement gives the values
+        # of the Kraus sum exactly, and the input's dtype
+        for ell in range(1, 7 if d < 3 else 6):
+            for lams in itertools.product(ts.partitions_of(ell, ell), repeat=d):
+                shape = (2,) + tuple(len(lam) for lam in lams)
+                real = rng.standard_normal(shape)
+                for data in (real, real + 1j * rng.standard_normal(shape)):
+                    y = ts.Tensor(data)
+                    got = ts.reduce_tensor(y, lams).data
+                    assert got.dtype == data.dtype
+                    assert np.array_equal(got, reduce_reference(y, lams).data)
 
     def test_partition_size_mismatch(self, rng):
         y = random_integer_tensor((1, 2, 2), rng)
@@ -196,9 +218,9 @@ class TestMarginalTransport:
 
         scale1 = np.diag(1 / np.sqrt(rd1.lam_ascending()))
         scale2 = np.diag(1 / np.sqrt(rd2.lam_ascending()))
-        kraus1 = [ts.kraus_operator(rd1, j) @ scale1
+        kraus1 = [kraus_operator(rd1, j) @ scale1
                   for j in range(1, rd1.width + 1)]
-        kraus2 = [ts.kraus_operator(rd2, j) @ scale2
+        kraus2 = [kraus_operator(rd2, j) @ scale2
                   for j in range(1, rd2.width + 1)]
         big = np.zeros((ell * ell, ell * ell), dtype=complex)
         for k1, k2 in itertools.product(kraus1, kraus2):

@@ -23,6 +23,7 @@ from conftest import (
     product_tensor,
     random_integer_tensor,
     ref_capacity,
+    upper_cholesky,
     w_tensor,
 )
 
@@ -173,22 +174,26 @@ class TestRandomGroup:
 
 
 class TestUpperCholesky:
+    """The tests' reversed-Cholesky reference, which the step-matrix and
+    weight-vector tests measure against, and the start check on a singular
+    input."""
+
     def test_identity(self):
-        assert np.allclose(ts.upper_cholesky(np.eye(3)), np.eye(3))
+        assert np.allclose(upper_cholesky(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(ts.upper_cholesky(np.diag([4.0, 1.0])),
+        assert np.allclose(upper_cholesky(np.diag([4.0, 1.0])),
                            np.diag([2.0, 1.0]))
 
     def test_hand_solved(self):
-        r = ts.upper_cholesky(np.array([[2.0, 1], [1, 1]]))
+        r = upper_cholesky(np.array([[2.0, 1], [1, 1]]))
         assert np.allclose(r, [[1, 1], [0, 1]])
 
     def test_factorization_and_triangularity(self, rng):
         for n in (2, 3, 5):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rho = a @ a.conj().T + 0.1 * np.eye(n)
-            r = ts.upper_cholesky(rho)
+            r = upper_cholesky(rho)
             assert np.allclose(np.tril(r, -1), 0)
             assert np.all(np.diag(r).real > 0)
             assert np.linalg.norm(r @ r.conj().T - rho) \
@@ -196,18 +201,23 @@ class TestUpperCholesky:
 
     def test_singular_raises(self):
         with pytest.raises(ts.SingularMarginalError):
-            ts.upper_cholesky(np.diag([1.0, 0.0]))
+            ts.scaling._check_start([np.diag([1.0, 0.0])[None]])
 
     def test_is_the_reversed_lower_factor(self):
         rho = np.array([[2.0, 1], [1, 1]])
-        assert np.array_equal(ts.upper_cholesky(rho),
+        assert np.array_equal(upper_cholesky(rho),
                               np.linalg.cholesky(rho[::-1, ::-1])[::-1, ::-1])
         # a 1x1 input: the Cholesky factor is the square root, bit for bit
         for value in (2.0, 0.3, 7.0 + 0j, 1e-300, 1e150):
             rho = np.array([[value]])
             root = np.array([[np.sqrt(complex(value))]])
-            assert np.array_equal(ts.upper_cholesky(rho), root)
+            assert np.array_equal(upper_cholesky(rho), root)
             assert np.array_equal(np.linalg.cholesky(rho), root)
+
+
+def assert_nonsingular(rho):
+    """The start check on one matrix, by its own smallest eigenvalue."""
+    ts.scaling._assert_nonsingular(rho, np.linalg.eigvalsh(rho)[0])
 
 
 def gate_passed_case(n, log_low, seed):
@@ -225,8 +235,8 @@ def gate_passed_case(n, log_low, seed):
 
 class TestFactorizationsAfterTheGate:
     """_assert_nonsingular is the one singularity check: on every rho it
-    passes, the loop's block Cholesky step and upper_cholesky's kernel
-    succeed without a check of their own."""
+    passes, the loop's block Cholesky step and the reference upper Cholesky
+    factor succeed without a check of their own."""
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 6), log_low=st.floats(-11.0, 0.0),
@@ -234,15 +244,14 @@ class TestFactorizationsAfterTheGate:
     def test_gate_passed_rho_factors(self, n, log_low, seed):
         rho = gate_passed_case(n, log_low, seed)
         try:
-            ts.scaling._assert_nonsingular(rho)
+            assert_nonsingular(rho)
         except ts.SingularMarginalError:
             return
-        r = ts.scaling._upper_cholesky(rho)
+        r = upper_cholesky(rho)
         assert np.all(np.isfinite(r))
         assert not np.tril(r, -1).any()  # upper triangular
         assert np.linalg.norm(r @ r.conj().T - rho) \
             <= 1e-8 * np.linalg.norm(rho)
-        assert np.array_equal(ts.upper_cholesky(rho), r)
         a = ts.scaling._step_matrix(rho, np.ones(n), {})
         assert np.all(np.isfinite(a)) and not np.tril(a, -1).any()
         assert np.linalg.norm(a @ rho @ a.conj().T - np.eye(n)) \
@@ -254,7 +263,7 @@ class TestFactorizationsAfterTheGate:
         rho = gate_passed_case(6, -11.0, seed=0)
         ratio = np.linalg.eigvalsh(rho)[0] / np.trace(rho).real
         assert 1 < ratio / ts.scaling.SINGULARITY_RTOL < 10
-        ts.scaling._assert_nonsingular(rho)
+        assert_nonsingular(rho)
 
 
 class TestAssertNonsingular:
@@ -273,11 +282,11 @@ class TestAssertNonsingular:
             for k, rho in enumerate(stack):
                 if k == singular:
                     with pytest.raises(ts.SingularMarginalError):
-                        ts.scaling._assert_nonsingular(rho)
+                        assert_nonsingular(rho)
                 else:
-                    ts.scaling._assert_nonsingular(rho)
+                    assert_nonsingular(rho)
         with pytest.raises(ts.SingularMarginalError):
-            ts.scaling._assert_nonsingular(np.zeros((2, 2)))
+            assert_nonsingular(np.zeros((2, 2)))
 
     def test_start_check_says_what_each_matrix_check_says(self):
         # one stacked eigvalsh per stack: LAPACK solves each matrix of a
@@ -286,7 +295,7 @@ class TestAssertNonsingular:
         stack = np.stack([1e-9 * np.eye(3), np.diag([1e6, 1.0, 1e-7]),
                           np.diag([3.0, 2.0, 1e-3])]).astype(complex)
         with pytest.raises(ts.SingularMarginalError) as alone:
-            ts.scaling._assert_nonsingular(stack[1])
+            assert_nonsingular(stack[1])
         with pytest.raises(ts.SingularMarginalError) as stacked:
             ts.scaling._check_start([np.eye(2)[None], stack])
         assert str(stacked.value) == str(alone.value)
@@ -326,7 +335,7 @@ class TestBlockStepMatrix:
         for n in range(1, 49):
             rho = conditioned_case(n, cond, dtype, seed=n)
             got = ts.scaling._step_matrix(rho, np.ones(n), {})
-            want = np.linalg.inv(ts.scaling._upper_cholesky(rho))
+            want = np.linalg.inv(upper_cholesky(rho))
             assert got.dtype == rho.dtype
             assert not np.tril(got, -1).any()  # upper triangular, exactly
             assert np.all(got.diagonal().real > 0)
@@ -358,7 +367,7 @@ class TestBlockStepMatrix:
         ok = ts.scaling._step_matrix(np.diag([1.0, 2.0**-890]), np.ones(2), {})
         assert np.array_equal(ok, np.diag([1.0, 2.0**445]))
         rho = np.diag([1.0, 2.0**-950])
-        assert np.all(np.isfinite(ts.scaling._upper_cholesky(rho)))
+        assert np.all(np.isfinite(upper_cholesky(rho)))
         with pytest.raises(np.linalg.LinAlgError):
             ts.scaling._step_matrix(rho, np.ones(2), {})
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import tenscale as ts
 from conftest import (
+    apply_factor,
     ghz_tensor,
     marginal_bruteforce,
     random_hermitian,
     random_integer_tensor,
+    reduce_reference,
     w_tensor,
 )
 
@@ -153,7 +155,7 @@ class TestDtypeRule:
         for i, m in enumerate(g, start=1):
             want = np.moveaxis(np.tensordot(m, want, axes=([1], [i])), 0, i)
         for y in (ts.apply_group(g, x),
-                  ts.apply_factor(g[1], 2, ts.apply_factor(g[0], 1, x)),
+                  apply_factor(g[1], 2, apply_factor(g[0], 1, x)),
                   ts.apply_group(ts.compose_group(g, ts.identity_group(x.dims)), x)):
             assert y.data.dtype == np.float64 and np.array_equal(y.data, want)
         assert all(m.dtype == np.float64 for m in ts.compose_group(g, g))
@@ -236,13 +238,6 @@ class TestMarginal:
         with pytest.raises(ValueError):
             ts.marginal(ghz_tensor(), 4)
 
-    @pytest.mark.parametrize("i", [0, -1, 4])
-    def test_apply_factor_checks_the_label(self, i):
-        # label 0 used to contract factor 0, -1 the last factor through
-        # negative indexing, and d + 1 raised IndexError
-        with pytest.raises(ValueError, match=f"does not fit factor {i} of"):
-            ts.apply_factor(np.eye(2), i, ts.Tensor(np.ones((2, 2, 2, 2))))
-
 
 class TestCheckHermitian:
     def test_checks_against_its_own_norm_and_rejects_stacks(self, rng):
@@ -269,8 +264,6 @@ class TestCheckHermitian:
             ts.trace_distance(stack, stack)
         with pytest.raises(ValueError):
             ts.trace_distance(np.eye(2) / 2, stack)
-        with pytest.raises(ValueError):
-            ts.upper_cholesky(stack)
 
 
 class TestSpectrum:
@@ -402,24 +395,9 @@ def test_rank_invariance_under_invertible_action(n, seed):
 
 
 def ref_contract(m, data, i):
-    """The contraction apply_factor, apply_group and reduce_tensor used to
-    compute, kept as the reference for tensors.contract."""
+    """The contraction apply_group used to compute, kept as the reference
+    for tensors.contract."""
     return np.moveaxis(np.tensordot(m, data, axes=([1], [i])), 0, i)
-
-
-def ref_reduce_tensor(y, lams):
-    """reduce_tensor as it was, one np.tensordot per factor."""
-    rds = [ts.ReductionData(tuple(lam)) for lam in lams]
-    ell = rds[0].ell
-    data = y.data
-    for i, rd in enumerate(rds):
-        data = ref_contract(ts.reduction_matrix(rd), data, i + 1)
-    d = y.num_factors
-    split = (y.n0,) + tuple(v for rd in rds for v in (rd.width, ell))
-    perm = [0] + [1 + 2 * i for i in range(d)] + [2 + 2 * i for i in range(d)]
-    data = np.transpose(data.reshape(split), perm)
-    front = y.n0 * int(np.prod([rd.width for rd in rds]))
-    return ts.Tensor(data.reshape((front,) + (ell,) * d))
 
 
 def same_array(a, b):
@@ -474,12 +452,12 @@ class TestContract:
         g = tuple(complex_matrix(rng, n, n) for n in x.dims)
         data = x.data
         for i, m in enumerate(g, start=1):
-            assert row_major_equal(ts.apply_factor(m, i, x).data,
+            assert row_major_equal(apply_factor(m, i, x).data,
                                    ref_contract(m, x.data, i))
             data = ref_contract(m, data, i)
             # a rectangular factor maps into a different format
             wide = complex_matrix(rng, x.shape[i] + 1, x.shape[i])
-            assert row_major_equal(ts.apply_factor(wide, i, x).data,
+            assert row_major_equal(apply_factor(wide, i, x).data,
                                    ref_contract(wide, x.data, i))
         assert row_major_equal(ts.apply_group(g, x).data, data)
 
@@ -489,7 +467,7 @@ class TestContract:
         ((1, 2, 2, 2), [(3, 3), (5, 1), (4, 2)]),
     ])
     def test_reduce_tensor_matches_tensordot(self, rng, shape, lams):
-        # reduce_tensor contracts with the non-square reduction matrices
+        # the reference contracts with the non-square reduction matrices
         y = random_integer_tensor(shape, rng)
         assert same_array(ts.reduce_tensor(y, lams).data,
-                          ref_reduce_tensor(y, lams).data)
+                          reduce_reference(y, lams).data)
