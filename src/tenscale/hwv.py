@@ -15,9 +15,16 @@ Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
 meant for desk-scale certification, not production-sized tensors.  One
 evaluator serves every input: it sums the expansion over the index maps on
 which every determinant functional is nonzero, gathering the entry products
-in one pass.  Those terms depend only on the format and the description,
-not on the tensor's entries, so they are generated once per description
-(never as a dense n**k table) and memoized when they are small.
+in one pass.  Those terms depend only on the format, the weight and the
+slot permutations, not on the tensor's entries or on the rows of factor 0
+that the index sequence selects, so each such triple has one plan (never a
+dense n**k table): every term's k positions in the selected rows, and its
+sign.  A plan of at most 4 KiB, counting 8 bytes per position and sign, is
+memoized, in a memo of 2,048 plans that therefore holds at most 8 MiB; a
+larger plan is built per call.  Building a plan checks the evaluation
+budget, so an evaluation with a memoized plan checks only its description
+against the format, in O(d + k), then makes one gather of entry products,
+one product over the k slots and one signed sum.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
@@ -104,7 +111,7 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     blocks take disjoint slots (block c the slots perm[o : o + h], o being
     the heights of the blocks before it), so the terms are the products of
     one arrangement per block.  Memoized, so every caller shares one pair;
-    evaluate_hwv reaches it through _shared_det_terms.
+    _term_plan reaches it through _shared_det_terms.
     """
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
@@ -137,12 +144,16 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
 _DET_TERMS_MEMO_BYTES = 1 << 16
 
 
+def _term_count(lam: tuple[int, ...], n: int) -> int:
+    """Number of terms of _det_terms's pair for lam on dimension n."""
+    heights = conjugate_partition(tuple(v for v in lam if v > 0))
+    return math.prod(math.factorial(h) if h <= n else 0 for h in heights)
+
+
 @functools.lru_cache(maxsize=128)
 def _det_terms_bytes(lam: tuple[int, ...], n: int, k: int) -> int:
     """Bytes of _det_terms's pair, k slots and a sign per term."""
-    heights = conjugate_partition(tuple(v for v in lam if v > 0))
-    terms = math.prod(math.factorial(h) if h <= n else 0 for h in heights)
-    return terms * (k + 1) * 8
+    return _term_count(lam, n) * (k + 1) * 8
 
 
 def _shared_det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
@@ -157,6 +168,54 @@ def eval_cost(dims: Sequence[int], k: int) -> int:
     return k * math.prod(as_int(n, "dims", low=1) for n in dims) ** k
 
 
+def _term_plan(weight: tuple[tuple[int, ...], ...],
+               perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A description's terms on scaled dimensions ``dims``, for any index
+    sequence: read-only (terms, k) positions into the rows x.data[index_seq[a]]
+    laid end to end (slot a reads row a), in the smallest unsigned type that
+    holds them, and read-only int8 signs.  The terms run in row-major order
+    over the factors' arrangements, as a gather over x.data reads them.
+    Refuses a plan whose evaluation cost exceeds DEFAULT_EVAL_BUDGET, so a
+    memoized plan has passed that check.
+    """
+    cost = eval_cost(dims, k)
+    if cost > DEFAULT_EVAL_BUDGET:
+        raise EvalBudgetError(
+            f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
+    offsets = np.zeros(k, dtype=np.intp)
+    signs = np.ones(())
+    for lam, perm, n in zip(weight, perms, dims):
+        slots, det_signs = _shared_det_terms(lam, perm, n, k)
+        offsets = offsets[..., None, :] * n + slots
+        signs = np.multiply.outer(signs, det_signs)
+    size = math.prod(dims)
+    positions = (offsets.reshape(-1, k) + np.arange(k) * size).astype(
+        np.min_scalar_type(k * size - 1))
+    signs = signs.ravel().astype(np.int8)
+    positions.flags.writeable = False
+    signs.flags.writeable = False
+    return positions, signs
+
+
+# _memoized_plan keeps a plan of at most this many bytes, counting 8 per
+# position and sign, so its 2,048 entries hold at most 8 MiB; the formats
+# (2,2), (3,2) and (2,2,2) have 1,359 plans at k <= 4, of at most 2,560 bytes
+_PLAN_MEMO_BYTES = 1 << 12
+
+
+@functools.lru_cache(maxsize=2048)
+def _memoized_plan(weight: tuple[tuple[int, ...], ...],
+                   perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
+                   k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """_term_plan's pair if it fits _PLAN_MEMO_BYTES, else None: a larger
+    plan is built per call."""
+    terms = math.prod(_term_count(lam, n) for lam, n in zip(weight, dims))
+    if terms * (k + 1) * 8 > _PLAN_MEMO_BYTES:
+        return None
+    return _term_plan(weight, perms, dims, k)
+
+
 def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     """Value of the weight vector on ``x`` by the naive sum over index maps,
     restricted to the maps on which every determinant functional is nonzero:
@@ -166,29 +225,23 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     docstring, otherwise exact up to floating error.  Refuses evaluations
     whose term count k * (n1...nd)**k exceeds DEFAULT_EVAL_BUDGET.
     """
-    k = spec.degree
-    d = x.num_factors
-    if spec.num_factors != d:
-        raise ValueError(f"spec has {spec.num_factors} factors, tensor has {d}")
-    for lam, n in zip(spec.weight, x.dims):
-        if sum(1 for v in lam if v > 0) > n:
+    weight, index_seq = spec.weight, spec.index_seq
+    data = x.data
+    n0, dims = data.shape[0], data.shape[1:]
+    if len(weight) != len(dims):
+        raise ValueError(f"spec has {len(weight)} factors, tensor has {len(dims)}")
+    for lam, n in zip(weight, dims):
+        # lam is nonincreasing, so it has more than n parts iff lam[n] > 0
+        if len(lam) > n and lam[n] > 0:
             raise ValueError(f"weight {lam} has more than {n} parts")
-    if any(v >= x.n0 for v in spec.index_seq):
+    if max(index_seq) >= n0:
         raise ValueError("index sequence leaves factor 0's range")
-    cost = eval_cost(x.dims, k)
-    if cost > DEFAULT_EVAL_BUDGET:
-        raise EvalBudgetError(
-            f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
-
-    # row-major positions in x.data, one axis of terms per factor, then k
-    flat = np.array(spec.index_seq)
-    signs = 1.0
-    for lam, perm, n in zip(spec.weight, spec.perms, x.dims):
-        slots, det_signs = _shared_det_terms(lam, perm, n, k)
-        flat = flat[..., None, :] * n + slots
-        signs = np.multiply.outer(signs, det_signs)
-    products = x.data.reshape(-1)[flat].prod(axis=-1)
-    return complex(products.ravel() @ signs.ravel())
+    k = len(index_seq)
+    positions, signs = (_memoized_plan(weight, spec.perms, dims, k)
+                        or _term_plan(weight, spec.perms, dims, k))
+    rows = data.take(index_seq, axis=0)
+    products = np.multiply.reduce(rows.take(positions), axis=1)
+    return complex(products @ signs)
 
 
 def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:

@@ -12,6 +12,7 @@ test oracle for the scaling engine.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,8 +45,9 @@ class ReductionData:
     def ell(self) -> int:
         return sum(self.lam)
 
-    @property
+    @functools.cached_property
     def mu(self) -> tuple[int, ...]:
+        """Conjugate partition of lam, computed on first read."""
         return conjugate_partition(self.lam)
 
     @property

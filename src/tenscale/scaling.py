@@ -342,7 +342,7 @@ def iteration_budget(shape: Sequence[int], bits: int, epsilon: float,
     ``shape`` is the full format (n0, n1, ..., nd), ``bits`` the input entry
     bit size, ``log2_range`` the log2 of the randomization range in use.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails too
         raise ValueError("epsilon must be positive")
     d = len(shape) - 1
     logs = sum(math.log2(n) for n in shape)
@@ -354,7 +354,7 @@ def general_iteration_budget(shape: Sequence[int], coeff_bits: int,
                              log2_range: float) -> int:
     """Step budget when the start point is sampled through a homogeneous
     parametrization of the variety instead of a random basis change."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails too
         raise ValueError("epsilon must be positive")
     logs_all = sum(math.log2(n) for n in shape)
     logs_scaled = sum(math.log2(n) for n in shape[1:])

@@ -96,9 +96,12 @@ class TestEvaluateHwv:
                           perms=(tuple(range(5)),) * 3)
         x = ts.Tensor(np.ones((1, 4, 4, 4)))
         assert ts.eval_cost(x.dims, 5) == 5 * 64**5 > ts.DEFAULT_EVAL_BUDGET
-        with pytest.raises(ts.EvalBudgetError,
-                           match=f"budget is {ts.DEFAULT_EVAL_BUDGET}"):
-            ts.evaluate_hwv(spec, x)
+        # its plan has one term, small enough to memoize: a repeat is refused
+        # too, since plans are checked when they are built
+        for _ in range(2):
+            with pytest.raises(ts.EvalBudgetError,
+                               match=f"budget is {ts.DEFAULT_EVAL_BUDGET}"):
+                ts.evaluate_hwv(spec, x)
 
     def test_label_refusal_names_labels(self):
         # 27 factors of dimension 1, 54 slot indices in all, cost 2 terms;
@@ -142,6 +145,40 @@ class TestEvaluateHwv:
         # a full memo of pairs at the size bound holds at most 8 MiB
         assert hwv._det_terms.cache_info().maxsize * hwv._DET_TERMS_MEMO_BYTES \
             <= 8 * 2**20
+
+    def test_large_plans_are_not_memoized(self, rng):
+        # each factor's pair of a (1;4,4,4), k = 4 description with weight
+        # (1,1,1,1)**3 is memoized (960 bytes), but its plan has 24**3 terms
+        # and takes 69 kB: memoized, these 40 would hold 2.8 MB
+        weight = ((1,) * 4,) * 3
+        assert 24**3 * 5 * 8 > hwv._PLAN_MEMO_BYTES
+        x = random_integer_tensor((1, 4, 4, 4), rng)
+        pairs = itertools.product(itertools.permutations(range(4)), repeat=2)
+        specs = [ts.HWVSpec(weight, (0,) * 4, (p, q, tuple(range(4))))
+                 for p, q in itertools.islice(pairs, 40)]
+        tracemalloc.start()
+        try:
+            values = [ts.evaluate_hwv(spec, x) for spec in specs]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 512 * 2**10
+        assert [ts.evaluate_hwv(spec, x) for spec in specs] == values
+        assert all(hwv._memoized_plan(spec.weight, spec.perms, x.dims, 4) is None
+                   for spec in specs)
+        # a full memo of plans at the size bound holds at most 8 MiB
+        assert hwv._memoized_plan.cache_info().maxsize * hwv._PLAN_MEMO_BYTES \
+            <= 8 * 2**20
+
+    def test_certify_sized_plans_are_memoized(self):
+        # the largest degree-4 plan on (2,2,2) and a (2;2,2) plan: the same
+        # pair comes back
+        for weight, perms, dims in [
+                (((2, 2),) * 3, ((0, 2, 1, 3),) * 3, (2, 2, 2)),
+                (((2, 2), (3, 1)), ((0, 2, 1, 3), (3, 0, 1, 2)), (2, 2))]:
+            first = hwv._memoized_plan(weight, perms, dims, 4)
+            again = hwv._memoized_plan(weight, perms, dims, 4)
+            assert first[0] is again[0] and first[1] is again[1]
 
     def test_certify_sized_term_tables_are_memoized(self):
         # the degree-3 (1;2,2) and degree-4 (1;2,2,2) descriptions certify

@@ -9,6 +9,7 @@ values must match bit for bit; on other tensors the summation orders differ,
 so values must agree within 1e-12 of the largest value of their format and
 degree.
 """
+import functools
 import itertools
 import string
 
@@ -18,6 +19,7 @@ import pytest
 import tenscale as ts
 from tenscale import hwv
 from tenscale.partitions import conjugate_partition, partitions_of
+from conftest import random_upper_triangular
 
 FORMATS = ((1, 2, 2), (2, 2, 2), (1, 3, 2), (1, 2, 2, 2))
 
@@ -31,7 +33,11 @@ def ref_perm_sign(positions):
     return sign
 
 
+# the reference tests read 2,184 tables of at most 4**5 floats (8 KiB) each
+@functools.lru_cache(maxsize=4096)
 def ref_det_block_array(lam, perm, n, k):
+    """Dense n**k table of the determinant functional, read-only since the
+    memo shares it."""
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     offsets = np.concatenate(([0], np.cumsum(heights))).astype(int)
     arr = np.zeros((n,) * k)
@@ -45,6 +51,7 @@ def ref_det_block_array(lam, perm, n, k):
             total *= ref_perm_sign(cols)
         if total:
             arr[assign] = total
+    arr.flags.writeable = False
     return arr
 
 
@@ -129,8 +136,24 @@ class TestMemos:
         assert hwv._det_terms((2, 1), (0, 1, 2), 2, 3)[0] is slots
 
     def test_memos_are_bounded(self):
-        maxsize = hwv._det_terms.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10_000
+        for memo in (hwv._det_terms, hwv._memoized_plan):
+            maxsize = memo.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 10_000
+
+    def test_plan_is_read_only(self):
+        key = (((2, 1), (2, 1)), ((0, 1, 2), (1, 2, 0)), (2, 2), 3)
+        positions, signs = hwv._memoized_plan(*key)
+        with pytest.raises(ValueError):
+            positions[0, 0] = 5
+        with pytest.raises(ValueError):
+            signs[0] = 5
+        assert hwv._memoized_plan(*key)[0] is positions
+
+    def test_reference_tables_are_read_only(self):
+        table = ref_det_block_array((2, 1), (0, 1, 2), 2, 3)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 5.0
+        assert ref_det_block_array((2, 1), (0, 1, 2), 2, 3) is table
 
     def test_repeat_after_other_formats(self, rng):
         x, y = sample_tensors((2, 2, 2), rng)
@@ -144,6 +167,7 @@ class TestMemos:
                         ts.evaluate_hwv(other, z)
         assert bits(ts.evaluate_hwv(spec, x)) == first
         hwv._det_terms.cache_clear()
+        hwv._memoized_plan.cache_clear()
         assert bits(ts.evaluate_hwv(spec, x)) == first
         assert first == bits(ref_evaluate(spec, x))
         want = ref_evaluate(spec, y)
@@ -211,3 +235,65 @@ class TestExactDispatch:
         assert ts.evaluate_hwv(ts.HWVSpec(((1,), (1,)), (0,), ((0,), (0,))),
                                x) == 2.0**40
         assert not einsum_calls
+
+
+# the weight vectors whose transformation law the certify workload checks
+TRANSFORM_SPECS = (
+    ((1, 2, 2), (((1,), (1,)), (0,), ((0,), (0,)))),
+    ((1, 2, 2), (((1, 1), (1, 1)), (0, 0), ((0, 1), (0, 1)))),
+    ((2, 2, 2), (((2, 1), (3,)), (0, 1, 0), ((1, 2, 0), (0, 1, 2)))),
+    ((1, 2, 2, 2), (((1, 1), (1, 1), (2,)), (0, 0), ((0, 1), (1, 0), (0, 1)))),
+    ((1, 3, 2), (((2, 1, 1), (2, 2)), (0,) * 4, ((0, 1, 2, 3), (2, 3, 0, 1)))),
+)
+
+
+class TestChecksOverTheReference:
+    """check_hwv_transformation and verify_progress give the answers they
+    give when every evaluation is the reference's."""
+
+    @staticmethod
+    def answers(monkeypatch, check):
+        got = check()
+        with monkeypatch.context() as m:
+            m.setattr(hwv, "evaluate_hwv", ref_evaluate)
+            want = check()
+        return got, want
+
+    @pytest.mark.parametrize("shape, fields", TRANSFORM_SPECS)
+    def test_transformation_law(self, monkeypatch, rng, shape, fields):
+        spec = ts.HWVSpec(*fields)
+        for _ in range(3):
+            x = ts.Tensor(rng.integers(-3, 4, size=shape).astype(float))
+            group = tuple(random_upper_triangular(n, rng, unit_scale=True)
+                          for n in shape[1:])
+            got, want = self.answers(
+                monkeypatch,
+                lambda: ts.check_hwv_transformation(spec, x, group, rtol=1e-8))
+            assert got is want is True
+            assert bits(ts.evaluate_hwv(spec, x)) == bits(ref_evaluate(spec, x))
+
+    @pytest.mark.parametrize("mode", [ts.BOREL, ts.PARABOLIC])
+    def test_progress_of_scaling_steps(self, monkeypatch, rng, mode):
+        x = ts.Tensor(rng.integers(1, 4, size=(1, 2, 2, 2)).astype(float))
+        target = ts.TargetSpectrum.uniform(x.dims)
+        x0 = ts.apply_group(ts.random_group(x.dims, 16, 7), x)
+        g = (np.eye(2) / x0.norm(), np.eye(2), np.eye(2))
+        spec = ts.find_nonvanishing_spec(ts.apply_group(g, x0), target,
+                                         max_degree=4)
+        assert spec is not None
+        checked = 0
+        for _ in range(10):
+            y = ts.apply_group(g, x0)
+            g_next, i, dists = ts.scaling_step(g, x0, target, mode=mode)
+            if max(dists) <= 1e-2:
+                break
+            y_next = ts.apply_group(g_next, x0)
+            got, want = self.answers(
+                monkeypatch,
+                lambda: ts.verify_progress(spec, y, y_next, eps_i=dists[i - 1]))
+            assert got is want is True
+            want = ref_evaluate(spec, y_next)
+            assert close_to(ts.evaluate_hwv(spec, y_next), want, abs(want))
+            checked += 1
+            g = (g_next[0] / y_next.norm(),) + tuple(g_next[1:])
+        assert checked > 0

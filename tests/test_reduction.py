@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenscale as ts
+from tenscale import reduction
+from tenscale.partitions import conjugate_partition
 from conftest import (
     borel_homomorphism,
     kraus_operator,
@@ -48,6 +50,31 @@ class TestReductionData:
     def test_fields(self):
         rd = ts.ReductionData((3, 2, 1))
         assert rd.n == 3 and rd.ell == 6 and rd.mu == (3, 2, 1)
+
+    def test_mu_is_computed_once(self, monkeypatch, rng):
+        calls = []
+
+        def counting(parts):
+            calls.append(parts)
+            return conjugate_partition(parts)
+
+        monkeypatch.setattr(reduction, "conjugate_partition", counting)
+        rd = ts.ReductionData((2, 1))
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        first = ts.expand_matrix(rd, x), ts.expand_adjoint(rd, np.eye(3))
+        for _ in range(100):
+            assert np.array_equal(ts.expand_matrix(rd, x), first[0])
+            assert np.array_equal(ts.expand_adjoint(rd, np.eye(3)), first[1])
+        assert calls == [(2, 1)]
+        # reduce_tensor builds one ReductionData per factor per call
+        y = random_integer_tensor((1, 2, 2, 2), rng)
+        lams = [(2, 1)] * 3
+        calls.clear()
+        want = ts.reduce_tensor(y, lams).data
+        for _ in range(100):
+            assert np.array_equal(ts.reduce_tensor(y, lams).data, want)
+        assert len(calls) == 3 * 101
+        assert np.array_equal(want, reduce_reference(y, lams).data)
 
 
 class TestKrausOperators:

@@ -440,6 +440,13 @@ class TestIterationBudget:
     def test_floor_of_one(self):
         assert ts.iteration_budget((1, 2, 2), 1, 1e9, 1.0) == 1
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.0, -1e-3])
+    def test_rejects_tolerances_that_are_not_positive(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ts.iteration_budget((1, 2, 2), 1, eps, 16.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ts.general_iteration_budget((1, 2, 2), 1, eps, 1, 8, 16.0)
+
     def test_linear_in_bits(self):
         eps = 0.5
         t1 = ts.iteration_budget((1, 2, 2), 8, eps, 4.0)
