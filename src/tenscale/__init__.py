@@ -16,7 +16,6 @@ from .hwv import (
     character,
     check_hwv_transformation,
     enumerate_specs,
-    eval_cost,
     evaluate_hwv,
     evaluation_bound,
     find_nonvanishing_spec,

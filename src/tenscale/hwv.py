@@ -11,20 +11,32 @@ module checks that law (check_hwv_transformation) and each step's growth of
 the potential (verify_progress), and searches for a description that does
 not vanish on a tensor.  The capacity objective is the one scaling logs.
 
-Evaluation cost is k * (n1 * ... * nd)**k, so everything in this module is
-meant for desk-scale certification, not production-sized tensors.  One
-evaluator serves every input: it sums the expansion over the index maps on
-which every determinant functional is nonzero, gathering the entry products
-in one pass.  Those terms depend only on the format, the weight and the
-slot permutations, not on the tensor's entries or on the rows of factor 0
-that the index sequence selects, so each such triple has one plan (never a
-dense n**k table): every term's k positions in the selected rows, and its
-sign.  A plan of at most 4 KiB, counting 8 bytes per position and sign, is
+Evaluation cost is k times the number of index maps on which every
+determinant functional is nonzero, at most k * (n1 * ... * nd)**k, so
+everything in this module is meant for desk-scale certification, not
+production-sized tensors.  One evaluator serves every input: it sums the
+expansion over those index maps, gathering the entry products in one pass.
+The maps depend only on the format, the weight and the slot permutations,
+not on the tensor's entries or on the rows of factor 0 that the index
+sequence selects, so each such triple has one compact plan (never a dense
+n**k table): every term's k positions in the selected rows, and its sign.
+Building a plan first checks its cost against the evaluation budget.  A
+compact plan of at most 4 KiB, counting 8 bytes per position and sign, is
 memoized, in a memo of 2,048 plans that therefore holds at most 8 MiB; a
-larger plan is built per call.  Building a plan checks the evaluation
-budget, so an evaluation with a memoized plan checks only its description
-against the format, in O(d + k), then makes one gather of entry products,
-one product over the k slots and one signed sum.
+larger plan is built per call.
+
+A description resolves its compact plan on its first evaluation on a tensor
+shape: it checks itself against the format, in O(d + k), and adds to each
+slot's positions the offset of the row it reads, so that they index x.data
+directly; the offsets come from a memo of 1,024 index sequences and shapes.
+When the compact plan is memoized, the description holds the resolved plan,
+read-only and in the smallest unsigned type that holds its positions, until
+it resolves one for another shape or is itself freed.  Every later
+evaluation on a tensor of that shape is one gather of entry products from
+x.data, one product over the k slots and one signed sum.  A held plan
+shares the memo's signs and costs about 230 bytes on small formats: under
+tracemalloc, the 3,105 descriptions of degree at most 4 on (1;2,2),
+(2;2,2), (1;3,2) and (1;2,2,2) hold 0.7 MiB besides the memos' 1.2 MiB.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
@@ -66,6 +78,10 @@ class HWVSpec:
     weight: tuple[tuple[int, ...], ...]
     index_seq: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
+
+    # (shape, positions, signs) of the last memoizable plan that
+    # _resolve_plan built, kept out of the fields, so out of eq and hash
+    _plan = None
 
     def __post_init__(self):
         weight = tuple(as_partition(lam, "weight") for lam in self.weight)
@@ -164,22 +180,26 @@ def _shared_det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     return _det_terms.__wrapped__(lam, perm, n, k)
 
 
-def eval_cost(dims: Sequence[int], k: int) -> int:
-    return k * math.prod(as_int(n, "dims", low=1) for n in dims) ** k
+def _plan_terms(weight: tuple[tuple[int, ...], ...],
+                dims: tuple[int, ...]) -> int:
+    """Number of terms of a plan: one per index map on which every
+    determinant functional is nonzero, at most (n1 * ... * nd)**k."""
+    return math.prod(_term_count(lam, n) for lam, n in zip(weight, dims))
 
 
 def _term_plan(weight: tuple[tuple[int, ...], ...],
                perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """A description's terms on scaled dimensions ``dims``, for any index
-    sequence: read-only (terms, k) positions into the rows x.data[index_seq[a]]
-    laid end to end (slot a reads row a), in the smallest unsigned type that
-    holds them, and read-only int8 signs.  The terms run in row-major order
-    over the factors' arrangements, as a gather over x.data reads them.
-    Refuses a plan whose evaluation cost exceeds DEFAULT_EVAL_BUDGET, so a
-    memoized plan has passed that check.
+    """A description's compact plan on scaled dimensions ``dims``, for any
+    index sequence: read-only (terms, k) positions into the rows
+    x.data[index_seq[a]] laid end to end (slot a reads row a), in the
+    smallest unsigned type that holds them, and read-only float64 signs.
+    The terms run in row-major order over the factors' arrangements, as a
+    gather over x.data reads them.  Refuses, before building anything, a
+    plan whose k * terms exceeds DEFAULT_EVAL_BUDGET, so a memoized plan has
+    passed that check.
     """
-    cost = eval_cost(dims, k)
+    cost = k * _plan_terms(weight, dims)
     if cost > DEFAULT_EVAL_BUDGET:
         raise EvalBudgetError(
             f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
@@ -192,7 +212,7 @@ def _term_plan(weight: tuple[tuple[int, ...], ...],
     size = math.prod(dims)
     positions = (offsets.reshape(-1, k) + np.arange(k) * size).astype(
         np.min_scalar_type(k * size - 1))
-    signs = signs.ravel().astype(np.int8)
+    signs = signs.flatten()  # a copy, so no view keeps the outer product
     positions.flags.writeable = False
     signs.flags.writeable = False
     return positions, signs
@@ -209,39 +229,80 @@ def _memoized_plan(weight: tuple[tuple[int, ...], ...],
                    perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
                    k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """_term_plan's pair if it fits _PLAN_MEMO_BYTES, else None: a larger
-    plan is built per call."""
-    terms = math.prod(_term_count(lam, n) for lam, n in zip(weight, dims))
-    if terms * (k + 1) * 8 > _PLAN_MEMO_BYTES:
-        return None
-    return _term_plan(weight, perms, dims, k)
-
-
-def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
-    """Value of the weight vector on ``x`` by the naive sum over index maps,
-    restricted to the maps on which every determinant functional is nonzero:
-    one gather of the k-fold entry products and one signed sum.
-
-    Exact on Gaussian-integer tensors within the 2**53 bound of the module
-    docstring, otherwise exact up to floating error.  Refuses evaluations
-    whose term count k * (n1...nd)**k exceeds DEFAULT_EVAL_BUDGET.
-    """
-    weight, index_seq = spec.weight, spec.index_seq
-    data = x.data
-    n0, dims = data.shape[0], data.shape[1:]
+    plan is built per call.  First checks the weight against the scaled
+    dimensions; a refusal is raised on every call, never memoized."""
     if len(weight) != len(dims):
         raise ValueError(f"spec has {len(weight)} factors, tensor has {len(dims)}")
     for lam, n in zip(weight, dims):
         # lam is nonincreasing, so it has more than n parts iff lam[n] > 0
         if len(lam) > n and lam[n] > 0:
             raise ValueError(f"weight {lam} has more than {n} parts")
-    if max(index_seq) >= n0:
+    if _plan_terms(weight, dims) * (k + 1) * 8 > _PLAN_MEMO_BYTES:
+        return None
+    return _term_plan(weight, perms, dims, k)
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_shifts(index_seq: tuple[int, ...], shape: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], np.ndarray]:
+    """``shape`` as first passed, so the plans held for one format share one
+    tuple, and read-only shifts that move a compact plan's slot a from row a
+    to row index_seq[a] of a tensor of that shape, in the smallest unsigned
+    type that holds both the compact and the shifted positions.  The shifts
+    are taken modulo 2**bits: unsigned addition wraps, and every shifted
+    position fits the type, so the sums are exact.  An index sequence that
+    leaves factor 0's range is refused on every call, never memoized."""
+    top, k, size = max(index_seq), len(index_seq), math.prod(shape[1:])
+    if top >= shape[0]:
         raise ValueError("index sequence leaves factor 0's range")
-    k = len(index_seq)
-    positions, signs = (_memoized_plan(weight, spec.perms, dims, k)
-                        or _term_plan(weight, spec.perms, dims, k))
-    rows = data.take(index_seq, axis=0)
-    products = np.multiply.reduce(rows.take(positions), axis=1)
-    return complex(products @ signs)
+    dtype = np.min_scalar_type(max(k, top + 1) * size - 1)
+    wrap = 256 ** dtype.itemsize
+    shifts = np.array([(i - a) * size % wrap for a, i in enumerate(index_seq)],
+                      dtype)
+    shifts.setflags(write=False)
+    return shape, shifts
+
+
+def _resolve_plan(spec: HWVSpec, shape: tuple[int, ...]
+                  ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(shape, positions, signs): the description's compact plan on a tensor
+    of this shape, its positions shifted by _row_shifts to index x.data
+    directly.  Checks the description against the format first.  Held on
+    ``spec`` when the compact plan is memoized, so its size is bounded by
+    _PLAN_MEMO_BYTES."""
+    dims, k = shape[1:], len(spec.index_seq)
+    compact = _memoized_plan(spec.weight, spec.perms, dims, k)
+    shape, shifts = _row_shifts(spec.index_seq, shape)
+    positions, signs = compact or _term_plan(spec.weight, spec.perms, dims, k)
+    plan = shape, positions + shifts, signs
+    if compact is not None:
+        plan[1].setflags(write=False)
+        object.__setattr__(spec, "_plan", plan)
+    return plan
+
+
+def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
+    """Value of the weight vector on ``x`` by the naive sum over index maps,
+    restricted to the maps on which every determinant functional is nonzero:
+    one gather of the k-fold entry products from x.data and one signed sum.
+
+    The first evaluation on a tensor shape checks the description against
+    the format and resolves its plan.  When that plan is memoized, the
+    description holds it until it resolves one for another shape, so a
+    repeat evaluation on its shape reads it and gathers at once; a
+    description whose plan exceeds 4 KiB resolves it on every call.
+
+    Exact on Gaussian-integer tensors within the 2**53 bound of the module
+    docstring, otherwise exact up to floating error.  Refuses evaluations
+    whose k * (number of terms) exceeds DEFAULT_EVAL_BUDGET, before
+    building any table.
+    """
+    data = x.data
+    plan = spec._plan
+    if plan is None or plan[0] != data.shape:
+        plan = _resolve_plan(spec, data.shape)
+    products = np.multiply.reduce(data.take(plan[1]), axis=1)
+    return complex(products @ plan[2])
 
 
 def evaluation_bound(spec: HWVSpec, x: Tensor) -> float:

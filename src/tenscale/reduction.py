@@ -104,6 +104,23 @@ def normalized_expand_adjoint(rd: ReductionData, y: np.ndarray) -> np.ndarray:
     return (scale[:, None] * inner) * scale[None, :]
 
 
+# (width, ell) source tables of at most a few hundred bytes on desk-scale
+# partitions, so the 256 entries hold a few hundred KiB
+@functools.lru_cache(maxsize=256)
+def _placement(lam: tuple[int, ...]) -> tuple[ReductionData, np.ndarray]:
+    """A partition's ReductionData and its read-only placement table: row j
+    of the (width, ell) table reads coordinate n - mu_j + (r - offset_j) at
+    column r of Kraus block j, and the zero pad n elsewhere.  Memoized by
+    the partition as a tuple of Python ints, so reduce_tensor checks and
+    conjugates each partition once."""
+    rd = ReductionData(lam)
+    src = np.full((rd.width, rd.ell), rd.n)
+    for j, (off, mu) in enumerate(rd._blocks()):
+        src[j, off: off + mu] = np.arange(rd.n - mu, rd.n)
+    src.setflags(write=False)
+    return rd, src
+
+
 def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
     """Expanded tensor of format (n0 * width_1 * ... * width_d; ell, ..., ell).
 
@@ -113,9 +130,11 @@ def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
     row-major order (index0, a1, ..., ad).
     """
     try:
-        rds = [ReductionData(lam) for lam in lams]
+        # each entry is read by the integer rule first: 2.0 hashes like 2
+        placements = [_placement(as_partition(lam, "lam")) for lam in lams]
     except TypeError as exc:  # lams is not iterable
         raise ValueError(f"need a sequence of partitions, got {lams!r}") from exc
+    rds = [rd for rd, _ in placements]
     if len(rds) != y.num_factors:
         raise ValueError(f"need one partition per factor, got {len(rds)}")
     ells = {rd.ell for rd in rds}
@@ -128,18 +147,15 @@ def reduce_tensor(y: Tensor, lams: Sequence[Sequence[int]]) -> Tensor:
                 f"partition {rd.lam} has {rd.n} parts, factor has dimension {n}")
 
     # the embedding as block placement: coordinate n of each factor is a
-    # zero pad; row r of Kraus block j reads coordinate n - mu_j + (r -
-    # offset_j), every other row the pad.  One gather, with factor i's index
-    # spread over axes i (width) and d + i (ell) of the index shape, puts the
-    # width axes before the ell axes: (n0, a1..ad, ell_1..ell_d)
+    # zero pad, which _placement's tables read outside the Kraus blocks.
+    # One gather, with factor i's index spread over axes i (width) and
+    # d + i (ell) of the index shape, puts the width axes before the ell
+    # axes: (n0, a1..ad, ell_1..ell_d)
     d = y.num_factors
     padded = np.zeros((y.n0,) + tuple(n + 1 for n in y.dims), y.data.dtype)
     padded[tuple(map(slice, y.shape))] = y.data
     index = [slice(None)]
-    for i, rd in enumerate(rds):
-        src = np.full((rd.width, ell), rd.n)
-        for j, (off, mu) in enumerate(rd._blocks()):
-            src[j, off: off + mu] = np.arange(rd.n - mu, rd.n)
+    for i, (rd, src) in enumerate(placements):
         axes = [1] * (2 * d)
         axes[i], axes[d + i] = rd.width, ell
         index.append(src.reshape(axes))

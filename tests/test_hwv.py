@@ -90,18 +90,33 @@ class TestEvaluateHwv:
         spec = det_spec_2x2()
         assert abs(ts.evaluate_hwv(spec, x)) <= ts.evaluation_bound(spec, x)
 
-    def test_budget_refusal(self):
-        # degree 5 on (1;4,4,4) costs 5 * 64**5 terms, past the fixed budget
+    def test_budget_refusal(self, rng):
+        # the budget counts k times the plan's terms, not the dense
+        # 5 * 64**5: the one-term (1;4,4,4) degree-5 description with weight
+        # (5,)**3 evaluates, to that term x[0,3,3,3]**5
         spec = ts.HWVSpec(weight=((5,),) * 3, index_seq=(0,) * 5,
                           perms=(tuple(range(5)),) * 3)
-        x = ts.Tensor(np.ones((1, 4, 4, 4)))
-        assert ts.eval_cost(x.dims, 5) == 5 * 64**5 > ts.DEFAULT_EVAL_BUDGET
-        # its plan has one term, small enough to memoize: a repeat is refused
-        # too, since plans are checked when they are built
+        x = ts.Tensor(rng.integers(-3, 4, size=(1, 4, 4, 4))
+                      + 1j * rng.integers(-3, 4, size=(1, 4, 4, 4)))
+        assert hwv._plan_terms(spec.weight, x.dims) == 1
         for _ in range(2):
-            with pytest.raises(ts.EvalBudgetError,
-                               match=f"budget is {ts.DEFAULT_EVAL_BUDGET}"):
-                ts.evaluate_hwv(spec, x)
+            assert ts.evaluate_hwv(spec, x) == complex(x.data[0, 3, 3, 3]) ** 5
+        # (1;8,8) at degree 8 with weight (1**8)**2 has 40,320**2 terms: it
+        # is refused on every call, before its 2.9 MB term tables are built
+        big = ts.HWVSpec(weight=((1,) * 8,) * 2, index_seq=(0,) * 8,
+                         perms=(tuple(range(8)),) * 2)
+        y = ts.Tensor(np.eye(8).reshape(1, 8, 8))
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                with pytest.raises(ts.EvalBudgetError,
+                                   match=f"^evaluation needs {8 * 40_320**2} terms, "
+                                         f"budget is {ts.DEFAULT_EVAL_BUDGET}$"):
+                    ts.evaluate_hwv(big, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_label_refusal_names_labels(self):
         # 27 factors of dimension 1, 54 slot indices in all, cost 2 terms;
@@ -159,13 +174,14 @@ class TestEvaluateHwv:
         tracemalloc.start()
         try:
             values = [ts.evaluate_hwv(spec, x) for spec in specs]
+            assert [ts.evaluate_hwv(spec, x) for spec in specs] == values
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < 512 * 2**10
-        assert [ts.evaluate_hwv(spec, x) for spec in specs] == values
+        # neither the memo nor the descriptions hold their plans
         assert all(hwv._memoized_plan(spec.weight, spec.perms, x.dims, 4) is None
-                   for spec in specs)
+                   and spec._plan is None for spec in specs)
         # a full memo of plans at the size bound holds at most 8 MiB
         assert hwv._memoized_plan.cache_info().maxsize * hwv._PLAN_MEMO_BYTES \
             <= 8 * 2**20

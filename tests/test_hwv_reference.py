@@ -12,6 +12,7 @@ degree.
 import functools
 import itertools
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,21 +92,25 @@ def close_to(got, want, scale):
 
 @pytest.mark.parametrize("shape", FORMATS)
 def test_evaluation_matches_reference_bitwise(shape, rng):
+    # every certify description, enumerated afresh for each tensor, so that
+    # each kind of tensor meets both a first evaluation and a repeat
     gaussian, complex_ = sample_tensors(shape, rng)
-    integers = (gaussian, real_integer_tensor(shape, rng))
+    tensors = (gaussian, real_integer_tensor(shape, rng), complex_)
     count = 0
     for k in (1, 2, 3, 4):
-        got, want = [], []
-        for spec in ts.enumerate_specs(shape[1:], shape[0], k):
-            for x in integers:
-                assert bits(ts.evaluate_hwv(spec, x)) == bits(ref_evaluate(spec, x)), \
-                    (spec, x.shape)
-            got.append(ts.evaluate_hwv(spec, complex_))
-            want.append(ref_evaluate(spec, complex_))
-            count += 1
-        scale = max(map(abs, want))
-        for spec_got, spec_want in zip(got, want):
-            assert close_to(spec_got, spec_want, scale), (k, spec_got, spec_want)
+        want = [[ref_evaluate(spec, x) for spec in
+                 ts.enumerate_specs(shape[1:], shape[0], k)] for x in tensors]
+        for x, x_want in zip(tensors, want):
+            specs = list(ts.enumerate_specs(shape[1:], shape[0], k))
+            scale = max(map(abs, x_want))
+            for _ in range(2):
+                for spec, spec_want in zip(specs, x_want):
+                    got = ts.evaluate_hwv(spec, x)
+                    if x is complex_:
+                        assert close_to(got, spec_want, scale), (k, got, spec_want)
+                    else:
+                        assert bits(got) == bits(spec_want), (spec, x.shape)
+            count += len(specs)
     assert count > 0
 
 
@@ -136,7 +141,7 @@ class TestMemos:
         assert hwv._det_terms((2, 1), (0, 1, 2), 2, 3)[0] is slots
 
     def test_memos_are_bounded(self):
-        for memo in (hwv._det_terms, hwv._memoized_plan):
+        for memo in (hwv._det_terms, hwv._memoized_plan, hwv._row_shifts):
             maxsize = memo.cache_info().maxsize
             assert maxsize is not None and 0 < maxsize < 10_000
 
@@ -148,6 +153,16 @@ class TestMemos:
         with pytest.raises(ValueError):
             signs[0] = 5
         assert hwv._memoized_plan(*key)[0] is positions
+        # the plan a description holds shares the memo's signs
+        spec = ts.HWVSpec(key[0], (0, 1, 1), key[1])
+        x = sample_tensors((2, 2, 2), np.random.default_rng(0))[0]
+        ts.evaluate_hwv(spec, x)
+        shape, held, held_signs = spec._plan
+        assert shape == x.shape and held_signs is signs
+        with pytest.raises(ValueError):
+            held[0, 0] = 5
+        with pytest.raises(ValueError):
+            held_signs[0] = 5
 
     def test_reference_tables_are_read_only(self):
         table = ref_det_block_array((2, 1), (0, 1, 2), 2, 3)
@@ -168,10 +183,81 @@ class TestMemos:
         assert bits(ts.evaluate_hwv(spec, x)) == first
         hwv._det_terms.cache_clear()
         hwv._memoized_plan.cache_clear()
+        hwv._row_shifts.cache_clear()
         assert bits(ts.evaluate_hwv(spec, x)) == first
+        # an equal description holds no plan, so it resolves one afresh
+        fresh = ts.HWVSpec(spec.weight, spec.index_seq, spec.perms)
+        assert fresh == spec and fresh._plan is None
+        assert bits(ts.evaluate_hwv(fresh, x)) == first
         assert first == bits(ref_evaluate(spec, x))
         want = ref_evaluate(spec, y)
         assert close_to(ts.evaluate_hwv(spec, y), want, abs(want))
+
+
+    def test_alternating_formats(self, rng):
+        # the held plan follows the shape: each format gets its own value,
+        # and an index sequence past factor 0 is refused on every call
+        # while the other format's plan stays held
+        x, y = (real_integer_tensor(shape, rng) for shape in ((2, 2, 2), (1, 2, 2)))
+        fields = ((2, 1), (2, 1)), ((0, 1, 2), (1, 2, 0))
+        inside = ts.HWVSpec(fields[0], (0, 0, 0), fields[1])
+        leaves = ts.HWVSpec(fields[0], (0, 1, 1), fields[1])
+        for _ in range(3):
+            for z in (x, y):
+                assert bits(ts.evaluate_hwv(inside, z)) == bits(ref_evaluate(inside, z))
+                assert inside._plan[0] == z.shape
+            assert bits(ts.evaluate_hwv(leaves, x)) == bits(ref_evaluate(leaves, x))
+            with pytest.raises(ValueError, match="^index sequence leaves factor 0"):
+                ts.evaluate_hwv(leaves, y)
+            assert leaves._plan[0] == x.shape
+
+    def test_repeat_is_one_take(self, rng):
+        # a repeat reads the held plan: one take from the tensor's entries,
+        # no gather of factor 0's rows and no memo lookup
+        calls = []
+
+        class Counting(np.ndarray):
+            def take(self, *args, **kwargs):
+                calls.append(("take", args[1:], kwargs))
+                return np.asarray(self).take(*args, **kwargs)
+
+            def __getitem__(self, key):
+                calls.append(("getitem", key))
+                return np.asarray(self)[key]
+
+        x = real_integer_tensor((2, 2, 2), rng)
+        spec = ts.HWVSpec(((2, 2), (3, 1)), (1, 0, 1, 1),
+                          ((0, 2, 1, 3), (3, 0, 1, 2)))
+        want = bits(ref_evaluate(spec, x))
+        object.__setattr__(x, "data", x.data.view(Counting))
+        assert bits(ts.evaluate_hwv(spec, x)) == want
+        assert calls == [("take", (), {})]
+        calls.clear()
+        memos = hwv._memoized_plan.cache_info(), hwv._row_shifts.cache_info()
+        assert bits(ts.evaluate_hwv(spec, x)) == want
+        assert calls == [("take", (), {})]
+        assert (hwv._memoized_plan.cache_info(), hwv._row_shifts.cache_info()) == memos
+
+    def test_held_plans_memory(self, rng):
+        # the memos and the plans held by the 3,105 certify descriptions,
+        # each evaluated once: 1.0 MiB when only the memos held plans, about
+        # 1.9 MiB with the descriptions' held plans
+        cases = [(real_integer_tensor(shape, rng),
+                  list(ts.enumerate_specs(shape[1:], shape[0], k)))
+                 for shape in FORMATS for k in (1, 2, 3, 4)]
+        assert sum(len(specs) for _, specs in cases) == 3105
+        for memo in (hwv._det_terms, hwv._memoized_plan, hwv._row_shifts):
+            memo.cache_clear()
+        tracemalloc.start()
+        try:
+            for x, specs in cases:
+                for spec in specs:
+                    ts.evaluate_hwv(spec, x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(spec._plan is not None for _, specs in cases for spec in specs)
+        assert held <= 2.5 * 2**20
 
 
 class TestExactDispatch:

@@ -747,11 +747,12 @@ class TestCli:
         assert "weight[0]" in capsys.readouterr().err
 
     def test_numeric_failure_exit_three(self, tmp_path, rng):
-        # a weight vector whose naive evaluation exceeds the term budget
-        x = ts.Tensor(rng.integers(0, 2, size=(1, 4, 4)).astype(complex))
+        # a weight vector whose plan exceeds the term budget: 8 * 40,320**2
+        # terms on (1;8,8)
+        x = ts.Tensor(rng.integers(0, 2, size=(1, 8, 8)).astype(complex))
         xpath = tmp_path / "x.json"
         save_tensor(x, str(xpath))
-        spec = ts.HWVSpec(weight=((2, 2, 2, 2), (8,)), index_seq=(0,) * 8,
+        spec = ts.HWVSpec(weight=((1,) * 8,) * 2, index_seq=(0,) * 8,
                           perms=(tuple(range(8)),) * 2)
         spath = tmp_path / "big.json"
         spath.write_text(json.dumps(hwv_spec_to_obj(spec)))

@@ -56,7 +56,6 @@ ENTRIES = {
     "KroneckerQuery.mu": ("mu", lambda v: _kronecker((2, 1), (v, 1), (3,))),
     "KroneckerQuery.nu": ("nu", lambda v: _kronecker((2, 1), (3,), (v, 1))),
     "KroneckerQuery.n": ("n", lambda v: _kronecker((1,), (1,), (1,), v)),
-    "eval_cost": ("dims", lambda v: ts.eval_cost((v, 2), 1)),
     "partitions_of.k": ("k", lambda v: list(ts.partitions_of(v, 2))),
     "partitions_of.max_parts": ("max_parts", lambda v: list(ts.partitions_of(2, v))),
     "conjugate_partition": ("parts", lambda v: ts.conjugate_partition((v, 1))),

@@ -66,15 +66,30 @@ class TestReductionData:
             assert np.array_equal(ts.expand_matrix(rd, x), first[0])
             assert np.array_equal(ts.expand_adjoint(rd, np.eye(3)), first[1])
         assert calls == [(2, 1)]
-        # reduce_tensor builds one ReductionData per factor per call
-        y = random_integer_tensor((1, 2, 2, 2), rng)
-        lams = [(2, 1)] * 3
-        calls.clear()
-        want = ts.reduce_tensor(y, lams).data
-        for _ in range(100):
-            assert np.array_equal(ts.reduce_tensor(y, lams).data, want)
-        assert len(calls) == 3 * 101
-        assert np.array_equal(want, reduce_reference(y, lams).data)
+        # reduce_tensor memoizes one ReductionData per distinct partition:
+        # (2, 1) is conjugated once over 101 calls, and a later format
+        # conjugates only its new partition
+        reduction._placement.cache_clear()
+        for shape, lams, new in [((1, 2, 2, 2), [(2, 1)] * 3, [(2, 1)]),
+                                 ((1, 2, 2, 3), [(2, 1), (2, 1), (1, 1, 1)],
+                                  [(1, 1, 1)])]:
+            y = random_integer_tensor(shape, rng)
+            calls.clear()
+            want = ts.reduce_tensor(y, lams).data
+            for _ in range(100):
+                assert np.array_equal(ts.reduce_tensor(y, lams).data, want)
+            assert calls == new
+            assert np.array_equal(want, reduce_reference(y, lams).data)
+
+
+    def test_memo_keeps_the_integer_rule(self, rng):
+        # 2.0 and True hash like 2 and 1, so a memoized (2, 1) must not
+        # admit them
+        y = random_integer_tensor((1, 2, 2), rng)
+        ts.reduce_tensor(y, [(2, 1)] * 2)
+        for lam in [(2.0, 1), (2, True)]:
+            with pytest.raises(ValueError, match=r"^lam\[\d\] must be"):
+                ts.reduce_tensor(y, [lam] * 2)
 
 
 class TestKrausOperators:
