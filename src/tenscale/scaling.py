@@ -31,6 +31,7 @@ measurement.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -48,7 +49,6 @@ from .tensors import (
     Tensor,
     apply_group,
     compose_group,
-    contract,
     flattening,
     identity_group,
 )
@@ -63,6 +63,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
+_FLOAT_MAX = np.finfo(float).max
 # A format whose d flattenings hold at most this many entries in all takes
 # each dimension group's marginals from one gather of the raw iterate.  Per
 # measurement of a row-major float64 iterate (2-core x86-64, one BLAS
@@ -273,12 +274,9 @@ def random_group(dims: Sequence[int], rand_range: int, seed: int) -> GroupTuple:
     randint(1, rand_range) would draw them."""
     dims = [as_int(n, "dims", low=1) for n in dims]
     entries = _uniform_draws(as_int(seed, "seed"), sum(n * n for n in dims),
-                             as_int(rand_range, "rand_range", low=1))
-    factors, lo = [], 0
-    for n in dims:
-        factors.append(entries[lo:lo + n * n].astype(complex).reshape(n, n))
-        lo += n * n
-    return tuple(factors)
+                             as_int(rand_range, "rand_range", low=1)).astype(complex)
+    ends = itertools.accumulate(n * n for n in dims)
+    return tuple(entries[end - n * n:end].reshape(n, n) for n, end in zip(dims, ends))
 
 
 def _singular(m: np.ndarray) -> bool:
@@ -301,10 +299,10 @@ def _singular(m: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _assert_nonsingular(rho: np.ndarray, low: float) -> None:
+def _assert_nonsingular(rho: np.ndarray, low: float, tr: float | None = None) -> None:
     """Raise SingularMarginalError unless low, the smallest eigenvalue of
-    rho, lies above SINGULARITY_RTOL times its trace."""
-    ref = SINGULARITY_RTOL * np.trace(rho).real
+    rho, lies above SINGULARITY_RTOL times its trace tr (taken if not given)."""
+    ref = SINGULARITY_RTOL * (np.trace(rho).real if tr is None else tr)
     if low <= ref:
         raise SingularMarginalError(
             f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
@@ -312,10 +310,11 @@ def _assert_nonsingular(rho: np.ndarray, low: float) -> None:
 
 def _check_start(stacks: Sequence[np.ndarray]) -> None:
     """The loop's one singularity rule: _assert_nonsingular on the marginals
-    of a start's stacks, one eigvalsh per stack; no step changes a rank."""
+    of a start's stacks, one eigvalsh and trace per stack; no step changes a rank."""
     for stack in stacks:
-        for rho, low in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist()):
-            _assert_nonsingular(rho, low=low)
+        for rho, low, tr in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist(),
+                                np.trace(stack, axis1=1, axis2=2).real.tolist()):
+            _assert_nonsingular(rho, low=low, tr=tr)
 
 
 # --------------------------------------------------------------------------
@@ -451,50 +450,60 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _loop_constants(shape: tuple[int, ...], dtype: np.dtype,
+                    targets: tuple[tuple[float, ...], ...]) -> tuple:
+    """_Iterate's shared constants for a format, dtype and target, by value."""
+    d = len(shape) - 1
+    groups, slots, roots, eyes, axes = [], [None] * d, [None] * d, [None] * d, [None] * d
+    for g, factors in enumerate(_dimension_groups(shape)):
+        n, entries = shape[factors[0] + 1], np.array([targets[j] for j in factors])
+        diags = np.zeros((len(factors), n, n), dtype=dtype)
+        diags.reshape(len(factors), -1)[:, ::n + 1] = entries
+        shared = diags, np.sqrt(entries), np.eye(n, dtype=dtype)
+        for a in shared:  # and so are their views, roots[j] among them
+            a.flags.writeable = False
+        groups.append((factors, diags))
+        for t, j in enumerate(factors):
+            slots[j], roots[j], eyes[j] = (g, t), shared[1][t], shared[2]
+            axes[j] = math.prod(shape[:j + 1]), n, math.prod(shape[j + 2:])
+    gathers = d * math.prod(shape) <= GATHER_MAX_ENTRIES
+    return (groups, slots, _flattening_index(shape) if gathers else None, roots,
+            [[-v for v in vec] for vec in targets], eyes, axes)
+
+
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
     folded into group[0], the loop's tolerance epsilon and y's last measurement:
-    marginals rhos, Frobenius distances frob to the targets and, on first read,
-    trace distances dists, all in x0's dtype (a real iterate's Borel step is real).
+    marginal stacks (rhos views them on first read), Frobenius distances frob
+    and, on first read, trace distances dists, all in x0's dtype.
 
-    A step makes one pass over y, the contraction with the Borel step a:
-    tr(a rho_j a^dagger), the stepped iterate's squared norm, is the sum of
-    the target's entries, 1, so no norm or divide pass follows.  A gather
-    forms each dimension group's Gram matrices in one product, the stepped
-    factor's too; the per-factor path forms the other d - 1 and takes the
-    congruence a rho_j a^dagger as factor j's new marginal.  The start and a
-    resync measure all d, and renormalize holds the iterate's one norm rule.
+    A step makes one pass over y, the contraction with the Borel step a,
+    which leaves y at unit norm: tr(a rho_j a^dagger) is the target's sum, 1.
+    A gather forms each dimension group's Gram matrices in one product, the
+    stepped factor's too; the per-factor path forms the other d - 1 and takes
+    a rho_j a^dagger as factor j's.  The start and a resync measure all d,
+    and renormalize holds the iterate's one norm rule.
 
-    groups pairs the 0-based factors of each distinct dimension with their
-    stacked target diagonals, stacks their last marginals, and index their
-    flattening positions from _flattening_index when the d flattenings hold
-    at most GATHER_MAX_ENTRIES entries, else None.  roots[j] and exponents[j]
-    are factor j + 1's target root vector and negated ascending entries, and
-    blocks the iterate's own _step_matrix buffers.  The group stays upper
-    triangular, so diag(a g) = diag(a) diag(g): capacity, ||y|| prod |g_kk| **
-    -(ascending target entry k), is the running product of the norms
-    renormalize divides out and each step's prod |a_kk| ** exponents[j][k].
+    Shared and read-only: groups pairs the 0-based factors of each dimension
+    with their stacked target diagonals, slots[j] is factor j's place there,
+    index the flattening positions from _flattening_index when the d
+    flattenings hold at most GATHER_MAX_ENTRIES entries, else None, and
+    roots[j], exponents[j] and axes[j] are factor j + 1's target root vector,
+    negated ascending entries and contraction shape (P, n, Q); blocks, the
+    _step_matrix buffers, are the iterate's own.  The group stays upper
+    triangular, so capacity, ||y|| prod |g_kk| ** -(ascending target entry k),
+    is the running product of the norms renormalize divides out and each
+    step's prod |a_kk| ** exponents[j][k], as diag(a g) = diag(a) diag(g).
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0,
                  epsilon: float = math.inf):
-        shape, dtype = x0.shape, x0.data.dtype
+        (self.groups, self.slots, self.index, self.roots, self.exponents, eyes,
+         self.axes) = _loop_constants(x0.shape, x0.data.dtype, p._ascending)
         self.epsilon = epsilon
-        asc = [p.ascending(i) for i in range(1, len(shape))]
-        self.groups, self.slots = [], {}
-        for g, factors in enumerate(_dimension_groups(shape)):
-            n = shape[factors[0] + 1]
-            diags = np.zeros((len(factors), n, n), dtype=dtype)
-            diags[:, range(n), range(n)] = [asc[j] for j in factors]
-            self.groups.append((factors, diags))
-            self.slots.update({j: (g, t) for t, j in enumerate(factors)})
-        gathered = (len(shape) - 1) * math.prod(shape)
-        self.index = (_flattening_index(shape)
-                      if gathered <= GATHER_MAX_ENTRIES else None)
-        self.roots = [np.sqrt(a) for a in asc]
-        self.exponents = [(-a).tolist() for a in asc]
         self.blocks = {}
-        self.group = [np.eye(n, dtype=dtype) for n in x0.dims]
+        self.group = list(eyes)  # each step replaces its factor
         self.steps = 0
         self.capacity = 1.0
         self.renormalize(x0.data, scale)
@@ -504,7 +513,7 @@ class _Iterate:
         measure every factor: the start and each resync.  The iterate's one
         norm rule: a norm ||y|| outside (1 / max float, inf), which would
         carry 1 / norm past the float range, raises NumericBreakdownError."""
-        if not 1.0 / np.finfo(float).max < norm < math.inf:
+        if not 1.0 / _FLOAT_MAX < norm < math.inf:
             raise NumericBreakdownError(
                 f"iterate left the floating-point range at step {self.steps}")
         self.y = y if norm == 1.0 else y / norm  # y / 1.0 only copies y
@@ -515,18 +524,20 @@ class _Iterate:
     def step(self, j: int, a: np.ndarray) -> None:
         """Apply the Borel step a to factor j + 1 of the iterate and of the
         group, update capacity and measure.  Off the gather path, factor
-        j + 1's marginal becomes a rho_j a^dagger, by its Hermitian part (the
-        product is Hermitian only up to rounding).  A non-finite entry in the
-        stepped group factor raises NumericBreakdownError at once: no later
-        step makes it finite."""
+        j + 1's marginal becomes the Hermitian part of a rho_j a^dagger.  A
+        non-finite entry in the stepped group factor raises
+        NumericBreakdownError at once: no later step makes it finite."""
         self.steps += 1
-        self.y = contract(a, self.y, j + 1)
-        self.group[j] = a.dot(self.group[j])
-        if not np.isfinite(self.group[j]).all():
+        (p, n, q), y = self.axes[j], self.y  # contract's product, no set-up
+        y = a @ y.reshape(n, q) if p == 1 else y.reshape(p, n) @ a.T if q == 1 \
+            else np.matmul(a, y.reshape(p, n, q))
+        self.y = y.reshape(self.y.shape)
+        self.group[j] = g = a.dot(self.group[j])
+        if np.count_nonzero(np.isfinite(g)) < g.size:  # .all() costs more
             raise NumericBreakdownError("the scaling group left the "
                                         f"floating-point range at step {self.steps}")
-        self.capacity *= math.prod(abs(v) ** e for v, e in zip(
-            a.diagonal().tolist(), self.exponents[j]))
+        self.capacity *= math.prod(map(pow, map(abs, a.diagonal().tolist()),
+                                       self.exponents[j]))
         if self.index is not None:  # the gather forms factor j's Gram matrix
             return self.measure()
         # ndarray.dot: the BLAS product of @, with less overhead on small n
@@ -546,8 +557,10 @@ class _Iterate:
         marginal, whose failed factorization is a numeric breakdown."""
         dists = self.frob if max(self.frob) > self.epsilon else self.dists
         j = dists.index(max(dists))
+        g, t = self.slots[j]  # a written rhos list is what the rule reads
+        rho = self.stacks[g][t] if self._rhos is None else self._rhos[j]
         try:
-            return j, _step_matrix(self.rhos[j], self.roots[j], self.blocks)
+            return j, _step_matrix(rho, self.roots[j], self.blocks)
         except np.linalg.LinAlgError as exc:
             raise NumericBreakdownError("the Cholesky factorization failed "
                                         f"at step {self.steps + 1}") from exc
@@ -560,14 +573,12 @@ class _Iterate:
         path leaves factor ``skip``'s place unset, the gather path fills it."""
         stacks = []
         if self.index is not None:
-            flat = self.y.ravel()
-            for index in self.index:
-                ms = flat[index]
+            for index in self.index:  # take reads y in row-major order
+                ms = self.y.take(index)
                 stacks.append(np.matmul(ms, ms.conj().swapaxes(1, 2)))
             return stacks
         for factors, diags in self.groups:
-            n = diags.shape[-1]
-            stack = np.empty((len(factors), n, n), dtype=self.y.dtype)
+            stack = np.empty(diags.shape, dtype=self.y.dtype)
             for j, gram in zip(factors, stack):
                 if j != skip:
                     m = flattening(self.y, j + 1)
@@ -577,24 +588,29 @@ class _Iterate:
 
     def measure(self, j: int | None = None, rho: np.ndarray | None = None
                 ) -> None:
-        """Set stacks, rhos and frob (one reduction per dimension group, the
-        same bits as over each matrix alone) from the raw iterate.  A
-        per-factor step passes its factor j and marginal rho, set in place of
-        j's Gram matrix.  Each rho_j is a Gram matrix, Hermitian to rounding,
-        or the Hermitian part of a congruence, so none is checked: eigvalsh
-        reads its lower triangle, _step_matrix its upper one."""
+        """Set stacks and frob (one reduction per dimension group, the same
+        bits as over each matrix alone) from the raw iterate; a per-factor
+        step passes its factor j's marginal rho.  No rho_j, a Gram matrix or a
+        congruence's Hermitian part, is checked: eigvalsh reads its lower
+        triangle, _step_matrix its upper one."""
         stacks = self.grams(j)
         if rho is not None:
             g, t = self.slots[j]
             stacks[g][t] = rho
-        d = len(self.roots)
-        rhos, frob = [None] * d, [0.0] * d
+        frob = [0.0] * len(self.roots)
         for (factors, diags), stack in zip(self.groups, stacks):
             diff = stack - diags
-            norms = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(1, 2)))
-            for k, rho_k, dist in zip(factors, stack, norms.tolist()):
-                rhos[k], frob[k] = rho_k, dist
-        self.stacks, self.rhos, self.frob, self._dists = stacks, rhos, frob, None
+            diff *= diff.conj()  # a real diff's conj is diff itself
+            for k, sq in zip(factors, np.add.reduce(diff.real, axis=(1, 2)).tolist()):
+                frob[k] = math.sqrt(sq)
+        self.stacks, self.frob, self._rhos, self._dists = stacks, frob, None, None
+
+    @property
+    def rhos(self) -> list[np.ndarray]:
+        """Views of stacks, made on first read; the rule reads a write to them."""
+        if self._rhos is None:
+            self._rhos = [self.stacks[g][t] for g, t in self.slots]
+        return self._rhos
 
     @property
     def dists(self) -> list[float]:
@@ -605,28 +621,30 @@ class _Iterate:
         if self._dists is None:
             self._dists = [0.0] * len(self.roots)
             for (factors, diags), stack in zip(self.groups, self.stacks):
-                spread = np.abs(np.linalg.eigvalsh(stack - diags)).sum(axis=1)
-                for k, dist in zip(factors, spread.tolist()):
+                norms = np.add.reduce(np.abs(np.linalg.eigvalsh(stack - diags)), axis=1)
+                for k, dist in zip(factors, norms.tolist()):
                     self._dists[k] = dist
         return self._dists
 
 
 def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
     """The Borel step: upper-triangular A with (A rho A^dagger) =
-    diag(root)**2 for the root vector of the target and the Hermitian rho,
-    from one Cholesky call on [[J rho J, I], [I, c I]], J the coordinate
+    diag(root)**2 for the target's root vector and the Hermitian rho, from
+    one np.linalg.cholesky call on [[J rho J, I], [I, c I]], J the coordinate
     reversal and c = 2**900.  For J rho J = L L^dagger, the factor's
-    lower-left block is inv(L)^dagger, upper triangular with exact zeros, and
-    inv(R) = J inv(L) J for R = J L J, the upper-triangular factor with
-    positive diagonal and R R^dagger = rho.  The block c I
-    - inv(rho) fails only if 1 / lambda_min(rho) > c.  blocks, the caller's
-    own, keeps the matrix per dimension and dtype, refilled on every call."""
+    lower-left block is inv(L)^dagger, upper triangular with exact zeros,
+    and inv(R) = J inv(L) J for the upper factor R = J L J of rho.  The
+    block c I - inv(rho) fails only if 1 / lambda_min(rho) > c.  blocks, the
+    caller's own, keeps it per dimension and dtype, filled once, then per call."""
     n, key = len(rho), (len(rho), rho.dtype)
-    if key not in blocks:
-        blocks[key] = np.kron([[0, 1], [1, 2.0**900]], np.eye(n)).astype(rho.dtype)
-    blocks[key][:n, :n] = rho[::-1, ::-1]
-    x = np.linalg.cholesky(blocks[key])[n:, :n]
-    return x.conj().T[::-1, ::-1] * root[:, None]  # rows of inv(R), scaled
+    block = blocks.get(key)
+    if block is None:
+        blocks[key] = block = np.zeros((2 * n, 2 * n), rho.dtype)
+        block[:n, n:] = block[n:, :n] = eye = np.eye(n)
+        block[n:, n:] = 2.0**900 * eye
+    block[:n, :n] = rho[::-1, ::-1]
+    x = np.linalg.cholesky(block)[:n - 1:-1, n - 1::-1]  # lower left, J . J
+    return x.conj().T * root[:, None]  # rows of inv(R), scaled
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,
@@ -706,7 +724,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
 
     def full(borel: Sequence[np.ndarray]) -> GroupTuple:
         # the loop's tuple composed with pre, zero-target factors padded back
-        if p.has_zeros():
+        if x0 is not start:
             borel = pad_scaling(borel, p, cfg.epsilon, norm_start)
         return compose_group(borel, pre)
 
@@ -719,7 +737,7 @@ def _core_loop(x: Tensor, start: Tensor, pre: GroupTuple, p: TargetSpectrum,
         singular = [i for i, m in enumerate(pre, start=1) if _singular(m)]
         if singular:
             return report(BUDGET_EXHAUSTED, pre, f"basis change factor {singular[0]} is singular")
-        if note and p.has_zeros():
+        if note and x0 is not start:
             return report(BUDGET_EXHAUSTED, pre, note)
         return report(NOT_IN_POLYTOPE, group(), why)
 

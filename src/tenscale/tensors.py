@@ -52,7 +52,7 @@ def _real_if_real(a) -> np.ndarray:
     if a.dtype.kind in "biuf":
         return a.astype(float, copy=False)
     a = a.astype(complex, copy=False)
-    return a if a.imag.any() else np.ascontiguousarray(a.real)
+    return a if np.count_nonzero(a.imag) else np.ascontiguousarray(a.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +71,9 @@ class Tensor:
         data = np.array(_real_if_real(self.data), order="C")
         if data.ndim < 2:
             raise ValueError("a tensor needs factor 0 plus at least one scaled factor")
-        if any(n < 1 for n in data.shape):
+        if min(data.shape) < 1:
             raise ValueError(f"all dimensions must be >= 1, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NonFiniteEntriesError("tensor entries must be finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -124,8 +124,8 @@ class Tensor:
         For Gaussian-integer tensors this is the exact bit length; for other
         inputs the magnitude is rounded up first.
         """
-        top = float(np.max(np.abs(self.data.ravel().view(float))))
-        return max(1, int(np.ceil(top)).bit_length())
+        top = float(np.abs(self.data.ravel().view(float)).max())
+        return max(1, math.ceil(top).bit_length())
 
 
 def check_hermitian(a: np.ndarray) -> np.ndarray:

@@ -800,11 +800,13 @@ def test_each_halt_check_is_one_counted_resync():
 # belongs in the tests
 BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
-    # the tensor primitives tests/test_loop_reference.py builds its
-    # reference loop from; spectrum, which acceptance criteria 02 and 06 and
-    # tests/test_oracle.py read spectra with; and the partition predicate
-    # that README documents
-    "marginal", "trace_distance", "spectrum", "is_partition",
+    # the tensor primitives and the float target diagonals
+    # (TargetSpectrum.ascending) tests/test_loop_reference.py builds its
+    # reference loop from, now that the engine keys its loop constants by
+    # the cached float tuple; spectrum, which acceptance criteria 02 and 06
+    # and tests/test_oracle.py read spectra with; and the partition
+    # predicate that README documents
+    "marginal", "trace_distance", "ascending", "spectrum", "is_partition",
 }
 
 

@@ -2,6 +2,8 @@
 import inspect
 import math
 import random
+import sys
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -900,6 +902,106 @@ class TestOnePassStep:
                                               max_iters=3000))
         assert (rep.verdict, rep.iterations) == (ts.BUDGET_EXHAUSTED, 3000)
         assert len(drift) == 3000 and max(drift) <= 1e-8
+
+
+def report_bits(rep) -> tuple:
+    """Everything a report carries, the group as dtypes and bytes."""
+    return (rep.verdict, rep.iterations, rep.budget, rep.note,
+            [(r.index, r.frobenius, r.capacity) for r in rep.trace],
+            [(m.dtype, m.tobytes()) for m in rep.group])
+
+
+class TestSharedLoopConstants:
+    """_loop_constants builds an iterate's format and target constants once,
+    keyed by value and read-only; each iterate owns only its state and its
+    _step_matrix buffers."""
+
+    FAR = ts.TargetSpectrum(((F(9, 10), F(1, 10)),) * 3)
+
+    def test_gather_step_dispatch(self, monkeypatch):
+        # far from its target, a gather-path step on (1;2,2,2) ranks by
+        # Frobenius distance: one Cholesky call, no kron and no eigensolve
+        x = ts.Tensor(np.arange(1.0, 9.0).reshape(1, 2, 2, 2))
+        it = ts.scaling._Iterate(x, self.FAR, x.norm(), epsilon=1e-3)
+        assert it.index is not None
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((np.linalg, "cholesky"), (np.linalg, "eigvalsh"),
+                             (np, "kron")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for _ in range(2):  # the first step also builds the block buffer
+            assert max(it.frob) > it.epsilon
+            calls.clear()
+            it.step(*it.rule())
+            assert calls == ["cholesky"]
+
+    def test_built_once_per_value_and_read_only(self, rng):
+        x = random_integer_tensor((1, 2, 2, 2), rng)
+        targets = [ts.TargetSpectrum(((F(3, 4), F(1, 4)),) * 3) for _ in range(2)]
+        assert targets[0] == targets[1] and targets[0] is not targets[1]
+        ts.scaling._loop_constants.cache_clear()
+        for p in targets:
+            rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3, seed=1))
+            assert rep.verdict == ts.SCALED and rep.iterations > 0
+        info = ts.scaling._loop_constants.cache_info()
+        # each run's loop and witness iterates, one build for both runs
+        assert (info.misses, info.hits) == (1, 3)
+        groups, _, index, roots, _, eyes, _ = ts.scaling._loop_constants(
+            x.shape, x.data.dtype, targets[0]._ascending)
+        shared = [diags for _, diags in groups] + roots + eyes + list(index)
+        assert shared and not any(a.flags.writeable for a in shared)
+        its = [ts.scaling._Iterate(x, p, x.norm()) for p in targets]
+        assert its[0].groups is its[1].groups and its[0].roots is its[1].roots
+        for it in its:
+            it.step(*it.rule())
+        blocks = [b for it in its for b in it.blocks.values()]
+        assert all(b.flags.writeable for b in blocks)
+        assert not np.shares_memory(*blocks)
+
+    def test_runs_in_threads_match_serial_runs(self, rng):
+        # two formats and targets, one with zero entries, run at once in two
+        # threads, many times over and switching every microsecond: each report
+        # equals its serial run's bits
+        # both complex, and both factor 2 x 2 marginals: equal buffer keys
+        cases = [(ts.Tensor(random_integer_tensor((1, 2, 2, 2), rng).data
+                            + 1j * random_integer_tensor((1, 2, 2, 2), rng).data),
+                  self.FAR, 1e-2),
+                 (ts.Tensor(rng.standard_normal((2, 3, 3, 3))
+                            + 1j * rng.standard_normal((2, 3, 3, 3))),
+                  ts.TargetSpectrum(((F(1, 2), F(1, 2), F(0)),
+                                     (F(1, 2), F(1, 3), F(1, 6)),
+                                     (F(1, 3),) * 3)), 1e-3)]
+        configs = [ts.ScalingConfig(epsilon=eps, seed=5, max_iters=400)
+                   for _, _, eps in cases]
+        serial = [report_bits(ts.run_scaling(x, p, cfg))
+                  for (x, p, _), cfg in zip(cases, configs)]
+        assert serial[0][4] and serial[1][4]  # both take steps
+        barrier = threading.Barrier(2)
+        got = [[], []]
+
+        def work(k):
+            x, p, _ = cases[k]
+            barrier.wait()
+            for _ in range(100):
+                got[k].append(report_bits(ts.run_scaling(x, p, configs[k])))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[serial[0]] * 100, [serial[1]] * 100]
 
 
 class TestCapacity:
