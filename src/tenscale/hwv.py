@@ -29,13 +29,14 @@ A description resolves its compact plan on its first evaluation on a tensor
 shape: it checks itself against the format, in O(d + k), and adds to each
 slot's positions the offset of the row it reads, so that they index x.data
 directly; the offsets come from a memo of 1,024 index sequences and shapes.
-When the compact plan is memoized, the description holds the resolved plan
-(read-only, in the smallest unsigned type that holds its positions, about
-230 bytes on small formats) until it resolves one for another shape.  An
-evaluation is one gather of entry products from x.data, one product over
-the k slots and one signed sum.  Positions are slot-major, (k, terms), so a
-real gather's product runs along the terms; a complex one is gathered
-term-major, whose scalar product rounds unlike NumPy's vectorized one.
+When the compact plan is memoized, the description holds the resolved plan,
+read-only and in the smallest unsigned type that holds its positions, until
+it resolves one for another shape or is itself freed.  Every later
+evaluation on a tensor of that shape is one gather of entry products from
+x.data, one product over the k slots and one signed sum.  A held plan
+shares the memo's signs and costs about 230 bytes on small formats: under
+tracemalloc, the 3,105 descriptions of degree at most 4 on (1;2,2),
+(2;2,2), (1;3,2) and (1;2,2,2) hold 0.7 MiB besides the memos' 1.2 MiB.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
@@ -190,7 +191,7 @@ def _term_plan(weight: tuple[tuple[int, ...], ...],
                perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """A description's compact plan on scaled dimensions ``dims``, for any
-    index sequence: read-only slot-major (k, terms) positions into the rows
+    index sequence: read-only (terms, k) positions into the rows
     x.data[index_seq[a]] laid end to end (slot a reads row a), in the
     smallest unsigned type that holds them, and read-only float64 signs.
     The terms run in row-major order over the factors' arrangements, as a
@@ -209,8 +210,8 @@ def _term_plan(weight: tuple[tuple[int, ...], ...],
         offsets = offsets[..., None, :] * n + slots
         signs = np.multiply.outer(signs, det_signs)
     size = math.prod(dims)
-    positions = (offsets.reshape(-1, k) + np.arange(k) * size).T.astype(
-        np.min_scalar_type(k * size - 1), order="C")
+    positions = (offsets.reshape(-1, k) + np.arange(k) * size).astype(
+        np.min_scalar_type(k * size - 1))
     signs = signs.flatten()  # a copy, so no view keeps the outer product
     positions.flags.writeable = False
     signs.flags.writeable = False
@@ -273,7 +274,7 @@ def _resolve_plan(spec: HWVSpec, shape: tuple[int, ...]
     compact = _memoized_plan(spec.weight, spec.perms, dims, k)
     shape, shifts = _row_shifts(spec.index_seq, shape)
     positions, signs = compact or _term_plan(spec.weight, spec.perms, dims, k)
-    plan = shape, positions + shifts[:, None], signs
+    plan = shape, positions + shifts, signs
     if compact is not None:
         plan[1].setflags(write=False)
         object.__setattr__(spec, "_plan", plan)
@@ -300,10 +301,7 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     plan = spec._plan
     if plan is None or plan[0] != data.shape:
         plan = _resolve_plan(spec, data.shape)
-    if data.dtype.kind == "c":  # term-major (see the module docstring)
-        products = np.multiply.reduce(data.take(plan[1].T), axis=1)
-    else:
-        products = np.multiply.reduce(data.take(plan[1]), axis=0)
+    products = np.multiply.reduce(data.take(plan[1]), axis=1)
     return complex(products @ plan[2])
 
 

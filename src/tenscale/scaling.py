@@ -49,6 +49,7 @@ from .tensors import (
     Tensor,
     apply_group,
     compose_group,
+    contract_folded,
     flattening,
     identity_group,
 )
@@ -122,7 +123,7 @@ class TargetSpectrum:
 
     def ranks(self) -> tuple[int, ...]:
         """Number of nonzero entries per factor."""
-        return tuple(sum(1 for v in vec if v > 0) for vec in self.parts)
+        return tuple(len(vec) - vec.count(0) for vec in self.parts)
 
     @functools.cached_property
     def _ascending(self) -> tuple[tuple[float, ...], ...]:
@@ -299,10 +300,10 @@ def _singular(m: np.ndarray) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _assert_nonsingular(rho: np.ndarray, low: float, tr: float | None = None) -> None:
+def _assert_nonsingular(rho: np.ndarray, low: float) -> None:
     """Raise SingularMarginalError unless low, the smallest eigenvalue of
-    rho, lies above SINGULARITY_RTOL times its trace tr (taken if not given)."""
-    ref = SINGULARITY_RTOL * (np.trace(rho).real if tr is None else tr)
+    rho, lies above SINGULARITY_RTOL times its trace."""
+    ref = SINGULARITY_RTOL * np.trace(rho).real
     if low <= ref:
         raise SingularMarginalError(
             f"smallest eigenvalue {low:.3e} below threshold {ref:.3e}")
@@ -310,11 +311,10 @@ def _assert_nonsingular(rho: np.ndarray, low: float, tr: float | None = None) ->
 
 def _check_start(stacks: Sequence[np.ndarray]) -> None:
     """The loop's one singularity rule: _assert_nonsingular on the marginals
-    of a start's stacks, one eigvalsh and trace per stack; no step changes a rank."""
+    of a start's stacks, one eigvalsh per stack; no step changes a rank."""
     for stack in stacks:
-        for rho, low, tr in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist(),
-                                np.trace(stack, axis1=1, axis2=2).real.tolist()):
-            _assert_nonsingular(rho, low=low, tr=tr)
+        for rho, low in zip(stack, np.linalg.eigvalsh(stack)[:, 0].tolist()):
+            _assert_nonsingular(rho, low=low)
 
 
 # --------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
     ranks = p.ranks()
     if [np.shape(b) for b in b_plus] != [(r, r) for r in ranks]:
         raise ValueError(f"group factor shapes do not fit the ranks {ranks}")
-    if not all(np.all(np.isfinite(b)) for b in b_plus):
+    if not all(np.isfinite(b).all() for b in b_plus):
         raise NumericBreakdownError(
             "the scaling group left the floating-point range")
     growth = math.prod(max(1.0, float(np.linalg.norm(b))) for b in b_plus)
@@ -453,9 +453,10 @@ def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=64)
 def _loop_constants(shape: tuple[int, ...], dtype: np.dtype,
                     targets: tuple[tuple[float, ...], ...]) -> tuple:
-    """_Iterate's shared constants for a format, dtype and target, by value."""
+    """_Iterate's shared constants for a format, dtype and target, by value:
+    tuples of read-only arrays, so no run can change what another reads."""
     d = len(shape) - 1
-    groups, slots, roots, eyes, axes = [], [None] * d, [None] * d, [None] * d, [None] * d
+    groups, slots, roots, eyes = [], [None] * d, [None] * d, [None] * d
     for g, factors in enumerate(_dimension_groups(shape)):
         n, entries = shape[factors[0] + 1], np.array([targets[j] for j in factors])
         diags = np.zeros((len(factors), n, n), dtype=dtype)
@@ -463,13 +464,14 @@ def _loop_constants(shape: tuple[int, ...], dtype: np.dtype,
         shared = diags, np.sqrt(entries), np.eye(n, dtype=dtype)
         for a in shared:  # and so are their views, roots[j] among them
             a.flags.writeable = False
-        groups.append((factors, diags))
+        groups.append((tuple(factors), diags))
         for t, j in enumerate(factors):
             slots[j], roots[j], eyes[j] = (g, t), shared[1][t], shared[2]
-            axes[j] = math.prod(shape[:j + 1]), n, math.prod(shape[j + 2:])
-    gathers = d * math.prod(shape) <= GATHER_MAX_ENTRIES
-    return (groups, slots, _flattening_index(shape) if gathers else None, roots,
-            [[-v for v in vec] for vec in targets], eyes, axes)
+    axes = tuple((math.prod(shape[:j]), n, math.prod(shape[j + 1:]))
+                 for j, n in enumerate(shape) if j)
+    index = _flattening_index(shape) if d * math.prod(shape) <= GATHER_MAX_ENTRIES else None
+    return (tuple(groups), tuple(slots), index, tuple(roots),
+            tuple(tuple(-v for v in vec) for vec in targets), tuple(eyes), axes)
 
 
 class _Iterate:
@@ -485,27 +487,24 @@ class _Iterate:
     a rho_j a^dagger as factor j's.  The start and a resync measure all d,
     and renormalize holds the iterate's one norm rule.
 
-    Shared and read-only: groups pairs the 0-based factors of each dimension
-    with their stacked target diagonals, slots[j] is factor j's place there,
-    index the flattening positions from _flattening_index when the d
-    flattenings hold at most GATHER_MAX_ENTRIES entries, else None, and
-    roots[j], exponents[j] and axes[j] are factor j + 1's target root vector,
-    negated ascending entries and contraction shape (P, n, Q); blocks, the
-    _step_matrix buffers, are the iterate's own.  The group stays upper
-    triangular, so capacity, ||y|| prod |g_kk| ** -(ascending target entry k),
-    is the running product of the norms renormalize divides out and each
-    step's prod |a_kk| ** exponents[j][k], as diag(a g) = diag(a) diag(g).
+    Shared and read-only, from _loop_constants: groups pairs the 0-based
+    factors of each dimension with their stacked target diagonals, slots[j]
+    is factor j's place there, index the gather's flattening positions (None
+    past GATHER_MAX_ENTRIES), and roots[j], exponents[j] and axes[j] are
+    factor j + 1's target root vector, negated ascending entries and
+    contraction axes (P, n, Q); blocks, the _step_matrix buffers, are the
+    iterate's own.  The group stays upper triangular, so capacity, ||y||
+    prod |g_kk| ** -(ascending target entry k), is the running product of
+    the norms renormalize divides out and each step's prod |a_kk| **
+    exponents[j][k], as diag(a g) = diag(a) diag(g).
     """
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0,
                  epsilon: float = math.inf):
         (self.groups, self.slots, self.index, self.roots, self.exponents, eyes,
          self.axes) = _loop_constants(x0.shape, x0.data.dtype, p._ascending)
-        self.epsilon = epsilon
-        self.blocks = {}
+        self.epsilon, self.blocks, self.steps, self.capacity = epsilon, {}, 0, 1.0
         self.group = list(eyes)  # each step replaces its factor
-        self.steps = 0
-        self.capacity = 1.0
         self.renormalize(x0.data, scale)
 
     def renormalize(self, y: np.ndarray, norm: float) -> None:
@@ -528,10 +527,7 @@ class _Iterate:
         non-finite entry in the stepped group factor raises
         NumericBreakdownError at once: no later step makes it finite."""
         self.steps += 1
-        (p, n, q), y = self.axes[j], self.y  # contract's product, no set-up
-        y = a @ y.reshape(n, q) if p == 1 else y.reshape(p, n) @ a.T if q == 1 \
-            else np.matmul(a, y.reshape(p, n, q))
-        self.y = y.reshape(self.y.shape)
+        self.y = contract_folded(a, self.y, self.axes[j]).reshape(self.y.shape)
         self.group[j] = g = a.dot(self.group[j])
         if np.count_nonzero(np.isfinite(g)) < g.size:  # .all() costs more
             raise NumericBreakdownError("the scaling group left the "
@@ -644,7 +640,7 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
         block[n:, n:] = 2.0**900 * eye
     block[:n, :n] = rho[::-1, ::-1]
     x = np.linalg.cholesky(block)[:n - 1:-1, n - 1::-1]  # lower left, J . J
-    return x.conj().T * root[:, None]  # rows of inv(R), scaled
+    return (x.conj() * root).T  # rows of inv(R), scaled
 
 
 def scaling_step(g: Sequence[np.ndarray], x: Tensor, p: TargetSpectrum,

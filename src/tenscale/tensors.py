@@ -179,25 +179,31 @@ def flattening(data: np.ndarray, i: int) -> np.ndarray:
 def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
     """The matrix m acting on axis i of the raw array data, as a C-contiguous
     array: the values of np.moveaxis(np.tensordot(m, data, axes=([1], [i])),
-    0, i), without its transpose copies.
-
-    Strided data is made contiguous first and read as (P, n, Q), P and Q
-    the products of the axes before and after i: m @ data when P = 1,
-    data @ m^T when Q = 1, else one batched np.matmul.  No copy moves an
-    axis, and the result needs none: the bench's large workload ran about a
-    fifth more queries per second for it (2-core x86-64, one BLAS thread).
-    m may be non-square; a mismatched axis raises ValueError.
+    0, i), without its transpose copies.  Strided data is made contiguous
+    first and handed to contract_folded.  No copy moves an axis, and the
+    result needs none: the bench's large workload ran about a fifth more
+    queries per second for it (2-core x86-64, one BLAS thread).  m may be
+    non-square; a mismatched axis raises ValueError.
     """
     data = np.ascontiguousarray(data)
     before, n, after = data.shape[:i], data.shape[i], data.shape[i + 1:]
-    p, q = math.prod(before), math.prod(after)
-    if p == 1:
-        out = m @ data.reshape(n, q)
-    elif q == 1:
-        out = data.reshape(p, n) @ m.T
-    else:
-        out = np.matmul(m, data.reshape(p, n, q))
+    out = contract_folded(m, data, (math.prod(before), n, math.prod(after)))
     return out.reshape(before + m.shape[:1] + after)
+
+
+def contract_folded(m: np.ndarray, data: np.ndarray,
+                    axes: tuple[int, int, int]) -> np.ndarray:
+    """m acting on the C-contiguous data read as axes = (P, n, Q), P and Q
+    the products of the axes before and after the one m acts on: m @ data
+    when P = 1, data @ m^T when Q = 1, else one batched np.matmul, in the
+    shape that product leaves.  contract and the scaling loop, which passes
+    each factor's precomputed axes, make every product by this one call."""
+    p, n, q = axes
+    if p == 1:
+        return m @ data.reshape(n, q)
+    if q == 1:
+        return data.reshape(p, n) @ m.T
+    return np.matmul(m, data.reshape(p, n, q))
 
 
 def apply_group(g: Sequence[np.ndarray], x: Tensor) -> Tensor:

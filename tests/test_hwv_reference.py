@@ -91,12 +91,25 @@ def close_to(got, want, scale):
     return abs(got - want) <= 1e-12 * scale
 
 
+def scalar_products_value(spec, x):
+    """The description's value with each term's product taken slot by slot in
+    Python scalars, then the one signed sum of the evaluator."""
+    _, positions, signs = hwv._resolve_plan(spec, x.shape)
+    entries = x.data.ravel().tolist()
+    products = [functools.reduce(operator.mul, (entries[p] for p in term))
+                for term in positions.tolist()]
+    return complex(np.array(products) @ signs)
+
+
 @pytest.mark.parametrize("shape", FORMATS)
 def test_evaluation_matches_reference_bitwise(shape, rng):
     # every certify description, enumerated afresh for each tensor, so that
-    # each kind of tensor meets both a first evaluation and a repeat
+    # each kind of tensor meets both a first evaluation and a repeat; the
+    # non-integer values are also pinned, bit for bit, to products taken
+    # slot by slot in Python scalars
     gaussian, complex_ = sample_tensors(shape, rng)
-    tensors = (gaussian, real_integer_tensor(shape, rng), complex_)
+    real = ts.Tensor(rng.standard_normal(shape))
+    tensors = (gaussian, real_integer_tensor(shape, rng), complex_, real)
     count = 0
     for k in (1, 2, 3, 4):
         want = [[ref_evaluate(spec, x) for spec in
@@ -107,64 +120,33 @@ def test_evaluation_matches_reference_bitwise(shape, rng):
             for _ in range(2):
                 for spec, spec_want in zip(specs, x_want):
                     got = ts.evaluate_hwv(spec, x)
-                    if x is complex_:
+                    if x is complex_ or x is real:
                         assert close_to(got, spec_want, scale), (k, got, spec_want)
+                        assert bits(got) == bits(scalar_products_value(spec, x))
                     else:
                         assert bits(got) == bits(spec_want), (spec, x.shape)
             count += len(specs)
     assert count > 0
 
 
-def scalar_products_value(spec, x):
-    """The description's value with each term's product taken slot by slot in
-    Python scalars (the products a term-major reduction forms), then the one
-    signed sum of the evaluator."""
-    _, positions, signs = hwv._resolve_plan(spec, x.shape)
-    entries = x.data.ravel().tolist()
-    products = [functools.reduce(operator.mul, (entries[p] for p in term))
-                for term in positions.T.tolist()]
-    return complex(np.array(products) @ signs)
-
-
-class TestSlotMajorPlans:
-    """Plans hold their positions slot-major, (k, terms), so a real gather
-    reduces over the slots in a loop along the terms; a complex one is read
-    term-major, the scalar complex product.  The values are pinned, bit for
-    bit, to slot-by-slot scalar products on every kind of tensor."""
-
-    def tensors(self, shape, rng):
-        gaussian, complex_ = sample_tensors(shape, rng)
-        return (gaussian, complex_, real_integer_tensor(shape, rng),
-                ts.Tensor(rng.standard_normal(shape)))
-
-    @pytest.mark.parametrize("shape", FORMATS)
-    def test_certify_descriptions(self, rng, shape):
-        tensors = self.tensors(shape, rng)
-        for k in (1, 2, 3, 4):
-            for spec in ts.enumerate_specs(shape[1:], shape[0], k):
-                for x in tensors:
-                    assert spec._plan is None or spec._plan[1].shape[0] == k
-                    assert bits(ts.evaluate_hwv(spec, x)) \
-                        == bits(scalar_products_value(spec, x)), (spec, x.data.dtype)
-
-    def test_plans_past_the_memo_bound(self, rng):
-        # (1;4,4,4) degree-4 descriptions of 576 and 13,824 terms: 23 KiB and
-        # 553 KiB plans, resolved on every call and never held
-        tensors = self.tensors((1, 4, 4, 4), rng)
-        antisym, sym = (1, 1, 1, 1), (4,)
-        specs = [ts.HWVSpec((antisym, antisym, sym), (0,) * 4,
-                            ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 2, 3))),
-                 ts.HWVSpec((antisym,) * 3, (0,) * 4, ((3, 1, 0, 2),) * 3)]
-        for spec in specs:
-            terms = hwv._plan_terms(spec.weight, (4, 4, 4))
-            assert terms * 5 * 8 > hwv._PLAN_MEMO_BYTES
-            for x in tensors:
-                want = bits(scalar_products_value(spec, x))
-                assert bits(ts.evaluate_hwv(spec, x)) == want
-                assert spec._plan is None
-            assert bits(ts.evaluate_hwv(spec, tensors[2])) \
-                == bits(ref_evaluate(spec, tensors[2]))
-        assert [hwv._plan_terms(s.weight, (4, 4, 4)) for s in specs] == [576, 13_824]
+def test_plans_past_the_memo_bound_match_scalar_products(rng):
+    # (1;4,4,4) degree-4 descriptions of 576 and 13,824 terms: 23 KiB and
+    # 553 KiB plans, resolved on every call and never held
+    shape = (1, 4, 4, 4)
+    tensors = (*sample_tensors(shape, rng), real_integer_tensor(shape, rng),
+               ts.Tensor(rng.standard_normal(shape)))
+    antisym, sym = (1, 1, 1, 1), (4,)
+    specs = [ts.HWVSpec((antisym, antisym, sym), (0,) * 4,
+                        ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 2, 3))),
+             ts.HWVSpec((antisym,) * 3, (0,) * 4, ((3, 1, 0, 2),) * 3)]
+    assert [hwv._plan_terms(s.weight, shape[1:]) for s in specs] == [576, 13_824]
+    for spec in specs:
+        assert hwv._plan_terms(spec.weight, shape[1:]) * 5 * 8 > hwv._PLAN_MEMO_BYTES
+        for x in tensors:
+            assert bits(ts.evaluate_hwv(spec, x)) == bits(scalar_products_value(spec, x))
+            assert spec._plan is None
+        assert bits(ts.evaluate_hwv(spec, tensors[2])) \
+            == bits(ref_evaluate(spec, tensors[2]))
 
 
 def test_det_tables_match_reference():

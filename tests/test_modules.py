@@ -574,8 +574,9 @@ def test_scaling_solves_eigenvalues_only_at_the_start_and_for_trace_distances():
 
 
 # tensors.py owns the flattening's axis order (_front_orders, read by
-# flattening), so scaling.py reorders no axes itself; contract reads its
-# input row-major as (P, n, Q), so it moves no axis either
+# flattening), so scaling.py reorders no axes itself; contract and
+# contract_folded read their input row-major as (P, n, Q), so they move no
+# axis either
 def test_guard_sees_transpose_calls():
     assert named_calls(
         "import numpy as np\n"
@@ -591,16 +592,19 @@ def test_scaling_makes_no_transpose_call():
 
 def test_contract_makes_no_transpose_call():
     source = (PACKAGE / "tensors.py").read_text()
-    [contract] = [node for node in ast.parse(source).body
-                  if getattr(node, "name", None) == "contract"]
-    assert named_calls(ast.get_source_segment(source, contract),
-                       {"transpose"}) == []
+    kernels = [node for node in ast.parse(source).body
+               if getattr(node, "name", None) in {"contract", "contract_folded"}]
+    assert len(kernels) == 2
+    for kernel in kernels:
+        assert named_calls(ast.get_source_segment(source, kernel),
+                           {"transpose"}) == []
 
 
 # tensors._real_if_real holds the one dtype rule: the contraction kernels and
 # the loop's state take their dtype from their data, so real data runs real
 DTYPE_FOLLOWERS = {"scaling.py": {"_Iterate"},
-                   "tensors.py": {"contract", "apply_group", "compose_group"},
+                   "tensors.py": {"contract", "contract_folded", "apply_group",
+                                  "compose_group"},
                    "reduction.py": {"reduce_tensor"}}
 COMPLEX_TYPES = {"complex", "complex64", "complex128", "complex_", "csingle",
                  "cdouble"}

@@ -952,9 +952,11 @@ class TestSharedLoopConstants:
         info = ts.scaling._loop_constants.cache_info()
         # each run's loop and witness iterates, one build for both runs
         assert (info.misses, info.hits) == (1, 3)
-        groups, _, index, roots, _, eyes, _ = ts.scaling._loop_constants(
-            x.shape, x.data.dtype, targets[0]._ascending)
-        shared = [diags for _, diags in groups] + roots + eyes + list(index)
+        constants = ts.scaling._loop_constants(x.shape, x.data.dtype,
+                                               targets[0]._ascending)
+        assert all(isinstance(c, tuple) for c in constants)
+        groups, _, index, roots, _, eyes, _ = constants
+        shared = [*(diags for _, diags in groups), *roots, *eyes, *index]
         assert shared and not any(a.flags.writeable for a in shared)
         its = [ts.scaling._Iterate(x, p, x.norm()) for p in targets]
         assert its[0].groups is its[1].groups and its[0].roots is its[1].roots
