@@ -19,24 +19,24 @@ expansion over those index maps, gathering the entry products in one pass.
 The maps depend only on the format, the weight and the slot permutations,
 not on the tensor's entries or on the rows of factor 0 that the index
 sequence selects, so each such triple has one compact plan (never a dense
-n**k table): every term's k positions in the selected rows, and its sign.
-Building a plan first checks its cost against the evaluation budget.  A
-compact plan of at most 4 KiB, counting 8 bytes per position and sign, is
+n**k table): every term's k positions within one row of factor 0, and its
+sign.  Building a plan first checks its cost against the evaluation budget.
+A compact plan of at most 4 KiB, counting 8 bytes per position and sign, is
 memoized, in a memo of 2,048 plans that therefore holds at most 8 MiB; a
 larger plan is built per call.
 
 A description resolves its compact plan on its first evaluation on a tensor
 shape: it checks itself against the format, in O(d + k), and adds to each
 slot's positions the offset of the row it reads, so that they index x.data
-directly; the offsets come from a memo of 1,024 index sequences and shapes.
-When the compact plan is memoized, the description holds the resolved plan,
-read-only and in the smallest unsigned type that holds its positions, until
-it resolves one for another shape or is itself freed.  Every later
-evaluation on a tensor of that shape is one gather of entry products from
-x.data, one product over the k slots and one signed sum.  A held plan
-shares the memo's signs and costs about 230 bytes on small formats: under
-tracemalloc, the 3,105 descriptions of degree at most 4 on (1;2,2),
-(2;2,2), (1;3,2) and (1;2,2,2) hold 0.7 MiB besides the memos' 1.2 MiB.
+directly.  When the compact plan is memoized, the description holds the
+resolved plan, read-only and in the smallest unsigned type that holds every
+position of x.data, until it resolves one for another shape or is itself
+freed.  Every later evaluation on a tensor of that shape is one gather of
+entry products from x.data, one product over the k slots and one signed
+sum.  A held plan shares the memo's signs and costs about 400 bytes on small
+formats: under tracemalloc, the 3,105 descriptions of degree at most 4 on
+(1;2,2), (2;2,2), (1;3,2) and (1;2,2,2) hold 1.2 MiB besides the memos'
+0.9 MiB.
 
 On a Gaussian-integer tensor whose entry components are at most B in
 modulus (B >= 1), every partial product and partial sum of the expansion is
@@ -127,7 +127,7 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     blocks take disjoint slots (block c the slots perm[o : o + h], o being
     the heights of the blocks before it), so the terms are the products of
     one arrangement per block.  Memoized, so every caller shares one pair;
-    _term_plan reaches it through _shared_det_terms.
+    _term_plan calls __wrapped__ for a pair past _DET_TERMS_MEMO_BYTES.
     """
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
@@ -155,8 +155,8 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     return slots, signs
 
 
-# _shared_det_terms memoizes a pair of at most this many bytes, so the 128
-# entries hold at most 8 MiB; a (1;8), k = 8 pair holds 2.9 MB
+# _term_plan memoizes a pair of at most this many bytes, so the 128 entries
+# of _det_terms hold at most 8 MiB; a (1;8), k = 8 pair holds 2.9 MB
 _DET_TERMS_MEMO_BYTES = 1 << 16
 
 
@@ -164,20 +164,6 @@ def _term_count(lam: tuple[int, ...], n: int) -> int:
     """Number of terms of _det_terms's pair for lam on dimension n."""
     heights = conjugate_partition(tuple(v for v in lam if v > 0))
     return math.prod(math.factorial(h) if h <= n else 0 for h in heights)
-
-
-@functools.lru_cache(maxsize=128)
-def _det_terms_bytes(lam: tuple[int, ...], n: int, k: int) -> int:
-    """Bytes of _det_terms's pair, k slots and a sign per term."""
-    return _term_count(lam, n) * (k + 1) * 8
-
-
-def _shared_det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
-                      k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_det_terms, memoized only if its pair fits _DET_TERMS_MEMO_BYTES."""
-    if _det_terms_bytes(lam, n, k) <= _DET_TERMS_MEMO_BYTES:
-        return _det_terms(lam, perm, n, k)
-    return _det_terms.__wrapped__(lam, perm, n, k)
 
 
 def _plan_terms(weight: tuple[tuple[int, ...], ...],
@@ -191,27 +177,28 @@ def _term_plan(weight: tuple[tuple[int, ...], ...],
                perms: tuple[tuple[int, ...], ...], dims: tuple[int, ...],
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """A description's compact plan on scaled dimensions ``dims``, for any
-    index sequence: read-only (terms, k) positions into the rows
-    x.data[index_seq[a]] laid end to end (slot a reads row a), in the
-    smallest unsigned type that holds them, and read-only float64 signs.
-    The terms run in row-major order over the factors' arrangements, as a
-    gather over x.data reads them.  Refuses, before building anything, a
-    plan whose k * terms exceeds DEFAULT_EVAL_BUDGET, so a memoized plan has
-    passed that check.
+    index sequence: read-only (terms, k) positions within one row of factor
+    0 (slot a reads row index_seq[a]), in the smallest unsigned type that
+    holds them, and read-only float64 signs.  The terms run in row-major
+    order over the factors' arrangements, as a gather over x.data reads
+    them.  Refuses, before building anything, a plan whose k * terms exceeds
+    DEFAULT_EVAL_BUDGET, so a memoized plan has passed that check.
     """
-    cost = k * _plan_terms(weight, dims)
+    counts = [_term_count(lam, n) for lam, n in zip(weight, dims)]
+    cost = k * math.prod(counts)
     if cost > DEFAULT_EVAL_BUDGET:
         raise EvalBudgetError(
             f"evaluation needs {cost} terms, budget is {DEFAULT_EVAL_BUDGET}")
     offsets = np.zeros(k, dtype=np.intp)
     signs = np.ones(())
-    for lam, perm, n in zip(weight, perms, dims):
-        slots, det_signs = _shared_det_terms(lam, perm, n, k)
+    for lam, perm, n, terms in zip(weight, perms, dims, counts):
+        memoized = terms * (k + 1) * 8 <= _DET_TERMS_MEMO_BYTES
+        slots, det_signs = (_det_terms if memoized
+                            else _det_terms.__wrapped__)(lam, perm, n, k)
         offsets = offsets[..., None, :] * n + slots
         signs = np.multiply.outer(signs, det_signs)
-    size = math.prod(dims)
-    positions = (offsets.reshape(-1, k) + np.arange(k) * size).astype(
-        np.min_scalar_type(k * size - 1))
+    positions = offsets.reshape(-1, k).astype(
+        np.min_scalar_type(math.prod(dims) - 1))
     signs = signs.flatten()  # a copy, so no view keeps the outer product
     positions.flags.writeable = False
     signs.flags.writeable = False
@@ -242,37 +229,22 @@ def _memoized_plan(weight: tuple[tuple[int, ...], ...],
     return _term_plan(weight, perms, dims, k)
 
 
-@functools.lru_cache(maxsize=1024)
-def _row_shifts(index_seq: tuple[int, ...], shape: tuple[int, ...]
-                ) -> tuple[tuple[int, ...], np.ndarray]:
-    """``shape`` as first passed, so the plans held for one format share one
-    tuple, and read-only shifts that move a compact plan's slot a from row a
-    to row index_seq[a] of a tensor of that shape, in the smallest unsigned
-    type that holds both the compact and the shifted positions.  The shifts
-    are taken modulo 2**bits: unsigned addition wraps, and every shifted
-    position fits the type, so the sums are exact.  An index sequence that
-    leaves factor 0's range is refused on every call, never memoized."""
-    top, k, size = max(index_seq), len(index_seq), math.prod(shape[1:])
-    if top >= shape[0]:
-        raise ValueError("index sequence leaves factor 0's range")
-    dtype = np.min_scalar_type(max(k, top + 1) * size - 1)
-    wrap = 256 ** dtype.itemsize
-    shifts = np.array([(i - a) * size % wrap for a, i in enumerate(index_seq)],
-                      dtype)
-    shifts.setflags(write=False)
-    return shape, shifts
-
-
 def _resolve_plan(spec: HWVSpec, shape: tuple[int, ...]
                   ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """(shape, positions, signs): the description's compact plan on a tensor
-    of this shape, its positions shifted by _row_shifts to index x.data
-    directly.  Checks the description against the format first.  Held on
+    of this shape, slot a's positions shifted by index_seq[a] rows to index
+    x.data directly, in the smallest unsigned type that holds every position
+    of x.data.  Checks the description against the format first, and
+    refuses an index sequence that leaves factor 0's range.  Held on
     ``spec`` when the compact plan is memoized, so its size is bounded by
     _PLAN_MEMO_BYTES."""
     dims, k = shape[1:], len(spec.index_seq)
     compact = _memoized_plan(spec.weight, spec.perms, dims, k)
-    shape, shifts = _row_shifts(spec.index_seq, shape)
+    if max(spec.index_seq) >= shape[0]:
+        raise ValueError("index sequence leaves factor 0's range")
+    size = math.prod(dims)
+    shifts = np.array([i * size for i in spec.index_seq],
+                      np.min_scalar_type(shape[0] * size - 1))
     positions, signs = compact or _term_plan(spec.weight, spec.perms, dims, k)
     plan = shape, positions + shifts, signs
     if compact is not None:
@@ -287,10 +259,10 @@ def evaluate_hwv(spec: HWVSpec, x: Tensor) -> complex:
     one gather of the k-fold entry products from x.data and one signed sum.
 
     The first evaluation on a tensor shape checks the description against
-    the format and resolves its plan.  When that plan is memoized, the
-    description holds it until it resolves one for another shape, so a
-    repeat evaluation on its shape reads it and gathers at once; a
-    description whose plan exceeds 4 KiB resolves it on every call.
+    the format and factor 0's range, and resolves its plan.  When that plan
+    is memoized, the description holds it until it resolves one for another
+    shape, so a repeat evaluation on its shape reads it and gathers at once;
+    a description whose plan exceeds 4 KiB resolves it on every call.
 
     Exact on Gaussian-integer tensors within the 2**53 bound of the module
     docstring, otherwise exact up to floating error.  Refuses evaluations

@@ -2,16 +2,17 @@
 
 The engine drives an upper-triangular (Borel) update loop: after an initial
 random integer basis change, a factor more than the tolerance from its
-target in trace distance (see _Iterate.rule) is fixed exactly by a
-triangular (Cholesky) factorization, until every marginal is within the
-requested trace distance or the iteration budget runs out.  Rank
-obstructions detected after the randomization yield a not-in-polytope
-verdict.  Each failure has one rule: _check_start decides singularity, once,
-on the (restricted) start's marginals, as no step, an invertible triangular
-map, changes a marginal's rank; _Iterate breakdown, a norm ||y|| of the
-start or of a resync whose reciprocal leaves the float range, a non-finite
-group factor or a step whose Cholesky fails; any other overflow, where it is
-computed (_to_float, apply_group, compose_group, mps_tensor).
+target, in Frobenius distance first and else in trace distance (see
+_Iterate.rule), is fixed exactly by a triangular (Cholesky) factorization,
+until every marginal is within the requested trace distance or the
+iteration budget runs out.  Rank obstructions detected after the
+randomization yield a not-in-polytope verdict.  Each failure has one rule:
+_check_start decides singularity, once, on the (restricted) start's
+marginals, as no step, an invertible triangular map, changes a marginal's
+rank; _Iterate breakdown, a norm ||y|| of the start or of a resync whose
+reciprocal leaves the float range, a non-finite group factor or a step
+whose Cholesky fails; any other overflow, where it is computed (_to_float,
+apply_group, compose_group, mps_tensor).
 One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
@@ -477,7 +478,7 @@ def _loop_constants(shape: tuple[int, ...], dtype: np.dtype,
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
     folded into group[0], the loop's tolerance epsilon and y's last measurement:
-    marginal stacks (rhos views them on first read), Frobenius distances frob
+    marginal stacks (rhos lists their views), Frobenius distances frob
     and, on first read, trace distances dists, all in x0's dtype.
 
     A step makes one pass over y, the contraction with the Borel step a,
@@ -536,8 +537,9 @@ class _Iterate:
                                        self.exponents[j]))
         if self.index is not None:  # the gather forms factor j's Gram matrix
             return self.measure()
+        g, t = self.slots[j]
         # ndarray.dot: the BLAS product of @, with less overhead on small n
-        rho = a.dot(self.rhos[j]).dot(a.conj().T)
+        rho = a.dot(self.stacks[g][t]).dot(a.conj().T)
         rho += rho.conj().T
         rho *= 0.5
         self.measure(j, rho)
@@ -553,10 +555,9 @@ class _Iterate:
         marginal, whose failed factorization is a numeric breakdown."""
         dists = self.frob if max(self.frob) > self.epsilon else self.dists
         j = dists.index(max(dists))
-        g, t = self.slots[j]  # a written rhos list is what the rule reads
-        rho = self.stacks[g][t] if self._rhos is None else self._rhos[j]
+        g, t = self.slots[j]
         try:
-            return j, _step_matrix(rho, self.roots[j], self.blocks)
+            return j, _step_matrix(self.stacks[g][t], self.roots[j], self.blocks)
         except np.linalg.LinAlgError as exc:
             raise NumericBreakdownError("the Cholesky factorization failed "
                                         f"at step {self.steps + 1}") from exc
@@ -599,14 +600,12 @@ class _Iterate:
             diff *= diff.conj()  # a real diff's conj is diff itself
             for k, sq in zip(factors, np.add.reduce(diff.real, axis=(1, 2)).tolist()):
                 frob[k] = math.sqrt(sq)
-        self.stacks, self.frob, self._rhos, self._dists = stacks, frob, None, None
+        self.stacks, self.frob, self._dists = stacks, frob, None
 
     @property
     def rhos(self) -> list[np.ndarray]:
-        """Views of stacks, made on first read; the rule reads a write to them."""
-        if self._rhos is None:
-            self._rhos = [self.stacks[g][t] for g, t in self.slots]
-        return self._rhos
+        """The last measurement's marginals, as views of stacks."""
+        return [self.stacks[g][t] for g, t in self.slots]
 
     @property
     def dists(self) -> list[float]:

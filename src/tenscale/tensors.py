@@ -6,7 +6,8 @@ has a nonzero imaginary part, else complex128 (see _real_if_real).  Every
 matrix that acts on a tensor follows the same rule, so real data is scaled
 in real arithmetic, and a complex result comes only from complex data.
 Factor 0 is distinguished: group tuples act on factors 1..d only and leave
-factor 0 untouched.  Every flattening reads the one order of _front_orders.
+factor 0 untouched.  Every flattening reads the one axis order that
+flattening builds.
 Layout rule: a Tensor stores a row-major copy, and contract reads a
 row-major array as (P, n_i, Q) and returns a row-major image without moving
 an axis, so the scaling iterate stays C-contiguous, and the next contraction
@@ -17,7 +18,6 @@ labels 1..d used in the rest of the package.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -164,16 +164,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
-@functools.lru_cache(maxsize=64)
-def _front_orders(ndim: int, i: int) -> tuple[int, ...]:
-    """The axis order (i, 0, 1, ...) that moves axis i to the front."""
-    return (i,) + tuple(j for j in range(ndim) if j != i)
-
-
 def flattening(data: np.ndarray, i: int) -> np.ndarray:
     """The i-th flattening of the raw array data: axis i as rows, the other
     axes in order (0, 1, ...) as columns."""
-    return data.transpose(_front_orders(data.ndim, i)).reshape(data.shape[i], -1)
+    order = (i,) + tuple(j for j in range(data.ndim) if j != i)
+    return data.transpose(order).reshape(data.shape[i], -1)
 
 
 def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:

@@ -145,7 +145,7 @@ class TestEvaluateHwv:
     def test_large_term_tables_are_not_memoized(self):
         # each (1;8), k = 8 description's terms take 2.9 MB: memoized, these
         # 20 would hold 58 MB after their evaluations return
-        assert hwv._det_terms_bytes((1,) * 8, 8, 8) == 2_903_040
+        assert hwv._term_count((1,) * 8, 8) * 9 * 8 == 2_903_040
         x = ts.Tensor(np.eye(8))
         tracemalloc.start()
         try:
@@ -198,12 +198,17 @@ class TestEvaluateHwv:
 
     def test_certify_sized_term_tables_are_memoized(self):
         # the degree-3 (1;2,2) and degree-4 (1;2,2,2) descriptions certify
-        # runs evaluate: the same pair comes back
+        # runs evaluate: building a plan memoizes the pair, and the same
+        # pair comes back
         for lam, perm, n, k in [((2, 1), (1, 2, 0), 2, 3),
                                 ((2, 2), (0, 2, 1, 3), 2, 4)]:
-            first = hwv._shared_det_terms(lam, perm, n, k)
-            again = hwv._shared_det_terms(lam, perm, n, k)
+            hwv._det_terms.cache_clear()
+            hwv._term_plan((lam,), (perm,), (n,), k)
+            assert hwv._det_terms.cache_info().currsize == 1
+            first = hwv._det_terms(lam, perm, n, k)
+            again = hwv._det_terms(lam, perm, n, k)
             assert first[0] is again[0] and first[1] is again[1]
+            assert hwv._det_terms.cache_info().misses == 1
 
     def test_antisymmetry_on_product_tensors(self, rng):
         # any column of height >= 2 contracts equal slot vectors on a

@@ -10,8 +10,10 @@ so values must agree within 1e-12 of the largest value of their format and
 degree.
 """
 import functools
+import importlib
 import itertools
 import operator
+import pkgutil
 import string
 import tracemalloc
 
@@ -176,9 +178,29 @@ class TestMemos:
         assert hwv._det_terms((2, 1), (0, 1, 2), 2, 3)[0] is slots
 
     def test_memos_are_bounded(self):
-        for memo in (hwv._det_terms, hwv._memoized_plan, hwv._row_shifts):
-            maxsize = memo.cache_info().maxsize
-            assert maxsize is not None and 0 < maxsize < 10_000
+        # every memo a tenscale module holds, found by its cache_info
+        memos = {}
+        for info in pkgutil.iter_modules(ts.__path__, "tenscale."):
+            module = importlib.import_module(info.name)
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_info") \
+                        and getattr(value, "__module__", None) == info.name:
+                    memos[f"{info.name}.{name}"] = value.cache_info().maxsize
+        assert "tenscale.hwv._memoized_plan" in memos
+        for name, maxsize in memos.items():
+            assert maxsize is not None and 0 < maxsize < 10_000, name
+
+    def test_index_sequences_share_one_plan(self, rng):
+        # the 16 degree-4 index sequences of one (2;2,2) weight and
+        # permutation pair resolve from one memoized plan
+        x = real_integer_tensor((2, 2, 2), rng)
+        weight, perms = ((2, 2), (3, 1)), ((0, 2, 1, 3), (3, 0, 1, 2))
+        hwv._memoized_plan.cache_clear()
+        for index_seq in itertools.product(range(2), repeat=4):
+            spec = ts.HWVSpec(weight, index_seq, perms)
+            assert bits(ts.evaluate_hwv(spec, x)) == bits(ref_evaluate(spec, x))
+        info = hwv._memoized_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 15, 1)
 
     def test_plan_is_read_only(self):
         key = (((2, 1), (2, 1)), ((0, 1, 2), (1, 2, 0)), (2, 2), 3)
@@ -218,7 +240,6 @@ class TestMemos:
         assert bits(ts.evaluate_hwv(spec, x)) == first
         hwv._det_terms.cache_clear()
         hwv._memoized_plan.cache_clear()
-        hwv._row_shifts.cache_clear()
         assert bits(ts.evaluate_hwv(spec, x)) == first
         # an equal description holds no plan, so it resolves one afresh
         fresh = ts.HWVSpec(spec.weight, spec.index_seq, spec.perms)
@@ -268,20 +289,20 @@ class TestMemos:
         assert bits(ts.evaluate_hwv(spec, x)) == want
         assert calls == [("take", (), {})]
         calls.clear()
-        memos = hwv._memoized_plan.cache_info(), hwv._row_shifts.cache_info()
+        memo = hwv._memoized_plan.cache_info()
         assert bits(ts.evaluate_hwv(spec, x)) == want
         assert calls == [("take", (), {})]
-        assert (hwv._memoized_plan.cache_info(), hwv._row_shifts.cache_info()) == memos
+        assert hwv._memoized_plan.cache_info() == memo
 
     def test_held_plans_memory(self, rng):
         # the memos and the plans held by the 3,105 certify descriptions,
-        # each evaluated once: 1.0 MiB when only the memos held plans, about
-        # 1.9 MiB with the descriptions' held plans
+        # each evaluated once: about 2.1 MiB, of which the held plans take
+        # 1.2 MiB
         cases = [(real_integer_tensor(shape, rng),
                   list(ts.enumerate_specs(shape[1:], shape[0], k)))
                  for shape in FORMATS for k in (1, 2, 3, 4)]
         assert sum(len(specs) for _, specs in cases) == 3105
-        for memo in (hwv._det_terms, hwv._memoized_plan, hwv._row_shifts):
+        for memo in (hwv._det_terms, hwv._memoized_plan):
             memo.cache_clear()
         tracemalloc.start()
         try:

@@ -573,10 +573,9 @@ def test_scaling_solves_eigenvalues_only_at_the_start_and_for_trace_distances():
     assert {owner for owner, _ in uses} == EIGENSOLVE_OWNERS
 
 
-# tensors.py owns the flattening's axis order (_front_orders, read by
-# flattening), so scaling.py reorders no axes itself; contract and
-# contract_folded read their input row-major as (P, n, Q), so they move no
-# axis either
+# tensors.py owns the flattening's axis order (built by flattening), so
+# scaling.py reorders no axes itself; contract and contract_folded read
+# their input row-major as (P, n, Q), so they move no axis either
 def test_guard_sees_transpose_calls():
     assert named_calls(
         "import numpy as np\n"

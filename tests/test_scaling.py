@@ -380,7 +380,7 @@ class TestBlockStepMatrix:
         for _ in range(2):
             it.step(*it.rule())
         j = it.dists.index(max(it.dists))
-        it.rhos[j] = np.diag([1.0, -1.0, 1.0])
+        it.rhos[j][...] = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(ts.NumericBreakdownError,
                            match=r"factorization failed at step 3$") as info:
             it.rule()
