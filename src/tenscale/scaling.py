@@ -80,6 +80,18 @@ GATHER_MAX_ENTRIES = 8192
 # --------------------------------------------------------------------------
 
 
+def _fraction(v, i: int, rationalize: bool = False) -> Fraction:
+    """TargetSpectrum's one input rule: entry v of factor i exactly, or its
+    float rationalized by continued fractions with denominators up to 10**6;
+    a bool or a value that is not a finite number raises ValueError."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return Fraction(float(v)).limit_denominator(10**6) if rationalize else Fraction(v)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"factor {i}: entry {v!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class TargetSpectrum:
     """Tuple of nonincreasing rational probability vectors, one per scaled
@@ -88,8 +100,8 @@ class TargetSpectrum:
     parts: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        parts = tuple(tuple(v if type(v) is Fraction else Fraction(v)
-                            for v in vec) for vec in self.parts)
+        parts = tuple(tuple(v if type(v) is Fraction else _fraction(v, i) for v in vec)
+                      for i, vec in enumerate(self.parts, start=1))
         if not parts:
             raise ValueError("a target needs at least one factor")
         for vec in parts:
@@ -127,18 +139,29 @@ class TargetSpectrum:
         return tuple(len(vec) - vec.count(0) for vec in self.parts)
 
     @functools.cached_property
-    def _ascending(self) -> tuple[tuple[float, ...], ...]:
-        """Float entries of every factor in ascending order, converted from
-        the fractions once."""
-        return tuple(tuple(float(v) for v in reversed(vec)) for vec in self.parts)
+    def _loop_targets(self) -> tuple:
+        """The scaling loop's target constants, read-only: per dimension group
+        (see _dimension_groups), the float64 target diagonals, stacked, which
+        a complex stack subtracts with complex ones' bits; per factor, the
+        root vector and the negated ascending entries, capacity's exponents."""
+        ascending = [[float(v) for v in reversed(vec)] for vec in self.parts]
+        diags, roots = [], {}
+        for factors in _dimension_groups(self.dims):
+            entries = np.array([ascending[j] for j in factors])
+            (k, n), sqrt = entries.shape, np.sqrt(entries)
+            diags.append(np.zeros((k, n, n)))
+            diags[-1].reshape(k, -1)[:, ::n + 1] = entries
+            diags[-1].flags.writeable = sqrt.flags.writeable = False  # and their views
+            roots.update(zip(factors, sqrt))
+        return (tuple(diags), tuple(roots[j] for j in range(len(ascending))),
+                tuple(tuple(-v for v in vec) for vec in ascending))
 
     def ascending(self, i: int) -> np.ndarray:
-        """Float entries of factor i (1-based) in ascending order, the
-        diagonal the scaling loop drives marginal i toward; a fresh
-        writable array on every call; other labels raise ValueError."""
+        """Factor i's (1-based) float entries in ascending order, marginal i's
+        target diagonal, as a fresh writable array; other labels raise ValueError."""
         if not 1 <= i <= self.num_factors:
             raise ValueError(f"factor index must be in 1..{self.num_factors}, got {i}")
-        return np.array(self._ascending[i - 1])
+        return np.negative(self._loop_targets[2][i - 1])  # -(-v) is v, bit for bit
 
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
@@ -146,14 +169,15 @@ class TargetSpectrum:
 
     @classmethod
     def from_floats(cls, parts: Sequence[Sequence[float]]) -> "TargetSpectrum":
-        """Rationalize floating targets by continued fractions with
-        denominators up to 10**6, then repair the largest entry so the sum
-        is exact."""
+        """Rationalize floating targets (see _fraction) and divide each vector
+        by its exact sum, which keeps order and ties and makes the sum 1."""
         out = []
-        for vec in parts:
-            approx = [Fraction(float(v)).limit_denominator(10**6) for v in vec]
-            approx[0] += 1 - sum(approx)
-            out.append(tuple(approx))
+        for i, vec in enumerate(parts, start=1):
+            approx = [_fraction(v, i, rationalize=True) for v in vec]
+            total = sum(approx)
+            if approx and not total > 0:
+                raise ValueError(f"factor {i}: entries must have a positive sum: {vec}")
+            out.append(tuple(v / total for v in approx))
         return cls(tuple(out))
 
 
@@ -428,51 +452,32 @@ def pad_scaling(b_plus: Sequence[np.ndarray], p: TargetSpectrum,
 # --------------------------------------------------------------------------
 
 
-def _dimension_groups(shape: tuple[int, ...]) -> list[list[int]]:
-    """The 0-based scaled factors of the format grouped by dimension, in
-    order of first appearance."""
-    by_dim: dict[int, list[int]] = {}
-    for j, n in enumerate(shape[1:]):
-        by_dim.setdefault(n, []).append(j)
-    return list(by_dim.values())
+def _dimension_groups(dims: Sequence[int]) -> list[list[int]]:
+    """The 0-based scaled factors grouped by dimension, in order of first
+    appearance."""
+    return [[j for j, m in enumerate(dims) if m == n] for n in dict.fromkeys(dims)]
 
 
 @functools.lru_cache(maxsize=64)
-def _flattening_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per dimension group of the format, a read-only (k, n, N) array of
-    row-major positions: gathered from a raw tensor's ravel, its t-th
-    matrix is the flattening of the group's t-th factor."""
-    pos = np.arange(math.prod(shape)).reshape(shape)
-    out = []
-    for factors in _dimension_groups(shape):
-        index = np.stack([flattening(pos, j + 1) for j in factors])
-        index.flags.writeable = False
-        out.append(index)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _loop_constants(shape: tuple[int, ...], dtype: np.dtype,
-                    targets: tuple[tuple[float, ...], ...]) -> tuple:
-    """_Iterate's shared constants for a format, dtype and target, by value:
-    tuples of read-only arrays, so no run can change what another reads."""
-    d = len(shape) - 1
-    groups, slots, roots, eyes = [], [None] * d, [None] * d, [None] * d
-    for g, factors in enumerate(_dimension_groups(shape)):
-        n, entries = shape[factors[0] + 1], np.array([targets[j] for j in factors])
-        diags = np.zeros((len(factors), n, n), dtype=dtype)
-        diags.reshape(len(factors), -1)[:, ::n + 1] = entries
-        shared = diags, np.sqrt(entries), np.eye(n, dtype=dtype)
-        for a in shared:  # and so are their views, roots[j] among them
-            a.flags.writeable = False
-        groups.append((tuple(factors), diags))
-        for t, j in enumerate(factors):
-            slots[j], roots[j], eyes[j] = (g, t), shared[1][t], shared[2]
+def _loop_constants(shape: tuple[int, ...], dtype: np.dtype) -> tuple:
+    """_Iterate's shared constants for a format and dtype, read-only (see
+    _Iterate); a format that gathers builds its flattening positions: per
+    group, a (k, n, N) array whose t-th matrix, taken from a raw iterate, is
+    the group's t-th flattening."""
+    d, size = len(shape) - 1, math.prod(shape)
+    groups = _dimension_groups(shape[1:])
+    slots = {j: (g, t) for g, factors in enumerate(groups) for t, j in enumerate(factors)}
+    eyes = tuple(np.eye(n, dtype=dtype) for n in shape[1:])
     axes = tuple((math.prod(shape[:j]), n, math.prod(shape[j + 1:]))
                  for j, n in enumerate(shape) if j)
-    index = _flattening_index(shape) if d * math.prod(shape) <= GATHER_MAX_ENTRIES else None
-    return (tuple(groups), tuple(slots), index, tuple(roots),
-            tuple(tuple(-v for v in vec) for vec in targets), tuple(eyes), axes)
+    index = None
+    if d * size <= GATHER_MAX_ENTRIES:  # positions only for a format that gathers
+        pos = np.arange(size).reshape(shape)
+        index = tuple(np.stack([flattening(pos, j + 1) for j in factors])
+                      for factors in groups)
+    for a in eyes + (index or ()):
+        a.flags.writeable = False
+    return tuple(map(tuple, groups)), tuple(slots[j] for j in range(d)), index, eyes, axes
 
 
 class _Iterate:
@@ -488,13 +493,13 @@ class _Iterate:
     a rho_j a^dagger as factor j's.  The start and a resync measure all d,
     and renormalize holds the iterate's one norm rule.
 
-    Shared and read-only, from _loop_constants: groups pairs the 0-based
-    factors of each dimension with their stacked target diagonals, slots[j]
-    is factor j's place there, index the gather's flattening positions (None
-    past GATHER_MAX_ENTRIES), and roots[j], exponents[j] and axes[j] are
-    factor j + 1's target root vector, negated ascending entries and
-    contraction axes (P, n, Q); blocks, the _step_matrix buffers, are the
-    iterate's own.  The group stays upper triangular, so capacity, ||y||
+    Shared and read-only, by format and dtype from _loop_constants: groups
+    lists the 0-based factors of each dimension, slots[j] is factor j's
+    place there, index the gather's positions (None past GATHER_MAX_ENTRIES)
+    and axes[j] factor j + 1's contraction axes (P, n, Q); from the target's
+    _loop_targets: each group's diags and factor j + 1's root vector roots[j]
+    and exponents[j].  blocks, the _step_matrix buffers, are the iterate's
+    own.  The group stays upper triangular, so capacity, ||y||
     prod |g_kk| ** -(ascending target entry k), is the running product of
     the norms renormalize divides out and each step's prod |a_kk| **
     exponents[j][k], as diag(a g) = diag(a) diag(g).
@@ -502,8 +507,9 @@ class _Iterate:
 
     def __init__(self, x0: Tensor, p: TargetSpectrum, scale: float = 1.0,
                  epsilon: float = math.inf):
-        (self.groups, self.slots, self.index, self.roots, self.exponents, eyes,
-         self.axes) = _loop_constants(x0.shape, x0.data.dtype, p._ascending)
+        self.groups, self.slots, self.index, eyes, self.axes = _loop_constants(
+            x0.shape, x0.data.dtype)
+        self.diags, self.roots, self.exponents = p._loop_targets
         self.epsilon, self.blocks, self.steps, self.capacity = epsilon, {}, 0, 1.0
         self.group = list(eyes)  # each step replaces its factor
         self.renormalize(x0.data, scale)
@@ -574,7 +580,7 @@ class _Iterate:
                 ms = self.y.take(index)
                 stacks.append(np.matmul(ms, ms.conj().swapaxes(1, 2)))
             return stacks
-        for factors, diags in self.groups:
+        for factors, diags in zip(self.groups, self.diags):
             stack = np.empty(diags.shape, dtype=self.y.dtype)
             for j, gram in zip(factors, stack):
                 if j != skip:
@@ -595,7 +601,7 @@ class _Iterate:
             g, t = self.slots[j]
             stacks[g][t] = rho
         frob = [0.0] * len(self.roots)
-        for (factors, diags), stack in zip(self.groups, stacks):
+        for factors, diags, stack in zip(self.groups, self.diags, stacks):
             diff = stack - diags
             diff *= diff.conj()  # a real diff's conj is diff itself
             for k, sq in zip(factors, np.add.reduce(diff.real, axis=(1, 2)).tolist()):
@@ -615,7 +621,7 @@ class _Iterate:
         they equal trace_distance's bits, real or complex."""
         if self._dists is None:
             self._dists = [0.0] * len(self.roots)
-            for (factors, diags), stack in zip(self.groups, self.stacks):
+            for factors, diags, stack in zip(self.groups, self.diags, self.stacks):
                 norms = np.add.reduce(np.abs(np.linalg.eigvalsh(stack - diags)), axis=1)
                 for k, dist in zip(factors, norms.tolist()):
                     self._dists[k] = dist

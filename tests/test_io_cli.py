@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tenscale as ts
@@ -205,6 +205,28 @@ class TestSpectrumJson:
     def test_decimal_entries_rationalized(self):
         p = io.spectrum_from_obj({"parts": [[0.75, 0.25]]})
         assert p.parts[0] == (F(3, 4), F(1, 4))
+
+    def test_tied_top_entries_rationalized(self):
+        # the sum's rounding residual, once added to the first entry, took it
+        # below the tied second one: "spectrum must be nonincreasing"
+        row = [0.3663616901554831, 0.3663616901554831, 0.24900027194215868,
+               0.018276347746875202]
+        vec = io.spectrum_from_obj({"parts": [row]}).parts[0]
+        assert vec[0] == vec[1] and sum(vec) == 1
+        assert max(abs(float(v) - x) for v, x in zip(vec, row)) <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 3)),
+                    min_size=1, max_size=4))
+    def test_float_spectra_keep_order_and_ties(self, blocks):
+        # nonincreasing probability vectors with repeated entries
+        row = sorted((v for v, k in blocks for _ in range(k)), reverse=True)
+        assume(sum(row) > 0)
+        row = [v / sum(row) for v in row]
+        vec = io.spectrum_from_obj({"parts": [row]}).parts[0]
+        assert sum(vec) == 1
+        assert all(vec[k] == vec[k + 1] for k in range(len(row) - 1) if row[k] == row[k + 1])
+        assert max(abs(float(v) - x) for v, x in zip(vec, row)) <= 1e-5
 
     def test_round_trip(self, tmp_path):
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))))

@@ -1,18 +1,17 @@
-"""Module boundaries: no package module reaches into another's private
-helpers or into numpy's private modules, no module keeps an unbounded
-functools cache, the scaling loop's kernels leave validation to the public
-entry points, singularity is decided by one check on the start and no
-loop step answers NOT_IN_POLYTOPE, each overflow is decided where its value
-is computed, no module calls a dense
+"""Module boundaries: no package module reaches into another's private helpers
+or into numpy's private modules, no module keeps an unbounded functools
+cache and the package's memos are a pinned inventory, the scaling loop's
+kernels leave validation to the public entry points, singularity is decided
+by one check on the start and no loop step answers NOT_IN_POLYTOPE, each
+overflow is decided where its value is computed, no module calls a dense
 eigendecomposition or determinant, scaling.py solves eigenvalues only in its
-start check and its lazy trace distances, scaling.py makes no transpose call as
-tensors.py owns the flattening's axis order, tensors.contract makes none as
-its images stay row-major, the contraction kernels and
-the loop's state force no complex dtype as tensors._real_if_real holds the one
-dtype rule, each halt check makes the one resync call the benchmark's tracer
-counts, no public function stays in the
-package that only the tests call, and no private top-level function or
-class stays that no package module calls."""
+start check and its lazy trace distances, scaling.py makes no transpose call
+as tensors.py owns the flattening's axis order, tensors.contract makes none
+as its images stay row-major, the contraction kernels and the loop's state
+force no complex dtype as tensors._real_if_real holds the one dtype rule,
+each halt check makes the one resync call the benchmark's tracer counts, no
+public function stays in the package that only the tests call, and no
+private top-level function or class stays that no package module calls."""
 import ast
 from pathlib import Path
 
@@ -111,10 +110,9 @@ def test_scaling_takes_no_general_inverse():
     assert inverse_uses((PACKAGE / "scaling.py").read_text()) == []
 
 
-def unbounded_caches(source: str) -> list[int]:
-    """Lines that build a functools cache without a finite maxsize:
-    ``cache`` itself, or ``lru_cache`` called with maxsize None."""
-    tree = ast.parse(source)
+def functools_resolver(tree: ast.AST):
+    """A function giving the functools name that a Name or Attribute node of
+    the module refers to through its imports, else None."""
     local = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -131,6 +129,14 @@ def unbounded_caches(source: str) -> list[int]:
             return node.attr
         return None
 
+    return functools_name
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that build a functools cache without a finite maxsize:
+    ``cache`` itself, or ``lru_cache`` called with maxsize None."""
+    tree = ast.parse(source)
+    functools_name = functools_resolver(tree)
     found = []
     for node in ast.walk(tree):
         if functools_name(node) == "cache":
@@ -167,10 +173,39 @@ def test_guard_sees_unbounded_caches():
                             "e = lru_cache(len)\n") == []
 
 
+def memo_names(source: str) -> set[str]:
+    """Names of the functions that a functools cache decorates."""
+    tree = ast.parse(source)
+    functools_name = functools_resolver(tree)
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(functools_name(getattr(dec, "func", dec)) in ("cache", "lru_cache")
+                    for dec in node.decorator_list)}
+
+
+def test_guard_sees_memo_names():
+    assert memo_names("import functools as ft\n"
+                      "from functools import lru_cache, cached_property\n"
+                      "@ft.lru_cache(maxsize=8)\n"
+                      "def a(): pass\n"
+                      "@lru_cache\n"
+                      "def b(): pass\n"
+                      "class C:\n"
+                      "    @ft.cache\n"
+                      "    def c(self): pass\n"
+                      "    @cached_property\n"
+                      "    def d(self): pass\n"
+                      "@staticmethod\n"
+                      "def e(): pass\n") == {"a", "b", "c"}
+
+
 def test_no_module_keeps_an_unbounded_cache():
     found = {path.name: unbounded_caches(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+    # the memo inventory: adding a memo takes a deliberate edit here
+    memos = set().union(*(memo_names(path.read_text()) for path in PACKAGE.glob("*.py")))
+    assert memos == {"_loop_constants", "_det_terms", "_memoized_plan", "_placement"}
 
 
 # the scaling loop's private kernels and the checked public entry points

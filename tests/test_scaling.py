@@ -72,6 +72,16 @@ class TestTargetSpectrum:
         p = ts.TargetSpectrum.from_floats([[0.7, 0.3], [2 / 3, 1 / 3]])
         for vec in p.parts:
             assert sum(vec) == 1
+        with pytest.raises(ValueError, match="factor 2: entries must have a positive sum"):
+            ts.TargetSpectrum.from_floats([[1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("entry", [True, np.True_, math.inf, -math.inf, math.nan, "x"])
+    @pytest.mark.parametrize("build", [ts.TargetSpectrum, ts.TargetSpectrum.from_floats])
+    def test_one_input_rule_for_entries(self, build, entry):
+        # a bool used to pass as 0 or 1, np.True_ raised TypeError and inf
+        # OverflowError
+        with pytest.raises(ValueError, match=f"factor 2: entry {entry!r} is not a finite"):
+            build([[F(1, 2), F(1, 2)], [entry, 0]])
 
     def test_ranks_and_zeros(self):
         p = ts.TargetSpectrum(((F(1), F(0)), (F(1, 2), F(1, 2))))
@@ -755,20 +765,21 @@ def iterates(shape, rng):
 
 class TestGatheredMarginals:
     @pytest.mark.parametrize("shape", flattening_shapes())
-    def test_gather_equals_the_per_factor_path(self, rng, shape):
+    def test_gather_equals_the_per_factor_path(self, rng, monkeypatch, shape):
         it = ts.scaling._Iterate(ts.Tensor(np.ones(shape)),
                                  ts.TargetSpectrum.uniform(shape[1:]))
         gathered = (len(shape) - 1) * math.prod(shape)
         assert (it.index is None) == (gathered > ts.scaling.GATHER_MAX_ENTRIES)
-        index = ts.scaling._flattening_index(shape)
-        assert index is ts.scaling._flattening_index(shape)  # memoized
+        assert it.index is ts.scaling._loop_constants(shape, it.y.dtype)[2]
+        # the positions of every format, past the cutoff too, built unmemoized
+        monkeypatch.setattr(ts.scaling, "GATHER_MAX_ENTRIES", gathered)
+        index = ts.scaling._loop_constants.__wrapped__(shape, np.dtype(complex))[2]
         assert not any(a.flags.writeable for a in index)
         for y in iterates(shape, rng):
             it.y, it.index = y, index
             stacks = it.grams()
             it.index = None
-            for (factors, _), stack, alone in zip(it.groups, stacks,
-                                                   it.grams()):
+            for factors, stack, alone in zip(it.groups, stacks, it.grams()):
                 assert np.array_equal(stack, alone)
                 for j, gram in zip(factors, stack):
                     assert np.array_equal(gram, ts.marginal(ts.Tensor(y), j + 1))
@@ -912,9 +923,9 @@ def report_bits(rep) -> tuple:
 
 
 class TestSharedLoopConstants:
-    """_loop_constants builds an iterate's format and target constants once,
-    keyed by value and read-only; each iterate owns only its state and its
-    _step_matrix buffers."""
+    """_loop_constants builds an iterate's format constants once per format
+    and dtype, a TargetSpectrum its target constants once, all read-only;
+    each iterate owns only its state and its _step_matrix buffers."""
 
     FAR = ts.TargetSpectrum(((F(9, 10), F(1, 10)),) * 3)
 
@@ -941,30 +952,56 @@ class TestSharedLoopConstants:
             it.step(*it.rule())
             assert calls == ["cholesky"]
 
-    def test_built_once_per_value_and_read_only(self, rng):
+    def test_built_once_per_value_and_read_only(self, rng, monkeypatch):
         x = random_integer_tensor((1, 2, 2, 2), rng)
-        targets = [ts.TargetSpectrum(((F(3, 4), F(1, 4)),) * 3) for _ in range(2)]
-        assert targets[0] == targets[1] and targets[0] is not targets[1]
+        p = ts.TargetSpectrum(((F(3, 4), F(1, 4)),) * 3)
+        built = []
+
+        class Recorded(ts.scaling._Iterate):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(ts.scaling, "_Iterate", Recorded)
         ts.scaling._loop_constants.cache_clear()
-        for p in targets:
+        for _ in range(2):
             rep = ts.run_scaling(x, p, ts.ScalingConfig(epsilon=1e-3, seed=1))
             assert rep.verdict == ts.SCALED and rep.iterations > 0
         info = ts.scaling._loop_constants.cache_info()
         # each run's loop and witness iterates, one build for both runs
-        assert (info.misses, info.hits) == (1, 3)
-        constants = ts.scaling._loop_constants(x.shape, x.data.dtype,
-                                               targets[0]._ascending)
-        assert all(isinstance(c, tuple) for c in constants)
-        groups, _, index, roots, _, eyes, _ = constants
-        shared = [*(diags for _, diags in groups), *roots, *eyes, *index]
+        assert len(built) == 4 and (info.misses, info.hits) == (1, 3)
+        constants = ts.scaling._loop_constants(x.shape, x.data.dtype)
+        targets = p._loop_targets
+        assert all(isinstance(c, tuple) for c in constants + targets)
+        groups, _, index, eyes, _ = constants
+        diags, roots, _ = targets
+        shared = [*diags, *roots, *eyes, *index]
         assert shared and not any(a.flags.writeable for a in shared)
-        its = [ts.scaling._Iterate(x, p, x.norm()) for p in targets]
-        assert its[0].groups is its[1].groups and its[0].roots is its[1].roots
+        for it in built:  # the same objects in both runs, nothing rebuilt
+            assert it.groups is groups and it.index is index
+            assert it.diags is diags and it.roots is roots and it.exponents is targets[2]
+        # an equal target holds its own constants, of the same bits
+        q = ts.TargetSpectrum(p.parts)
+        assert q == p and q._loop_targets[0] is not diags
+        assert all(np.array_equal(a, b) for a, b in zip(q._loop_targets[0], diags))
+        its = [ts.scaling._Iterate(x, t, x.norm()) for t in (p, q)]
         for it in its:
             it.step(*it.rule())
         blocks = [b for it in its for b in it.blocks.values()]
         assert all(b.flags.writeable for b in blocks)
         assert not np.shares_memory(*blocks)
+
+    def test_one_build_per_format_for_any_number_of_targets(self, rng):
+        # more distinct targets than the memo has entries, one format
+        x = random_integer_tensor((1, 2, 2, 2), rng)
+        targets = [ts.TargetSpectrum(((F(100 + k, 200), F(100 - k, 200)),) * 3)
+                   for k in range(65)]
+        assert len(set(targets)) == 65 > ts.scaling._loop_constants.cache_info().maxsize
+        ts.scaling._loop_constants.cache_clear()
+        for p in targets:
+            ts.scaling._Iterate(x, p, x.norm())
+        info = ts.scaling._loop_constants.cache_info()
+        assert (info.misses, info.hits) == (1, 64)
 
     def test_runs_in_threads_match_serial_runs(self, rng):
         # two formats and targets, one with zero entries, run at once in two
