@@ -2,8 +2,8 @@
 
 Exit codes: 0 for SCALED/IN, 1 for NOT_IN_POLYTOPE/EPS_FAR (and failed
 checks), 2 for usage or validation errors and unreadable or unwritable
-files, 3 for numeric failures and exhausted memory.
-Reports are JSON, written to --out or standard output.
+files, 3 for numeric failures and exhausted memory.  This module opens every
+file, and io converts documents; reports are JSON, to --out or standard output.
 """
 from __future__ import annotations
 
@@ -46,17 +46,13 @@ from .scaling import (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_rand_range(text: str) -> int | str:
     if text == THEORETICAL:
         return THEORETICAL
     try:
         return int(text)
     except ValueError as exc:
-        raise UsageError(f"--rand-range must be an integer or '{THEORETICAL}'") from exc
+        raise ValueError(f"--rand-range must be an integer or '{THEORETICAL}'") from exc
 
 
 def _config(args: argparse.Namespace) -> ScalingConfig:
@@ -72,7 +68,7 @@ def _config(args: argparse.Namespace) -> ScalingConfig:
 def _load_target(args: argparse.Namespace, dims: Sequence[int]) -> TargetSpectrum:
     if args.target == "uniform":
         return TargetSpectrum.uniform(dims)
-    return io.load_spectrum(args.target)
+    return io.spectrum_from_obj(_load_json(args.target), where=args.target)
 
 
 def _load_json(path: str):
@@ -107,9 +103,9 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         values = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers") from exc
+        raise ValueError(f"{flag} expects comma-separated integers") from exc
     if not values or any(v < 0 for v in values):
-        raise UsageError(f"{flag} expects nonnegative integers")
+        raise ValueError(f"{flag} expects nonnegative integers")
     return values
 
 
@@ -198,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scale(args) -> int:
-    x = io.load_tensor(args.tensor)
+    x = io.tensor_from_obj(_load_json(args.tensor), where=args.tensor)
     p = _load_target(args, x.dims)
     return _emit_report("scale", run_scaling(x, p, _config(args)), args.out)
 
 
 def _cmd_general_scale(args) -> int:
     if args.sites is not None and not args.mps:
-        raise UsageError("--sites applies only to --mps")
+        raise ValueError("--sites applies only to --mps")
     phi = None
     if args.dims:
         dims = _csv_ints(args.dims, "--dims")
@@ -213,10 +209,10 @@ def _cmd_general_scale(args) -> int:
     else:
         obj = _load_json(args.mps)
         if not isinstance(obj, dict):
-            raise UsageError("--mps file must hold a JSON object")
+            raise ValueError("--mps file must hold a JSON object")
         sites = obj.get("sites") if args.sites is None else args.sites
         if sites is None:
-            raise UsageError("give --sites (or a 'sites' key) for --mps")
+            raise ValueError("give --sites (or a 'sites' key) for --mps")
         sites = as_int(sites, "--mps sites", low=1)
         if "matrices" in obj:
             x = mps_tensor(io.number_array(obj["matrices"], f"{args.mps}.matrices"),
@@ -227,7 +223,7 @@ def _cmd_general_scale(args) -> int:
                                       sites)
             dims = (n,) * sites
         else:
-            raise UsageError("--mps file needs 'matrices' or 'n' and 'bond'")
+            raise ValueError("--mps file needs 'matrices' or 'n' and 'bond'")
     if phi is None:
         # the given tensor is scaled as `scale` scales it; the group acts on it
         report = run_scaling(x, _load_target(args, x.dims), _config(args))
@@ -241,7 +237,7 @@ def _cmd_general_scale(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    x = io.load_tensor(args.tensor)
+    x = io.tensor_from_obj(_load_json(args.tensor), where=args.tensor)
     p = _load_target(args, x.dims)
     verdict = membership(x, p, args.epsilon, cfg=_config(args),
                          repeats=args.repeats)
@@ -266,19 +262,19 @@ def _cmd_kronecker(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    x = io.load_tensor(args.tensor)
+    x = io.tensor_from_obj(_load_json(args.tensor), where=args.tensor)
     try:
         lams = json.loads(args.lambdas)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"--lambdas is not valid JSON: {exc}") from exc
+        raise ValueError(f"--lambdas is not valid JSON: {exc}") from exc
     reduced = reduce_tensor(x, lams)
     _emit({"command": "reduce", "tensor": io.tensor_to_obj(reduced)}, args.out)
     return 0
 
 
 def _cmd_verify_hwv(args) -> int:
-    x = io.load_tensor(args.tensor)
-    spec = io.load_hwv_spec(args.spec)
+    x = io.tensor_from_obj(_load_json(args.tensor), where=args.tensor)
+    spec = io.hwv_spec_from_obj(_load_json(args.spec), where=args.spec)
     value = evaluate_hwv(spec, x)
     bound = evaluation_bound(spec, x)
     rng = np.random.default_rng(args.seed)

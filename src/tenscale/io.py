@@ -105,6 +105,8 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
     _require(isinstance(dims, list) and len(dims) >= 2
              and all(_number(n, int) and n >= 1 for n in dims),
              f"{where}.dims", "expected a list of >= 2 positive integers")
+    _require(not ("dense" in obj and "entries" in obj), where,
+             "give 'dense' or 'entries', not both")
     if "dense" in obj:
         data = _dense_to_array(obj["dense"], dims, f"{where}.dense")
         return Tensor(data)
@@ -129,11 +131,6 @@ def tensor_from_obj(obj: Any, where: str = "tensor") -> Tensor:
                  "'re' and 'im' must be integers within the float range")
         data[tuple(idx)] = complex(re, im)
     return Tensor(data)
-
-
-def load_tensor(path: str) -> Tensor:
-    with open(path) as fh:
-        return tensor_from_obj(json.load(fh), where=path)
 
 
 # --------------------------------------------------------------------------
@@ -163,18 +160,17 @@ def spectrum_from_obj(obj: Any, where: str = "spectrum") -> TargetSpectrum:
             else:
                 raise SchemaError(
                     f"{here}[{j}]: expected a fraction string or finite number")
+        if not all(isinstance(v, Fraction) for v in row):
+            total = sum(map(float, row))  # which from_floats divides the row by
+            _require(abs(total - 1) <= 1e-6, here,
+                     f"entries sum to {total!r}, not 1 within 1e-6")
         rows.append(row)
-    try:
-        if all(isinstance(v, Fraction) for row in rows for v in row):
-            return TargetSpectrum(tuple(tuple(row) for row in rows))
-        return TargetSpectrum.from_floats([[float(v) for v in row] for row in rows])
+    try:  # a row of fraction strings is exact; one holding a number is floats
+        return TargetSpectrum(tuple(
+            tuple(row) if all(isinstance(v, Fraction) for v in row)
+            else TargetSpectrum.from_floats([row]).parts[0] for row in rows))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-
-
-def load_spectrum(path: str) -> TargetSpectrum:
-    with open(path) as fh:
-        return spectrum_from_obj(json.load(fh), where=path)
 
 
 # --------------------------------------------------------------------------
@@ -208,11 +204,6 @@ def hwv_spec_from_obj(obj: Any, where: str = "hwv") -> HWVSpec:
                        perms=rows["perms"])
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-
-
-def load_hwv_spec(path: str) -> HWVSpec:
-    with open(path) as fh:
-        return hwv_spec_from_obj(json.load(fh), where=path)
 
 
 # --------------------------------------------------------------------------

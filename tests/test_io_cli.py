@@ -90,7 +90,15 @@ class TestTensorJson:
         x = random_integer_tensor((2, 2, 3), rng)
         path = tmp_path / "x.json"
         save_tensor(x, str(path))
-        assert np.array_equal(io.load_tensor(str(path)).data, x.data)
+        with open(path) as fh:
+            assert np.array_equal(io.tensor_from_obj(json.load(fh)).data, x.data)
+
+    def test_dense_and_entries_together_are_refused(self):
+        # the dense form used to win and the entries were dropped unread
+        with pytest.raises(io.SchemaError,
+                           match=r"^tensor: give 'dense' or 'entries', not both$"):
+            io.tensor_from_obj({"dims": [1, 2, 2], "dense": [[[1, 0], [0, 1]]],
+                                "entries": [{"idx": [0, 0, 1], "re": 5}]})
 
     def test_sparse_and_dense_agree(self):
         sparse = io.tensor_from_obj({
@@ -113,7 +121,8 @@ class TestTensorJson:
         x = random_integer_tensor((1, 2, 2), rng)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_tensor(x, str(p1))
-        save_tensor(io.load_tensor(str(p1)), str(p2))
+        with open(p1) as fh:
+            save_tensor(io.tensor_from_obj(json.load(fh)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -232,7 +241,27 @@ class TestSpectrumJson:
         p = ts.TargetSpectrum(((F(2, 3), F(1, 3)), (F(1, 2), F(1, 2))))
         path = tmp_path / "p.json"
         save_spectrum(p, str(path))
-        assert io.load_spectrum(str(path)).parts == p.parts
+        with open(path) as fh:
+            assert io.spectrum_from_obj(json.load(fh)).parts == p.parts
+
+    @pytest.mark.parametrize("row,total", [([0.9, 0.9], "1.8"),
+                                           ([0.5, 0.3], "0.8")])
+    def test_float_rows_far_from_one_are_refused(self, row, total):
+        # from_floats would rescale them to (1/2, 1/2) and (5/8, 3/8)
+        with pytest.raises(io.SchemaError,
+                           match=rf"^spectrum\.parts\[1\]: entries sum to {total},"):
+            io.spectrum_from_obj({"parts": [[0.5, 0.5], row]})
+
+    @pytest.mark.parametrize("row,value", [([0.1] * 10, F(1, 10)),
+                                           ([1 / 3] * 3, F(1, 3))])
+    def test_float_rows_within_rounding_of_one_load(self, row, value):
+        assert io.spectrum_from_obj({"parts": [row]}).parts == ((value,) * len(row),)
+
+    def test_fraction_rows_stay_exact_beside_float_rows(self):
+        # rationalizing this row would give (666667/666669, 2/666669)
+        p = io.spectrum_from_obj({"parts": [["1000000/1000003", "3/1000003"],
+                                            [0.5, 0.5]]})
+        assert p.parts == ((F(1000000, 1000003), F(3, 1000003)), (F(1, 2), F(1, 2)))
 
 
 class TestHwvSpecJson:
@@ -681,6 +710,23 @@ class TestCli:
                 "reduce": []}[argv[0]]
         assert cli.main(argv + [str(path)] + rest) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag,content,message", [
+        ("--target", {"parts": [[0.5, 0.3], ["1/2", "1/2"], [0.5, 0.5]]},
+         ".parts[0]: entries sum to 0.8, not 1 within 1e-6"),
+        ("--tensor", {"dims": [2, 2, 2], "dense": [[[1, 0], [0, 0]]] * 2,
+                      "entries": []},
+         ": give 'dense' or 'entries', not both"),
+    ], ids=["target-row-sum", "tensor-both-forms"])
+    def test_ambiguous_input_exits_two(self, ghz_path, tmp_path, capsys, flag,
+                                       content, message):
+        # each used to load silently: a rescaled target, a dropped form
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        files = {"--tensor": ghz_path, "--target": "uniform", flag: str(path)}
+        assert cli.main(["scale", *[v for kv in files.items() for v in kv],
+                         "--epsilon", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_missing_file_exit_two(self):
         assert cli.main(["scale", "--tensor", "/nonexistent.json", "--target",

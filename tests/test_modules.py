@@ -10,8 +10,9 @@ as tensors.py owns the flattening's axis order, tensors.contract makes none
 as its images stay row-major, the contraction kernels and the loop's state
 force no complex dtype as tensors._real_if_real holds the one dtype rule,
 each halt check makes the one resync call the benchmark's tracer counts, no
-public function stays in the package that only the tests call, and no
-private top-level function or class stays that no package module calls."""
+public function stays in the package that only the tests call, no
+private top-level function or class stays that no package module calls,
+and only cli.py opens or parses a file."""
 import ast
 from pathlib import Path
 
@@ -943,3 +944,49 @@ def test_guard_sees_unreferenced_private_helpers():
 def test_src_keeps_only_called_private_helpers():
     package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private(package) == []
+
+
+def file_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call to open, by bare name or as an attribute
+    (os.open, a path's .open), and of each json.load, by attribute through
+    any alias of json or by a name imported from it."""
+    tree = ast.parse(source)
+    modules, loads = set(), {"open"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            loads.update(a.asname or a.name for a in node.names
+                         if a.name == "load")
+    found = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Name) and func.id in loads:
+            found.append((node.lineno, func.id))
+        elif isinstance(func, ast.Attribute) and (
+                func.attr == "open" or func.attr == "load"
+                and isinstance(func.value, ast.Name) and func.value.id in modules):
+            found.append((node.lineno, func.attr))
+    return sorted(found)
+
+
+def test_guard_sees_file_reads():
+    assert file_reads("import json as j\n"
+                      "from json import load as parse, loads\n"
+                      "with open(path) as fh:\n"
+                      "    doc = j.load(fh)\n"
+                      "fd = os.open(path, 0)\n"
+                      "text = Path(path).open().read()\n"
+                      "obj = parse(fh) or loads(text) or json.loads(text)\n"
+                      "arr = np.load(path)\n") \
+        == [(3, "open"), (4, "load"), (5, "open"), (6, "open"), (7, "parse")]
+
+
+def test_only_the_cli_reads_files():
+    # io converts documents and cli reads every input file, so a schema
+    # error names the path that cli passes as ``where``
+    found = {path.name: file_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("cli.py")
+    assert {name: calls for name, calls in found.items() if calls} == {}
