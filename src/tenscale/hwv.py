@@ -110,10 +110,6 @@ class HWVSpec:
     def degree(self) -> int:
         return sum(self.weight[0])
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.weight)
-
 
 # With this memo, on a 2-core x86-64 host with one BLAS thread, a fresh
 # process evaluates the 3,105 k <= 4 descriptions of (1;2,2), (2;2,2), (1;3,2)
@@ -133,7 +129,7 @@ def _det_terms(lam: tuple[int, ...], perm: tuple[int, ...], n: int,
     one arrangement per block.  Memoized, so every caller shares one pair;
     _term_plan calls __wrapped__ for a pair past _DET_TERMS_MEMO_BYTES.
     """
-    heights = conjugate_partition(tuple(v for v in lam if v > 0))
+    heights = conjugate_partition(lam)
     # cols[t] lists the columns n-1-cols[t] of a block's arrangement t
     blocks = [np.fromiter(itertools.chain.from_iterable(
         itertools.permutations(range(h)) if h <= n else ()),
@@ -166,7 +162,7 @@ _DET_TERMS_MEMO_BYTES = 1 << 16
 
 def _term_count(lam: tuple[int, ...], n: int) -> int:
     """Number of terms of _det_terms's pair for lam on dimension n."""
-    heights = conjugate_partition(tuple(v for v in lam if v > 0))
+    heights = conjugate_partition(lam)
     return math.prod(math.factorial(h) if h <= n else 0 for h in heights)
 
 
@@ -360,7 +356,7 @@ def canonical_slot_permutations(lam: Sequence[int], k: int
     so a single representative per block-content signature suffices: the
     one whose equal-height blocks come in increasing order of first slot.
     """
-    heights = list(conjugate_partition(tuple(v for v in lam if v > 0)))
+    heights = list(conjugate_partition(lam))
     if sum(heights) != k:
         raise ValueError("partition size must equal the degree")
     # blocks from last_run on all have the last height and fill the slots

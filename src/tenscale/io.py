@@ -160,17 +160,19 @@ def spectrum_from_obj(obj: Any, where: str = "spectrum") -> TargetSpectrum:
             else:
                 raise SchemaError(
                     f"{here}[{j}]: expected a fraction string or finite number")
-        if not all(isinstance(v, Fraction) for v in row):
-            total = sum(map(float, row))  # which from_floats divides the row by
-            _require(abs(total - 1) <= 1e-6, here,
-                     f"entries sum to {total!r}, not 1 within 1e-6")
-        rows.append(row)
-    try:  # a row of fraction strings is exact; one holding a number is floats
-        return TargetSpectrum(tuple(
-            tuple(row) if all(isinstance(v, Fraction) for v in row)
-            else TargetSpectrum.from_floats([row]).parts[0] for row in rows))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        exact = all(isinstance(v, Fraction) for v in row)
+        try:  # each row as factor 1 of its own target, refused where it stands
+            total = sum(map(float, row))  # which from_floats divides floats by
+            build = TargetSpectrum if exact else TargetSpectrum.from_floats
+            rows.append(build([row]).parts[0])
+        except OverflowError as exc:  # a fraction string past the float range
+            raise SchemaError(f"{here}: an entry lies past the float range") from exc
+        except ValueError as exc:
+            raise SchemaError(
+                f"{here}: {str(exc).removeprefix('factor 1: ')}") from exc
+        _require(exact or abs(total - 1) <= 1e-6, here,
+                 f"entries sum to {total!r}, not 1 within 1e-6")
+    return TargetSpectrum(tuple(rows))
 
 
 # --------------------------------------------------------------------------

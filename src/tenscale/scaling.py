@@ -82,14 +82,19 @@ GATHER_MAX_ENTRIES = 8192
 
 def _fraction(v, i: int, rationalize: bool = False) -> Fraction:
     """TargetSpectrum's one input rule: entry v of factor i exactly, or its
-    float rationalized by continued fractions with denominators up to 10**6;
-    a bool or a value that is not a finite number raises ValueError."""
-    if not isinstance(v, (bool, np.bool_)):
-        try:
-            return Fraction(float(v)).limit_denominator(10**6) if rationalize else Fraction(v)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            pass
-    raise ValueError(f"factor {i}: entry {v!r} is not a finite number")
+    float rationalized to denominators up to 10**6; a bool, a non-finite value,
+    a negative float and a positive one rationalized to 0 raise ValueError."""
+    try:
+        exact = Fraction(float(v) if rationalize else v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        exact = None
+    if exact is None or isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"factor {i}: entry {v!r} is not a finite number")
+    near = exact.limit_denominator(10**6) if rationalize else exact
+    if rationalize and (exact < 0 or near == 0 < exact):
+        raise ValueError(f"factor {i}: entry {v!r} is " + (
+            "negative" if exact < 0 else "positive but rationalizes to 0"))
+    return near
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,8 @@ def _budget(epsilon: float, weight: float) -> int:
     """max(1, ceil(_BUDGET_CONST / epsilon**2 * weight)), in floats where
     that is finite, else exactly from Fraction(epsilon): below epsilon near
     1e-153 the float quotient overflows, and epsilon**2 underflows to 0."""
+    if not epsilon > 0:  # NaN fails too
+        raise ValueError("epsilon must be positive")
     raw = _BUDGET_CONST / epsilon**2 * weight if epsilon**2 > 0 else math.inf
     if not math.isfinite(raw):
         raw = Fraction(_BUDGET_CONST) / Fraction(epsilon)**2 * Fraction(weight)
@@ -366,8 +373,6 @@ def iteration_budget(shape: Sequence[int], bits: int, epsilon: float,
     ``shape`` is the full format (n0, n1, ..., nd), ``bits`` the input entry
     bit size, ``log2_range`` the log2 of the randomization range in use.
     """
-    if not epsilon > 0:  # NaN fails too
-        raise ValueError("epsilon must be positive")
     d = len(shape) - 1
     logs = sum(math.log2(n) for n in shape)
     return _budget(epsilon, 3 * logs + bits + d * log2_range)
@@ -378,8 +383,6 @@ def general_iteration_budget(shape: Sequence[int], coeff_bits: int,
                              log2_range: float) -> int:
     """Step budget when the start point is sampled through a homogeneous
     parametrization of the variety instead of a random basis change."""
-    if not epsilon > 0:  # NaN fails too
-        raise ValueError("epsilon must be positive")
     logs_all = sum(math.log2(n) for n in shape)
     logs_scaled = sum(math.log2(n) for n in shape[1:])
     return _budget(epsilon, logs_scaled

@@ -189,14 +189,12 @@ def contract(m: np.ndarray, data: np.ndarray, i: int) -> np.ndarray:
 def contract_folded(m: np.ndarray, data: np.ndarray,
                     axes: tuple[int, int, int]) -> np.ndarray:
     """m acting on the C-contiguous data read as axes = (P, n, Q), P and Q
-    the products of the axes before and after the one m acts on: m @ data
-    when P = 1, data @ m^T when Q = 1, else one batched np.matmul, in the
-    shape that product leaves.  contract and the scaling loop, which passes
-    each factor's precomputed axes, make every product by this one call."""
+    the products of the axes before and after the one m acts on: data @ m^T
+    when Q = 1 < P, else one batched np.matmul (at P = 1, m @ data's BLAS call),
+    in the shape that product leaves.  contract and the scaling loop, which
+    passes each factor's axes, make every product by this one call."""
     p, n, q = axes
-    if p == 1:
-        return m @ data.reshape(n, q)
-    if q == 1:
+    if q == 1 < p:
         return data.reshape(p, n) @ m.T
     return np.matmul(m, data.reshape(p, n, q))
 

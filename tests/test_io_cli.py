@@ -232,6 +232,10 @@ class TestSpectrumJson:
         row = sorted((v for v, k in blocks for _ in range(k)), reverse=True)
         assume(sum(row) > 0)
         row = [v / sum(row) for v in row]
+        if any(F(v).limit_denominator(10**6) == 0 < v for v in row):
+            with pytest.raises(io.SchemaError, match="rationalizes to 0"):
+                io.spectrum_from_obj({"parts": [row]})
+            return
         vec = io.spectrum_from_obj({"parts": [row]}).parts[0]
         assert sum(vec) == 1
         assert all(vec[k] == vec[k + 1] for k in range(len(row) - 1) if row[k] == row[k + 1])
@@ -250,6 +254,20 @@ class TestSpectrumJson:
         # from_floats would rescale them to (1/2, 1/2) and (5/8, 3/8)
         with pytest.raises(io.SchemaError,
                            match=rf"^spectrum\.parts\[1\]: entries sum to {total},"):
+            io.spectrum_from_obj({"parts": [[0.5, 0.5], row]})
+
+    def test_float_row_past_the_float_range_is_refused(self):
+        # its float sum used to raise OverflowError: a numeric failure, exit 3
+        with pytest.raises(io.SchemaError, match=r"^spectrum\.parts\[0\]: "
+                                                 "an entry lies past the float range$"):
+            io.spectrum_from_obj({"parts": [["1e400", 0], [0.5, 0.5]]})
+
+    @pytest.mark.parametrize("row,message", [
+        ([1.0000001, -1e-7], "entry -1e-07 is negative"),
+        ([0.9999999, 1e-7], "entry 1e-07 is positive but rationalizes to 0")])
+    def test_float_rows_keep_each_entrys_sign(self, row, message):
+        with pytest.raises(io.SchemaError,
+                           match=rf"^spectrum\.parts\[1\]: {message}$"):
             io.spectrum_from_obj({"parts": [[0.5, 0.5], row]})
 
     @pytest.mark.parametrize("row,value", [([0.1] * 10, F(1, 10)),
@@ -717,10 +735,18 @@ class TestCli:
         ("--tensor", {"dims": [2, 2, 2], "dense": [[[1, 0], [0, 0]]] * 2,
                       "entries": []},
          ": give 'dense' or 'entries', not both"),
-    ], ids=["target-row-sum", "tensor-both-forms"])
+        ("--target", {"parts": [[0.5, 0.5], [1.0000001, -1e-7], [0.5, 0.5]]},
+         ".parts[1]: entry -1e-07 is negative"),
+        ("--target", {"parts": [[0.5, 0.5], [0.9999999, 1e-7], [0.5, 0.5]]},
+         ".parts[1]: entry 1e-07 is positive but rationalizes to 0"),
+        ("--target", {"parts": [["1e400", 0], [0.5, 0.5], [0.5, 0.5]]},
+         ".parts[0]: an entry lies past the float range"),
+    ], ids=["target-row-sum", "tensor-both-forms", "target-negative",
+            "target-positive-to-zero", "target-past-float-range"])
     def test_ambiguous_input_exits_two(self, ghz_path, tmp_path, capsys, flag,
                                        content, message):
-        # each used to load silently: a rescaled target, a dropped form
+        # each used to load silently: a rescaled target, a dropped form, a
+        # target row read as (1, 0); the last exited 3 on OverflowError
         path = tmp_path / "in.json"
         path.write_text(json.dumps(content))
         files = {"--tensor": ghz_path, "--target": "uniform", flag: str(path)}

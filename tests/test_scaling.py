@@ -75,6 +75,17 @@ class TestTargetSpectrum:
         with pytest.raises(ValueError, match="factor 2: entries must have a positive sum"):
             ts.TargetSpectrum.from_floats([[1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("row,message", [
+        ([1.0000001, -1e-7], "entry -1e-07 is negative"),
+        ([0.9999999, 1e-7], "entry 1e-07 is positive but rationalizes to 0")])
+    def test_from_floats_keeps_each_entrys_sign(self, row, message):
+        # each used to load as (1, 0): a negative entry accepted, a positive
+        # one turned into a zero target that the run restricts away
+        with pytest.raises(ValueError, match=f"^factor 2: {message}$"):
+            ts.TargetSpectrum.from_floats([[0.5, 0.5], row])
+        p = ts.TargetSpectrum.from_floats([[0.1] * 10, [1 / 3] * 3, [1.0, 0.0, -0.0]])
+        assert p.parts == ((F(1, 10),) * 10, (F(1, 3),) * 3, (F(1), F(0), F(0)))
+
     @pytest.mark.parametrize("entry", [True, np.True_, math.inf, -math.inf, math.nan, "x"])
     @pytest.mark.parametrize("build", [ts.TargetSpectrum, ts.TargetSpectrum.from_floats])
     def test_one_input_rule_for_entries(self, build, entry):

@@ -442,6 +442,26 @@ class TestContract:
                 assert row_major_equal(ts.contract(a, moved, j),
                                        ref_contract(a, moved, j))
 
+    @pytest.mark.parametrize("q", [1, 6])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_leading_axis_product_is_the_plain_product(self, rng, kind, q):
+        # at P = 1 the batched product makes the 2-D product's BLAS call, so
+        # contract_folded needs no branch of its own for it: the same bits
+        # for a C-ordered m and for the loop's F-ordered step matrix
+        def draw(*shape):
+            a = rng.standard_normal(shape)
+            return a if kind == "real" else a + 1j * rng.standard_normal(shape)
+
+        for n in (1, 2, 3, 4, 7, 16, 48):
+            data, x = draw(n * q), draw(n, n)
+            step = (x.conj() * np.sqrt(rng.random(n))).T
+            assert step.flags.f_contiguous and x.flags.c_contiguous
+            for m in (x, step):
+                out = ts.tensors.contract_folded(m, data, (1, n, q))
+                plain = m @ data.reshape(n, q)
+                assert out.shape == (1, n, q) and out.flags.c_contiguous
+                assert out.reshape(n, q).tobytes() == plain.tobytes()
+
     def test_rejects_a_mismatched_axis(self, rng):
         data = random_integer_tensor((1, 2, 4), rng).data
         with pytest.raises(ValueError):
