@@ -150,27 +150,25 @@ def spectrum_from_obj(obj: Any, where: str = "spectrum") -> TargetSpectrum:
         _require(isinstance(vec, list) and vec, here, "expected a nonempty list")
         row = []
         for j, v in enumerate(vec):
-            if isinstance(v, str):
-                try:
-                    row.append(Fraction(v))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SchemaError(f"{here}[{j}]: bad fraction {v!r}") from exc
-            elif _number(v):
-                row.append(v)
-            else:
-                raise SchemaError(
-                    f"{here}[{j}]: expected a fraction string or finite number")
+            _require(isinstance(v, str) or _number(v), f"{here}[{j}]",
+                     "expected a fraction string or finite number")
+            try:
+                row.append(Fraction(v) if isinstance(v, str) else v)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SchemaError(f"{here}[{j}]: bad fraction {v!r}") from exc
         exact = all(isinstance(v, Fraction) for v in row)
         try:  # each row as factor 1 of its own target, refused where it stands
-            total = sum(map(float, row))  # which from_floats divides floats by
-            build = TargetSpectrum if exact else TargetSpectrum.from_floats
-            rows.append(build([row]).parts[0])
-        except OverflowError as exc:  # a fraction string past the float range
+            if exact:
+                rows.append(TargetSpectrum([row]).parts[0])
+                continue
+            total = sum(map(float, row))  # which from_floats divides the row by
+            rows.append(TargetSpectrum.from_floats([row]).parts[0])
+        except OverflowError as exc:  # a mixed row's fraction string past the float range
             raise SchemaError(f"{here}: an entry lies past the float range") from exc
         except ValueError as exc:
             raise SchemaError(
                 f"{here}: {str(exc).removeprefix('factor 1: ')}") from exc
-        _require(exact or abs(total - 1) <= 1e-6, here,
+        _require(abs(total - 1) <= 1e-6, here,
                  f"entries sum to {total!r}, not 1 within 1e-6")
     return TargetSpectrum(tuple(rows))
 

@@ -83,7 +83,9 @@ GATHER_MAX_ENTRIES = 8192
 def _fraction(v, i: int, rationalize: bool = False) -> Fraction:
     """TargetSpectrum's one input rule: entry v of factor i exactly, or its
     float rationalized to denominators up to 10**6; a bool, a non-finite value,
-    a negative float and a positive one rationalized to 0 raise ValueError."""
+    and a float that is negative or rationalizes to 0 raise ValueError, unless
+    it lies within rounding noise of 0 (1e-12, as eigvalsh's on a rank-deficient
+    marginal), where it loads as 0."""
     try:
         exact = Fraction(float(v) if rationalize else v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -91,7 +93,7 @@ def _fraction(v, i: int, rationalize: bool = False) -> Fraction:
     if exact is None or isinstance(v, (bool, np.bool_)):
         raise ValueError(f"factor {i}: entry {v!r} is not a finite number")
     near = exact.limit_denominator(10**6) if rationalize else exact
-    if rationalize and (exact < 0 or near == 0 < exact):
+    if rationalize and abs(exact) > 1e-12 and (exact < 0 or near == 0):
         raise ValueError(f"factor {i}: entry {v!r} is " + (
             "negative" if exact < 0 else "positive but rationalizes to 0"))
     return near

@@ -232,7 +232,7 @@ class TestSpectrumJson:
         row = sorted((v for v, k in blocks for _ in range(k)), reverse=True)
         assume(sum(row) > 0)
         row = [v / sum(row) for v in row]
-        if any(F(v).limit_denominator(10**6) == 0 < v for v in row):
+        if any(F(v).limit_denominator(10**6) == 0 and v > 1e-12 for v in row):
             with pytest.raises(io.SchemaError, match="rationalizes to 0"):
                 io.spectrum_from_obj({"parts": [row]})
             return
@@ -261,6 +261,10 @@ class TestSpectrumJson:
         with pytest.raises(io.SchemaError, match=r"^spectrum\.parts\[0\]: "
                                                  "an entry lies past the float range$"):
             io.spectrum_from_obj({"parts": [["1e400", 0], [0.5, 0.5]]})
+        # an exact row takes no float sum and keeps TargetSpectrum's message
+        with pytest.raises(io.SchemaError, match=r"^spectrum\.parts\[0\]: "
+                                                 r"entries must lie in \[0, 1\]"):
+            io.spectrum_from_obj({"parts": [["1e400", "0"], [0.5, 0.5]]})
 
     @pytest.mark.parametrize("row,message", [
         ([1.0000001, -1e-7], "entry -1e-07 is negative"),

@@ -86,6 +86,18 @@ class TestTargetSpectrum:
         p = ts.TargetSpectrum.from_floats([[0.1] * 10, [1 / 3] * 3, [1.0, 0.0, -0.0]])
         assert p.parts == ((F(1, 10),) * 10, (F(1, 3),) * 3, (F(1), F(0), F(0)))
 
+    def test_from_floats_reads_rounding_noise_as_zero(self):
+        # a product state's marginals have rank 1; eigvalsh leaves noise of
+        # either sign near 1e-17 where their spectra are 0
+        x = ts.Tensor(np.einsum("i,j,k->ijk", [1.0, 2.0, 3.0], [2.0, 1.0], [1.0, 1.0])[None])
+        spectra = [ts.spectrum(ts.marginal(x, i)) / x.norm() ** 2 for i in (1, 2, 3)]
+        p = ts.TargetSpectrum.from_floats(spectra)
+        assert p.parts == ((F(1), F(0), F(0)), (F(1), F(0)), (F(1), F(0)))
+        p = ts.TargetSpectrum.from_floats([[1.0, 1.4e-17, -4.6e-17], [1.0, -1e-12]])
+        assert p.parts == ((F(1), F(0), F(0)), (F(1), F(0)))
+        with pytest.raises(ValueError, match="^factor 1: entry -1.1e-12 is negative$"):
+            ts.TargetSpectrum.from_floats([[1.0, -1.1e-12]])
+
     @pytest.mark.parametrize("entry", [True, np.True_, math.inf, -math.inf, math.nan, "x"])
     @pytest.mark.parametrize("build", [ts.TargetSpectrum, ts.TargetSpectrum.from_floats])
     def test_one_input_rule_for_entries(self, build, entry):

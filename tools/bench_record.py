@@ -3,14 +3,14 @@
 
 Run from any directory:
 
-    python3 tools/bench_record.py --pr 46 [--seed 7] [--seconds 12]
+    python3 tools/bench_record.py --pr 46
 
 Each workload that BENCHMARK.json declares runs once, in its own
-subprocess, as ``<command> --workload W --seed S --seconds T --trace 0``
-from the repository root.  The file, written there, holds the ``env`` line,
-and per workload every ``metric`` line (name, value, unit), every
-``raw wall`` line, the ``fingerprint_sha256`` and the final JSON line's
-``correct``.  A run that exits nonzero, or prints no fingerprint or no
+subprocess, as ``<command> --workload W --seed 7 --seconds T --trace 0``
+from the repository root, T being BENCHMARK.json's ``run_seconds``.  The
+file, written there, holds the ``env`` line, and per workload every
+``metric`` line (name, value, unit), every ``raw wall`` line, the
+``fingerprint_sha256`` and the final JSON line's ``correct``.  A run that exits nonzero, or prints no fingerprint or no
 result line, stops the tool with exit status 1, and no file is written.
 """
 import argparse
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SEED = 7
 
 
 class RecordError(RuntimeError):
@@ -55,13 +56,14 @@ def parse_run(stdout: str) -> dict:
     return run
 
 
-def record(pr: int, seed: int, seconds: float) -> dict:
+def record(pr: int) -> dict:
     """Run every declared workload once and collect the BENCH document."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    doc = {"pr": pr, "seed": seed, "seconds": seconds, "trace": 0,
+    seconds = spec["run_seconds"]
+    doc = {"pr": pr, "seed": SEED, "seconds": seconds, "trace": 0,
            "command": spec["command"], "env": None, "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
-        argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
+        argv = [*spec["command"], "--workload", workload, "--seed", str(SEED),
                 "--seconds", str(seconds), "--trace", "0"]
         print(f"bench_record: {' '.join(argv)}", file=sys.stderr)
         proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
@@ -80,11 +82,9 @@ def record(pr: int, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=12.0)
     args = parser.parse_args(argv)
     try:
-        doc = record(args.pr, args.seed, args.seconds)
+        doc = record(args.pr)
     except RecordError as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
