@@ -17,7 +17,8 @@ One run function, _core_loop, takes a start from restriction to report.  Its
 _Iterate holds the normalized iterate, the upper-triangular group carrying
 the start to it and its last measurement.  Steps update them; a halt
 measures its witness first and resyncs only after a rejection.  A step
-costs one Cholesky call, one contraction and a measurement: the Borel step
+costs one Cholesky factorization (a qubit factor's written out, see
+_step_matrix), one contraction and a measurement: the Borel step
 a makes a rho_j a^dagger the target's diagonal, of trace 1, so the
 contraction leaves the iterate at unit norm.  A gather forms all d Gram
 matrices; larger formats take that congruence as factor j's (see _Iterate).
@@ -66,6 +67,7 @@ BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 DEFAULT_RAND_RANGE = 1 << 16
 SINGULARITY_RTOL = 1e-12
 _FLOAT_MAX = np.finfo(float).max
+_BLOCK_C = 2.0**900  # _step_matrix's trailing block c I
 # A format whose d flattenings hold at most this many entries in all takes
 # each dimension group's marginals from one gather of the raw iterate.  Per
 # measurement of a row-major float64 iterate (2-core x86-64, one BLAS
@@ -645,13 +647,38 @@ def _step_matrix(rho: np.ndarray, root: np.ndarray, blocks: dict) -> np.ndarray:
     lower-left block is inv(L)^dagger, upper triangular with exact zeros,
     and inv(R) = J inv(L) J for the upper factor R = J L J of rho.  The
     block c I - inv(rho) fails only if 1 / lambda_min(rho) > c.  blocks, the
-    caller's own, keeps it per dimension and dtype, filled once, then per call."""
+    caller's own, keeps it per dimension and dtype, filled once, then per call.
+
+    A 2 x 2 rho makes no LAPACK call: the branch performs the arithmetic of
+    OpenBLAS's unblocked Cholesky (potf2) on the same block, column by
+    column, multiplying by each pivot's reciprocal as potf2 does (dividing
+    changes the bits).  It returns the call's bits and raises LinAlgError
+    where the call fails, on any of the four pivots not positive, and on a
+    NaN pivot, where potf2 returns NaN."""
     n, key = len(rho), (len(rho), rho.dtype)
+    if n == 2:
+        (s00, s01), (_, s11) = rho.tolist()
+        pivot = s11.real
+        if pivot > 0:
+            i0 = 1 / math.sqrt(pivot)
+            l = s01 * i0
+            pivot = s00.real - (l * l.conjugate()).real
+        if pivot > 0:
+            i1 = 1 / math.sqrt(pivot)
+            x = (0.0 - i0 * l.conjugate()) * i1  # potf2's update: 0 - 0 is +0
+            pivot = _BLOCK_C - (i0 * i0 + (x * x.conjugate()).real)
+        if pivot > 0:  # the trailing block's pivots
+            y = i1 * abs(x) / math.sqrt(pivot)
+            pivot = _BLOCK_C - (i1 * i1 + y * y)
+        if not pivot > 0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        r0, r1 = root.tolist()
+        return np.array([[i1 * r0, x.conjugate() * r0], [0.0, i0 * r1]], rho.dtype)
     block = blocks.get(key)
     if block is None:
         blocks[key] = block = np.zeros((2 * n, 2 * n), rho.dtype)
         block[:n, n:] = block[n:, :n] = eye = np.eye(n)
-        block[n:, n:] = 2.0**900 * eye
+        block[n:, n:] = _BLOCK_C * eye
     block[:n, :n] = rho[::-1, ::-1]
     x = np.linalg.cholesky(block)[:n - 1:-1, n - 1::-1]  # lower left, J . J
     return (x.conj() * root).T  # rows of inv(R), scaled

@@ -357,9 +357,66 @@ def conditioned_case(n, cond, dtype, seed):
     return (rho + rho.conj().T) / 2
 
 
+def block_step_matrix(rho, root):
+    """_step_matrix's block path for any n: one np.linalg.cholesky call on
+    [[J rho J, I], [I, 2**900 I]], its lower-left block reversed and scaled."""
+    n = len(rho)
+    block = np.zeros((2 * n, 2 * n), rho.dtype)
+    block[:n, n:] = block[n:, :n] = np.eye(n)
+    block[n:, n:] = 2.0**900 * np.eye(n)
+    block[:n, :n] = rho[::-1, ::-1]
+    x = np.linalg.cholesky(block)[:n - 1:-1, n - 1::-1]
+    return (x.conj() * root).T
+
+
 class TestBlockStepMatrix:
     """_step_matrix takes inv(R), R the upper Cholesky factor, from one
-    Cholesky call on a block matrix, with buffers that its caller owns."""
+    Cholesky call on a block matrix, with buffers that its caller owns; a
+    2 x 2 rho takes that call's arithmetic written out, with its bits."""
+
+    def test_qubit_branch_has_the_block_calls_bits(self):
+        def outcome(step, rho, root):
+            try:
+                return step(rho, root)
+            except np.linalg.LinAlgError:
+                return None
+
+        rng = np.random.default_rng(0)
+        # c = 2**900; the last case's 1 / lambda_min is 4c / 3, but the
+        # diagonal of inv(rho) is 2c / 3: its last pivot fails, no other
+        t = 1 - 3 * 2.0**-22
+        special = [np.array([[4.0, 2.0], [2.0, 1.0]]),  # rank 1, exactly
+                   np.array([[2.0, 1 + 1j], [1 - 1j, 1.0]]),
+                   np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]),
+                   np.diag([1.0, 2.0**-950]), np.diag([2.0**-950, 1.0]),
+                   2.0**-880 * np.array([[1.0, t], [t, 1.0]]),
+                   np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                   np.diag([np.nan, 1.0]), np.diag([1.0, np.nan])]
+        draws = [(rho, np.ones(2)) for rho in special]
+        for k in range(1000):
+            scale, cond = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(0, 12)
+            root = np.sqrt(rng.dirichlet([1, 1]))
+            for dtype in (float, complex):
+                rho = scale * conditioned_case(2, cond, dtype, seed=k)
+                if k % 50 == 0:  # rank 1 up to rounding
+                    rho = scale * np.outer(rho[0], rho[0].conj())
+                draws.append((rho, root))
+        raised = 0
+        for rho, root in draws:
+            for r in {rho.dtype: rho, np.dtype(complex): rho.astype(complex)}.values():
+                got = outcome(lambda r, root: ts.scaling._step_matrix(r, root, {}), r, root)
+                want = outcome(block_step_matrix, r, root)
+                if want is None or not np.isfinite(want).all():
+                    # LAPACK fails, or OpenBLAS's potf2, which tests a pivot
+                    # only for <= 0, returns NaN: the branch raises in both
+                    assert got is None
+                    raised += 1
+                else:
+                    assert got is not None and got.dtype == r.dtype
+                    assert got.tobytes() == want.tobytes()  # signed zeros too
+        assert 40 <= raised <= 100  # the special cases and most rank-1 draws
+        ok = ts.scaling._step_matrix(np.diag([1.0, 2.0**-890]), np.ones(2), {})
+        assert np.array_equal(ok, np.diag([1.0, 2.0**445]))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
@@ -414,6 +471,18 @@ class TestBlockStepMatrix:
             it.step(*it.rule())
         j = it.dists.index(max(it.dists))
         it.rhos[j][...] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(ts.NumericBreakdownError,
+                           match=r"factorization failed at step 3$") as info:
+            it.rule()
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_qubit_pivot_not_positive_is_a_breakdown_naming_its_step(self, rng):
+        x = random_integer_tensor((1, 2, 2, 2), rng)
+        it = ts.scaling._Iterate(x, ts.TargetSpectrum.uniform((2, 2, 2)), x.norm())
+        for _ in range(2):
+            it.step(*it.rule())
+        j = it.dists.index(max(it.dists))
+        it.rhos[j][...] = np.diag([1.0, -1.0])
         with pytest.raises(ts.NumericBreakdownError,
                            match=r"factorization failed at step 3$") as info:
             it.rule()
@@ -953,11 +1022,9 @@ class TestSharedLoopConstants:
     FAR = ts.TargetSpectrum(((F(9, 10), F(1, 10)),) * 3)
 
     def test_gather_step_dispatch(self, monkeypatch):
-        # far from its target, a gather-path step on (1;2,2,2) ranks by
-        # Frobenius distance: one Cholesky call, no kron and no eigensolve
-        x = ts.Tensor(np.arange(1.0, 9.0).reshape(1, 2, 2, 2))
-        it = ts.scaling._Iterate(x, self.FAR, x.norm(), epsilon=1e-3)
-        assert it.index is not None
+        # far from its target, a gather-path step on (1;n,n,n) ranks by
+        # Frobenius distance: no kron and no eigensolve, one Cholesky call
+        # for n = 3 and none for a qubit factor's written-out step
         calls = []
 
         def counted(name, fn):
@@ -969,11 +1036,20 @@ class TestSharedLoopConstants:
         for module, name in ((np.linalg, "cholesky"), (np.linalg, "eigvalsh"),
                              (np, "kron")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for _ in range(2):  # the first step also builds the block buffer
-            assert max(it.frob) > it.epsilon
-            calls.clear()
-            it.step(*it.rule())
-            assert calls == ["cholesky"]
+        far3 = ts.TargetSpectrum(((F(8, 10), F(1, 10), F(1, 10)),) * 3)
+        cases = ((np.arange(1.0, 9.0), self.FAR, []),
+                 (np.arange(1.0, 28.0) % 5, far3, ["cholesky"]))
+        for data, p, want in cases:
+            n = p.dims[0]
+            x = ts.Tensor(data.reshape(1, n, n, n))
+            it = ts.scaling._Iterate(x, p, x.norm(), epsilon=1e-3)
+            assert it.index is not None
+            for _ in range(2):  # the first step also builds any block buffer
+                assert max(it.frob) > it.epsilon
+                calls.clear()
+                it.step(*it.rule())
+                assert calls == want
+            assert len(it.blocks) == len(want)
 
     def test_built_once_per_value_and_read_only(self, rng, monkeypatch):
         x = random_integer_tensor((1, 2, 2, 2), rng)
@@ -1003,15 +1079,20 @@ class TestSharedLoopConstants:
         for it in built:  # the same objects in both runs, nothing rebuilt
             assert it.groups is groups and it.index is index
             assert it.diags is diags and it.roots is roots and it.exponents is targets[2]
+            assert it.blocks == {}  # qubit steps take no block buffer
         # an equal target holds its own constants, of the same bits
         q = ts.TargetSpectrum(p.parts)
         assert q == p and q._loop_targets[0] is not diags
         assert all(np.array_equal(a, b) for a, b in zip(q._loop_targets[0], diags))
-        its = [ts.scaling._Iterate(x, t, x.norm()) for t in (p, q)]
+        # each iterate owns its block buffers, taken on n >= 3 factors
+        x3 = random_integer_tensor((1, 3, 3, 3), rng)
+        p3 = ts.TargetSpectrum(((F(1, 2), F(1, 3), F(1, 6)),) * 3)
+        its = [ts.scaling._Iterate(x3, t, x3.norm())
+               for t in (p3, ts.TargetSpectrum(p3.parts))]
         for it in its:
             it.step(*it.rule())
         blocks = [b for it in its for b in it.blocks.values()]
-        assert all(b.flags.writeable for b in blocks)
+        assert len(blocks) == 2 and all(b.flags.writeable for b in blocks)
         assert not np.shares_memory(*blocks)
 
     def test_one_build_per_format_for_any_number_of_targets(self, rng):
@@ -1388,8 +1469,9 @@ class TestRunScaling:
     def test_failed_step_factorization_is_a_numeric_breakdown(self, monkeypatch):
         # no step changes a marginal's rank, so a Cholesky failure after the
         # start is rounding: a numeric breakdown naming its step, never a
-        # singular marginal or a NOT_IN_POLYTOPE answer.  The step matrix's
-        # block factorization is the loop's only Cholesky call
+        # singular marginal or a NOT_IN_POLYTOPE answer.  On n >= 3 factors
+        # the step matrix's block factorization is the loop's only Cholesky
+        # call (qubit factors write it out)
         factor, calls = np.linalg.cholesky, []
 
         def failing_third(block):
@@ -1399,12 +1481,11 @@ class TestRunScaling:
             return factor(block)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing_third)
-        x = ts.Tensor(np.array([[[[1, 2], [2, 2]], [[2, 2], [3, 2]]]],
-                               dtype=complex))
+        x = ts.Tensor((np.arange(1, 28) % 5).reshape(1, 3, 3, 3).astype(complex))
         cfg = ts.ScalingConfig(epsilon=1e-6, seed=0, max_iters=50)
         with pytest.raises(ts.NumericBreakdownError,
                            match=r"factorization failed at step 3$") as info:
-            ts.run_scaling(x, ts.TargetSpectrum.uniform((2, 2, 2)), cfg)
+            ts.run_scaling(x, ts.TargetSpectrum.uniform((3, 3, 3)), cfg)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         assert len(calls) == 3
 

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Compare two BENCH_<N>.json files metric by metric.
+
+Run from any directory:
+
+    python3 tools/bench_compare.py BENCH_46.json BENCH_47.json
+
+For each workload of either file and each end-to-end metric that
+BENCHMARK.json declares, it prints the old and the new value, the relative
+change and a judgement against the metric's ``better`` direction and
+``bound``: ``better``, ``worse`` (within the bound) or ``WORSE`` (past it).
+It reads the reference-speed ``metrics``, not ``raw_wall``, so files from
+two machines compare.  It then prints whether each workload's
+``fingerprint_sha256`` and ``correct`` are equal.  The exit status is 1 when
+a fingerprint or ``correct`` differs, or a workload is missing from one
+file, and 0 otherwise: one run per side is too noisy to fail on a bound.
+"""
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def judge(old: float, new: float, better: str, bound: float) -> tuple[str, str]:
+    """The relative change of new against old, formatted, and its judgement."""
+    if old == new:
+        return "+0.0%", "equal"
+    if old == 0:
+        return "n/a", "changed"
+    change = (new - old) / abs(old)
+    worse = change if better == "lower" else -change
+    verdict = "better" if worse < 0 else "worse" if worse <= bound else "WORSE"
+    return f"{change:+.1%}", verdict
+
+
+def compare(old: dict, new: dict, spec: dict) -> tuple[list[str], bool]:
+    """The report's lines, and whether every workload is in both files with
+    equal fingerprints and equal ``correct``."""
+    lines = [f"old: pr {old.get('pr')}, {old.get('env')}",
+             f"new: pr {new.get('pr')}, {new.get('env')}",
+             f"{'workload':<9} {'metric':<18} {'old':>12} {'new':>12} "
+             f"{'change':>8}  judged"]
+    same = True
+    workloads = [*old["workloads"], *(w for w in new["workloads"]
+                                      if w not in old["workloads"])]
+    for workload in workloads:
+        a, b = old["workloads"].get(workload), new["workloads"].get(workload)
+        if a is None or b is None:
+            lines.append(f"{workload:<9} missing from the {'old' if a is None else 'new'} file")
+            same = False
+            continue
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            if name not in a["metrics"] or name not in b["metrics"]:
+                lines.append(f"{workload:<9} {name:<18} not in both files")
+                continue
+            u, v = a["metrics"][name]["value"], b["metrics"][name]["value"]
+            change, verdict = judge(u, v, metric["better"], metric["bound"])
+            lines.append(f"{workload:<9} {name:<18} {u:>12.6g} {v:>12.6g} "
+                         f"{change:>8}  {verdict}")
+        for key in ("fingerprint_sha256", "correct"):
+            u, v = str(a[key])[:8], str(b[key])[:8]
+            same = same and a[key] == b[key]
+            lines.append(f"{workload:<9} {key:<18} " + (
+                f"equal ({u})" if a[key] == b[key] else f"DIFFERS ({u} -> {v})"))
+    return lines, same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    old, new = (json.loads(path.read_text()) for path in (args.old, args.new))
+    lines, same = compare(old, new, spec)
+    print("\n".join(lines))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
