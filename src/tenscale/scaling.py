@@ -165,13 +165,6 @@ class TargetSpectrum:
         return (tuple(diags), tuple(roots[j] for j in range(len(ascending))),
                 tuple(tuple(-v for v in vec) for vec in ascending))
 
-    def ascending(self, i: int) -> np.ndarray:
-        """Factor i's (1-based) float entries in ascending order, marginal i's
-        target diagonal, as a fresh writable array; other labels raise ValueError."""
-        if not 1 <= i <= self.num_factors:
-            raise ValueError(f"factor index must be in 1..{self.num_factors}, got {i}")
-        return np.negative(self._loop_targets[2][i - 1])  # -(-v) is v, bit for bit
-
     @classmethod
     def uniform(cls, dims: Sequence[int]) -> "TargetSpectrum":
         return cls(tuple(tuple(Fraction(1, n) for _ in range(n)) for n in dims))
@@ -490,8 +483,8 @@ def _loop_constants(shape: tuple[int, ...], dtype: np.dtype) -> tuple:
 class _Iterate:
     """A scaling loop's state: the raw iterate y = group . x0, normalizations
     folded into group[0], the loop's tolerance epsilon and y's last measurement:
-    marginal stacks (rhos lists their views), Frobenius distances frob
-    and, on first read, trace distances dists, all in x0's dtype.
+    marginal stacks (see slots), Frobenius distances frob and, on first
+    read, trace distances dists, all in x0's dtype.
 
     A step makes one pass over y, the contraction with the Borel step a,
     which leaves y at unit norm: tr(a rho_j a^dagger) is the target's sum, 1.
@@ -579,35 +572,30 @@ class _Iterate:
             raise NumericBreakdownError("the Cholesky factorization failed "
                                         f"at step {self.steps + 1}") from exc
 
-    def grams(self, skip: int | None = None) -> list[np.ndarray]:
-        """One-body marginals of the raw iterate, one (k, n, n) stack per
-        group, each the Gram matrix m @ m^dagger of a flattening m, exactly
-        as tensors.marginal computes it: a stacked np.matmul calls the same
-        BLAS product for each matrix as a single one does.  The per-factor
-        path leaves factor ``skip``'s place unset, the gather path fills it."""
+    def measure(self, j: int | None = None, rho: np.ndarray | None = None
+                ) -> None:
+        """Set stacks and frob from the raw iterate.  A group's stack holds
+        the Gram matrices m @ m^dagger of its flattenings m, exactly as
+        tensors.marginal computes them: a stacked np.matmul calls the same
+        BLAS product for each matrix as a single one does.  A per-factor step
+        passes its factor j's marginal rho in place of j's Gram matrix, which
+        a gather forms too.  frob takes one reduction per group, the same bits
+        as over each matrix alone.  No rho_j, a Gram matrix or a congruence's
+        Hermitian part, is checked: eigvalsh reads its lower triangle,
+        _step_matrix its upper one."""
         stacks = []
         if self.index is not None:
             for index in self.index:  # take reads y in row-major order
                 ms = self.y.take(index)
                 stacks.append(np.matmul(ms, ms.conj().swapaxes(1, 2)))
-            return stacks
-        for factors, diags in zip(self.groups, self.diags):
-            stack = np.empty(diags.shape, dtype=self.y.dtype)
-            for j, gram in zip(factors, stack):
-                if j != skip:
-                    m = flattening(self.y, j + 1)
-                    np.matmul(m, m.conj().T, out=gram)
-            stacks.append(stack)
-        return stacks
-
-    def measure(self, j: int | None = None, rho: np.ndarray | None = None
-                ) -> None:
-        """Set stacks and frob (one reduction per dimension group, the same
-        bits as over each matrix alone) from the raw iterate; a per-factor
-        step passes its factor j's marginal rho.  No rho_j, a Gram matrix or a
-        congruence's Hermitian part, is checked: eigvalsh reads its lower
-        triangle, _step_matrix its upper one."""
-        stacks = self.grams(j)
+        else:
+            for factors, diags in zip(self.groups, self.diags):
+                stack = np.empty(diags.shape, dtype=self.y.dtype)
+                for k, gram in zip(factors, stack):
+                    if k != j:
+                        m = flattening(self.y, k + 1)
+                        np.matmul(m, m.conj().T, out=gram)
+                stacks.append(stack)
         if rho is not None:
             g, t = self.slots[j]
             stacks[g][t] = rho
@@ -618,11 +606,6 @@ class _Iterate:
             for k, sq in zip(factors, np.add.reduce(diff.real, axis=(1, 2)).tolist()):
                 frob[k] = math.sqrt(sq)
         self.stacks, self.frob, self._dists = stacks, frob, None
-
-    @property
-    def rhos(self) -> list[np.ndarray]:
-        """The last measurement's marginals, as views of stacks."""
-        return [self.stacks[g][t] for g, t in self.slots]
 
     @property
     def dists(self) -> list[float]:

@@ -170,6 +170,12 @@ def borel_homomorphism(rd, b) -> np.ndarray:
     return ts.expand_matrix(rd, (b / scale[:, None]) * scale[None, :])
 
 
+def ascending(p: TargetSpectrum, i: int) -> np.ndarray:
+    """Factor i's (1-based) target entries in ascending order, marginal i's
+    target diagonal: each the float nearest its exact fraction in p.parts."""
+    return np.array([float(v) for v in reversed(p.parts[i - 1])])
+
+
 def save_tensor(x: Tensor, path) -> None:
     """The canonical tensor file the CLI reads."""
     Path(path).write_text(io.dumps_canonical(io.tensor_to_obj(x)))
@@ -223,7 +229,7 @@ def ref_capacity(group, p, norm_y) -> float:
     diagonal one entry at a time; a zero diagonal entry gives inf."""
     value = norm_y
     for i, r in enumerate(group, start=1):
-        for k, exponent in enumerate(p.ascending(i).tolist()):
+        for k, exponent in enumerate(ascending(p, i).tolist()):
             det = abs(r[k, k])
             if det == 0.0:
                 return math.inf

@@ -13,6 +13,7 @@ import pytest
 
 import tenscale as ts
 from conftest import (
+    ascending,
     ghz_tensor,
     pinsker_gap,
     pure_state_spectra_gap,
@@ -161,7 +162,7 @@ def test_criterion_04_per_step_exactness():
             g, i, dists = ts.scaling_step(g, x, p)
             y = ts.apply_group(g, x)
             fixed = ts.trace_distance(ts.marginal(y, i),
-                                      np.diag(p.ascending(i)))
+                                      np.diag(ascending(p, i)))
             assert fixed <= 1e-8
             assert abs(y.norm() - 1.0) <= 1e-8
             checked += 1

@@ -29,15 +29,21 @@ def rows(lines, workload="far"):
 
 
 def test_each_metric_is_judged_by_its_direction_and_bound():
+    # by its direction only: one run per side judges no bound, so a change
+    # past it reads "worse" like any other
     old = document(46, 2.0, 400.0)
     lines, same = bench_compare.compare(old, document(47, 1.5, 300.0), SPEC)
     assert same
     got = rows(lines)
     assert got["solve_ms_p50"] == ["2", "1.5", "-25.0%", "better"]
-    assert got["queries_per_s"] == ["400", "300", "-25.0%", "worse"]  # at the bound
+    assert got["queries_per_s"] == ["400", "300", "-25.0%", "worse"]
     got = rows(bench_compare.compare(old, document(47, 2.6, 400.0), SPEC)[0])
-    assert got["solve_ms_p50"] == ["2", "2.6", "+30.0%", "WORSE"]
+    assert got["solve_ms_p50"] == ["2", "2.6", "+30.0%", "worse"]
     assert got["queries_per_s"] == ["400", "400", "+0.0%", "equal"]
+    got = rows(bench_compare.compare(document(46, 0.0, 0.0),
+                                     document(47, 1.0, 1.0), SPEC)[0])
+    assert got["solve_ms_p50"] == ["0", "1", "n/a", "worse"]
+    assert got["queries_per_s"] == ["0", "1", "n/a", "better"]
     assert got["fingerprint_sha256"] == ["equal", "(abababab)"]
     assert got["correct"] == ["equal", "(True)"]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tenscale as ts
 from tenscale import cli, io
 from conftest import (
+    ascending,
     ghz_tensor,
     hwv_spec_to_obj,
     random_integer_tensor,
@@ -67,7 +68,7 @@ def witness_distance(payload, p):
     group = [np.array([[complex(v["re"], v["im"]) for v in row] for row in mat])
              for mat in payload["group"]]
     y = ts.apply_group(group, io.tensor_from_obj(payload["sample"]))
-    return max(ts.trace_distance(ts.marginal(y, i), np.diag(p.ascending(i)))
+    return max(ts.trace_distance(ts.marginal(y, i), np.diag(ascending(p, i)))
                for i in range(1, p.num_factors + 1))
 
 
@@ -476,6 +477,12 @@ class TestCanonicalWriter:
         assert reference_dumps(obj) == text and calls
 
 
+# command lines of the malformed-input cases: IN stands for the case's own
+# file, T122 for a (1;2,2) tensor file
+MPS = ["general-scale", "--target", "uniform", "--epsilon", "0.1", "--mps", "IN"]
+HWV = ["verify-hwv", "--tensor", "T122", "--spec", "IN"]
+
+
 class TestCli:
     def run(self, *argv, capsys=None):
         code = cli.main(list(argv))
@@ -710,28 +717,49 @@ class TestCli:
         assert code == 2
         assert err == "error: --sites applies only to --mps\n"
 
-    @pytest.mark.parametrize("content,argv", [
-        ({"matrices": 5, "sites": 2}, ["general-scale", "--mps"]),
-        ({"matrices": [], "sites": 2}, ["general-scale", "--mps"]),
-        ({"matrices": [1, 2], "sites": 2}, ["general-scale", "--mps"]),
-        ({"rows": [[1, 1], [1, 1]]}, ["sinkhorn", "--matrix"]),
-        (None, ["reduce", "--lambdas", "5", "--tensor"]),
-        (None, ["reduce", "--lambdas", "[5, 3]", "--tensor"]),
+    @pytest.mark.parametrize("content,argv,message", [
+        ({"matrices": 5, "sites": 2}, MPS,
+         "need a nonempty list of equal square site matrices"),
+        ({"matrices": [], "sites": 2}, MPS,
+         "{path}.matrices: expected a finite number or a nonempty list of them"),
+        ({"matrices": [1, 2], "sites": 2}, MPS,
+         "need a nonempty list of equal square site matrices"),
+        ({"rows": [[1, 1], [1, 1]]},
+         ["sinkhorn", "--rows", "1,1", "--cols", "1,1", "--epsilon", "0.1",
+          "--matrix", "IN"],
+         "{path}: expected a finite number or a nonempty list of them"),
+        (None, ["reduce", "--lambdas", "5", "--tensor", "T122"],
+         "need a sequence of partitions, got 5"),
+        (None, ["reduce", "--lambdas", "[5, 3]", "--tensor", "T122"],
+         "lam must be a sequence of integers, got 5"),
+        ({"weight": [[1]] * 3, "indexSeq": [0], "perms": [[0]] * 3}, HWV,
+         "spec has 3 factors, tensor has 2"),
+        ({"weight": [[1, 1, 1]] * 2, "indexSeq": [0] * 3,
+          "perms": [[0, 1, 2]] * 2}, HWV,
+         "weight (1, 1, 1) has more than 2 parts"),
+        ([1, 2], MPS, "--mps file must hold a JSON object"),
+        ({"n": 2, "bond": 2}, MPS, "give --sites (or a 'sites' key) for --mps"),
+        ({"sites": 3}, MPS, "--mps file needs 'matrices' or 'n' and 'bond'"),
+        ({"parts": [["1/0", 0], [0.5, 0.5]]},
+         ["scale", "--tensor", "T122", "--epsilon", "0.1", "--target", "IN"],
+         "{path}.parts[0][0]: bad fraction '1/0'"),
+        ({"dims": [1, 2, 2], "entries": []},
+         ["scale", "--target", "uniform", "--epsilon", "0.1", "--tensor", "IN"],
+         "input tensor must be nonzero"),
     ], ids=["mps-number", "mps-empty", "mps-flat", "sinkhorn-object",
-            "lambdas-number", "lambdas-flat"])
-    def test_malformed_input_exits_two(self, tmp_path, capsys, content, argv):
-        # each used to escape main as a TypeError or IndexError (exit 1)
-        path = tmp_path / "in.json"
-        if content is None:
-            save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(path))
-        else:
-            path.write_text(json.dumps(content))
-        rest = {"general-scale": ["--target", "uniform", "--epsilon", "0.1"],
-                "sinkhorn": ["--rows", "1,1", "--cols", "1,1",
-                             "--epsilon", "0.1"],
-                "reduce": []}[argv[0]]
-        assert cli.main(argv + [str(path)] + rest) == 2
-        assert capsys.readouterr().err.startswith("error:")
+            "lambdas-number", "lambdas-flat", "hwv-factor-count",
+            "hwv-weight-parts", "mps-not-object", "mps-no-sites",
+            "mps-no-source", "target-zero-denominator", "tensor-zero"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, content, argv,
+                                       message):
+        # each exits 2 with its one line; the first six used to escape main
+        # as a TypeError or IndexError (exit 1)
+        path, tensor = tmp_path / "in.json", tmp_path / "t122.json"
+        save_tensor(ts.Tensor(np.ones((1, 2, 2))), str(tensor))
+        path.write_text(json.dumps(content))
+        files = {"IN": str(path), "T122": str(tensor)}
+        assert cli.main([files.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize("flag,content,message", [
         ("--target", {"parts": [[0.5, 0.3], ["1/2", "1/2"], [0.5, 0.5]]},

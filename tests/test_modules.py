@@ -10,7 +10,8 @@ as tensors.py owns the flattening's axis order, tensors.contract makes none
 as its images stay row-major, the contraction kernels and the loop's state
 force no complex dtype as tensors._real_if_real holds the one dtype rule,
 each halt check makes the one resync call the benchmark's tracer counts, no
-public function stays in the package that only the tests call, no
+public function or class member stays in the package that only the tests
+call, only the pinned member names are shared between classes, no
 private top-level function or class stays that no package module calls,
 and only cli.py opens or parses a file."""
 import ast
@@ -834,28 +835,30 @@ def test_each_halt_check_is_one_counted_resync():
     assert halt_apply_calls((PACKAGE / "scaling.py").read_text()) == ["once"]
 
 
-# public functions and public class members of the package that neither the
-# engine, the CLI nor the benchmark calls: each stays on purpose, or it
-# belongs in the tests
+# public functions of the package, and public members of its classes, that
+# neither the engine, the CLI nor the benchmark calls: each stays on purpose,
+# or it belongs in the tests
 BENCH = PACKAGE.parent.parent / "bench"
 KEPT_API = {
-    # the tensor primitives and the float target diagonals
-    # (TargetSpectrum.ascending) tests/test_loop_reference.py builds its
-    # reference loop from, now that the engine keys its loop constants by
-    # the cached float tuple; spectrum, which acceptance criteria 02 and 06
-    # and tests/test_oracle.py read spectra with; and the partition
-    # predicate that README documents
-    "marginal", "trace_distance", "ascending", "spectrum", "is_partition",
+    # the tensor primitives the tests measure marginals and distances with,
+    # which the benchmark tracer's per-layer keys name; spectrum, which
+    # acceptance criteria 02 and 06 and tests/test_oracle.py read spectra
+    # with; and the partition predicate that README documents
+    "marginal", "trace_distance", "spectrum", "is_partition",
 }
 
 
 def public_functions(source: str) -> set[str]:
-    """Names without a leading underscore of the module-level functions and
-    of the methods, properties and classmethods of public classes."""
-    body = ast.parse(source).body
-    members = [node for cls in body if isinstance(cls, ast.ClassDef)
-               and not cls.name.startswith("_") for node in cls.body]
-    return {node.name for node in body + members
+    """Names without a leading underscore of the module-level functions."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def public_members(source: str) -> set[tuple[str, str]]:
+    """(class, name) for each method, property and classmethod without a
+    leading underscore of every top-level class, private classes included."""
+    return {(cls.name, node.name) for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
@@ -874,14 +877,21 @@ def referenced_names(tree: ast.AST) -> set[str]:
 
 def unreferenced_functions(package: dict[str, str],
                            users: list[str]) -> list[str]:
-    """Public functions of the package modules (file name to source) that
-    no other package module than __init__.py, and no user source, names."""
-    defined = set().union(*map(public_functions, package.values()))
-    sources = users + [source for name, source in package.items()
-                       if name != "__init__.py"]
-    named = set().union(*(referenced_names(ast.parse(source))
-                          for source in sources))
-    return sorted(defined - named)
+    """Public functions of the package modules (file name to source) that no
+    other package module than __init__.py, and no user source, names, and
+    as "Class.name" the public class members that none of them reaches as an
+    attribute (x.name): a bare name, such as a local variable, reads no
+    member.  Members match by name alone (see SHARED_MEMBERS)."""
+    sources = [ast.parse(source) for source in users] + [
+        ast.parse(source) for name, source in package.items()
+        if name != "__init__.py"]
+    named = set().union(*map(referenced_names, sources))
+    attributes = {node.attr for tree in sources for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    functions = set().union(*map(public_functions, package.values())) - named
+    members = {f"{cls}.{name}" for source in package.values()
+               for cls, name in public_members(source) if name not in attributes}
+    return sorted(functions | members)
 
 
 def test_guard_sees_unreferenced_helpers():
@@ -892,13 +902,23 @@ def test_guard_sees_unreferenced_helpers():
                 "def via_attribute(): pass\n"
                 "def _private(): pass\n"
                 "class Kept:\n"
-                "    def method(self): pass\n",
-        "b.py": "from .a import used\n",
+                "    def method(self): pass\n"
+                "    def called(self): return self.read\n"
+                "    @property\n"
+                "    def read(self): pass\n"
+                "class _Hidden:\n"
+                "    def views(self): pass\n"
+                "    def _own(self): pass\n",
+        "b.py": "from .a import Kept, used\n"
+                "Kept().called()\n",
     }
-    users = ["import tenscale as ts\nts.via_attribute()\n"]
-    assert unreferenced_functions(package, users) == ["helper", "method"]
-    assert unreferenced_functions(package, []) == ["helper", "method",
-                                                   "via_attribute"]
+    # the user binds views and calls method by bare name only
+    users = ["import tenscale as ts\nts.via_attribute()\n"
+             "views = [1]\nmethod(views)\n"]
+    assert unreferenced_functions(package, users) \
+        == ["Kept.method", "_Hidden.views", "helper"]
+    assert unreferenced_functions(package, []) \
+        == ["Kept.method", "_Hidden.views", "helper", "via_attribute"]
 
 
 def test_src_keeps_only_called_or_kept_functions():
@@ -907,6 +927,51 @@ def test_src_keeps_only_called_or_kept_functions():
     assert users
     assert set(unreferenced_functions(package, users)) - KEPT_API == set()
     assert KEPT_API <= set().union(*map(public_functions, package.values()))
+
+
+# the public member names that more than one package class defines, with
+# their classes: the guard above matches a member by name alone, so one
+# class's reader counts for each class on a row, and a third class's member
+# of that name could stay unread unseen, as HWVSpec.num_factors did
+SHARED_MEMBERS = {"dims": {"Tensor", "TargetSpectrum"},
+                  "num_factors": {"Tensor", "TargetSpectrum"}}
+
+
+def shared_members(package: dict[str, str]) -> dict[str, set[str]]:
+    """Each public member name that more than one class of the package
+    modules (file name to source) defines, with those classes' names."""
+    owners = {}
+    for source in package.values():
+        for cls, name in public_members(source):
+            owners.setdefault(name, set()).add(cls)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_guard_sees_shared_member_names():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+
+    def edited(name, cls, edit):
+        # the package with one class body of module ``name`` edited
+        tree = ast.parse(package[name])
+        node = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        node.body = edit(node.body)
+        return shared_members({**package, name: ast.unparse(tree)})
+
+    # HWVSpec.num_factors put back: a third class on a listed row
+    grown = edited("hwv.py", "HWVSpec", lambda body: body + ast.parse(
+        "@property\ndef num_factors(self): return len(self.weight)\n").body)
+    assert grown["num_factors"] == {"Tensor", "TargetSpectrum", "HWVSpec"}
+    assert grown != SHARED_MEMBERS
+    # a listed class that stops defining its name leaves the row
+    shrunk = edited("scaling.py", "TargetSpectrum", lambda body: [
+        node for node in body if getattr(node, "name", None) != "dims"])
+    assert "dims" not in shrunk and shrunk != SHARED_MEMBERS
+
+
+def test_shared_member_names_are_listed():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert shared_members(package) == SHARED_MEMBERS
 
 
 def unreferenced_private(package: dict[str, str]) -> list[str]:

@@ -7,13 +7,14 @@ Run from any directory:
 
 For each workload of either file and each end-to-end metric that
 BENCHMARK.json declares, it prints the old and the new value, the relative
-change and a judgement against the metric's ``better`` direction and
-``bound``: ``better``, ``worse`` (within the bound) or ``WORSE`` (past it).
+change and its direction against the metric's ``better``: ``better``,
+``worse`` or ``equal``.  It judges no ``bound``: one run per side is too
+noisy for that, and a bound is judged only over alternating pairs of runs.
 It reads the reference-speed ``metrics``, not ``raw_wall``, so files from
 two machines compare.  It then prints whether each workload's
 ``fingerprint_sha256`` and ``correct`` are equal.  The exit status is 1 when
 a fingerprint or ``correct`` differs, or a workload is missing from one
-file, and 0 otherwise: one run per side is too noisy to fail on a bound.
+file, and 0 otherwise.
 """
 import argparse
 import json
@@ -23,16 +24,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def judge(old: float, new: float, better: str, bound: float) -> tuple[str, str]:
-    """The relative change of new against old, formatted, and its judgement."""
+def judge(old: float, new: float, better: str) -> tuple[str, str]:
+    """The relative change of new against old, formatted ("n/a" from 0), and
+    its direction: "better", "worse" or "equal"."""
     if old == new:
         return "+0.0%", "equal"
-    if old == 0:
-        return "n/a", "changed"
-    change = (new - old) / abs(old)
-    worse = change if better == "lower" else -change
-    verdict = "better" if worse < 0 else "worse" if worse <= bound else "WORSE"
-    return f"{change:+.1%}", verdict
+    change = f"{(new - old) / abs(old):+.1%}" if old else "n/a"
+    return change, "better" if (new < old) == (better == "lower") else "worse"
 
 
 def compare(old: dict, new: dict, spec: dict) -> tuple[list[str], bool]:
@@ -57,7 +55,7 @@ def compare(old: dict, new: dict, spec: dict) -> tuple[list[str], bool]:
                 lines.append(f"{workload:<9} {name:<18} not in both files")
                 continue
             u, v = a["metrics"][name]["value"], b["metrics"][name]["value"]
-            change, verdict = judge(u, v, metric["better"], metric["bound"])
+            change, verdict = judge(u, v, metric["better"])
             lines.append(f"{workload:<9} {name:<18} {u:>12.6g} {v:>12.6g} "
                          f"{change:>8}  {verdict}")
         for key in ("fingerprint_sha256", "correct"):
